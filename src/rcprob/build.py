@@ -977,7 +977,9 @@ class MarkovModel:
         return out
 
     def check_stochastic(self):
-        """Exact distribution checks: dtmc rows and every mdp move sum to 1."""
+        """Exact distribution checks: every state has a move and every move
+        sums to 1.  This implies the dtmc row check: a state with k moves
+        has a row summing to k * (1/k) * 1 = 1."""
         for s in range(self.num_states):
             if not self.moves[s]:
                 raise BuildError(f"state {s} has no moves after completion")
@@ -986,10 +988,6 @@ class MarkovModel:
                 if total != 1:
                     raise BuildError(
                         f"state {s} action {mv.action}: branch probabilities sum to {total}")
-            if self.kind == "dtmc":
-                total = sum(self.row(s).values())
-                if total != 1:
-                    raise BuildError(f"state {s}: dtmc row sums to {total}")
 
     def short_var_names(self) -> tuple[str, ...]:
         if self._short_names is None:

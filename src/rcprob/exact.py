@@ -1,10 +1,13 @@
 """Exact property checking over explicit Markov models.
 
-Probability operators run numeric value iteration after qualitative
-prob-0/prob-1 graph precomputation; A/E path quantifiers run pure graph
-analysis (fixpoints and strongly connected components) over the
-positive-probability edge relation of the deadlock-completed model; reward
-operators combine reachability analysis with value iteration.
+Probability and reward operators first split the states by qualitative
+graph precomputation (prob-0/prob-1, finite-reward regions, bottom strongly
+connected components).  On a dtmc the remaining unbounded values come from
+one sparse LU solve of (I - P[m, m]) x = b over the undecided states m; on
+an mdp they come from value iteration, which stops when successive iterates
+change by less than `tol`.  A/E path quantifiers run pure graph analysis
+(fixpoints and strongly connected components) over the positive-probability
+edge relation of the deadlock-completed model.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from . import ast as A
 from . import props as P
@@ -81,62 +85,46 @@ class ExactChecker:
 
     def succ(self) -> list[list[int]]:
         if self._succ is None:
-            out = []
-            for row in self.mm.moves:
-                dests = set()
-                for mv in row:
-                    for p, d in mv.branches:
-                        if p > 0:
-                            dests.add(d)
-                out.append(sorted(dests))
-            self._succ = out
+            self._succ = _adjacency(self.dtmc_matrix())
         return self._succ
 
     def pred(self) -> list[list[int]]:
         if self._pred is None:
-            out = [[] for _ in range(self.n)]
-            for s, dests in enumerate(self.succ()):
-                for d in dests:
-                    out[d].append(s)
-            self._pred = out
+            self._pred = _adjacency(self.dtmc_matrix().T.tocsr())
         return self._pred
 
     def dtmc_matrix(self):
+        """The dtmc transition matrix: each state mixes its moves uniformly."""
         if self._dtmc_csr is None:
-            rows, cols, data = [], [], []
-            for s in range(self.n):
-                for d, p in sorted(self.mm.row(s).items()):
-                    rows.append(s)
-                    cols.append(d)
-                    data.append(float(p))
-            self._dtmc_csr = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(self.n, self.n))
+            owners, mat, bounds = self.mdp_arrays()
+            counts = np.diff(bounds)
+            mix = sparse.csr_matrix(
+                (1.0 / counts[owners], np.arange(owners.size), bounds),
+                shape=(self.n, owners.size))
+            self._dtmc_csr = (mix @ mat).tocsr()
+            self._dtmc_csr.sort_indices()
         return self._dtmc_csr
 
     def mdp_arrays(self):
-        """Flattened move structure: per-move owner and branch CSR."""
+        """The choice CSR, one row per move: per-move owner state, the
+        move-by-state branch matrix (positive entries only) and the first
+        move of each state."""
         if self._mdp_arrays is None:
-            owners = []
-            starts = [0]
-            rows, cols, data = [], [], []
-            mi = 0
-            for s in range(self.n):
-                for mv in self.mm.moves[s]:
-                    owners.append(s)
-                    for p, d in mv.branches:
-                        rows.append(mi)
-                        cols.append(d)
-                        data.append(float(p))
-                    mi += 1
-                starts.append(mi)
-            mat = sparse.csr_matrix((data, (rows, cols)), shape=(mi, self.n))
+            counts = np.fromiter(map(len, self.mm.moves), dtype=np.int64, count=self.n)
             bounds = np.zeros(self.n + 1, dtype=np.int64)
-            pos = 0
-            for s in range(self.n):
-                bounds[s] = pos
-                pos += len(self.mm.moves[s])
-            bounds[self.n] = pos
-            self._mdp_arrays = (np.array(owners, dtype=np.int64), mat, bounds)
+            np.cumsum(counts, out=bounds[1:])
+            owners = np.repeat(np.arange(self.n, dtype=np.int64), counts)
+            branches = [mv.branches for row in self.mm.moves for mv in row]
+            indptr = np.zeros(len(branches) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, branches), dtype=np.int64,
+                                  count=len(branches)), out=indptr[1:])
+            flat = [b for mv_branches in branches for b in mv_branches]
+            data = np.fromiter((float(p) for p, _ in flat), dtype=float, count=len(flat))
+            cols = np.fromiter((d for _, d in flat), dtype=np.int64, count=len(flat))
+            mat = sparse.csr_matrix((data, cols, indptr), shape=(len(branches), self.n))
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
+            self._mdp_arrays = (owners, mat, bounds)
         return self._mdp_arrays
 
     def _reduce_moves(self, per_move: np.ndarray, mode: str) -> np.ndarray:
@@ -375,18 +363,12 @@ class ExactChecker:
                     changed = True
         return ~sure
 
-    def _prob1_dtmc(self, sat1, sat2, prob0):
-        bad_src = sat1 & ~sat2
-        pred = self.pred()
-        reach_bad = prob0.copy()
-        stack = list(np.flatnonzero(prob0))
-        while stack:
-            s = stack.pop()
-            for q in pred[s]:
-                if not reach_bad[q] and bad_src[q]:
-                    reach_bad[q] = True
-                    stack.append(q)
-        return ~reach_bad
+    def _prob01_dtmc(self, sat1, sat2):
+        """prob0 and prob1 of sat1 U sat2 on a dtmc: states that reach sat2
+        with probability 0, and states that cannot reach a prob0 state
+        through sat1 & ~sat2."""
+        prob0 = ~self._reach_exists(sat1 & ~sat2, sat2)
+        return prob0, ~self._reach_exists(sat1 & ~sat2, prob0)
 
     def _prob1_max(self, sat1, sat2):
         """Prob1E: states where some adversary reaches sat2 almost surely."""
@@ -434,29 +416,22 @@ class ExactChecker:
         return ~reach
 
     def _until_dtmc(self, sat1, sat2) -> np.ndarray:
-        reach = self._reach_exists(sat1 & ~sat2, sat2)
-        prob0 = ~reach
-        prob1 = self._prob1_dtmc(sat1, sat2, prob0)
-        x = np.zeros(self.n)
-        x[prob1] = 1.0
-        unknown = ~prob0 & ~prob1
-        if not unknown.any():
-            self.iterations = 0
-            return x
-        mat = self.dtmc_matrix()
-        idx = np.flatnonzero(unknown)
-        sub = mat[idx, :]
+        prob0, prob1 = self._prob01_dtmc(sat1, sat2)
+        x = prob1.astype(float)
+        maybe = np.flatnonzero(~prob0 & ~prob1)
         self.iterations = 0
-        for it in range(self.max_iter):
-            new_vals = sub.dot(x)
-            delta = np.max(np.abs(new_vals - x[idx]) / np.maximum(np.abs(new_vals), 1.0))
-            x[idx] = new_vals
-            self.iterations = it + 1
-            if delta < self.tol:
-                break
-        else:
-            raise CheckError(f"value iteration hit the cap; last residual {delta:g}")
+        if maybe.size:
+            x[maybe] = self._solve(maybe, self.dtmc_matrix()[maybe].dot(x))
         return np.clip(x, 0.0, 1.0)
+
+    def _solve(self, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x with (I - P[idx, idx]) x = b by one sparse LU factorisation.
+
+        Every caller's precomputation guarantees that each state of idx
+        leaves idx with probability 1, so the system is nonsingular."""
+        q = self.dtmc_matrix()[idx][:, idx]
+        self.iterations = 1
+        return splu((sparse.identity(idx.size, format="csc") - q).tocsc()).solve(b)
 
     def _until_mdp(self, sat1, sat2, mode) -> np.ndarray:
         if mode == "max":
@@ -849,11 +824,11 @@ class ExactChecker:
             attach_rewards(mm, decl, self.closed)
         rs = mm.rewards[rname]
         state_r = np.array([float(v) for v in rs.state])
-        move_r = []
-        for s in range(self.n):
-            for mi, _ in enumerate(mm.moves[s]):
-                move_r.append(float(rs.move.get((s, mi), 0)))
-        return state_r, np.array(move_r)
+        owners, mat, bounds = self.mdp_arrays()
+        move_r = np.zeros(owners.size)
+        for (s, mi), v in rs.move.items():
+            move_r[bounds[s] + mi] = float(v)
+        return state_r, move_r
 
     def expected_reward(self, rname: str | None, rpath: A.Expr, mode: str) -> np.ndarray:
         self.engine = "numeric"
@@ -888,9 +863,7 @@ class ExactChecker:
         return state_r + sums / counts
 
     def _expected_move_reward(self, state_r, move_r, x, mode):
-        """One Bellman backup of expected reward per state."""
-        if mode == "exact":
-            return self._dtmc_reward_base(state_r, move_r) + self.dtmc_matrix().dot(x)
+        """One Bellman backup of expected reward per state of an mdp."""
         owners, mat, bounds = self.mdp_arrays()
         per_move = move_r + mat.dot(x)
         return state_r + self._reduce_moves(per_move, mode)
@@ -898,25 +871,25 @@ class ExactChecker:
     def _reach_reward(self, target: np.ndarray, state_r, move_r, mode) -> np.ndarray:
         ones = np.ones(self.n, dtype=bool)
         if mode == "exact":
-            reach = self._until_dtmc(ones, target)
+            finite = self._prob01_dtmc(ones, target)[1]
         elif mode == "max":
             # sup over adversaries is infinite when some adversary misses the target
-            reach = np.where(self._prob1_min(ones, target), 1.0, 0.0)
+            finite = self._prob1_min(ones, target)
         else:
-            reach = np.where(self._prob1_max(ones, target), 1.0, 0.0)
-        finite = (reach > 1.0 - 1e-9) | target
-        x = np.zeros(self.n)
-        x[~finite] = np.inf
+            finite = self._prob1_max(ones, target)
+        finite = finite | target
+        x = np.where(finite, 0.0, np.inf)
         idx = np.flatnonzero(finite & ~target)
-        if idx.size == 0:
-            out = np.where(finite, 0.0, np.inf)
-            out[target] = 0.0
-            return out
         self.iterations = 0
+        if idx.size == 0:
+            return x
+        if mode == "exact":
+            x[idx] = self._solve(idx, self._dtmc_reward_base(state_r, move_r)[idx])
+            return x
         # value iteration over the finite region; moves into the infinite
         # region are excluded (max) or poison the move (min handled by inf)
         for it in range(self.max_iter):
-            backup = self._expected_move_reward(state_r, move_r, np.where(target, 0.0, x), mode)
+            backup = self._expected_move_reward(state_r, move_r, x, mode)
             new = x.copy()
             new[idx] = backup[idx]
             delta = np.max(np.abs(new[idx] - x[idx]) / np.maximum(np.abs(new[idx]), 1.0))
@@ -926,62 +899,52 @@ class ExactChecker:
                 break
         else:
             raise CheckError(f"value iteration hit the cap; last residual {delta:g}")
-        x[target] = 0.0
         return x
 
     def _cumul_reward(self, k: int, state_r, move_r, mode) -> np.ndarray:
         x = np.zeros(self.n)
-        for _ in range(k):
-            x = self._expected_move_reward(state_r, move_r, x, mode)
+        if mode == "exact":
+            base = self._dtmc_reward_base(state_r, move_r)
+            mat = self.dtmc_matrix()
+            for _ in range(k):
+                x = base + mat.dot(x)
+        else:
+            for _ in range(k):
+                x = self._expected_move_reward(state_r, move_r, x, mode)
         self.iterations = k
         return x
 
     def _total_reward(self, state_r, move_r, mode) -> np.ndarray:
         if mode != "exact":
             raise UnsupportedError("Total rewards are supported on dtmc models only")
-        # positive-reward bottom SCCs diverge
-        sccs = self._sccs()
+        # rewards are non-negative (attach_rewards rejects the rest), so a
+        # bottom SCC collects reward forever iff one of its states has a
+        # positive expected one-step reward; those diverge
+        base = self._dtmc_reward_base(state_r, move_r)
         succ = self.succ()
         in_bscc = np.zeros(self.n, dtype=bool)
         positive = np.zeros(self.n, dtype=bool)
-        move_index = {}
-        mi = 0
-        for s in range(self.n):
-            for j in range(len(self.mm.moves[s])):
-                move_index[(s, j)] = mi
-                mi += 1
-        for comp in sccs:
+        for comp in self._sccs():
             members = set(comp)
             if any(d not in members for s in comp for d in succ[s]):
                 continue
-            for s in comp:
-                in_bscc[s] = True
-            has_reward = any(state_r[s] > 0 for s in comp) or any(
-                move_r[move_index[(s, j)]] > 0
-                for s in comp for j in range(len(self.mm.moves[s])))
-            if has_reward:
-                for s in comp:
-                    positive[s] = True
+            in_bscc[comp] = True
+            positive[comp] = (base[comp] > 0).any()
         diverge = self._reach_exists(np.ones(self.n, dtype=bool), positive)
-        x = np.zeros(self.n)
-        x[diverge] = np.inf
-        zero_zone = in_bscc & ~positive
-        idx = np.flatnonzero(~diverge & ~zero_zone)
+        x = np.where(diverge, np.inf, 0.0)
+        # the remaining transient states reach zero-reward bottom SCCs only
+        idx = np.flatnonzero(~diverge & ~in_bscc)
         self.iterations = 0
-        for it in range(self.max_iter):
-            backup = self._expected_move_reward(state_r, move_r,
-                                                np.where(np.isinf(x), 0.0, x), mode)
-            new = x.copy()
-            new[idx] = backup[idx]
-            delta = np.max(np.abs(new[idx] - x[idx]) / np.maximum(np.abs(new[idx]), 1.0)) \
-                if idx.size else 0.0
-            x = new
-            self.iterations = it + 1
-            if delta < self.tol:
-                break
-        else:
-            raise CheckError(f"value iteration hit the cap; last residual {delta:g}")
+        if idx.size:
+            x[idx] = self._solve(idx, base[idx])
         return x
+
+
+def _adjacency(mat) -> list[list[int]]:
+    """The column indices of each row of a CSR matrix."""
+    ptr = mat.indptr.tolist()
+    cols = mat.indices.tolist()
+    return [cols[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
 def _flip(mode: str) -> str:

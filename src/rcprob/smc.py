@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import ast as A
 from .build import ClosedModel, MarkovModel
@@ -85,7 +84,10 @@ def normal_quantile(p: float) -> float:
 
 
 def _student_quantile(p: float, df: int) -> float:
-    return float(_scipy_stats.t.ppf(p, df))
+    # imported here: scipy.stats is most of `import rcprob` and only ACI with
+    # fewer than 50 samples needs it
+    from scipy import stats
+    return float(stats.t.ppf(p, df))
 
 
 # --- simulation --------------------------------------------------------------
@@ -327,8 +329,9 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
 
 
 def apmc_samples(epsilon: float, delta: float) -> int:
-    """Chernoff-Hoeffding sample bound, rounded to the nearest integer."""
-    return max(1, int(math.floor(math.log(2.0 / delta) / (2.0 * epsilon * epsilon) + 0.5)))
+    """The Chernoff-Hoeffding sample count: the smallest n >= 1 with
+    n >= ln(2/delta) / (2 epsilon^2)."""
+    return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
 def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
@@ -400,13 +403,8 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     """Mean-reward estimation for Cumul k and almost-sure Reachable formulas."""
     checker = ExactChecker(mm, closed)
     state_r, move_r = checker._reward_arrays(rname)
+    first_move = checker.mdp_arrays()[2].tolist()
     sampler = _Sampler(mm)
-    move_base = {}
-    mi = 0
-    for s in range(mm.num_states):
-        for j in range(len(mm.moves[s])):
-            move_base[(s, j)] = mi
-            mi += 1
     if isinstance(rpath, A.Cumul):
         k = int(closed.spec_expr(rpath.operand)(None))
         target = None
@@ -436,7 +434,7 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
             # choose a move uniformly, then a branch
             moves = mm.moves[s]
             j = int(rng.integers(len(moves))) if len(moves) > 1 else 0
-            acc += state_r[s] + move_r[move_base[(s, j)]]
+            acc += state_r[s] + move_r[first_move[s] + j]
             branches = moves[j].branches
             u = rng.random()
             cum = 0.0

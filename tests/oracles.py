@@ -1,8 +1,8 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the engine's own algorithms: reachability
-probabilities and rewards come from dense linear solves over the exported
-explicit text format, MDP extrema from exhaustive memoryless-adversary
+probabilities and rewards come from dense or sparse linear solves over the
+exported explicit text format, MDP extrema from exhaustive memoryless-adversary
 enumeration, and qualitative path verdicts from brute-force simple-cycle
 enumeration.
 """
@@ -13,6 +13,8 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import spsolve
 
 from rcprob import ast as A
 from rcprob import props as P
@@ -133,6 +135,7 @@ def parse_explicit(text: str):
     states = [None] * n
     deadlock = [False] * n
     moves = [{} for _ in range(n)]
+    tags = [{} for _ in range(n)]
     for ln in lines[4:]:
         if ln.startswith("STATE "):
             parts = ln.split()
@@ -149,25 +152,33 @@ def parse_explicit(text: str):
         else:
             src, rest = ln.split(" (", 1)
             action, rest = rest.split(") ", 1)
-            prob_s, dst_s, tags = rest.split(" ", 2)
+            prob_s, dst_s, move_tags = rest.split(" ", 2)
             src = int(src)
             dst = int(dst_s)
             prob = Fraction(prob_s)
             moves[src].setdefault(action, []).append((prob, dst))
+            tags[src][action] = move_tags.strip("[]").split(",")
     return {"n": n, "kind": kind, "initial": initial, "vars": var_names,
-            "states": states, "deadlock": deadlock, "moves": moves}
+            "states": states, "deadlock": deadlock, "moves": moves, "tags": tags}
 
 
-def explicit_dtmc_matrix(parsed) -> np.ndarray:
+def explicit_dtmc_csr(parsed) -> csr_matrix:
+    """The uniform move mixture of the export, as a sparse matrix."""
     n = parsed["n"]
-    mat = np.zeros((n, n))
+    rows, cols, data = [], [], []
     for s in range(n):
         actions = parsed["moves"][s]
         k = len(actions)
         for branches in actions.values():
             for p, d in branches:
-                mat[s, d] += float(p) / k
-    return mat
+                rows.append(s)
+                cols.append(d)
+                data.append(float(p) / k)
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def explicit_dtmc_matrix(parsed) -> np.ndarray:
+    return explicit_dtmc_csr(parsed).toarray()
 
 
 def dense_reach(mat: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -207,6 +218,67 @@ def dense_reach_reward(mat: np.ndarray, target: np.ndarray,
         b = step_reward[idx]
         x[idx] = np.linalg.solve(np.eye(idx.size) - q, b)
     x[target] = 0.0
+    return x
+
+
+def explicit_step_reward(parsed, reward_of) -> np.ndarray:
+    """Per-state expected one-step reward under the uniform move mixture,
+    where reward_of(valuation, tags) is the reward of one move."""
+    out = np.zeros(parsed["n"])
+    for s in range(parsed["n"]):
+        actions = parsed["tags"][s]
+        for tags in actions.values():
+            out[s] += reward_of(parsed["states"][s], tags) / len(actions)
+    return out
+
+
+def _sparse_transient_solve(mat: csr_matrix, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
+    q = mat[idx, :][:, idx]
+    ident = csr_matrix((np.ones(idx.size), (range(idx.size), range(idx.size))),
+                       shape=(idx.size, idx.size))
+    return np.atleast_1d(spsolve((ident - q).tocsc(), b))
+
+
+def sparse_reach(mat: csr_matrix, target: np.ndarray) -> np.ndarray:
+    """P(F target) per state by backward search plus a sparse LU solve."""
+    n = mat.shape[0]
+    pred = mat.T.tocsr()
+    can = target.copy()
+    stack = list(np.flatnonzero(target))
+    while stack:
+        s = stack.pop()
+        for q in pred.indices[pred.indptr[s]:pred.indptr[s + 1]]:
+            if not can[q] and mat[q, s] > 0:
+                can[q] = True
+                stack.append(q)
+    x = target.astype(float)
+    idx = np.flatnonzero(can & ~target)
+    if idx.size:
+        x[idx] = _sparse_transient_solve(mat, idx, mat[idx, :].dot(x))
+    return np.clip(x, 0.0, 1.0)
+
+
+def sparse_reach_reward(mat: csr_matrix, target: np.ndarray,
+                        step_reward: np.ndarray) -> np.ndarray:
+    """Sparse counterpart of dense_reach_reward."""
+    reach = sparse_reach(mat, target)
+    finite = (reach > 1 - 1e-12) | target
+    x = np.where(finite, 0.0, np.inf)
+    idx = np.flatnonzero(finite & ~target)
+    if idx.size:
+        x[idx] = _sparse_transient_solve(mat, idx, step_reward[idx])
+    return x
+
+
+def sparse_total_reward(mat: csr_matrix, step_reward: np.ndarray) -> np.ndarray:
+    """Total expected reward of a dtmc whose bottom SCCs are all absorbing
+    states without reward: the expected reward before absorption."""
+    absorbing = np.isclose(mat.diagonal(), 1.0)
+    assert not step_reward[absorbing].any()
+    x = np.zeros(mat.shape[0])
+    idx = np.flatnonzero(~absorbing)
+    if idx.size:
+        x[idx] = _sparse_transient_solve(mat, idx, step_reward[idx])
     return x
 
 

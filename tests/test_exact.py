@@ -15,8 +15,10 @@ from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 
 from conftest import make_srw
 from oracles import (StubContext, brute_ae, dense_reach, dense_reach_reward,
-                     explicit_dtmc_matrix, mdp_extremal_reach, parse_explicit,
-                     random_dtmc, random_mdp, var_eq, var_in)
+                     explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
+                     mdp_extremal_reach, parse_explicit, random_dtmc, random_mdp,
+                     sparse_reach, sparse_reach_reward, sparse_total_reward, var_eq,
+                     var_in)
 
 
 def chain(moves_spec, kind="dtmc"):
@@ -437,6 +439,46 @@ def test_ltl_reward_restricted():
     assert values[0] == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(UnsupportedError, match="Finally"):
         expected_reward(mm, ctx, "R", A.LTLReward(G(var_eq("x", 1))))
+
+
+# --- direct dtmc solves at the default tolerance ---------------------------------------
+
+
+def srw_origin_reward(valuation, tags):
+    """R_origins re-derived from the export: the machine's left/right output
+    fired at the origin earns 1."""
+    outs = ("SRWMod::ctrl_ref::stm_ref::left.out", "SRWMod::ctrl_ref::stm_ref::right.out")
+    return float(valuation["SRWRP.x"] == "0" and any(t in outs for t in tags))
+
+
+@pytest.mark.parametrize("defs, pl, maxsteps", [
+    ("D_recharge", Fraction(1, 2), 40),
+    ("D_norecharge", Fraction(4, 5), 60),
+])
+def test_default_tolerance_matches_sparse_oracle(srw_model, srw_spec, defs, pl, maxsteps):
+    closed, mm = make_srw(srw_model, srw_spec, maxsteps=maxsteps, pl=pl, defs=defs)
+    parsed = parse_explicit(mm.export_text())
+    mat = explicit_dtmc_csr(parsed)
+    step = explicit_step_reward(parsed, srw_origin_reward)
+    stuck_not_origin = np.array([st["ctrl_ref.stm_ref.pc"] == "Stuck" and st["SRWRP.x"] != "0"
+                                 for st in parsed["states"]])
+    far = np.array([st["SRWRP.x"] == "5" for st in parsed["states"]])
+    queries = [
+        (srw_spec.find(ProbProperty, "R_stuck_not_origin"),
+         sparse_reach_reward(mat, stuck_not_origin, step)),
+        (ProbProperty(name="P_far",
+                      body=parse_expression("Prob=? of [Finally SRWMod::SRWRP::x == 5]")),
+         sparse_reach(mat, far)),
+        (ProbProperty(name="R_total",
+                      body=parse_expression("Reward {R_origins} =? of [Total]")),
+         sparse_total_reward(mat, step)),
+    ]
+    for prop, oracle in queries:
+        result = check_property(mm, closed, prop)  # engine default tolerance
+        expected = oracle[mm.initial]
+        assert 0 < expected < np.inf
+        assert result.verdict == pytest.approx(expected, rel=1e-9, abs=0), prop.name
+        assert result.iterations == 1, prop.name
 
 
 # --- property-level checks -----------------------------------------------------------

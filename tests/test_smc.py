@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -121,6 +124,13 @@ def test_aci_student_t_path():
     assert est.n == 30
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up time; only small-sample ACI loads it
+    code = "import sys, rcprob; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def test_aci_all_ones_degenerate():
     mm, ctx = chain30()
     mm2 = MarkovModel("dtmc", ("x",), mm.states, mm.moves, mm.deadlock, mm.quiescent,
@@ -131,7 +141,19 @@ def test_aci_all_ones_degenerate():
 
 def test_apmc_sample_bound():
     assert apmc_samples(0.05, 0.01) == 1060
-    assert apmc_samples(0.5, 1.0) == 1
+    # ln(2) / (2 * 0.25) = 1.386 needs two samples
+    assert apmc_samples(0.5, 1.0) == 2
+    # ln(40) / (2 * 0.0009) = 2049.4 rounds up, not to the nearest integer
+    assert apmc_samples(0.03, 0.05) == 2050
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.03, 0.05, 0.1, 0.25])
+@pytest.mark.parametrize("delta", [0.001, 0.01, 0.05, 0.1, 0.5])
+def test_apmc_samples_meet_bound(epsilon, delta):
+    bound = math.log(2.0 / delta) / (2.0 * epsilon * epsilon)
+    n = apmc_samples(epsilon, delta)
+    assert n >= bound
+    assert n - 1 < bound
 
 
 def test_apmc_inverse_solves():
