@@ -23,6 +23,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+from scipy import sparse
+
 from . import ast as A
 from . import model as M
 from . import props as P
@@ -957,6 +960,7 @@ class MarkovModel:
         self.initial = initial
         self.rewards: dict[str, RewardStructure] = {}
         self._short_names = None
+        self._choice_csr = None
 
     @property
     def num_states(self) -> int:
@@ -975,6 +979,28 @@ class MarkovModel:
             for p, dst in mv.branches:
                 out[dst] = out.get(dst, Fraction(0)) + share * p
         return out
+
+    def choice_csr(self):
+        """The choice CSR, built once per model: the move-by-state branch
+        matrix (one row per move, positive entries only) and the first move
+        of each state, followed by the number of moves."""
+        if self._choice_csr is None:
+            n = self.num_states
+            counts = np.fromiter(map(len, self.moves), dtype=np.int64, count=n)
+            bounds = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=bounds[1:])
+            branches = [mv.branches for row in self.moves for mv in row]
+            indptr = np.zeros(len(branches) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, branches), dtype=np.int64,
+                                  count=len(branches)), out=indptr[1:])
+            flat = [b for mv_branches in branches for b in mv_branches]
+            data = np.fromiter((float(p) for p, _ in flat), dtype=float, count=len(flat))
+            cols = np.fromiter((d for _, d in flat), dtype=np.int64, count=len(flat))
+            mat = sparse.csr_matrix((data, cols, indptr), shape=(len(branches), n))
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
+            self._choice_csr = (mat, bounds)
+        return self._choice_csr
 
     def check_stochastic(self):
         """Exact distribution checks: every state has a move and every move

@@ -6,18 +6,26 @@ connected components).  On a dtmc the remaining unbounded values come from
 one sparse LU solve of (I - P[m, m]) x = b over the undecided states m; on
 an mdp they come from value iteration, which stops when successive iterates
 change by less than `tol`.  A/E path quantifiers run pure graph analysis
-(fixpoints and strongly connected components) over the positive-probability
-edge relation of the deadlock-completed model.
+over the positive-probability edge relation of the deadlock-completed model.
+
+The graph layer reads two boolean sparse matrices: the support of the dtmc
+matrix (state to state) and the support of the choice CSR (move to state).
+Fixpoints iterate boolean sparse mat-vec steps until they stop changing;
+"some move" and "every move" of a state reduce the per-move results over the
+state's block of moves.  Reachability is a breadth-first search and strongly
+connected components come from `scipy.sparse.csgraph`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from . import ast as A
@@ -83,52 +91,44 @@ class ExactChecker:
 
     # --- graph structure -------------------------------------------------
 
-    def succ(self) -> list[list[int]]:
+    def succ(self):
+        """The support graph: a boolean CSR of the positive dtmc entries."""
         if self._succ is None:
-            self._succ = _adjacency(self.dtmc_matrix())
+            self._succ = self.dtmc_matrix().astype(bool)
         return self._succ
 
-    def pred(self) -> list[list[int]]:
+    def pred(self):
+        """The support graph reversed."""
         if self._pred is None:
-            self._pred = _adjacency(self.dtmc_matrix().T.tocsr())
+            self._pred = self.succ().T.tocsr()
         return self._pred
 
     def dtmc_matrix(self):
         """The dtmc transition matrix: each state mixes its moves uniformly."""
         if self._dtmc_csr is None:
-            owners, mat, bounds = self.mdp_arrays()
+            mat, bounds = self.mdp_arrays()
             counts = np.diff(bounds)
             mix = sparse.csr_matrix(
-                (1.0 / counts[owners], np.arange(owners.size), bounds),
-                shape=(self.n, owners.size))
+                (np.repeat(1.0 / counts, counts), np.arange(mat.shape[0]), bounds),
+                shape=(self.n, mat.shape[0]))
             self._dtmc_csr = (mix @ mat).tocsr()
             self._dtmc_csr.sort_indices()
         return self._dtmc_csr
 
     def mdp_arrays(self):
-        """The choice CSR, one row per move: per-move owner state, the
-        move-by-state branch matrix (positive entries only) and the first
-        move of each state."""
+        """The model's choice CSR (`MarkovModel.choice_csr`)."""
         if self._mdp_arrays is None:
-            counts = np.fromiter(map(len, self.mm.moves), dtype=np.int64, count=self.n)
-            bounds = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
-            owners = np.repeat(np.arange(self.n, dtype=np.int64), counts)
-            branches = [mv.branches for row in self.mm.moves for mv in row]
-            indptr = np.zeros(len(branches) + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, branches), dtype=np.int64,
-                                  count=len(branches)), out=indptr[1:])
-            flat = [b for mv_branches in branches for b in mv_branches]
-            data = np.fromiter((float(p) for p, _ in flat), dtype=float, count=len(flat))
-            cols = np.fromiter((d for _, d in flat), dtype=np.int64, count=len(flat))
-            mat = sparse.csr_matrix((data, cols, indptr), shape=(len(branches), self.n))
-            mat.sum_duplicates()
-            mat.eliminate_zeros()
-            self._mdp_arrays = (owners, mat, bounds)
+            self._mdp_arrays = self.mm.choice_csr()
         return self._mdp_arrays
 
+    def _move_support(self):
+        """The choice CSR's support as a boolean matrix, and the first move
+        of each state (every state has one: see `check_stochastic`)."""
+        mat, bounds = self.mdp_arrays()
+        return mat.astype(bool), bounds[:-1]
+
     def _reduce_moves(self, per_move: np.ndarray, mode: str) -> np.ndarray:
-        owners, mat, bounds = self.mdp_arrays()
+        mat, bounds = self.mdp_arrays()
         groups = bounds[:-1]
         if mode == "max":
             return np.maximum.reduceat(per_move, groups)
@@ -302,7 +302,7 @@ class ExactChecker:
     def _one_step(self, target: np.ndarray, mode: str) -> np.ndarray:
         if mode == "exact":
             return self.dtmc_matrix().dot(target)
-        owners, mat, bounds = self.mdp_arrays()
+        mat, bounds = self.mdp_arrays()
         per_move = mat.dot(target)
         return self._reduce_moves(per_move, mode)
 
@@ -332,36 +332,15 @@ class ExactChecker:
 
     def _reach_exists(self, sat1: np.ndarray, sat2: np.ndarray) -> np.ndarray:
         """States with a positive-probability path to sat2 through sat1."""
-        pred = self.pred()
-        out = sat2.copy()
-        stack = list(np.flatnonzero(sat2))
-        while stack:
-            s = stack.pop()
-            for q in pred[s]:
-                if not out[q] and sat1[q]:
-                    out[q] = True
-                    stack.append(q)
-        return out
+        return _reach(self.pred(), sat1, sat2)
 
     def _prob0_min(self, sat1, sat2):
-        """States where the minimum until-probability is 0."""
-        # least fixpoint of states where EVERY action keeps a positive chance
-        sure = sat2.copy()
-        changed = True
-        while changed:
-            changed = False
-            for s in range(self.n):
-                if sure[s] or not sat1[s] or sat2[s]:
-                    continue
-                ok = True
-                for mv in self.mm.moves[s]:
-                    if not any(p > 0 and sure[d] for p, d in mv.branches):
-                        ok = False
-                        break
-                if ok and self.mm.moves[s]:
-                    sure[s] = True
-                    changed = True
-        return ~sure
+        """States where the minimum until-probability is 0: the complement
+        of the least fixpoint of states where every move keeps a positive
+        chance."""
+        sup, starts = self._move_support()
+        return ~_lfp(lambda x: sat2 | (sat1 & np.logical_and.reduceat(sup @ x, starts)),
+                     sat2)
 
     def _prob01_dtmc(self, sat1, sat2):
         """prob0 and prob1 of sat1 U sat2 on a dtmc: states that reach sat2
@@ -371,49 +350,25 @@ class ExactChecker:
         return prob0, ~self._reach_exists(sat1 & ~sat2, prob0)
 
     def _prob1_max(self, sat1, sat2):
-        """Prob1E: states where some adversary reaches sat2 almost surely."""
-        u = np.ones(self.n, dtype=bool)
-        while True:
-            v = sat2.copy()
-            changed = True
-            while changed:
-                changed = False
-                for s in range(self.n):
-                    if v[s] or not sat1[s] or sat2[s]:
-                        continue
-                    for mv in self.mm.moves[s]:
-                        stays = all(u[d] for p, d in mv.branches if p > 0)
-                        hits = any(v[d] for p, d in mv.branches if p > 0)
-                        if stays and hits:
-                            v[s] = True
-                            changed = True
-                            break
-            if np.array_equal(u, v):
-                return u
-            u = v
+        """Prob1E: states where some adversary reaches sat2 almost surely:
+        the greatest u such that every state of u reaches sat2 through sat1
+        by moves that all stay inside u."""
+        sup, starts = self._move_support()
+
+        def attractor(u):
+            stays = ~(sup @ ~u)
+            return _lfp(lambda v: sat2 | (sat1 & np.logical_or.reduceat(stays & (sup @ v), starts)),
+                        sat2)
+
+        return _lfp(attractor, np.ones(self.n, dtype=bool))
 
     def _prob1_min(self, sat1, sat2):
         """Prob1A: states where every adversary reaches sat2 almost surely."""
-        non2 = ~sat2
-        bad = ~sat1 & ~sat2
+        sup, starts = self._move_support()
         # greatest existential invariant inside sat1 & ~sat2
-        inv = sat1 & ~sat2
-        changed = True
-        while changed:
-            changed = False
-            for s in np.flatnonzero(inv):
-                ok = False
-                for mv in self.mm.moves[s]:
-                    if all(inv[d] for p, d in mv.branches if p > 0):
-                        ok = True
-                        break
-                if not ok:
-                    inv[s] = False
-                    changed = True
+        inv = _lfp(lambda x: x & np.logical_or.reduceat(~(sup @ ~x), starts), sat1 & ~sat2)
         # existential reach (within ~sat2) of a bad state or the invariant
-        target = bad | inv
-        reach = self._reach_exists(sat1 & non2, target)
-        return ~reach
+        return ~self._reach_exists(sat1 & ~sat2, (~sat1 & ~sat2) | inv)
 
     def _until_dtmc(self, sat1, sat2) -> np.ndarray:
         prob0, prob1 = self._prob01_dtmc(sat1, sat2)
@@ -435,8 +390,7 @@ class ExactChecker:
 
     def _until_mdp(self, sat1, sat2, mode) -> np.ndarray:
         if mode == "max":
-            reach = self._reach_exists(sat1 & ~sat2, sat2)
-            prob0 = ~reach
+            prob0 = ~self._reach_exists(sat1 & ~sat2, sat2)
             prob1 = self._prob1_max(sat1, sat2)
         else:
             prob0 = self._prob0_min(sat1, sat2)
@@ -447,7 +401,7 @@ class ExactChecker:
         if not unknown.any():
             self.iterations = 0
             return x
-        owners, mat, bounds = self.mdp_arrays()
+        mat, bounds = self.mdp_arrays()
         self.iterations = 0
         for it in range(self.max_iter):
             per_move = mat.dot(x)
@@ -475,11 +429,7 @@ class ExactChecker:
         kind = shape[0]
         if kind == "X":
             target = self.sat(shape[1])
-            out = np.zeros(self.n, dtype=bool)
-            for s, dests in enumerate(self.succ()):
-                values = [target[d] for d in dests]
-                out[s] = any(values) if quant == "E" else all(values)
-            return out
+            return self.succ() @ target if quant == "E" else ~(self.succ() @ ~target)
         if kind == "U":
             _, left, right, k = shape
             sat1, sat2 = self.sat(left), self.sat(right)
@@ -500,10 +450,8 @@ class ExactChecker:
                 return ~self._reach_exists(sat1 & ~sat2, ~sat1 & ~sat2)
             return self._reach_exists(sat1 & ~sat2, sat2) | self._eg(sat1)
         if kind == "R":
-            _, left, right, k = shape
-            inner = ("U", A.Unary("not", left), A.Unary("not", right), k)
-            flipped = self._ae_from_shape(inner, "E" if quant == "A" else "A")
-            return ~flipped
+            # l R r holds exactly where (not l) U (not r) fails
+            return ~self.check_ae("E" if quant == "A" else "A", shape[1])
         if kind == "GF":
             target = self.sat(shape[1])
             if quant == "E":
@@ -544,19 +492,6 @@ class ExactChecker:
             return ~self._reach_exists(np.ones(self.n, dtype=bool), ~target)
         raise AssertionError(kind)
 
-    def _ae_from_shape(self, shape, quant):
-        kind = shape[0]
-        if kind == "U":
-            _, left, right, k = shape
-            sat1, sat2 = self.sat(left), self.sat(right)
-            if k is not None:
-                return self._ae_bounded_until(sat1, sat2, k, quant)
-            if quant == "E":
-                return self._reach_exists(sat1 & ~sat2, sat2)
-            bad = self._reach_exists(~sat2, ~sat1 & ~sat2) | self._eg(~sat2)
-            return ~bad
-        raise AssertionError(kind)
-
     def _ae_shape(self, path: A.Expr):
         """Normalize a path formula into one of the supported A/E shapes."""
         if isinstance(path, A.Next) and _is_state_expr(path.operand):
@@ -571,7 +506,8 @@ class ExactChecker:
             return None
         if isinstance(path, A.Release):
             if _is_state_expr(path.left) and _is_state_expr(path.right):
-                return ("R", path.left, path.right, self._step_bound(path.bound))
+                return ("R", A.Until(A.Unary("not", path.left), path.bound,
+                                     A.Unary("not", path.right)))
             return None
         if isinstance(path, A.Finally_):
             op = path.operand
@@ -613,19 +549,10 @@ class ExactChecker:
     def _ae_bounded_until(self, sat1, sat2, k: int, quant: str) -> np.ndarray:
         if k < 0:
             return np.zeros(self.n, dtype=bool)
-        x = sat2.copy()
         succ = self.succ()
-        for _ in range(k):
-            new = sat2.copy()
-            for s in range(self.n):
-                if new[s] or not sat1[s]:
-                    continue
-                values = [x[d] for d in succ[s]]
-                new[s] = any(values) if quant == "E" else (bool(values) and all(values))
-            if np.array_equal(new, x):
-                break
-            x = new
-        return x
+        if quant == "E":
+            return _lfp(lambda x: sat2 | (sat1 & (succ @ x)), sat2, k)
+        return _lfp(lambda x: sat2 | (sat1 & ~(succ @ ~x)), sat2, k)
 
     def _ae_weak_bounded(self, sat1, sat2, k) -> np.ndarray:
         unt = self._ae_bounded_until(sat1, sat2, k, "E")
@@ -634,178 +561,42 @@ class ExactChecker:
 
     def _eg(self, target: np.ndarray) -> np.ndarray:
         """Greatest fixpoint: states with an infinite path staying in target."""
-        alive = target.copy()
         succ = self.succ()
-        changed = True
-        while changed:
-            changed = False
-            for s in np.flatnonzero(alive):
-                if not any(alive[d] for d in succ[s]):
-                    alive[s] = False
-                    changed = True
-        return alive
+        return _lfp(lambda x: x & (succ @ x), target)
 
-    def _sccs(self, restrict: np.ndarray | None = None) -> list[list[int]]:
-        """Iterative Tarjan over the (optionally restricted) support graph."""
-        succ = self.succ()
-        allowed = restrict if restrict is not None else np.ones(self.n, dtype=bool)
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        sccs = []
-        counter = [0]
-        for root in range(self.n):
-            if not allowed[root] or root in index:
-                continue
-            work = [(root, iter([d for d in succ[root] if allowed[d]]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for child in it:
-                    if child not in index:
-                        index[child] = low[child] = counter[0]
-                        counter[0] += 1
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter([d for d in succ[child] if allowed[d]])))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        low[node] = min(low[node], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    sccs.append(comp)
-        return sccs
-
-    def _cycle_states(self, restrict: np.ndarray | None = None) -> np.ndarray:
-        """States on a cycle of the (restricted) graph: members of an SCC
-        with an internal edge."""
-        succ = self.succ()
-        allowed = restrict if restrict is not None else np.ones(self.n, dtype=bool)
+    def _cycle_states(self, restrict: np.ndarray) -> np.ndarray:
+        """States on a cycle of the support graph restricted to `restrict`."""
+        idx = np.flatnonzero(restrict)
         out = np.zeros(self.n, dtype=bool)
-        for comp in self._sccs(restrict):
-            members = set(comp)
-            nontrivial = len(comp) > 1 or any(
-                d in members and allowed[d] for d in succ[comp[0]])
-            if nontrivial:
-                for s in comp:
-                    out[s] = True
+        out[idx] = _sccs(self.succ()[idx][:, idx])[1]
         return out
 
     def _e_gf(self, target: np.ndarray) -> np.ndarray:
-        # reach a nontrivial SCC containing a target state, then loop through it
-        succ = self.succ()
-        good = np.zeros(self.n, dtype=bool)
-        for comp in self._sccs():
-            members = set(comp)
-            nontrivial = len(comp) > 1 or any(d in members for d in succ[comp[0]])
-            if nontrivial and any(target[s] for s in comp):
-                for s in comp:
-                    good[s] = True
-        return self._reach_exists(np.ones(self.n, dtype=bool), good)
+        # reach a cyclic SCC containing a target state, then loop through it
+        labels, cyclic = _sccs(self.succ())
+        good = np.zeros(labels.max() + 1, dtype=bool)
+        good[labels[cyclic & target]] = True
+        return self._reach_exists(np.ones(self.n, dtype=bool), good[labels])
 
     def _e_fg(self, target: np.ndarray) -> np.ndarray:
         return self._reach_exists(np.ones(self.n, dtype=bool), self._eg(target))
 
     def _e_response(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """E[G (p => F q)] via a one-bit obligation monitor product."""
-        succ = self.succ()
-        n = self.n
-
-        def owing_after(dst, bit):
-            return (bit or p[dst]) and not q[dst]
-
-        # product node = s * 2 + bit; find cycles with a clean (bit=0) node
-        psucc: list[list[int]] = [[] for _ in range(2 * n)]
-        for s in range(n):
-            for bit in (0, 1):
-                node = s * 2 + bit
-                for d in succ[s]:
-                    nbit = 1 if owing_after(d, bool(bit)) else 0
-                    psucc[node].append(d * 2 + nbit)
-        index = {}
-        low = {}
-        on_stack = set()
-        stack = []
-        good_nodes = set()
-        counter = [0]
-        for root in range(2 * n):
-            if root in index:
-                continue
-            work = [(root, iter(psucc[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for child in it:
-                    if child not in index:
-                        index[child] = low[child] = counter[0]
-                        counter[0] += 1
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(psucc[child])))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        low[node] = min(low[node], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    members = set(comp)
-                    nontrivial = len(comp) > 1 or any(c in members for c in psucc[comp[0]])
-                    if nontrivial and any(c % 2 == 0 for c in comp):
-                        good_nodes.update(comp)
-        # backward reachability to a good component in the product
-        ppred: list[list[int]] = [[] for _ in range(2 * n)]
-        for node, dests in enumerate(psucc):
-            for d in dests:
-                ppred[d].append(node)
-        reach = [False] * (2 * n)
-        work2 = list(good_nodes)
-        for g in good_nodes:
-            reach[g] = True
-        while work2:
-            node = work2.pop()
-            for q2 in ppred[node]:
-                if not reach[q2]:
-                    reach[q2] = True
-                    work2.append(q2)
-        out = np.zeros(n, dtype=bool)
-        for s in range(n):
-            bit0 = 1 if (p[s] and not q[s]) else 0
-            out[s] = reach[s * 2 + bit0]
-        return out
+        # product node = s * 2 + bit, where bit is an obligation still owed
+        # after entering s; a good lasso loops through a clean (bit 0) node
+        edges = self.succ().tocoo()
+        src, dst = edges.row, edges.col
+        owed = ~q[dst]
+        rows = np.concatenate([2 * src, 2 * src + 1])
+        cols = np.concatenate([2 * dst + (p[dst] & owed), 2 * dst + owed])
+        prod = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
+                                 shape=(2 * self.n, 2 * self.n))
+        labels, cyclic = _sccs(prod)
+        good = np.zeros(labels.max() + 1, dtype=bool)
+        good[labels[0::2][cyclic[0::2]]] = True
+        reach = _reach(prod.T.tocsr(), np.ones(2 * self.n, dtype=bool), good[labels])
+        return reach[2 * np.arange(self.n) + (p & ~q)]
 
     # --- rewards ---------------------------------------------------------------
 
@@ -824,8 +615,8 @@ class ExactChecker:
             attach_rewards(mm, decl, self.closed)
         rs = mm.rewards[rname]
         state_r = np.array([float(v) for v in rs.state])
-        owners, mat, bounds = self.mdp_arrays()
-        move_r = np.zeros(owners.size)
+        mat, bounds = self.mdp_arrays()
+        move_r = np.zeros(mat.shape[0])
         for (s, mi), v in rs.move.items():
             move_r[bounds[s] + mi] = float(v)
         return state_r, move_r
@@ -857,14 +648,14 @@ class ExactChecker:
 
     def _dtmc_reward_base(self, state_r, move_r) -> np.ndarray:
         """Per-state expected one-step reward under the uniform move mixture."""
-        owners, mat, bounds = self.mdp_arrays()
+        mat, bounds = self.mdp_arrays()
         counts = np.diff(bounds).astype(float)
         sums = np.add.reduceat(move_r, bounds[:-1])
         return state_r + sums / counts
 
     def _expected_move_reward(self, state_r, move_r, x, mode):
         """One Bellman backup of expected reward per state of an mdp."""
-        owners, mat, bounds = self.mdp_arrays()
+        mat, bounds = self.mdp_arrays()
         per_move = move_r + mat.dot(x)
         return state_r + self._reduce_moves(per_move, mode)
 
@@ -921,16 +712,15 @@ class ExactChecker:
         # bottom SCC collects reward forever iff one of its states has a
         # positive expected one-step reward; those diverge
         base = self._dtmc_reward_base(state_r, move_r)
-        succ = self.succ()
-        in_bscc = np.zeros(self.n, dtype=bool)
-        positive = np.zeros(self.n, dtype=bool)
-        for comp in self._sccs():
-            members = set(comp)
-            if any(d not in members for s in comp for d in succ[s]):
-                continue
-            in_bscc[comp] = True
-            positive[comp] = (base[comp] > 0).any()
-        diverge = self._reach_exists(np.ones(self.n, dtype=bool), positive)
+        labels, _ = _sccs(self.succ())
+        edges = self.succ().tocoo()
+        src, dst = labels[edges.row], labels[edges.col]
+        leaves = np.zeros(labels.max() + 1, dtype=bool)
+        leaves[src[src != dst]] = True
+        in_bscc = ~leaves[labels]
+        positive = np.zeros(labels.max() + 1, dtype=bool)
+        positive[labels[in_bscc & (base > 0)]] = True
+        diverge = self._reach_exists(np.ones(self.n, dtype=bool), positive[labels])
         x = np.where(diverge, np.inf, 0.0)
         # the remaining transient states reach zero-reward bottom SCCs only
         idx = np.flatnonzero(~diverge & ~in_bscc)
@@ -940,11 +730,41 @@ class ExactChecker:
         return x
 
 
-def _adjacency(mat) -> list[list[int]]:
-    """The column indices of each row of a CSR matrix."""
-    ptr = mat.indptr.tolist()
-    cols = mat.indices.tolist()
-    return [cols[a:b] for a, b in zip(ptr, ptr[1:])]
+def _lfp(step, x: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Iterate a monotone boolean step from x until it stops changing (or
+    `limit` times): the least fixpoint above an x below it, the greatest
+    below an x above it."""
+    for _ in itertools.count() if limit is None else range(limit):
+        new = step(x)
+        if np.array_equal(new, x):
+            break
+        x = new
+    return x
+
+
+def _reach(rev, through: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """States of target, and states of through with a path inside through to
+    target: a breadth-first search over the reversed edges `rev` (a square
+    CSR matrix) from a virtual root wired to every target state."""
+    n = rev.shape[0]
+    keep = through[rev.indices]
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    roots = np.flatnonzero(target)
+    indices = np.concatenate([rev.indices[keep], roots])
+    indptr = np.append(kept[rev.indptr], indices.size)
+    graph = sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                              shape=(n + 1, n + 1))
+    out = np.zeros(n + 1, dtype=bool)
+    out[csgraph.breadth_first_order(graph, n, return_predecessors=False)] = True
+    return out[:n]
+
+
+def _sccs(graph):
+    """Strongly connected component labels of a square sparse graph, and
+    which nodes lie on a cycle: in a component of more than one node, or
+    with a self-loop."""
+    _, labels = csgraph.connected_components(graph, connection="strong")
+    return labels, (np.bincount(labels)[labels] > 1) | (graph.diagonal() != 0)
 
 
 def _flip(mode: str) -> str:

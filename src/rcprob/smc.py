@@ -9,6 +9,7 @@ identical estimates.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,34 +54,11 @@ class Estimate:
 
 # --- normal quantile ---------------------------------------------------------
 
-# Acklam's rational approximation of the standard normal quantile; relative
-# error below 1.2e-9 over (0, 1).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
 
 def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise SmcError(f"quantile argument must be in (0,1), got {p}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1)
-    if p > 1 - p_low:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-               ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-           (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1)
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def _student_quantile(p: float, df: int) -> float:
@@ -403,7 +381,7 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     """Mean-reward estimation for Cumul k and almost-sure Reachable formulas."""
     checker = ExactChecker(mm, closed)
     state_r, move_r = checker._reward_arrays(rname)
-    first_move = checker.mdp_arrays()[2].tolist()
+    first_move = checker.mdp_arrays()[1].tolist()
     sampler = _Sampler(mm)
     if isinstance(rpath, A.Cumul):
         k = int(closed.spec_expr(rpath.operand)(None))

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the engine's own algorithms: reachability
 probabilities and rewards come from dense or sparse linear solves over the
-exported explicit text format, MDP extrema from exhaustive memoryless-adversary
-enumeration, and qualitative path verdicts from brute-force simple-cycle
-enumeration.
+exported explicit text format, MDP extrema and their 0/1 states from
+exhaustive memoryless-adversary enumeration, and qualitative path verdicts
+from brute-force simple-cycle enumeration.
 """
 
 from __future__ import annotations
@@ -300,6 +300,43 @@ def mdp_extremal_reach(mm: MarkovModel, target: np.ndarray, mode: str) -> np.nda
         else:
             best = np.minimum(best, vals)
     return best
+
+
+def _backward_reach(succ, through, target) -> np.ndarray:
+    """States of target, and states of through with a successor already in
+    the set, to a fixpoint."""
+    out = [bool(t) for t in target]
+    changed = True
+    while changed:
+        changed = False
+        for s, dests in enumerate(succ):
+            if not out[s] and through[s] and any(out[d] for d in dests):
+                out[s] = changed = True
+    return np.array(out, dtype=bool)
+
+
+def mdp_zero_one_sets(mm: MarkovModel, hold: np.ndarray, goal: np.ndarray):
+    """Exact prob-0 and prob-1 states of `hold U goal` for the minimum and the
+    maximum over adversaries: (min0, max0, min1, max1).
+
+    Enumerates the memoryless deterministic adversaries, which attain both
+    extrema, and splits each induced chain by graph search alone: prob-0
+    states have no path to goal through hold, prob-1 states have no path
+    through hold & ~goal to a prob-0 state."""
+    n = mm.num_states
+    min0 = np.zeros(n, dtype=bool)
+    max0 = np.ones(n, dtype=bool)
+    min1 = np.ones(n, dtype=bool)
+    max1 = np.zeros(n, dtype=bool)
+    for combo in itertools.product(*[range(len(mm.moves[s])) for s in range(n)]):
+        succ = [[d for p, d in mm.moves[s][combo[s]].branches if p > 0] for s in range(n)]
+        zero = ~_backward_reach(succ, hold & ~goal, goal)
+        one = ~_backward_reach(succ, hold & ~goal, zero)
+        min0 |= zero
+        max0 &= zero
+        min1 &= one
+        max1 |= one
+    return min0, max0, min1, max1
 
 
 # --- brute-force qualitative path checking ------------------------------------------

@@ -16,7 +16,8 @@ from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 from conftest import make_srw
 from oracles import (StubContext, brute_ae, dense_reach, dense_reach_reward,
                      explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
-                     mdp_extremal_reach, parse_explicit, random_dtmc, random_mdp,
+                     mdp_extremal_reach, mdp_zero_one_sets, parse_explicit, random_dtmc,
+                     random_mdp,
                      sparse_reach, sparse_reach_reward, sparse_total_reward, var_eq,
                      var_in)
 
@@ -572,6 +573,55 @@ def test_bounded_weak_until_and_release_ae():
     assert rel2[0]
 
 
+def bounded_prefixes(mm, s, k):
+    """Every k+1-state path prefix from s over positive branches."""
+    succ = [sorted({d for mv in row for p, d in mv.branches if p > 0}) for row in mm.moves]
+    paths = [[s]]
+    for _ in range(k):
+        paths = [path + [d] for path in paths for d in succ[path[-1]]]
+    return paths
+
+
+def bounded_holds(kind, path, p, q):
+    """A step-bounded path formula over the whole of a path prefix; for U, W
+    and R, p is the left and q the right operand."""
+    if kind == "F":
+        return any(p[u] for u in path)
+    if kind == "G":
+        return all(p[u] for u in path)
+    if kind == "R":
+        return all(q[u] or any(p[w] for w in path[:i]) for i, u in enumerate(path))
+    until = any(q[u] and all(p[w] for w in path[:i]) for i, u in enumerate(path))
+    if kind == "U":
+        return until
+    return until or all(p[u] for u in path)  # W
+
+
+def test_bounded_ae_shapes_against_prefix_enumeration():
+    rng = random.Random(31)
+    for trial in range(30):
+        mm = random_mdp(rng, rng.randint(2, 8), max_nondet_states=4)
+        ctx = StubContext(("x",))
+        n = mm.num_states
+        p_vals = rng.sample(range(n), max(1, n // 2))
+        q_vals = rng.sample(range(n), max(1, n // 3))
+        p = np.isin(np.arange(n), p_vals)
+        q = np.isin(np.arange(n), q_vals)
+        pe, qe = var_in("x", p_vals), var_in("x", q_vals)
+        for k in range(4):
+            b = A.Bound("<=", A.Lit(k))
+            formulas = {"F": A.Finally_(b, pe), "G": A.Globally(b, pe),
+                        "U": A.Until(pe, b, qe), "W": A.WeakUntil(pe, b, qe),
+                        "R": A.Release(pe, b, qe)}
+            for kind, formula in formulas.items():
+                holds = [[bounded_holds(kind, path, p, q) for path in bounded_prefixes(mm, s, k)]
+                         for s in range(n)]
+                for quant, agg in (("A", all), ("E", any)):
+                    oracle = np.array([agg(h) for h in holds])
+                    engine = check_AE(mm, ctx, quant, formula)
+                    assert (engine == oracle).all(), (trial, k, kind, quant)
+
+
 def test_qualitative_zero_one_exactness():
     rng = random.Random(77)
     for _ in range(30):
@@ -675,3 +725,30 @@ def test_mdp_until_matches_adversary_enumeration():
                 best = vals if best is None else (
                     np.maximum(best, vals) if mode == "max" else np.minimum(best, vals))
             assert np.max(np.abs(engine - best)) < 1e-7, (trial, mode)
+
+
+def test_mdp_zero_one_sets_match_adversary_graphs():
+    from rcprob.build import RewardStructure
+    rng = random.Random(2024)
+    for trial in range(40):
+        mm = random_mdp(rng, rng.randint(3, 8), max_nondet_states=5)
+        ctx = StubContext(("x",))
+        n = mm.num_states
+        mm.rewards["R"] = RewardStructure("R", [Fraction(1)] * n, {})
+        hold = rng.sample(range(n), max(2, 2 * n // 3))
+        goal = rng.sample(range(n), max(1, n // 4))
+        pe, qe = var_in("x", hold), var_in("x", goal)
+        hold_a = np.isin(np.arange(n), hold)
+        goal_a = np.isin(np.arange(n), goal)
+        min0, max0, min1, max1 = mdp_zero_one_sets(mm, hold_a, goal_a)
+        for mode, zero, one in (("min", min0, min1), ("max", max0, max1)):
+            values = prob_path(mm, ctx, A.Until(pe, None, qe), mode=mode, tol=1e-13)
+            assert ((values == 0.0) == zero).all(), (trial, mode)
+            assert ((values == 1.0) == one).all(), (trial, mode)
+        # the minimum reward is finite where some adversary reaches goal
+        # almost surely, the maximum where every adversary does
+        ones = np.ones(n, dtype=bool)
+        _, _, reach_min1, reach_max1 = mdp_zero_one_sets(mm, ones, goal_a)
+        for mode, finite in (("min", reach_max1), ("max", reach_min1)):
+            reward = expected_reward(mm, ctx, "R", A.Reachable(qe), mode=mode, tol=1e-12)
+            assert (np.isinf(reward) == ~finite).all(), (trial, mode)
