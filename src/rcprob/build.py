@@ -941,6 +941,22 @@ class Move:
 
 
 @dataclass
+class SampleTable:
+    """Per-state successor distributions for simulation.  The entries of a
+    state are every positive branch of each of its k moves, in choice-CSR
+    order, with weight p/k, and the entries of state s come before those of
+    s + 1.  `key` is the complex number s + c*1j per entry, where c sums the
+    state's weights left to right up to the entry, the last one set to 1.0:
+    numpy orders complex numbers by real and then imaginary part, so one
+    searchsorted over `key` compares u with the cumulative weights of the
+    path's own state, exactly.  `move` is the choice-CSR row of each entry."""
+    key: np.ndarray
+    dest: np.ndarray
+    move: np.ndarray
+    absorbing: np.ndarray  # per state: every entry leads back to it
+
+
+@dataclass
 class RewardStructure:
     name: str
     state: list  # Fraction per state
@@ -961,6 +977,7 @@ class MarkovModel:
         self.rewards: dict[str, RewardStructure] = {}
         self._short_names = None
         self._choice_csr = None
+        self._sample_table = None
 
     @property
     def num_states(self) -> int:
@@ -1001,6 +1018,32 @@ class MarkovModel:
             mat.eliminate_zeros()
             self._choice_csr = (mat, bounds)
         return self._choice_csr
+
+    def sample_table(self) -> SampleTable:
+        """The simulation table of the choice CSR, built once per model."""
+        if self._sample_table is None:
+            mat, bounds = self.choice_csr()
+            n = self.num_states
+            start = mat.indptr[bounds]
+            lens = np.diff(start)
+            owner = np.repeat(np.arange(n), lens)
+            move = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+            cum = mat.data / np.diff(bounds)[owner]
+            # left to right within each state, as np.cumsum of its row adds
+            rows = np.flatnonzero(lens > 1)
+            j = 1
+            while rows.size:
+                at = start[rows] + j
+                cum[at] += cum[at - 1]
+                j += 1
+                rows = rows[lens[rows] > j]
+            cum[start[1:] - 1] = 1.0
+            key = np.empty(cum.size, dtype=complex)
+            key.real = owner
+            key.imag = cum
+            leaves = np.bincount(owner[mat.indices != owner], minlength=n)
+            self._sample_table = SampleTable(key, mat.indices, move, leaves == 0)
+        return self._sample_table
 
     def check_stochastic(self):
         """Exact distribution checks: every state has a move and every move

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -145,11 +146,12 @@ def run(plan: RunPlan) -> int:
 
 
 def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
+    keys = [(tuple(sorted(job.valuation.items())), id(job.defs), id(job.env), plan.kind)
+            for job in jobs]
+    uses = Counter(keys)
     records = []
     build_cache: dict = {}
-    for job in jobs:
-        key = (tuple(sorted(job.valuation.items())),
-               id(job.defs), id(job.env), plan.kind)
+    for job, key in zip(jobs, keys):
         t0 = plan.timer()
         if key in build_cache:
             closed, mm, build_ms = build_cache[key]
@@ -159,6 +161,9 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
             mm = build_markov(closed, plan.max_states)
             build_ms = int((plan.timer() - t0) * 1000)
             build_cache[key] = (closed, mm, build_ms)
+        uses[key] -= 1
+        if not uses[key]:
+            del build_cache[key]
         t1 = plan.timer()
         if plan.engine == "internal":
             body = job.prop.body
@@ -192,12 +197,16 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
                 "transitions": mm.num_transitions(),
                 "buildMs": build_ms,
                 "checkMs": check_ms,
+                "pathLen": {"mean": est.path_len_mean, "max": est.path_len_max},
             }
             if est.half_width is not None:
                 rec["halfWidth"] = est.half_width
             if est.cap_hits:
                 rec["capHits"] = est.cap_hits
         records.append(rec)
+        # after the last job of its key nothing holds the model, so it is
+        # freed before the next one is built
+        del closed, mm
     records.sort(key=lambda r: (r["property"], r["config"]))
     return records
 

@@ -1,21 +1,24 @@
 """Statistical model checking: seeded forward simulation plus the CI, ACI,
 APMC, and SPRT estimation/decision methods.
 
-Sampling is reproducible: sample `i` of a run with seed `s` draws from its
-own generator derived from (s, i), so serial and partitioned runs produce
-identical estimates.
+Sampling is reproducible: sample `i` of a run with seed `s` draws one
+uniform per step from its own generator derived from (s, i), so serial and
+partitioned runs produce identical estimates.  Paths walk the model's
+`SampleTable`, a batch of consecutive sample indices in lockstep; the
+sequential methods (CI with w and alpha, SPRT) use the samples in index
+order and stop at the first index that decides them.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ast as A
-from .build import ClosedModel, MarkovModel
+from .build import ClosedModel, MarkovModel, SampleTable
 from .exact import ExactChecker, UnsupportedError
 
 DEFAULT_PATHLEN = 10_000
@@ -29,7 +32,7 @@ class SmcError(ValueError):
 @dataclass
 class SimPath:
     entries: list  # (state index, action tag, successor index)
-    terminal: str  # "bound-hit" | "absorbing" | "pathlen-cap"
+    terminal: str  # "bound-hit" | "pathlen-cap"
 
 
 @dataclass
@@ -45,6 +48,8 @@ class Estimate:
     decision: str | None = None  # accept-H0 | accept-H1 (SPRT)
     satisfied: bool | None = None  # bound properties only
     cap_hits: int = 0
+    path_len_mean: float = 0.0  # steps per sampled path
+    path_len_max: int = 0
 
     def verdict_json(self):
         if self.satisfied is not None:
@@ -70,160 +75,221 @@ def _student_quantile(p: float, df: int) -> float:
 
 # --- simulation --------------------------------------------------------------
 
+_CHUNK = 64  # uniforms drawn per path at a time
+# paths advanced in lockstep; each holds its generator, about 1.2 KB
+_MAX_BATCH = 1024
+_FIRST_BATCH = 64  # the sequential methods' first batch; later ones double
+
 
 def _rng_for(seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64((seed & 0xFFFFFFFF) * 2654435761 + i))
 
 
-class _Sampler:
-    """Per-state cumulative successor distributions of a dtmc."""
+def _table(mm: MarkovModel) -> SampleTable:
+    if mm.kind != "dtmc":
+        raise SmcError("simulation needs a dtmc; build the model with kind=dtmc "
+                       "(uniform resolution) instead of mdp")
+    return mm.sample_table()
 
-    def __init__(self, mm: MarkovModel):
-        if mm.kind != "dtmc":
-            raise SmcError("simulation needs a dtmc; build the model with kind=dtmc "
-                           "(uniform resolution) instead of mdp")
-        self.mm = mm
-        self._rows = {}
 
-    def row(self, s: int):
-        got = self._rows.get(s)
-        if got is None:
-            items = sorted(self.mm.row(s).items())
-            dests = [d for d, _ in items]
-            cum = np.cumsum([float(p) for _, p in items])
-            cum[-1] = 1.0
-            got = (dests, cum)
-            self._rows[s] = got
-        return got
+def _walk(table: SampleTable, initial: int, rngs: list, pathlen: int,
+          monitor: Monitor, rewards=None, trace=None):
+    """Advance one path per generator in `rngs` from `initial`, all in lockstep.
 
-    def step(self, s: int, rng) -> int:
-        dests, cum = self.row(s)
-        u = rng.random()
-        return dests[int(np.searchsorted(cum, u, side="right"))]
+    Before each step the monitor decides which live paths end and their
+    values; paths still undecided at step `pathlen` end censored.  Every
+    other path draws one uniform u from its own generator and moves to the
+    first entry of its state whose cumulative weight exceeds u.  With
+    `rewards = (state_r, move_r)` a path gains state_r[s] + move_r[move] per
+    step; `trace` collects the live paths' (states, moves, successors) per
+    step.  Returns per path its value, whether it was censored, its length
+    and its gain.
 
-    def is_absorbing(self, s: int) -> bool:
-        dests, _ = self.row(s)
-        return dests == [s]
+    A step is a fixed number of numpy calls over the live paths, whatever
+    their count and the width of their states' rows, so the last paths of a
+    batch cost about as much per step as one path walked alone."""
+    n = len(rngs)
+    value = np.zeros(n)
+    capped = np.zeros(n, dtype=bool)
+    length = np.zeros(n, dtype=np.int64)
+    gain = np.zeros(n)
+    draws = np.empty((n, _CHUNK))
+    live = np.arange(n)
+    states = np.full(n, initial)
+    # the live paths' (state, u) as complex numbers, to search table.key
+    query = np.empty(n, dtype=complex)
+    ends, horizon = monitor.ends, monitor.horizon
+    search, dest, move = table.key.searchsorted, table.dest, table.move
+    t = 0
+    while live.size:
+        if t == horizon:
+            value[live] = monitor.final[states]
+            break
+        done = ends[states]
+        if t >= pathlen:
+            capped[live[~done]] = True
+            value[live] = monitor.value[states]
+            break
+        if np.count_nonzero(done):
+            ended = live[done]
+            value[ended] = monitor.value[states[done]]
+            length[ended] = t
+            live, states = live[~done], states[~done]
+            query = query[:live.size]
+            if not live.size:
+                break
+        j = t % _CHUNK
+        if j == 0:
+            draws[live] = [rngs[i].random(_CHUNK) for i in live.tolist()]
+        query.real = states
+        query.imag = draws[:, j][live]
+        # the keys <= (state, u) end at the state's first entry whose
+        # cumulative weight exceeds u; its last one is 1.0 > u
+        pos = search(query, "right")
+        if rewards is not None:
+            gain[live] += rewards[0][states] + rewards[1][move[pos]]
+        if trace is not None:
+            trace.append((states, move[pos], dest[pos]))
+        states = dest[pos]
+        t += 1
+    length[live] = t
+    return value, capped, length, gain
 
 
 @dataclass
 class Monitor:
-    """On-the-fly decision procedure for a bounded-or-reachability formula."""
+    """On-the-fly decision procedure of a path formula, as per-state arrays.
 
-    kind: str  # F | U | G | X
-    sat1: np.ndarray | None
-    sat2: np.ndarray
-    k: int | None = None
+    Before step t a path at state s is decided when `ends[s]`, with the
+    sample `value[s]`; at step `horizon` (never when None) every path is
+    decided with the sample `final[s]`.  A censored path counts as
+    `censor_value`."""
 
-    def decide(self, s: int, step: int, absorbing: bool):
-        """None = undecided; otherwise the 0/1 sample."""
-        if self.kind == "X":
-            if step == 0:
-                if absorbing:  # the only successor is the state itself
-                    return 1 if self.sat2[s] else 0
-                return None
-            return 1 if self.sat2[s] else 0
-        if self.kind in ("F", "U"):
-            if self.k is not None and step > self.k:
-                return 0
-            if self.sat2[s]:
-                return 1
-            if self.kind == "U" and not self.sat1[s]:
-                return 0
-            if absorbing:
-                return 0
-            return None
-        # G
-        if not self.sat2[s]:
-            return 0
-        if self.k is not None and step >= self.k:
-            return 1
-        if absorbing:
-            return 1
-        return None
-
-    @property
-    def censor_value(self) -> int:
-        return 1 if self.kind == "G" else 0
+    ends: np.ndarray
+    value: np.ndarray
+    horizon: int | None = None
+    final: np.ndarray | None = None
+    censor_value: int = 0
 
 
-def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
-    def bound_k(b):
-        return checker._step_bound(b)
-
+def compile_monitor(checker: ExactChecker, path: A.Expr,
+                    absorbing: np.ndarray) -> Monitor:
     if isinstance(path, A.Next):
-        return Monitor("X", None, checker.sat(path.operand))
-    if isinstance(path, A.Finally_):
-        return Monitor("F", None, checker.sat(path.operand), bound_k(path.bound))
+        sat = checker.sat(path.operand)
+        # at step 0 an absorbing state's only successor is itself
+        return Monitor(absorbing, sat, 1, sat)
+    if isinstance(path, (A.Finally_, A.Until)):
+        k = checker._step_bound(path.bound)
+        if isinstance(path, A.Finally_):
+            hit = checker.sat(path.operand)
+            ends = hit | absorbing
+        else:
+            hit = checker.sat(path.right)
+            ends = hit | absorbing | ~checker.sat(path.left)
+        return Monitor(ends, hit, None if k is None else k + 1, np.zeros_like(hit))
     if isinstance(path, A.Globally):
-        return Monitor("G", None, checker.sat(path.operand), bound_k(path.bound))
-    if isinstance(path, A.Until):
-        return Monitor("U", checker.sat(path.left), checker.sat(path.right),
-                       bound_k(path.bound))
+        sat = checker.sat(path.operand)
+        k = checker._step_bound(path.bound)  # -1 for an empty horizon
+        return Monitor(~sat | absorbing, sat, None if k is None else max(k, 0), sat,
+                       censor_value=1)
     raise UnsupportedError(
         f"{type(path).__name__} is not simulable; use F, G, U, or X")
 
 
 def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
              path: A.Expr):
-    """Simulate one path, monitoring the formula; returns (SimPath, sample)."""
+    """Simulate one path, monitoring the formula; returns (SimPath, sample).
+    It is sample 0 of the run with this seed."""
     if pathlen < 1:
         raise SmcError("pathlen must be at least 1")
-    checker = ExactChecker(mm, closed)
-    monitor = compile_monitor(checker, path)
-    sampler = _Sampler(mm)
-    rng = _rng_for(seed, 0)
+    table = _table(mm)
+    monitor = compile_monitor(ExactChecker(mm, closed), path, table.absorbing)
+    steps = []
+    value, capped, _, _ = _walk(table, mm.initial, [_rng_for(seed, 0)], pathlen,
+                                monitor, trace=steps)
+    bounds = mm.choice_csr()[1]
     entries = []
-    s = mm.initial
-    step = 0
-    while True:
-        absorbing = sampler.is_absorbing(s)
-        verdict = monitor.decide(s, step, absorbing)
-        if verdict is not None:
-            return SimPath(entries, "bound-hit"), verdict
-        if absorbing:
-            return SimPath(entries, "absorbing"), monitor.censor_value
-        if step >= pathlen:
-            return SimPath(entries, "pathlen-cap"), monitor.censor_value
-        nxt = sampler.step(s, rng)
-        moves = mm.moves[s]
-        tag = moves[0].action if len(moves) == 1 else "mix"
-        entries.append((s, tag, nxt))
-        s = nxt
-        step += 1
+    for s, move, nxt in steps:
+        s, move = int(s[0]), int(move[0])
+        entries.append((s, mm.moves[s][move - bounds[s]].action, int(nxt[0])))
+    if capped[0]:
+        return SimPath(entries, "pathlen-cap"), monitor.censor_value
+    return SimPath(entries, "bound-hit"), int(value[0])
 
 
 class _SampleStream:
-    """Deterministic Bernoulli sample stream for a formula on a dtmc."""
+    """Deterministic Bernoulli sample stream for a formula on a dtmc.
+
+    `batches` yields the samples in index order; a method that stops after
+    `n` samples, all drawn, reads the path statistics of those from
+    `stats(n)`.  Only the last batch's per-path arrays are kept; earlier
+    batches, used in full, are kept as sums."""
 
     def __init__(self, mm: MarkovModel, closed: ClosedModel, path: A.Expr,
                  seed: int, pathlen: int):
-        checker = ExactChecker(mm, closed)
-        self.monitor = compile_monitor(checker, path)
-        self.sampler = _Sampler(mm)
-        self.mm = mm
+        self.table = _table(mm)
+        self.monitor = compile_monitor(ExactChecker(mm, closed), path,
+                                       self.table.absorbing)
+        self.initial = mm.initial
         self.seed = seed
         self.pathlen = pathlen
-        self.cap_hits = 0
+        self._earlier = _PathTotals()
+        self._last = (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
 
-    def sample(self, i: int) -> int:
-        rng = _rng_for(self.seed, i)
-        s = self.mm.initial
-        step = 0
-        monitor = self.monitor
-        sampler = self.sampler
-        while True:
-            absorbing = sampler.is_absorbing(s)
-            verdict = monitor.decide(s, step, absorbing)
-            if verdict is not None:
-                return verdict
-            if absorbing:
-                return monitor.censor_value
-            if step >= self.pathlen:
-                self.cap_hits += 1
-                return monitor.censor_value
-            s = sampler.step(s, rng)
-            step += 1
+    def batches(self, n: int | None = None):
+        """The 0/1 samples as one list per batch: the first `n`, or with `n`
+        None batches that double in size up to the sequential sample cap."""
+        limit = MAX_SEQUENTIAL_SAMPLES if n is None else n
+        size = _FIRST_BATCH if n is None else _MAX_BATCH
+        lo = 0
+        while lo < limit:
+            hi = min(lo + size, limit)
+            rngs = [_rng_for(self.seed, i) for i in range(lo, hi)]
+            value, capped, length, _ = _walk(self.table, self.initial, rngs,
+                                             self.pathlen, self.monitor)
+            value[capped] = self.monitor.censor_value
+            self._earlier.add(*self._last)
+            self._last = (capped, length)
+            yield value.astype(np.int64).tolist()
+            lo, size = hi, min(2 * size, _MAX_BATCH)
+
+    def samples(self):
+        """The samples one by one, for the sequential methods."""
+        for batch in self.batches():
+            yield from batch
+
+    def stats(self, n: int) -> dict:
+        used = replace(self._earlier)
+        used.add(*(a[:n - used.count] for a in self._last))
+        return used.fields()
+
+
+@dataclass
+class _PathTotals:
+    """Running path statistics of the samples used."""
+
+    count: int = 0
+    cap_hits: int = 0
+    length_sum: int = 0
+    length_max: int = 0
+
+    def add(self, capped: np.ndarray, length: np.ndarray):
+        self.count += length.size
+        self.cap_hits += int(capped.sum())
+        self.length_sum += int(length.sum())
+        self.length_max = max(self.length_max, int(length.max(initial=0)))
+
+    def fields(self) -> dict:
+        """The Estimate fields that summarise these paths."""
+        return {"cap_hits": self.cap_hits, "path_len_mean": self.length_sum / self.count,
+                "path_len_max": self.length_max}
+
+
+def _sample_count(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise SmcError(f"the sample count n must be at least 1, got {n}")
+    return n
 
 
 def _two_of_three(**kwargs):
@@ -261,20 +327,21 @@ def _half_width(method, alpha, mean, var_sum, n):
 def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
     given = _two_of_three(w=w, alpha=alpha, n=n)
     stream = _SampleStream(mm, closed, path, seed, pathlen)
+    if "n" in given:
+        n = _sample_count(n)
     if "n" in given and "alpha" in given:
-        n = int(n)
-        total = sum(stream.sample(i) for i in range(n))
+        total = sum(sum(batch) for batch in stream.batches(n))
         mean = total / n
         var_sum = total * (1.0 - mean) ** 2 + (n - total) * mean ** 2
         hw = _half_width(method, alpha, mean, var_sum, n)
         return Estimate(method, mean, n, seed, half_width=hw, alpha=alpha,
-                        cap_hits=stream.cap_hits)
+                        **stream.stats(n))
     if "w" in given and "alpha" in given:
         total = 0
         count = 0
         hw = math.inf
-        while count < MAX_SEQUENTIAL_SAMPLES:
-            total += stream.sample(count)
+        for x in stream.samples():
+            total += x
             count += 1
             if count < 2:
                 continue
@@ -287,10 +354,9 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
             raise SmcError("sequential sampling exceeded the sample cap")
         mean = total / count
         return Estimate(method, mean, count, seed, half_width=hw, alpha=alpha,
-                        cap_hits=stream.cap_hits)
+                        **stream.stats(count))
     # w and n given: solve for alpha
-    n = int(n)
-    total = sum(stream.sample(i) for i in range(n))
+    total = sum(sum(batch) for batch in stream.batches(n))
     mean = total / n
     if method == "CI":
         sigma = math.sqrt(mean * (1.0 - mean) / n)
@@ -303,7 +369,7 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
         z = w / sigma
         alpha_solved = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
     return Estimate(method, mean, n, seed, half_width=w, alpha=alpha_solved,
-                    cap_hits=stream.cap_hits)
+                    **stream.stats(n))
 
 
 def apmc_samples(epsilon: float, delta: float) -> int:
@@ -320,15 +386,15 @@ def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
     if "epsilon" in given and "delta" in given:
         n = apmc_samples(epsilon, delta)
     elif "n" in given and "delta" in given:
-        n = int(n)
+        n = _sample_count(n)
         epsilon = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
     else:
-        n = int(n)
+        n = _sample_count(n)
         delta = 2.0 * math.exp(-2.0 * n * epsilon * epsilon)
     stream = _SampleStream(mm, closed, path, seed, pathlen)
-    total = sum(stream.sample(i) for i in range(n))
+    total = sum(sum(batch) for batch in stream.batches(n))
     return Estimate("APMC", total / n, n, seed, epsilon=epsilon, delta=delta,
-                    cap_hits=stream.cap_hits)
+                    **stream.stats(n))
 
 
 def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
@@ -354,8 +420,7 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
     total = 0
     count = 0
     decision = None
-    while count < MAX_SEQUENTIAL_SAMPLES:
-        x = stream.sample(count)
+    for x in stream.samples():
         count += 1
         total += x
         llr += lr_one if x else lr_zero
@@ -370,7 +435,7 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
     high = decision == "accept-H0"  # p is on the high side of theta
     satisfied = high if bound.op in (">", ">=") else not high
     return Estimate("SPRT", total / count, count, seed, alpha=alpha, delta=delta,
-                    decision=decision, satisfied=satisfied, cap_hits=stream.cap_hits)
+                    decision=decision, satisfied=satisfied, **stream.stats(count))
 
 
 # --- reward sampling -----------------------------------------------------------
@@ -378,56 +443,34 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
 
 def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
                   pathlen=DEFAULT_PATHLEN) -> Estimate:
-    """Mean-reward estimation for Cumul k and almost-sure Reachable formulas."""
+    """Mean-reward estimation for Cumul k and almost-sure Reachable formulas.
+    A path that reaches an absorbing state outside the target of Reachable
+    diverges; it is censored and counted as a cap hit."""
+    n = _sample_count(n)
+    table = _table(mm)
     checker = ExactChecker(mm, closed)
-    state_r, move_r = checker._reward_arrays(rname)
-    first_move = checker.mdp_arrays()[1].tolist()
-    sampler = _Sampler(mm)
+    rewards = checker._reward_arrays(rname)
     if isinstance(rpath, A.Cumul):
-        k = int(closed.spec_expr(rpath.operand)(None))
-        target = None
+        k = max(int(closed.spec_expr(rpath.operand)(None)), 0)
+        never = np.zeros(mm.num_states, dtype=bool)
+        monitor = Monitor(never, never, k, never)
     elif isinstance(rpath, A.Reachable):
-        k = None
         target = checker.sat(rpath.operand)
+        # the value of a path is whether it diverged
+        monitor = Monitor(target | table.absorbing, table.absorbing & ~target)
     else:
         raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
-    cap_hits = 0
-    values = []
-    for i in range(int(n)):
-        rng = _rng_for(seed, i)
-        s = mm.initial
-        acc = 0.0
-        steps = 0
-        while True:
-            if target is not None and target[s]:
-                break
-            if k is not None and steps >= k:
-                break
-            if steps >= pathlen:
-                cap_hits += 1
-                break
-            if target is not None and sampler.is_absorbing(s) and not target[s]:
-                cap_hits += 1  # reward diverges on this path; censored
-                break
-            # choose a move uniformly, then a branch
-            moves = mm.moves[s]
-            j = int(rng.integers(len(moves))) if len(moves) > 1 else 0
-            acc += state_r[s] + move_r[first_move[s] + j]
-            branches = moves[j].branches
-            u = rng.random()
-            cum = 0.0
-            nxt = branches[-1][1]
-            for p, d in branches:
-                cum += float(p)
-                if u < cum:
-                    nxt = d
-                    break
-            s = nxt
-            steps += 1
-        values.append(acc)
-    arr = np.array(values)
+    gains = []
+    used = _PathTotals()
+    for lo in range(0, n, _MAX_BATCH):
+        rngs = [_rng_for(seed, i) for i in range(lo, min(lo + _MAX_BATCH, n))]
+        diverged, capped, length, gain = _walk(table, mm.initial, rngs, pathlen,
+                                               monitor, rewards=rewards)
+        gains.append(gain)
+        used.add(capped | (diverged > 0), length)
+    arr = np.concatenate(gains)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     hw = normal_quantile(1.0 - alpha / 2.0) * sd / math.sqrt(len(arr))
     return Estimate("CI", mean, len(arr), seed, half_width=hw, alpha=alpha,
-                    cap_hits=cap_hits)
+                    **used.fields())

@@ -549,3 +549,62 @@ def _exists_response_path(succ, s, p, q) -> bool:
                     seen2.add(nxt)
                     frontier.append(nxt)
     return False
+
+
+# --- reference sampler --------------------------------------------------------------
+
+
+def reference_rng(seed: int, i: int) -> np.random.Generator:
+    """The documented generator of sample i of a run with this seed."""
+    return np.random.Generator(np.random.PCG64((seed & 0xFFFFFFFF) * 2654435761 + i))
+
+
+def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
+    """Walk one path over `mm.moves`, one uniform per step, until
+    `stop(state, step, absorbing)` returns a value or `pathlen` steps pass.
+
+    A state's entries are its moves in order, each move's positive branches
+    in ascending destination order, with weight p/k for k moves; the
+    successor is the first entry whose left-to-right cumulative weight (the
+    last one taken as 1.0) exceeds the uniform.  Returns (value or None when
+    capped, steps taken, [(state, move index)] per step)."""
+    s = mm.initial
+    steps = []
+    while True:
+        entries = [(float(p) / len(mm.moves[s]), d, j)
+                   for j, mv in enumerate(mm.moves[s])
+                   for p, d in sorted(mv.branches, key=lambda b: b[1]) if p > 0]
+        absorbing = all(d == s for _, d, _ in entries)
+        value = stop(s, len(steps), absorbing)
+        if value is not None:
+            return value, len(steps), steps
+        if len(steps) >= pathlen:
+            return None, len(steps), steps
+        u = rng.random()
+        cum = 0.0
+        for at, (w, d, j) in enumerate(entries):
+            cum = 1.0 if at == len(entries) - 1 else cum + w
+            if u < cum:
+                break
+        steps.append((s, j))
+        s = d
+
+
+def reference_monitor(kind: str, sat1, sat2, k):
+    """The decision of F/U/G/X at a path's state before the given step:
+    None while undecided, else the 0/1 sample."""
+    def stop(s, step, absorbing):
+        if kind == "X":
+            return int(sat2[s]) if step == 1 or absorbing else None
+        if kind == "G":
+            if not sat2[s]:
+                return 0
+            return 1 if absorbing or (k is not None and step >= k) else None
+        if k is not None and step > k:
+            return 0
+        if sat2[s]:
+            return 1
+        if absorbing or (kind == "U" and not sat1[s]):
+            return 0
+        return None
+    return stop

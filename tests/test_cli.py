@@ -147,6 +147,10 @@ def test_cli_smc_engine(tmp_path):
     assert rec["mode"] == "smc-CI"
     assert rec["n"] == 200
     assert 0.8 <= rec["value"] <= 1.0
+    assert 0 < rec["pathLen"]["mean"] <= rec["pathLen"]["max"]
+    header = (tmp_path / "out" / "report.txt").read_text().splitlines()[0]
+    assert header.split() == ["property", "config", "result", "states", "transitions",
+                              "buildMs", "checkMs"]
 
 
 def test_smc_requires_dtmc():
@@ -227,3 +231,81 @@ def test_cli_smc_sprt(tmp_path):
     rec = json.loads((out / "report.jsonl").read_text().splitlines()[0])
     assert rec["mode"] == "smc-SPRT"
     assert rec["verdict"] is True
+
+
+def test_models_released_after_their_last_job(tmp_path, monkeypatch):
+    import weakref
+    import rcprob.cli as cli
+
+    rcp = tmp_path / "two.rcp"
+    rcp.write_text("""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    constants C_short:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 4, and
+      SRWMod::SRWRP::Pl set to 0.5
+    constants C_long:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 6, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_all:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    prob property A_stuck:
+      Prob=? of [Finally #l_stuck]
+      with constants C_short
+      with definitions D_all
+    prob property B_deadlock:
+      not Exists [Finally deadlock]
+      with constants C_short
+      with definitions D_all
+    prob property C_stuck:
+      Prob=? of [Finally #l_stuck]
+      with constants C_long
+      with definitions D_all
+    """)
+    built = []  # (MaxSteps, weak reference to the model)
+    alive_at_build = []
+    build_markov = cli.build_markov
+
+    def tracking_build(closed, *args):
+        alive_at_build.append([steps for steps, ref in built if ref() is not None])
+        mm = build_markov(closed, *args)
+        built.append((closed.consts["MaxSteps"], weakref.ref(mm)))
+        return mm
+
+    monkeypatch.setattr(cli, "build_markov", tracking_build)
+    plan = RunPlan(SRW_RCM, str(rcp), engine="internal", kind="dtmc",
+                   out_dir=str(tmp_path / "out"))
+    assert run(plan) == 0
+    # C_short serves A_stuck and B_deadlock from one build, and is gone
+    # before C_long is built
+    assert [steps for steps, _ in built] == [4, 6]
+    assert alive_at_build == [[], []]
+    records = [json.loads(ln) for ln in
+               (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+    assert [r["property"] for r in records] == ["A_stuck", "B_deadlock", "C_stuck"]
+
+
+def test_cli_smc_rejects_empty_sample(tmp_path, capsys):
+    rcp = tmp_path / "zero.rcp"
+    rcp.write_text("""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    constants C_all:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 4, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_all:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    prob property P_none:
+      Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=0
+      with constants C_all
+      with definitions D_all
+    """)
+    code = main(["check", SRW_RCM, str(rcp), "--engine", "smc", "--kind", "dtmc",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "n must be at least 1" in capsys.readouterr().err

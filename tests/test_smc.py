@@ -1,19 +1,24 @@
+import itertools
 import math
 import os
+import random
+import statistics
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from rcprob import ast as A
-from rcprob.build import MarkovModel, Move
+from rcprob.build import MarkovModel, Move, RewardStructure
 from rcprob.props import parse_expression
-from rcprob.smc import (SmcError, apmc_samples, normal_quantile, run_aci,
-                        run_apmc, run_ci, run_sprt, simulate)
+from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
+                        run_aci, run_apmc, run_ci, run_reward_ci, run_sprt, simulate)
 
-from oracles import StubContext, var_eq
+import oracles
+from oracles import StubContext, var_eq, var_in
 
 
 def chain30():
@@ -248,3 +253,298 @@ def test_reward_simulation_geometric():
     est2 = run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(3)), alpha=0.05, n=2000, seed=1)
     # expected cumulative reward over 3 steps: 1 + 1/2 + 1/4
     assert abs(est2.point - 1.75) < 0.1
+
+
+# --- differential tests against the one-path-at-a-time reference sampler ---------------
+
+
+def _sat(mm, ctx, expr):
+    fn = ctx.spec_expr(expr)
+    return [bool(fn(st)) for st in mm.states]
+
+
+def _bound(k):
+    return None if k is None else A.Bound("<=", A.Lit(k))
+
+
+def _shapes(p, q):
+    """(kind, path formula, left, right, step bound) of every simulable shape."""
+    out = [("X", A.Next(q), None, q, None)]
+    for k in (None, 3):
+        out += [("F", A.Finally_(_bound(k), q), None, q, k),
+                ("G", A.Globally(_bound(k), p), None, p, k),
+                ("U", A.Until(p, _bound(k), q), p, q, k)]
+    return out
+
+
+def _reference(mm, ctx, kind, left, right, k, seed, pathlen):
+    """The reference sampler's samples in index order: (0/1 sample, steps
+    taken, whether the path hit the pathlen cap)."""
+    stop = oracles.reference_monitor(kind, left and _sat(mm, ctx, left),
+                                     _sat(mm, ctx, right), k)
+    for i in itertools.count():
+        value, steps, _ = oracles.reference_path(mm, oracles.reference_rng(seed, i),
+                                                 pathlen, stop)
+        if value is None:
+            yield (1 if kind == "G" else 0), steps, True
+        else:
+            yield value, steps, False
+
+
+def wide_row_dtmc(seed=7, n=60, width=40):
+    """One move per state over `width` successors in random order, with
+    uneven weights; every tenth state is absorbing."""
+    rng = random.Random(seed)
+    moves = []
+    for s in range(n):
+        if s % 10 == 9:
+            moves.append([Move("loop", ((Fraction(1), s),))])
+            continue
+        dests = rng.sample(range(n), width)
+        weights = [rng.randint(1, 9) for _ in dests]
+        moves.append([Move("a", tuple((Fraction(w, sum(weights)), d)
+                                      for w, d in zip(weights, dests)))])
+    mm = MarkovModel("dtmc", ("x",), [(i,) for i in range(n)], moves,
+                     [s % 10 == 9 for s in range(n)], [False] * n)
+    mm.check_stochastic()
+    return mm, StubContext(("x",))
+
+
+def _single_move_models(srw_small):
+    closed, srw = srw_small
+    yield (srw, closed, parse_expression("SRWMod::SRWRP::x >= -1"),
+           parse_expression(
+               "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck"))
+    mm, ctx = chain30()
+    yield mm, ctx, A.Unary("not", var_eq("x", 2)), GOAL
+    # branches in random destination order
+    rnd = oracles.random_dtmc(random.Random(4), 25)
+    yield rnd, StubContext(("x",)), A.Binary("<", A.Ref(A.QName(("x",))), A.Lit(18)), \
+        var_in("x", [3, 7, 11, 19])
+    # rows of 40 entries
+    wide, ctx = wide_row_dtmc()
+    yield wide, ctx, A.Binary("<", A.Ref(A.QName(("x",))), A.Lit(45)), var_in("x", [2, 23])
+
+
+@pytest.mark.parametrize("pathlen", [3, 1000])
+def test_samples_match_reference_on_single_move_models(srw_small, pathlen):
+    n = 150
+    checked = caps = 0
+    for mm, ctx, p, q in _single_move_models(srw_small):
+        assert all(len(row) == 1 for row in mm.moves)
+        for kind, path, left, right, k in _shapes(p, q):
+            stream = _SampleStream(mm, ctx, path, 11, pathlen)
+            got = [x for batch in stream.batches(n) for x in batch]
+            want = list(itertools.islice(
+                _reference(mm, ctx, kind, left, right, k, 11, pathlen), n))
+            assert got == [value for value, _, _ in want], (kind, k)
+            lengths = [steps for _, steps, _ in want]
+            caps += sum(capped for _, _, capped in want)
+            assert stream.stats(n) == {
+                "cap_hits": sum(capped for _, _, capped in want),
+                "path_len_mean": sum(lengths) / n, "path_len_max": max(lengths)}, (kind, k)
+            checked += 1
+    assert checked == 28
+    assert (caps > 0) == (pathlen == 3)
+
+
+def test_rewards_match_reference_on_single_move_models(srw_small):
+    closed, mm = srw_small
+    stuck = parse_expression(
+        "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
+    target = _sat(mm, closed, stuck)
+    cases = [(A.Cumul(A.Lit(15)), lambda s, t, a: 0 if t >= 15 else None),
+             (A.Reachable(stuck), lambda s, t, a: 0 if target[s] or a else None)]
+    for rpath, stop in cases:
+        est = run_reward_ci(mm, closed, "R_origins", rpath, n=300, seed=2, pathlen=40)
+        rs = mm.rewards["R_origins"]
+        values = []
+        for i in range(300):
+            _, _, steps = oracles.reference_path(mm, oracles.reference_rng(2, i), 40, stop)
+            acc = 0.0
+            for s, j in steps:
+                acc += float(rs.state[s]) + float(rs.move.get((s, j), 0))
+            values.append(acc)
+        assert est.point == float(np.array(values).mean())
+        assert est.point > 0
+
+
+def _stop_index(samples, stop):
+    """The number of samples a sequential rule uses, with their path
+    statistics."""
+    used = []
+    for sample in samples:
+        used.append(sample)
+        if stop([x for x, _, _ in used]):
+            lengths = [steps for _, steps, _ in used]
+            return len(used), {"cap_hits": sum(capped for _, _, capped in used),
+                               "path_len_mean": sum(lengths) / len(used),
+                               "path_len_max": max(lengths)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sequential_methods_stop_where_reference_does(srw_small, seed):
+    closed, mm = srw_small
+    goal = parse_expression("SRWMod::SRWRP::x == 2")
+    path = A.Finally_(None, goal)
+    pathlen = 12  # some paths hit the cap
+
+    def samples():
+        return _reference(mm, closed, "F", None, goal, None, seed, pathlen)
+
+    z = statistics.NormalDist().inv_cdf(1 - 0.05 / 2)
+
+    def ci_done(xs):
+        mean = sum(xs) / len(xs)
+        return len(xs) >= 2 and z * math.sqrt(mean * (1 - mean) / len(xs)) <= 0.04
+
+    count, stats = _stop_index(samples(), ci_done)
+    est = run_ci(mm, closed, path, w=0.04, alpha=0.05, seed=seed, pathlen=pathlen)
+    assert (est.n, est.cap_hits, est.path_len_mean, est.path_len_max) == \
+        (count, *stats.values())
+
+    theta, delta, alpha = 0.5, 0.01, 0.01
+    lr_one = math.log((theta - delta) / (theta + delta))
+    lr_zero = math.log((1 - theta + delta) / (1 - theta - delta))
+
+    def sprt_done(xs):
+        llr = 0.0
+        for x in xs:
+            llr += lr_one if x else lr_zero
+        return abs(llr) >= math.log((1 - alpha) / alpha)
+
+    count, stats = _stop_index(samples(), sprt_done)
+    est = run_sprt(mm, closed, path, A.Bound(">=", A.Lit(theta)), theta=theta,
+                   alpha=alpha, delta=delta, seed=seed, pathlen=pathlen)
+    assert (est.n, est.cap_hits, est.path_len_mean, est.path_len_max) == \
+        (count, *stats.values())
+    assert count > 64 + 128  # past the first two batches
+    assert stats["cap_hits"] > 0
+
+
+def multi_move_dtmc():
+    """s0 mixes three moves uniformly; the successors' mixture is
+    1: 1/6, 2: 1/6 + 1/9, 3: 2/9 + 1/3."""
+    third = Fraction(1, 3)
+    moves = [
+        [Move("a", ((Fraction(1, 2), 1), (Fraction(1, 2), 2))),
+         Move("b", ((third, 2), (2 * third, 3))),
+         Move("c", ((Fraction(1), 3),))],
+        [Move("l", ((Fraction(1), 1),))],
+        [Move("l", ((Fraction(1), 2),))],
+        [Move("l", ((Fraction(1), 3),))],
+    ]
+    mm = MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves,
+                     [False] * 4, [False] * 4)
+    mm.check_stochastic()
+    return mm, StubContext(("x",))
+
+
+def test_multi_move_frequencies_match_mixture():
+    mm, ctx = multi_move_dtmc()
+    n = 3000
+    succ = [round(run_ci(mm, ctx, A.Next(var_eq("x", d)), alpha=0.05, n=n,
+                         seed=3).point * n) for d in (1, 2, 3)]
+    assert sum(succ) == n
+    exact = [Fraction(1, 6), Fraction(5, 18), Fraction(5, 9)]
+    assert scipy_stats.chisquare(succ, [float(p) * n for p in exact]).pvalue > 1e-3
+    # one indicator reward per move: Cumul 1 counts the move taken first
+    for j, name in enumerate("abc"):
+        mm.rewards[name] = RewardStructure(name, [Fraction(0)] * 4, {(0, j): Fraction(1)})
+    taken = [round(run_reward_ci(mm, ctx, name, A.Cumul(A.Lit(1)), n=n, seed=3).point * n)
+             for name in "abc"]
+    assert sum(taken) == n
+    assert scipy_stats.chisquare(taken, [n / 3] * 3).pvalue > 1e-3
+    entries = [simulate(mm, ctx, seed=s, pathlen=1, path=A.Next(GOAL))[0].entries[0]
+               for s in range(30)]
+    assert {tag for _, tag, _ in entries} == {"a", "b", "c"}
+
+
+def test_block_draws_equal_scalar_draws():
+    # every path draws its uniforms in blocks; the reproducibility of each
+    # (seed, i) sample rests on blocks continuing the scalar stream
+    for a, b in [(1, 1), (64, 64), (3, 61), (64, 7)]:
+        blocks = oracles.reference_rng(5, 9)
+        got = np.concatenate([blocks.random(a), blocks.random(b)])
+        scalar = oracles.reference_rng(5, 9)
+        assert got.tolist() == [scalar.random() for _ in range(a + b)]
+
+
+def test_sequential_stream_keeps_only_its_last_batch(srw_small):
+    closed, mm = srw_small
+    goal = parse_expression("SRWMod::SRWRP::x == 2")
+    stream = _SampleStream(mm, closed, A.Finally_(None, goal), 3, 12)
+    used = 64 + 128 + 256 + 100  # into the fourth batch
+    got = list(itertools.islice(stream.samples(), used))
+    want = list(itertools.islice(_reference(mm, closed, "F", None, goal, None, 3, 12), used))
+    assert got == [value for value, _, _ in want]
+    assert [a.size for a in stream._last] == [512, 512]
+    lengths = [steps for _, steps, _ in want]
+    assert stream.stats(used) == {
+        "cap_hits": sum(capped for _, _, capped in want),
+        "path_len_mean": sum(lengths) / used, "path_len_max": max(lengths)}
+
+
+@pytest.mark.parametrize("run", [
+    lambda mm, ctx: run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=0),
+    lambda mm, ctx: run_aci(mm, ctx, A.Finally_(None, GOAL), w=0.1, n=-3),
+    lambda mm, ctx: run_apmc(mm, ctx, A.Finally_(None, GOAL), delta=0.1, n=0),
+    lambda mm, ctx: run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(3)), n=0),
+])
+def test_sample_count_must_be_positive(run):
+    mm, ctx = chain30()
+    with pytest.raises(SmcError, match="at least 1"):
+        run(mm, ctx)
+
+
+def test_complex_keys_order_by_state_then_weight():
+    # the successor search rests on numpy ordering complex numbers by real
+    # part, then imaginary part, with exact comparisons
+    big = float(2 ** 40)
+    c = 0.3
+    keys = np.array([big - 1 + 1j, big + c * 1j, big + np.nextafter(c, 1) * 1j, big + 1j,
+                     big + 1 + 0.5j])
+    queries = np.array([big + np.nextafter(c, 0) * 1j, big + c * 1j,
+                        big + np.nextafter(c, 1) * 1j, big + 0.999j, big + 1 + 0j])
+    assert keys.searchsorted(queries, "right").tolist() == [1, 2, 3, 3, 4]
+    # equal to a searchsorted within each state's own row
+    rng = np.random.default_rng(1)
+    rows = [np.sort(rng.random(rng.integers(1, 6))) for _ in range(50)]
+    for row in rows:
+        row[-1] = 1.0
+    start = np.cumsum([0] + [len(row) for row in rows])
+    flat = np.concatenate(rows)
+    key = np.repeat(np.arange(50), np.diff(start)) + 1j * flat
+    states = rng.integers(0, 50, 500)
+    u = np.where(rng.random(500) < 0.2, flat[start[states]], rng.random(500))
+    query = np.empty(500, dtype=complex)
+    query.real, query.imag = states, u
+    want = [start[s] + np.searchsorted(rows[s], x, side="right") for s, x in zip(states, u)]
+    assert key.searchsorted(query, "right").tolist() == want
+
+
+def test_empty_horizons_decide_at_the_initial_state():
+    mm, ctx = chain30()
+    not_goal = A.Unary("not", GOAL)
+    for path, want in [(A.Globally(A.Bound("<", A.Lit(0)), not_goal), 1.0),
+                       (A.Finally_(A.Bound("<", A.Lit(0)), not_goal), 0.0)]:
+        est = run_ci(mm, ctx, path, alpha=0.05, n=20, seed=1)
+        assert (est.point, est.path_len_max, est.cap_hits) == (want, 0, 0)
+    mm.rewards["R"] = RewardStructure("R", [Fraction(1)] * 3, {})
+    est = run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(-1)), n=20, seed=1, pathlen=5)
+    assert (est.point, est.path_len_max, est.cap_hits) == (0.0, 0, 0)
+
+
+def test_uniform_equal_to_a_cumulative_weight_moves_past_it():
+    # the first branch's weight is exactly the first uniform of sample 0
+    u = oracles.reference_rng(6, 0).random()
+    moves = [[Move("a", ((Fraction(u), 1), (1 - Fraction(u), 2)))],
+             [Move("l", ((Fraction(1), 1),))],
+             [Move("l", ((Fraction(1), 2),))]]
+    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3, [False] * 3)
+    path, sample = simulate(mm, StubContext(("x",)), seed=6, pathlen=5,
+                            path=A.Next(var_eq("x", 2)))
+    assert (path.entries, sample) == ([(0, "a", 2)], 1)
+    reached, _, _ = oracles.reference_path(mm, oracles.reference_rng(6, 0), 5,
+                                           lambda s, t, a: s if t == 1 else None)
+    assert reached == 2

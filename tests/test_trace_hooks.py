@@ -4,6 +4,7 @@ run."""
 
 from pathlib import Path
 
+import rcprob.cli
 import rcprob.exact
 from rcprob.exact import ExactChecker
 from rcprob.props import ProbProperty
@@ -29,3 +30,38 @@ def test_tracer_wraps_existing_names(monkeypatch, srw_small, srw_spec):
     for method, cache in _ASSEMBLE_CACHES.items():
         assert not hasattr(getattr(ExactChecker, method), "__wrapped__"), method
         assert hasattr(checker, cache), cache
+
+
+def test_tracer_records_smc_spans(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer, layer_metrics
+
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    rcp = tmp_path / "sim.rcp"
+    rcp.write_text("""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    constants C_all:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 4, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_all:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    prob property P_sim:
+      Prob=? of [Finally #l_stuck] using sim with APMC at epsilon=0.1, delta=0.1
+      with constants C_all
+      with definitions D_all
+    """)
+    plan = rcprob.cli.RunPlan(str(fixtures / "srw.rcm"), str(rcp), engine="smc",
+                              kind="dtmc", out_dir=str(tmp_path / "out"))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert rcprob.cli.run(plan) == 0
+    finally:
+        tracer.remove()
+    smc = [span for span in tracer.spans if span[0] == "smc"]
+    assert len(smc) == 1
+    assert smc[0][4] == {"samples": 150, "cap_hits": 0}
+    assert layer_metrics(tracer.spans, 1.0)["smc.samples"] == 150
