@@ -320,8 +320,4 @@ def walk(expr: Expr):
         stack.extend(c for c in children if c is not None)
 
 
-def is_path_node(expr: Expr) -> bool:
-    return isinstance(expr, PATH_NODES)
-
-
 NUMERIC_LITERAL_TYPES = (int, Fraction)

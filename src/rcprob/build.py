@@ -7,7 +7,10 @@ intermediate program-counter points between them, and a final step that
 enters the target state and releases the lock.  Transitions without any
 action collapse to a single step.  Probabilistic junctions branch at the
 junction step with exact rational weights.  Multiple simultaneously enabled
-steps become separate actions (mdp) or a uniform mixture (dtmc).
+steps become separate actions (mdp) or a uniform mixture (dtmc).  Each
+machine compiles these micro-steps once into a step table (`Step`,
+`MachineRT.compile_steps`) that the explorer executes and the PRISM emitter
+prints.
 
 Communication is synchronous over connection closures: the transitive
 closure of connections over one event is a single synchronisation set; a
@@ -109,6 +112,12 @@ def _int_div(a, b):
     if isinstance(a, int) and isinstance(b, int):
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
+    return Fraction(a) / Fraction(b)
+
+
+def _real_div(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
     return Fraction(a) / Fraction(b)
 
 
@@ -345,6 +354,7 @@ class CommSpec:
     direction: str  # "in" | "out"
     value_fn: object = None  # state -> value, for sends with payload
     bind_idx: int | None = None  # receiver variable index
+    value: A.Expr | None = None  # the sent value expression
 
 
 @dataclass
@@ -364,6 +374,33 @@ class TransitionRT:
     target_is_junction: bool
     src_exit: list[Constituent]
     tgt_entry_len: int
+
+
+LOCK_HELD = "*"  # a lock guard that any held lock meets; no transition id is "*"
+
+
+@dataclass(frozen=True)
+class Step:
+    """One micro-step of a machine, fixed when the machine is compiled.
+
+    Its guard is on the control variables only: the program counter `pc`,
+    the `lock` (LOCK_FREE, a transition id, LOCK_HELD, or None where the pc
+    alone implies a held lock) and the `exit` flag (None: unconstrained).
+    `branches` are the weighted updates of those control variables.  An
+    initiation carries its transition `rt` (guard and trigger), a chain step
+    the action constituent `part` it runs; whoever executes or prints the
+    step evaluates those."""
+    tag: str
+    pc: str
+    lock: object
+    exit: str | None
+    branches: tuple  # ((weight, ((var index, value), ...)), ...)
+    rt: TransitionRT | None = None
+    part: Constituent | None = None
+
+    @property
+    def updates(self) -> tuple:
+        return self.branches[0][1]
 
 
 class MachineRT:
@@ -387,7 +424,6 @@ class MachineRT:
         self.rt: dict[str, TransitionRT] = {}
         self.entry: dict[str, list[Constituent]] = {}
         self.exit: dict[str, list[Constituent]] = {}
-        self.act: dict[str, list[Constituent]] = {}
         self.junction_weights: dict[str, list[tuple[M.Transition, Fraction]]] = {}
 
     def endpoint(self, event: str) -> str:
@@ -410,18 +446,88 @@ class MachineRT:
             return f"{tid}_act_{k + 1}"
         return f"{tid}_act" if k == 0 else f"{tid}_act_{k}"
 
-    def _state_needs_entering(self, state: str) -> bool:
-        # any non-trivial chain ends in `<state>_entering`
-        for t in self.mach.transitions:
-            if t.target != state:
+    # --- step table -----------------------------------------------------------
+
+    def _chain_pc(self, t: M.Transition, k: int = 0) -> str:
+        """Where the chain of `t` goes before its k-th action constituent:
+        that constituent, else the target junction, else the target's
+        entering point."""
+        if k < len(self.rt[t.id].parts):
+            return self.act_pc(t.id, k)
+        return t.target if t.target in self.junctions else self.entering_pc(t.target)
+
+    def compile_steps(self):
+        """Build the step table, in the order the PRISM emitter prints it:
+        `steps` lists every step, `initiations` the steps of each free node
+        and `locked` those of each locked (pc, exit flag) position."""
+        pc, lk, ex = self.pc_i, self.lk_i, self.exit_i
+        by_id = sorted(self.mach.transitions, key=lambda t: t.id)
+        steps: list[Step] = []
+
+        def step(tag, at, lock, exit_, updates, **kw):
+            return Step(f"{self.name}.{tag}", at, lock, exit_, ((Fraction(1), tuple(updates)),),
+                        **kw)
+
+        for t in by_id:
+            if t.source in self.junctions:
+                continue  # junction branches are one step at the junction
+            rt = self.rt[t.id]
+            if rt.src_exit:
+                updates = [(lk, t.id), (ex, EXIT_ACT)]
+            elif rt.parts or rt.target_is_junction or rt.tgt_entry_len:
+                updates = [(lk, t.id), (pc, self._chain_pc(t))]
+            else:
+                updates = [(pc, t.target)]
+            steps.append(step(t.id, t.source, LOCK_FREE,
+                              EXIT_NONE if ex is not None else None, updates, rt=rt))
+        for j in sorted(self.junctions):
+            branches = tuple((w, ((pc, self._chain_pc(t)),)) for t, w in self.junction_weights[j])
+            steps.append(Step(f"{self.name}.{j}", j, LOCK_HELD, None, branches))
+        for t in by_id:
+            for k, part in enumerate(self.rt[t.id].parts):
+                steps.append(step(f"{t.id}@act{k}", self.act_pc(t.id, k), None, None,
+                                  [(pc, self._chain_pc(t, k + 1))], part=part))
+        chunks = {}
+        for s in sorted(self.states):
+            chunk = chunks[s] = []
+            entry = self.entry[s]
+            for k, part in enumerate(entry):
+                at = self.entering_pc(s) if k == 0 else self.entry_pc(s, k)
+                post = [(pc, s), (lk, LOCK_FREE)] if k + 1 == len(entry) \
+                    else [(pc, self.entry_pc(s, k + 1))]
+                chunk.append(step(f"enter_{s}@{k}", at, None, None, post, part=part))
+            exit_ = self.exit[s]
+            if not exit_:
                 continue
-            src_exit = self.states.get(t.source)
-            has_exit = src_exit is not None and src_exit.exit is not None
-            has_act = bool(M.atomic_parts(t.action))
-            has_entry = self.states.get(state) and self.states[state].entry is not None
-            if has_exit or has_act or has_entry or t.source in self.junctions:
-                return True
-        return False
+            for t in self.trans_from.get(s, ()):  # each runs the exit chain under its lock
+                for k, part in enumerate(exit_):
+                    post = [(pc, self.exit_pc(s, k + 1))]
+                    if k + 1 == len(exit_):
+                        post.append((ex, EXIT_EXITED))
+                    chunk.append(step(f"{t.id}@exit{k}", self.exit_pc(s, k) if k else s,
+                                      t.id, EXIT_ACT, post, part=part))
+                chunk.append(step(f"{t.id}@exit_done", self.exit_pc(s, len(exit_)), t.id,
+                                  EXIT_EXITED, [(pc, self._chain_pc(t)), (ex, EXIT_NONE)]))
+        targets = {v for chunk in [steps, *chunks.values()] for st in chunk
+                   for _, updates in st.branches for i, v in updates if i == pc}
+        for s, chunk in chunks.items():
+            if not self.entry[s] and self.entering_pc(s) in targets:
+                chunk.insert(0, step(f"enter_{s}", self.entering_pc(s), None, None,
+                                     [(pc, s), (lk, LOCK_FREE)]))
+            steps.extend(chunk)
+        self.steps = steps
+        self.initiations: dict[str, list[Step]] = {}
+        self.locked: dict[tuple, list[Step]] = {}
+        for st in steps:
+            if st.lock == LOCK_FREE:
+                self.initiations.setdefault(st.pc, []).append(st)
+            else:
+                key = (st.pc, EXIT_NONE if st.exit is None else st.exit)
+                self.locked.setdefault(key, []).append(st)
+        # every state's entering point counts, used or not, so that pc codes
+        # stay put when a transition into the state changes
+        self.static_pcs = sorted(self.mach.node_names() | {st.pc for st in steps}
+                                 | {self.entering_pc(s) for s in self.states})
 
 
 @dataclass
@@ -534,8 +640,9 @@ class ClosedModel:
                 domain = _domain_of_typeref(closure.payload, model)
                 add(VarInfo(closure.latch, "latch", domain, _default_for(domain)))
 
-    def _const_value(self, expr: A.Expr, what: str, scope: ModelScope | None = None):
-        fn = self._compile(expr, scope=scope, params=None)
+    def _const_value(self, expr: A.Expr, what: str, scope: ModelScope | None = None,
+                     real: bool = False):
+        fn = self._compile(expr, scope=scope, params=None, real=real)
         try:
             return fn(None)
         except EvalError as exc:
@@ -550,15 +657,16 @@ class ClosedModel:
     # --- expression compilation ---------------------------------------------
 
     def _compile(self, e: A.Expr, scope: ModelScope | None, params: dict | None,
-                 fstack: tuple = ()):
+                 fstack: tuple = (), real: bool = False):
         """Compile to a closure state -> value.
 
         With a machine `scope`, bare names resolve lexically (model
         expressions); without it, names resolve as qualified references
         (property expressions).  `params` maps parameter names to argument
-        closures.
+        closures.  A `real` expression, such as a probability, divides
+        exactly; otherwise `/` on two integers truncates.
         """
-        compile_ = lambda x: self._compile(x, scope, params, fstack)
+        compile_ = lambda x: self._compile(x, scope, params, fstack, real)
         if isinstance(e, A.Lit):
             v = e.value
             return lambda s: v
@@ -572,7 +680,7 @@ class ClosedModel:
         if isinstance(e, A.Binary):
             lf = compile_(e.left)
             rf = compile_(e.right)
-            op = _BINOPS[e.op]
+            op = _real_div if real and e.op == "/" else _BINOPS[e.op]
             if e.op == "/\\":
                 return lambda s: bool(lf(s)) and bool(rf(s))
             if e.op == "\\/":
@@ -744,7 +852,7 @@ class ClosedModel:
             outs = rt.trans_from.get(j, [])
             weights = []
             for t in outs:
-                w = self._const_value(t.prob, f"probability of {t.id}", rt.scope)
+                w = self._const_value(t.prob, f"probability of {t.id}", rt.scope, real=True)
                 w = Fraction(w)
                 if not (0 <= w <= 1):
                     raise BuildError(f"probability of {t.id} is {w}, outside [0,1]")
@@ -754,6 +862,7 @@ class ClosedModel:
                 raise BuildError(
                     f"junction {j} of {mach.name}: outgoing probabilities sum to {total}, not 1")
             rt.junction_weights[j] = weights
+        rt.compile_steps()
         return rt
 
     def _constituent(self, rt: MachineRT, a: M.Action) -> Constituent:
@@ -834,7 +943,7 @@ class ClosedModel:
         if var is not None:
             flat, vdecl = rt.scope.vars[var]
             bind_idx = self.index[flat]
-        return CommSpec(closure, endpoint, direction, value_fn, bind_idx)
+        return CommSpec(closure, endpoint, direction, value_fn, bind_idx, value)
 
     def _trigger_comm(self, rt: MachineRT, t: M.Transition) -> CommSpec:
         tr = t.trigger
@@ -878,7 +987,7 @@ class ClosedModel:
             branches = []
             total = Fraction(0)
             for u in cmd.updates:
-                p = Fraction(self._const_value(u.prob, "update probability"))
+                p = Fraction(self._const_value(u.prob, "update probability", real=True))
                 total += p
                 idx = var_idx[u.var]
                 fn = self.spec_expr(u.expr)
@@ -1120,146 +1229,45 @@ class _Explorer:
         self.c = closed
         self.max_states = max_states
 
-    # machine position decoding ------------------------------------------------
-
-    def _position(self, m: MachineRT, state) -> tuple:
-        pc = state[m.pc_i]
-        exit_v = state[m.exit_i] if m.exit_i is not None else EXIT_NONE
-        if pc in m.mach.node_names():
-            if exit_v == EXIT_ACT:
-                return ("exit0", pc)
-            return ("node", pc)
-        decode = m.decode_pc(pc)
-        if decode[0] == "exit" and exit_v == EXIT_EXITED:
-            return ("exitdone", decode[1])
-        return decode
+    # machine steps -----------------------------------------------------------
 
     def _machine_steps(self, m: MachineRT, state) -> list[_PendingMove]:
-        pos = self._position(m, state)
+        """Execute the machine's step table entries that match the state."""
+        pc = state[m.pc_i]
         lk = state[m.lk_i]
-        kind = pos[0]
-        if kind == "node":
-            node = pos[1]
-            if lk == LOCK_FREE:
-                if node in m.junctions:
-                    raise BuildError(f"machine {m.mach.name} rests on junction {node}")
-                return self._initiations(m, state, node)
-            if node in m.junctions:
-                return [self._junction_branch(m, state, node, lk)]
-            raise BuildError(f"machine {m.mach.name}: locked at state node {node}")
-        if kind == "exit0":
-            return self._exec_exit(m, state, pos[1], 0)
-        if kind == "exit":
-            return self._exec_exit(m, state, pos[1], pos[2])
-        if kind == "exitdone":
-            return [self._after_exit(m, state, pos[1], lk)]
-        if kind == "act":
-            return self._exec_act(m, state, pos[1], pos[2])
-        if kind == "entering":
-            return self._exec_entry(m, state, pos[1], 0)
-        if kind == "entry":
-            return self._exec_entry(m, state, pos[1], pos[2])
-        raise AssertionError(pos)
-
-    # initiation ----------------------------------------------------------------
-
-    def _initiations(self, m: MachineRT, state, node) -> list[_PendingMove]:
         moves = []
-        for t in m.trans_from.get(node, ()):  # sorted by id
-            rt = m.rt[t.id]
-            try:
-                if not rt.guard_fn(state):
+        if lk == LOCK_FREE:
+            for st in m.initiations.get(pc, ()):
+                if not self._enabled(st, state):
                     continue
-            except EvalError as exc:
-                raise BuildError(f"guard of {t.id}: {exc}") from exc
-            base_updates = []
-            tag = f"{m.name}.{t.id}"
-            has_exit = bool(rt.src_exit) and node in m.states
-            if has_exit:
-                base_updates.append((m.lk_i, t.id))
-                base_updates.append((m.exit_i, EXIT_ACT))
-            elif rt.parts:
-                base_updates.append((m.lk_i, t.id))
-                base_updates.append((m.pc_i, m.act_pc(t.id, 0)))
-            elif rt.target_is_junction:
-                base_updates.append((m.lk_i, t.id))
-                base_updates.append((m.pc_i, t.target))
-            elif rt.tgt_entry_len > 0:
-                base_updates.append((m.lk_i, t.id))
-                base_updates.append((m.pc_i, m.entering_pc(t.target)))
+                comm = st.rt.trigger_comm
+                if comm is None:
+                    moves.append(_PendingMove(st.tag, [(Fraction(1), list(st.updates))]))
+                else:
+                    moves.extend(self._comm_moves(m, state, st.tag, list(st.updates), comm,
+                                                  initiating=True))
+            return moves
+        exit_v = state[m.exit_i] if m.exit_i is not None else EXIT_NONE
+        steps = m.locked.get((pc, exit_v))
+        if steps is None:
+            raise BuildError(f"machine {m.mach.name}: no step at pc {pc!r} "
+                             f"(lock {lk}, exit flag {exit_v})")
+        for st in steps:
+            if st.lock not in (None, LOCK_HELD, lk):
+                continue
+            if st.part is None:
+                moves.append(_PendingMove(st.tag, [(p, list(u)) for p, u in st.branches]))
             else:
-                base_updates.append((m.pc_i, t.target))
-            if rt.trigger_comm is None:
-                moves.append(_PendingMove(tag, [(Fraction(1), base_updates)]))
-            else:
-                moves.extend(self._comm_moves(m, state, tag, base_updates,
-                                              rt.trigger_comm, initiating=True))
+                moves.extend(self._constituent_moves(m, state, st.tag, list(st.updates),
+                                                     st.part))
         return moves
 
-    def _junction_branch(self, m: MachineRT, state, junction, lk) -> _PendingMove:
-        branches = []
-        for t, w in m.junction_weights[junction]:
-            rt = m.rt[t.id]
-            if rt.parts:
-                pc = m.act_pc(t.id, 0)
-            elif rt.target_is_junction:
-                pc = t.target
-            else:
-                pc = m.entering_pc(t.target)
-            branches.append((w, [(m.pc_i, pc)]))
-        return _PendingMove(f"{m.name}.{junction}", branches)
-
-    # chain continuation ----------------------------------------------------------
-
-    def _continuation_after_act(self, m: MachineRT, tid: str) -> list:
-        rt = m.rt[tid]
-        t = rt.t
-        if rt.target_is_junction:
-            return [(m.pc_i, t.target)]
-        return [(m.pc_i, m.entering_pc(t.target))]
-
-    def _after_exit(self, m: MachineRT, state, src_state, lk) -> _PendingMove:
-        rt = m.rt[lk]
-        updates = [(m.exit_i, EXIT_NONE)]
-        if rt.parts:
-            updates.append((m.pc_i, m.act_pc(lk, 0)))
-        elif rt.target_is_junction:
-            updates.append((m.pc_i, rt.t.target))
-        else:
-            updates.append((m.pc_i, m.entering_pc(rt.t.target)))
-        return _PendingMove(f"{m.name}.{lk}@exit_done", [(Fraction(1), updates)])
-
-    def _exec_exit(self, m: MachineRT, state, src_state, k) -> list[_PendingMove]:
-        chain = m.exit[src_state]
-        c = chain[k]
-        updates = [(m.pc_i, m.exit_pc(src_state, k + 1))]
-        if k + 1 == len(chain):
-            updates.append((m.exit_i, EXIT_EXITED))
-        tag = f"{m.name}.{state[m.lk_i]}@exit{k}"
-        return self._constituent_moves(m, state, tag, updates, c)
-
-    def _exec_act(self, m: MachineRT, state, tid, k) -> list[_PendingMove]:
-        rt = m.rt[tid]
-        c = rt.parts[k]
-        if k + 1 < len(rt.parts):
-            updates = [(m.pc_i, m.act_pc(tid, k + 1))]
-        else:
-            updates = self._continuation_after_act(m, tid)
-        tag = f"{m.name}.{tid}@act{k}"
-        return self._constituent_moves(m, state, tag, updates, c)
-
-    def _exec_entry(self, m: MachineRT, state, st, k) -> list[_PendingMove]:
-        chain = m.entry[st]
-        if not chain:
-            updates = [(m.pc_i, st), (m.lk_i, LOCK_FREE)]
-            return [_PendingMove(f"{m.name}.enter_{st}", [(Fraction(1), updates)])]
-        c = chain[k]
-        if k + 1 == len(chain):
-            updates = [(m.pc_i, st), (m.lk_i, LOCK_FREE)]
-        else:
-            updates = [(m.pc_i, m.entry_pc(st, k + 1))]
-        tag = f"{m.name}.enter_{st}@{k}"
-        return self._constituent_moves(m, state, tag, updates, c)
+    @staticmethod
+    def _enabled(st: Step, state) -> bool:
+        try:
+            return st.rt.guard_fn(state)
+        except EvalError as exc:
+            raise BuildError(f"guard of {st.rt.t.id}: {exc}") from exc
 
     def _constituent_moves(self, m, state, tag, structural_updates, c: Constituent):
         if c.kind == "update":
@@ -1319,10 +1327,16 @@ class _Explorer:
                 f"synchronisation on {closure.cid} involves more than two machines; "
                 "multiway synchronisation is not supported")
         partner = self.c.machines[users[0]]
+        if state[partner.lk_i] != LOCK_FREE:
+            return []
+        want = "in" if comm.direction == "out" else "out"
         out = []
-        for t2, updates2, comm2 in self._partner_initiations(partner, state, closure,
-                                                             comm.direction):
-            joint = list(my_updates) + updates2
+        for st in partner.initiations.get(state[partner.pc_i], ()):
+            comm2 = st.rt.trigger_comm
+            if comm2 is None or comm2.closure.cid != closure.cid or comm2.direction != want \
+                    or not self._enabled(st, state):
+                continue
+            joint = list(my_updates) + list(st.updates)
             if comm2.bind_idx is not None:
                 if value is None:
                     if comm2.closure.payload is not None:
@@ -1336,48 +1350,9 @@ class _Explorer:
                 joint.append((comm.bind_idx, v2))
                 if closure.latch is not None:
                     joint.append((self.c.index[closure.latch], v2))
-            jtag = "+".join(sorted([tag, f"{partner.name}.{t2.id}"]))
+            jtag = "+".join(sorted([tag, st.tag]))
             out.extend(self._with_env(m, state, jtag, joint, closure.tags))
         return out
-
-    def _partner_initiations(self, partner: MachineRT, state, closure: Closure,
-                             my_dir: str):
-        """Enabled trigger initiations of `partner` matching the closure."""
-        pos = self._position(partner, state)
-        if pos[0] != "node" or state[partner.lk_i] != LOCK_FREE:
-            return
-        node = pos[1]
-        if node in partner.junctions:
-            return
-        want = "in" if my_dir == "out" else "out"
-        for t in partner.trans_from.get(node, ()):
-            rt = partner.rt[t.id]
-            if rt.trigger_comm is None or rt.trigger_comm.closure.cid != closure.cid:
-                continue
-            if rt.trigger_comm.direction != want:
-                continue
-            try:
-                if not rt.guard_fn(state):
-                    continue
-            except EvalError as exc:
-                raise BuildError(f"guard of {t.id}: {exc}") from exc
-            updates = []
-            has_exit = bool(rt.src_exit) and node in partner.states
-            if has_exit:
-                updates.append((partner.lk_i, t.id))
-                updates.append((partner.exit_i, EXIT_ACT))
-            elif rt.parts:
-                updates.append((partner.lk_i, t.id))
-                updates.append((partner.pc_i, partner.act_pc(t.id, 0)))
-            elif rt.target_is_junction:
-                updates.append((partner.lk_i, t.id))
-                updates.append((partner.pc_i, t.target))
-            elif rt.tgt_entry_len > 0:
-                updates.append((partner.lk_i, t.id))
-                updates.append((partner.pc_i, partner.entering_pc(t.target)))
-            else:
-                updates.append((partner.pc_i, t.target))
-            yield t, updates, rt.trigger_comm
 
     def _with_env(self, m, state, tag, updates, tags) -> list[_PendingMove]:
         """Join a tagged model step with matching environment-module commands."""
@@ -1501,47 +1476,12 @@ class _Explorer:
 
     def _is_deadlock(self, state) -> bool:
         """No moves: deadlock unless every machine rests in a terminal stable state."""
-        for m in self.c.machines:
-            if state[m.lk_i] != LOCK_FREE:
-                return True
-            pos = self._position(m, state)
-            if pos[0] != "node":
-                return True
-            node = pos[1]
-            if m.trans_from.get(node):
-                return True
-        return False
-
-
-def _attach_decode(machine: MachineRT):
-    decode: dict[str, tuple] = {}
-    m = machine
-    for s in m.mach.states:
-        entry = m.entry[s.name]
-        exit_ = m.exit[s.name]
-        decode[m.entering_pc(s.name)] = ("entering", s.name)
-        for k in range(1, len(entry)):
-            decode[m.entry_pc(s.name, k)] = ("entry", s.name, k)
-        for k in range(1, len(exit_) + 1):
-            decode[m.exit_pc(s.name, k)] = ("exit", s.name, k)
-    for t in m.mach.transitions:
-        for k in range(len(m.rt[t.id].parts)):
-            decode[m.act_pc(t.id, k)] = ("act", t.id, k)
-
-    def decode_pc(pc: str) -> tuple:
-        try:
-            return decode[pc]
-        except KeyError:
-            raise BuildError(f"machine {m.mach.name}: unknown pc value {pc!r}")
-
-    m.decode_pc = decode_pc
-    m.static_pcs = sorted(set(decode) | m.mach.node_names())
+        return any(state[m.lk_i] != LOCK_FREE or m.trans_from.get(state[m.pc_i])
+                   for m in self.c.machines)
 
 
 def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:
     """Explore the closed model breadth-first into an explicit Markov model."""
-    for m in closed.machines:
-        _attach_decode(m)
     return _Explorer(closed, max_states).explore()
 
 

@@ -1,27 +1,33 @@
 """PRISM emission: model file, properties file, and name map.
 
 Emission is structural (module per machine, module per environment module)
-from a closed model; the program counter, lock, and exit variables get
-integer encodings recorded in the name map.  Variable ranges are harvested
-from the explored state space, which is why emission requires a successful
-build.  Typed events use a two-step synchronise-then-exchange encoding with
+from a closed model.  A machine module prints the machine's step table
+(`MachineRT.steps`), the same table the explorer executes, one command per
+step; the program counter, lock, and exit variables get integer encodings
+recorded in the name map.  Variable ranges are harvested from the explored
+state space, which is why emission requires a successful build.  Typed events use a two-step synchronise-then-exchange encoding with
 a sender-owned exchange variable.  Correctness is checked syntactically by
 the bundled subset validator; no external checker is invoked.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast as A
 from . import model as M
 from . import props as P
-from .build import ClosedModel, MarkovModel, build_markov, _attach_decode
+from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ClosedModel,
+                    MarkovModel, Step, build_markov)
 
 
 class EmitError(ValueError):
     pass
+
+
+EXIT_CODES = {EXIT_NONE: 0, EXIT_ACT: 1, EXIT_EXITED: 2}
 
 
 class Mangler:
@@ -86,12 +92,7 @@ class _ModelEmitter:
         self.mangler = mangler
         self.sweep_names = sweep_names or set()
         if bounds is None:
-            mm = build_markov(closed)
-            bounds = observed_bounds(mm)
-        else:
-            for m in closed.machines:
-                if not hasattr(m, "decode_pc"):
-                    _attach_decode(m)
+            bounds = observed_bounds(build_markov(closed))
         self.bounds = bounds
         self.enum_codes: dict[str, int] = {}
         for enum in closed.model.enums:
@@ -100,10 +101,13 @@ class _ModelEmitter:
         self.pc_codes: dict[str, dict[str, int]] = {}
         self.lk_codes: dict[str, dict[object, int]] = {}
         for m in closed.machines:
-            if not hasattr(m, "static_pcs"):
-                _attach_decode(m)
-            self.pc_codes[m.name] = {pc: i for i, pc in enumerate(m.static_pcs)}
-            codes = {0: 0}
+            codes = {pc: i for i, pc in enumerate(m.static_pcs)}
+            for st in m.steps:
+                comm = _step_comm(st)
+                if comm is not None and comm.bind_idx is not None:
+                    codes[_recv_pc(m, st)] = len(codes)
+            self.pc_codes[m.name] = codes
+            codes = {LOCK_FREE: 0}
             for i, t in enumerate(sorted(m.trans_by_id), start=1):
                 codes[t] = i
             self.lk_codes[m.name] = codes
@@ -199,198 +203,79 @@ class _ModelEmitter:
             self.mangler.record(f"{pc_id}={code}",
                                 f"{c.model.name}::{m.ctrl.name}::{m.mach.name}::pc::{pc}")
         for lk, code in sorted(lk_codes.items(), key=lambda kv: kv[1]):
-            if lk == 0:
+            if lk == LOCK_FREE:
                 continue
             self.mangler.record(f"{lk_id}={code}",
                                 f"{c.model.name}::{m.ctrl.name}::{m.mach.name}::lk::{lk}")
         init_pc = pc_codes[m.mach.initial]
         out.append(f"  {pc_id} : [0..{len(pc_codes) - 1}] init {init_pc};")
         out.append(f"  {lk_id} : [0..{len(lk_codes) - 1}] init 0;")
-        exit_flat = f"{m.ctrl.name}.{m.mach.name}.exit"
-        has_exit = exit_flat in c.index
-        if has_exit:
-            out.append(f"  {self.var_id(exit_flat)} : [0..2] init 0;")
+        if m.exit_i is not None:
+            out.append(f"  {self.var_id(c.vars[m.exit_i].name)} : [0..2] init 0;")
         out.append("")
-        out.extend(self._commands(m, pc_id, lk_id, pc_codes, lk_codes, has_exit))
+        out.extend(self._commands(m))
         out.append("endmodule")
         return out
 
-    def _commands(self, m, pc_id, lk_id, pc_codes, lk_codes, has_exit) -> list[str]:
+    def _commands(self, m) -> list[str]:
+        """One command per step table entry (two for a receive), then idle
+        loops for the terminal states."""
+        pc_codes = self.pc_codes[m.name]
+        lk_codes = self.lk_codes[m.name]
+        pc_id = self.var_id(self.c.vars[m.pc_i].name)
+        lk_id = self.var_id(self.c.vars[m.lk_i].name)
+        exit_id = self.var_id(self.c.vars[m.exit_i].name) if m.exit_i is not None else None
+        names = {m.pc_i: (pc_id, pc_codes), m.lk_i: (lk_id, lk_codes),
+                 m.exit_i: (exit_id, EXIT_CODES)}
+
+        def pairs(updates):
+            return [(names[i][0], names[i][1][v]) for i, v in updates]
+
         out = []
-        exit_id = self.var_id(f"{m.ctrl.name}.{m.mach.name}.exit") if has_exit else None
-        scope = m.scope
-
-        def upd(pairs):
-            return " & ".join(f"({k}'={v})" for k, v in pairs)
-
-        for t in sorted(m.mach.transitions, key=lambda t: t.id):
-            rt = m.rt[t.id]
-            if t.source in m.junctions:
-                continue  # branches are emitted at the junction command
-            guard = [f"{pc_id}={pc_codes[t.source]}", f"{lk_id}=0"]
-            if has_exit:
-                guard.append(f"{exit_id}=0")
-            if t.guard is not None:
-                guard.append(self.expr(t.guard, scope))
-            label = "[] "
-            recv_detour = False
-            if rt.trigger_comm is not None:
-                comm = rt.trigger_comm
-                label = f"[{self.closure_action(comm.closure)}] "
-                if comm.bind_idx is not None:
-                    recv_detour = True
-            src_exit = rt.src_exit and t.source in m.states
-            updates = []
-            if recv_detour:
-                recv_pc = f"{t.id}_recv"
-                if recv_pc not in pc_codes:
-                    pc_codes[recv_pc] = len(pc_codes)
-                updates = [(lk_id, lk_codes[t.id]), (pc_id, pc_codes[recv_pc])]
-                bind_id = self.var_id(self.c.vars[rt.trigger_comm.bind_idx].name)
-                latch = rt.trigger_comm.closure.latch
-                latch_id = self.var_id(latch) if latch else None
-                after = self._initial_target_updates(m, t, rt, pc_id, lk_id, pc_codes,
-                                                     lk_codes, exit_id, keep_lock=True)
-                out.append(f"  [] {pc_id}={pc_codes[recv_pc]} -> "
-                           f"{upd([(bind_id, latch_id)] + after)};")
-            else:
-                updates = self._initiation_updates(m, t, rt, pc_id, lk_id, pc_codes,
-                                                   lk_codes, exit_id, src_exit)
-                if rt.trigger_comm is not None and rt.trigger_comm.value_fn is not None:
-                    latch = rt.trigger_comm.closure.latch
-                    if latch is not None:
-                        updates.append((self.var_id(latch),
-                                        self.expr(t.trigger.value, scope)))
-            out.append(f"  {label}{' & '.join(guard)} -> {upd(updates)};")
-        for j in sorted(m.junctions):
-            alts = []
-            for t, w in m.junction_weights[j]:
-                rt = m.rt[t.id]
-                if rt.parts:
-                    pc = m.act_pc(t.id, 0)
-                elif rt.target_is_junction:
-                    pc = t.target
-                else:
-                    pc = m.entering_pc(t.target)
-                alts.append(f"{_prob_text(w)}:({pc_id}'={pc_codes[pc]})")
-            out.append(f"  [] {pc_id}={pc_codes[j]} & {lk_id}>0 -> {' + '.join(alts)};")
-        # chain steps: action constituents, entry and exit actions
-        for t in sorted(m.mach.transitions, key=lambda t: t.id):
-            rt = m.rt[t.id]
-            for k, part in enumerate(rt.parts):
-                src_code = pc_codes[m.act_pc(t.id, k)]
-                if k + 1 < len(rt.parts):
-                    next_pc = m.act_pc(t.id, k + 1)
-                elif rt.target_is_junction:
-                    next_pc = t.target
-                else:
-                    next_pc = m.entering_pc(t.target)
-                out.extend(self._constituent_command(
-                    m, part, f"{pc_id}={src_code}",
-                    [(pc_id, pc_codes[next_pc])], pc_id, pc_codes))
-        for s in sorted(m.states):
-            st = m.states[s]
-            entry = m.entry[s]
-            for k, part in enumerate(entry):
-                guard = f"{pc_id}={pc_codes[m.entering_pc(s)]}" if k == 0 \
-                    else f"{pc_id}={pc_codes[m.entry_pc(s, k)]}"
-                if k + 1 == len(entry):
-                    post = [(pc_id, pc_codes[s]), (lk_id, 0)]
-                else:
-                    post = [(pc_id, pc_codes[m.entry_pc(s, k + 1)])]
-                out.extend(self._constituent_command(m, part, guard, post, pc_id, pc_codes))
-            if not entry and m._state_needs_entering(s):
-                out.append(f"  [] {pc_id}={pc_codes[m.entering_pc(s)]} -> "
-                           f"({pc_id}'={pc_codes[s]}) & ({lk_id}'=0);")
-            exit_chain = m.exit[s]
-            for k, part in enumerate(exit_chain):
-                if k == 0:
-                    guard = f"{pc_id}={pc_codes[s]} & {exit_id}=1"
-                else:
-                    guard = f"{pc_id}={pc_codes[m.exit_pc(s, k)]} & {exit_id}=1"
-                post = [(pc_id, pc_codes[m.exit_pc(s, k + 1)])]
-                if k + 1 == len(exit_chain):
-                    post.append((exit_id, 2))
-                out.extend(self._constituent_command(m, part, guard, post, pc_id, pc_codes))
-            if exit_chain:
-                # continuation after the exit completes, one command per locking transition
-                for t in sorted(m.mach.transitions, key=lambda t: t.id):
-                    if t.source != s or not m.rt[t.id].src_exit:
-                        continue
-                    rt = m.rt[t.id]
-                    if rt.parts:
-                        pc = m.act_pc(t.id, 0)
-                    elif rt.target_is_junction:
-                        pc = t.target
-                    else:
-                        pc = m.entering_pc(t.target)
-                    out.append(
-                        f"  [] {pc_id}={pc_codes[m.exit_pc(s, len(exit_chain))]} & "
-                        f"{exit_id}=2 & {lk_id}={lk_codes[t.id]} -> "
-                        f"({pc_id}'={pc_codes[pc]}) & ({exit_id}'=0);")
-        # idle self-loops for terminal stable states
+        for st in m.steps:
+            guard = [f"{pc_id}={pc_codes[st.pc]}"]
+            if st.lock == LOCK_HELD:
+                guard.append(f"{lk_id}>0")
+            elif st.lock is not None:
+                guard.append(f"{lk_id}={lk_codes[st.lock]}")
+            if st.exit is not None:
+                guard.append(f"{exit_id}={EXIT_CODES[st.exit]}")
+            if st.rt is not None and st.rt.t.guard is not None:
+                guard.append(self.expr(st.rt.t.guard, m.scope))
+            guard = " & ".join(guard)
+            if len(st.branches) > 1:
+                alts = " + ".join(f"{_prob_text(p)}:{_updates_text(pairs(u))}"
+                                  for p, u in st.branches)
+                out.append(f"  [] {guard} -> {alts};")
+                continue
+            post = pairs(st.updates)
+            if st.part is not None and st.part.kind == "update":
+                post.extend(self._update_pairs(m, st.part.source_action))
+            comm = _step_comm(st)
+            if comm is None:
+                out.append(f"  [] {guard} -> {_updates_text(post)};")
+                continue
+            label = f"[{self.closure_action(comm.closure)}]"
+            latch = comm.closure.latch
+            if comm.bind_idx is None:
+                if comm.value is not None and latch is not None:
+                    post.append((self.var_id(latch), self.expr(comm.value, m.scope)))
+                out.append(f"  {label} {guard} -> {_updates_text(post)};")
+                continue
+            # receive: synchronise first, copy the exchanged value second
+            recv = pc_codes[_recv_pc(m, st)]
+            if all(i != m.pc_i for i, _ in st.updates):
+                post.append((pc_id, pc_codes[st.pc]))
+            bind = (self.var_id(self.c.vars[comm.bind_idx].name),
+                    self.var_id(latch) if latch else "0")
+            out.append(f"  {label} {guard} -> ({pc_id}'={recv});")
+            out.append(f"  [] {pc_id}={recv} -> {_updates_text([bind] + post)};")
         for s in sorted(m.states):
             if not m.trans_from.get(s):
                 out.append(f"  [] {pc_id}={pc_codes[s]} & {lk_id}=0 -> true;")
         return out
 
-    def _initiation_updates(self, m, t, rt, pc_id, lk_id, pc_codes, lk_codes,
-                            exit_id, src_exit):
-        if src_exit:
-            return [(lk_id, lk_codes[t.id]), (exit_id, 1)]
-        return self._initial_target_updates(m, t, rt, pc_id, lk_id, pc_codes,
-                                            lk_codes, exit_id, keep_lock=False)
-
-    def _initial_target_updates(self, m, t, rt, pc_id, lk_id, pc_codes, lk_codes,
-                                exit_id, keep_lock):
-        if rt.parts:
-            return [(lk_id, lk_codes[t.id]), (pc_id, pc_codes[m.act_pc(t.id, 0)])] \
-                if not keep_lock else [(pc_id, pc_codes[m.act_pc(t.id, 0)])]
-        if rt.target_is_junction:
-            base = [(pc_id, pc_codes[t.target])]
-            return base if keep_lock else [(lk_id, lk_codes[t.id])] + base
-        if rt.tgt_entry_len > 0 or m._state_needs_entering(t.target):
-            base = [(pc_id, pc_codes[m.entering_pc(t.target)])]
-            return base if keep_lock else [(lk_id, lk_codes[t.id])] + base
-        base = [(pc_id, pc_codes[t.target])]
-        if keep_lock:
-            return base + [(lk_id, 0)]
-        return base
-
-    def _constituent_command(self, m, part, guard, post, pc_id, pc_codes) -> list[str]:
-        scope = m.scope
-
-        def upd(pairs):
-            if not pairs:
-                return "true"
-            return " & ".join(f"({k}'={v})" for k, v in pairs)
-
-        if part.kind == "update":
-            pairs = list(post)
-            pairs.extend(self._update_pairs(m, part))
-            return [f"  [] {guard} -> {upd(pairs)};"]
-        comm = part.comm
-        label = self.closure_action(comm.closure)
-        pairs = list(post)
-        if comm.value_fn is not None and comm.closure.latch is not None:
-            pairs.append((self.var_id(comm.closure.latch),
-                          self.expr(part_value_expr(part), scope)))
-        if comm.bind_idx is not None:
-            # receive: synchronise first, copy the exchanged value second
-            recv_pc = f"recv_{id(part) % 10000}"
-            if recv_pc not in pc_codes:
-                pc_codes[recv_pc] = len(pc_codes)
-            bind_id = self.var_id(self.c.vars[comm.bind_idx].name)
-            latch_id = self.var_id(comm.closure.latch) if comm.closure.latch else "0"
-            return [
-                f"  [{label}] {guard} -> ({pc_id}'={pc_codes[recv_pc]});",
-                f"  [] {pc_id}={pc_codes[recv_pc]} -> "
-                f"{upd([(bind_id, latch_id)] + post)};",
-            ]
-        return [f"  [{label}] {guard} -> {upd(pairs)};"]
-
-    def _update_pairs(self, m, part) -> list[tuple[str, str]]:
-        action = part.source_action
+    def _update_pairs(self, m, action: M.Action) -> list[tuple[str, str]]:
         scope = m.scope
         if isinstance(action, M.Assign):
             flat, _ = scope.vars[action.target]
@@ -407,11 +292,11 @@ class _ModelEmitter:
             cond = self.expr(action.cond, scope)
             then_pairs = {}
             for p in M.atomic_parts(action.then):
-                for k, v in self._update_pairs(m, _fake_part(p)):
+                for k, v in self._update_pairs(m, p):
                     then_pairs[k] = v
             else_pairs = {}
             for p in M.atomic_parts(action.orelse):
-                for k, v in self._update_pairs(m, _fake_part(p)):
+                for k, v in self._update_pairs(m, p):
                     else_pairs[k] = v
             pairs = []
             for key in sorted(set(then_pairs) | set(else_pairs)):
@@ -456,16 +341,21 @@ class _ModelEmitter:
         return out
 
 
-def _fake_part(action):
-    @dataclass
-    class _Part:
-        source_action: object
-        kind: str = "update"
-    return _Part(action)
+def _step_comm(st: Step):
+    """The communication a step engages in, if any."""
+    if st.rt is not None:
+        return st.rt.trigger_comm
+    return st.part.comm if st.part is not None else None
 
 
-def part_value_expr(part):
-    return part.source_action.value
+def _recv_pc(m, st: Step) -> str:
+    """The pc between a receive's synchronisation and its value copy, named
+    after the step ('@' keeps it apart from every pc of the machine)."""
+    return f"{st.tag[len(m.name) + 1:]}@recv"
+
+
+def _updates_text(pairs) -> str:
+    return " & ".join(f"({k}'={v})" for k, v in pairs) if pairs else "true"
 
 
 def observed_bounds(mm: MarkovModel) -> dict[str, tuple[int, int]]:
@@ -764,8 +654,7 @@ def check_prism_model(text: str) -> list[str]:
     if not lines or lines[0] not in ("dtmc", "mdp", "ctmc"):
         errors.append("missing model kind header (dtmc|mdp)")
         return errors
-    declared: set[str] = set()
-    actions: set[str] = set()
+    ranges: dict[str, tuple[int, int]] = {}  # integer variables with literal bounds
     in_module = False
     for i, ln in enumerate(lines[1:], start=2):
         try:
@@ -774,13 +663,9 @@ def check_prism_model(text: str) -> list[str]:
                 parts = rest.split()
                 if parts[0] not in ("int", "double", "bool"):
                     raise PrismSyntaxError(f"bad const type {parts[0]!r}")
-                declared.add(parts[1].rstrip(";"))
                 _check_decl_semicolon(ln)
             elif ln.startswith("global "):
-                name = ln[len("global "):].split(":")[0].strip()
-                declared.add(name)
-                _check_decl_semicolon(ln)
-                _check_var_decl(ln.split(":", 1)[1])
+                _check_var(ln[len("global "):], ranges)
             elif ln.startswith("module "):
                 if in_module:
                     raise PrismSyntaxError("nested module")
@@ -793,14 +678,9 @@ def check_prism_model(text: str) -> list[str]:
                     raise PrismSyntaxError("endmodule outside a module")
                 in_module = False
             elif in_module and ln.startswith("["):
-                _check_command(ln, declared, actions)
+                _check_command(ln, ranges)
             elif in_module:
-                name = ln.split(":")[0].strip()
-                if not name.isidentifier():
-                    raise PrismSyntaxError(f"bad variable name {name!r}")
-                declared.add(name)
-                _check_decl_semicolon(ln)
-                _check_var_decl(ln.split(":", 1)[1])
+                _check_var(ln, ranges)
             elif ln.startswith("rewards"):
                 pass
             elif ln == "endrewards" or ln.endswith(";"):
@@ -819,26 +699,33 @@ def _check_decl_semicolon(ln: str):
         raise PrismSyntaxError("declaration must end with ';'")
 
 
-def _check_var_decl(rest: str):
-    rest = rest.strip().rstrip(";")
+def _check_var(ln: str, ranges: dict[str, tuple[int, int]]):
+    """Check a variable declaration; record the bounds of an integer range
+    whose bounds are literals."""
+    name = ln.split(":")[0].strip()
+    if not name.isidentifier():
+        raise PrismSyntaxError(f"bad variable name {name!r}")
+    _check_decl_semicolon(ln)
+    rest = ln.split(":", 1)[1].strip().rstrip(";")
     if rest.startswith("bool"):
         return
     if not rest.startswith("["):
         raise PrismSyntaxError(f"bad variable range {rest!r}")
     if ".." not in rest:
         raise PrismSyntaxError("integer ranges need '..'")
+    bounds = re.match(r"\[\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*\]", rest)
+    if bounds:
+        ranges[name] = (int(bounds.group(1)), int(bounds.group(2)))
 
 
-def _check_command(ln: str, declared: set[str], actions: set[str]):
+def _check_command(ln: str, ranges: dict[str, tuple[int, int]]):
     if not ln.endswith(";"):
         raise PrismSyntaxError("command must end with ';'")
     if "]" not in ln:
         raise PrismSyntaxError("command needs a '[label]' prefix")
     label = ln[1:ln.index("]")].strip()
-    if label:
-        if not label.isidentifier():
-            raise PrismSyntaxError(f"bad action label {label!r}")
-        actions.add(label)
+    if label and not label.isidentifier():
+        raise PrismSyntaxError(f"bad action label {label!r}")
     body = ln[ln.index("]") + 1: -1]
     if "->" not in body:
         raise PrismSyntaxError("command needs '->'")
@@ -858,6 +745,12 @@ def _check_command(ln: str, declared: set[str], actions: set[str]):
                 raise PrismSyntaxError(f"update {assign!r} must be parenthesised")
             if "'" not in assign:
                 raise PrismSyntaxError(f"update {assign!r} must assign a primed variable")
+            literal = re.fullmatch(r"\(\s*(\w+)\s*'\s*=\s*(-?\d+)\s*\)", assign)
+            if literal and literal.group(1) in ranges:
+                lo, hi = ranges[literal.group(1)]
+                if not lo <= int(literal.group(2)) <= hi:
+                    raise PrismSyntaxError(
+                        f"update {assign!r} leaves the range [{lo}..{hi}]")
 
 
 def _split_top(text: str, sep: str) -> list[str]:

@@ -146,9 +146,6 @@ class Resolver:
     def flat_machine_var(self, ctrl: M.Controller, mach: M.Machine, var: str) -> str:
         return f"{ctrl.name}.{mach.name}.{var}"
 
-    def machine_path(self, ctrl: M.Controller, mach: M.Machine) -> tuple[str, ...]:
-        return (self.model.name, ctrl.name, mach.name)
-
     # FQN resolution --------------------------------------------------------
 
     def resolve_fqn(self, qn: QName) -> tuple[ResolvedRef | None, list[Diagnostic]]:
@@ -666,10 +663,6 @@ class ModelScope:
         for v in mach.variables:
             self.vars[v.name] = (f"{ctrl.name}.{mach.name}.{v.name}", v)
         self.events = {e.name: e for e in mach.events}
-
-    def var_type(self, name: str) -> M.TypeRef | None:
-        got = self.vars.get(name)
-        return got[1].type if got else None
 
 
 def _check_model_expr(scope: ModelScope, e: Expr, diags: list[Diagnostic],

@@ -338,6 +338,7 @@ def test_criterion_6_stochasticity(srw_model, srw_spec):
         mm.check_stochastic()
     rng = random.Random(99)
     checked = 0
+    branching = 0  # models whose junction is reached and splits two ways
     for _ in range(1000):
         text = random_model_text(rng)
         model = parse_model(text)
@@ -350,9 +351,16 @@ def test_criterion_6_stochasticity(srw_model, srw_spec):
                 assert sum(mm.row(s).values()) == 1
             for mv in mm.moves[s]:
                 assert sum(p for p, _ in mv.branches) == 1
+        m = closed.machines[0]
+        at_junction = [s for s, st in enumerate(mm.states) if st[m.pc_i] == "pj"]
+        if at_junction and len({t.target for t, _ in m.junction_weights["pj"]}) == 2:
+            # both `prob num/den` branches are positive, so none is dropped
+            assert all(len(mv.branches) == 2 for s in at_junction for mv in mm.moves[s]), text
+            branching += 1
         checked += 1
-    report(6, checked == 1000, f"exact distribution checks on fixtures and "
-                               f"{checked} fuzzed models")
+    report(6, checked == 1000 and branching > 0,
+           f"exact distribution checks on fixtures and {checked} fuzzed models, "
+           f"{branching} of them with a two-way junction")
 
 
 # --- criterion 7: statistical calibration -------------------------------------------------

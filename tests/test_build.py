@@ -515,6 +515,24 @@ module ChMod {
 """
 
 
+# a plain A->B beside an A->B with an action: only the second one runs a chain
+AB_MODEL = """
+module ABMod {
+  controller C {
+    machine S {
+      var x : int = 0;
+      initial i0;
+      state A;
+      state B;
+      transition t0 { from i0 to A }
+      transition t1 { from A to B }
+      transition t2 { from A to B action x = 0 }
+    }
+  }
+}
+"""
+
+
 def test_two_enabled_transitions_uniform_dtmc():
     model = parse_model(CHOICE_MODEL)
     closed = instantiate(model, {}, None, None, "dtmc")

@@ -136,6 +136,9 @@ def test_validator_rejects_bad_model():
     assert check_prism_model(bad3)  # update not parenthesised
     bad4 = "dtmc\nmodule M\n  x : [0..1] init 0;\n  [] true -> (x'=1);\n"
     assert check_prism_model(bad4)  # unterminated module
+    bad5 = "dtmc\nglobal x : [-1..1] init 0;\nmodule M\n  [] true -> 1/2:(x'=-2) + 1/2:(x'=1);\nendmodule\n"
+    assert check_prism_model(bad5)  # literal update outside the declared range
+    assert not check_prism_model(bad5.replace("x'=-2", "x'=-1"))
 
 
 def test_validator_rejects_bad_props():
@@ -208,10 +211,35 @@ def test_translation_total_over_random_formulas(srw_closed):
 
 
 def test_emit_exit_and_sync_models_validate():
-    from test_build import EXIT_MODEL, SYNC_MODEL
+    from test_build import EXIT_MODEL, INPUT_MODEL, SYNC_MODEL, TRIGGER_SYNC_MODEL
     from rcprob.model import parse_model
-    for text in (EXIT_MODEL, SYNC_MODEL):
+    # the validator checks literal updates against the declared ranges,
+    # which catches a receive pc left out of the pc range
+    assert check_prism_model("dtmc\nmodule M\n  pc : [0..4] init 0;\n"
+                             "  [] pc=0 -> (pc'=5);\nendmodule\n")
+    for text in (EXIT_MODEL, SYNC_MODEL, TRIGGER_SYNC_MODEL, INPUT_MODEL):
         model = parse_model(text)
         closed = instantiate(model, {}, None, None, "mdp")
         pair = emit_pair(closed, parse_spec(""))
         assert check_prism_model(pair.model_text) == [], pair.model_text
+
+
+def test_plain_transition_emitted_as_explored():
+    # A->B without actions enters B in one step, lock-free, in the explorer
+    # and in the emitted model alike, although A->B with an action beside it
+    # runs a chain through B_entering
+    from test_build import AB_MODEL
+    from rcprob.build import build_markov
+    from rcprob.model import parse_model
+    closed = instantiate(parse_model(AB_MODEL), {}, None, None, "mdp")
+    mm = build_markov(closed)
+    m = closed.machines[0]
+    a_state = next(i for i, st in enumerate(mm.states) if st[m.pc_i] == "A")
+    t1 = next(mv for mv in mm.moves[a_state] if mv.action == "C.S.t1")
+    assert mm.states[t1.branches[0][1]][m.pc_i] == "B"
+    em = _ModelEmitter(closed, None, None, Mangler())
+    codes, locks = em.pc_codes["C.S"], em.lk_codes["C.S"]
+    starts = [ln.split(" -> ")[1] for ln in em.emit().splitlines()
+              if ln.startswith(f"  [] ABMod_C_S_pc={codes['A']} & ABMod_C_S_lk=0 ->")]
+    assert sorted(starts) == sorted([f"(ABMod_C_S_pc'={codes['B']});",
+                                     f"(ABMod_C_S_lk'={locks['t2']}) & (ABMod_C_S_pc'={codes['t2_act']});"])
