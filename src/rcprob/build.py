@@ -1045,24 +1045,31 @@ def eval_expr(closed: ClosedModel, expr: A.Expr, state: tuple | None = None):
 @dataclass
 class Move:
     action: str
+    # in the order the explorer generated them, each destination once
     branches: tuple[tuple[Fraction, int], ...]
     tags: frozenset = frozenset()
 
 
 @dataclass
 class SampleTable:
-    """Per-state successor distributions for simulation.  The entries of a
-    state are every positive branch of each of its k moves, in choice-CSR
-    order, with weight p/k, and the entries of state s come before those of
-    s + 1.  `key` is the complex number s + c*1j per entry, where c sums the
-    state's weights left to right up to the entry, the last one set to 1.0:
-    numpy orders complex numbers by real and then imaginary part, so one
-    searchsorted over `key` compares u with the cumulative weights of the
-    path's own state, exactly.  `move` is the choice-CSR row of each entry."""
+    """Successor distributions of the expanded states for simulation, one
+    row per state in expansion order (`MarkovModel.order`).  The entries of
+    a row are every positive branch of each of its state's k moves, moves in
+    order and branches as stored, with weight p/k, and the entries of row r
+    come before those of r + 1.  `key` is the complex number r + c*1j per
+    entry, where c sums the row's weights left to right up to the entry,
+    the last one set to 1.0: numpy orders complex numbers by real and then
+    imaginary part, so one searchsorted over `key` compares u with the
+    cumulative weights of the path's own row, exactly.  Rows are appended
+    as states are expanded, and their keys stay sorted.  `move` numbers
+    each entry's move in expansion order; the moves of row r are
+    `bounds[r]` to `bounds[r + 1]`."""
     key: np.ndarray
-    dest: np.ndarray
+    dest: np.ndarray  # state index
     move: np.ndarray
-    absorbing: np.ndarray  # per state: every entry leads back to it
+    absorbing: np.ndarray  # per row: every entry leads back to its state
+    row: np.ndarray  # per known state: its row, -1 while unexpanded
+    bounds: np.ndarray
 
 
 @dataclass
@@ -1073,9 +1080,20 @@ class RewardStructure:
 
 
 class MarkovModel:
+    """An explicit Markov model, possibly still growing.
+
+    `states` lists every state known so far, `moves[s]` is None until state
+    s is expanded, and `order` lists the expanded states in the order they
+    were.  A model built by hand, or by `build_markov`, is complete: every
+    known state is expanded.  A model from `MarkovModel.open` starts with
+    its initial state and grows through `expand`, one state at a time, by
+    its `successors` function: state -> (moves, deadlock, quiescent), each
+    move (action, tags, [(probability, successor state)]) with the branches
+    in the order they are generated."""
+
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
-                 moves: list[list[Move]], deadlock: list[bool], quiescent: list[bool],
-                 initial: int = 0):
+                 moves: list[list[Move] | None], deadlock: list[bool],
+                 quiescent: list[bool], initial: int = 0):
         self.kind = kind
         self.var_names = var_names
         self.states = states
@@ -1083,17 +1101,87 @@ class MarkovModel:
         self.deadlock = deadlock
         self.quiescent = quiescent
         self.initial = initial
+        self.order = [s for s, row in enumerate(moves) if row is not None]
         self.rewards: dict[str, RewardStructure] = {}
+        # state formula values per (expression, context), `ExactChecker._on_model`:
+        # [expression, context, values]; both are kept so their ids are not reused
+        self.values: dict[tuple[int, int], list] = {}
+        self._successors = None
+        self._index: dict[tuple, int] | None = None
+        self._max_states = DEFAULT_STATE_CAP
         self._short_names = None
         self._choice_csr = None
         self._sample_table = None
+
+    @classmethod
+    def open(cls, kind: str, var_names: tuple[str, ...], initial: tuple, successors,
+             max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
+        """A model that knows its initial state only and expands on demand."""
+        mm = cls(kind, var_names, [initial], [None], [False], [False])
+        mm._successors = successors
+        mm._index = {initial: 0}
+        mm._max_states = max_states
+        return mm
 
     @property
     def num_states(self) -> int:
         return len(self.states)
 
     def num_transitions(self) -> int:
-        return sum(len(mv.branches) for row in self.moves for mv in row)
+        """Branches of the expanded states."""
+        return sum(len(mv.branches) for s in self.order for mv in self.moves[s])
+
+    # --- expansion ------------------------------------------------------------
+
+    def _discover(self, state: tuple) -> int:
+        if len(self.states) >= self._max_states:
+            raise BuildError(f"state-space cap of {self._max_states} states exceeded")
+        s = self._index[state] = len(self.states)
+        self.states.append(state)
+        self.moves.append(None)
+        self.deadlock.append(False)
+        self.quiescent.append(False)
+        return s
+
+    def _expand_one(self, s: int):
+        moves, self.deadlock[s], self.quiescent[s] = self._successors(self.states[s])
+        index = self._index
+        row = []
+        for action, tags, branches in moves:
+            merged: dict[int, Fraction] = {}  # first occurrence order
+            for p, succ in branches:
+                dst = index.get(succ)
+                if dst is None:
+                    dst = self._discover(succ)
+                merged[dst] = merged[dst] + p if dst in merged else p
+            row.append(Move(action, tuple((p, dst) for dst, p in merged.items()), tags))
+        self.moves[s] = row
+        self.order.append(s)
+
+    def expand(self, states):
+        """Expand the given unexpanded states, in order; their successors
+        become known states.  The distribution check applies to them."""
+        lo = len(self.order)
+        for s in states:
+            self._expand_one(s)
+        self._expanded_from(lo)
+
+    def expand_all(self):
+        """Expand every reachable state, breadth-first in state order."""
+        lo = len(self.order)
+        s = 0
+        while s < len(self.states):
+            if self.moves[s] is None:
+                self._expand_one(s)
+            s += 1
+        self._expanded_from(lo)
+
+    def _expanded_from(self, lo: int):
+        if len(self.order) == len(self.states):  # complete: nothing left to expand
+            self._successors = self._index = None
+        self.check_stochastic(self.order[lo:])
+        if self._sample_table is not None:
+            self._append_rows(lo)
 
     def row(self, s: int) -> dict[int, Fraction]:
         """The dtmc distribution of state s: uniform mixture over its moves."""
@@ -1129,36 +1217,66 @@ class MarkovModel:
         return self._choice_csr
 
     def sample_table(self) -> SampleTable:
-        """The simulation table of the choice CSR, built once per model."""
+        """The simulation table of the expanded states, built once per model
+        and extended by each expansion."""
         if self._sample_table is None:
-            mat, bounds = self.choice_csr()
-            n = self.num_states
-            start = mat.indptr[bounds]
-            lens = np.diff(start)
-            owner = np.repeat(np.arange(n), lens)
-            move = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-            cum = mat.data / np.diff(bounds)[owner]
-            # left to right within each state, as np.cumsum of its row adds
-            rows = np.flatnonzero(lens > 1)
-            j = 1
-            while rows.size:
-                at = start[rows] + j
-                cum[at] += cum[at - 1]
-                j += 1
-                rows = rows[lens[rows] > j]
-            cum[start[1:] - 1] = 1.0
-            key = np.empty(cum.size, dtype=complex)
-            key.real = owner
-            key.imag = cum
-            leaves = np.bincount(owner[mat.indices != owner], minlength=n)
-            self._sample_table = SampleTable(key, mat.indices, move, leaves == 0)
+            empty = np.zeros(0, dtype=np.int64)
+            self._sample_table = SampleTable(np.zeros(0, dtype=complex), empty, empty,
+                                             np.zeros(0, dtype=bool), empty,
+                                             np.zeros(1, dtype=np.int64))
+            self._append_rows(0)
         return self._sample_table
 
-    def check_stochastic(self):
-        """Exact distribution checks: every state has a move and every move
-        sums to 1.  This implies the dtmc row check: a state with k moves
-        has a row summing to k * (1/k) * 1 = 1."""
-        for s in range(self.num_states):
+    def _append_rows(self, lo: int):
+        """Append the rows of the states expanded from `order[lo]` on."""
+        table = self._sample_table
+        expanded = np.array(self.order[lo:], dtype=np.int64)
+        moves = [self.moves[s] for s in self.order[lo:]]
+        counts = np.fromiter(map(len, moves), dtype=np.int64, count=len(moves))
+        branches = [mv.branches for row in moves for mv in row]
+        sizes = np.fromiter(map(len, branches), dtype=np.int64, count=len(branches))
+        first = table.bounds[-1]
+        owner = np.repeat(np.repeat(np.arange(len(moves)), counts), sizes)
+        move = np.repeat(np.arange(first, first + len(branches)), sizes)
+        flat = [b for bs in branches for b in bs]
+        weight = np.fromiter((float(p) for p, _ in flat), dtype=float, count=len(flat))
+        dest = np.fromiter((d for _, d in flat), dtype=np.int64, count=len(flat))
+        positive = weight > 0
+        owner, move, weight, dest = owner[positive], move[positive], weight[positive], \
+            dest[positive]
+        lens = np.bincount(owner, minlength=len(moves))
+        start = np.zeros(len(moves) + 1, dtype=np.int64)
+        np.cumsum(lens, out=start[1:])
+        cum = weight / counts[owner]
+        # left to right within each row, as np.cumsum of the row adds
+        rows = np.flatnonzero(lens > 1)
+        j = 1
+        while rows.size:
+            at = start[rows] + j
+            cum[at] += cum[at - 1]
+            j += 1
+            rows = rows[lens[rows] > j]
+        cum[start[1:] - 1] = 1.0
+        key = np.empty(cum.size, dtype=complex)
+        key.real = owner + lo
+        key.imag = cum
+        leaves = np.bincount(owner[dest != expanded[owner]], minlength=len(moves))
+        table.key = np.concatenate([table.key, key])
+        table.dest = np.concatenate([table.dest, dest])
+        table.move = np.concatenate([table.move, move])
+        table.absorbing = np.concatenate([table.absorbing, leaves == 0])
+        table.bounds = np.concatenate([table.bounds, first + np.cumsum(counts)])
+        row = np.full(self.num_states, -1, dtype=np.int64)
+        row[:table.row.size] = table.row
+        row[expanded] = np.arange(lo, lo + expanded.size)
+        table.row = row
+
+    def check_stochastic(self, states=None):
+        """Exact distribution checks of the given states (default: every
+        state): every state has a move and every move sums to 1.  This
+        implies the dtmc row check: a state with k moves has a row summing
+        to k * (1/k) * 1 = 1."""
+        for s in range(self.num_states) if states is None else states:
             if not self.moves[s]:
                 raise BuildError(f"state {s} has no moves after completion")
             for mv in self.moves[s]:
@@ -1203,7 +1321,7 @@ class MarkovModel:
         for i in range(self.num_states):
             for mv in self.moves[i]:
                 tags = ",".join(sorted(f"{ep}.{d}" for ep, d in mv.tags))
-                for p, dst in mv.branches:
+                for p, dst in sorted(mv.branches, key=lambda b: b[1]):
                     lines.append(f"{i} ({mv.action}) {p} {dst} [{tags}]")
         return "\n".join(lines) + "\n"
 
@@ -1225,9 +1343,8 @@ class _PendingMove:
 
 
 class _Explorer:
-    def __init__(self, closed: ClosedModel, max_states: int):
+    def __init__(self, closed: ClosedModel):
         self.c = closed
-        self.max_states = max_states
 
     # machine steps -----------------------------------------------------------
 
@@ -1412,58 +1529,22 @@ class _Explorer:
                 out.append(_PendingMove(f"{cmd.module}.c{cmd.index}", branches))
         return out
 
-    # main loop ----------------------------------------------------------------
+    # one state ----------------------------------------------------------------
 
-    def explore(self) -> MarkovModel:
-        c = self.c
-        init = c.initial_state()
-        index: dict[tuple, int] = {init: 0}
-        states: list[tuple] = [init]
-        all_moves: list[list[Move]] = []
-        deadlock: list[bool] = []
-        quiescent: list[bool] = []
-        frontier = 0
-        while frontier < len(states):
-            state = states[frontier]
-            pending: list[_PendingMove] = []
-            for m in c.machines:
-                pending.extend(self._machine_steps(m, state))
-            pending.extend(self._env_interleavings(state))
-            pending.sort(key=lambda mv: mv.action)
-            if not pending:
-                is_deadlock = self._is_deadlock(state)
-                deadlock.append(is_deadlock)
-                quiescent.append(not is_deadlock)
-                all_moves.append([Move("loop", ((Fraction(1), frontier),))])
-                frontier += 1
-                continue
-            deadlock.append(False)
-            quiescent.append(False)
-            row = []
-            for mv in pending:
-                branches = []
-                merged: dict[int, Fraction] = {}
-                for p, updates in mv.branches:
-                    if p == 0:
-                        continue
-                    succ = self._apply(state, updates)
-                    if succ not in index:
-                        if len(states) >= self.max_states:
-                            raise BuildError(
-                                f"state-space cap of {self.max_states} states exceeded")
-                        index[succ] = len(states)
-                        states.append(succ)
-                    dst = index[succ]
-                    merged[dst] = merged.get(dst, Fraction(0)) + p
-                branches = tuple(sorted(merged.items(), key=lambda kv: kv[0]))
-                branches = tuple((p, dst) for dst, p in branches)
-                row.append(Move(mv.action, branches, mv.tags))
-            all_moves.append(row)
-            frontier += 1
-        mm = MarkovModel(c.kind, tuple(v.name for v in c.vars), states, all_moves,
-                         deadlock, quiescent)
-        mm.check_stochastic()
-        return mm
+    def successors(self, state):
+        """The moves of a state, as `MarkovModel.open` takes them; a state
+        without any is a deadlock, or quiescent, and loops."""
+        pending: list[_PendingMove] = []
+        for m in self.c.machines:
+            pending.extend(self._machine_steps(m, state))
+        pending.extend(self._env_interleavings(state))
+        if not pending:
+            deadlock = self._is_deadlock(state)
+            return [("loop", frozenset(), [(Fraction(1), state)])], deadlock, not deadlock
+        pending.sort(key=lambda mv: mv.action)
+        return [(mv.action, mv.tags, [(p, self._apply(state, updates))
+                                      for p, updates in mv.branches if p != 0])
+                for mv in pending], False, False
 
     def _apply(self, state, updates) -> tuple:
         new = list(state)
@@ -1480,9 +1561,18 @@ class _Explorer:
                    for m in self.c.machines)
 
 
+def open_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:
+    """The closed model's Markov model, of which only the initial state is
+    known; `MarkovModel.expand` explores it on demand."""
+    return MarkovModel.open(closed.kind, tuple(v.name for v in closed.vars),
+                            closed.initial_state(), _Explorer(closed).successors, max_states)
+
+
 def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:
     """Explore the closed model breadth-first into an explicit Markov model."""
-    return _Explorer(closed, max_states).explore()
+    mm = open_markov(closed, max_states)
+    mm.expand_all()
+    return mm
 
 
 # --- rewards ---------------------------------------------------------------------
@@ -1490,8 +1580,15 @@ def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> Ma
 
 def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) -> MarkovModel:
     """Evaluate a rewards declaration over a built model and attach it."""
-    state_rewards = [Fraction(0)] * mm.num_states
-    move_rewards: dict[tuple[int, int], Fraction] = {}
+    state_rewards, move_rewards = reward_evaluator(mm, decl, closed)(range(mm.num_states))
+    mm.rewards[decl.name] = RewardStructure(decl.name, state_rewards, move_rewards)
+    return mm
+
+
+def reward_evaluator(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel):
+    """The rewards of some expanded states of mm: states -> (state reward
+    per state, {(state, move index): reward} for the moves that some item's
+    event tags)."""
     compiled = []
     for item in decl.items:
         guard_fn = closed.spec_expr(item.guard)
@@ -1503,24 +1600,31 @@ def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) ->
                 raise BuildError(f"rewards {decl.name}: cannot resolve {item.event}")
             tag = (ref.qualified(), item.event.direction)
         compiled.append((tag, guard_fn, value_fn))
-    for s in range(mm.num_states):
-        state = mm.states[s]
-        for tag, guard_fn, value_fn in compiled:
-            try:
-                if not guard_fn(state):
-                    continue
-                value = Fraction(value_fn(state))
-            except EvalError as exc:
-                raise BuildError(f"rewards {decl.name} at state {s}: {exc}") from exc
-            if value < 0:
-                raise BuildError(
-                    f"rewards {decl.name}: negative reward {value} at state {s}")
-            if tag is None:
-                state_rewards[s] += value
-            else:
-                for mi, mv in enumerate(mm.moves[s]):
-                    if tag in mv.tags:
-                        key = (s, mi)
-                        move_rewards[key] = move_rewards.get(key, Fraction(0)) + value
-    mm.rewards[decl.name] = RewardStructure(decl.name, state_rewards, move_rewards)
-    return mm
+    zero = Fraction(0)
+
+    def rewards_of(states):
+        state_rewards = []
+        move_rewards: dict[tuple[int, int], Fraction] = {}
+        for s in states:
+            state = mm.states[s]
+            state_rewards.append(zero)
+            for tag, guard_fn, value_fn in compiled:
+                try:
+                    if not guard_fn(state):
+                        continue
+                    value = Fraction(value_fn(state))
+                except EvalError as exc:
+                    raise BuildError(f"rewards {decl.name} at state {s}: {exc}") from exc
+                if value < 0:
+                    raise BuildError(
+                        f"rewards {decl.name}: negative reward {value} at state {s}")
+                if tag is None:
+                    state_rewards[-1] += value
+                else:
+                    for mi, mv in enumerate(mm.moves[s]):
+                        if tag in mv.tags:
+                            key = (s, mi)
+                            move_rewards[key] = move_rewards.get(key, Fraction(0)) + value
+        return state_rewards, move_rewards
+
+    return rewards_of

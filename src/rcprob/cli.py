@@ -24,7 +24,7 @@ from pathlib import Path
 from . import ast as A
 from . import exact, smc
 from .build import (DEFAULT_STATE_CAP, BuildError, build_markov, expand_sweep,
-                    instantiate)
+                    instantiate, open_markov)
 from .lexer import ParseError
 from .model import parse_model, _fraction_literal
 from .props import ProbProperty, parse_spec
@@ -158,7 +158,9 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
         else:
             closed = instantiate(model, job.valuation, job.defs, job.env,
                                  plan.kind, spec)
-            mm = build_markov(closed, plan.max_states)
+            # simulation expands the states that its paths reach
+            build = build_markov if plan.engine == "internal" else open_markov
+            mm = build(closed, plan.max_states)
             build_ms = int((plan.timer() - t0) * 1000)
             build_cache[key] = (closed, mm, build_ms)
         uses[key] -= 1
@@ -193,7 +195,7 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
                 **_verdict_fields(est.verdict_json()),
                 "mode": f"smc-{est.method}",
                 "n": est.n,
-                "states": mm.num_states,
+                "states": len(mm.order),
                 "transitions": mm.num_transitions(),
                 "buildMs": build_ms,
                 "checkMs": check_ms,

@@ -18,6 +18,7 @@ connected components come from `scipy.sparse.csgraph`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -73,21 +74,31 @@ def _is_state_expr(e: A.Expr) -> bool:
 
 
 class ExactChecker:
+    """Checks over a complete model.  With `states`, an array of state
+    indices, `sat` evaluates state formulas at those states only, and the
+    model may still be growing: a formula that needs more than each state's
+    own valuation (P, R, A, E) expands the whole model first."""
+
     def __init__(self, mm: MarkovModel, closed: ClosedModel,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
+                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                 states: np.ndarray | None = None):
         self.mm = mm
         self.closed = closed
         self.tol = tol
         self.max_iter = max_iter
+        self.states = states
         self.iterations = 0
         self.engine = "graph"
-        self.n = mm.num_states
+        self.n = mm.num_states if states is None else states.size
         self._sat_cache: dict[int, np.ndarray] = {}
         self._succ = None
         self._pred = None
         self._dtmc_csr = None
         self._mdp_arrays = None
-        self._deterministic = all(len(row) <= 1 for row in mm.moves)
+
+    @functools.cached_property
+    def _deterministic(self) -> bool:
+        return all(len(row) <= 1 for row in self.mm.moves)
 
     # --- graph structure -------------------------------------------------
 
@@ -145,12 +156,24 @@ class ExactChecker:
         self._sat_cache[key] = (e, out)
         return out
 
+    def _at_states(self, values: np.ndarray) -> np.ndarray:
+        return values if self.states is None else values[self.states]
+
+    def _on_model(self, e: A.Expr, values_from) -> np.ndarray:
+        """A state formula's truth at every state the model knows, cached on
+        the model and extended by `values_from(lo)`, its truth at the states
+        from lo on."""
+        entry = self.mm.values.setdefault((id(e), id(self.closed)),
+                                          [e, self.closed, np.zeros(0, dtype=bool)])
+        if entry[2].size < self.mm.num_states:
+            entry[2] = np.concatenate([entry[2], values_from(entry[2].size)])
+            entry[2].flags.writeable = False
+        return self._at_states(entry[2])
+
     def _atom(self, e: A.Expr) -> np.ndarray:
         fn = self.closed.spec_expr(e)
-        out = np.zeros(self.n, dtype=bool)
-        for i, st in enumerate(self.mm.states):
-            out[i] = bool(fn(st))
-        return out
+        return self._on_model(e, lambda lo: np.array(
+            [bool(fn(st)) for st in self.mm.states[lo:]], dtype=bool))
 
     def _sat(self, e: A.Expr) -> np.ndarray:
         mm = self.mm
@@ -159,11 +182,14 @@ class ExactChecker:
                 raise CheckError("a numeric literal is not a state formula")
             return np.full(self.n, e.value, dtype=bool)
         if isinstance(e, A.DeadlockRef):
-            return np.array(mm.deadlock, dtype=bool)
+            return self._at_states(np.array(mm.deadlock, dtype=bool))
         if isinstance(e, A.InitRef):
-            out = np.zeros(self.n, dtype=bool)
-            out[mm.initial] = True
-            return out
+            return self._at_states(np.arange(mm.num_states) == mm.initial)
+        if self.states is not None and isinstance(
+                e, (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)):
+            mm.expand_all()  # complete from now on: computed once
+            return self._on_model(e, lambda lo: ExactChecker(
+                mm, self.closed, self.tol, self.max_iter).sat(e)[lo:])
         if isinstance(e, A.LabelRef):
             decl = self.closed.spec.find(P.LabelDecl, e.name)
             if decl is None:
@@ -602,18 +628,10 @@ class ExactChecker:
 
     def _reward_arrays(self, rname: str | None):
         mm = self.mm
-        if rname is None:
-            names = list(mm.rewards)
-            if len(names) != 1:
-                raise CheckError("the reward formula needs a rewards name "
-                                 f"(attached: {names or 'none'})")
-            rname = names[0]
-        if rname not in mm.rewards:
-            decl = self.closed.spec.find(P.RewardsDecl, rname)
-            if decl is None:
-                raise CheckError(f"unknown rewards {rname!r}")
-            attach_rewards(mm, decl, self.closed)
-        rs = mm.rewards[rname]
+        rs = reward_source(mm, self.closed, rname)
+        if isinstance(rs, P.RewardsDecl):
+            attach_rewards(mm, rs, self.closed)
+            rs = mm.rewards[rs.name]
         state_r = np.array([float(v) for v in rs.state])
         mat, bounds = self.mdp_arrays()
         move_r = np.zeros(mat.shape[0])
@@ -728,6 +746,23 @@ class ExactChecker:
         if idx.size:
             x[idx] = self._solve(idx, base[idx])
         return x
+
+
+def reward_source(mm: MarkovModel, closed: ClosedModel, rname: str | None):
+    """The reward structure named `rname` attached to the model (with None,
+    the only one attached), else the spec's declaration of that name."""
+    if rname is None:
+        names = list(mm.rewards)
+        if len(names) != 1:
+            raise CheckError("the reward formula needs a rewards name "
+                             f"(attached: {names or 'none'})")
+        rname = names[0]
+    if rname in mm.rewards:
+        return mm.rewards[rname]
+    decl = closed.spec.find(P.RewardsDecl, rname)
+    if decl is None:
+        raise CheckError(f"unknown rewards {rname!r}")
+    return decl
 
 
 def _lfp(step, x: np.ndarray, limit: int | None = None) -> np.ndarray:

@@ -4,9 +4,10 @@ APMC, and SPRT estimation/decision methods.
 Sampling is reproducible: sample `i` of a run with seed `s` draws one
 uniform per step from its own generator derived from (s, i), so serial and
 partitioned runs produce identical estimates.  Paths walk the model's
-`SampleTable`, a batch of consecutive sample indices in lockstep; the
-sequential methods (CI with w and alpha, SPRT) use the samples in index
-order and stop at the first index that decides them.
+`SampleTable`, a batch of consecutive sample indices in lockstep, and a
+model that is still growing expands the states they reach as they reach
+them; the sequential methods (CI with w and alpha, SPRT) use the samples in
+index order and stop at the first index that decides them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ast as A
-from .build import ClosedModel, MarkovModel, SampleTable
-from .exact import ExactChecker, UnsupportedError
+from .build import ClosedModel, MarkovModel, RewardStructure, reward_evaluator
+from .exact import ExactChecker, UnsupportedError, reward_source
 
 DEFAULT_PATHLEN = 10_000
 MAX_SEQUENTIAL_SAMPLES = 10_000_000
@@ -85,25 +86,26 @@ def _rng_for(seed: int, i: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64((seed & 0xFFFFFFFF) * 2654435761 + i))
 
 
-def _table(mm: MarkovModel) -> SampleTable:
+def _require_dtmc(mm: MarkovModel):
     if mm.kind != "dtmc":
         raise SmcError("simulation needs a dtmc; build the model with kind=dtmc "
                        "(uniform resolution) instead of mdp")
-    return mm.sample_table()
 
 
-def _walk(table: SampleTable, initial: int, rngs: list, pathlen: int,
-          monitor: Monitor, rewards=None, trace=None):
-    """Advance one path per generator in `rngs` from `initial`, all in lockstep.
+def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
+          monitor: Monitor, rewards: _Rewards | None = None, trace=None):
+    """Advance one path per generator in `rngs` from the initial state, all
+    in lockstep.
 
-    Before each step the monitor decides which live paths end and their
-    values; paths still undecided at step `pathlen` end censored.  Every
-    other path draws one uniform u from its own generator and moves to the
-    first entry of its state whose cumulative weight exceeds u.  With
-    `rewards = (state_r, move_r)` a path gains state_r[s] + move_r[move] per
-    step; `trace` collects the live paths' (states, moves, successors) per
-    step.  Returns per path its value, whether it was censored, its length
-    and its gain.
+    Before each step the states that live paths reach for the first time
+    are expanded, and the monitor (and rewards) extended over them.  Then
+    the monitor decides which live paths end and their values; paths still
+    undecided at step `pathlen` end censored.  Every other path draws one
+    uniform u from its own generator and moves to the first entry of its
+    state's row whose cumulative weight exceeds u.  With `rewards` a path
+    gains its state's reward plus its move's per step; `trace` collects the
+    live paths' (states, moves, successors) per step.  Returns per path its
+    value, whether it was censored, its length and its gain.
 
     A step is a fixed number of numpy calls over the live paths, whatever
     their count and the width of their states' rows, so the last paths of a
@@ -115,83 +117,116 @@ def _walk(table: SampleTable, initial: int, rngs: list, pathlen: int,
     gain = np.zeros(n)
     draws = np.empty((n, _CHUNK))
     live = np.arange(n)
-    states = np.full(n, initial)
-    # the live paths' (state, u) as complex numbers, to search table.key
+    states = np.full(n, mm.initial)
+    # the live paths' (row, u) as complex numbers, to search table.key
     query = np.empty(n, dtype=complex)
-    ends, horizon = monitor.ends, monitor.horizon
-    search, dest, move = table.key.searchsorted, table.dest, table.move
+    table = mm.sample_table()
+    horizon = monitor.horizon
     t = 0
     while live.size:
+        rows = table.row[states]
+        if rows.min() < 0:
+            mm.expand(np.unique(states[rows < 0]).tolist())
+            rows = table.row[states]
+        monitor.cover(mm, closed)
+        if rewards is not None:
+            rewards.cover(mm)
         if t == horizon:
-            value[live] = monitor.final[states]
+            value[live] = monitor.final[rows]
             break
-        done = ends[states]
+        done = monitor.ends[rows]
         if t >= pathlen:
             capped[live[~done]] = True
-            value[live] = monitor.value[states]
+            value[live] = monitor.value[rows]
             break
         if np.count_nonzero(done):
             ended = live[done]
-            value[ended] = monitor.value[states[done]]
+            value[ended] = monitor.value[rows[done]]
             length[ended] = t
-            live, states = live[~done], states[~done]
+            live, states, rows = live[~done], states[~done], rows[~done]
             query = query[:live.size]
             if not live.size:
                 break
         j = t % _CHUNK
         if j == 0:
             draws[live] = [rngs[i].random(_CHUNK) for i in live.tolist()]
-        query.real = states
+        query.real = rows
         query.imag = draws[:, j][live]
-        # the keys <= (state, u) end at the state's first entry whose
+        # the keys <= (row, u) end at the row's first entry whose
         # cumulative weight exceeds u; its last one is 1.0 > u
-        pos = search(query, "right")
+        pos = table.key.searchsorted(query, "right")
+        move = table.move[pos]
         if rewards is not None:
-            gain[live] += rewards[0][states] + rewards[1][move[pos]]
+            gain[live] += rewards.state[rows] + rewards.move[move]
         if trace is not None:
-            trace.append((states, move[pos], dest[pos]))
-        states = dest[pos]
+            trace.append((states, move, table.dest[pos]))
+        states = table.dest[pos]
         t += 1
     length[live] = t
     return value, capped, length, gain
 
 
-@dataclass
-class Monitor:
-    """On-the-fly decision procedure of a path formula, as per-state arrays.
+class _Extended:
+    """Arrays over a model's expanded states in expansion order (its rows),
+    extended over the rows expanded since by `cover`."""
 
-    Before step t a path at state s is decided when `ends[s]`, with the
-    sample `value[s]`; at step `horizon` (never when None) every path is
-    decided with the sample `final[s]`.  A censored path counts as
-    `censor_value`."""
-
-    ends: np.ndarray
-    value: np.ndarray
-    horizon: int | None = None
-    final: np.ndarray | None = None
-    censor_value: int = 0
+    def cover(self, mm: MarkovModel, *args):
+        while self.size < len(mm.order):
+            self.extend(mm, np.array(mm.order[self.size:], dtype=np.int64), *args)
 
 
-def compile_monitor(checker: ExactChecker, path: A.Expr,
-                    absorbing: np.ndarray) -> Monitor:
+class Monitor(_Extended):
+    """On-the-fly decision procedure of a path formula, as arrays over rows.
+
+    Before step t a path at row r is decided when `ends[r]`, with the sample
+    `value[r]`; at step `horizon` (never when None) every path is decided
+    with the sample `final[r]`.  A censored path counts as `censor_value`.
+    `rule(sat, absorbing)` gives (ends, value, final) of some rows from
+    `sat`, the rows' truth of a state formula, and their absorbing flags."""
+
+    def __init__(self, rule, horizon: int | None = None, censor_value: int = 0):
+        self.rule = rule
+        self.horizon = horizon
+        self.censor_value = censor_value
+        self.ends = self.value = self.final = np.zeros(0, dtype=bool)
+
+    @property
+    def size(self) -> int:
+        return self.ends.size
+
+    def extend(self, mm: MarkovModel, states: np.ndarray, closed: ClosedModel):
+        lo = self.size
+        absorbing = mm.sample_table().absorbing[lo:lo + states.size]
+        parts = self.rule(ExactChecker(mm, closed, states=states).sat, absorbing)
+        self.ends, self.value, self.final = (
+            np.concatenate([old, new]) for old, new in
+            zip((self.ends, self.value, self.final), parts))
+
+
+def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
     if isinstance(path, A.Next):
-        sat = checker.sat(path.operand)
         # at step 0 an absorbing state's only successor is itself
-        return Monitor(absorbing, sat, 1, sat)
+        return Monitor(lambda sat, absorbing: (absorbing, sat(path.operand),
+                                               sat(path.operand)), 1)
     if isinstance(path, (A.Finally_, A.Until)):
-        k = checker._step_bound(path.bound)
-        if isinstance(path, A.Finally_):
-            hit = checker.sat(path.operand)
-            ends = hit | absorbing
-        else:
-            hit = checker.sat(path.right)
-            ends = hit | absorbing | ~checker.sat(path.left)
-        return Monitor(ends, hit, None if k is None else k + 1, np.zeros_like(hit))
-    if isinstance(path, A.Globally):
-        sat = checker.sat(path.operand)
         k = checker._step_bound(path.bound)  # -1 for an empty horizon
-        return Monitor(~sat | absorbing, sat, None if k is None else max(k, 0), sat,
-                       censor_value=1)
+
+        def rule(sat, absorbing):
+            if isinstance(path, A.Finally_):
+                hit = sat(path.operand)
+                ends = hit | absorbing
+            else:
+                hit = sat(path.right)
+                ends = hit | absorbing | ~sat(path.left)
+            # at step k a path is decided by whether it is at a target
+            return ends, hit, hit & (k != -1)
+
+        return Monitor(rule, None if k is None else max(k, 0))
+    if isinstance(path, A.Globally):
+        k = checker._step_bound(path.bound)
+        return Monitor(lambda sat, absorbing: (~sat(path.operand) | absorbing,
+                                               sat(path.operand), sat(path.operand)),
+                       None if k is None else max(k, 0), censor_value=1)
     raise UnsupportedError(
         f"{type(path).__name__} is not simulable; use F, G, U, or X")
 
@@ -202,16 +237,17 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     It is sample 0 of the run with this seed."""
     if pathlen < 1:
         raise SmcError("pathlen must be at least 1")
-    table = _table(mm)
-    monitor = compile_monitor(ExactChecker(mm, closed), path, table.absorbing)
+    _require_dtmc(mm)
+    monitor = compile_monitor(ExactChecker(mm, closed), path)
     steps = []
-    value, capped, _, _ = _walk(table, mm.initial, [_rng_for(seed, 0)], pathlen,
-                                monitor, trace=steps)
-    bounds = mm.choice_csr()[1]
+    value, capped, _, _ = _walk(mm, closed, [_rng_for(seed, 0)], pathlen, monitor,
+                                trace=steps)
+    table = mm.sample_table()
     entries = []
     for s, move, nxt in steps:
         s, move = int(s[0]), int(move[0])
-        entries.append((s, mm.moves[s][move - bounds[s]].action, int(nxt[0])))
+        first = table.bounds[table.row[s]]
+        entries.append((s, mm.moves[s][move - first].action, int(nxt[0])))
     if capped[0]:
         return SimPath(entries, "pathlen-cap"), monitor.censor_value
     return SimPath(entries, "bound-hit"), int(value[0])
@@ -227,10 +263,10 @@ class _SampleStream:
 
     def __init__(self, mm: MarkovModel, closed: ClosedModel, path: A.Expr,
                  seed: int, pathlen: int):
-        self.table = _table(mm)
-        self.monitor = compile_monitor(ExactChecker(mm, closed), path,
-                                       self.table.absorbing)
-        self.initial = mm.initial
+        _require_dtmc(mm)
+        self.monitor = compile_monitor(ExactChecker(mm, closed), path)
+        self.mm = mm
+        self.closed = closed
         self.seed = seed
         self.pathlen = pathlen
         self._earlier = _PathTotals()
@@ -245,8 +281,8 @@ class _SampleStream:
         while lo < limit:
             hi = min(lo + size, limit)
             rngs = [_rng_for(self.seed, i) for i in range(lo, hi)]
-            value, capped, length, _ = _walk(self.table, self.initial, rngs,
-                                             self.pathlen, self.monitor)
+            value, capped, length, _ = _walk(self.mm, self.closed, rngs, self.pathlen,
+                                             self.monitor)
             value[capped] = self.monitor.censor_value
             self._earlier.add(*self._last)
             self._last = (capped, length)
@@ -302,7 +338,9 @@ def _two_of_three(**kwargs):
 
 def run_ci(mm, closed, path, w=None, alpha=None, n=None, seed=0,
            pathlen=DEFAULT_PATHLEN) -> Estimate:
-    """Confidence-interval estimation with a normal-approximation interval."""
+    """Confidence-interval estimation with a normal-approximation interval;
+    given w and alpha, sampling stops once the Wilson score interval is
+    within w of the mean."""
     return _ci_like(mm, closed, path, "CI", w, alpha, n, seed, pathlen)
 
 
@@ -337,23 +375,18 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
         return Estimate(method, mean, n, seed, half_width=hw, alpha=alpha,
                         **stream.stats(n))
     if "w" in given and "alpha" in given:
+        z = normal_quantile(1.0 - alpha / 2.0)
         total = 0
         count = 0
-        hw = math.inf
         for x in stream.samples():
             total += x
             count += 1
-            if count < 2:
-                continue
-            mean = total / count
-            var_sum = total * (1.0 - mean) ** 2 + (count - total) * mean ** 2
-            hw = _half_width(method, alpha, mean, var_sum, count)
+            hw = _wilson_half_width(z, total, count)
             if hw <= w:
                 break
         else:
             raise SmcError("sequential sampling exceeded the sample cap")
-        mean = total / count
-        return Estimate(method, mean, count, seed, half_width=hw, alpha=alpha,
+        return Estimate(method, total / count, count, seed, half_width=hw, alpha=alpha,
                         **stream.stats(count))
     # w and n given: solve for alpha
     total = sum(sum(batch) for batch in stream.batches(n))
@@ -364,12 +397,25 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
         var_sum = total * (1.0 - mean) ** 2 + (n - total) * mean ** 2
         sigma = math.sqrt((var_sum / (n - 1) if n > 1 else 0.0) / n)
     if sigma == 0.0:
-        alpha_solved = 0.0
+        # no spread to scale by: the Chernoff-Hoeffding bound for w
+        alpha_solved = min(1.0, 2.0 * math.exp(-2.0 * n * w * w))
     else:
         z = w / sigma
         alpha_solved = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
     return Estimate(method, mean, n, seed, half_width=w, alpha=alpha_solved,
                     **stream.stats(n))
+
+
+def _wilson_half_width(z: float, total: int, n: int) -> float:
+    """The larger distance from the mean of n 0/1 samples to the ends of
+    their Wilson score interval with quantile z, so that mean +- the result
+    contains that interval.  Unlike the normal interval it does not vanish
+    when every sample agrees."""
+    mean = total / n
+    shrink = z * z / n
+    center = (mean + shrink / 2.0) / (1.0 + shrink)
+    half = z / (1.0 + shrink) * math.sqrt(mean * (1.0 - mean) / n + shrink / (4.0 * n))
+    return abs(mean - center) + half
 
 
 def apmc_samples(epsilon: float, delta: float) -> int:
@@ -447,25 +493,26 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     A path that reaches an absorbing state outside the target of Reachable
     diverges; it is censored and counted as a cap hit."""
     n = _sample_count(n)
-    table = _table(mm)
-    checker = ExactChecker(mm, closed)
-    rewards = checker._reward_arrays(rname)
+    _require_dtmc(mm)
+    rewards = _Rewards(mm, closed, rname)
     if isinstance(rpath, A.Cumul):
         k = max(int(closed.spec_expr(rpath.operand)(None)), 0)
-        never = np.zeros(mm.num_states, dtype=bool)
-        monitor = Monitor(never, never, k, never)
+        monitor = Monitor(lambda sat, absorbing: [np.zeros_like(absorbing)] * 3, k)
     elif isinstance(rpath, A.Reachable):
-        target = checker.sat(rpath.operand)
         # the value of a path is whether it diverged
-        monitor = Monitor(target | table.absorbing, table.absorbing & ~target)
+        def rule(sat, absorbing):
+            target = sat(rpath.operand)
+            return target | absorbing, absorbing & ~target, np.zeros_like(absorbing)
+
+        monitor = Monitor(rule)
     else:
         raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
     gains = []
     used = _PathTotals()
     for lo in range(0, n, _MAX_BATCH):
         rngs = [_rng_for(seed, i) for i in range(lo, min(lo + _MAX_BATCH, n))]
-        diverged, capped, length, gain = _walk(table, mm.initial, rngs, pathlen,
-                                               monitor, rewards=rewards)
+        diverged, capped, length, gain = _walk(mm, closed, rngs, pathlen, monitor,
+                                               rewards=rewards)
         gains.append(gain)
         used.add(capped | (diverged > 0), length)
     arr = np.concatenate(gains)
@@ -474,3 +521,29 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     hw = normal_quantile(1.0 - alpha / 2.0) * sd / math.sqrt(len(arr))
     return Estimate("CI", mean, len(arr), seed, half_width=hw, alpha=alpha,
                     **used.fields())
+
+
+class _Rewards(_Extended):
+    """A reward structure's state reward per row and move reward per move
+    (numbered as in the sample table), over the expanded states: from the
+    structure attached to the model, else from its declaration."""
+
+    def __init__(self, mm: MarkovModel, closed: ClosedModel, rname: str | None):
+        source = reward_source(mm, closed, rname)
+        if isinstance(source, RewardStructure):
+            self.rewards_of = lambda states: ([source.state[s] for s in states], source.move)
+        else:
+            self.rewards_of = reward_evaluator(mm, source, closed)
+        self.state = np.zeros(0)
+        self.move = np.zeros(0)
+
+    @property
+    def size(self) -> int:
+        return self.state.size
+
+    def extend(self, mm: MarkovModel, states: np.ndarray):
+        states = states.tolist()
+        state_r, move_r = self.rewards_of(states)
+        self.state = np.concatenate([self.state, np.array(state_r, dtype=float)])
+        self.move = np.concatenate([self.move, [float(move_r.get((s, mi), 0)) for s in states
+                                                for mi in range(len(mm.moves[s]))]])

@@ -564,16 +564,16 @@ def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
     `stop(state, step, absorbing)` returns a value or `pathlen` steps pass.
 
     A state's entries are its moves in order, each move's positive branches
-    in ascending destination order, with weight p/k for k moves; the
-    successor is the first entry whose left-to-right cumulative weight (the
-    last one taken as 1.0) exceeds the uniform.  Returns (value or None when
-    capped, steps taken, [(state, move index)] per step)."""
+    in their stored order, with weight p/k for k moves; the successor is the
+    first entry whose left-to-right cumulative weight (the last one taken as
+    1.0) exceeds the uniform.  Returns (value or None when capped, steps
+    taken, [(state, move index)] per step)."""
     s = mm.initial
     steps = []
     while True:
         entries = [(float(p) / len(mm.moves[s]), d, j)
                    for j, mv in enumerate(mm.moves[s])
-                   for p, d in sorted(mv.branches, key=lambda b: b[1]) if p > 0]
+                   for p, d in mv.branches if p > 0]
         absorbing = all(d == s for _, d, _ in entries)
         value = stop(s, len(steps), absorbing)
         if value is not None:
@@ -592,7 +592,8 @@ def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
 
 def reference_monitor(kind: str, sat1, sat2, k):
     """The decision of F/U/G/X at a path's state before the given step:
-    None while undecided, else the 0/1 sample."""
+    None while undecided, else the 0/1 sample.  A bounded F/U decides at
+    step k at the latest, by whether the state is a target."""
     def stop(s, step, absorbing):
         if kind == "X":
             return int(sat2[s]) if step == 1 or absorbing else None
@@ -600,8 +601,8 @@ def reference_monitor(kind: str, sat1, sat2, k):
             if not sat2[s]:
                 return 0
             return 1 if absorbing or (k is not None and step >= k) else None
-        if k is not None and step > k:
-            return 0
+        if k is not None and step >= k:
+            return int(k >= 0 and sat2[s])
         if sat2[s]:
             return 1
         if absorbing or (kind == "U" and not sat1[s]):

@@ -12,12 +12,15 @@ import pytest
 from scipy import stats as scipy_stats
 
 from rcprob import ast as A
-from rcprob.build import MarkovModel, Move, RewardStructure
+from rcprob import props as P
+from rcprob.build import (BuildError, MarkovModel, Move, RewardStructure, attach_rewards,
+                          open_markov)
 from rcprob.props import parse_expression
 from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
                         run_aci, run_apmc, run_ci, run_reward_ci, run_sprt, simulate)
 
 import oracles
+from conftest import make_srw
 from oracles import StubContext, var_eq, var_in
 
 
@@ -357,7 +360,8 @@ def test_rewards_match_reference_on_single_move_models(srw_small):
              (A.Reachable(stuck), lambda s, t, a: 0 if target[s] or a else None)]
     for rpath, stop in cases:
         est = run_reward_ci(mm, closed, "R_origins", rpath, n=300, seed=2, pathlen=40)
-        rs = mm.rewards["R_origins"]
+        rs = attach_rewards(mm, closed.spec.find(P.RewardsDecl, "R_origins"),
+                            closed).rewards["R_origins"]
         values = []
         for i in range(300):
             _, _, steps = oracles.reference_path(mm, oracles.reference_rng(2, i), 40, stop)
@@ -395,8 +399,13 @@ def test_sequential_methods_stop_where_reference_does(srw_small, seed):
     z = statistics.NormalDist().inv_cdf(1 - 0.05 / 2)
 
     def ci_done(xs):
-        mean = sum(xs) / len(xs)
-        return len(xs) >= 2 and z * math.sqrt(mean * (1 - mean) / len(xs)) <= 0.04
+        # the Wilson score interval's ends are the p with
+        # (mean - p)^2 = z^2 p (1 - p) / n
+        n, mean = len(xs), sum(xs) / len(xs)
+        a, b, c = 1 + z * z / n, -(2 * mean + z * z / n), mean * mean
+        root = math.sqrt(b * b - 4 * a * c)
+        lo, hi = (-b - root) / (2 * a), (-b + root) / (2 * a)
+        return max(mean - lo, hi - mean) <= 0.04
 
     count, stats = _stop_index(samples(), ci_done)
     est = run_ci(mm, closed, path, w=0.04, alpha=0.05, seed=seed, pathlen=pathlen)
@@ -548,3 +557,229 @@ def test_uniform_equal_to_a_cumulative_weight_moves_past_it():
     reached, _, _ = oracles.reference_path(mm, oracles.reference_rng(6, 0), 5,
                                            lambda s, t, a: s if t == 1 else None)
     assert reached == 2
+
+
+# --- on-the-fly expansion ---------------------------------------------------------
+
+
+def lazy_copy(mm):
+    """A model that expands the states of the complete model `mm` on demand,
+    numbering them in the order it meets them."""
+    index = {st: s for s, st in enumerate(mm.states)}
+
+    def successors(state):
+        s = index[state]
+        return ([(mv.action, mv.tags, [(p, mm.states[d]) for p, d in mv.branches])
+                 for mv in mm.moves[s]], mm.deadlock[s], mm.quiescent[s])
+
+    return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors)
+
+
+def _state_reward(ctx, guard, value):
+    """A context whose spec declares the state reward R = value where guard."""
+    ctx.spec = P.SpecAst([P.RewardsDecl("R", [P.RewardItem(None, guard, value)])])
+    return ctx
+
+
+def _lazy_and_full_models(srw_small):
+    closed, srw = srw_small
+    yield (srw, open_markov(closed), closed, parse_expression("SRWMod::SRWRP::x >= -1"),
+           parse_expression("SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck"),
+           "R_origins")
+    x = A.Ref(A.QName(("x",)))
+    mm, ctx = chain30()
+    yield mm, lazy_copy(mm), _state_reward(ctx, var_eq("x", 0), A.Lit(2)), \
+        A.Unary("not", var_eq("x", 2)), GOAL, "R"
+    rnd = oracles.random_dtmc(random.Random(4), 25)
+    yield rnd, lazy_copy(rnd), _state_reward(StubContext(("x",)), A.Lit(True), x), \
+        A.Binary("<", x, A.Lit(18)), var_in("x", [3, 7, 11, 19]), "R"
+    wide, ctx = wide_row_dtmc()
+    yield wide, lazy_copy(wide), _state_reward(ctx, A.Binary("<", x, A.Lit(30)), x), \
+        A.Binary("<", x, A.Lit(45)), var_in("x", [2, 23]), "R"
+    three, ctx = multi_move_dtmc()
+    yield three, lazy_copy(three), _state_reward(ctx, A.Lit(True), A.Lit(1)), \
+        A.Unary("not", var_eq("x", 2)), var_in("x", [1, 3]), "R"
+
+
+@pytest.mark.parametrize("pathlen", [3, 1000])
+def test_lazy_expansion_samples_equal_full_build(srw_small, pathlen):
+    n = 300
+    smaller = 0
+    for full, lazy, ctx, p, q, rname in _lazy_and_full_models(srw_small):
+        for kind, path, _, _, k in _shapes(p, q):
+            streams = [_SampleStream(mm, ctx, path, 13, pathlen) for mm in (full, lazy)]
+            got = [[x for batch in stream.batches(n) for x in batch] for stream in streams]
+            assert got[0] == got[1], (kind, k)
+            assert streams[0].stats(n) == streams[1].stats(n), (kind, k)
+        for seed in range(5):
+            walks = []
+            for mm in (full, lazy):
+                sim, sample = simulate(mm, ctx, seed, pathlen, A.Finally_(None, q))
+                walks.append(([(mm.states[s], tag, mm.states[d]) for s, tag, d in sim.entries],
+                              sim.terminal, sample))
+            assert walks[0] == walks[1]
+        target = A.Binary("\\/", q, A.Unary("not", p))
+        for rpath in (A.Cumul(A.Lit(4)), A.Reachable(target)):
+            ests = [run_reward_ci(mm, ctx, rname, rpath, n=n, seed=13, pathlen=pathlen)
+                    for mm in (full, lazy)]
+            assert ests[0] == ests[1], rpath
+        assert full.num_states == len(full.order)
+        smaller += len(lazy.order) < full.num_states
+    assert smaller  # some paths never reach every state
+
+
+def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model, srw_spec):
+    closed, full = make_srw(srw_model, srw_spec, maxdist=6, maxsteps=40)
+    lazy = open_markov(closed)
+    goal = parse_expression("SRWMod::SRWRP::x == 3")
+    runs = [run_ci(mm, closed, A.Finally_(A.Bound("<=", A.Lit(30)), goal), alpha=0.05,
+                   n=500, seed=4) for mm in (full, lazy)]
+    assert runs[0] == runs[1]
+    assert 0 < len(lazy.order) < full.num_states / 4
+    # every state a path stood on is expanded, and the sample table has one
+    # row per expanded state
+    table = lazy.sample_table()
+    assert table.absorbing.size == len(lazy.order) == table.bounds.size - 1
+    assert sorted(np.flatnonzero(table.row >= 0)) == sorted(lazy.order)
+    # expanding the rest gives the full build, state for state
+    lazy.expand_all()
+    remap = {st: s for s, st in enumerate(full.states)}
+    for s, st in enumerate(lazy.states):
+        want = {(p, full.states[d]) for mv in full.moves[remap[st]] for p, d in mv.branches}
+        assert {(p, lazy.states[d]) for mv in lazy.moves[s] for p, d in mv.branches} == want
+
+
+def test_state_cap_applies_to_the_states_paths_discover(srw_small):
+    closed, _ = srw_small
+    stuck = parse_expression(
+        "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
+    with pytest.raises(BuildError, match="state-space cap of 12 states"):
+        run_ci(open_markov(closed, max_states=12), closed, A.Finally_(None, stuck),
+               alpha=0.05, n=100, seed=0)
+    # a cap above the states that short paths discover is not reached
+    est = run_ci(open_markov(closed, max_states=12), closed, A.Next(stuck), alpha=0.05,
+                 n=100, seed=0)
+    assert est.n == 100
+
+
+def test_cli_smc_exceeds_max_states_as_a_build_error(tmp_path, capsys):
+    from rcprob.cli import main
+    fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+    rcp = tmp_path / "cap.rcp"
+    rcp.write_text("""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    constants C_all:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 4, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_all:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    prob property P_sim:
+      Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=50
+      with constants C_all
+      with definitions D_all
+    """)
+    argv = ["check", os.path.join(fixtures, "srw.rcm"), str(rcp), "--engine", "smc",
+            "--kind", "dtmc", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--max-states", "10"]) == 2
+    assert "state-space cap of 10 states exceeded" in capsys.readouterr().err
+    assert main(argv) == 0
+
+
+def _bad_distribution_dtmc():
+    """s0 -> s1 (target, absorbing) or s2, each 1/2; s2 -> s3, whose only
+    move sums to 9/10."""
+    half = Fraction(1, 2)
+    moves = [[Move("a", ((half, 1), (half, 2)))],
+             [Move("l", ((Fraction(1), 1),))],
+             [Move("b", ((Fraction(1), 3),))],
+             [Move("c", ((Fraction(9, 10), 3),))]]
+    return MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4,
+                       [False] * 4)
+
+
+def test_bad_distribution_is_fatal_on_the_states_paths_reach():
+    mm = _bad_distribution_dtmc()
+    with pytest.raises(BuildError, match="sum to 9/10"):
+        mm.check_stochastic()
+    ctx = StubContext(("x",))
+    with pytest.raises(BuildError, match="sum to 9/10"):
+        run_ci(lazy_copy(mm), ctx, A.Finally_(None, GOAL), alpha=0.05, n=20, seed=0)
+    # within one step no path leaves s2, so s3 is never expanded or checked
+    lazy = lazy_copy(mm)
+    est = run_ci(lazy, ctx, A.Finally_(A.Bound("<=", A.Lit(1)), GOAL), alpha=0.05, n=20,
+                 seed=0)
+    assert 0 < est.point < 1 and sorted(lazy.order) == [0, 1, 2]
+    with pytest.raises(BuildError, match="sum to 9/10"):
+        lazy.expand_all()
+
+
+def test_nested_probability_operand_expands_the_whole_model(srw_small, monkeypatch):
+    from rcprob.exact import ExactChecker
+    solves = []
+    prob_path = ExactChecker.prob_path
+    monkeypatch.setattr(ExactChecker, "prob_path",
+                        lambda self, *args: solves.append(self.n) or prob_path(self, *args))
+    closed, full = srw_small
+    likely = parse_expression("Prob>=0.8 of [Finally SRWMod::SRWRP::x == 2]")
+    path = A.Finally_(None, likely)
+    lazy = open_markov(closed)
+    runs = [run_ci(mm, closed, path, alpha=0.05, n=300, seed=8) for mm in (full, lazy)]
+    assert runs[0] == runs[1]
+    assert 0 < runs[0].point < 1
+    assert len(lazy.order) == lazy.num_states == full.num_states
+    # solved once per model, over the whole model
+    assert solves == [full.num_states] * 2
+
+
+def test_bounded_finally_decides_at_its_bound():
+    # a two-state cycle that never reaches x == 2
+    moves = [[Move("a", ((Fraction(1), 1),))], [Move("b", ((Fraction(1), 0),))]]
+    mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], moves, [False] * 2, [False] * 2)
+    ctx = StubContext(("x",))
+    for path in (A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 2)),
+                 A.Until(A.Lit(True), A.Bound("<=", A.Lit(4)), var_eq("x", 2))):
+        est = run_ci(mm, ctx, path, alpha=0.05, n=30, seed=0, pathlen=4)
+        assert (est.point, est.cap_hits, est.path_len_max) == (0.0, 0, 4)
+    est = run_ci(mm, ctx, A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 0)),
+                 alpha=0.05, n=30, seed=0, pathlen=4)
+    assert (est.point, est.path_len_max) == (1.0, 0)
+
+
+def test_ci_solve_for_alpha_without_spread_uses_hoeffding():
+    mm, ctx = chain30()
+    ones = MarkovModel("dtmc", ("x",), mm.states, mm.moves, mm.deadlock, mm.quiescent,
+                       initial=1)
+    for run in (run_ci, run_aci):
+        est = run(ones, ctx, A.Finally_(None, GOAL), w=0.1, n=50, seed=0)
+        assert est.point == 1.0
+        assert est.alpha == pytest.approx(2 * math.exp(-2 * 50 * 0.1 ** 2))
+        assert run(ones, ctx, A.Finally_(None, GOAL), w=0.01, n=5, seed=0).alpha == 1.0
+
+
+def _coverage_models():
+    mm, ctx = chain30()
+    yield mm, ctx, A.Finally_(None, GOAL)
+    rnd = oracles.random_dtmc(random.Random(11), 20)
+    yield rnd, StubContext(("x",)), A.Finally_(None, var_in("x", [2, 5, 9]))
+
+
+def test_sequential_interval_covers_the_exact_value():
+    from rcprob.exact import prob_path
+    alpha, w, seeds = 0.05, 0.06, 200
+    # a binomial slack of three standard deviations below 1 - alpha
+    floor = 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / seeds)
+    for mm, ctx, path in _coverage_models():
+        exact = prob_path(mm, ctx, path)[mm.initial]
+        assert 0.05 < exact < 0.95
+        covered = 0
+        for seed in range(seeds):
+            est = run_ci(mm, ctx, path, w=w, alpha=alpha, seed=seed)
+            assert est.half_width <= w
+            covered += abs(est.point - exact) <= est.half_width
+        assert covered / seeds >= floor, (covered, exact)
+        # ACI stops by the same rule
+        aci = run_aci(mm, ctx, path, w=w, alpha=alpha, seed=seed)
+        assert (aci.point, aci.n, aci.half_width) == (est.point, est.n, est.half_width)
