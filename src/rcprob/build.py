@@ -189,7 +189,6 @@ def _check_domain(info: VarInfo, value):
             raise EvalError(
                 f"variable {info.name} range [{info.domain[1]}..{info.domain[2]}] "
                 f"violated by {value!r}")
-    return value
 
 
 def _domain_of_typeref(t: M.TypeRef, model: M.ModelAst):
@@ -538,6 +537,10 @@ class EnvCommandRT:
     guard_fn: object
     branches: list[tuple[Fraction, list]]  # (prob, [(idx, value_fn)])
 
+    @property
+    def tag(self) -> str:
+        return f"{self.module}.c{self.index}"
+
 
 class ClosedModel:
     """A model with every loose symbol bound, ready for state exploration."""
@@ -870,9 +873,7 @@ class ClosedModel:
             flat, decl = rt.scope.vars[a.target]
             idx = self.index[flat]
             fn = self._compile(a.expr, rt.scope, None)
-            info = self.vars[idx]
-            return Constituent("update", update_fn=_single_update(idx, fn, info),
-                               source_action=a)
+            return Constituent("update", update_fn=lambda s: [(idx, fn(s))], source_action=a)
         if isinstance(a, M.OpCall):
             op = self.operations.get(a.name)
             if op is None:
@@ -886,12 +887,10 @@ class ClosedModel:
                 ref, diags = self.resolver.resolve_fqn(target_qn)
                 if ref is None or ref.kind != "variable":
                     raise BuildError(f"operation {a.name}: bad assignment target {target_qn}")
-                tidx = self.index[ref.flat]
-                vfn = self._compile(value_expr, None, env)
-                targets.append((tidx, vfn, self.vars[tidx]))
+                targets.append((self.index[ref.flat], self._compile(value_expr, None, env)))
 
             def update_fn(s, targets=targets):
-                return [(i, _check_domain(info, fn(s))) for i, fn, info in targets]
+                return [(i, fn(s)) for i, fn in targets]
 
             return Constituent("update", update_fn=update_fn, source_action=a)
         if isinstance(a, M.IfAction):
@@ -989,19 +988,11 @@ class ClosedModel:
             for u in cmd.updates:
                 p = Fraction(self._const_value(u.prob, "update probability", real=True))
                 total += p
-                idx = var_idx[u.var]
-                fn = self.spec_expr(u.expr)
-                info = self.vars[idx]
-                branches.append((p, [(idx, _checked_fn(fn, info))]))
+                branches.append((p, [(var_idx[u.var], self.spec_expr(u.expr))]))
             if total != 1:
                 raise BuildError(f"pmodule {mod.name}: update probabilities sum to {total}, not 1")
             return branches
-        updates = []
-        for u in cmd.updates:
-            idx = var_idx[u.var]
-            fn = self.spec_expr(u.expr)
-            updates.append((idx, _checked_fn(fn, self.vars[idx])))
-        return [(Fraction(1), updates)]
+        return [(Fraction(1), [(var_idx[u.var], self.spec_expr(u.expr)) for u in cmd.updates])]
 
 
 def _state_read(idx):
@@ -1010,16 +1001,6 @@ def _state_read(idx):
             raise EvalError("expression needs a state")
         return s[idx]
     return read
-
-
-def _checked_fn(fn, info):
-    return lambda s: _check_domain(info, fn(s))
-
-
-def _single_update(idx, fn, info):
-    def update(s):
-        return [(idx, _check_domain(info, fn(s)))]
-    return update
 
 
 # --- public instantiation ------------------------------------------------------
@@ -1334,80 +1315,75 @@ def _fmt_value(v) -> str:
 
 # --- exploration -----------------------------------------------------------------
 
-
-@dataclass
-class _PendingMove:
-    action: str
-    branches: list  # (Fraction, updates list[(idx, value)])
-    tags: frozenset = frozenset()
+_NO_TAGS = frozenset()  # shared by the untagged moves: a fresh one is 216 bytes each
+_ONE = Fraction(1)
 
 
 class _Explorer:
+    """Computes the moves of a state from the closed model's step tables and
+    environment commands.  A move is (action, tags, branches), each branch
+    (probability, [(variable index, value)]).  An expression that fails is
+    reported as a BuildError naming the step and the state, by one of three
+    boundaries: per machine step, per environment command and per applied
+    move, where the new values meet their variables' domains.  A partner's
+    trigger is evaluated within the step that initiates the joint step."""
+
     def __init__(self, closed: ClosedModel):
         self.c = closed
+        self.env_modules = [(closed.env_alphabet[name], closed.env_commands[name])
+                            for name in sorted(closed.env_commands)]
+        self.domains = [None if v.kind in ("pc", "lock", "exit") else v for v in closed.vars]
+
+    def _error(self, tag: str, state, exc: EvalError) -> BuildError:
+        valuation = ", ".join(f"{v.name}={_fmt_value(x)}" for v, x in zip(self.c.vars, state))
+        return BuildError(f"{tag} at state ({valuation}): {exc}")
 
     # machine steps -----------------------------------------------------------
 
-    def _machine_steps(self, m: MachineRT, state) -> list[_PendingMove]:
+    def _machine_steps(self, m: MachineRT, state) -> list:
         """Execute the machine's step table entries that match the state."""
         pc = state[m.pc_i]
         lk = state[m.lk_i]
-        moves = []
         if lk == LOCK_FREE:
-            for st in m.initiations.get(pc, ()):
-                if not self._enabled(st, state):
-                    continue
-                comm = st.rt.trigger_comm
-                if comm is None:
-                    moves.append(_PendingMove(st.tag, [(Fraction(1), list(st.updates))]))
-                else:
-                    moves.extend(self._comm_moves(m, state, st.tag, list(st.updates), comm,
-                                                  initiating=True))
-            return moves
-        exit_v = state[m.exit_i] if m.exit_i is not None else EXIT_NONE
-        steps = m.locked.get((pc, exit_v))
-        if steps is None:
-            raise BuildError(f"machine {m.mach.name}: no step at pc {pc!r} "
-                             f"(lock {lk}, exit flag {exit_v})")
+            steps = m.initiations.get(pc, ())
+        else:
+            exit_v = state[m.exit_i] if m.exit_i is not None else EXIT_NONE
+            steps = m.locked.get((pc, exit_v))
+            if steps is None:
+                raise BuildError(f"machine {m.mach.name}: no step at pc {pc!r} "
+                                 f"(lock {lk}, exit flag {exit_v})")
+        moves = []
         for st in steps:
-            if st.lock not in (None, LOCK_HELD, lk):
-                continue
-            if st.part is None:
-                moves.append(_PendingMove(st.tag, [(p, list(u)) for p, u in st.branches]))
-            else:
-                moves.extend(self._constituent_moves(m, state, st.tag, list(st.updates),
-                                                     st.part))
+            try:
+                moves.extend(self._step_moves(m, state, st, lk))
+            except EvalError as exc:
+                raise self._error(st.tag, state, exc) from exc
         return moves
 
-    @staticmethod
-    def _enabled(st: Step, state) -> bool:
-        try:
-            return st.rt.guard_fn(state)
-        except EvalError as exc:
-            raise BuildError(f"guard of {st.rt.t.id}: {exc}") from exc
-
-    def _constituent_moves(self, m, state, tag, structural_updates, c: Constituent):
-        if c.kind == "update":
-            try:
-                updates = structural_updates + c.update_fn(state)
-            except EvalError as exc:
-                raise BuildError(f"{tag}: {exc}") from exc
-            return [_PendingMove(tag, [(Fraction(1), updates)])]
-        return self._comm_moves(m, state, tag, structural_updates, c.comm, initiating=False)
+    def _step_moves(self, m: MachineRT, state, st: Step, lk) -> list:
+        if st.rt is not None:  # an initiation
+            if not st.rt.guard_fn(state):
+                return []
+            if st.rt.trigger_comm is None:
+                return [(st.tag, _NO_TAGS, st.branches)]
+            return self._comm_moves(m, state, st.tag, st.updates, st.rt.trigger_comm,
+                                    initiating=True)
+        if st.lock not in (None, LOCK_HELD, lk):
+            return []
+        if st.part is None:
+            return [(st.tag, _NO_TAGS, st.branches)]
+        if st.part.kind == "update":
+            return [(st.tag, _NO_TAGS, [(_ONE, [*st.updates, *st.part.update_fn(state)])])]
+        return self._comm_moves(m, state, st.tag, st.updates, st.part.comm, initiating=False)
 
     # communication --------------------------------------------------------------
 
     def _comm_moves(self, m: MachineRT, state, tag, base_updates, comm: CommSpec,
-                    initiating: bool) -> list[_PendingMove]:
+                    initiating: bool) -> list:
         closure = comm.closure
         users = [i for i in self.c.closure_users.get(closure.cid, ())
                  if self.c.machines[i] is not m]
-        value = None
-        if comm.value_fn is not None:
-            try:
-                value = comm.value_fn(state)
-            except EvalError as exc:
-                raise BuildError(f"{tag}: {exc}") from exc
+        value = comm.value_fn(state) if comm.value_fn is not None else None
         my_updates = list(base_updates)
         if comm.bind_idx is not None and not users and closure.payload is not None:
             # platform-driven input: enumerate the payload domain
@@ -1424,17 +1400,16 @@ class _Explorer:
                     "bound it with an enumeration or bool")
             out = []
             for v in choices:
-                upd = list(my_updates) + [(comm.bind_idx, v)]
+                upd = my_updates + [(comm.bind_idx, v)]
                 if closure.latch is not None:
                     upd.append((self.c.index[closure.latch], v))
-                out.extend(self._with_env(m, state, f"{tag}={_fmt_value(v)}", upd,
-                                          closure.tags))
+                out.extend(self._with_env(state, f"{tag}={_fmt_value(v)}", upd, closure.tags))
             return out
         if value is not None and closure.latch is not None:
             my_updates.append((self.c.index[closure.latch], value))
 
         if not users:
-            return self._with_env(m, state, tag, my_updates, closure.tags)
+            return self._with_env(state, tag, my_updates, closure.tags)
 
         if comm.direction == "in" and initiating:
             # receivers respond to senders; they do not initiate against machines
@@ -1451,9 +1426,9 @@ class _Explorer:
         for st in partner.initiations.get(state[partner.pc_i], ()):
             comm2 = st.rt.trigger_comm
             if comm2 is None or comm2.closure.cid != closure.cid or comm2.direction != want \
-                    or not self._enabled(st, state):
+                    or not st.rt.guard_fn(state):
                 continue
-            joint = list(my_updates) + list(st.updates)
+            joint = my_updates + list(st.updates)
             if comm2.bind_idx is not None:
                 if value is None:
                     if comm2.closure.payload is not None:
@@ -1468,65 +1443,55 @@ class _Explorer:
                 if closure.latch is not None:
                     joint.append((self.c.index[closure.latch], v2))
             jtag = "+".join(sorted([tag, st.tag]))
-            out.extend(self._with_env(m, state, jtag, joint, closure.tags))
+            out.extend(self._with_env(state, jtag, joint, closure.tags))
         return out
 
-    def _with_env(self, m, state, tag, updates, tags) -> list[_PendingMove]:
+    # environment modules -------------------------------------------------------
+
+    def _env_command(self, cmd: EnvCommandRT, state):
+        """The branches of an environment command at a state, their values
+        evaluated, or None where its guard is false."""
+        try:
+            if not cmd.guard_fn(state):
+                return None
+            return [(p, [(i, fn(state)) for i, fn in upd]) for p, upd in cmd.branches]
+        except EvalError as exc:
+            raise self._error(cmd.tag, state, exc) from exc
+
+    def _with_env(self, state, tag, updates, tags) -> list:
         """Join a tagged model step with matching environment-module commands."""
         participants = []
-        for mod_name in sorted(self.c.env_commands):
-            alphabet = self.c.env_alphabet[mod_name]
+        for alphabet, commands in self.env_modules:
             if not (alphabet & tags):
                 continue
-            candidates = []
-            for cmd in self.c.env_commands[mod_name]:
-                if cmd.label_tag is None or cmd.label_tag not in tags:
-                    continue
-                try:
-                    if cmd.guard_fn(state):
-                        candidates.append(cmd)
-                except EvalError as exc:
-                    raise BuildError(f"pmodule {mod_name} guard: {exc}") from exc
-            if not candidates:
+            enabled = []
+            for cmd in commands:
+                if cmd.label_tag in tags:
+                    branches = self._env_command(cmd, state)
+                    if branches is not None:
+                        enabled.append((cmd.tag, branches))
+            if not enabled:
                 return []  # the step is blocked by this module
-            participants.append(candidates)
+            participants.append(enabled)
         out = []
         for combo in itertools.product(*participants):
-            branches = [(Fraction(1), list(updates))]
+            branches = [(_ONE, updates)]
             jtag = tag
-            for cmd in combo:
-                jtag += f"+{cmd.module}.c{cmd.index}"
-                new_branches = []
-                for p0, upd0 in branches:
-                    for p1, upd1 in cmd.branches:
-                        try:
-                            applied = [(i, fn(state)) for i, fn in upd1]
-                        except EvalError as exc:
-                            raise BuildError(f"pmodule {cmd.module} update: {exc}") from exc
-                        new_branches.append((p0 * p1, upd0 + applied))
-                branches = new_branches
-            out.append(_PendingMove(jtag, branches, tags))
+            for cmd_tag, cmd_branches in combo:
+                jtag += f"+{cmd_tag}"
+                branches = [(p0 * p1, upd0 + upd1) for p0, upd0 in branches
+                            for p1, upd1 in cmd_branches]
+            out.append((jtag, tags, branches))
         return out
 
-    def _env_interleavings(self, state) -> list[_PendingMove]:
+    def _env_interleavings(self, state) -> list:
         out = []
-        for mod_name in sorted(self.c.env_commands):
-            for cmd in self.c.env_commands[mod_name]:
-                if cmd.label_tag is not None:
-                    continue
-                try:
-                    if not cmd.guard_fn(state):
-                        continue
-                except EvalError as exc:
-                    raise BuildError(f"pmodule {mod_name} guard: {exc}") from exc
-                branches = []
-                for p, upd in cmd.branches:
-                    try:
-                        applied = [(i, fn(state)) for i, fn in upd]
-                    except EvalError as exc:
-                        raise BuildError(f"pmodule {cmd.module} update: {exc}") from exc
-                    branches.append((p, applied))
-                out.append(_PendingMove(f"{cmd.module}.c{cmd.index}", branches))
+        for _, commands in self.env_modules:
+            for cmd in commands:
+                if cmd.label_tag is None:
+                    branches = self._env_command(cmd, state)
+                    if branches is not None:
+                        out.append((cmd.tag, _NO_TAGS, branches))
         return out
 
     # one state ----------------------------------------------------------------
@@ -1534,23 +1499,28 @@ class _Explorer:
     def successors(self, state):
         """The moves of a state, as `MarkovModel.open` takes them; a state
         without any is a deadlock, or quiescent, and loops."""
-        pending: list[_PendingMove] = []
+        pending = []
         for m in self.c.machines:
             pending.extend(self._machine_steps(m, state))
         pending.extend(self._env_interleavings(state))
         if not pending:
             deadlock = self._is_deadlock(state)
-            return [("loop", frozenset(), [(Fraction(1), state)])], deadlock, not deadlock
-        pending.sort(key=lambda mv: mv.action)
-        return [(mv.action, mv.tags, [(p, self._apply(state, updates))
-                                      for p, updates in mv.branches if p != 0])
-                for mv in pending], False, False
+            return [("loop", _NO_TAGS, [(_ONE, state)])], deadlock, not deadlock
+        pending.sort(key=lambda mv: mv[0])
+        moves = []
+        for action, tags, branches in pending:
+            try:
+                moves.append((action, tags, [(p, self._apply(state, updates))
+                                             for p, updates in branches if p != 0]))
+            except EvalError as exc:
+                raise self._error(action, state, exc) from exc
+        return moves, False, False
 
     def _apply(self, state, updates) -> tuple:
         new = list(state)
         for idx, value in updates:
-            info = self.c.vars[idx]
-            if info.kind not in ("pc", "lock", "exit"):
+            info = self.domains[idx]
+            if info is not None:
                 _check_domain(info, value)
             new[idx] = value
         return tuple(new)

@@ -4,8 +4,8 @@
         [--kind dtmc|mdp] [--prop GLOB] [--out DIR] [--seed N]
         [--max-states N] [--tol X]
 
-Exit codes: 0 all good, 1 a bounded property failed, 2 validation errors,
-3 I/O errors.
+Exit codes: 0 all good, 1 a bounded property failed, 2 validation, build or
+check errors, 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import ast as A
 from . import exact, smc
-from .build import (DEFAULT_STATE_CAP, BuildError, build_markov, expand_sweep,
+from .build import (DEFAULT_STATE_CAP, BuildError, EvalError, build_markov, expand_sweep,
                     instantiate, open_markov)
 from .lexer import ParseError
 from .model import parse_model, _fraction_literal
@@ -166,51 +166,44 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
         uses[key] -= 1
         if not uses[key]:
             del build_cache[key]
-        t1 = plan.timer()
-        if plan.engine == "internal":
-            body = job.prop.body
-            if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
-                    and body.query in (A.QUERY_MIN, A.QUERY_MAX):
-                print(f"warning: {job.prop.name}: a dtmc has a single adversary; "
-                      f"treating the query as plain =?", file=sys.stderr)
-            result = exact.check_property(mm, closed, job.prop, job.config_id,
-                                          tol=plan.tol)
-            check_ms = int((plan.timer() - t1) * 1000)
-            rec = {
-                "property": job.prop.name,
-                "config": job.config_id,
-                **_verdict_fields(result.verdict_json()),
-                "mode": result.mode,
-                "states": mm.num_states,
-                "transitions": mm.num_transitions(),
-                "buildMs": build_ms,
-                "checkMs": check_ms,
-            }
-        else:
-            est = _run_smc_job(plan, mm, closed, job)
-            check_ms = int((plan.timer() - t1) * 1000)
-            rec = {
-                "property": job.prop.name,
-                "config": job.config_id,
-                **_verdict_fields(est.verdict_json()),
-                "mode": f"smc-{est.method}",
-                "n": est.n,
-                "states": len(mm.order),
-                "transitions": mm.num_transitions(),
-                "buildMs": build_ms,
-                "checkMs": check_ms,
-                "pathLen": {"mean": est.path_len_mean, "max": est.path_len_max},
-            }
-            if est.half_width is not None:
-                rec["halfWidth"] = est.half_width
-            if est.cap_hits:
-                rec["capHits"] = est.cap_hits
-        records.append(rec)
+        try:
+            records.append(_check_job(plan, job, closed, mm, build_ms))
+        except EvalError as exc:
+            where = f" [{job.config_id}]" if job.config_id else ""
+            raise exact.CheckError(f"property {job.prop.name}{where} at line "
+                                   f"{job.prop.pos[0]}: {exc}") from exc
         # after the last job of its key nothing holds the model, so it is
         # freed before the next one is built
         del closed, mm
     records.sort(key=lambda r: (r["property"], r["config"]))
     return records
+
+
+def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int) -> dict:
+    """The report record of one job on its model."""
+    t1 = plan.timer()
+    if plan.engine == "internal":
+        body = job.prop.body
+        if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
+                and body.query in (A.QUERY_MIN, A.QUERY_MAX):
+            print(f"warning: {job.prop.name}: a dtmc has a single adversary; "
+                  f"treating the query as plain =?", file=sys.stderr)
+        result = exact.check_property(mm, closed, job.prop, job.config_id,
+                                      tol=plan.tol)
+        rec = {**_verdict_fields(result.verdict_json()), "mode": result.mode,
+               "states": mm.num_states}
+    else:
+        est = _run_smc_job(plan, mm, closed, job)
+        rec = {**_verdict_fields(est.verdict_json()), "mode": f"smc-{est.method}",
+               "n": est.n, "states": len(mm.order),
+               "pathLen": {"mean": est.path_len_mean, "max": est.path_len_max}}
+        if est.half_width is not None:
+            rec["halfWidth"] = est.half_width
+        if est.cap_hits:
+            rec["capHits"] = est.cap_hits
+    check_ms = int((plan.timer() - t1) * 1000)
+    return {"property": job.prop.name, "config": job.config_id, **rec,
+            "transitions": mm.num_transitions(), "buildMs": build_ms, "checkMs": check_ms}
 
 
 def _sim_params(method: A.SimMethodSpec | None, closed):
@@ -228,58 +221,44 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
 
 def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
     body = job.prop.body
-    if isinstance(body, A.ProbFormula):
-        method, params, pathlen = _sim_params(body.method, closed)
-        if method == "SPRT":
-            if body.bound is None:
-                raise smc.SmcError("SPRT needs a probability bound, not a query")
-            theta = float(closed.spec_expr(body.bound.expr)(None))
-            return smc.run_sprt(mm, closed, body.path, body.bound, theta,
-                                alpha=params.get("alpha"), delta=params.get("delta"),
-                                seed=plan.seed, pathlen=pathlen)
-        runner = {"CI": smc.run_ci, "ACI": smc.run_aci, "APMC": smc.run_apmc}[method]
-        est = runner(mm, closed, body.path, seed=plan.seed, pathlen=pathlen, **params)
-        if body.bound is not None:
-            theta = float(closed.spec_expr(body.bound.expr)(None))
-            op = body.bound.op
-            est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
-                             ">": est.point > theta, ">=": est.point >= theta}[op]
-        return est
+    if not isinstance(body, (A.ProbFormula, A.RewardFormula)):
+        raise smc.SmcError(f"property {job.prop.name} is not simulable; "
+                           "simulation needs a P or R formula")
+    method, params, pathlen = _sim_params(body.method, closed)
+    theta = None if body.bound is None else float(closed.spec_expr(body.bound.expr)(None))
     if isinstance(body, A.RewardFormula):
-        method, params, pathlen = _sim_params(body.method, closed)
         est = smc.run_reward_ci(mm, closed, body.rewards, body.path,
                                 alpha=params.get("alpha", 0.05),
                                 n=params.get("n", 1000),
                                 seed=plan.seed, pathlen=pathlen)
-        if body.bound is not None:
-            theta = float(closed.spec_expr(body.bound.expr)(None))
-            op = body.bound.op
-            est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
-                             ">": est.point > theta, ">=": est.point >= theta}[op]
-        return est
-    raise smc.SmcError(f"property {job.prop.name} is not simulable; "
-                       "simulation needs a P or R formula")
+    elif method == "SPRT":
+        if theta is None:
+            raise smc.SmcError("SPRT needs a probability bound, not a query")
+        return smc.run_sprt(mm, closed, body.path, body.bound, theta,
+                            alpha=params.get("alpha"), delta=params.get("delta"),
+                            seed=plan.seed, pathlen=pathlen)
+    else:
+        runner = {"CI": smc.run_ci, "ACI": smc.run_aci, "APMC": smc.run_apmc}[method]
+        est = runner(mm, closed, body.path, seed=plan.seed, pathlen=pathlen, **params)
+    if theta is not None:
+        est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
+                         ">": est.point > theta, ">=": est.point >= theta}[body.bound.op]
+    return est
 
 
 def _run_emit(plan: RunPlan, model, spec, jobs, out_dir: Path) -> int:
+    """Emit the model closed over the first property's first configuration;
+    the constants that its sweep varies stay open."""
     stem = Path(plan.model_path).stem
-    resolver = Resolver(model, spec)
-    diags: list[Diagnostic] = []
-    config = defs = env = None
-    sweep_rows = []
-    if jobs:
-        prop = jobs[0].prop
-        config, defs, env = property_context(resolver, prop, diags)
-    valuations = expand_sweep(config)
+    sweep = [job for job in jobs if job.prop is jobs[0].prop] if jobs else []
+    defs, env = (sweep[0].defs, sweep[0].env) if sweep else (None, None)
+    valuations = [job.valuation for job in sweep] or [{}]
     sweep_names = set()
-    if config is not None and len(valuations) > 1:
-        sweep_rows = [config_id_of(v) for v in valuations]
-        first = valuations[0]
-        sweep_names = {k for k in first
+    if len(valuations) > 1:
+        sweep_names = {k for k in valuations[0]
                        if len({_fmt_value(v[k]) for v in valuations}) > 1}
-    valuation = valuations[0]
     try:
-        closed = instantiate(model, valuation, defs, env, plan.kind, spec)
+        closed = instantiate(model, valuations[0], defs, env, plan.kind, spec)
         pair = emit_pair(closed, spec, sweep_names=sweep_names)
     except (BuildError, EmitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -287,8 +266,9 @@ def _run_emit(plan: RunPlan, model, spec, jobs, out_dir: Path) -> int:
     (out_dir / f"{stem}.prism").write_text(pair.model_text)
     (out_dir / f"{stem}.props").write_text(pair.props_text)
     (out_dir / f"{stem}.namemap.tsv").write_text(pair.mangler.tsv())
-    if sweep_rows:
-        (out_dir / f"{stem}.sweep.tsv").write_text("\n".join(sweep_rows) + "\n")
+    if len(sweep) > 1:
+        (out_dir / f"{stem}.sweep.tsv").write_text(
+            "\n".join(job.config_id for job in sweep) + "\n")
     return 0
 
 

@@ -34,7 +34,7 @@ from . import props as P
 from .build import ClosedModel, MarkovModel, attach_rewards
 
 DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 10 ** 6
+DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
 
 AE_FRAGMENT = ("X, U, F, G with state operands (optionally bounded), GF, FG, "
                "GF=>GF, FG=>GF, and G(p => F q)")
@@ -80,12 +80,10 @@ class ExactChecker:
     own valuation (P, R, A, E) expands the whole model first."""
 
     def __init__(self, mm: MarkovModel, closed: ClosedModel,
-                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                 states: np.ndarray | None = None):
+                 tol: float = DEFAULT_TOL, states: np.ndarray | None = None):
         self.mm = mm
         self.closed = closed
         self.tol = tol
-        self.max_iter = max_iter
         self.states = states
         self.iterations = 0
         self.engine = "graph"
@@ -189,7 +187,7 @@ class ExactChecker:
                 e, (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)):
             mm.expand_all()  # complete from now on: computed once
             return self._on_model(e, lambda lo: ExactChecker(
-                mm, self.closed, self.tol, self.max_iter).sat(e)[lo:])
+                mm, self.closed, self.tol).sat(e)[lo:])
         if isinstance(e, A.LabelRef):
             decl = self.closed.spec.find(P.LabelDecl, e.name)
             if decl is None:
@@ -429,7 +427,7 @@ class ExactChecker:
             return x
         mat, bounds = self.mdp_arrays()
         self.iterations = 0
-        for it in range(self.max_iter):
+        for it in range(DEFAULT_MAX_ITER):
             per_move = mat.dot(x)
             agg = self._reduce_moves(per_move, mode)
             new_vals = np.where(sat2, 1.0, np.where(sat1, agg, 0.0))
@@ -697,7 +695,7 @@ class ExactChecker:
             return x
         # value iteration over the finite region; moves into the infinite
         # region are excluded (max) or poison the move (min handled by inf)
-        for it in range(self.max_iter):
+        for it in range(DEFAULT_MAX_ITER):
             backup = self._expected_move_reward(state_r, move_r, x, mode)
             new = x.copy()
             new[idx] = backup[idx]
@@ -820,10 +818,9 @@ def check_state_formula(mm: MarkovModel, closed: ClosedModel, expr: A.Expr,
 
 
 def prob_path(mm: MarkovModel, closed: ClosedModel, path: A.Expr,
-              mode: str = "exact", tol: float = DEFAULT_TOL,
-              max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+              mode: str = "exact", tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-state probability of an unbounded or bounded path formula."""
-    return ExactChecker(mm, closed, tol, max_iter).prob_path(path, mode)
+    return ExactChecker(mm, closed, tol).prob_path(path, mode)
 
 
 def prob_path_bounded(mm: MarkovModel, closed: ClosedModel, path: A.Expr,
@@ -850,11 +847,10 @@ def expected_reward(mm: MarkovModel, closed: ClosedModel, rname: str | None,
 
 
 def check_property(mm: MarkovModel, closed: ClosedModel, prop: P.ProbProperty,
-                   config_id: str = "", tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> CheckResult:
+                   config_id: str = "", tol: float = DEFAULT_TOL) -> CheckResult:
     """Judge a property at the initial state of a built model."""
     t0 = time.perf_counter()
-    checker = ExactChecker(mm, closed, tol, max_iter)
+    checker = ExactChecker(mm, closed, tol)
     body = prop.body
     mode_name = "exact"
     if isinstance(body, A.ProbFormula) and body.query is not None:

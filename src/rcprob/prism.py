@@ -5,7 +5,7 @@ from a closed model.  A machine module prints the machine's step table
 (`MachineRT.steps`), the same table the explorer executes, one command per
 step; the program counter, lock, and exit variables get integer encodings
 recorded in the name map.  Variable ranges are harvested from the explored
-state space, which is why emission requires a successful build.  Typed events use a two-step synchronise-then-exchange encoding with
+state space, which is why model emission requires a successful build.  Typed events use a two-step synchronise-then-exchange encoding with
 a sender-owned exchange variable.  Correctness is checked syntactically by
 the bundled subset validator; no external checker is invoked.
 """
@@ -86,14 +86,11 @@ class EmittedPair:
 
 
 class _ModelEmitter:
-    def __init__(self, closed: ClosedModel, bounds: dict | None,
-                 sweep_names: set[str] | None, mangler: Mangler):
+    def __init__(self, closed: ClosedModel, sweep_names: set[str] | None, mangler: Mangler):
         self.c = closed
         self.mangler = mangler
         self.sweep_names = sweep_names or set()
-        if bounds is None:
-            bounds = observed_bounds(build_markov(closed))
-        self.bounds = bounds
+        self.bounds: dict[str, tuple[int, int]] = {}  # filled by `emit`
         self.enum_codes: dict[str, int] = {}
         for enum in closed.model.enums:
             for i, lit in enumerate(enum.literals):
@@ -143,6 +140,7 @@ class _ModelEmitter:
 
     def emit(self) -> str:
         c = self.c
+        self.bounds = observed_bounds(build_markov(c))
         out = [c.kind, ""]
         for name in sorted(c.consts):
             value = c.consts[name]
@@ -492,11 +490,10 @@ def _bool_text(v) -> str:
     return "true" if v else "false"
 
 
-def emit_model(closed: ClosedModel, bounds: dict | None = None,
-               sweep_names: set[str] | None = None,
+def emit_model(closed: ClosedModel, sweep_names: set[str] | None = None,
                mangler: Mangler | None = None) -> str:
     """Emit the PRISM model text for a closed model."""
-    em = _ModelEmitter(closed, bounds, sweep_names, mangler or Mangler())
+    em = _ModelEmitter(closed, sweep_names, mangler or Mangler())
     text = em.emit()
     em.mangler.check_bijective()
     return text
@@ -621,18 +618,17 @@ class _PropsEmitter:
 
 
 def emit_properties(closed: ClosedModel, spec: P.SpecAst,
-                    mangler: Mangler | None = None,
-                    bounds: dict | None = None) -> str:
-    """Emit the PRISM properties text (labels, formulas, rewards, properties)."""
-    em = _ModelEmitter(closed, bounds, None, mangler or Mangler())
+                    mangler: Mangler | None = None) -> str:
+    """Emit the PRISM properties text (labels, formulas, rewards, properties);
+    unlike the model text, it needs no exploration."""
+    em = _ModelEmitter(closed, None, mangler or Mangler())
     return _PropsEmitter(closed, em).emit(spec)
 
 
 def emit_pair(closed: ClosedModel, spec: P.SpecAst,
-              sweep_names: set[str] | None = None,
-              bounds: dict | None = None) -> EmittedPair:
+              sweep_names: set[str] | None = None) -> EmittedPair:
     mangler = Mangler()
-    em = _ModelEmitter(closed, bounds, sweep_names, mangler)
+    em = _ModelEmitter(closed, sweep_names, mangler)
     model_text = em.emit()
     props_text = _PropsEmitter(closed, em).emit(closed.spec if spec is None else spec)
     mangler.check_bijective()

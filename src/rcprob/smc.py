@@ -224,8 +224,9 @@ def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
         return Monitor(rule, None if k is None else max(k, 0))
     if isinstance(path, A.Globally):
         k = checker._step_bound(path.bound)
+        # an empty horizon holds vacuously: decided 1 at step 0
         return Monitor(lambda sat, absorbing: (~sat(path.operand) | absorbing,
-                                               sat(path.operand), sat(path.operand)),
+                                               sat(path.operand), sat(path.operand) | (k == -1)),
                        None if k is None else max(k, 0), censor_value=1)
     raise UnsupportedError(
         f"{type(path).__name__} is not simulable; use F, G, U, or X")

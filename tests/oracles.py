@@ -593,11 +593,14 @@ def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
 def reference_monitor(kind: str, sat1, sat2, k):
     """The decision of F/U/G/X at a path's state before the given step:
     None while undecided, else the 0/1 sample.  A bounded F/U decides at
-    step k at the latest, by whether the state is a target."""
+    step k at the latest, by whether the state is a target; G with the empty
+    horizon (k = -1) holds at once."""
     def stop(s, step, absorbing):
         if kind == "X":
             return int(sat2[s]) if step == 1 or absorbing else None
         if kind == "G":
+            if k == -1:
+                return 1
             if not sat2[s]:
                 return 0
             return 1 if absorbing or (k is not None and step >= k) else None

@@ -413,7 +413,7 @@ def test_criterion_8_emission(srw_model, srw_spec):
     pair = emit_pair(closed, srw_spec)
     model_errors = check_prism_model(pair.model_text)
     props_errors = check_prism_props(pair.props_text)
-    em = _ModelEmitter(closed, None, None, Mangler())
+    em = _ModelEmitter(closed, None, Mangler())
     pe = _PropsEmitter(closed, em)
     cases = [
         ("not Exists [Finally deadlock]", '!E [ F "deadlock" ]'),

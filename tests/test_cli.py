@@ -309,3 +309,111 @@ def test_cli_smc_rejects_empty_sample(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "n must be at least 1" in capsys.readouterr().err
+
+
+# --- failures in user expressions: one error line, exit code 2 ------------------------
+
+DIV_MODEL = """
+module DivMod {
+  controller C {
+    event ping : int;
+    machine A {
+      var a : int = 0;
+      event ping : int;
+      initial a0;
+      state A1;
+      state A2;
+      transition s0 { from a0 to A1 }
+      transition s1 { from A1 to A2 STEP }
+    }
+    machine B {
+      var y : TYPE = 0;
+      event ping : int;
+      initial b0;
+      state B1;
+      state B2;
+      transition r0 { from b0 to B1 }
+      transition r1 { from B1 to B2 trigger ping ? y }
+    }
+    connection A.ping -> B.ping;
+  }
+}
+"""
+SRW_SETUP = """
+label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+label l_div = (10 / SRWMod::SRWRP::x > 1)
+constants C_all:
+  SRWMod::SRWRP::MaxDist set to 2,
+  SRWMod::SRWRP::MaxSteps set to 4, and
+  SRWMod::SRWRP::Pl set to 0.5
+defs D_all:
+  pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+  pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+  pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+pmodules MEnv: pmodule E {
+  n : [0 to 2] init 0;
+  COMMAND
+}
+"""
+AT_PROPERTY = "property P_bad [MaxDist=2,MaxSteps=4,Pl=0.5] at line {line}: "
+
+
+def _div_model(step, var_type="int"):
+    return DIV_MODEL.replace("STEP", step).replace("TYPE", var_type)
+
+
+def _srw_prop(body, command="[] true -> (@n = 0);", modules=False):
+    return (SRW_SETUP.replace("COMMAND", command) + f"prob property P_bad:\n  {body}\n"
+            "  with constants C_all\n  with definitions D_all\n"
+            + ("  with modules MEnv\n" if modules else ""))
+
+
+DEADLOCK_FREE = "prob property P: not Exists [Finally deadlock]\n"
+FAILING_INPUTS = {
+    "guard": (_div_model("guard 1 / a > 0"), DEADLOCK_FREE, [], "C.A.s1 at state ("),
+    # the send keeps B's trigger a partner of A, not a platform input
+    "update": (_div_model("action a = 1 / a; ping ! 1"), DEADLOCK_FREE, [],
+               "C.A.s1@act0 at state ("),
+    "send": (_div_model("action ping ! (1 / a)"), DEADLOCK_FREE, [],
+             "C.A.s1@act0 at state ("),
+    "received": (_div_model("trigger ping ! (0 - 3)", "nat"), DEADLOCK_FREE, [],
+                 "C.A.s1+C.B.r1 at state (C.A.a=0, C.A.lk=0, C.A.pc=A1, C.B.y=0, "),
+    "pmodule guard": (None, _srw_prop("Prob=? of [Finally #l_stuck]",
+                                      "[] 1 / @n > 0 -> (@n = 1);", modules=True),
+                      ["--kind", "dtmc"], "E.c0 at state ("),
+    "pmodule update": (None, _srw_prop("Prob=? of [Finally #l_stuck]",
+                                       "[] true -> (@n = 1 / @n);", modules=True),
+                       ["--kind", "dtmc"], "E.c0 at state ("),
+    "pmodule range": (None, _srw_prop("Prob=? of [Finally #l_stuck]",
+                                      "[] true -> (@n = @n + 1);", modules=True),
+                      ["--kind", "dtmc"], "E.c0 at state ("),
+    "label": (None, _srw_prop("Prob=? of [Finally #l_div]"), ["--kind", "dtmc"],
+              AT_PROPERTY),
+    "label smc": (None, _srw_prop("Prob=? of [Finally #l_div] using sim with CI at "
+                                    "alpha=0.05, n=10"),
+                  ["--kind", "dtmc", "--engine", "smc"],
+                  AT_PROPERTY),
+    "bound": (None, _srw_prop("Prob>=SRWMod::SRWRP::x of [Finally #l_stuck]"),
+              ["--kind", "dtmc"], AT_PROPERTY),
+    "sim parameter": (None, _srw_prop("Prob=? of [Finally #l_stuck] using sim with CI at "
+                                      "alpha=0.05, n=SRWMod::SRWRP::x"),
+                      ["--kind", "dtmc", "--engine", "smc"],
+                      AT_PROPERTY),
+}
+
+
+@pytest.mark.parametrize("case", FAILING_INPUTS)
+def test_failing_expression_exits_2_with_one_error_line(case, tmp_path, capsys):
+    model_text, spec_text, flags, where = FAILING_INPUTS[case]
+    model = SRW_RCM
+    if model_text is not None:
+        model = tmp_path / "m.rcm"
+        model.write_text(model_text)
+    spec = tmp_path / "s.rcp"
+    spec.write_text(spec_text)
+    code = main(["check", str(model), str(spec), "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert code == 2 and len(errors) == 1 and "Traceback" not in err, err
+    line = spec_text[:spec_text.find("prob property")].count("\n") + 1
+    assert errors[0].startswith("error: " + where.format(line=line)), errors[0]

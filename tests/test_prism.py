@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
+import rcprob.prism
 from rcprob import ast as A
 from rcprob.build import instantiate
 from rcprob.props import DefinitionsDecl, PModulesDecl, parse_expression, parse_spec
-from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter,
-                          check_prism_model, check_prism_props, emit_pair, mangle)
+from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter, check_prism_model,
+                          check_prism_props, emit_pair, emit_properties, mangle)
 
 GOLDEN = Path(__file__).parent / "fixtures" / "srw_golden.prism"
 
@@ -90,7 +91,7 @@ def test_golden_model(srw_pair):
 
 
 def test_property_translations(srw_closed):
-    em = _ModelEmitter(srw_closed, None, None, Mangler())
+    em = _ModelEmitter(srw_closed, None, Mangler())
     pe = _PropsEmitter(srw_closed, em)
     cases = [
         ("not Exists [Finally deadlock]", '!E [ F "deadlock" ]'),
@@ -103,8 +104,19 @@ def test_property_translations(srw_closed):
         assert got == expected, (source, got)
 
 
+def test_properties_emit_without_exploring(srw_closed, srw_spec, srw_pair, monkeypatch):
+    # only the model text sizes variable ranges from an exploration
+    def no_build(closed):
+        raise AssertionError("explored")
+
+    monkeypatch.setattr(rcprob.prism, "build_markov", no_build)
+    assert emit_properties(srw_closed, srw_spec) == srw_pair.props_text
+    with pytest.raises(AssertionError, match="explored"):
+        emit_pair(srw_closed, srw_spec)
+
+
 def test_more_translations(srw_closed):
-    em = _ModelEmitter(srw_closed, None, None, Mangler())
+    em = _ModelEmitter(srw_closed, None, Mangler())
     pe = _PropsEmitter(srw_closed, em)
     cases = [
         ("Prob>=0.9 of [#a Until<=10 #b]", 'P>=9/10 [ "a" U<=10 "b" ]'),
@@ -200,7 +212,7 @@ def random_path(rng, depth):
 
 
 def test_translation_total_over_random_formulas(srw_closed):
-    em = _ModelEmitter(srw_closed, None, None, Mangler())
+    em = _ModelEmitter(srw_closed, None, Mangler())
     pe = _PropsEmitter(srw_closed, em)
     rng = random.Random(2024)
     for _ in range(300):
@@ -237,7 +249,7 @@ def test_plain_transition_emitted_as_explored():
     a_state = next(i for i, st in enumerate(mm.states) if st[m.pc_i] == "A")
     t1 = next(mv for mv in mm.moves[a_state] if mv.action == "C.S.t1")
     assert mm.states[t1.branches[0][1]][m.pc_i] == "B"
-    em = _ModelEmitter(closed, None, None, Mangler())
+    em = _ModelEmitter(closed, None, Mangler())
     codes, locks = em.pc_codes["C.S"], em.lk_codes["C.S"]
     starts = [ln.split(" -> ")[1] for ln in em.emit().splitlines()
               if ln.startswith(f"  [] ABMod_C_S_pc={codes['A']} & ABMod_C_S_lk=0 ->")]

@@ -273,7 +273,7 @@ def _bound(k):
 def _shapes(p, q):
     """(kind, path formula, left, right, step bound) of every simulable shape."""
     out = [("X", A.Next(q), None, q, None)]
-    for k in (None, 3):
+    for k in (None, 3, -1):
         out += [("F", A.Finally_(_bound(k), q), None, q, k),
                 ("G", A.Globally(_bound(k), p), None, p, k),
                 ("U", A.Until(p, _bound(k), q), p, q, k)]
@@ -347,7 +347,7 @@ def test_samples_match_reference_on_single_move_models(srw_small, pathlen):
                 "cap_hits": sum(capped for _, _, capped in want),
                 "path_len_mean": sum(lengths) / n, "path_len_max": max(lengths)}, (kind, k)
             checked += 1
-    assert checked == 28
+    assert checked == 40
     assert (caps > 0) == (pathlen == 3)
 
 
@@ -533,10 +533,13 @@ def test_complex_keys_order_by_state_then_weight():
 
 
 def test_empty_horizons_decide_at_the_initial_state():
+    from rcprob.exact import prob_path
     mm, ctx = chain30()
     not_goal = A.Unary("not", GOAL)
     for path, want in [(A.Globally(A.Bound("<", A.Lit(0)), not_goal), 1.0),
+                       (A.Globally(A.Bound("<", A.Lit(0)), GOAL), 1.0),
                        (A.Finally_(A.Bound("<", A.Lit(0)), not_goal), 0.0)]:
+        assert prob_path(mm, ctx, path)[mm.initial] == want
         est = run_ci(mm, ctx, path, alpha=0.05, n=20, seed=1)
         assert (est.point, est.path_len_max, est.cap_hits) == (want, 0, 0)
     mm.rewards["R"] = RewardStructure("R", [Fraction(1)] * 3, {})
@@ -783,3 +786,18 @@ def test_sequential_interval_covers_the_exact_value():
         # ACI stops by the same rule
         aci = run_aci(mm, ctx, path, w=w, alpha=alpha, seed=seed)
         assert (aci.point, aci.n, aci.half_width) == (est.point, est.n, est.half_width)
+
+
+def test_sprt_wrong_verdicts_within_alpha():
+    from rcprob.exact import prob_path
+    alpha, delta, margin, seeds = 0.05, 0.05, 0.02, 200
+    # a binomial slack of three standard deviations above alpha
+    ceiling = alpha + 3 * math.sqrt(alpha * (1 - alpha) / seeds)
+    for mm, ctx, path in _coverage_models():
+        exact = prob_path(mm, ctx, path)[mm.initial]
+        # theta outside the indifference region, below and then above p
+        for theta, holds in ((exact - delta - margin, True), (exact + delta + margin, False)):
+            bound = A.Bound(">=", A.Lit(theta))
+            wrong = sum(run_sprt(mm, ctx, path, bound, theta, alpha=alpha, delta=delta,
+                                 seed=seed).satisfied != holds for seed in range(seeds))
+            assert wrong / seeds <= ceiling, (theta, wrong)
