@@ -76,6 +76,16 @@ class Binary(Expr):
     right: Expr = None
 
 
+# Binding strength of the binary operators, for the printers of both
+# languages and of PRISM.
+BINARY_PREC = {
+    "iff": 1, "=>": 2,
+    "\\/": 4, "/\\": 5,
+    "==": 7, "!=": 7, "<": 7, "<=": 7, ">": 7, ">=": 7,
+    "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
+}
+
+
 @dataclass
 class Cond(Expr):
     cond: Expr = None

@@ -32,7 +32,7 @@ from scipy import sparse
 from . import ast as A
 from . import model as M
 from . import props as P
-from .resolve import ModelScope, Resolver
+from .resolve import ModelScope, Resolver, literal_value
 
 LOCK_FREE = 0
 EXIT_NONE = "NONE"
@@ -54,16 +54,10 @@ class EvalError(ValueError):
 
 
 def _literal(expr: A.Expr):
-    if isinstance(expr, A.Lit):
-        return expr.value
-    if isinstance(expr, A.Unary) and expr.op == "neg":
-        inner = _literal(expr.operand)
-        if inner is None or isinstance(inner, (bool, str)):
-            raise BuildError("cannot negate a non-numeric configuration literal")
-        return -inner
-    if isinstance(expr, A.Ref) and len(expr.name.segments) == 2:
-        return str(expr.name)  # enum literal, stored as "Enum::Literal"
-    raise BuildError(f"configuration values must be literals, got {type(expr).__name__}")
+    value = literal_value(expr)
+    if value is None:
+        raise BuildError(f"configuration values must be literals, got {type(expr).__name__}")
+    return value
 
 
 def expand_sweep(config: P.ConstantsConfig | None) -> list[dict[str, object]]:
@@ -214,7 +208,6 @@ class Closure:
     tags: frozenset[tuple[str, str]]  # (endpoint, "in"/"out") per connection edge
     payload: M.TypeRef | None
     latch: str | None  # flat latch variable, typed closures only
-    has_platform: bool
 
 
 class ClosureTable:
@@ -290,17 +283,13 @@ class ClosureTable:
                     tags.add((src, "out"))
                     tags.add((dst, "in"))
             payload = None
-            has_platform = False
             for m in members:
-                kind, owner, decl = self._endpoint_info[m]
+                decl = self._endpoint_info[m][2]
                 if decl.payload is not None:
                     payload = decl.payload
-                if kind == "platform":
-                    has_platform = True
             in_use = any(m in used for m in members)
             latch = f"latch.{cid}" if payload is not None and in_use else None
-            closure = Closure(cid, frozenset(members), frozenset(tags), payload, latch,
-                              has_platform)
+            closure = Closure(cid, frozenset(members), frozenset(tags), payload, latch)
             self.closures.append(closure)
             for m in members:
                 self.by_endpoint[m] = closure
@@ -987,6 +976,8 @@ class ClosedModel:
             total = Fraction(0)
             for u in cmd.updates:
                 p = Fraction(self._const_value(u.prob, "update probability", real=True))
+                if not (0 <= p <= 1):
+                    raise BuildError(f"pmodule {mod.name}: update probability {p} outside [0,1]")
                 total += p
                 branches.append((p, [(var_idx[u.var], self.spec_expr(u.expr))]))
             if total != 1:
@@ -1025,6 +1016,8 @@ def eval_expr(closed: ClosedModel, expr: A.Expr, state: tuple | None = None):
 
 @dataclass
 class Move:
+    """One move of a state, as the constructor of `MarkovModel` takes it and
+    `MarkovModel.moves_of` gives it back."""
     action: str
     # in the order the explorer generated them, each destination once
     branches: tuple[tuple[Fraction, int], ...]
@@ -1033,24 +1026,17 @@ class Move:
 
 @dataclass
 class SampleTable:
-    """Successor distributions of the expanded states for simulation, one
-    row per state in expansion order (`MarkovModel.order`).  The entries of
-    a row are every positive branch of each of its state's k moves, moves in
-    order and branches as stored, with weight p/k, and the entries of row r
-    come before those of r + 1.  `key` is the complex number r + c*1j per
-    entry, where c sums the row's weights left to right up to the entry,
-    the last one set to 1.0: numpy orders complex numbers by real and then
-    imaginary part, so one searchsorted over `key` compares u with the
-    cumulative weights of the path's own row, exactly.  Rows are appended
-    as states are expanded, and their keys stay sorted.  `move` numbers
-    each entry's move in expansion order; the moves of row r are
-    `bounds[r]` to `bounds[r + 1]`."""
+    """What simulation adds to a model's move store: a sort key per branch
+    and an absorbing flag per row.  The entries of row r are the branches
+    of its k moves in store order, with weight p/k.  `key` is the complex
+    number r + c*1j per entry, where c sums the row's weights left to right
+    up to the entry, the last one set to 1.0: numpy orders complex numbers
+    by real and then imaginary part, so one searchsorted over `key` compares
+    u with the cumulative weights of the path's own row, exactly, and finds
+    the branch the path takes.  Rows are appended as states are expanded,
+    and their keys stay sorted."""
     key: np.ndarray
-    dest: np.ndarray  # state index
-    move: np.ndarray
-    absorbing: np.ndarray  # per row: every entry leads back to its state
-    row: np.ndarray  # per known state: its row, -1 while unexpanded
-    bounds: np.ndarray
+    absorbing: np.ndarray  # per row: every branch leads back to its state
 
 
 @dataclass
@@ -1060,17 +1046,33 @@ class RewardStructure:
     move: dict  # (state, move index) -> Fraction
 
 
+def _ints(values) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
 class MarkovModel:
     """An explicit Markov model, possibly still growing.
 
-    `states` lists every state known so far, `moves[s]` is None until state
-    s is expanded, and `order` lists the expanded states in the order they
-    were.  A model built by hand, or by `build_markov`, is complete: every
-    known state is expanded.  A model from `MarkovModel.open` starts with
-    its initial state and grows through `expand`, one state at a time, by
-    its `successors` function: state -> (moves, deadlock, quiescent), each
-    move (action, tags, [(probability, successor state)]) with the branches
-    in the order they are generated."""
+    `states` lists every state known so far, and `order` the expanded ones
+    in the order they were: they are the rows of the move store, and
+    `row_of[s]` is the row of state s, -1 while unexpanded.  A model built
+    by hand, or by `build_markov`, is complete, with its rows in state
+    order.  A model from `MarkovModel.open` starts with its initial state
+    and grows through `expand` by its `successors` function: state ->
+    (moves, deadlock, quiescent), each move (action, tags, [(probability,
+    successor state)]) with the branches in the order they are generated.
+
+    The move store keeps the moves of the expanded states once, as flat
+    arrays in row order.  The moves of row r are `first_move[r]` to
+    `first_move[r + 1]`.  Move m has the action `move_action[m]`, the tags
+    `move_tags[m]` and the branches `first_branch[m]` to
+    `first_branch[m + 1]`.  Branch b leads to state `dest[b]` with the
+    probability `weights[weight_id[b]]`, one of the model's distinct exact
+    weights, whose float is `weight_float[weight_id[b]]`.  A move's branches
+    keep the order they were generated in, branches to one destination are
+    merged at the first, and only positive ones are kept.  The choice CSR,
+    the sample table, the distribution check, the export and the engines
+    all read these arrays."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
                  moves: list[list[Move] | None], deadlock: list[bool],
@@ -1078,11 +1080,21 @@ class MarkovModel:
         self.kind = kind
         self.var_names = var_names
         self.states = states
-        self.moves = moves
         self.deadlock = deadlock
         self.quiescent = quiescent
         self.initial = initial
-        self.order = [s for s, row in enumerate(moves) if row is not None]
+        self.order: list[int] = []
+        self.row_of, self.dest, self.weight_id = _ints([]), _ints([]), _ints([])
+        self.first_move, self.first_branch = _ints([0]), _ints([0])
+        self.move_action: list[str] = []
+        self.move_tags: list[frozenset] = []
+        self.weights: list[Fraction] = []
+        self.weight_float = np.zeros(0)
+        self._weight_ids: dict[Fraction, int] = {}
+        # since the arrays were extended: moves per row, branches per move,
+        # and the destination and weight id of each branch
+        self._batch = ([], [], [], [])
+        self._passed: set[tuple] = set()  # weight id sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
         # state formula values per (expression, context), `ExactChecker._on_model`:
         # [expression, context, values]; both are kept so their ids are not reused
@@ -1093,6 +1105,11 @@ class MarkovModel:
         self._short_names = None
         self._choice_csr = None
         self._sample_table = None
+        for s, row in enumerate(moves):
+            if row is not None:
+                self._append(s, [(mv.action, mv.tags, [(p, d) for p, d in mv.branches if p > 0])
+                                 for mv in row])
+        self._store_batch()
 
     @classmethod
     def open(cls, kind: str, var_names: tuple[str, ...], initial: tuple, successors,
@@ -1110,7 +1127,7 @@ class MarkovModel:
 
     def num_transitions(self) -> int:
         """Branches of the expanded states."""
-        return sum(len(mv.branches) for s in self.order for mv in self.moves[s])
+        return int(self.first_branch[-1])
 
     # --- expansion ------------------------------------------------------------
 
@@ -1119,116 +1136,155 @@ class MarkovModel:
             raise BuildError(f"state-space cap of {self._max_states} states exceeded")
         s = self._index[state] = len(self.states)
         self.states.append(state)
-        self.moves.append(None)
         self.deadlock.append(False)
         self.quiescent.append(False)
         return s
 
-    def _expand_one(self, s: int):
-        moves, self.deadlock[s], self.quiescent[s] = self._successors(self.states[s])
+    def _append(self, s: int, moves):
+        """Append the moves of state s as the next row.  A successor is a
+        state of an open model, discovered when new, else a state index."""
         index = self._index
-        row = []
+        ids = self._weight_ids
+        row_moves, move_branches, dests, weights = self._batch
         for action, tags, branches in moves:
             merged: dict[int, Fraction] = {}  # first occurrence order
             for p, succ in branches:
-                dst = index.get(succ)
-                if dst is None:
-                    dst = self._discover(succ)
-                merged[dst] = merged[dst] + p if dst in merged else p
-            row.append(Move(action, tuple((p, dst) for dst, p in merged.items()), tags))
-        self.moves[s] = row
+                if index is not None:
+                    dst = index.get(succ)
+                    succ = self._discover(succ) if dst is None else dst
+                merged[succ] = merged[succ] + p if succ in merged else p
+            weights.extend([ids.setdefault(p, len(ids)) for p in merged.values()])
+            dests.extend(merged)
+            move_branches.append(len(merged))
+            self.move_action.append(action)
+            self.move_tags.append(tags)
+        row_moves.append(len(moves))
         self.order.append(s)
+
+    def _store_batch(self):
+        """Extend the store's arrays by the rows appended since."""
+        row_moves, move_branches, dests, weights = map(_ints, self._batch)
+        self._batch = ([], [], [], [])
+        lo = len(self.order) - row_moves.size
+        self.first_move = np.append(self.first_move, self.first_move[-1] + np.cumsum(row_moves))
+        self.first_branch = np.append(self.first_branch,
+                                      self.first_branch[-1] + np.cumsum(move_branches))
+        self.dest, self.weight_id = np.append(self.dest, dests), np.append(self.weight_id, weights)
+        new = list(self._weight_ids)[len(self.weights):]
+        self.weights += new
+        self.weight_float = np.append(self.weight_float, [float(p) for p in new])
+        self.row_of = np.append(self.row_of, np.full(self.num_states - self.row_of.size, -1))
+        self.row_of[self.order[lo:]] = np.arange(lo, len(self.order))
+
+    def _expand_one(self, s: int):
+        moves, self.deadlock[s], self.quiescent[s] = self._successors(self.states[s])
+        self._append(s, moves)
 
     def expand(self, states):
         """Expand the given unexpanded states, in order; their successors
-        become known states.  The distribution check applies to them."""
-        lo = len(self.order)
-        for s in states:
-            self._expand_one(s)
+        become known states.  The distribution check applies to them.  An
+        expansion that fails leaves no row of its batch behind."""
+        lo, moves = len(self.order), len(self.move_action)
+        try:
+            for s in states:
+                self._expand_one(s)
+        except BaseException:
+            del self.order[lo:], self.move_action[moves:], self.move_tags[moves:]
+            self._batch = ([], [], [], [])
+            raise
         self._expanded_from(lo)
 
     def expand_all(self):
         """Expand every reachable state, breadth-first in state order."""
-        lo = len(self.order)
-        s = 0
-        while s < len(self.states):
-            if self.moves[s] is None:
-                self._expand_one(s)
-            s += 1
-        self._expanded_from(lo)
+        rows = self.row_of.tolist()
+
+        def unexpanded():
+            s = 0
+            while s < len(self.states):  # the states grow as they are expanded
+                if s >= len(rows) or rows[s] < 0:
+                    yield s
+                s += 1
+
+        self.expand(unexpanded())
 
     def _expanded_from(self, lo: int):
+        self._store_batch()
         if len(self.order) == len(self.states):  # complete: nothing left to expand
             self._successors = self._index = None
-        self.check_stochastic(self.order[lo:])
+        self.check_stochastic(lo)
         if self._sample_table is not None:
             self._append_rows(lo)
 
+    # --- reading the store ----------------------------------------------------
+
+    def moves_of(self, s: int) -> list[Move] | None:
+        """The moves of state s as `Move` records, None while unexpanded."""
+        r = int(self.row_of[s])
+        if r < 0:
+            return None
+        m0, m1 = self.first_move[r:r + 2].tolist()
+        first = self.first_branch[m0:m1 + 1].tolist()
+        b0, b1 = first[0], first[-1]
+        branches = list(zip([self.weights[w] for w in self.weight_id[b0:b1].tolist()],
+                            self.dest[b0:b1].tolist()))
+        return [Move(self.move_action[m], tuple(branches[a - b0:b - b0]), self.move_tags[m])
+                for m, a, b in zip(range(m0, m1), first, first[1:])]
+
     def row(self, s: int) -> dict[int, Fraction]:
         """The dtmc distribution of state s: uniform mixture over its moves."""
-        moves = self.moves[s]
-        k = len(moves)
+        r = int(self.row_of[s])
+        m0, m1 = self.first_move[r:r + 2].tolist()
+        b0, b1 = self.first_branch[m0], self.first_branch[m1]
+        share = Fraction(1, m1 - m0)
         out: dict[int, Fraction] = {}
-        share = Fraction(1, k)
-        for mv in moves:
-            for p, dst in mv.branches:
-                out[dst] = out.get(dst, Fraction(0)) + share * p
+        for dst, w in zip(self.dest[b0:b1].tolist(), self.weight_id[b0:b1].tolist()):
+            out[dst] = out.get(dst, Fraction(0)) + share * self.weights[w]
         return out
 
     def choice_csr(self):
-        """The choice CSR, built once per model: the move-by-state branch
-        matrix (one row per move, positive entries only) and the first move
-        of each state, followed by the number of moves."""
+        """The choice CSR of a complete model, built once: the move-by-state
+        branch matrix, with the moves in state order, and the first move of
+        each state followed by the number of moves.  It wraps the store's
+        arrays; a model whose rows are out of state order (one grown on the
+        fly and then completed) is permuted once, stably, by state."""
         if self._choice_csr is None:
-            n = self.num_states
-            counts = np.fromiter(map(len, self.moves), dtype=np.int64, count=n)
-            bounds = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=bounds[1:])
-            branches = [mv.branches for row in self.moves for mv in row]
-            indptr = np.zeros(len(branches) + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, branches), dtype=np.int64,
-                                  count=len(branches)), out=indptr[1:])
-            flat = [b for mv_branches in branches for b in mv_branches]
-            data = np.fromiter((float(p) for p, _ in flat), dtype=float, count=len(flat))
-            cols = np.fromiter((d for _, d in flat), dtype=np.int64, count=len(flat))
-            mat = sparse.csr_matrix((data, cols, indptr), shape=(len(branches), n))
-            mat.sum_duplicates()
-            mat.eliminate_zeros()
-            self._choice_csr = (mat, bounds)
+            moves = np.diff(self.first_move)  # per row
+            branches = np.diff(self.first_branch)  # per move
+            data, cols = self.weight_float[self.weight_id], self.dest.copy()
+            indptr = self.first_branch.copy()
+            order = _ints(self.order)
+            if (order != np.arange(order.size)).any():
+                state = np.repeat(order, moves)  # per move
+                data, cols = (a[np.argsort(np.repeat(state, branches), kind="stable")]
+                              for a in (data, cols))
+                indptr = np.concatenate([[0], np.cumsum(
+                    branches[np.argsort(state, kind="stable")])])
+                moves = moves[self.row_of]
+            mat = sparse.csr_matrix((data, cols, indptr),
+                                    shape=(branches.size, self.num_states))
+            mat.sum_duplicates()  # sorts the columns of each move
+            self._choice_csr = (mat, np.concatenate([[0], np.cumsum(moves)]))
         return self._choice_csr
 
     def sample_table(self) -> SampleTable:
         """The simulation table of the expanded states, built once per model
         and extended by each expansion."""
         if self._sample_table is None:
-            empty = np.zeros(0, dtype=np.int64)
-            self._sample_table = SampleTable(np.zeros(0, dtype=complex), empty, empty,
-                                             np.zeros(0, dtype=bool), empty,
-                                             np.zeros(1, dtype=np.int64))
+            self._sample_table = SampleTable(np.zeros(0, dtype=complex),
+                                             np.zeros(0, dtype=bool))
             self._append_rows(0)
         return self._sample_table
 
     def _append_rows(self, lo: int):
-        """Append the rows of the states expanded from `order[lo]` on."""
+        """Append the keys and absorbing flags of the rows from `lo` on."""
         table = self._sample_table
-        expanded = np.array(self.order[lo:], dtype=np.int64)
-        moves = [self.moves[s] for s in self.order[lo:]]
-        counts = np.fromiter(map(len, moves), dtype=np.int64, count=len(moves))
-        branches = [mv.branches for row in moves for mv in row]
-        sizes = np.fromiter(map(len, branches), dtype=np.int64, count=len(branches))
-        first = table.bounds[-1]
-        owner = np.repeat(np.repeat(np.arange(len(moves)), counts), sizes)
-        move = np.repeat(np.arange(first, first + len(branches)), sizes)
-        flat = [b for bs in branches for b in bs]
-        weight = np.fromiter((float(p) for p, _ in flat), dtype=float, count=len(flat))
-        dest = np.fromiter((d for _, d in flat), dtype=np.int64, count=len(flat))
-        positive = weight > 0
-        owner, move, weight, dest = owner[positive], move[positive], weight[positive], \
-            dest[positive]
-        lens = np.bincount(owner, minlength=len(moves))
-        start = np.zeros(len(moves) + 1, dtype=np.int64)
-        np.cumsum(lens, out=start[1:])
-        cum = weight / counts[owner]
+        first_move = self.first_move[lo:]
+        start = self.first_branch[first_move]  # per row, then the end
+        b0 = start[0]
+        start = start - b0
+        lens = np.diff(start)
+        owner = np.repeat(np.arange(lens.size), lens)
+        cum = self.weight_float[self.weight_id[b0:]] / np.diff(first_move)[owner]
         # left to right within each row, as np.cumsum of the row adds
         rows = np.flatnonzero(lens > 1)
         j = 1
@@ -1241,30 +1297,32 @@ class MarkovModel:
         key = np.empty(cum.size, dtype=complex)
         key.real = owner + lo
         key.imag = cum
-        leaves = np.bincount(owner[dest != expanded[owner]], minlength=len(moves))
+        leaves = np.bincount(owner[self.dest[b0:] != _ints(self.order[lo:])[owner]],
+                             minlength=lens.size)
         table.key = np.concatenate([table.key, key])
-        table.dest = np.concatenate([table.dest, dest])
-        table.move = np.concatenate([table.move, move])
         table.absorbing = np.concatenate([table.absorbing, leaves == 0])
-        table.bounds = np.concatenate([table.bounds, first + np.cumsum(counts)])
-        row = np.full(self.num_states, -1, dtype=np.int64)
-        row[:table.row.size] = table.row
-        row[expanded] = np.arange(lo, lo + expanded.size)
-        table.row = row
 
-    def check_stochastic(self, states=None):
-        """Exact distribution checks of the given states (default: every
-        state): every state has a move and every move sums to 1.  This
-        implies the dtmc row check: a state with k moves has a row summing
-        to k * (1/k) * 1 = 1."""
-        for s in range(self.num_states) if states is None else states:
-            if not self.moves[s]:
-                raise BuildError(f"state {s} has no moves after completion")
-            for mv in self.moves[s]:
-                total = sum(p for p, _ in mv.branches)
+    def check_stochastic(self, lo: int = 0):
+        """Exact distribution checks of the rows from `lo` on (default:
+        all): every state has a move and every move's branches sum to 1.
+        This implies the dtmc row check: a state with k moves has a row
+        summing to k * (1/k) * 1 = 1.  Each distinct sequence of weights is
+        summed once, in `Fraction` arithmetic, and remembered if it passed."""
+        empty = np.flatnonzero(np.diff(self.first_move[lo:]) == 0)
+        if empty.size:
+            raise BuildError(f"state {self.order[lo + empty[0]]} has no moves after completion")
+        m0 = int(self.first_move[lo])
+        b0 = self.first_branch[m0]
+        weight, start = self.weight_id[b0:].tolist(), 0
+        for m, end in enumerate((self.first_branch[m0 + 1:] - b0).tolist(), m0):
+            key, start = tuple(weight[start:end]), end
+            if key not in self._passed:
+                total = sum(self.weights[w] for w in key)
                 if total != 1:
-                    raise BuildError(
-                        f"state {s} action {mv.action}: branch probabilities sum to {total}")
+                    s = self.order[self.first_move.searchsorted(m, "right") - 1]
+                    raise BuildError(f"state {s} action {self.move_action[m]}: "
+                                     f"branch probabilities sum to {total}")
+                self._passed.add(key)
 
     def short_var_names(self) -> tuple[str, ...]:
         if self._short_names is None:
@@ -1299,17 +1357,24 @@ class MarkovModel:
                 parts.append("@deadlock")
             parts.extend(f"{n}={_fmt_value(v)}" for n, v in zip(self.var_names, st))
             lines.append(" ".join(parts))
-        for i in range(self.num_states):
-            for mv in self.moves[i]:
-                tags = ",".join(sorted(f"{ep}.{d}" for ep, d in mv.tags))
-                for p, dst in sorted(mv.branches, key=lambda b: b[1]):
-                    lines.append(f"{i} ({mv.action}) {p} {dst} [{tags}]")
+        first_move, first_branch = self.first_move.tolist(), self.first_branch.tolist()
+        dest, weight = self.dest.tolist(), self.weight_id.tolist()
+        for i, r in enumerate(self.row_of.tolist()):
+            for m in range(first_move[r], first_move[r + 1]):
+                head = f"{i} ({self.move_action[m]}) "
+                tags = ",".join(sorted(f"{ep}.{d}" for ep, d in self.move_tags[m]))
+                b0, b1 = first_branch[m], first_branch[m + 1]
+                for dst, w in sorted(zip(dest[b0:b1], weight[b0:b1])):
+                    lines.append(f"{head}{self.weights[w]} {dst} [{tags}]")
         return "\n".join(lines) + "\n"
 
 
 def _fmt_value(v) -> str:
+    """A value as the model and property languages write it."""
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, Fraction) and v.denominator != 1:
+        return M._fraction_literal(v)
     return str(v)
 
 
@@ -1575,7 +1640,9 @@ def reward_evaluator(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel):
     def rewards_of(states):
         state_rewards = []
         move_rewards: dict[tuple[int, int], Fraction] = {}
-        for s in states:
+        rows = mm.row_of[_ints(states)]
+        for s, m0, m1 in zip(states, mm.first_move[rows].tolist(),
+                             mm.first_move[rows + 1].tolist()):
             state = mm.states[s]
             state_rewards.append(zero)
             for tag, guard_fn, value_fn in compiled:
@@ -1591,8 +1658,8 @@ def reward_evaluator(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel):
                 if tag is None:
                     state_rewards[-1] += value
                 else:
-                    for mi, mv in enumerate(mm.moves[s]):
-                        if tag in mv.tags:
+                    for mi, tags in enumerate(mm.move_tags[m0:m1]):
+                        if tag in tags:
                             key = (s, mi)
                             move_rewards[key] = move_rewards.get(key, Fraction(0)) + value
         return state_rewards, move_rewards

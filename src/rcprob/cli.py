@@ -18,15 +18,14 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import ast as A
 from . import exact, smc
-from .build import (DEFAULT_STATE_CAP, BuildError, EvalError, build_markov, expand_sweep,
-                    instantiate, open_markov)
+from .build import (DEFAULT_STATE_CAP, BuildError, EvalError, _fmt_value, build_markov,
+                    expand_sweep, instantiate, open_markov)
 from .lexer import ParseError
-from .model import parse_model, _fraction_literal
+from .model import parse_model
 from .props import ProbProperty, parse_spec
 from .prism import EmitError, emit_pair
 from .resolve import Diagnostic, Resolver, property_context, validate
@@ -57,16 +56,6 @@ class Job:
     valuation: dict
     defs: object
     env: object
-
-
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return _fraction_literal(v)
-    return str(v)
 
 
 def config_id_of(valuation: dict) -> str:

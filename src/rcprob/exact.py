@@ -96,7 +96,7 @@ class ExactChecker:
 
     @functools.cached_property
     def _deterministic(self) -> bool:
-        return all(len(row) <= 1 for row in self.mm.moves)
+        return bool((np.diff(self.mm.first_move) <= 1).all())
 
     # --- graph structure -------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ast import Expr, Pos
+from .ast import BINARY_PREC, Expr, Pos
 from .lexer import ParseError, TokenStream
 from .parsing import ExprParser
 
@@ -692,14 +692,6 @@ def loose_symbols(model: ModelAst):
 
 # --- pretty printer ----------------------------------------------------------
 
-_PREC = {
-    "iff": 1, "=>": 2,
-    "\\/": 4, "/\\": 5,
-    "==": 7, "!=": 7, "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
-}
-
-
 def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
     from . import ast as A
 
@@ -718,7 +710,7 @@ def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
             return f"not {inner}"
         return "-" + pretty_expr(e.operand, 10)
     if isinstance(e, A.Binary):
-        prec = _PREC[e.op]
+        prec = BINARY_PREC[e.op]
         op = "iff" if e.op == "iff" else e.op
         left_prec = prec + 1 if prec == 7 else prec  # relationals do not chain
         s = f"{pretty_expr(e.left, left_prec)} {op} {pretty_expr(e.right, prec + 1)}"

@@ -148,7 +148,7 @@ class _ModelEmitter:
             if name in self.sweep_names:
                 out.append(f"const {_const_type(value)} {ident};")
             else:
-                out.append(f"const {_const_type(value)} {ident} = {_const_text(value)};")
+                out.append(f"const {_const_type(value)} {ident} = {_text(value)};")
         for enum in c.model.enums:
             for i, lit in enumerate(enum.literals):
                 ident = self.mangler.mangle(f"{enum.name}::{lit}")
@@ -174,7 +174,7 @@ class _ModelEmitter:
         k = info.domain[0]
         init = info.init
         if k == "bool":
-            return f"bool init {_bool_text(init)}"
+            return f"bool init {_text(init)}"
         if k == "enum":
             lo, hi = 0, len(info.domain[1]) - 1
             init_code = self.enum_codes[init]
@@ -242,7 +242,7 @@ class _ModelEmitter:
                 guard.append(self.expr(st.rt.t.guard, m.scope))
             guard = " & ".join(guard)
             if len(st.branches) > 1:
-                alts = " + ".join(f"{_prob_text(p)}:{_updates_text(pairs(u))}"
+                alts = " + ".join(f"{p}:{_updates_text(pairs(u))}"
                                   for p, u in st.branches)
                 out.append(f"  [] {guard} -> {alts};")
                 continue
@@ -377,29 +377,10 @@ def _const_type(value) -> str:
     return "double"
 
 
-def _const_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return _prob_text(value)
-    return str(value)
-
-
-def _prob_text(w: Fraction) -> str:
-    if w.denominator == 1:
-        return str(w.numerator)
-    return f"{w.numerator}/{w.denominator}"
-
-
 # expression emission with PRISM operators
 _PRISM_BIN = {"/\\": "&", "\\/": "|", "==": "=", "!=": "!=", "=>": "=>", "iff": "<=>",
               "<": "<", "<=": "<=", ">": ">", ">=": ">=", "+": "+", "-": "-",
               "*": "*", "/": "/"}
-_PRISM_PREC = {"iff": 1, "=>": 2, "\\/": 4, "/\\": 5,
-               "==": 7, "!=": 7, "<": 7, "<=": 7, ">": 7, ">=": 7,
-               "+": 8, "-": 8, "*": 9, "/": 9, "%": 9}
 
 
 def _emit_expr(em: _ModelEmitter, e: A.Expr, scope, params=None, parent=0) -> str:
@@ -411,9 +392,9 @@ def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None):
     go = lambda x, parent=0: _emit_expr(em, x, scope, params, parent)
     if isinstance(e, A.Lit):
         if isinstance(e.value, bool):
-            return _bool_text(e.value), 11
+            return _text(e.value), 11
         if isinstance(e.value, Fraction) and e.value.denominator != 1:
-            return _prob_text(e.value), 9
+            return _text(e.value), 9
         return str(e.value), 11
     if isinstance(e, A.Ref):
         segs = e.name.segments
@@ -450,7 +431,7 @@ def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None):
     if isinstance(e, A.Binary):
         if e.op == "%":
             return f"mod({go(e.left)}, {go(e.right)})", 11
-        prec = _PRISM_PREC[e.op]
+        prec = A.BINARY_PREC[e.op]
         return f"{go(e.left, prec)} {_PRISM_BIN[e.op]} {go(e.right, prec + 1)}", prec
     if isinstance(e, A.Cond):
         return f"({go(e.cond)} ? {go(e.then)} : {go(e.orelse)})", 11
@@ -486,8 +467,9 @@ def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None):
     raise EmitError(f"cannot emit {type(e).__name__} in the model")
 
 
-def _bool_text(v) -> str:
-    return "true" if v else "false"
+def _text(value) -> str:
+    """A constant as PRISM writes it: true or false, n, or n/d."""
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
 def emit_model(closed: ClosedModel, sweep_names: set[str] | None = None,
@@ -551,7 +533,7 @@ class _PropsEmitter:
         if isinstance(e, A.Binary):
             if e.op == "%":
                 return f"mod({self.state_expr(e.left)}, {self.state_expr(e.right)})", 11
-            prec = _PRISM_PREC[e.op]
+            prec = A.BINARY_PREC[e.op]
             left = self.state_expr(e.left, prec)
             right = self.state_expr(e.right, prec + 1)
             return f"{left} {_PRISM_BIN[e.op]} {right}", prec
@@ -591,7 +573,7 @@ class _PropsEmitter:
             text = f"{left} {word}{self._bound(e.bound)} {right}"
             return f"({text})" if parent > 3 else text
         if isinstance(e, A.Binary) and e.op in ("=>", "/\\", "\\/"):
-            prec = _PRISM_PREC[e.op]
+            prec = A.BINARY_PREC[e.op]
             left = self.path_expr(e.left, prec)
             right = self.path_expr(e.right, prec + 1)
             text = f"{left} {_PRISM_BIN[e.op]} {right}"

@@ -521,12 +521,6 @@ def parse_sim_method(text: str) -> SimMethodSpec:
 
 # --- pretty printing ---------------------------------------------------------
 
-_PREC = {
-    "iff": 1, "=>": 2,
-    "\\/": 4, "/\\": 5,
-    "==": 7, "!=": 7, "<": 7, "<=": 7, ">": 7, ">=": 7,
-    "+": 8, "-": 8, "*": 9, "/": 9, "%": 9,
-}
 _TEMPORAL_PREC = 3
 
 
@@ -567,7 +561,7 @@ def _pp(e: Expr) -> tuple[str, int]:
             return f"not {pretty_pexpr(e.operand, 6)}", 6
         return f"-{pretty_pexpr(e.operand, 10)}", 10
     if isinstance(e, A.Binary):
-        prec = _PREC[e.op]
+        prec = A.BINARY_PREC[e.op]
         op = e.op
         if op == "=>":  # right-associative
             left = pretty_pexpr(e.left, prec + 1)

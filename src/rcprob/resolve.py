@@ -478,6 +478,7 @@ class _Classifier:
             if isinstance(e, A.Cumul):
                 if not _is_num(self.classify(e.operand)):
                     self.err("WFExp-7", "Cumul bound must be numeric", e.pos)
+                self._stateless(e.operand, "a Cumul bound")
             else:
                 self.classify_bool_or_path(e.operand, e.pos)
             return PATH
@@ -599,12 +600,28 @@ class _Classifier:
             return type_of_typeref(model_fn.result, self.resolver.model)
         return ANY
 
-    def _bound(self, b: A.Bound | None, pos):
+    def _bound(self, b: A.Bound | None, pos, what="a step bound"):
         if b is None:
             return
         t = self.classify(b.expr)
         if not _is_num(t):
             self.err("WFExp-7", f"bound must be numeric, got {t}", pos)
+        self._stateless(b.expr, what)
+
+    def _stateless(self, e: Expr, what: str):
+        """Report an expression that must be a constant but reads a model or
+        environment variable, `is in`, `.val`, `deadlock` or `init`, itself
+        or through a label or formula."""
+        for node in _walk_uses(self.resolver, e):
+            if isinstance(node, A.Ref):
+                ref = self.resolver.resolve_fqn(node.name)[0]
+                reads = ref is not None and ref.kind == "variable"
+            else:
+                reads = isinstance(node, (A.IsIn, A.ModVarRef, A.EventVal, A.DeadlockRef,
+                                          A.InitRef))
+            if reads:
+                self.err("TYPE", f"{what} cannot depend on the state", e.pos)
+                return
 
     def _prob_or_reward(self, e) -> TypeClass:
         if isinstance(e, A.ProbFormula):
@@ -618,8 +635,13 @@ class _Classifier:
                 self.err("TYPE", "the bracket of Reward needs a reward path formula", e.pos)
             else:
                 self.classify(e.path)
+        if e.method is not None:
+            for name, value in e.method.params.items():
+                self._stateless(value, f"the sim parameter {name}")
+            if e.method.pathlen is not None:
+                self._stateless(e.method.pathlen, "pathlen")
         if e.bound is not None:
-            self._bound(e.bound, e.pos)
+            self._bound(e.bound, e.pos, "a probability or reward bound")
             return BOOL
         return QUERY
 
@@ -998,12 +1020,14 @@ def _const_value_type(resolver, expr, diags) -> TypeClass:
     return cls.classify(expr)
 
 
-def _literal_value(expr):
+def literal_value(expr):
+    """The value of a configuration literal (a number, possibly negated, a
+    boolean or an enumeration literal as "Enum::Literal"), else None."""
     if isinstance(expr, A.Lit):
         return expr.value
     if isinstance(expr, A.Unary) and expr.op == "neg":
-        inner = _literal_value(expr.operand)
-        if inner is not None and not isinstance(inner, bool):
+        inner = literal_value(expr.operand)
+        if inner is not None and not isinstance(inner, (bool, str)):
             return -inner
     if isinstance(expr, A.Ref) and len(expr.name.segments) == 2:
         return str(expr.name)  # enum literal
@@ -1027,7 +1051,7 @@ def _validate_config(resolver: Resolver, cfg: P.ConstantsConfig, diags):
         spec = entry.spec
         if isinstance(spec, P.Exactly):
             _const_value_type(resolver, spec.value, diags)
-            if _literal_value(spec.value) is None:
+            if literal_value(spec.value) is None:
                 diags.append(Diagnostic("TYPE", "error",
                                         f"configuration value for {key} must be a literal",
                                         entry.pos))
@@ -1036,13 +1060,13 @@ def _validate_config(resolver: Resolver, cfg: P.ConstantsConfig, diags):
                 diags.append(Diagnostic("TYPE", "error",
                                         f"empty value set for {key}", entry.pos))
             for v in spec.values:
-                if _literal_value(v) is None:
+                if literal_value(v) is None:
                     diags.append(Diagnostic("TYPE", "error",
                                             f"set values for {key} must be literals", entry.pos))
         elif isinstance(spec, P.FromRange):
-            lo = _literal_value(spec.lo)
-            hi = _literal_value(spec.hi)
-            step = _literal_value(spec.step) if spec.step is not None else 1
+            lo = literal_value(spec.lo)
+            hi = literal_value(spec.hi)
+            step = literal_value(spec.step) if spec.step is not None else 1
             if lo is None or hi is None or step is None:
                 diags.append(Diagnostic("TYPE", "error",
                                         f"range bounds for {key} must be literals", entry.pos))
@@ -1104,8 +1128,8 @@ def _validate_pmodules(resolver: Resolver, decl: P.PModulesDecl, diags):
                                         f"pmodule {mod.name} repeats variable {v.name!r}", v.pos))
             vnames.add(v.name)
             if v.type != "bool":
-                lo = _literal_value(v.type[0])
-                hi = _literal_value(v.type[1])
+                lo = literal_value(v.type[0])
+                hi = literal_value(v.type[1])
                 if lo is None or hi is None:
                     diags.append(Diagnostic("TYPE", "error",
                                             f"range bounds of @{v.name} must be literals", v.pos))
@@ -1214,25 +1238,22 @@ def _validate_property(resolver: Resolver, prop: P.ProbProperty, diags):
                                 "by its constant configuration", prop.pos))
 
 
-def _spec_consts_used(resolver: Resolver, body: Expr) -> set[str]:
-    used = set()
-    names = {s.name for s in resolver.spec.of_kind(P.ConstantDecl)}
-    stack = [body]
-    seen_formulas = set()
+def _walk_uses(resolver: Resolver, body: Expr):
+    """The nodes of body and of the labels and formulas it uses, each once."""
+    stack, seen = [body], set()
     while stack:
-        e = stack.pop()
-        for node in A.walk(e):
-            if isinstance(node, A.Ref) and len(node.name.segments) == 1 \
-                    and node.name.segments[0] in names:
-                used.add(node.name.segments[0])
-            elif isinstance(node, A.LabelRef):
-                decl = resolver.spec.find(P.LabelDecl, node.name)
-                if decl is not None and node.name not in seen_formulas:
-                    seen_formulas.add(node.name)
+        for node in A.walk(stack.pop()):
+            yield node
+            if isinstance(node, (A.LabelRef, A.FormulaRef)):
+                kind = P.LabelDecl if isinstance(node, A.LabelRef) else P.FormulaDecl
+                decl = resolver.spec.find(kind, node.name)
+                if decl is not None and id(decl) not in seen:
+                    seen.add(id(decl))
                     stack.append(decl.body)
-            elif isinstance(node, A.FormulaRef):
-                decl = resolver.spec.find(P.FormulaDecl, node.name)
-                if decl is not None and ("f:" + node.name) not in seen_formulas:
-                    seen_formulas.add("f:" + node.name)
-                    stack.append(decl.body)
-    return used
+
+
+def _spec_consts_used(resolver: Resolver, body: Expr) -> set[str]:
+    names = {s.name for s in resolver.spec.of_kind(P.ConstantDecl)}
+    return {node.name.segments[0] for node in _walk_uses(resolver, body)
+            if isinstance(node, A.Ref) and len(node.name.segments) == 1
+            and node.name.segments[0] in names}

@@ -4,10 +4,11 @@ APMC, and SPRT estimation/decision methods.
 Sampling is reproducible: sample `i` of a run with seed `s` draws one
 uniform per step from its own generator derived from (s, i), so serial and
 partitioned runs produce identical estimates.  Paths walk the model's
-`SampleTable`, a batch of consecutive sample indices in lockstep, and a
-model that is still growing expands the states they reach as they reach
-them; the sequential methods (CI with w and alpha, SPRT) use the samples in
-index order and stop at the first index that decides them.
+move store through its `SampleTable`, a batch of consecutive sample indices
+in lockstep, and a model that is still growing expands the states they
+reach as they reach them; the sequential methods (CI with w and alpha,
+SPRT) use the samples in index order and stop at the first index that
+decides them.
 """
 
 from __future__ import annotations
@@ -124,10 +125,10 @@ def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
     horizon = monitor.horizon
     t = 0
     while live.size:
-        rows = table.row[states]
+        rows = mm.row_of[states]
         if rows.min() < 0:
             mm.expand(np.unique(states[rows < 0]).tolist())
-            rows = table.row[states]
+            rows = mm.row_of[states]
         monitor.cover(mm, closed)
         if rewards is not None:
             rewards.cover(mm)
@@ -152,15 +153,15 @@ def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
             draws[live] = [rngs[i].random(_CHUNK) for i in live.tolist()]
         query.real = rows
         query.imag = draws[:, j][live]
-        # the keys <= (row, u) end at the row's first entry whose
+        # the keys <= (row, u) end at the row's first branch whose
         # cumulative weight exceeds u; its last one is 1.0 > u
         pos = table.key.searchsorted(query, "right")
-        move = table.move[pos]
         if rewards is not None:
-            gain[live] += rewards.state[rows] + rewards.move[move]
+            gain[live] += rewards.state[rows] + rewards.branch[pos]
         if trace is not None:
-            trace.append((states, move, table.dest[pos]))
-        states = table.dest[pos]
+            trace.append((states, mm.first_branch.searchsorted(pos, "right") - 1,
+                          mm.dest[pos]))
+        states = mm.dest[pos]
         t += 1
     length[live] = t
     return value, capped, length, gain
@@ -243,12 +244,7 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     steps = []
     value, capped, _, _ = _walk(mm, closed, [_rng_for(seed, 0)], pathlen, monitor,
                                 trace=steps)
-    table = mm.sample_table()
-    entries = []
-    for s, move, nxt in steps:
-        s, move = int(s[0]), int(move[0])
-        first = table.bounds[table.row[s]]
-        entries.append((s, mm.moves[s][move - first].action, int(nxt[0])))
+    entries = [(int(s[0]), mm.move_action[move[0]], int(nxt[0])) for s, move, nxt in steps]
     if capped[0]:
         return SimPath(entries, "pathlen-cap"), monitor.censor_value
     return SimPath(entries, "bound-hit"), int(value[0])
@@ -525,8 +521,8 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
 
 
 class _Rewards(_Extended):
-    """A reward structure's state reward per row and move reward per move
-    (numbered as in the sample table), over the expanded states: from the
+    """A reward structure's state reward per row, and per branch of the move
+    store the reward of its move, over the expanded states: from the
     structure attached to the model, else from its declaration."""
 
     def __init__(self, mm: MarkovModel, closed: ClosedModel, rname: str | None):
@@ -536,15 +532,19 @@ class _Rewards(_Extended):
         else:
             self.rewards_of = reward_evaluator(mm, source, closed)
         self.state = np.zeros(0)
-        self.move = np.zeros(0)
+        self.branch = np.zeros(0)
 
     @property
     def size(self) -> int:
         return self.state.size
 
     def extend(self, mm: MarkovModel, states: np.ndarray):
+        # the rows of the states follow the rows covered so far
+        first_move = mm.first_move[self.size:self.size + states.size + 1]
         states = states.tolist()
         state_r, move_r = self.rewards_of(states)
         self.state = np.concatenate([self.state, np.array(state_r, dtype=float)])
-        self.move = np.concatenate([self.move, [float(move_r.get((s, mi), 0)) for s in states
-                                                for mi in range(len(mm.moves[s]))]])
+        move_r = [float(move_r.get((s, mi), 0))
+                  for s, k in zip(states, np.diff(first_move).tolist()) for mi in range(k)]
+        branches = np.diff(mm.first_branch[first_move[0]:first_move[-1] + 1])
+        self.branch = np.concatenate([self.branch, np.repeat(move_r, branches)])

@@ -73,6 +73,11 @@ def var_in(name: str, values) -> A.Expr:
     return expr
 
 
+def all_moves(mm: MarkovModel) -> list[list[Move] | None]:
+    """The moves of every state of mm, as its constructor takes them."""
+    return [mm.moves_of(s) for s in range(mm.num_states)]
+
+
 # --- random model generators -----------------------------------------------------
 
 
@@ -285,12 +290,12 @@ def sparse_total_reward(mat: csr_matrix, step_reward: np.ndarray) -> np.ndarray:
 def mdp_extremal_reach(mm: MarkovModel, target: np.ndarray, mode: str) -> np.ndarray:
     """Min/max reach probability by exhaustive memoryless adversary enumeration."""
     n = mm.num_states
-    choices = [range(len(mm.moves[s])) for s in range(n)]
+    moves = all_moves(mm)
     best = None
-    for combo in itertools.product(*choices):
+    for combo in itertools.product(*[range(len(row)) for row in moves]):
         mat = np.zeros((n, n))
         for s in range(n):
-            for p, d in mm.moves[s][combo[s]].branches:
+            for p, d in moves[s][combo[s]].branches:
                 mat[s, d] += float(p)
         vals = dense_reach(mat, target)
         if best is None:
@@ -328,8 +333,9 @@ def mdp_zero_one_sets(mm: MarkovModel, hold: np.ndarray, goal: np.ndarray):
     max0 = np.ones(n, dtype=bool)
     min1 = np.ones(n, dtype=bool)
     max1 = np.zeros(n, dtype=bool)
-    for combo in itertools.product(*[range(len(mm.moves[s])) for s in range(n)]):
-        succ = [[d for p, d in mm.moves[s][combo[s]].branches if p > 0] for s in range(n)]
+    moves = all_moves(mm)
+    for combo in itertools.product(*[range(len(row)) for row in moves]):
+        succ = [[d for p, d in moves[s][combo[s]].branches if p > 0] for s in range(n)]
         zero = ~_backward_reach(succ, hold & ~goal, goal)
         one = ~_backward_reach(succ, hold & ~goal, zero)
         min0 |= zero
@@ -344,7 +350,7 @@ def mdp_zero_one_sets(mm: MarkovModel, hold: np.ndarray, goal: np.ndarray):
 
 def _succ_sets(mm: MarkovModel):
     out = []
-    for row in mm.moves:
+    for row in all_moves(mm):
         dests = set()
         for mv in row:
             for p, d in mv.branches:
@@ -560,7 +566,7 @@ def reference_rng(seed: int, i: int) -> np.random.Generator:
 
 
 def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
-    """Walk one path over `mm.moves`, one uniform per step, until
+    """Walk one path over `mm.moves_of`, one uniform per step, until
     `stop(state, step, absorbing)` returns a value or `pathlen` steps pass.
 
     A state's entries are its moves in order, each move's positive branches
@@ -571,8 +577,9 @@ def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
     s = mm.initial
     steps = []
     while True:
-        entries = [(float(p) / len(mm.moves[s]), d, j)
-                   for j, mv in enumerate(mm.moves[s])
+        moves = mm.moves_of(s)
+        entries = [(float(p) / len(moves), d, j)
+                   for j, mv in enumerate(moves)
                    for p, d in mv.branches if p > 0]
         absorbing = all(d == s for _, d, _ in entries)
         value = stop(s, len(steps), absorbing)

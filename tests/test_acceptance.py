@@ -349,13 +349,13 @@ def test_criterion_6_stochasticity(srw_model, srw_spec):
         for s in range(mm.num_states):
             if mm.kind == "dtmc":
                 assert sum(mm.row(s).values()) == 1
-            for mv in mm.moves[s]:
+            for mv in mm.moves_of(s):
                 assert sum(p for p, _ in mv.branches) == 1
         m = closed.machines[0]
         at_junction = [s for s, st in enumerate(mm.states) if st[m.pc_i] == "pj"]
         if at_junction and len({t.target for t, _ in m.junction_weights["pj"]}) == 2:
             # both `prob num/den` branches are positive, so none is dropped
-            assert all(len(mv.branches) == 2 for s in at_junction for mv in mm.moves[s]), text
+            assert all(len(mv.branches) == 2 for s in at_junction for mv in mm.moves_of(s)), text
             branching += 1
         checked += 1
     report(6, checked == 1000 and branching > 0,

@@ -393,12 +393,6 @@ FAILING_INPUTS = {
                                     "alpha=0.05, n=10"),
                   ["--kind", "dtmc", "--engine", "smc"],
                   AT_PROPERTY),
-    "bound": (None, _srw_prop("Prob>=SRWMod::SRWRP::x of [Finally #l_stuck]"),
-              ["--kind", "dtmc"], AT_PROPERTY),
-    "sim parameter": (None, _srw_prop("Prob=? of [Finally #l_stuck] using sim with CI at "
-                                      "alpha=0.05, n=SRWMod::SRWRP::x"),
-                      ["--kind", "dtmc", "--engine", "smc"],
-                      AT_PROPERTY),
 }
 
 
@@ -417,3 +411,31 @@ def test_failing_expression_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert code == 2 and len(errors) == 1 and "Traceback" not in err, err
     line = spec_text[:spec_text.find("prob property")].count("\n") + 1
     assert errors[0].startswith("error: " + where.format(line=line)), errors[0]
+
+
+# An expression that must be a constant but reads the state is rejected by
+# validation, at its position, before any model is built.
+STATE_DEPENDENT = {
+    "bound": ("Prob>=SRWMod::SRWRP::x of [Finally #l_stuck]", []),
+    "step bound": ("Prob=? of [Finally<=SRWMod::SRWRP::x #l_stuck]", []),
+    "Cumul": ("Reward =? of [Cumul SRWMod::SRWRP::x]", []),
+    "sim parameter": ("Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, "
+                      "n=SRWMod::SRWRP::x", ["--engine", "smc"]),
+}
+
+
+@pytest.mark.parametrize("case", STATE_DEPENDENT)
+def test_state_dependent_constant_is_a_validation_error(case, tmp_path, capsys):
+    body, flags = STATE_DEPENDENT[case]
+    spec_text = _srw_prop(body)
+    spec = tmp_path / "s.rcp"
+    spec.write_text(spec_text)
+    code = main(["check", SRW_RCM, str(spec), "--kind", "dtmc", "--out", str(tmp_path / "out"),
+                 *flags])
+    diags = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+    line = spec_text[:spec_text.find("prob property")].count("\n") + 2
+    col = spec_text.splitlines()[line - 1].find("SRWMod::SRWRP::x") + 1
+    assert code == 2
+    assert [(d["code"], d["line"], d["col"]) for d in diags] == [("TYPE", line, col)], diags
+    assert "cannot depend on the state" in diags[0]["message"]
+    assert not (tmp_path / "out" / "report.jsonl").exists()

@@ -14,7 +14,7 @@ from rcprob.exact import (ExactChecker, UnsupportedError, check_AE,
 from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 
 from conftest import make_srw
-from oracles import (StubContext, brute_ae, dense_reach, dense_reach_reward,
+from oracles import (StubContext, all_moves, brute_ae, dense_reach, dense_reach_reward,
                      explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
                      mdp_extremal_reach, mdp_zero_one_sets, parse_explicit, random_dtmc,
                      random_mdp,
@@ -575,7 +575,7 @@ def test_bounded_weak_until_and_release_ae():
 
 def bounded_prefixes(mm, s, k):
     """Every k+1-state path prefix from s over positive branches."""
-    succ = [sorted({d for mv in row for p, d in mv.branches if p > 0}) for row in mm.moves]
+    succ = [sorted({d for mv in row for p, d in mv.branches if p > 0}) for row in all_moves(mm)]
     paths = [[s]]
     for _ in range(k):
         paths = [path + [d] for path in paths for d in succ[path[-1]]]
@@ -706,10 +706,10 @@ def test_mdp_until_matches_adversary_enumeration():
         for mode in ("min", "max"):
             engine = prob_path(mm, ctx, A.Until(pe, None, qe), mode=mode, tol=1e-13)
             best = None
-            for combo in itertools.product(*[range(len(mm.moves[s])) for s in range(n)]):
+            for combo in itertools.product(*[range(len(mm.moves_of(s))) for s in range(n)]):
                 mat = np.zeros((n, n))
                 for s in range(n):
-                    for p, d in mm.moves[s][combo[s]].branches:
+                    for p, d in mm.moves_of(s)[combo[s]].branches:
                         mat[s, d] += float(p)
                 # dense until on the induced chain: zero out escapes
                 vals = np.zeros(n)

@@ -39,17 +39,17 @@ FIXTURE_MODELS = {
 }
 
 
-def export(name: str) -> str:
+def build(name: str):
     fixtures = Path(__file__).parent / "fixtures"
     if name == "srw_2_4":
         spec = parse_spec((fixtures / "srw.rcp").read_text())
         closed = instantiate(parse_model((fixtures / "srw.rcm").read_text()),
                              {"MaxDist": 2, "MaxSteps": 4, "Pl": Fraction(1, 2)},
                              spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc", spec)
-        return build_markov(closed).export_text()
+        return build_markov(closed)
     text, kind = FIXTURE_MODELS[name]
     defs = parse_spec(OP_DEFS).statements[0] if name == "op" else None
-    return build_markov(instantiate(parse_model(text), {}, defs, None, kind)).export_text()
+    return build_markov(instantiate(parse_model(text), {}, defs, None, kind))
 
 
 NAMES = sorted(FIXTURE_MODELS) + ["srw_2_4"]
@@ -57,10 +57,14 @@ NAMES = sorted(FIXTURE_MODELS) + ["srw_2_4"]
 
 @pytest.mark.parametrize("name", NAMES)
 def test_export_matches_golden(name):
-    assert export(name) == (GOLDEN_DIR / f"{name}.txt").read_text()
+    mm = build(name)
+    text = mm.export_text()
+    assert text == (GOLDEN_DIR / f"{name}.txt").read_text()
+    # one transition line per branch of the move store
+    assert mm.num_transitions() == sum(line[0].isdigit() for line in text.splitlines())
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in NAMES:
-        (GOLDEN_DIR / f"{name}.txt").write_text(export(name))
+        (GOLDEN_DIR / f"{name}.txt").write_text(build(name).export_text())

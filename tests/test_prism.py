@@ -247,7 +247,7 @@ def test_plain_transition_emitted_as_explored():
     mm = build_markov(closed)
     m = closed.machines[0]
     a_state = next(i for i, st in enumerate(mm.states) if st[m.pc_i] == "A")
-    t1 = next(mv for mv in mm.moves[a_state] if mv.action == "C.S.t1")
+    t1 = next(mv for mv in mm.moves_of(a_state) if mv.action == "C.S.t1")
     assert mm.states[t1.branches[0][1]][m.pc_i] == "B"
     em = _ModelEmitter(closed, None, Mangler())
     codes, locks = em.pc_codes["C.S"], em.lk_codes["C.S"]

@@ -154,6 +154,12 @@ def test_loose_constant_coverage(srw_model):
     assert any("Pl" in m for m in messages)
 
 
+def test_negated_enum_literal_is_not_a_configuration_literal(srw_model):
+    spec = parse_spec("constants C: SRWMod::SRWRP::MaxDist set to -E::L\n")
+    messages = [d.message for d in validate(srw_model, spec) if d.code == "TYPE"]
+    assert messages == ["configuration value for SRWMod::SRWRP::MaxDist must be a literal"]
+
+
 def test_missing_function_coverage(srw_model):
     spec = parse_spec("""
     constants C_all:

@@ -15,13 +15,14 @@ from rcprob import ast as A
 from rcprob import props as P
 from rcprob.build import (BuildError, MarkovModel, Move, RewardStructure, attach_rewards,
                           open_markov)
+from rcprob.exact import check_property
 from rcprob.props import parse_expression
 from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
                         run_aci, run_apmc, run_ci, run_reward_ci, run_sprt, simulate)
 
 import oracles
 from conftest import make_srw
-from oracles import StubContext, var_eq, var_in
+from oracles import StubContext, all_moves, var_eq, var_in
 
 
 def chain30():
@@ -93,7 +94,7 @@ def test_ci_alpha_n():
 def test_ci_degenerate_variance():
     mm, ctx = chain30()
     # goal always reached from the goal state itself: all samples 1
-    mm2 = MarkovModel("dtmc", ("x",), mm.states, mm.moves, mm.deadlock, mm.quiescent,
+    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, mm.quiescent,
                       initial=1)
     est = run_ci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=40, seed=0)
     assert est.point == 1.0
@@ -141,7 +142,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_aci_all_ones_degenerate():
     mm, ctx = chain30()
-    mm2 = MarkovModel("dtmc", ("x",), mm.states, mm.moves, mm.deadlock, mm.quiescent,
+    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, mm.quiescent,
                       initial=1)
     est = run_aci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=30, seed=0)
     assert est.point == 1.0 and est.half_width == 0.0
@@ -334,7 +335,7 @@ def test_samples_match_reference_on_single_move_models(srw_small, pathlen):
     n = 150
     checked = caps = 0
     for mm, ctx, p, q in _single_move_models(srw_small):
-        assert all(len(row) == 1 for row in mm.moves)
+        assert all(len(row) == 1 for row in all_moves(mm))
         for kind, path, left, right, k in _shapes(p, q):
             stream = _SampleStream(mm, ctx, path, 11, pathlen)
             got = [x for batch in stream.batches(n) for x in batch]
@@ -573,7 +574,7 @@ def lazy_copy(mm):
     def successors(state):
         s = index[state]
         return ([(mv.action, mv.tags, [(p, mm.states[d]) for p, d in mv.branches])
-                 for mv in mm.moves[s]], mm.deadlock[s], mm.quiescent[s])
+                 for mv in mm.moves_of(s)], mm.deadlock[s], mm.quiescent[s])
 
     return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors)
 
@@ -639,17 +640,31 @@ def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model
                    n=500, seed=4) for mm in (full, lazy)]
     assert runs[0] == runs[1]
     assert 0 < len(lazy.order) < full.num_states / 4
-    # every state a path stood on is expanded, and the sample table has one
-    # row per expanded state
+    # every state a path stood on is expanded, and the store and the sample
+    # table have one row per expanded state
     table = lazy.sample_table()
-    assert table.absorbing.size == len(lazy.order) == table.bounds.size - 1
-    assert sorted(np.flatnonzero(table.row >= 0)) == sorted(lazy.order)
+    assert table.absorbing.size == len(lazy.order) == lazy.first_move.size - 1
+    assert sorted(np.flatnonzero(lazy.row_of >= 0)) == sorted(lazy.order)
+    assert table.key.size == lazy.dest.size == lazy.num_transitions()
     # expanding the rest gives the full build, state for state
     lazy.expand_all()
     remap = {st: s for s, st in enumerate(full.states)}
     for s, st in enumerate(lazy.states):
-        want = {(p, full.states[d]) for mv in full.moves[remap[st]] for p, d in mv.branches}
-        assert {(p, lazy.states[d]) for mv in lazy.moves[s] for p, d in mv.branches} == want
+        want = {(p, full.states[d]) for mv in full.moves_of(remap[st]) for p, d in mv.branches}
+        assert {(p, lazy.states[d]) for mv in lazy.moves_of(s) for p, d in mv.branches} == want
+    # and the same choice CSR, up to the numbering of states, though the
+    # lazy model's rows are out of state order
+    assert lazy.order != sorted(lazy.order)
+    to_lazy = np.argsort([remap[st] for st in lazy.states])  # full state -> lazy state
+    mat, bounds = lazy.choice_csr()
+    want_mat, want_bounds = full.choice_csr()
+    assert (np.diff(want_bounds) == np.diff(bounds)[to_lazy]).all()
+    moves = np.concatenate([np.arange(bounds[s], bounds[s + 1]) for s in to_lazy])
+    assert (want_mat != mat[moves][:, to_lazy]).nnz == 0
+    for name in ("P_deadlock_free", "P_stuck", "P_stuck_not_origin", "R_stuck_not_origin"):
+        prop = srw_spec.find(P.ProbProperty, name)
+        got, want = (check_property(mm, closed, prop).verdict for mm in (lazy, full))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
 
 
 def test_state_cap_applies_to_the_states_paths_discover(srw_small):
@@ -659,6 +674,11 @@ def test_state_cap_applies_to_the_states_paths_discover(srw_small):
     with pytest.raises(BuildError, match="state-space cap of 12 states"):
         run_ci(open_markov(closed, max_states=12), closed, A.Finally_(None, stuck),
                alpha=0.05, n=100, seed=0)
+    # an expansion that fails leaves no row of its batch behind
+    lazy = open_markov(closed, max_states=12)
+    with pytest.raises(BuildError, match="state-space cap of 12 states"):
+        lazy.expand_all()
+    assert lazy.order == lazy.move_action == [] and lazy.num_transitions() == 0
     # a cap above the states that short paths discover is not reached
     est = run_ci(open_markov(closed, max_states=12), closed, A.Next(stuck), alpha=0.05,
                  n=100, seed=0)
@@ -753,7 +773,7 @@ def test_bounded_finally_decides_at_its_bound():
 
 def test_ci_solve_for_alpha_without_spread_uses_hoeffding():
     mm, ctx = chain30()
-    ones = MarkovModel("dtmc", ("x",), mm.states, mm.moves, mm.deadlock, mm.quiescent,
+    ones = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, mm.quiescent,
                        initial=1)
     for run in (run_ci, run_aci):
         est = run(ones, ctx, A.Finally_(None, GOAL), w=0.1, n=50, seed=0)

@@ -64,4 +64,29 @@ def test_tracer_records_smc_spans(monkeypatch, tmp_path):
     smc = [span for span in tracer.spans if span[0] == "smc"]
     assert len(smc) == 1
     assert smc[0][4] == {"samples": 150, "cap_hits": 0}
-    assert layer_metrics(tracer.spans, 1.0)["smc.samples"] == 150
+    metrics = layer_metrics(tracer.spans, 1.0)
+    assert metrics["smc.samples"] == 150
+    # each expansion of the growing model checks its distributions
+    assert any(span[0] == "stochastic" for span in tracer.spans)
+    assert metrics["stochastic.s"] > 0
+
+
+def test_tracer_times_the_distribution_check_within_exploration(monkeypatch, srw_small):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer, layer_metrics
+
+    closed, built = srw_small
+    tracer = Tracer()
+    tracer.install()
+    try:
+        mm = rcprob.cli.build_markov(closed)
+    finally:
+        tracer.remove()
+    assert mm.num_transitions() == built.num_transitions()
+    explore = [i for i, span in enumerate(tracer.spans) if span[0] == "explore"]
+    stochastic = [span for span in tracer.spans if span[0] == "stochastic"]
+    assert len(explore) == 1 and len(stochastic) == 1
+    assert stochastic[0][3] == explore[0]  # its parent span
+    assert tracer.spans[explore[0]][4] == {"states": mm.num_states,
+                                           "transitions": mm.num_transitions()}
+    assert layer_metrics(tracer.spans, 1.0)["stochastic.s"] > 0
