@@ -1016,8 +1016,7 @@ def eval_expr(closed: ClosedModel, expr: A.Expr, state: tuple | None = None):
 
 @dataclass
 class Move:
-    """One move of a state, as the constructor of `MarkovModel` takes it and
-    `MarkovModel.moves_of` gives it back."""
+    """One move of a state, as the constructor of `MarkovModel` takes it."""
     action: str
     # in the order the explorer generated them, each destination once
     branches: tuple[tuple[Fraction, int], ...]
@@ -1044,10 +1043,6 @@ class RewardStructure:
     name: str
     state: list  # Fraction per state
     move: dict  # (state, move index) -> Fraction
-
-
-def _ints(values) -> np.ndarray:
-    return np.array(values, dtype=np.int64)
 
 
 class MarkovModel:
@@ -1084,8 +1079,8 @@ class MarkovModel:
         self.quiescent = quiescent
         self.initial = initial
         self.order: list[int] = []
-        self.row_of, self.dest, self.weight_id = _ints([]), _ints([]), _ints([])
-        self.first_move, self.first_branch = _ints([0]), _ints([0])
+        self.row_of = self.dest = self.weight_id = np.zeros(0, dtype=np.int64)
+        self.first_move = self.first_branch = np.zeros(1, dtype=np.int64)
         self.move_action: list[str] = []
         self.move_tags: list[frozenset] = []
         self.weights: list[Fraction] = []
@@ -1163,7 +1158,8 @@ class MarkovModel:
 
     def _store_batch(self):
         """Extend the store's arrays by the rows appended since."""
-        row_moves, move_branches, dests, weights = map(_ints, self._batch)
+        row_moves, move_branches, dests, weights = (np.array(b, dtype=np.int64)
+                                                    for b in self._batch)
         self._batch = ([], [], [], [])
         lo = len(self.order) - row_moves.size
         self.first_move = np.append(self.first_move, self.first_move[-1] + np.cumsum(row_moves))
@@ -1217,53 +1213,19 @@ class MarkovModel:
 
     # --- reading the store ----------------------------------------------------
 
-    def moves_of(self, s: int) -> list[Move] | None:
-        """The moves of state s as `Move` records, None while unexpanded."""
-        r = int(self.row_of[s])
-        if r < 0:
-            return None
-        m0, m1 = self.first_move[r:r + 2].tolist()
-        first = self.first_branch[m0:m1 + 1].tolist()
-        b0, b1 = first[0], first[-1]
-        branches = list(zip([self.weights[w] for w in self.weight_id[b0:b1].tolist()],
-                            self.dest[b0:b1].tolist()))
-        return [Move(self.move_action[m], tuple(branches[a - b0:b - b0]), self.move_tags[m])
-                for m, a, b in zip(range(m0, m1), first, first[1:])]
-
-    def row(self, s: int) -> dict[int, Fraction]:
-        """The dtmc distribution of state s: uniform mixture over its moves."""
-        r = int(self.row_of[s])
-        m0, m1 = self.first_move[r:r + 2].tolist()
-        b0, b1 = self.first_branch[m0], self.first_branch[m1]
-        share = Fraction(1, m1 - m0)
-        out: dict[int, Fraction] = {}
-        for dst, w in zip(self.dest[b0:b1].tolist(), self.weight_id[b0:b1].tolist()):
-            out[dst] = out.get(dst, Fraction(0)) + share * self.weights[w]
-        return out
-
     def choice_csr(self):
         """The choice CSR of a complete model, built once: the move-by-state
         branch matrix, with the moves in state order, and the first move of
-        each state followed by the number of moves.  It wraps the store's
-        arrays; a model whose rows are out of state order (one grown on the
-        fly and then completed) is permuted once, stably, by state."""
+        each state followed by the number of moves.  The store's rows are
+        taken in state order, by one stable permutation of its moves."""
         if self._choice_csr is None:
             moves = np.diff(self.first_move)  # per row
-            branches = np.diff(self.first_branch)  # per move
-            data, cols = self.weight_float[self.weight_id], self.dest.copy()
-            indptr = self.first_branch.copy()
-            order = _ints(self.order)
-            if (order != np.arange(order.size)).any():
-                state = np.repeat(order, moves)  # per move
-                data, cols = (a[np.argsort(np.repeat(state, branches), kind="stable")]
-                              for a in (data, cols))
-                indptr = np.concatenate([[0], np.cumsum(
-                    branches[np.argsort(state, kind="stable")])])
-                moves = moves[self.row_of]
-            mat = sparse.csr_matrix((data, cols, indptr),
-                                    shape=(branches.size, self.num_states))
+            mat = sparse.csr_matrix((self.weight_float[self.weight_id], self.dest,
+                                     self.first_branch),
+                                    shape=(len(self.move_action), self.num_states))
+            mat = mat[np.argsort(np.repeat(self.order, moves), kind="stable")]
             mat.sum_duplicates()  # sorts the columns of each move
-            self._choice_csr = (mat, np.concatenate([[0], np.cumsum(moves)]))
+            self._choice_csr = (mat, np.concatenate([[0], np.cumsum(moves[self.row_of])]))
         return self._choice_csr
 
     def sample_table(self) -> SampleTable:
@@ -1297,7 +1259,7 @@ class MarkovModel:
         key = np.empty(cum.size, dtype=complex)
         key.real = owner + lo
         key.imag = cum
-        leaves = np.bincount(owner[self.dest[b0:] != _ints(self.order[lo:])[owner]],
+        leaves = np.bincount(owner[self.dest[b0:] != np.array(self.order[lo:])[owner]],
                              minlength=lens.size)
         table.key = np.concatenate([table.key, key])
         table.absorbing = np.concatenate([table.absorbing, leaves == 0])
@@ -1640,7 +1602,7 @@ def reward_evaluator(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel):
     def rewards_of(states):
         state_rewards = []
         move_rewards: dict[tuple[int, int], Fraction] = {}
-        rows = mm.row_of[_ints(states)]
+        rows = mm.row_of[states]
         for s, m0, m1 in zip(states, mm.first_move[rows].tolist(),
                              mm.first_move[rows + 1].tolist()):
             state = mm.states[s]

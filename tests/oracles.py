@@ -73,9 +73,34 @@ def var_in(name: str, values) -> A.Expr:
     return expr
 
 
+def moves_of(mm: MarkovModel, s: int) -> list[Move] | None:
+    """The moves of state s, read from mm's move store as `Move` records;
+    None while s is unexpanded."""
+    r = int(mm.row_of[s])
+    if r < 0:
+        return None
+    out = []
+    for m in range(mm.first_move[r], mm.first_move[r + 1]):
+        branches = range(mm.first_branch[m], mm.first_branch[m + 1])
+        out.append(Move(mm.move_action[m],
+                        tuple((mm.weights[mm.weight_id[b]], int(mm.dest[b])) for b in branches),
+                        mm.move_tags[m]))
+    return out
+
+
+def dtmc_row(mm: MarkovModel, s: int) -> dict[int, Fraction]:
+    """The dtmc distribution of state s: uniform mixture over its moves."""
+    moves = moves_of(mm, s)
+    out: dict[int, Fraction] = {}
+    for mv in moves:
+        for p, d in mv.branches:
+            out[d] = out.get(d, Fraction(0)) + p / len(moves)
+    return out
+
+
 def all_moves(mm: MarkovModel) -> list[list[Move] | None]:
     """The moves of every state of mm, as its constructor takes them."""
-    return [mm.moves_of(s) for s in range(mm.num_states)]
+    return [moves_of(mm, s) for s in range(mm.num_states)]
 
 
 # --- random model generators -----------------------------------------------------
@@ -566,7 +591,7 @@ def reference_rng(seed: int, i: int) -> np.random.Generator:
 
 
 def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
-    """Walk one path over `mm.moves_of`, one uniform per step, until
+    """Walk one path over `moves_of(mm, s)`, one uniform per step, until
     `stop(state, step, absorbing)` returns a value or `pathlen` steps pass.
 
     A state's entries are its moves in order, each move's positive branches
@@ -577,7 +602,7 @@ def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
     s = mm.initial
     steps = []
     while True:
-        moves = mm.moves_of(s)
+        moves = moves_of(mm, s)
         entries = [(float(p) / len(moves), d, j)
                    for j, mv in enumerate(moves)
                    for p, d in mv.branches if p > 0]

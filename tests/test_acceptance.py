@@ -27,7 +27,7 @@ from rcprob.resolve import validate
 from rcprob.smc import apmc_samples, run_ci, run_sprt
 
 from conftest import make_srw
-from oracles import parse_explicit
+from oracles import dtmc_row, moves_of, parse_explicit
 
 PASS = "ACCEPTANCE {n} PASS: {what}"
 FAIL = "ACCEPTANCE {n} FAIL: {what}"
@@ -348,14 +348,14 @@ def test_criterion_6_stochasticity(srw_model, srw_spec):
         mm.check_stochastic()  # exact rational row sums
         for s in range(mm.num_states):
             if mm.kind == "dtmc":
-                assert sum(mm.row(s).values()) == 1
-            for mv in mm.moves_of(s):
+                assert sum(dtmc_row(mm, s).values()) == 1
+            for mv in moves_of(mm, s):
                 assert sum(p for p, _ in mv.branches) == 1
         m = closed.machines[0]
         at_junction = [s for s, st in enumerate(mm.states) if st[m.pc_i] == "pj"]
         if at_junction and len({t.target for t, _ in m.junction_weights["pj"]}) == 2:
             # both `prob num/den` branches are positive, so none is dropped
-            assert all(len(mv.branches) == 2 for s in at_junction for mv in mm.moves_of(s)), text
+            assert all(len(mv.branches) == 2 for s in at_junction for mv in moves_of(mm, s)), text
             branching += 1
         checked += 1
     report(6, checked == 1000 and branching > 0,

@@ -9,7 +9,7 @@ from rcprob.props import (ConstantsConfig, DefinitionsDecl, PModulesDecl,
                           RewardsDecl, parse_expression, parse_spec)
 
 from conftest import make_srw
-from oracles import all_moves
+from oracles import all_moves, dtmc_row, moves_of
 
 
 def entry(names, state, mm):
@@ -123,11 +123,11 @@ def test_t0_chain(srw_default):
     names = mm.short_var_names()
     s0 = mm.states[0]
     assert dict(zip(names, s0)) == {"x": 0, "steps": 0, "lk": 0, "pc": "i0"}
-    mv = mm.moves_of(0)[0]
-    assert len(mm.moves_of(0)) == 1 and len(mv.branches) == 1
+    mv = moves_of(mm, 0)[0]
+    assert len(moves_of(mm, 0)) == 1 and len(mv.branches) == 1
     s1 = dict(zip(names, mm.states[mv.branches[0][1]]))
     assert s1 == {"x": 0, "steps": 0, "lk": "t0", "pc": "Move_entering"}
-    mv2 = mm.moves_of(mv.branches[0][1])[0]
+    mv2 = moves_of(mm, mv.branches[0][1])[0]
     s2 = dict(zip(names, mm.states[mv2.branches[0][1]]))
     assert s2 == {"x": 0, "steps": 0, "lk": 0, "pc": "Move"}
 
@@ -136,26 +136,26 @@ def test_t1_junction_chain(srw_default):
     closed, mm = srw_default
     names = mm.short_var_names()
     # initial -> Move (2 steps), then t1 locks to p0 and branches
-    move_state = mm.moves_of(mm.moves_of(0)[0].branches[0][1])[0].branches[0][1]
-    t1 = mm.moves_of(move_state)[0]
+    move_state = moves_of(mm, moves_of(mm, 0)[0].branches[0][1])[0].branches[0][1]
+    t1 = moves_of(mm, move_state)[0]
     assert t1.action.endswith(".t1")
     p0_state = t1.branches[0][1]
     assert dict(zip(names, mm.states[p0_state]))["pc"] == "p0"
     assert dict(zip(names, mm.states[p0_state]))["lk"] == "t1"
-    branch = mm.moves_of(p0_state)[0]
+    branch = moves_of(mm, p0_state)[0]
     assert sorted((str(p), dict(zip(names, mm.states[d]))["pc"])
                   for p, d in branch.branches) == [("1/2", "t2_act_1"), ("1/2", "t3_act_1")]
     # follow the left branch: x decremented, then sync, then entry
     left = next(d for p, d in branch.branches
                 if dict(zip(names, mm.states[d]))["pc"] == "t3_act_1")
-    after_assign = mm.moves_of(left)[0].branches[0][1]
+    after_assign = moves_of(mm, left)[0].branches[0][1]
     assert dict(zip(names, mm.states[after_assign]))["x"] == -1
     assert dict(zip(names, mm.states[after_assign]))["pc"] == "t3_act_2"
-    after_sync = mm.moves_of(after_assign)[0]
+    after_sync = moves_of(mm, after_assign)[0]
     assert ("SRWMod::ctrl_ref::stm_ref::left", "out") in after_sync.tags
     entering = after_sync.branches[0][1]
     assert dict(zip(names, mm.states[entering]))["pc"] == "Move_entering"
-    done = mm.moves_of(entering)[0].branches[0][1]
+    done = moves_of(mm, entering)[0].branches[0][1]
     got = dict(zip(names, mm.states[done]))
     assert got == {"x": -1, "steps": 1, "lk": 0, "pc": "Move"}
 
@@ -217,7 +217,7 @@ def test_stuck_is_quiescent_not_deadlock(srw_default):
     for i in stuck:
         assert not mm.deadlock[i]
         assert mm.quiescent[i]
-        assert mm.moves_of(i)[0].branches == ((Fraction(1), i),)
+        assert moves_of(mm, i)[0].branches == ((Fraction(1), i),)
 
 
 def test_state_cap(srw_model, srw_spec):
@@ -253,7 +253,7 @@ def test_attach_rewards_origins(srw_default, srw_spec):
     for (s, mi), value in rs.move.items():
         assert value == 1
         assert mm.states[s][x_i] == 0
-        tags = mm.moves_of(s)[mi].tags
+        tags = moves_of(mm, s)[mi].tags
         assert any(ep.endswith("left") or ep.endswith("right") for ep, d in tags)
         tagged += 1
     assert tagged > 0
@@ -330,7 +330,7 @@ def test_value_passing_joint_step():
     a = next(m for m in closed.machines if m.mach.name == "A")
     b = next(m for m in closed.machines if m.mach.name == "B")
     # find the joint step: somewhere a move is tagged with the ping closure
-    joint = [(s, mv) for s in range(mm.num_states) for mv in mm.moves_of(s)
+    joint = [(s, mv) for s in range(mm.num_states) for mv in moves_of(mm, s)
              if any("ping" in ep for ep, _ in mv.tags)]
     assert joint
     s, mv = joint[0]
@@ -352,7 +352,7 @@ def test_sender_blocked_until_receiver_ready():
     mm = build_markov(closed)
     # A can never fire ping: no move is tagged with the ping closure
     assert not any("ping" in ep for s in range(mm.num_states)
-                   for mv in mm.moves_of(s) for ep, _ in mv.tags)
+                   for mv in moves_of(mm, s) for ep, _ in mv.tags)
     # the composition eventually blocks with A mid-nothing: A waits at A1 with
     # r1 unable to engage; that state has no moves at all and is a deadlock
     assert any(mm.deadlock)
@@ -397,9 +397,9 @@ def test_platform_input_enumerates_payload():
     mm = build_markov(closed)
     s = closed.machines[0]
     idle = [i for i, st in enumerate(mm.states) if st[s.pc_i] == "Idle"][0]
-    assert len(mm.moves_of(idle)) == 2  # one move per payload value
+    assert len(moves_of(mm, idle)) == 2  # one move per payload value
     last_i = closed.index["C.S.last"]
-    got = {mm.states[mv.branches[0][1]][last_i] for mv in mm.moves_of(idle)}
+    got = {mm.states[mv.branches[0][1]][last_i] for mv in moves_of(mm, idle)}
     assert got == {"Power::Off", "Power::On"}
 
 
@@ -428,13 +428,13 @@ def test_exit_action_chain():
     m = closed.machines[0]
     names = mm.short_var_names()
     # initial -> A is a single trivial step (no entry on A)
-    s1 = mm.moves_of(0)[0].branches[0][1]
+    s1 = moves_of(mm, 0)[0].branches[0][1]
     assert dict(zip(names, mm.states[s1]))["pc"] == "A"
     # chain: lock+Sub_ACT, exec exit (v:=1, Sub_EXITED), continue to entering,
     # exec entry (v:=10), enter B
     chain = [s1]
     for _ in range(4):
-        chain.append(mm.moves_of(chain[-1])[0].branches[0][1])
+        chain.append(moves_of(mm, chain[-1])[0].branches[0][1])
     snap = [dict(zip(names, mm.states[i])) for i in chain]
     assert snap[1]["exit"] == "Sub_ACT" and snap[1]["lk"] == "t1" and snap[1]["pc"] == "A"
     assert snap[2]["exit"] == "Sub_EXITED" and snap[2]["v"] == 1
@@ -463,7 +463,7 @@ def test_env_module_sync_and_blocking(srw_model, srw_spec):
     assert mm.states[0][moved_i] is False
     # after any tagged sync step the flag is raised
     for s in range(mm.num_states):
-        for mv in mm.moves_of(s):
+        for mv in moves_of(mm, s):
             if any("left" in ep or "right" in ep for ep, _ in mv.tags):
                 for _, d in mv.branches:
                     assert mm.states[d][moved_i] is True
@@ -486,7 +486,7 @@ def test_env_alternator_blocks(srw_model, srw_spec):
     used_i = closed.index["env.Once.used"]
     for s in range(mm.num_states):
         if mm.states[s][used_i] is True:
-            for mv in mm.moves_of(s):
+            for mv in moves_of(mm, s):
                 assert not any(ep.endswith("left") for ep, _ in mv.tags)
     # blocking mid-chain produces a genuine deadlock somewhere
     assert any(mm.deadlock)
@@ -567,9 +567,9 @@ def test_two_enabled_transitions_uniform_dtmc():
     mm = build_markov(closed)
     m = closed.machines[0]
     a_state = next(i for i, st in enumerate(mm.states) if st[m.pc_i] == "A")
-    row = mm.row(a_state)
+    row = dtmc_row(mm, a_state)
     assert sorted(row.values()) == [Fraction(1, 2), Fraction(1, 2)]
-    assert len(mm.moves_of(a_state)) == 2
+    assert len(moves_of(mm, a_state)) == 2
 
 
 def test_two_enabled_transitions_nondet_mdp():
@@ -578,7 +578,7 @@ def test_two_enabled_transitions_nondet_mdp():
     mm = build_markov(closed)
     m = closed.machines[0]
     a_state = next(i for i, st in enumerate(mm.states) if st[m.pc_i] == "A")
-    actions = sorted(mv.action for mv in mm.moves_of(a_state))
+    actions = sorted(mv.action for mv in moves_of(mm, a_state))
     assert actions == ["C.S.t4", "C.S.t6"]
 
 
@@ -642,7 +642,7 @@ def test_trigger_trigger_joint_initiation():
     b = next(m for m in closed.machines if m.mach.name == "B")
     y_i = closed.index["C.B.y"]
     # find the joint initiation step: tagged move where both locks are taken
-    joint = [(s, mv) for s in range(mm.num_states) for mv in mm.moves_of(s)
+    joint = [(s, mv) for s in range(mm.num_states) for mv in moves_of(mm, s)
              if any("ping" in ep for ep, _ in mv.tags)]
     assert len(joint) == 1
     s, mv = joint[0]
@@ -655,8 +655,8 @@ def test_trigger_trigger_joint_initiation():
     assert dst[y_i] == 7  # the value moves on the initiation step
     # afterwards, the two entry actions interleave: two moves, one per machine
     mid = mv.branches[0][1]
-    assert len(mm.moves_of(mid)) == 2
-    owners = {m.action.split(".")[1] for m in mm.moves_of(mid)}
+    assert len(moves_of(mm, mid)) == 2
+    owners = {m.action.split(".")[1] for m in moves_of(mm, mid)}
     assert owners == {"A", "B"}
 
 
@@ -754,7 +754,7 @@ def test_chained_junctions_and_action_into_junction():
     j1 = [i for i, st in enumerate(mm.states) if st[m.pc_i] == "j1"]
     assert len(j1) == 1
     assert mm.states[j1[0]][v_i] == 1  # t1's action ran before the junction
-    branch = mm.moves_of(j1[0])[0]
+    branch = moves_of(mm, j1[0])[0]
     targets = {mm.states[d][m.pc_i] for _, d in branch.branches}
     assert targets == {"Done_entering", "j2"} or targets == {"Done", "j2"}
     # reach Done both with v=1 (straight branches) and v=10 (t4's action)

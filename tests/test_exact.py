@@ -15,9 +15,9 @@ from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 
 from conftest import make_srw
 from oracles import (StubContext, all_moves, brute_ae, dense_reach, dense_reach_reward,
-                     explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
-                     mdp_extremal_reach, mdp_zero_one_sets, parse_explicit, random_dtmc,
-                     random_mdp,
+                     dtmc_row, explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
+                     mdp_extremal_reach, mdp_zero_one_sets, moves_of, parse_explicit,
+                     random_dtmc, random_mdp,
                      sparse_reach, sparse_reach_reward, sparse_total_reward, var_eq,
                      var_in)
 
@@ -146,7 +146,7 @@ def brute_force_bounded_reach(mm, target, k):
                 continue
             if depth == k:
                 continue
-            for d, q in mm.row(s).items():
+            for d, q in dtmc_row(mm, s).items():
                 stack.append((d, p * q, depth + 1))
         out[s0] = float(total)
     return out
@@ -706,10 +706,10 @@ def test_mdp_until_matches_adversary_enumeration():
         for mode in ("min", "max"):
             engine = prob_path(mm, ctx, A.Until(pe, None, qe), mode=mode, tol=1e-13)
             best = None
-            for combo in itertools.product(*[range(len(mm.moves_of(s))) for s in range(n)]):
+            for combo in itertools.product(*[range(len(moves_of(mm, s))) for s in range(n)]):
                 mat = np.zeros((n, n))
                 for s in range(n):
-                    for p, d in mm.moves_of(s)[combo[s]].branches:
+                    for p, d in moves_of(mm, s)[combo[s]].branches:
                         mat[s, d] += float(p)
                 # dense until on the induced chain: zero out escapes
                 vals = np.zeros(n)

@@ -11,6 +11,8 @@ from rcprob.props import DefinitionsDecl, PModulesDecl, parse_expression, parse_
 from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter, check_prism_model,
                           check_prism_props, emit_pair, emit_properties, mangle)
 
+from oracles import moves_of
+
 GOLDEN = Path(__file__).parent / "fixtures" / "srw_golden.prism"
 
 
@@ -247,7 +249,7 @@ def test_plain_transition_emitted_as_explored():
     mm = build_markov(closed)
     m = closed.machines[0]
     a_state = next(i for i, st in enumerate(mm.states) if st[m.pc_i] == "A")
-    t1 = next(mv for mv in mm.moves_of(a_state) if mv.action == "C.S.t1")
+    t1 = next(mv for mv in moves_of(mm, a_state) if mv.action == "C.S.t1")
     assert mm.states[t1.branches[0][1]][m.pc_i] == "B"
     em = _ModelEmitter(closed, None, Mangler())
     codes, locks = em.pc_codes["C.S"], em.lk_codes["C.S"]

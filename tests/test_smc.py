@@ -22,7 +22,7 @@ from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
 
 import oracles
 from conftest import make_srw
-from oracles import StubContext, all_moves, var_eq, var_in
+from oracles import StubContext, all_moves, moves_of, var_eq, var_in
 
 
 def chain30():
@@ -574,7 +574,7 @@ def lazy_copy(mm):
     def successors(state):
         s = index[state]
         return ([(mv.action, mv.tags, [(p, mm.states[d]) for p, d in mv.branches])
-                 for mv in mm.moves_of(s)], mm.deadlock[s], mm.quiescent[s])
+                 for mv in moves_of(mm, s)], mm.deadlock[s], mm.quiescent[s])
 
     return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors)
 
@@ -650,8 +650,8 @@ def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model
     lazy.expand_all()
     remap = {st: s for s, st in enumerate(full.states)}
     for s, st in enumerate(lazy.states):
-        want = {(p, full.states[d]) for mv in full.moves_of(remap[st]) for p, d in mv.branches}
-        assert {(p, lazy.states[d]) for mv in lazy.moves_of(s) for p, d in mv.branches} == want
+        want = {(p, full.states[d]) for mv in moves_of(full, remap[st]) for p, d in mv.branches}
+        assert {(p, lazy.states[d]) for mv in moves_of(lazy, s) for p, d in mv.branches} == want
     # and the same choice CSR, up to the numbering of states, though the
     # lazy model's rows are out of state order
     assert lazy.order != sorted(lazy.order)
