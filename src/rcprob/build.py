@@ -332,6 +332,47 @@ class ClosureTable:
         return {d for (ep, d) in closure.tags if ep == key}
 
 
+# --- exact weights ---------------------------------------------------------------
+
+ONE, ZERO = 0, 1  # the weight ids of 1 and 0 in every table
+
+
+class WeightTable:
+    """The distinct exact weights of a closed model, filled when it is
+    instantiated: every weight in its step tables and environment commands
+    is an id into `weights`.  The product of an environment join and the
+    sum of two branches to one destination are interned once per distinct
+    pair of ids, so that exploring a state does no `Fraction` arithmetic,
+    hashing or comparison."""
+
+    def __init__(self):
+        self.weights: list[Fraction] = []
+        self._ids: dict[Fraction, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._sums: dict[tuple[int, int], int] = {}
+        self.intern(Fraction(1))  # ONE
+        self.intern(Fraction(0))  # ZERO
+
+    def intern(self, p: Fraction) -> int:
+        i = self._ids.get(p)
+        if i is None:
+            i = self._ids[p] = len(self.weights)
+            self.weights.append(p)
+        return i
+
+    def product(self, a: int, b: int) -> int:
+        i = self._products.get((a, b))
+        if i is None:
+            i = self._products[a, b] = self.intern(self.weights[a] * self.weights[b])
+        return i
+
+    def sum(self, a: int, b: int) -> int:
+        i = self._sums.get((a, b))
+        if i is None:
+            i = self._sums[a, b] = self.intern(self.weights[a] + self.weights[b])
+        return i
+
+
 # --- closed model ----------------------------------------------------------------
 
 
@@ -382,7 +423,7 @@ class Step:
     pc: str
     lock: object
     exit: str | None
-    branches: tuple  # ((weight, ((var index, value), ...)), ...)
+    branches: tuple  # ((weight id, ((var index, value), ...)), ...)
     rt: TransitionRT | None = None
     part: Constituent | None = None
 
@@ -453,8 +494,7 @@ class MachineRT:
         steps: list[Step] = []
 
         def step(tag, at, lock, exit_, updates, **kw):
-            return Step(f"{self.name}.{tag}", at, lock, exit_, ((Fraction(1), tuple(updates)),),
-                        **kw)
+            return Step(f"{self.name}.{tag}", at, lock, exit_, ((ONE, tuple(updates)),), **kw)
 
         for t in by_id:
             if t.source in self.junctions:
@@ -469,7 +509,8 @@ class MachineRT:
             steps.append(step(t.id, t.source, LOCK_FREE,
                               EXIT_NONE if ex is not None else None, updates, rt=rt))
         for j in sorted(self.junctions):
-            branches = tuple((w, ((pc, self._chain_pc(t)),)) for t, w in self.junction_weights[j])
+            branches = tuple((self.closed.weight_table.intern(w), ((pc, self._chain_pc(t)),))
+                             for t, w in self.junction_weights[j])
             steps.append(Step(f"{self.name}.{j}", j, LOCK_HELD, None, branches))
         for t in by_id:
             for k, part in enumerate(self.rt[t.id].parts):
@@ -524,7 +565,7 @@ class EnvCommandRT:
     index: int
     label_tag: tuple[str, str] | None  # (endpoint, dir)
     guard_fn: object
-    branches: list[tuple[Fraction, list]]  # (prob, [(idx, value_fn)])
+    branches: list[tuple[int, list]]  # (weight id, [(idx, value_fn)])
 
     @property
     def tag(self) -> str:
@@ -546,6 +587,7 @@ class ClosedModel:
         self.spec = spec if spec is not None else P.SpecAst()
         self.resolver = Resolver(model, self.spec)
         self.closures = ClosureTable(model)
+        self.weight_table = WeightTable()
 
         self.consts: dict[str, object] = {}
         loose_consts, loose_funcs, loose_ops = M.loose_symbols(model)
@@ -967,7 +1009,7 @@ class ClosedModel:
         for v in mod.variables:
             var_idx[v.name] = self.index[f"env.{mod.name}.{v.name}"]
         if not cmd.updates:
-            return [(Fraction(1), [])]
+            return [(ONE, [])]
         with_prob = [u for u in cmd.updates if u.prob is not None]
         if with_prob and len(with_prob) != len(cmd.updates):
             raise BuildError(f"pmodule {mod.name}: mixed probabilistic and plain updates")
@@ -979,11 +1021,12 @@ class ClosedModel:
                 if not (0 <= p <= 1):
                     raise BuildError(f"pmodule {mod.name}: update probability {p} outside [0,1]")
                 total += p
-                branches.append((p, [(var_idx[u.var], self.spec_expr(u.expr))]))
+                branches.append((self.weight_table.intern(p),
+                                 [(var_idx[u.var], self.spec_expr(u.expr))]))
             if total != 1:
                 raise BuildError(f"pmodule {mod.name}: update probabilities sum to {total}, not 1")
             return branches
-        return [(Fraction(1), [(var_idx[u.var], self.spec_expr(u.expr)) for u in cmd.updates])]
+        return [(ONE, [(var_idx[u.var], self.spec_expr(u.expr)) for u in cmd.updates])]
 
 
 def _state_read(idx):
@@ -1054,7 +1097,7 @@ class MarkovModel:
     by hand, or by `build_markov`, is complete, with its rows in state
     order.  A model from `MarkovModel.open` starts with its initial state
     and grows through `expand` by its `successors` function: state ->
-    (moves, deadlock, quiescent), each move (action, tags, [(probability,
+    (moves, deadlock, quiescent), each move (action, tags, [(weight id,
     successor state)]) with the branches in the order they are generated.
 
     The move store keeps the moves of the expanded states once, as flat
@@ -1062,8 +1105,11 @@ class MarkovModel:
     `first_move[r + 1]`.  Move m has the action `move_action[m]`, the tags
     `move_tags[m]` and the branches `first_branch[m]` to
     `first_branch[m + 1]`.  Branch b leads to state `dest[b]` with the
-    probability `weights[weight_id[b]]`, one of the model's distinct exact
-    weights, whose float is `weight_float[weight_id[b]]`.  A move's branches
+    probability `weights[weight_id[b]]`, whose float is
+    `weight_float[weight_id[b]]`.  `weights` are the distinct exact weights
+    of `weight_table`, which a model explored from a closed model shares
+    with it: they are interned once per closed model, at instantiation, and
+    exploring a state only indexes and appends.  A move's branches
     keep the order they were generated in, branches to one destination are
     merged at the first, and only positive ones are kept.  The choice CSR,
     the sample table, the distribution check, the export and the engines
@@ -1071,7 +1117,8 @@ class MarkovModel:
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
                  moves: list[list[Move] | None], deadlock: list[bool],
-                 quiescent: list[bool], initial: int = 0):
+                 quiescent: list[bool], initial: int = 0,
+                 weight_table: WeightTable | None = None):
         self.kind = kind
         self.var_names = var_names
         self.states = states
@@ -1083,9 +1130,9 @@ class MarkovModel:
         self.first_move = self.first_branch = np.zeros(1, dtype=np.int64)
         self.move_action: list[str] = []
         self.move_tags: list[frozenset] = []
-        self.weights: list[Fraction] = []
+        self.weight_table = weight_table if weight_table is not None else WeightTable()
+        self.weights = self.weight_table.weights
         self.weight_float = np.zeros(0)
-        self._weight_ids: dict[Fraction, int] = {}
         # since the arrays were extended: moves per row, branches per move,
         # and the destination and weight id of each branch
         self._batch = ([], [], [], [])
@@ -1100,17 +1147,20 @@ class MarkovModel:
         self._short_names = None
         self._choice_csr = None
         self._sample_table = None
+        intern = self.weight_table.intern
         for s, row in enumerate(moves):
             if row is not None:
-                self._append(s, [(mv.action, mv.tags, [(p, d) for p, d in mv.branches if p > 0])
+                self._append(s, [(mv.action, mv.tags,
+                                  [(intern(p), d) for p, d in mv.branches if p > 0])
                                  for mv in row])
         self._store_batch()
 
     @classmethod
     def open(cls, kind: str, var_names: tuple[str, ...], initial: tuple, successors,
-             max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
-        """A model that knows its initial state only and expands on demand."""
-        mm = cls(kind, var_names, [initial], [None], [False], [False])
+             weight_table: WeightTable, max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
+        """A model that knows its initial state only and expands on demand;
+        its successors function gives weight ids of `weight_table`."""
+        mm = cls(kind, var_names, [initial], [None], [False], [False], weight_table=weight_table)
         mm._successors = successors
         mm._index = {initial: 0}
         mm._max_states = max_states
@@ -1136,28 +1186,36 @@ class MarkovModel:
         return s
 
     def _append(self, s: int, moves):
-        """Append the moves of state s as the next row.  A successor is a
-        state of an open model, discovered when new, else a state index."""
+        """Append the moves of state s as the next row, in integers only.  A
+        successor is a state of an open model, discovered when new, else a
+        state index."""
         index = self._index
-        ids = self._weight_ids
         row_moves, move_branches, dests, weights = self._batch
         for action, tags, branches in moves:
-            merged: dict[int, Fraction] = {}  # first occurrence order
-            for p, succ in branches:
+            for w, succ in branches:
                 if index is not None:
                     dst = index.get(succ)
                     succ = self._discover(succ) if dst is None else dst
-                merged[succ] = merged[succ] + p if succ in merged else p
-            weights.extend([ids.setdefault(p, len(ids)) for p in merged.values()])
-            dests.extend(merged)
-            move_branches.append(len(merged))
+                dests.append(succ)
+                weights.append(w)
+            k = len(branches)
+            if k > 1 and len(set(dests[-k:])) < k:  # merge at the first occurrence
+                merged: dict[int, int] = {}
+                for d, w in zip(dests[-k:], weights[-k:]):
+                    merged[d] = self.weight_table.sum(merged[d], w) if d in merged else w
+                del dests[-k:], weights[-k:]
+                dests.extend(merged)
+                weights.extend(merged.values())
+                k = len(merged)
+            move_branches.append(k)
             self.move_action.append(action)
             self.move_tags.append(tags)
         row_moves.append(len(moves))
         self.order.append(s)
 
     def _store_batch(self):
-        """Extend the store's arrays by the rows appended since."""
+        """Extend the store's arrays by the rows appended since, and
+        `weight_float` by the weights interned since."""
         row_moves, move_branches, dests, weights = (np.array(b, dtype=np.int64)
                                                     for b in self._batch)
         self._batch = ([], [], [], [])
@@ -1166,9 +1224,8 @@ class MarkovModel:
         self.first_branch = np.append(self.first_branch,
                                       self.first_branch[-1] + np.cumsum(move_branches))
         self.dest, self.weight_id = np.append(self.dest, dests), np.append(self.weight_id, weights)
-        new = list(self._weight_ids)[len(self.weights):]
-        self.weights += new
-        self.weight_float = np.append(self.weight_float, [float(p) for p in new])
+        self.weight_float = np.append(self.weight_float,
+                                      [float(p) for p in self.weights[self.weight_float.size:]])
         self.row_of = np.append(self.row_of, np.full(self.num_states - self.row_of.size, -1))
         self.row_of[self.order[lo:]] = np.arange(lo, len(self.order))
 
@@ -1343,13 +1400,12 @@ def _fmt_value(v) -> str:
 # --- exploration -----------------------------------------------------------------
 
 _NO_TAGS = frozenset()  # shared by the untagged moves: a fresh one is 216 bytes each
-_ONE = Fraction(1)
 
 
 class _Explorer:
     """Computes the moves of a state from the closed model's step tables and
     environment commands.  A move is (action, tags, branches), each branch
-    (probability, [(variable index, value)]).  An expression that fails is
+    (weight id, [(variable index, value)]).  An expression that fails is
     reported as a BuildError naming the step and the state, by one of three
     boundaries: per machine step, per environment command and per applied
     move, where the new values meet their variables' domains.  A partner's
@@ -1400,7 +1456,7 @@ class _Explorer:
         if st.part is None:
             return [(st.tag, _NO_TAGS, st.branches)]
         if st.part.kind == "update":
-            return [(st.tag, _NO_TAGS, [(_ONE, [*st.updates, *st.part.update_fn(state)])])]
+            return [(st.tag, _NO_TAGS, [(ONE, [*st.updates, *st.part.update_fn(state)])])]
         return self._comm_moves(m, state, st.tag, st.updates, st.part.comm, initiating=False)
 
     # communication --------------------------------------------------------------
@@ -1500,13 +1556,14 @@ class _Explorer:
             if not enabled:
                 return []  # the step is blocked by this module
             participants.append(enabled)
+        product = self.c.weight_table.product
         out = []
         for combo in itertools.product(*participants):
-            branches = [(_ONE, updates)]
+            branches = [(ONE, updates)]
             jtag = tag
             for cmd_tag, cmd_branches in combo:
                 jtag += f"+{cmd_tag}"
-                branches = [(p0 * p1, upd0 + upd1) for p0, upd0 in branches
+                branches = [(product(p0, p1), upd0 + upd1) for p0, upd0 in branches
                             for p1, upd1 in cmd_branches]
             out.append((jtag, tags, branches))
         return out
@@ -1525,32 +1582,37 @@ class _Explorer:
 
     def successors(self, state):
         """The moves of a state, as `MarkovModel.open` takes them; a state
-        without any is a deadlock, or quiescent, and loops."""
+        without any is a deadlock, or quiescent, and loops.  The updates of
+        each move's branches of positive weight meet their variables'
+        domains."""
         pending = []
         for m in self.c.machines:
             pending.extend(self._machine_steps(m, state))
         pending.extend(self._env_interleavings(state))
         if not pending:
             deadlock = self._is_deadlock(state)
-            return [("loop", _NO_TAGS, [(_ONE, state)])], deadlock, not deadlock
-        pending.sort(key=lambda mv: mv[0])
+            return [("loop", _NO_TAGS, [(ONE, state)])], deadlock, not deadlock
+        if len(pending) > 1:
+            pending.sort(key=lambda mv: mv[0])
+        domains = self.domains
         moves = []
         for action, tags, branches in pending:
+            applied = []
             try:
-                moves.append((action, tags, [(p, self._apply(state, updates))
-                                             for p, updates in branches if p != 0]))
+                for w, updates in branches:
+                    if w == ZERO:
+                        continue
+                    new = list(state)
+                    for idx, value in updates:
+                        info = domains[idx]
+                        if info is not None:
+                            _check_domain(info, value)
+                        new[idx] = value
+                    applied.append((w, tuple(new)))
             except EvalError as exc:
                 raise self._error(action, state, exc) from exc
+            moves.append((action, tags, applied))
         return moves, False, False
-
-    def _apply(self, state, updates) -> tuple:
-        new = list(state)
-        for idx, value in updates:
-            info = self.domains[idx]
-            if info is not None:
-                _check_domain(info, value)
-            new[idx] = value
-        return tuple(new)
 
     def _is_deadlock(self, state) -> bool:
         """No moves: deadlock unless every machine rests in a terminal stable state."""
@@ -1562,7 +1624,8 @@ def open_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> Mar
     """The closed model's Markov model, of which only the initial state is
     known; `MarkovModel.expand` explores it on demand."""
     return MarkovModel.open(closed.kind, tuple(v.name for v in closed.vars),
-                            closed.initial_state(), _Explorer(closed).successors, max_states)
+                            closed.initial_state(), _Explorer(closed).successors,
+                            closed.weight_table, max_states)
 
 
 def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:

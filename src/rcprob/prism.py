@@ -140,7 +140,8 @@ class _ModelEmitter:
 
     def emit(self) -> str:
         c = self.c
-        self.bounds = observed_bounds(build_markov(c))
+        sized = {v.name for v in c.vars if v.domain[0] in ("int", "nat")}  # see `_range`
+        self.bounds = observed_bounds(build_markov(c), sized)
         out = [c.kind, ""]
         for name in sorted(c.consts):
             value = c.consts[name]
@@ -225,6 +226,7 @@ class _ModelEmitter:
         exit_id = self.var_id(self.c.vars[m.exit_i].name) if m.exit_i is not None else None
         names = {m.pc_i: (pc_id, pc_codes), m.lk_i: (lk_id, lk_codes),
                  m.exit_i: (exit_id, EXIT_CODES)}
+        weights = self.c.weight_table.weights
 
         def pairs(updates):
             return [(names[i][0], names[i][1][v]) for i, v in updates]
@@ -242,8 +244,8 @@ class _ModelEmitter:
                 guard.append(self.expr(st.rt.t.guard, m.scope))
             guard = " & ".join(guard)
             if len(st.branches) > 1:
-                alts = " + ".join(f"{p}:{_updates_text(pairs(u))}"
-                                  for p, u in st.branches)
+                alts = " + ".join(f"{weights[w]}:{_updates_text(pairs(u))}"
+                                  for w, u in st.branches)
                 out.append(f"  [] {guard} -> {alts};")
                 continue
             post = pairs(st.updates)
@@ -356,15 +358,20 @@ def _updates_text(pairs) -> str:
     return " & ".join(f"({k}'={v})" for k, v in pairs) if pairs else "true"
 
 
-def observed_bounds(mm: MarkovModel) -> dict[str, tuple[int, int]]:
-    """Per-variable min/max over the reachable states (integer variables)."""
-    bounds = {}
-    for i, name in enumerate(mm.var_names):
-        values = [st[i] for st in mm.states]
-        ints = [v for v in values if isinstance(v, int) and not isinstance(v, bool)]
-        if ints:
-            bounds[name] = (min(ints), max(ints))
-    return bounds
+def observed_bounds(mm: MarkovModel, names: set[str]) -> dict[str, tuple[int, int]]:
+    """Min/max over the reachable states of the named integer variables,
+    read in one pass over the states."""
+    cols = [i for i, name in enumerate(mm.var_names) if name in names]
+    lo = [mm.states[0][i] for i in cols]
+    hi = lo[:]
+    for st in mm.states:
+        for k, i in enumerate(cols):
+            v = st[i]
+            if v < lo[k]:
+                lo[k] = v
+            elif v > hi[k]:
+                hi[k] = v
+    return {mm.var_names[i]: (lo[k], hi[k]) for k, i in enumerate(cols)}
 
 
 def _const_type(value) -> str:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rcprob.build import (BuildError, MarkovModel, Move, attach_rewards, build_markov,
-                          eval_expr, expand_sweep, instantiate)
+                          eval_expr, expand_sweep, instantiate, open_markov)
 from rcprob.model import parse_model
 from rcprob.props import (ConstantsConfig, DefinitionsDecl, PModulesDecl,
                           RewardsDecl, parse_expression, parse_spec)
@@ -875,3 +875,127 @@ def test_exit_then_transition_action_then_junction():
     done_vals = {st[v_i] for st in mm.states if st[m.pc_i] == "Done"}
     assert done_vals == {10, 110}
     mm.check_stochastic()
+
+
+# --- exact weights interned once per closed model ----------------------------------
+
+JOIN_ENV = """
+pmodules MTwo:
+  pmodule A {
+    a : [0 to 2] init 0;
+    [SRWMod::ctrl_ref::stm_ref::left.out] true -> (1/2: @a = 1) & (1/3: @a = 2) & (1/6: @a = 0);
+  }
+  pmodule B {
+    b : [0 to 2] init 0;
+    [SRWMod::ctrl_ref::stm_ref::left.out] true -> (1/3: @b = 1) & (1/2: @b = 2) & (1/6: @b = 0);
+  }
+"""
+
+
+def _join_closed(srw_model, srw_spec):
+    env = parse_spec(JOIN_ENV).find(PModulesDecl, "MTwo")
+    return instantiate(srw_model, {"MaxDist": 2, "MaxSteps": 4, "Pl": Fraction(1, 2)},
+                       srw_spec.find(DefinitionsDecl, "D_recharge"), env, "dtmc", srw_spec)
+
+
+def _junction_closed(first: str, second: str):
+    model = parse_model(f"""
+    module JMod {{
+      controller C {{
+        machine S {{
+          initial i0;
+          pjunction j;
+          state A;
+          state B;
+          transition t0 {{ from i0 to j }}
+          transition t1 {{ from j to A prob {first} }}
+          transition t2 {{ from j to A prob {second} }}
+          transition t3 {{ from j to B prob 1 - {first} - {second} }}
+        }}
+      }}
+    }}
+    """)
+    return instantiate(model, {}, None, None, "dtmc")
+
+
+def _junction_move(closed, mm):
+    j = next(s for s, st in enumerate(mm.states) if st[closed.machines[0].pc_i] == "j")
+    return moves_of(mm, j)[0]
+
+
+def test_env_join_products_that_coincide_share_one_weight_id(srw_model, srw_spec):
+    mm = build_markov(_join_closed(srw_model, srw_spec))
+    joins = [m for m, action in enumerate(mm.move_action) if action.endswith("+A.c0+B.c0")]
+    assert joins
+    for m in joins:
+        ids = mm.weight_id[mm.first_branch[m]:mm.first_branch[m + 1]].tolist()
+        # nine destinations; 1/2*1/3 and 1/3*1/2 are one weight, as are
+        # 1/2*1/6 and 1/6*1/2, and 1/3*1/6 and 1/6*1/3
+        assert len(ids) == 9 and len(set(ids)) == 6
+        assert sorted(mm.weights[w] for w in set(ids)) == [
+            Fraction(1, 36), Fraction(1, 18), Fraction(1, 12), Fraction(1, 9),
+            Fraction(1, 6), Fraction(1, 4)]
+    assert len(set(mm.weights)) == len(mm.weights)
+
+
+def test_junction_branches_to_one_target_merge_to_their_exact_sum():
+    closed = _junction_closed("0.25", "1/3")
+    mm = build_markov(closed)
+    move = _junction_move(closed, mm)
+    assert [p for p, _ in move.branches] == [Fraction(7, 12), Fraction(5, 12)]
+    assert len(set(mm.weights)) == len(mm.weights)
+    mm.check_stochastic()
+
+
+def test_prob_zero_branch_is_not_stored():
+    closed = _junction_closed("0", "0")
+    mm = build_markov(closed)
+    move = _junction_move(closed, mm)
+    assert [p for p, _ in move.branches] == [Fraction(1)]
+    assert all(mm.weights[w] > 0 for w in mm.weight_id.tolist())
+    assert len(set(mm.weights)) == len(mm.weights)
+
+
+def _floats_match(mm):
+    assert (mm.weight_id < len(mm.weight_float)).all()
+    assert all(mm.weight_float[i] == float(mm.weights[i]) for i in range(len(mm.weight_float)))
+
+
+def test_models_of_one_closed_model_share_its_weight_table(srw_model, srw_spec):
+    closed = _join_closed(srw_model, srw_spec)
+    lazy = open_markov(closed)
+    lazy.expand([0])  # before any environment join
+    _floats_match(lazy)
+    with pytest.raises(BuildError, match="cap"):
+        build_markov(closed, max_states=40)
+    full = build_markov(closed)
+    assert full.weights is lazy.weights is closed.weight_table.weights
+    _floats_match(full)
+    lazy.expand_all()  # meets the products that the other builds interned
+    _floats_match(lazy)
+    assert lazy.export_text() == full.export_text()
+    again = build_markov(closed)
+    _floats_match(again)
+    assert again.export_text() == full.export_text()
+
+
+def test_exploration_hashes_and_compares_no_fraction_per_state(srw_model, srw_spec, monkeypatch):
+    closed = instantiate(srw_model, {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(1, 2)},
+                         srw_spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc", srw_spec)
+    calls = {"hash": 0, "eq": 0}
+    real_hash, real_eq = Fraction.__hash__, Fraction.__eq__
+
+    def counted_hash(self):
+        calls["hash"] += 1
+        return real_hash(self)
+
+    def counted_eq(self, other):
+        calls["eq"] += 1
+        return real_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    mm = build_markov(closed)
+    monkeypatch.undo()
+    assert mm.num_states > 1000
+    assert calls["hash"] <= len(mm.weights) and calls["eq"] <= len(mm.weights), calls
