@@ -284,14 +284,17 @@ def allowed_sim_params(method: str) -> set[str]:
     return set(_METHOD_PARAMS[method])
 
 
-def walk(expr: Expr):
-    """Yield expr and every sub-expression, pre-order."""
+def walk(expr: Expr, stop: tuple = ()):
+    """Yield expr and every sub-expression, pre-order, but none below a node
+    of the types in `stop`."""
     stack = [expr]
     while stack:
         node = stack.pop()
         if node is None or not isinstance(node, Expr):
             continue
         yield node
+        if isinstance(node, stop):
+            continue
         children = []
         if isinstance(node, Unary):
             children = [node.operand]

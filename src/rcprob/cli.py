@@ -157,7 +157,7 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
             del build_cache[key]
         try:
             records.append(_check_job(plan, job, closed, mm, build_ms))
-        except EvalError as exc:
+        except (EvalError, exact.CheckError, exact.UnsupportedError, smc.SmcError) as exc:
             where = f" [{job.config_id}]" if job.config_id else ""
             raise exact.CheckError(f"property {job.prop.name}{where} at line "
                                    f"{job.prop.pos[0]}: {exc}") from exc
@@ -196,23 +196,24 @@ def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int) -> dict:
 
 
 def _sim_params(method: A.SimMethodSpec | None, closed):
+    """The method, its parameters and the path length; the sample count n
+    and the path length stay as written, for `smc` to check."""
     if method is None:
         return "CI", {"alpha": 0.05, "n": 1000}, smc.DEFAULT_PATHLEN
     params = {}
     for name, expr in method.params.items():
         value = closed.spec_expr(expr)(None)
-        params[name] = float(value) if name != "n" else int(value)
+        params[name] = value if name == "n" else float(value)
     pathlen = smc.DEFAULT_PATHLEN
     if method.pathlen is not None:
-        pathlen = int(closed.spec_expr(method.pathlen)(None))
+        pathlen = closed.spec_expr(method.pathlen)(None)
     return method.method, params, pathlen
 
 
 def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
     body = job.prop.body
     if not isinstance(body, (A.ProbFormula, A.RewardFormula)):
-        raise smc.SmcError(f"property {job.prop.name} is not simulable; "
-                           "simulation needs a P or R formula")
+        raise smc.SmcError("simulation needs a P or R formula")
     method, params, pathlen = _sim_params(body.method, closed)
     theta = None if body.bound is None else float(closed.spec_expr(body.bound.expr)(None))
     if isinstance(body, A.RewardFormula):

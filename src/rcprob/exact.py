@@ -1,5 +1,11 @@
 """Exact property checking over explicit Markov models.
 
+Every engine of rcprob accepts the same linear fragment: X, F, G, U, W
+(Weak Until) and R (Release) over state formulas, bounded or not.
+`until_form` rewrites each of them into X or a possibly negated until, so
+P (here), A/E (here) and simulation (`smc`) implement only those two; A/E
+adds the fairness shapes GF, FG, GF=>GF, FG=>GF and G(p => F q).
+
 Probability and reward operators first split the states by qualitative
 graph precomputation (prob-0/prob-1, finite-reward regions, bottom strongly
 connected components).  On a dtmc the remaining unbounded values come from
@@ -31,13 +37,13 @@ from scipy.sparse.linalg import splu
 
 from . import ast as A
 from . import props as P
-from .build import ClosedModel, MarkovModel, attach_rewards
+from .build import ClosedModel, MarkovModel, _fmt_value, attach_rewards
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
 
-AE_FRAGMENT = ("X, U, F, G with state operands (optionally bounded), GF, FG, "
-               "GF=>GF, FG=>GF, and G(p => F q)")
+AE_FRAGMENT = ("X, F, G, U, W, R over state formulas, bounded or not, and the "
+               "fairness shapes GF, FG, GF=>GF, FG=>GF, G(p => F q)")
 
 
 class UnsupportedError(ValueError):
@@ -67,10 +73,10 @@ class CheckResult:
 
 
 def _is_state_expr(e: A.Expr) -> bool:
-    for node in A.walk(e):
-        if isinstance(node, A.PATH_NODES + A.REWARD_PATH_NODES):
-            return False
-    return True
+    """Whether e is a state formula: its path operators, if any, are operands
+    of P, R, A or E."""
+    return not any(isinstance(node, A.PATH_NODES + A.REWARD_PATH_NODES) for node in A.walk(
+        e, stop=(A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)))
 
 
 class ExactChecker:
@@ -210,10 +216,8 @@ class ExactChecker:
             if e.op == "=>":
                 return ~l | r
             return l == r
-        if isinstance(e, A.ProbFormula):
-            return self._prob_formula(e)
-        if isinstance(e, A.RewardFormula):
-            return self._reward_formula(e)
+        if isinstance(e, (A.ProbFormula, A.RewardFormula)):
+            return self._compare(e)
         if isinstance(e, A.Forall):
             return self.check_ae("A", e.path)
         if isinstance(e, A.Exists):
@@ -224,104 +228,62 @@ class ExactChecker:
         # plain boolean state expression over the valuation
         return self._atom(e)
 
-    def _bound_value(self, bound: A.Bound) -> float:
-        value = self.closed.spec_expr(bound.expr)(None)
-        return float(value)
-
-    def _step_bound(self, bound: A.Bound | None) -> int | None:
-        if bound is None:
-            return None
-        value = self.closed.spec_expr(bound.expr)(None)
-        k = int(value)
-        if k != value:
-            raise CheckError(f"step bound must be an integer, got {value}")
-        if bound.op == "<=":
-            pass
-        elif bound.op == "<":
-            k = k - 1
-        else:
-            raise UnsupportedError(f"step bound {bound.op!r} is not supported (use <= or <)")
-        if k < 0:
-            k = -1  # empty horizon
-        return k
-
-    def _prob_formula(self, e: A.ProbFormula) -> np.ndarray:
+    def _compare(self, e: A.ProbFormula | A.RewardFormula) -> np.ndarray:
+        """A bounded P or R formula: per state, whether its value meets the
+        bound, with a slack of 1e-12 on probabilities and 1e-9 on rewards."""
         if e.query is not None:
-            raise CheckError("a probability query is not a state formula; "
+            what = "probability" if isinstance(e, A.ProbFormula) else "reward"
+            raise CheckError(f"a {what} query is not a state formula; "
                              "queries are only allowed at the top level of a property")
-        bound = e.bound
-        p = self._bound_value(bound)
+        op = e.bound.op
+        p = float(self.closed.spec_expr(e.bound.expr)(None))
         # upper bounds quantify over the worst (largest) adversary, lower
         # bounds over the smallest
-        if self.mm.kind == "mdp" and not self._deterministic:
-            mode = "max" if bound.op in ("<", "<=") else "min"
-        else:
-            mode = "exact"
-        values = self.prob_path(e.path, mode)
-        if bound.op == "<":
+        values = self._values(e, "max" if op in ("<", "<=") else "min")
+        slack = 1e-12 if isinstance(e, A.ProbFormula) else 1e-9
+        if op == "<":
             return values < p
-        if bound.op == "<=":
-            return values <= p + 1e-12
-        if bound.op == ">":
+        if op == "<=":
+            return values <= p + slack
+        if op == ">":
             return values > p
-        return values >= p - 1e-12
+        return values >= p - slack
 
-    def _reward_formula(self, e: A.RewardFormula) -> np.ndarray:
-        if e.query is not None:
-            raise CheckError("a reward query is not a state formula; "
-                             "queries are only allowed at the top level of a property")
-        p = self._bound_value(e.bound)
-        if self.mm.kind == "mdp" and not self._deterministic:
-            mode = "max" if e.bound.op in ("<", "<=") else "min"
-        else:
-            mode = "exact"
-        values = self.expected_reward(e.rewards, e.path, mode)
-        if e.bound.op == "<":
-            return values < p
-        if e.bound.op == "<=":
-            return values <= p + 1e-9
-        if e.bound.op == ">":
-            return values > p
-        return values >= p - 1e-9
+    def _values(self, e: A.ProbFormula | A.RewardFormula, mode: str) -> np.ndarray:
+        """Per-state value of the path formula of a P or R formula."""
+        if isinstance(e, A.ProbFormula):
+            return self.prob_path(e.path, mode)
+        return self.expected_reward(e.rewards, e.path, mode)
+
+    def _numeric_mode(self, mode: str, what: str) -> str:
+        """The mode (exact|min|max) a numeric computation runs in: exact on a
+        dtmc or a deterministic mdp, where every adversary is the same."""
+        self.engine = "numeric"
+        if self.mm.kind == "dtmc" or self._deterministic:
+            return "exact"
+        if mode == "exact":
+            raise CheckError(f"plain {what} are underspecified on an mdp; "
+                             "use min =? or max =?")
+        return mode
 
     # --- probability computation ---------------------------------------------
 
     def prob_path(self, path: A.Expr, mode: str) -> np.ndarray:
         """Per-state probability of a path formula; mode in exact|min|max."""
-        self.engine = "numeric"
-        if self.mm.kind == "dtmc" or self._deterministic:
-            mode = "exact"
-        elif mode == "exact":
-            raise CheckError("plain probabilities are underspecified on an mdp; "
-                             "use min =? or max =?")
-        if isinstance(path, A.Next):
-            if not _is_state_expr(path.operand):
+        mode = self._numeric_mode(mode, "probabilities")
+        form = until_form(path, self.closed)
+        if form is None:
+            if isinstance(path, A.PATH_NODES):
                 raise UnsupportedError("nested temporal operators under P are not supported")
-            target = self.sat(path.operand).astype(float)
-            return self._one_step(target, mode)
-        if isinstance(path, A.Finally_):
-            return self._until(A.Lit(True), path.operand, self._step_bound(path.bound), mode)
-        if isinstance(path, A.Globally):
-            k = self._step_bound(path.bound)
-            inner = self._until(A.Lit(True), A.Unary("not", path.operand), k,
-                                _flip(mode))
-            return np.clip(1.0 - inner, 0.0, 1.0)
-        if isinstance(path, A.Until):
-            return self._until(path.left, path.right, self._step_bound(path.bound), mode)
-        if isinstance(path, A.WeakUntil):
-            k = self._step_bound(path.bound)
-            l, r = path.left, path.right
-            bad_src = A.Binary("/\\", l, A.Unary("not", r))
-            bad_tgt = A.Binary("/\\", A.Unary("not", l), A.Unary("not", r))
-            inner = self._until(bad_src, bad_tgt, k, _flip(mode))
-            return np.clip(1.0 - inner, 0.0, 1.0)
-        if isinstance(path, A.Release):
-            k = self._step_bound(path.bound)
-            inner = self._until(A.Unary("not", path.left), A.Unary("not", path.right),
-                                k, _flip(mode))
-            return np.clip(1.0 - inner, 0.0, 1.0)
-        raise UnsupportedError(
-            f"{type(path).__name__} is not a supported path formula under P")
+            raise UnsupportedError(
+                f"{type(path).__name__} is not a supported path formula under P")
+        if isinstance(form, A.Next):
+            return self._one_step(self.sat(form.operand).astype(float), mode)
+        negated, left, right, k = form
+        if not negated:
+            return self._until(left, right, k, mode)
+        # the least probability of a formula is one minus the greatest of its negation
+        return np.clip(1.0 - self._until(left, right, k, _flip(mode)), 0.0, 1.0)
 
     def _one_step(self, target: np.ndarray, mode: str) -> np.ndarray:
         if mode == "exact":
@@ -331,8 +293,6 @@ class ExactChecker:
         return self._reduce_moves(per_move, mode)
 
     def _until(self, left: A.Expr, right: A.Expr, k: int | None, mode: str) -> np.ndarray:
-        if not (_is_state_expr(left) and _is_state_expr(right)):
-            raise UnsupportedError("nested temporal operators under P are not supported")
         sat1 = self.sat(left)
         sat2 = self.sat(right)
         if k is not None:
@@ -446,36 +406,21 @@ class ExactChecker:
 
     def check_ae(self, quant: str, path: A.Expr) -> np.ndarray:
         self.engine = "graph"
-        shape = self._ae_shape(path)
+        form = until_form(path, self.closed)
+        if isinstance(form, A.Next):
+            target = self.sat(form.operand)
+            return self.succ() @ target if quant == "E" else ~(self.succ() @ ~target)
+        if form is not None:
+            negated, left, right, k = form
+            if negated:
+                # A not phi fails exactly where E phi holds, and vice versa
+                return ~self._ae_until("A" if quant == "E" else "E", left, right, k)
+            return self._ae_until(quant, left, right, k)
+        shape = _ae_shape(path)
         if shape is None:
             raise UnsupportedError(
                 f"path formula outside the supported A/E fragment ({AE_FRAGMENT})")
         kind = shape[0]
-        if kind == "X":
-            target = self.sat(shape[1])
-            return self.succ() @ target if quant == "E" else ~(self.succ() @ ~target)
-        if kind == "U":
-            _, left, right, k = shape
-            sat1, sat2 = self.sat(left), self.sat(right)
-            if k is not None:
-                return self._ae_bounded_until(sat1, sat2, k, quant)
-            if quant == "E":
-                return self._reach_exists(sat1 & ~sat2, sat2)
-            bad = self._reach_exists(~sat2, ~sat1 & ~sat2) | self._eg(~sat2)
-            return ~bad
-        if kind == "W":
-            _, left, right, k = shape
-            sat1, sat2 = self.sat(left), self.sat(right)
-            if k is not None:
-                if quant == "A":
-                    return ~self._ae_bounded_until(sat1 & ~sat2, ~sat1 & ~sat2, k, "E")
-                return self._ae_weak_bounded(sat1, sat2, k)
-            if quant == "A":
-                return ~self._reach_exists(sat1 & ~sat2, ~sat1 & ~sat2)
-            return self._reach_exists(sat1 & ~sat2, sat2) | self._eg(sat1)
-        if kind == "R":
-            # l R r holds exactly where (not l) U (not r) fails
-            return ~self.check_ae("E" if quant == "A" else "A", shape[1])
         if kind == "GF":
             target = self.sat(shape[1])
             if quant == "E":
@@ -504,71 +449,16 @@ class ExactChecker:
                 bad = p & self._eg(~q)
                 return ~self._reach_exists(np.ones(self.n, dtype=bool), bad)
             return self._e_response(p, q)
-        if kind == "G":
-            target = self.sat(shape[1])
-            k = shape[2]
-            if k is not None:
-                bad = self._ae_bounded_until(np.ones(self.n, dtype=bool), ~target, k,
-                                             "E" if quant == "A" else "A")
-                return ~bad
-            if quant == "E":
-                return self._eg(target)
-            return ~self._reach_exists(np.ones(self.n, dtype=bool), ~target)
         raise AssertionError(kind)
 
-    def _ae_shape(self, path: A.Expr):
-        """Normalize a path formula into one of the supported A/E shapes."""
-        if isinstance(path, A.Next) and _is_state_expr(path.operand):
-            return ("X", path.operand)
-        if isinstance(path, A.Until):
-            if _is_state_expr(path.left) and _is_state_expr(path.right):
-                return ("U", path.left, path.right, self._step_bound(path.bound))
-            return None
-        if isinstance(path, A.WeakUntil):
-            if _is_state_expr(path.left) and _is_state_expr(path.right):
-                return ("W", path.left, path.right, self._step_bound(path.bound))
-            return None
-        if isinstance(path, A.Release):
-            if _is_state_expr(path.left) and _is_state_expr(path.right):
-                return ("R", A.Until(A.Unary("not", path.left), path.bound,
-                                     A.Unary("not", path.right)))
-            return None
-        if isinstance(path, A.Finally_):
-            op = path.operand
-            if isinstance(op, A.Globally) and path.bound is None and op.bound is None \
-                    and _is_state_expr(op.operand):
-                return ("FG", op.operand)
-            if _is_state_expr(op):
-                return ("U", A.Lit(True), op, self._step_bound(path.bound))
-            return None
-        if isinstance(path, A.Globally):
-            op = path.operand
-            if isinstance(op, A.Finally_) and path.bound is None and op.bound is None \
-                    and _is_state_expr(op.operand):
-                return ("GF", op.operand)
-            if isinstance(op, A.Binary) and op.op == "=>" and path.bound is None \
-                    and isinstance(op.right, A.Finally_) and op.right.bound is None \
-                    and _is_state_expr(op.left) and _is_state_expr(op.right.operand):
-                return ("G=>F", op.left, op.right.operand)
-            if _is_state_expr(op):
-                return ("G", op, self._step_bound(path.bound))
-            return None
-        if isinstance(path, A.Binary) and path.op == "=>":
-            left = self._gf_or_fg(path.left)
-            right = self._gf_or_fg(path.right)
-            if left is not None and right is not None and right[0] == "GF":
-                return (f"{left[0]}=>GF", left[1], right[1])
-            return None
-        return None
-
-    def _gf_or_fg(self, e: A.Expr):
-        if isinstance(e, A.Globally) and e.bound is None and isinstance(e.operand, A.Finally_) \
-                and e.operand.bound is None and _is_state_expr(e.operand.operand):
-            return ("GF", e.operand.operand)
-        if isinstance(e, A.Finally_) and e.bound is None and isinstance(e.operand, A.Globally) \
-                and e.operand.bound is None and _is_state_expr(e.operand.operand):
-            return ("FG", e.operand.operand)
-        return None
+    def _ae_until(self, quant: str, left: A.Expr, right: A.Expr, k: int | None) -> np.ndarray:
+        sat1, sat2 = self.sat(left), self.sat(right)
+        if k is not None:
+            return self._ae_bounded_until(sat1, sat2, k, quant)
+        if quant == "E":
+            return self._reach_exists(sat1 & ~sat2, sat2)
+        bad = self._reach_exists(~sat2, ~sat1 & ~sat2) | self._eg(~sat2)
+        return ~bad
 
     def _ae_bounded_until(self, sat1, sat2, k: int, quant: str) -> np.ndarray:
         if k < 0:
@@ -577,11 +467,6 @@ class ExactChecker:
         if quant == "E":
             return _lfp(lambda x: sat2 | (sat1 & (succ @ x)), sat2, k)
         return _lfp(lambda x: sat2 | (sat1 & ~(succ @ ~x)), sat2, k)
-
-    def _ae_weak_bounded(self, sat1, sat2, k) -> np.ndarray:
-        unt = self._ae_bounded_until(sat1, sat2, k, "E")
-        glob = ~self._ae_bounded_until(np.ones(self.n, dtype=bool), ~sat1, k, "A")
-        return unt | glob
 
     def _eg(self, target: np.ndarray) -> np.ndarray:
         """Greatest fixpoint: states with an infinite path staying in target."""
@@ -638,12 +523,7 @@ class ExactChecker:
         return state_r, move_r
 
     def expected_reward(self, rname: str | None, rpath: A.Expr, mode: str) -> np.ndarray:
-        self.engine = "numeric"
-        if self.mm.kind == "dtmc" or self._deterministic:
-            mode = "exact"
-        elif mode == "exact":
-            raise CheckError("plain reward queries are underspecified on an mdp; "
-                             "use min =? or max =?")
+        mode = self._numeric_mode(mode, "reward queries")
         state_r, move_r = self._reward_arrays(rname)
         if isinstance(rpath, A.LTLReward):
             op = rpath.operand
@@ -656,7 +536,7 @@ class ExactChecker:
         if isinstance(rpath, A.Reachable):
             return self._reach_reward(self.sat(rpath.operand), state_r, move_r, mode)
         if isinstance(rpath, A.Cumul):
-            k = int(self.closed.spec_expr(rpath.operand)(None))
+            k = max(step_bound(self.closed, A.Bound("<=", rpath.operand)), 0)
             return self._cumul_reward(k, state_r, move_r, mode)
         if isinstance(rpath, A.TotalReward):
             return self._total_reward(state_r, move_r, mode)
@@ -763,6 +643,84 @@ def reward_source(mm: MarkovModel, closed: ClosedModel, rname: str | None):
     return decl
 
 
+def step_bound(closed: ClosedModel, bound: A.Bound | None) -> int | None:
+    """The last step a step bound allows: None when unbounded, -1 when it
+    allows none (the empty horizon)."""
+    if bound is None:
+        return None
+    value = closed.spec_expr(bound.expr)(None)
+    k = int(value)
+    if k != value:
+        raise CheckError(f"step bound must be an integer, got {_fmt_value(value)}")
+    if bound.op == "<":
+        k = k - 1
+    elif bound.op != "<=":
+        raise UnsupportedError(f"step bound {bound.op!r} is not supported (use <= or <)")
+    return max(k, -1)
+
+
+def until_form(path: A.Expr, closed: ClosedModel):
+    """The until normal form of a path formula whose operands are state
+    formulas: X phi is itself, every other operator is (negated, left,
+    right, k), which means [not] (left U<=k right) with k from `step_bound`.
+    None for any other formula.
+
+    By the standard dualities, which keep the step bound (Baier and Katoen,
+    Principles of Model Checking, ch. 5 and 10): F phi = true U phi,
+    G phi = not (true U not phi), l W r = not ((l and not r) U (not l and
+    not r)) and l R r = not (not l U not r)."""
+    if isinstance(path, A.Next):
+        return path if _is_state_expr(path.operand) else None
+    if isinstance(path, (A.Finally_, A.Globally)):
+        left, right = A.Lit(True), path.operand
+    elif isinstance(path, (A.Until, A.WeakUntil, A.Release)):
+        left, right = path.left, path.right
+    else:
+        return None
+    if not (_is_state_expr(left) and _is_state_expr(right)):
+        return None
+    k = step_bound(closed, path.bound)
+    if isinstance(path, (A.Finally_, A.Until)):
+        return False, left, right, k
+    if isinstance(path, A.Globally):
+        return True, left, A.Unary("not", right), k
+    if isinstance(path, A.WeakUntil):
+        not_right = A.Unary("not", right)
+        return (True, A.Binary("/\\", left, not_right),
+                A.Binary("/\\", A.Unary("not", left), not_right), k)
+    return True, A.Unary("not", left), A.Unary("not", right), k
+
+
+def _ae_shape(path: A.Expr):
+    """The omega-regular A/E shape of a path formula outside the until
+    normal form: GF, FG, GF=>GF, FG=>GF or G=>F with its state operands."""
+    shape = _gf_or_fg(path)
+    if shape is not None:
+        return shape
+    if isinstance(path, A.Globally) and path.bound is None:
+        op = path.operand
+        if isinstance(op, A.Binary) and op.op == "=>" and isinstance(op.right, A.Finally_) \
+                and op.right.bound is None and _is_state_expr(op.left) \
+                and _is_state_expr(op.right.operand):
+            return ("G=>F", op.left, op.right.operand)
+    if isinstance(path, A.Binary) and path.op == "=>":
+        left = _gf_or_fg(path.left)
+        right = _gf_or_fg(path.right)
+        if left is not None and right is not None and right[0] == "GF":
+            return (f"{left[0]}=>GF", left[1], right[1])
+    return None
+
+
+def _gf_or_fg(e: A.Expr):
+    if isinstance(e, A.Globally) and e.bound is None and isinstance(e.operand, A.Finally_) \
+            and e.operand.bound is None and _is_state_expr(e.operand.operand):
+        return ("GF", e.operand.operand)
+    if isinstance(e, A.Finally_) and e.bound is None and isinstance(e.operand, A.Globally) \
+            and e.operand.bound is None and _is_state_expr(e.operand.operand):
+        return ("FG", e.operand.operand)
+    return None
+
+
 def _lfp(step, x: np.ndarray, limit: int | None = None) -> np.ndarray:
     """Iterate a monotone boolean step from x until it stops changing (or
     `limit` times): the least fixpoint above an x below it, the greatest
@@ -853,25 +811,15 @@ def check_property(mm: MarkovModel, closed: ClosedModel, prop: P.ProbProperty,
     checker = ExactChecker(mm, closed, tol)
     body = prop.body
     mode_name = "exact"
-    if isinstance(body, A.ProbFormula) and body.query is not None:
+    if isinstance(body, (A.ProbFormula, A.RewardFormula)) and body.query is not None:
         mode = {A.QUERY_PLAIN: "exact", A.QUERY_MIN: "min", A.QUERY_MAX: "max"}[body.query]
-        if mm.kind == "dtmc" and mode != "exact":
+        if mm.kind == "dtmc":
             mode = "exact"  # a dtmc has a single adversary
-        values = checker.prob_path(body.path, mode)
-        verdict = float(values[mm.initial])
-        mode_name = {"exact": "exact", "min": "minOverAdversaries",
-                     "max": "maxOverAdversaries"}[mode]
-    elif isinstance(body, A.RewardFormula) and body.query is not None:
-        mode = {A.QUERY_PLAIN: "exact", A.QUERY_MIN: "min", A.QUERY_MAX: "max"}[body.query]
-        if mm.kind == "dtmc" and mode != "exact":
-            mode = "exact"
-        values = checker.expected_reward(body.rewards, body.path, mode)
-        v = values[mm.initial]
+        v = checker._values(body, mode)[mm.initial]
         verdict = math.inf if np.isinf(v) else float(v)
         mode_name = {"exact": "exact", "min": "minOverAdversaries",
                      "max": "maxOverAdversaries"}[mode]
     else:
-        sat = checker.sat(body)
-        verdict = bool(sat[mm.initial])
+        verdict = bool(checker.sat(body)[mm.initial])
     return CheckResult(prop.name, config_id, verdict, mode_name, checker.engine,
                        checker.iterations, time.perf_counter() - t0)

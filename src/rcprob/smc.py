@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ast as A
-from .build import ClosedModel, MarkovModel, RewardStructure, reward_evaluator
-from .exact import ExactChecker, UnsupportedError, reward_source
+from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value, reward_evaluator
+from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
 
 DEFAULT_PATHLEN = 10_000
 MAX_SEQUENTIAL_SAMPLES = 10_000_000
@@ -111,6 +111,7 @@ def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
     A step is a fixed number of numpy calls over the live paths, whatever
     their count and the width of their states' rows, so the last paths of a
     batch cost about as much per step as one path walked alone."""
+    pathlen = _count("pathlen", pathlen)
     n = len(rngs)
     value = np.zeros(n)
     capped = np.zeros(n, dtype=bool)
@@ -204,43 +205,36 @@ class Monitor(_Extended):
             zip((self.ends, self.value, self.final), parts))
 
 
-def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
-    if isinstance(path, A.Next):
+def compile_monitor(closed: ClosedModel, path: A.Expr) -> Monitor:
+    """The monitor of a path formula in the until normal form (`until_form`):
+    X decides at step 1, and [not] (left U<=k right) when the path reaches a
+    right state, leaves the left states or sticks, or at step k by whether it
+    is at a right state.  A negated until flips the until's samples."""
+    form = until_form(path, closed)
+    if form is None:
+        raise UnsupportedError(
+            f"{type(path).__name__} is not simulable; simulation accepts X, F, G, U, "
+            "W and R over state formulas, bounded or not")
+    if isinstance(form, A.Next):
         # at step 0 an absorbing state's only successor is itself
-        return Monitor(lambda sat, absorbing: (absorbing, sat(path.operand),
-                                               sat(path.operand)), 1)
-    if isinstance(path, (A.Finally_, A.Until)):
-        k = checker._step_bound(path.bound)  # -1 for an empty horizon
+        return Monitor(lambda sat, absorbing: (absorbing, sat(form.operand),
+                                               sat(form.operand)), 1)
+    negated, left, right, k = form
 
-        def rule(sat, absorbing):
-            if isinstance(path, A.Finally_):
-                hit = sat(path.operand)
-                ends = hit | absorbing
-            else:
-                hit = sat(path.right)
-                ends = hit | absorbing | ~sat(path.left)
-            # at step k a path is decided by whether it is at a target
-            return ends, hit, hit & (k != -1)
+    def rule(sat, absorbing):
+        hit = sat(right)
+        # with the empty horizon (k = -1) the until fails at step 0
+        return hit | absorbing | ~sat(left), hit ^ negated, (hit & (k != -1)) ^ negated
 
-        return Monitor(rule, None if k is None else max(k, 0))
-    if isinstance(path, A.Globally):
-        k = checker._step_bound(path.bound)
-        # an empty horizon holds vacuously: decided 1 at step 0
-        return Monitor(lambda sat, absorbing: (~sat(path.operand) | absorbing,
-                                               sat(path.operand), sat(path.operand) | (k == -1)),
-                       None if k is None else max(k, 0), censor_value=1)
-    raise UnsupportedError(
-        f"{type(path).__name__} is not simulable; use F, G, U, or X")
+    return Monitor(rule, None if k is None else max(k, 0), censor_value=int(negated))
 
 
 def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
              path: A.Expr):
     """Simulate one path, monitoring the formula; returns (SimPath, sample).
     It is sample 0 of the run with this seed."""
-    if pathlen < 1:
-        raise SmcError("pathlen must be at least 1")
     _require_dtmc(mm)
-    monitor = compile_monitor(ExactChecker(mm, closed), path)
+    monitor = compile_monitor(closed, path)
     steps = []
     value, capped, _, _ = _walk(mm, closed, [_rng_for(seed, 0)], pathlen, monitor,
                                 trace=steps)
@@ -261,7 +255,7 @@ class _SampleStream:
     def __init__(self, mm: MarkovModel, closed: ClosedModel, path: A.Expr,
                  seed: int, pathlen: int):
         _require_dtmc(mm)
-        self.monitor = compile_monitor(ExactChecker(mm, closed), path)
+        self.monitor = compile_monitor(closed, path)
         self.mm = mm
         self.closed = closed
         self.seed = seed
@@ -318,11 +312,11 @@ class _PathTotals:
                 "path_len_max": self.length_max}
 
 
-def _sample_count(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise SmcError(f"the sample count n must be at least 1, got {n}")
-    return n
+def _count(name: str, value) -> int:
+    """A sample count or a path length: a whole number of at least 1."""
+    if value < 1 or value != int(value):
+        raise SmcError(f"{name} must be at least 1 and whole, got {_fmt_value(value)}")
+    return int(value)
 
 
 def _two_of_three(**kwargs):
@@ -363,7 +357,7 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
     given = _two_of_three(w=w, alpha=alpha, n=n)
     stream = _SampleStream(mm, closed, path, seed, pathlen)
     if "n" in given:
-        n = _sample_count(n)
+        n = _count("the sample count n", n)
     if "n" in given and "alpha" in given:
         total = sum(sum(batch) for batch in stream.batches(n))
         mean = total / n
@@ -429,10 +423,10 @@ def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
     if "epsilon" in given and "delta" in given:
         n = apmc_samples(epsilon, delta)
     elif "n" in given and "delta" in given:
-        n = _sample_count(n)
+        n = _count("the sample count n", n)
         epsilon = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
     else:
-        n = _sample_count(n)
+        n = _count("the sample count n", n)
         delta = 2.0 * math.exp(-2.0 * n * epsilon * epsilon)
     stream = _SampleStream(mm, closed, path, seed, pathlen)
     total = sum(sum(batch) for batch in stream.batches(n))
@@ -489,11 +483,11 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     """Mean-reward estimation for Cumul k and almost-sure Reachable formulas.
     A path that reaches an absorbing state outside the target of Reachable
     diverges; it is censored and counted as a cap hit."""
-    n = _sample_count(n)
+    n = _count("the sample count n", n)
     _require_dtmc(mm)
     rewards = _Rewards(mm, closed, rname)
     if isinstance(rpath, A.Cumul):
-        k = max(int(closed.spec_expr(rpath.operand)(None)), 0)
+        k = max(step_bound(closed, A.Bound("<=", rpath.operand)), 0)
         monitor = Monitor(lambda sat, absorbing: [np.zeros_like(absorbing)] * 3, k)
     elif isinstance(rpath, A.Reachable):
         # the value of a path is whether it diverged

@@ -623,11 +623,13 @@ def reference_path(mm: MarkovModel, rng, pathlen: int, stop):
 
 
 def reference_monitor(kind: str, sat1, sat2, k):
-    """The decision of F/U/G/X at a path's state before the given step:
-    None while undecided, else the 0/1 sample.  A bounded F/U decides at
-    step k at the latest, by whether the state is a target; G with the empty
-    horizon (k = -1) holds at once."""
+    """The decision of X, F, U, G, W or R at a path's state before the given
+    step: None while undecided, else the 0/1 sample.  A bounded operator
+    decides at step k at the latest; with the empty horizon (k = -1) F and U
+    fail at once, and G, W and R hold at once.  G reads its operand from
+    sat2; W and R read their left and right operands from sat1 and sat2."""
     def stop(s, step, absorbing):
+        at_bound = k is not None and step >= k
         if kind == "X":
             return int(sat2[s]) if step == 1 or absorbing else None
         if kind == "G":
@@ -635,8 +637,22 @@ def reference_monitor(kind: str, sat1, sat2, k):
                 return 1
             if not sat2[s]:
                 return 0
-            return 1 if absorbing or (k is not None and step >= k) else None
-        if k is not None and step >= k:
+            return 1 if absorbing or at_bound else None
+        if kind == "W":
+            # right after left at every step before, or left at every step
+            if k == -1 or sat2[s]:
+                return 1
+            if not sat1[s]:
+                return 0
+            return 1 if absorbing or at_bound else None
+        if kind == "R":
+            # right at every step up to and including the first left
+            if k == -1:
+                return 1
+            if not sat2[s]:
+                return 0
+            return 1 if sat1[s] or absorbing or at_bound else None
+        if at_bound:
             return int(k >= 0 and sat2[s])
         if sat2[s]:
             return 1

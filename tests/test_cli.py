@@ -350,6 +350,9 @@ defs D_all:
   pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
   pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
   pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+rewards R_origins =
+  [SRWMod::ctrl_ref::stm_ref::left.out] (SRWMod::SRWRP::x == 0) : 1;
+endrewards
 pmodules MEnv: pmodule E {
   n : [0 to 2] init 0;
   COMMAND
@@ -393,6 +396,20 @@ FAILING_INPUTS = {
                                     "alpha=0.05, n=10"),
                   ["--kind", "dtmc", "--engine", "smc"],
                   AT_PROPERTY),
+    "fractional n": (None, _srw_prop("Prob=? of [Finally #l_stuck] using sim with CI at "
+                                     "alpha=0.05, n=200.5"),
+                     ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
+    "zero pathlen": (None, _srw_prop("Prob=? of [Finally #l_stuck] using sim with CI at "
+                                     "alpha=0.05, n=200, pathlen=0"),
+                     ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
+    "fractional reward n": (None, _srw_prop("Reward {R_origins} =? of [Cumul 2] using sim "
+                                            "with CI at alpha=0.05, n=0.5"),
+                            ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
+    "fractional Cumul": (None, _srw_prop("Reward {R_origins} =? of [Cumul 2.5]"),
+                         ["--kind", "dtmc"], AT_PROPERTY),
+    "fractional Cumul smc": (None, _srw_prop("Reward {R_origins} =? of [Cumul 2.5] using sim "
+                                             "with CI at alpha=0.05, n=10"),
+                             ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
 }
 
 
@@ -411,6 +428,30 @@ def test_failing_expression_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert code == 2 and len(errors) == 1 and "Traceback" not in err, err
     line = spec_text[:spec_text.find("prob property")].count("\n") + 1
     assert errors[0].startswith("error: " + where.format(line=line)), errors[0]
+
+
+def test_weak_until_and_release_simulate_near_their_exact_values(tmp_path):
+    bodies = {"W": "(SRWMod::SRWRP::x >= 0) Weak Until #l_stuck",
+              "W5": "(SRWMod::SRWRP::x >= 0) Weak Until<=5 #l_stuck",
+              "R": "#l_stuck Release (SRWMod::SRWRP::x >= -1)",
+              "R5": "(SRWMod::SRWRP::x > 0) Release<=5 (SRWMod::SRWRP::x >= 0)"}
+    spec = tmp_path / "s.rcp"
+    spec.write_text(SRW_SETUP.replace("COMMAND", "[] true -> (@n = 0);") + "".join(
+        f"prob property P_{name}:\n  Prob=? of [{body}] using sim with CI at alpha=0.05, "
+        "n=1000\n  with constants C_all\n  with definitions D_all\n"
+        for name, body in bodies.items()))
+    records = {}
+    for engine in ("internal", "smc"):
+        out = tmp_path / engine
+        assert main(["check", SRW_RCM, str(spec), "--kind", "dtmc", "--engine", engine,
+                     "--out", str(out)]) == 0
+        for ln in (out / "report.jsonl").read_text().splitlines():
+            rec = json.loads(ln)
+            records[engine, rec["property"]] = rec
+    for name in bodies:
+        exact, sim = records["internal", f"P_{name}"], records["smc", f"P_{name}"]
+        assert 0 < exact["value"] < 1 and sim["mode"] == "smc-CI", name
+        assert abs(sim["value"] - exact["value"]) <= 4 * sim["halfWidth"], name
 
 
 # An expression that must be a constant but reads the state is rejected by

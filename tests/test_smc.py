@@ -277,7 +277,10 @@ def _shapes(p, q):
     for k in (None, 3, -1):
         out += [("F", A.Finally_(_bound(k), q), None, q, k),
                 ("G", A.Globally(_bound(k), p), None, p, k),
-                ("U", A.Until(p, _bound(k), q), p, q, k)]
+                ("U", A.Until(p, _bound(k), q), p, q, k),
+                ("W", A.WeakUntil(p, _bound(k), q), p, q, k),
+                # q releases p: p holds up to and including the first q
+                ("R", A.Release(q, _bound(k), p), q, p, k)]
     return out
 
 
@@ -290,7 +293,8 @@ def _reference(mm, ctx, kind, left, right, k, seed, pathlen):
         value, steps, _ = oracles.reference_path(mm, oracles.reference_rng(seed, i),
                                                  pathlen, stop)
         if value is None:
-            yield (1 if kind == "G" else 0), steps, True
+            # an undecided path has kept the safety operators G, W and R so far
+            yield (1 if kind in ("G", "W", "R") else 0), steps, True
         else:
             yield value, steps, False
 
@@ -348,7 +352,7 @@ def test_samples_match_reference_on_single_move_models(srw_small, pathlen):
                 "cap_hits": sum(capped for _, _, capped in want),
                 "path_len_mean": sum(lengths) / n, "path_len_max": max(lengths)}, (kind, k)
             checked += 1
-    assert checked == 40
+    assert checked == 64
     assert (caps > 0) == (pathlen == 3)
 
 
