@@ -16,6 +16,5 @@ from .exact import (CheckResult, check_AE, check_property, check_state_formula,
 from .smc import Estimate, SimPath, run_aci, run_apmc, run_ci, run_sprt, simulate
 from .prism import EmittedPair, check_prism_model, check_prism_props, emit_model, \
     emit_pair, emit_properties, mangle
-from .cli import RunPlan, run, sweep_experiments
 
 __version__ = "0.1.0"

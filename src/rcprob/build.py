@@ -1083,9 +1083,21 @@ class SampleTable:
 
 @dataclass
 class RewardStructure:
+    """A reward structure in the move store's layout, as floats: `state[r]`
+    is the reward of the state of row r and `move[m]` that of store move m.
+    `cover` extends both over the rows expanded since it last ran, by
+    `evaluate(mm, lo)`: the state rewards of the rows from lo on and the
+    rewards of their moves.  A structure given in full needs no `evaluate`."""
     name: str
-    state: list  # Fraction per state
-    move: dict  # (state, move index) -> Fraction
+    state: np.ndarray
+    move: np.ndarray
+    evaluate: object = None
+
+    def cover(self, mm: MarkovModel):
+        if self.state.size < len(mm.order):
+            state, move = self.evaluate(mm, self.state.size)
+            self.state = np.concatenate([self.state, state])
+            self.move = np.concatenate([self.move, move])
 
 
 class MarkovModel:
@@ -1113,7 +1125,8 @@ class MarkovModel:
     keep the order they were generated in, branches to one destination are
     merged at the first, and only positive ones are kept.  The choice CSR,
     the sample table, the distribution check, the export and the engines
-    all read these arrays."""
+    all read these arrays, and the reward structures in `rewards` keep
+    their values in the same layout, per row and per move."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
                  moves: list[list[Move] | None], deadlock: list[bool],
@@ -1145,7 +1158,7 @@ class MarkovModel:
         self._index: dict[tuple, int] | None = None
         self._max_states = DEFAULT_STATE_CAP
         self._short_names = None
-        self._choice_csr = None
+        self._choice_csr = self.choice_moves = None
         self._sample_table = None
         intern = self.weight_table.intern
         for s, row in enumerate(moves):
@@ -1274,13 +1287,15 @@ class MarkovModel:
         """The choice CSR of a complete model, built once: the move-by-state
         branch matrix, with the moves in state order, and the first move of
         each state followed by the number of moves.  The store's rows are
-        taken in state order, by one stable permutation of its moves."""
+        taken in state order, by one stable permutation of its moves:
+        `choice_moves[i]` is the store move of the matrix's row i."""
         if self._choice_csr is None:
             moves = np.diff(self.first_move)  # per row
             mat = sparse.csr_matrix((self.weight_float[self.weight_id], self.dest,
                                      self.first_branch),
                                     shape=(len(self.move_action), self.num_states))
-            mat = mat[np.argsort(np.repeat(self.order, moves), kind="stable")]
+            self.choice_moves = np.argsort(np.repeat(self.order, moves), kind="stable")
+            mat = mat[self.choice_moves]
             mat.sum_duplicates()  # sorts the columns of each move
             self._choice_csr = (mat, np.concatenate([[0], np.cumsum(moves[self.row_of])]))
         return self._choice_csr
@@ -1639,54 +1654,46 @@ def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> Ma
 
 
 def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) -> MarkovModel:
-    """Evaluate a rewards declaration over a built model and attach it."""
-    state_rewards, move_rewards = reward_evaluator(mm, decl, closed)(range(mm.num_states))
-    mm.rewards[decl.name] = RewardStructure(decl.name, state_rewards, move_rewards)
-    return mm
-
-
-def reward_evaluator(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel):
-    """The rewards of some expanded states of mm: states -> (state reward
-    per state, {(state, move index): reward} for the moves that some item's
-    event tags)."""
-    compiled = []
+    """Evaluate a rewards declaration over the expanded states of mm and
+    attach it; its `cover` evaluates it over the states expanded later.  An
+    item adds its value to its state's reward, or with an event to the
+    reward of each of the state's moves that the event tags, summed in
+    float in item order."""
+    items = []
     for item in decl.items:
-        guard_fn = closed.spec_expr(item.guard)
-        value_fn = closed.spec_expr(item.value)
         tag = None
         if item.event is not None:
-            ref, diags = closed.resolver.resolve_event(item.event)
+            ref, _ = closed.resolver.resolve_event(item.event)
             if ref is None:
                 raise BuildError(f"rewards {decl.name}: cannot resolve {item.event}")
             tag = (ref.qualified(), item.event.direction)
-        compiled.append((tag, guard_fn, value_fn))
-    zero = Fraction(0)
+        items.append((tag, closed.spec_expr(item.guard), closed.spec_expr(item.value)))
 
-    def rewards_of(states):
-        state_rewards = []
-        move_rewards: dict[tuple[int, int], Fraction] = {}
-        rows = mm.row_of[states]
-        for s, m0, m1 in zip(states, mm.first_move[rows].tolist(),
-                             mm.first_move[rows + 1].tolist()):
+    def evaluate(mm: MarkovModel, lo: int):
+        first_move = mm.first_move[lo:].tolist()
+        m0 = first_move[0]
+        state_r, move_r = np.zeros(len(first_move) - 1), np.zeros(first_move[-1] - m0)
+        for r, s in enumerate(mm.order[lo:]):
             state = mm.states[s]
-            state_rewards.append(zero)
-            for tag, guard_fn, value_fn in compiled:
+            for tag, guard_fn, value_fn in items:
                 try:
                     if not guard_fn(state):
                         continue
-                    value = Fraction(value_fn(state))
+                    value = value_fn(state)
                 except EvalError as exc:
                     raise BuildError(f"rewards {decl.name} at state {s}: {exc}") from exc
                 if value < 0:
-                    raise BuildError(
-                        f"rewards {decl.name}: negative reward {value} at state {s}")
+                    raise BuildError(f"rewards {decl.name}: negative reward "
+                                     f"{_fmt_value(value)} at state {s}")
                 if tag is None:
-                    state_rewards[-1] += value
+                    state_r[r] += float(value)
                 else:
-                    for mi, tags in enumerate(mm.move_tags[m0:m1]):
-                        if tag in tags:
-                            key = (s, mi)
-                            move_rewards[key] = move_rewards.get(key, Fraction(0)) + value
-        return state_rewards, move_rewards
+                    for m in range(first_move[r], first_move[r + 1]):
+                        if tag in mm.move_tags[m]:
+                            move_r[m - m0] += float(value)
+        return state_r, move_r
 
-    return rewards_of
+    rs = RewardStructure(decl.name, np.zeros(0), np.zeros(0), evaluate)
+    rs.cover(mm)
+    mm.rewards[decl.name] = rs
+    return mm

@@ -37,7 +37,7 @@ from scipy.sparse.linalg import splu
 
 from . import ast as A
 from . import props as P
-from .build import ClosedModel, MarkovModel, _fmt_value, attach_rewards
+from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value, attach_rewards
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
@@ -379,28 +379,28 @@ class ExactChecker:
         else:
             prob0 = self._prob0_min(sat1, sat2)
             prob1 = self._prob1_min(sat1, sat2)
-        x = np.zeros(self.n)
-        x[prob1] = 1.0
-        unknown = ~prob0 & ~prob1
-        if not unknown.any():
-            self.iterations = 0
-            return x
-        mat, bounds = self.mdp_arrays()
+        x = prob1.astype(float)
+        # prob0 holds ~sat1 & ~sat2 and prob1 holds sat2: the undecided
+        # states are sat1 & ~sat2, where the backup is the one-step value
+        idx = np.flatnonzero(~prob0 & ~prob1)
+        x = self._value_iteration(x, idx, lambda x: self._one_step(x, mode))
+        return np.clip(x, 0.0, 1.0)
+
+    def _value_iteration(self, x: np.ndarray, idx: np.ndarray, backup) -> np.ndarray:
+        """Iterate x[idx] = backup(x)[idx] from x, the other states fixed,
+        until the largest change relative to max(|x|, 1) falls below tol."""
         self.iterations = 0
+        if idx.size == 0:
+            return x
         for it in range(DEFAULT_MAX_ITER):
-            per_move = mat.dot(x)
-            agg = self._reduce_moves(per_move, mode)
-            new_vals = np.where(sat2, 1.0, np.where(sat1, agg, 0.0))
-            new_vals[prob1] = 1.0
-            new_vals[prob0] = 0.0
-            delta = np.max(np.abs(new_vals - x) / np.maximum(np.abs(new_vals), 1.0))
-            x = new_vals
+            new = x.copy()
+            new[idx] = backup(x)[idx]
+            delta = np.max(np.abs(new[idx] - x[idx]) / np.maximum(np.abs(new[idx]), 1.0))
+            x = new
             self.iterations = it + 1
             if delta < self.tol:
-                break
-        else:
-            raise CheckError(f"value iteration hit the cap; last residual {delta:g}")
-        return np.clip(x, 0.0, 1.0)
+                return x
+        raise CheckError(f"value iteration hit the cap; last residual {delta:g}")
 
     # --- A/E path quantifiers ----------------------------------------------------
 
@@ -510,17 +510,10 @@ class ExactChecker:
     # --- rewards ---------------------------------------------------------------
 
     def _reward_arrays(self, rname: str | None):
-        mm = self.mm
-        rs = reward_source(mm, self.closed, rname)
-        if isinstance(rs, P.RewardsDecl):
-            attach_rewards(mm, rs, self.closed)
-            rs = mm.rewards[rs.name]
-        state_r = np.array([float(v) for v in rs.state])
-        mat, bounds = self.mdp_arrays()
-        move_r = np.zeros(mat.shape[0])
-        for (s, mi), v in rs.move.items():
-            move_r[bounds[s] + mi] = float(v)
-        return state_r, move_r
+        """The reward per state and per move of the choice CSR."""
+        rs = reward_source(self.mm, self.closed, rname)
+        self.mdp_arrays()  # the choice CSR, and with it `choice_moves`
+        return rs.state[self.mm.row_of], rs.move[self.mm.choice_moves]
 
     def expected_reward(self, rname: str | None, rpath: A.Expr, mode: str) -> np.ndarray:
         mode = self._numeric_mode(mode, "reward queries")
@@ -567,25 +560,14 @@ class ExactChecker:
         finite = finite | target
         x = np.where(finite, 0.0, np.inf)
         idx = np.flatnonzero(finite & ~target)
+        if mode != "exact":
+            # over the finite region; moves into the infinite region are
+            # excluded (max) or poison the move (min handled by inf)
+            return self._value_iteration(
+                x, idx, lambda x: self._expected_move_reward(state_r, move_r, x, mode))
         self.iterations = 0
-        if idx.size == 0:
-            return x
-        if mode == "exact":
+        if idx.size:
             x[idx] = self._solve(idx, self._dtmc_reward_base(state_r, move_r)[idx])
-            return x
-        # value iteration over the finite region; moves into the infinite
-        # region are excluded (max) or poison the move (min handled by inf)
-        for it in range(DEFAULT_MAX_ITER):
-            backup = self._expected_move_reward(state_r, move_r, x, mode)
-            new = x.copy()
-            new[idx] = backup[idx]
-            delta = np.max(np.abs(new[idx] - x[idx]) / np.maximum(np.abs(new[idx]), 1.0))
-            x = new
-            self.iterations = it + 1
-            if delta < self.tol:
-                break
-        else:
-            raise CheckError(f"value iteration hit the cap; last residual {delta:g}")
         return x
 
     def _cumul_reward(self, k: int, state_r, move_r, mode) -> np.ndarray:
@@ -626,21 +608,24 @@ class ExactChecker:
         return x
 
 
-def reward_source(mm: MarkovModel, closed: ClosedModel, rname: str | None):
+def reward_source(mm: MarkovModel, closed: ClosedModel, rname: str | None) -> RewardStructure:
     """The reward structure named `rname` attached to the model (with None,
-    the only one attached), else the spec's declaration of that name."""
+    the only one attached), else the spec's declaration of that name, which
+    is attached; covered over every expanded state."""
     if rname is None:
         names = list(mm.rewards)
         if len(names) != 1:
             raise CheckError("the reward formula needs a rewards name "
                              f"(attached: {names or 'none'})")
         rname = names[0]
-    if rname in mm.rewards:
-        return mm.rewards[rname]
-    decl = closed.spec.find(P.RewardsDecl, rname)
-    if decl is None:
-        raise CheckError(f"unknown rewards {rname!r}")
-    return decl
+    if rname not in mm.rewards:
+        decl = closed.spec.find(P.RewardsDecl, rname)
+        if decl is None:
+            raise CheckError(f"unknown rewards {rname!r}")
+        attach_rewards(mm, decl, closed)
+    rs = mm.rewards[rname]
+    rs.cover(mm)
+    return rs
 
 
 def step_bound(closed: ClosedModel, bound: A.Bound | None) -> int | None:

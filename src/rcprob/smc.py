@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ast as A
-from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value, reward_evaluator
+from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value
 from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
 
 DEFAULT_PATHLEN = 10_000
@@ -94,7 +94,7 @@ def _require_dtmc(mm: MarkovModel):
 
 
 def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
-          monitor: Monitor, rewards: _Rewards | None = None, trace=None):
+          monitor: Monitor, rewards: RewardStructure | None = None, trace=None):
     """Advance one path per generator in `rngs` from the initial state, all
     in lockstep.
 
@@ -157,27 +157,19 @@ def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
         # the keys <= (row, u) end at the row's first branch whose
         # cumulative weight exceeds u; its last one is 1.0 > u
         pos = table.key.searchsorted(query, "right")
+        if rewards is not None or trace is not None:
+            moves = mm.first_branch.searchsorted(pos, "right") - 1
         if rewards is not None:
-            gain[live] += rewards.state[rows] + rewards.branch[pos]
+            gain[live] += rewards.state[rows] + rewards.move[moves]
         if trace is not None:
-            trace.append((states, mm.first_branch.searchsorted(pos, "right") - 1,
-                          mm.dest[pos]))
+            trace.append((states, moves, mm.dest[pos]))
         states = mm.dest[pos]
         t += 1
     length[live] = t
     return value, capped, length, gain
 
 
-class _Extended:
-    """Arrays over a model's expanded states in expansion order (its rows),
-    extended over the rows expanded since by `cover`."""
-
-    def cover(self, mm: MarkovModel, *args):
-        while self.size < len(mm.order):
-            self.extend(mm, np.array(mm.order[self.size:], dtype=np.int64), *args)
-
-
-class Monitor(_Extended):
+class Monitor:
     """On-the-fly decision procedure of a path formula, as arrays over rows.
 
     Before step t a path at row r is decided when `ends[r]`, with the sample
@@ -192,17 +184,17 @@ class Monitor(_Extended):
         self.censor_value = censor_value
         self.ends = self.value = self.final = np.zeros(0, dtype=bool)
 
-    @property
-    def size(self) -> int:
-        return self.ends.size
-
-    def extend(self, mm: MarkovModel, states: np.ndarray, closed: ClosedModel):
-        lo = self.size
-        absorbing = mm.sample_table().absorbing[lo:lo + states.size]
-        parts = self.rule(ExactChecker(mm, closed, states=states).sat, absorbing)
-        self.ends, self.value, self.final = (
-            np.concatenate([old, new]) for old, new in
-            zip((self.ends, self.value, self.final), parts))
+    def cover(self, mm: MarkovModel, closed: ClosedModel):
+        """Extend the arrays over the rows expanded since; a state formula
+        that expands the whole model adds rows, covered in turn."""
+        while self.ends.size < len(mm.order):
+            lo = self.ends.size
+            states = np.array(mm.order[lo:], dtype=np.int64)
+            absorbing = mm.sample_table().absorbing[lo:lo + states.size]
+            parts = self.rule(ExactChecker(mm, closed, states=states).sat, absorbing)
+            self.ends, self.value, self.final = (
+                np.concatenate([old, new]) for old, new in
+                zip((self.ends, self.value, self.final), parts))
 
 
 def compile_monitor(closed: ClosedModel, path: A.Expr) -> Monitor:
@@ -319,6 +311,13 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _within(name: str, value, hi: float = 1.0):
+    """A rate or a width, if given: strictly between 0 and hi."""
+    if value is not None and not 0 < value < hi:
+        where = "positive" if hi == math.inf else f"in (0, {hi:g})"
+        raise SmcError(f"{name} must be {where}, got {_fmt_value(value)}")
+
+
 def _two_of_three(**kwargs):
     given = {k: v for k, v in kwargs.items() if v is not None}
     if len(given) != 2:
@@ -355,6 +354,8 @@ def _half_width(method, alpha, mean, var_sum, n):
 
 def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
     given = _two_of_three(w=w, alpha=alpha, n=n)
+    _within("w", w, math.inf)
+    _within("alpha", alpha)
     stream = _SampleStream(mm, closed, path, seed, pathlen)
     if "n" in given:
         n = _count("the sample count n", n)
@@ -420,6 +421,8 @@ def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
     """Approximate model checking with the Chernoff-Hoeffding bound
     n >= ln(2/delta) / (2 epsilon^2); the missing parameter is solved for."""
     given = _two_of_three(epsilon=epsilon, delta=delta, n=n)
+    _within("epsilon", epsilon, math.inf)
+    _within("delta", delta)
     if "epsilon" in given and "delta" in given:
         n = apmc_samples(epsilon, delta)
     elif "n" in given and "delta" in given:
@@ -443,6 +446,8 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
     direction."""
     if alpha is None or delta is None:
         raise SmcError("SPRT needs both alpha and delta")
+    _within("alpha", alpha, 0.5)
+    _within("delta", delta)
     p0 = theta + delta
     p1 = theta - delta
     if p1 <= 0.0 or p0 >= 1.0:
@@ -484,8 +489,9 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     A path that reaches an absorbing state outside the target of Reachable
     diverges; it is censored and counted as a cap hit."""
     n = _count("the sample count n", n)
+    _within("alpha", alpha)
     _require_dtmc(mm)
-    rewards = _Rewards(mm, closed, rname)
+    rewards = reward_source(mm, closed, rname)
     if isinstance(rpath, A.Cumul):
         k = max(step_bound(closed, A.Bound("<=", rpath.operand)), 0)
         monitor = Monitor(lambda sat, absorbing: [np.zeros_like(absorbing)] * 3, k)
@@ -513,32 +519,3 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     return Estimate("CI", mean, len(arr), seed, half_width=hw, alpha=alpha,
                     **used.fields())
 
-
-class _Rewards(_Extended):
-    """A reward structure's state reward per row, and per branch of the move
-    store the reward of its move, over the expanded states: from the
-    structure attached to the model, else from its declaration."""
-
-    def __init__(self, mm: MarkovModel, closed: ClosedModel, rname: str | None):
-        source = reward_source(mm, closed, rname)
-        if isinstance(source, RewardStructure):
-            self.rewards_of = lambda states: ([source.state[s] for s in states], source.move)
-        else:
-            self.rewards_of = reward_evaluator(mm, source, closed)
-        self.state = np.zeros(0)
-        self.branch = np.zeros(0)
-
-    @property
-    def size(self) -> int:
-        return self.state.size
-
-    def extend(self, mm: MarkovModel, states: np.ndarray):
-        # the rows of the states follow the rows covered so far
-        first_move = mm.first_move[self.size:self.size + states.size + 1]
-        states = states.tolist()
-        state_r, move_r = self.rewards_of(states)
-        self.state = np.concatenate([self.state, np.array(state_r, dtype=float)])
-        move_r = [float(move_r.get((s, mi), 0))
-                  for s, k in zip(states, np.diff(first_move).tolist()) for mi in range(k)]
-        branches = np.diff(mm.first_branch[first_move[0]:first_move[-1] + 1])
-        self.branch = np.concatenate([self.branch, np.repeat(move_r, branches)])

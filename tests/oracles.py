@@ -18,7 +18,7 @@ from scipy.sparse.linalg import spsolve
 
 from rcprob import ast as A
 from rcprob import props as P
-from rcprob.build import MarkovModel, Move
+from rcprob.build import MarkovModel, Move, RewardStructure
 
 
 class StubContext:
@@ -101,6 +101,28 @@ def dtmc_row(mm: MarkovModel, s: int) -> dict[int, Fraction]:
 def all_moves(mm: MarkovModel) -> list[list[Move] | None]:
     """The moves of every state of mm, as its constructor takes them."""
     return [moves_of(mm, s) for s in range(mm.num_states)]
+
+
+def reward_structure(mm: MarkovModel, name: str, state, move=None) -> RewardStructure:
+    """Attach to the complete model mm a reward structure given per state
+    and per (state, move index), laid out as its move store."""
+    rs = RewardStructure(name, np.zeros(len(mm.order)), np.zeros(len(mm.move_action)))
+    rs.state[mm.row_of] = [float(v) for v in state]
+    for (s, mi), value in (move or {}).items():
+        rs.move[mm.first_move[mm.row_of[s]] + mi] = float(value)
+    mm.rewards[name] = rs
+    return rs
+
+
+def move_rewards_of(mm: MarkovModel, rs: RewardStructure) -> dict[tuple[int, int], float]:
+    """The nonzero move rewards of rs per (state, move index)."""
+    out = {}
+    for s, r in enumerate(mm.row_of.tolist()):
+        m0 = int(mm.first_move[r])
+        for m in range(m0, int(mm.first_move[r + 1])):
+            if rs.move[m]:
+                out[s, m - m0] = float(rs.move[m])
+    return out
 
 
 # --- random model generators -----------------------------------------------------

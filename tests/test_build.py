@@ -9,7 +9,7 @@ from rcprob.props import (ConstantsConfig, DefinitionsDecl, PModulesDecl,
                           RewardsDecl, parse_expression, parse_spec)
 
 from conftest import make_srw
-from oracles import all_moves, dtmc_row, moves_of
+from oracles import all_moves, dtmc_row, move_rewards_of, moves_of
 
 
 def entry(names, state, mm):
@@ -250,7 +250,7 @@ def test_attach_rewards_origins(srw_default, srw_spec):
     assert all(v == 0 for v in rs.state)
     x_i = closed.index["SRWRP.x"]
     tagged = 0
-    for (s, mi), value in rs.move.items():
+    for (s, mi), value in move_rewards_of(mm, rs).items():
         assert value == 1
         assert mm.states[s][x_i] == 0
         tags = moves_of(mm, s)[mi].tags
@@ -273,7 +273,7 @@ def test_unsatisfied_guard_zero_structure(srw_small):
     attach_rewards(mm, decl, closed)
     rs = mm.rewards["R_none"]
     assert all(v == 0 for v in rs.state)
-    assert rs.move == {}
+    assert move_rewards_of(mm, rs) == {}
 
 
 def test_negative_reward_rejected(srw_small):

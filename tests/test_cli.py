@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,17 @@ def test_sweep_experiments_counts(srw_model, srw_spec):
         per_prop.setdefault(job.prop.name, []).append(job.config_id)
     assert all(len(v) == 9 for v in per_prop.values())
     assert len(jobs) == 9 * len(srw_spec.properties)
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    # `rcprob` does not import `rcprob.cli`, so runpy finds it unloaded
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "rcprob.cli",
+                           "check", SRW_RCM, SRW_RCP, "--kind", "dtmc", "--prop", "P_stuck",
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "report.jsonl").read_text().count("\n") == 9
 
 
 def test_sweep_no_config_single_job():
@@ -411,6 +425,23 @@ FAILING_INPUTS = {
                                              "with CI at alpha=0.05, n=10"),
                              ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
 }
+# simulation parameters outside their ranges: alpha and delta in (0,1), SPRT
+# alpha in (0, 1/2), epsilon and w positive
+SIM_PARAMETERS = {
+    "APMC epsilon 0": "Prob=? of [Finally #l_stuck] using sim with APMC at epsilon=0, delta=0.05",
+    "APMC delta 0": "Prob=? of [Finally #l_stuck] using sim with APMC at epsilon=0.05, delta=0",
+    "APMC delta 3": "Prob=? of [Finally #l_stuck] using sim with APMC at epsilon=0.05, delta=3",
+    "SPRT alpha 0": "Prob>=0.5 of [Finally #l_stuck] using sim with SPRT at alpha=0, delta=0.05",
+    "SPRT alpha 1/2": "Prob>=0.5 of [Finally #l_stuck] using sim with SPRT at alpha=0.5, "
+                      "delta=0.05",
+    "SPRT delta 0": "Prob>=0.5 of [Finally #l_stuck] using sim with SPRT at alpha=0.01, delta=0",
+    "CI w 0": "Prob=? of [Finally #l_stuck] using sim with CI at w=0, alpha=0.05",
+    "ACI w negative": "Prob=? of [Finally #l_stuck] using sim with ACI at w=0 - 0.1, alpha=0.05",
+    "CI alpha 1": "Prob=? of [Finally #l_stuck] using sim with CI at alpha=1, n=10",
+    "reward alpha 0": "Reward {R_origins} =? of [Cumul 2] using sim with CI at alpha=0, n=10",
+}
+FAILING_INPUTS.update({case: (None, _srw_prop(body), ["--kind", "dtmc", "--engine", "smc"],
+                              AT_PROPERTY) for case, body in SIM_PARAMETERS.items()})
 
 
 @pytest.mark.parametrize("case", FAILING_INPUTS)

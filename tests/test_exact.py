@@ -17,7 +17,7 @@ from conftest import make_srw
 from oracles import (StubContext, all_moves, brute_ae, dense_reach, dense_reach_reward,
                      dtmc_row, explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
                      mdp_extremal_reach, mdp_zero_one_sets, moves_of, parse_explicit,
-                     random_dtmc, random_mdp,
+                     random_dtmc, random_mdp, reward_structure,
                      sparse_reach, sparse_reach_reward, sparse_total_reward, var_eq,
                      var_in)
 
@@ -349,8 +349,7 @@ def geometric_chain(p):
         [("a", [(p, 1), (1 - p, 0)])],
         [("loop", [(1, 1)])],
     ])
-    mm.rewards["R"] = __import__("rcprob.build", fromlist=["RewardStructure"]) \
-        .RewardStructure("R", [Fraction(1), Fraction(0)], {})
+    reward_structure(mm, "R", [1, 0])
     return mm, ctx
 
 
@@ -379,8 +378,7 @@ def test_unreachable_target_infinite_reward():
         [("a", [(1, 0)])],
         [("loop", [(1, 1)])],
     ])
-    from rcprob.build import RewardStructure
-    mm.rewards["R"] = RewardStructure("R", [Fraction(1), Fraction(0)], {})
+    reward_structure(mm, "R", [1, 0])
     values = expected_reward(mm, ctx, "R", A.Reachable(var_eq("x", 1)))
     assert values[0] == np.inf
 
@@ -411,8 +409,7 @@ def test_cumulative_reward():
         [("a", [(1, 1)])],
         [("b", [(1, 0)])],
     ])
-    from rcprob.build import RewardStructure
-    mm.rewards["R"] = RewardStructure("R", [Fraction(2), Fraction(3)], {})
+    reward_structure(mm, "R", [2, 3])
     values = expected_reward(mm, ctx, "R", A.Cumul(A.Lit(4)))
     assert values[0] == pytest.approx(2 + 3 + 2 + 3)
     assert values[1] == pytest.approx(3 + 2 + 3 + 2)
@@ -423,13 +420,12 @@ def test_total_reward():
         [("a", [(0.5, 1), (0.5, 0)])],
         [("loop", [(1, 1)])],
     ])
-    from rcprob.build import RewardStructure
     # reward only in the transient state: total = expected visits of s0 = 2
-    mm.rewards["R"] = RewardStructure("R", [Fraction(1), Fraction(0)], {})
+    reward_structure(mm, "R", [1, 0])
     values = expected_reward(mm, ctx, "R", A.TotalReward(), tol=1e-13)
     assert values[0] == pytest.approx(2.0, abs=1e-8)
     # positive reward in the absorbing state diverges
-    mm.rewards["R2"] = RewardStructure("R2", [Fraction(0), Fraction(1)], {})
+    reward_structure(mm, "R2", [0, 1])
     values = expected_reward(mm, ctx, "R2", A.TotalReward())
     assert values[0] == np.inf and values[1] == np.inf
 
@@ -536,12 +532,11 @@ def test_mdp_bound_direction_uses_worst_adversary():
 
 
 def test_mdp_reward_extremes():
-    from rcprob.build import RewardStructure
     mm, ctx = chain([
         [("a", [(1, 1)]), ("b", [(1, 0)])],
         [("loop", [(1, 1)])],
     ], kind="mdp")
-    mm.rewards["R"] = RewardStructure("R", [Fraction(1), Fraction(0)], {})
+    reward_structure(mm, "R", [1, 0])
     goal = var_eq("x", 1)
     rmin = expected_reward(mm, ctx, "R", A.Reachable(goal), mode="min", tol=1e-12)
     assert rmin[0] == pytest.approx(1.0, abs=1e-9)
@@ -728,13 +723,12 @@ def test_mdp_until_matches_adversary_enumeration():
 
 
 def test_mdp_zero_one_sets_match_adversary_graphs():
-    from rcprob.build import RewardStructure
     rng = random.Random(2024)
     for trial in range(40):
         mm = random_mdp(rng, rng.randint(3, 8), max_nondet_states=5)
         ctx = StubContext(("x",))
         n = mm.num_states
-        mm.rewards["R"] = RewardStructure("R", [Fraction(1)] * n, {})
+        reward_structure(mm, "R", [1] * n)
         hold = rng.sample(range(n), max(2, 2 * n // 3))
         goal = rng.sample(range(n), max(1, n // 4))
         pe, qe = var_in("x", hold), var_in("x", goal)

@@ -13,16 +13,16 @@ from scipy import stats as scipy_stats
 
 from rcprob import ast as A
 from rcprob import props as P
-from rcprob.build import (BuildError, MarkovModel, Move, RewardStructure, attach_rewards,
-                          open_markov)
-from rcprob.exact import check_property
+from rcprob.build import BuildError, MarkovModel, Move, attach_rewards, open_markov
+from rcprob.exact import check_property, expected_reward
 from rcprob.props import parse_expression
 from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
                         run_aci, run_apmc, run_ci, run_reward_ci, run_sprt, simulate)
 
 import oracles
 from conftest import make_srw
-from oracles import StubContext, all_moves, moves_of, var_eq, var_in
+from oracles import (StubContext, all_moves, move_rewards_of, moves_of, reward_structure,
+                     var_eq, var_in)
 
 
 def chain30():
@@ -243,14 +243,13 @@ def test_partitioned_reproducibility():
 
 def test_reward_simulation_geometric():
     from fractions import Fraction as Fr
-    from rcprob.build import MarkovModel, Move, RewardStructure
     from rcprob.smc import run_reward_ci
     mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], [
         [Move("a", ((Fr(1, 2), 1), (Fr(1, 2), 0)))],
         [Move("loop", ((Fr(1), 1),))],
     ], [False, True], [False, False])
     ctx = StubContext(("x",))
-    mm.rewards["R"] = RewardStructure("R", [Fr(1), Fr(0)], {})
+    reward_structure(mm, "R", [1, 0])
     est = run_reward_ci(mm, ctx, "R", A.Reachable(var_eq("x", 1)),
                         alpha=0.05, n=3000, seed=0)
     assert abs(est.point - 2.0) < 0.15
@@ -372,7 +371,8 @@ def test_rewards_match_reference_on_single_move_models(srw_small):
             _, _, steps = oracles.reference_path(mm, oracles.reference_rng(2, i), 40, stop)
             acc = 0.0
             for s, j in steps:
-                acc += float(rs.state[s]) + float(rs.move.get((s, j), 0))
+                r = mm.row_of[s]
+                acc += rs.state[r] + rs.move[mm.first_move[r] + j]
             values.append(acc)
         assert est.point == float(np.array(values).mean())
         assert est.point > 0
@@ -464,7 +464,7 @@ def test_multi_move_frequencies_match_mixture():
     assert scipy_stats.chisquare(succ, [float(p) * n for p in exact]).pvalue > 1e-3
     # one indicator reward per move: Cumul 1 counts the move taken first
     for j, name in enumerate("abc"):
-        mm.rewards[name] = RewardStructure(name, [Fraction(0)] * 4, {(0, j): Fraction(1)})
+        reward_structure(mm, name, [0] * 4, {(0, j): 1})
     taken = [round(run_reward_ci(mm, ctx, name, A.Cumul(A.Lit(1)), n=n, seed=3).point * n)
              for name in "abc"]
     assert sum(taken) == n
@@ -547,7 +547,7 @@ def test_empty_horizons_decide_at_the_initial_state():
         assert prob_path(mm, ctx, path)[mm.initial] == want
         est = run_ci(mm, ctx, path, alpha=0.05, n=20, seed=1)
         assert (est.point, est.path_len_max, est.cap_hits) == (want, 0, 0)
-    mm.rewards["R"] = RewardStructure("R", [Fraction(1)] * 3, {})
+    reward_structure(mm, "R", [1] * 3)
     est = run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(-1)), n=20, seed=1, pathlen=5)
     assert (est.point, est.path_len_max, est.cap_hits) == (0.0, 0, 0)
 
@@ -671,6 +671,37 @@ def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model
         prop = srw_spec.find(P.ProbProperty, name)
         got, want = (check_property(mm, closed, prop).verdict for mm in (lazy, full))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
+
+
+def test_rewards_on_rows_out_of_state_order_match_the_full_build(srw_model, srw_spec):
+    closed, full = make_srw(srw_model, srw_spec, maxdist=6, maxsteps=40)
+    lazy = open_markov(closed)
+    # a reward simulation attaches R_origins (move rewards) to the part its
+    # paths expand, and R_right (state rewards) is attached there too
+    run_reward_ci(lazy, closed, "R_origins", A.Cumul(A.Lit(30)), n=20, seed=4)
+    right = P.parse_spec("rewards R_right = (SRWMod::SRWRP::x > 0) : 1; endrewards")
+    for mm in (lazy, full):
+        attach_rewards(mm, right.statements[0], closed)
+    assert lazy.rewards["R_right"].state.size == len(lazy.order) < full.num_states / 4
+    for _ in range(3):  # the unexpanded states last found first
+        lazy.expand(np.flatnonzero(lazy.row_of < 0)[::-1].tolist())
+    lazy.expand_all()
+    assert lazy.order != sorted(lazy.order)
+    stuck = parse_expression("SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck "
+                             "/\\ SRWMod::SRWRP::x != 0")
+    index = {st: s for s, st in enumerate(full.states)}
+    remap = [index[st] for st in lazy.states]  # lazy state -> full state
+    for name in ("R_origins", "R_right"):
+        for rpath in (A.Reachable(stuck), A.Cumul(A.Lit(25))):
+            got, want = (expected_reward(mm, closed, name, rpath, tol=1e-13)
+                         for mm in (lazy, full))
+            assert got == pytest.approx(want[remap], rel=1e-12, abs=1e-12), (name, rpath)
+    # the exact engine covered the rest of the model; the choice CSR takes
+    # store moves of differing rewards out of order
+    origins = lazy.rewards["R_origins"]
+    assert (origins.move[lazy.choice_moves] != origins.move).any()
+    assert {(remap[s], mi): value for (s, mi), value in move_rewards_of(lazy, origins).items()} \
+        == move_rewards_of(full, full.rewards["R_origins"]) != {}
 
 
 def test_state_cap_applies_to_the_states_paths_discover(srw_small):
