@@ -16,8 +16,10 @@ Communication is synchronous over connection closures: the transitive
 closure of connections over one event is a single synchronisation set; a
 send meeting a matching enabled trigger of another machine steps jointly,
 with the exchanged value bound in the same step and latched for `.val`
-observations.  Environment modules gate and join steps through their
-command labels, and interleave through their unlabelled commands.
+observations.  Instantiation links the step tables into these joint steps
+(`Entry`), which the explorer looks up and the emitter prints.
+Environment modules gate and join steps through their command labels, and
+interleave through their unlabelled commands.
 """
 
 from __future__ import annotations
@@ -376,60 +378,89 @@ class WeightTable:
 # --- closed model ----------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Term:
+    """An expression of the model with what evaluating or printing it
+    needs: the machine scope its bare names resolve in (None: qualified
+    names), the terms its parameters stand for, and `fn`, the closure
+    state -> value that the explorer runs."""
+    expr: A.Expr
+    scope: ModelScope | None
+    params: tuple  # ((name, Term), ...)
+    fn: object
+
+
+# the update of a conditional action, one per variable: `c ? t : e`
+_IF_UPDATE = A.Cond(A.ParamRef("c"), A.ParamRef("t"), A.ParamRef("e"))
+
+
 @dataclass
 class CommSpec:
     closure: Closure
-    endpoint: str
     direction: str  # "in" | "out"
-    value_fn: object = None  # state -> value, for sends with payload
+    value: Term | None = None  # the sent value
     bind_idx: int | None = None  # receiver variable index
-    value: A.Expr | None = None  # the sent value expression
-
-
-@dataclass
-class Constituent:
-    kind: str  # "update" | "comm"
-    update_fn: object = None  # state -> [(idx, value)]
-    comm: CommSpec | None = None
-    source_action: M.Action | None = None
-
-
-@dataclass
-class TransitionRT:
-    t: M.Transition
-    guard_fn: object  # state -> bool
-    parts: list[Constituent]
-    trigger_comm: CommSpec | None
-    target_is_junction: bool
-    src_exit: list[Constituent]
-    tgt_entry_len: int
 
 
 LOCK_HELD = "*"  # a lock guard that any held lock meets; no transition id is "*"
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Step:
     """One micro-step of a machine, fixed when the machine is compiled.
 
-    Its guard is on the control variables only: the program counter `pc`,
-    the `lock` (LOCK_FREE, a transition id, LOCK_HELD, or None where the pc
-    alone implies a held lock) and the `exit` flag (None: unconstrained).
-    `branches` are the weighted updates of those control variables.  An
-    initiation carries its transition `rt` (guard and trigger), a chain step
-    the action constituent `part` it runs; whoever executes or prints the
-    step evaluates those."""
+    Its control guard is on the program counter `pc`, the `lock`
+    (LOCK_FREE for an initiation, a transition id, LOCK_HELD, or None where
+    the pc alone implies a held lock) and the `exit` flag (None:
+    unconstrained); an initiation adds its transition's `guard`.
+    `branches` are the weighted updates of the control variables, and
+    `updates` the (variable index, Term) updates of the action constituent
+    it runs; `comm` is the communication of its trigger or constituent.
+
+    Linking the machines (`ClosedModel._link`) gives each step the entries
+    it takes part in: `entries`, those it runs alone, or, where another
+    machine uses its event, the joint entries with that `partner`'s
+    initiations, in `joints` by the partner's pc.  A step that cannot be
+    linked keeps the `error`, which taking it raises."""
     tag: str
     pc: str
     lock: object
     exit: str | None
     branches: tuple  # ((weight id, ((var index, value), ...)), ...)
-    rt: TransitionRT | None = None
-    part: Constituent | None = None
+    guard: Term | None = None
+    updates: tuple = ()
+    comm: CommSpec | None = None
+    entries: tuple = ()
+    partner: MachineRT | None = None
+    joints: dict | None = None
+    error: BuildError | None = None
 
     @property
-    def updates(self) -> tuple:
+    def control(self) -> tuple:
         return self.branches[0][1]
+
+
+@dataclass(eq=False)
+class Entry:
+    """One entry of the step table: one step that the explorer takes and
+    the emitter prints, as one PRISM command per machine.  `parts` holds a
+    step of each machine that takes part, the initiating one first, each
+    with the updates it adds (a bound or latched value); `closure` is the
+    event closure it communicates on, whose connection tags environment
+    modules join on.  A step without communication is an entry alone.  A
+    joint step that cannot be made keeps the `error`, which taking it
+    raises."""
+    tag: str
+    parts: tuple  # ((Step, ((var index, Term), ...)), ...)
+    closure: Closure | None = None
+    error: BuildError | None = None
+
+    def __post_init__(self):
+        # its branches are its one step's control updates
+        self.plain = self.closure is None and not self.parts[0][0].updates
+
+
+_NO_TAGS = frozenset()  # shared by the untagged moves: a fresh one is 216 bytes each
 
 
 class MachineRT:
@@ -450,13 +481,13 @@ class MachineRT:
         for t in sorted(mach.transitions, key=lambda t: t.id):
             self.trans_from.setdefault(t.source, []).append(t)
         self.uses_closures: set[str] = set()
-        self.rt: dict[str, TransitionRT] = {}
-        self.entry: dict[str, list[Constituent]] = {}
-        self.exit: dict[str, list[Constituent]] = {}
+        # per transition: its action constituents, and its guard and trigger
+        self.parts: dict[str, list[dict]] = {}
+        self.initiation: dict[str, tuple[Term | None, CommSpec | None]] = {}
+        # the Step fields that each atomic action fills (`_constituent`)
+        self.entry: dict[str, list[dict]] = {}
+        self.exit: dict[str, list[dict]] = {}
         self.junction_weights: dict[str, list[tuple[M.Transition, Fraction]]] = {}
-
-    def endpoint(self, event: str) -> str:
-        return self.closed.closures.machine_endpoint(self.ctrl, self.mach, event)
 
     # --- program counter naming -------------------------------------------
 
@@ -481,7 +512,7 @@ class MachineRT:
         """Where the chain of `t` goes before its k-th action constituent:
         that constituent, else the target junction, else the target's
         entering point."""
-        if k < len(self.rt[t.id].parts):
+        if k < len(self.parts[t.id]):
             return self.act_pc(t.id, k)
         return t.target if t.target in self.junctions else self.entering_pc(t.target)
 
@@ -493,29 +524,30 @@ class MachineRT:
         by_id = sorted(self.mach.transitions, key=lambda t: t.id)
         steps: list[Step] = []
 
-        def step(tag, at, lock, exit_, updates, **kw):
-            return Step(f"{self.name}.{tag}", at, lock, exit_, ((ONE, tuple(updates)),), **kw)
+        def step(tag, at, lock, exit_, updates, part=(), **kw):
+            return Step(f"{self.name}.{tag}", at, lock, exit_, ((ONE, tuple(updates)),),
+                        **dict(part, **kw))
 
         for t in by_id:
             if t.source in self.junctions:
                 continue  # junction branches are one step at the junction
-            rt = self.rt[t.id]
-            if rt.src_exit:
+            if self.exit.get(t.source):
                 updates = [(lk, t.id), (ex, EXIT_ACT)]
-            elif rt.parts or rt.target_is_junction or rt.tgt_entry_len:
+            elif self.parts[t.id] or t.target in self.junctions or self.entry.get(t.target):
                 updates = [(lk, t.id), (pc, self._chain_pc(t))]
             else:
                 updates = [(pc, t.target)]
-            steps.append(step(t.id, t.source, LOCK_FREE,
-                              EXIT_NONE if ex is not None else None, updates, rt=rt))
+            guard, trigger = self.initiation[t.id]
+            steps.append(step(t.id, t.source, LOCK_FREE, EXIT_NONE if ex is not None else None,
+                              updates, guard=guard, comm=trigger))
         for j in sorted(self.junctions):
             branches = tuple((self.closed.weight_table.intern(w), ((pc, self._chain_pc(t)),))
                              for t, w in self.junction_weights[j])
             steps.append(Step(f"{self.name}.{j}", j, LOCK_HELD, None, branches))
         for t in by_id:
-            for k, part in enumerate(self.rt[t.id].parts):
+            for k, part in enumerate(self.parts[t.id]):
                 steps.append(step(f"{t.id}@act{k}", self.act_pc(t.id, k), None, None,
-                                  [(pc, self._chain_pc(t, k + 1))], part=part))
+                                  [(pc, self._chain_pc(t, k + 1))], part))
         chunks = {}
         for s in sorted(self.states):
             chunk = chunks[s] = []
@@ -524,7 +556,7 @@ class MachineRT:
                 at = self.entering_pc(s) if k == 0 else self.entry_pc(s, k)
                 post = [(pc, s), (lk, LOCK_FREE)] if k + 1 == len(entry) \
                     else [(pc, self.entry_pc(s, k + 1))]
-                chunk.append(step(f"enter_{s}@{k}", at, None, None, post, part=part))
+                chunk.append(step(f"enter_{s}@{k}", at, None, None, post, part))
             exit_ = self.exit[s]
             if not exit_:
                 continue
@@ -534,7 +566,7 @@ class MachineRT:
                     if k + 1 == len(exit_):
                         post.append((ex, EXIT_EXITED))
                     chunk.append(step(f"{t.id}@exit{k}", self.exit_pc(s, k) if k else s,
-                                      t.id, EXIT_ACT, post, part=part))
+                                      t.id, EXIT_ACT, post, part))
                 chunk.append(step(f"{t.id}@exit_done", self.exit_pc(s, len(exit_)), t.id,
                                   EXIT_EXITED, [(pc, self._chain_pc(t)), (ex, EXIT_NONE)]))
         targets = {v for chunk in [steps, *chunks.values()] for st in chunk
@@ -733,7 +765,9 @@ class ClosedModel:
             fn = params[e.name]
             return fn
         if isinstance(e, A.IsIn):
-            return self._compile_isin(e)
+            machine, target = self.is_in(e)
+            pc_i = self.index[f"{machine}.pc"]
+            return lambda s: s[pc_i] == target
         if isinstance(e, A.LabelRef):
             decl = self.spec.find(P.LabelDecl, e.name)
             if decl is None:
@@ -747,62 +781,48 @@ class ClosedModel:
                 raise BuildError(f"cyclic formula reference `{e.name}")
             return self._compile(decl.body, None, params, fstack + (e.name,))
         if isinstance(e, A.ModVarRef):
-            return self._compile_modvar(e)
+            return _state_read(self.index[self.env_var(e)])
         if isinstance(e, A.EventVal):
-            ref, diags = self.resolver.resolve_event(e.event)
-            if ref is None:
-                raise BuildError(f"cannot resolve event {e.event}: "
-                                 + "; ".join(str(d) for d in diags))
-            endpoint = ref.qualified()
-            closure = self.closures.by_endpoint.get(endpoint)
-            if closure is None or closure.latch is None:
-                raise BuildError(f"event {e.event} carries no value")
-            idx = self.index[closure.latch]
-            return lambda s: s[idx]
+            return _state_read(self.index[self.event_latch(e)])
         raise BuildError(f"cannot evaluate {type(e).__name__} in a state expression")
 
     def _compile_ref(self, e: A.Ref, scope, params, fstack):
+        kind, name = self.name_of(e, scope, params)
+        if kind == "param":
+            return params[name]
+        if kind == "var":
+            return _state_read(self.index[name])
+        if kind == "const":
+            if name not in self.consts:
+                raise BuildError(f"constant {e.name} has no value in this configuration")
+            name = self.consts[name]
+        return lambda s: name
+
+    def name_of(self, e: A.Ref, scope: ModelScope | None, params) -> tuple[str, str]:
+        """What a name stands for, as ("param", name), ("enum", literal),
+        ("const", name) or ("var", flat variable).  With a machine `scope`,
+        bare names resolve lexically (model expressions); without it, names
+        resolve as qualified references (property expressions)."""
         segs = e.name.segments
-        if scope is not None:
-            # model-scope lexical resolution
-            if len(segs) == 2 and self.model.enum(segs[0]) is not None:
-                value = f"{segs[0]}::{segs[1]}"
-                return lambda s: value
-            if len(segs) == 1:
-                name = segs[0]
-                if params is not None and name in params:
-                    return params[name]
-                if name in scope.consts:
-                    if name not in self.consts:
-                        raise BuildError(f"constant {name} has no value")
-                    value = self.consts[name]
-                    return lambda s: value
-                if name in scope.vars:
-                    idx = self.index[scope.vars[name][0]]
-                    return _state_read(idx)
-            raise BuildError(f"unknown name {e.name} in machine {scope.mach.name}")
-        # property-scope qualified resolution
         if len(segs) == 2 and self.model.enum(segs[0]) is not None:
-            value = str(e.name)
-            return lambda s: value
+            return "enum", str(e.name)
+        if scope is not None:
+            name = segs[0]
+            if len(segs) == 1 and params is not None and name in params:
+                return "param", name
+            if len(segs) == 1 and name in scope.consts:
+                return "const", name
+            if len(segs) == 1 and name in scope.vars:
+                return "var", scope.vars[name][0]
+            raise BuildError(f"unknown name {e.name} in machine {scope.mach.name}")
         if len(segs) == 1 and segs[0] in self.consts:
-            value = self.consts[segs[0]]
-            return lambda s: value
+            return "const", segs[0]
         ref, diags = self.resolver.resolve_fqn(e.name)
         if ref is None or any(d.severity == "error" for d in diags):
             raise BuildError(f"cannot resolve {e.name}: " + "; ".join(str(d) for d in diags))
-        if ref.kind == "variable":
-            idx = self.index[ref.flat]
-            return _state_read(idx)
-        if ref.kind == "constant":
-            name = ref.path[-1]
-            if name not in self.consts:
-                raise BuildError(f"constant {e.name} has no value in this configuration")
-            value = self.consts[name]
-            return lambda s: value
-        if ref.kind == "enumLiteral":
-            value = "::".join(ref.path)
-            return lambda s: value
+        if ref.kind in ("variable", "constant", "enumLiteral"):
+            return {"variable": ("var", ref.flat), "constant": ("const", ref.path[-1]),
+                    "enumLiteral": ("enum", "::".join(ref.path))}[ref.kind]
         raise BuildError(f"{e.name} ({ref.kind}) is not usable in a state expression")
 
     def _compile_call(self, e: A.FunCall, scope, params, fstack):
@@ -817,39 +837,43 @@ class ClosedModel:
         env = dict(zip(fdef.params, arg_fns))
         return self._compile(fdef.body, None, env, fstack + (e.name,))
 
-    def _compile_isin(self, e: A.IsIn):
+    def is_in(self, e: A.IsIn) -> tuple[str, str]:
+        """The machine (as "controller.machine") and the state of `is in`."""
         left, d1 = self.resolver.resolve_fqn(e.container)
         right, d2 = self.resolver.resolve_fqn(e.state)
         if left is None or right is None or left.kind != "machineInstance" \
                 or right.kind != "state":
             raise BuildError(f"bad 'is in' operands: {e.container} is in {e.state}")
-        ctrl = left.owner
-        mach = left.decl
-        pc_i = self.index[f"{ctrl.name}.{mach.name}.pc"]
-        target = right.decl.name
-        return lambda s: s[pc_i] == target
+        return f"{left.owner.name}.{left.decl.name}", right.decl.name
 
-    def _compile_modvar(self, e: A.ModVarRef):
+    def env_var(self, e: A.ModVarRef) -> str:
+        """The flat variable of an environment variable reference."""
         if self.env is None:
             raise BuildError(f"@{e.var}: no environment modules in this configuration")
-        candidates = []
-        for mod in self.env.modules:
-            if e.module is not None and mod.name != e.module:
-                continue
-            for v in mod.variables:
-                if v.name == e.var:
-                    candidates.append((mod, v))
+        candidates = [f"env.{mod.name}.{v.name}" for mod in self.env.modules
+                      if e.module is None or mod.name == e.module
+                      for v in mod.variables if v.name == e.var]
         if not candidates:
             raise BuildError(f"unknown environment variable @{e.var}")
         if len(candidates) > 1:
             raise BuildError(f"environment variable @{e.var} is ambiguous")
-        mod, v = candidates[0]
-        idx = self.index[f"env.{mod.name}.{v.name}"]
-        return _state_read(idx)
+        return candidates[0]
 
-    def spec_expr(self, e: A.Expr):
-        """Compile a property expression to a state closure."""
-        return self._compile(e, None, None)
+    def event_latch(self, e: A.EventVal) -> str:
+        """The latch variable of an event's `.val`."""
+        ref, diags = self.resolver.resolve_event(e.event)
+        if ref is None:
+            raise BuildError(f"cannot resolve event {e.event}: "
+                             + "; ".join(str(d) for d in diags))
+        closure = self.closures.by_endpoint.get(ref.qualified())
+        if closure is None or closure.latch is None:
+            raise BuildError(f"event {e.event} carries no value")
+        return closure.latch
+
+    def spec_expr(self, e: A.Expr, real: bool = False):
+        """Compile a property expression to a state closure; a `real` one,
+        such as a probability bound or a reward, divides exactly."""
+        return self._compile(e, None, None, real=real)
 
     # --- machines ------------------------------------------------------------
 
@@ -858,11 +882,11 @@ class ClosedModel:
         for ctrl in self.model.controllers:
             for mach in ctrl.machines:
                 self.machines.append(self._compile_machine(ctrl, mach))
-        users: dict[str, list[int]] = {}
-        for i, m in enumerate(self.machines):
+        self.closure_users: dict[str, list[MachineRT]] = {}
+        for m in self.machines:
             for cid in m.uses_closures:
-                users.setdefault(cid, []).append(i)
-        self.closure_users = users
+                self.closure_users.setdefault(cid, []).append(m)
+        self._link()
 
     def _compile_machine(self, ctrl, mach) -> MachineRT:
         rt = MachineRT(self, ctrl, mach)
@@ -870,18 +894,9 @@ class ClosedModel:
             rt.entry[s.name] = [self._constituent(rt, a) for a in M.atomic_parts(s.entry)]
             rt.exit[s.name] = [self._constituent(rt, a) for a in M.atomic_parts(s.exit)]
         for t in mach.transitions:
-            parts = [self._constituent(rt, a) for a in M.atomic_parts(t.action)]
-            guard_fn = self._compile(t.guard, rt.scope, None) if t.guard is not None \
-                else (lambda s: True)
-            trigger_comm = self._trigger_comm(rt, t) if t.trigger is not None else None
-            src_state = rt.states.get(t.source)
-            src_exit = rt.exit.get(t.source, []) if src_state is not None else []
-            entry_len = len(rt.entry.get(t.target, []))
-            rt.rt[t.id] = TransitionRT(
-                t, guard_fn, parts, trigger_comm,
-                target_is_junction=t.target in rt.junctions,
-                src_exit=src_exit, tgt_entry_len=entry_len,
-            )
+            rt.parts[t.id] = [self._constituent(rt, a) for a in M.atomic_parts(t.action)]
+            guard = self.term(t.guard, rt.scope) if t.guard is not None else None
+            rt.initiation[t.id] = (guard, self._comm_spec(rt, t.trigger) if t.trigger else None)
         for j in mach.junctions:
             outs = rt.trans_from.get(j, [])
             weights = []
@@ -899,59 +914,67 @@ class ClosedModel:
         rt.compile_steps()
         return rt
 
-    def _constituent(self, rt: MachineRT, a: M.Action) -> Constituent:
+    def term(self, expr: A.Expr, scope: ModelScope | None = None, params: tuple = ()) -> Term:
+        fns = {name: t.fn for name, t in params} if params else None
+        return Term(expr, scope, params, self._compile(expr, scope, fns))
+
+    def _constituent(self, rt: MachineRT, a: M.Action) -> dict:
+        """The Step fields of an atomic action: its communication, or its
+        updates as (variable index, value) pairs."""
+        if isinstance(a, M.Comm):
+            return {"comm": self._comm_spec(rt, a)}
+        return {"updates": tuple((i, value) for i, _, value in self._updates(rt, a))}
+
+    def _updates(self, rt: MachineRT, a: M.Action) -> list[tuple[int, Term, Term]]:
+        """The updates of an atomic action as (variable index, variable,
+        value) triples: an operation call's assignments with its arguments
+        for its parameters, and for a conditional one `c ? t : e` per
+        variable that either branch assigns, a variable it leaves standing
+        for itself."""
         if isinstance(a, M.Assign):
-            flat, decl = rt.scope.vars[a.target]
-            idx = self.index[flat]
-            fn = self._compile(a.expr, rt.scope, None)
-            return Constituent("update", update_fn=lambda s: [(idx, fn(s))], source_action=a)
+            flat, _ = rt.scope.vars[a.target]
+            return [(self.index[flat], self.term(A.Ref(A.QName((a.target,))), rt.scope),
+                     self.term(a.expr, rt.scope))]
         if isinstance(a, M.OpCall):
             op = self.operations.get(a.name)
             if op is None:
                 raise BuildError(f"operation {a.name!r} has no definition")
             if len(a.args) != len(op.params):
                 raise BuildError(f"{a.name} expects {len(op.params)} arguments")
-            arg_fns = [self._compile(x, rt.scope, None) for x in a.args]
-            env = dict(zip(op.params, arg_fns))
-            targets = []
+            params = tuple((p, self.term(x, rt.scope)) for p, x in zip(op.params, a.args))
+            out = []
             for target_qn, value_expr in op.assignments:
                 ref, diags = self.resolver.resolve_fqn(target_qn)
                 if ref is None or ref.kind != "variable":
                     raise BuildError(f"operation {a.name}: bad assignment target {target_qn}")
-                targets.append((self.index[ref.flat], self._compile(value_expr, None, env)))
-
-            def update_fn(s, targets=targets):
-                return [(i, fn(s)) for i, fn in targets]
-
-            return Constituent("update", update_fn=update_fn, source_action=a)
+                out.append((self.index[ref.flat], self.term(A.Ref(target_qn)),
+                            self.term(value_expr, None, params)))
+            return out
         if isinstance(a, M.IfAction):
+            branches = []
             for branch in (a.then, a.orelse):
+                updates = {}
                 for part in M.atomic_parts(branch):
                     if isinstance(part, M.Comm):
                         raise BuildError(
                             "conditional actions containing communications are not supported")
-            cond = self._compile(a.cond, rt.scope, None)
-            then_parts = [self._constituent(rt, x) for x in M.atomic_parts(a.then)]
-            else_parts = [self._constituent(rt, x) for x in M.atomic_parts(a.orelse)]
-
-            def update_fn(s, cond=cond, then_parts=then_parts, else_parts=else_parts):
-                out = []
-                for c in (then_parts if cond(s) else else_parts):
-                    out.extend(c.update_fn(s))
-                return out
-
-            return Constituent("update", update_fn=update_fn, source_action=a)
-        if isinstance(a, M.Comm):
-            return Constituent("comm", comm=self._comm_spec(rt, a.event, a.op, a.value, a.var),
-                               source_action=a)
+                    updates.update((i, (var, value)) for i, var, value in self._updates(rt, part))
+                branches.append(updates)
+            cond = self.term(a.cond, rt.scope)
+            out = []
+            for i, (var, _) in {**branches[0], **branches[1]}.items():
+                then, orelse = (b.get(i, (var, var))[1] for b in branches)
+                out.append((i, var, self.term(_IF_UPDATE, None,
+                                              (("c", cond), ("t", then), ("e", orelse)))))
+            return out
         raise AssertionError(type(a).__name__)
 
-    def _comm_spec(self, rt: MachineRT, event: str, op: str, value: A.Expr | None,
-                   var: str | None) -> CommSpec:
+    def _comm_spec(self, rt: MachineRT, comm: M.Comm | M.Trigger) -> CommSpec:
+        event, op = comm.event, comm.op
         decl = rt.scope.events.get(event)
         if decl is None:
             raise BuildError(f"machine {rt.mach.name} declares no event {event!r}")
-        endpoint = rt.endpoint(event)
+        endpoint = self.closures.machine_endpoint(rt.ctrl, rt.mach, event)
         closure = self.closures.by_endpoint[endpoint]
         rt.uses_closures.add(closure.cid)
         if op == "!":
@@ -968,16 +991,100 @@ class ClosedModel:
                 raise BuildError(
                     f"event {event!r} of {rt.mach.name} is connected in both directions; "
                     "use an explicit '!' or '?' form")
-        value_fn = self._compile(value, rt.scope, None) if value is not None else None
-        bind_idx = None
-        if var is not None:
-            flat, vdecl = rt.scope.vars[var]
-            bind_idx = self.index[flat]
-        return CommSpec(closure, endpoint, direction, value_fn, bind_idx, value)
+        return CommSpec(closure, direction,
+                         self.term(comm.value, rt.scope) if comm.value is not None else None,
+                         self.index[rt.scope.vars[comm.var][0]] if comm.var is not None else None)
 
-    def _trigger_comm(self, rt: MachineRT, t: M.Transition) -> CommSpec:
-        tr = t.trigger
-        return self._comm_spec(rt, tr.event, tr.op, tr.value, tr.var)
+    # --- linking the step tables ------------------------------------------------
+
+    def _link(self):
+        """Give every step its entries.  A step without communication is an
+        entry alone, and so is one whose event no other machine uses: a
+        platform input with a payload makes one entry per value, which it
+        binds and latches.  Otherwise the step pairs with each initiation of
+        its one partner machine that triggers on the same closure in the
+        other direction, the receiver binding the sent value; a receiving
+        initiation only answers a sender.  A sent value is latched.
+
+        It also records, for the emitter, the entries that each step takes
+        part in (`entries_of`) and those on each closure (`entries_on`, by
+        closure id), in the order they are made."""
+        self.entries_of: dict[Step, list[Entry]] = {}
+        self.entries_on: dict[str, list[Entry]] = {}
+        for m in self.machines:
+            for st in m.steps:
+                try:
+                    made = self._link_step(m, st)
+                except BuildError as exc:
+                    st.error, made = exc, ()
+                for entry in made:
+                    for part, _ in entry.parts:
+                        self.entries_of.setdefault(part, []).append(entry)
+                    if entry.closure is not None:
+                        self.entries_on.setdefault(entry.closure.cid, []).append(entry)
+
+    def _link_step(self, m: MachineRT, st: Step) -> list[Entry]:
+        """Link one step and return the entries it initiates."""
+        comm = st.comm
+        if comm is None:
+            st.entries = (Entry(st.tag, ((st, ()),)),)
+            return st.entries
+        closure = comm.closure
+        partners = [p for p in self.closure_users[closure.cid] if p is not m]
+        if not partners:
+            st.entries = self._solo_entries(st, comm)
+            return st.entries
+        if comm.direction == "out" or st.lock != LOCK_FREE:
+            if len(partners) > 1:
+                raise BuildError(
+                    f"synchronisation on {closure.cid} involves more than two machines; "
+                    "multiway synchronisation is not supported")
+            joints = {}
+            for q in partners[0].steps:
+                if q.lock == LOCK_FREE and q.comm is not None \
+                        and q.comm.closure is closure and q.comm.direction != comm.direction:
+                    joints.setdefault(q.pc, []).append(self._joint(st, q))
+            st.partner, st.joints = partners[0], joints
+            return [e for es in joints.values() for e in es]
+        return []
+
+    def _latch(self, closure: Closure, value: Term | None) -> tuple:
+        if value is None or closure.latch is None:
+            return ()
+        return ((self.index[closure.latch], value),)
+
+    def _solo_entries(self, st: Step, comm: CommSpec) -> tuple:
+        closure = comm.closure
+        if comm.bind_idx is None or closure.payload is None:
+            return (Entry(st.tag, ((st, self._latch(closure, comm.value)),), closure),)
+        if comm.direction != "in":
+            raise BuildError(f"{st.tag}: output trigger with a binding variable")
+        domain = _domain_of_typeref(closure.payload, self.model)
+        if domain[0] not in ("bool", "enum"):
+            raise BuildError(
+                f"{st.tag}: platform input on {closure.cid} has an unbounded payload type; "
+                "bound it with an enumeration or bool")
+        entries = []
+        for v in (False, True) if domain[0] == "bool" else domain[1]:
+            value = self.term(A.Lit(v))
+            entries.append(Entry(f"{st.tag}={_fmt_value(v)}",
+                                 ((st, ((comm.bind_idx, value), *self._latch(closure, value))),),
+                                 closure))
+        return tuple(entries)
+
+    def _joint(self, st: Step, q: Step) -> Entry:
+        send, recv = (st, q) if st.comm.direction == "out" else (q, st)
+        closure, value = st.comm.closure, send.comm.value
+        added = {send: self._latch(closure, value), recv: ()}
+        error = None
+        if recv.comm.bind_idx is not None:
+            if value is not None:
+                added[recv] = ((recv.comm.bind_idx, value),)
+            elif closure.payload is not None:
+                error = BuildError(f"{st.tag}: receiver on {closure.cid} needs a value but the "
+                                   "sender provides none")
+        return Entry("+".join(sorted([st.tag, q.tag])), ((st, added[st]), (q, added[q])),
+                     closure, error)
 
     # --- environment modules ---------------------------------------------------
 
@@ -1109,7 +1216,7 @@ class MarkovModel:
     by hand, or by `build_markov`, is complete, with its rows in state
     order.  A model from `MarkovModel.open` starts with its initial state
     and grows through `expand` by its `successors` function: state ->
-    (moves, deadlock, quiescent), each move (action, tags, [(weight id,
+    (moves, deadlock), each move (action, tags, [(weight id,
     successor state)]) with the branches in the order they are generated.
 
     The move store keeps the moves of the expanded states once, as flat
@@ -1129,14 +1236,12 @@ class MarkovModel:
     their values in the same layout, per row and per move."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
-                 moves: list[list[Move] | None], deadlock: list[bool],
-                 quiescent: list[bool], initial: int = 0,
+                 moves: list[list[Move] | None], deadlock: list[bool], initial: int = 0,
                  weight_table: WeightTable | None = None):
         self.kind = kind
         self.var_names = var_names
         self.states = states
         self.deadlock = deadlock
-        self.quiescent = quiescent
         self.initial = initial
         self.order: list[int] = []
         self.row_of = self.dest = self.weight_id = np.zeros(0, dtype=np.int64)
@@ -1173,7 +1278,7 @@ class MarkovModel:
              weight_table: WeightTable, max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
         """A model that knows its initial state only and expands on demand;
         its successors function gives weight ids of `weight_table`."""
-        mm = cls(kind, var_names, [initial], [None], [False], [False], weight_table=weight_table)
+        mm = cls(kind, var_names, [initial], [None], [False], weight_table=weight_table)
         mm._successors = successors
         mm._index = {initial: 0}
         mm._max_states = max_states
@@ -1195,7 +1300,6 @@ class MarkovModel:
         s = self._index[state] = len(self.states)
         self.states.append(state)
         self.deadlock.append(False)
-        self.quiescent.append(False)
         return s
 
     def _append(self, s: int, moves):
@@ -1243,7 +1347,7 @@ class MarkovModel:
         self.row_of[self.order[lo:]] = np.arange(lo, len(self.order))
 
     def _expand_one(self, s: int):
-        moves, self.deadlock[s], self.quiescent[s] = self._successors(self.states[s])
+        moves, self.deadlock[s] = self._successors(self.states[s])
         self._append(s, moves)
 
     def expand(self, states):
@@ -1414,8 +1518,6 @@ def _fmt_value(v) -> str:
 
 # --- exploration -----------------------------------------------------------------
 
-_NO_TAGS = frozenset()  # shared by the untagged moves: a fresh one is 216 bytes each
-
 
 class _Explorer:
     """Computes the moves of a state from the closed model's step tables and
@@ -1424,7 +1526,7 @@ class _Explorer:
     reported as a BuildError naming the step and the state, by one of three
     boundaries: per machine step, per environment command and per applied
     move, where the new values meet their variables' domains.  A partner's
-    trigger is evaluated within the step that initiates the joint step."""
+    guard is evaluated within the step that initiates the joint step."""
 
     def __init__(self, closed: ClosedModel):
         self.c = closed
@@ -1453,96 +1555,40 @@ class _Explorer:
         moves = []
         for st in steps:
             try:
-                moves.extend(self._step_moves(m, state, st, lk))
+                if st.lock not in (None, LOCK_HELD, lk) \
+                        or st.guard is not None and not st.guard.fn(state):
+                    continue
+                if st.error is not None:
+                    raise st.error
+                if st.partner is None:
+                    entries = st.entries
+                elif state[st.partner.lk_i] != LOCK_FREE:
+                    continue
+                else:
+                    entries = st.joints.get(state[st.partner.pc_i], ())
+                for entry in entries:
+                    moves.extend(self._entry_moves(entry, state))
             except EvalError as exc:
                 raise self._error(st.tag, state, exc) from exc
         return moves
 
-    def _step_moves(self, m: MachineRT, state, st: Step, lk) -> list:
-        if st.rt is not None:  # an initiation
-            if not st.rt.guard_fn(state):
-                return []
-            if st.rt.trigger_comm is None:
-                return [(st.tag, _NO_TAGS, st.branches)]
-            return self._comm_moves(m, state, st.tag, st.updates, st.rt.trigger_comm,
-                                    initiating=True)
-        if st.lock not in (None, LOCK_HELD, lk):
-            return []
-        if st.part is None:
-            return [(st.tag, _NO_TAGS, st.branches)]
-        if st.part.kind == "update":
-            return [(st.tag, _NO_TAGS, [(ONE, [*st.updates, *st.part.update_fn(state)])])]
-        return self._comm_moves(m, state, st.tag, st.updates, st.part.comm, initiating=False)
-
-    # communication --------------------------------------------------------------
-
-    def _comm_moves(self, m: MachineRT, state, tag, base_updates, comm: CommSpec,
-                    initiating: bool) -> list:
-        closure = comm.closure
-        users = [i for i in self.c.closure_users.get(closure.cid, ())
-                 if self.c.machines[i] is not m]
-        value = comm.value_fn(state) if comm.value_fn is not None else None
-        my_updates = list(base_updates)
-        if comm.bind_idx is not None and not users and closure.payload is not None:
-            # platform-driven input: enumerate the payload domain
-            if comm.direction != "in":
-                raise BuildError(f"{tag}: output trigger with a binding variable")
-            domain = _domain_of_typeref(closure.payload, self.c.model)
-            if domain[0] == "bool":
-                choices = [False, True]
-            elif domain[0] == "enum":
-                choices = list(domain[1])
-            else:
-                raise BuildError(
-                    f"{tag}: platform input on {closure.cid} has an unbounded payload type; "
-                    "bound it with an enumeration or bool")
-            out = []
-            for v in choices:
-                upd = my_updates + [(comm.bind_idx, v)]
-                if closure.latch is not None:
-                    upd.append((self.c.index[closure.latch], v))
-                out.extend(self._with_env(state, f"{tag}={_fmt_value(v)}", upd, closure.tags))
-            return out
-        if value is not None and closure.latch is not None:
-            my_updates.append((self.c.index[closure.latch], value))
-
-        if not users:
-            return self._with_env(state, tag, my_updates, closure.tags)
-
-        if comm.direction == "in" and initiating:
-            # receivers respond to senders; they do not initiate against machines
-            return []
-        if len(users) > 1:
-            raise BuildError(
-                f"synchronisation on {closure.cid} involves more than two machines; "
-                "multiway synchronisation is not supported")
-        partner = self.c.machines[users[0]]
-        if state[partner.lk_i] != LOCK_FREE:
-            return []
-        want = "in" if comm.direction == "out" else "out"
-        out = []
-        for st in partner.initiations.get(state[partner.pc_i], ()):
-            comm2 = st.rt.trigger_comm
-            if comm2 is None or comm2.closure.cid != closure.cid or comm2.direction != want \
-                    or not st.rt.guard_fn(state):
-                continue
-            joint = my_updates + list(st.updates)
-            if comm2.bind_idx is not None:
-                if value is None:
-                    if comm2.closure.payload is not None:
-                        raise BuildError(
-                            f"{tag}: receiver on {closure.cid} needs a value but the "
-                            "sender provides none")
-                else:
-                    joint.append((comm2.bind_idx, value))
-            if comm2.value_fn is not None and comm.bind_idx is not None:
-                v2 = comm2.value_fn(state)
-                joint.append((comm.bind_idx, v2))
-                if closure.latch is not None:
-                    joint.append((self.c.index[closure.latch], v2))
-            jtag = "+".join(sorted([tag, st.tag]))
-            out.extend(self._with_env(state, jtag, joint, closure.tags))
-        return out
+    def _entry_moves(self, entry: Entry, state):
+        if entry.plain:
+            return ((entry.tag, _NO_TAGS, entry.parts[0][0].branches),)
+        if len(entry.parts) > 1:
+            guard = entry.parts[1][0].guard
+            if guard is not None and not guard.fn(state):
+                return ()
+        if entry.error is not None:
+            raise entry.error
+        updates = []
+        for st, added in entry.parts:
+            updates.extend(st.control)
+            updates.extend([(i, t.fn(state)) for i, t in st.updates])
+            updates.extend([(i, t.fn(state)) for i, t in added])
+        if entry.closure is None:
+            return ((entry.tag, _NO_TAGS, [(ONE, updates)]),)
+        return self._with_env(state, entry.tag, updates, entry.closure.tags)
 
     # environment modules -------------------------------------------------------
 
@@ -1597,7 +1643,8 @@ class _Explorer:
 
     def successors(self, state):
         """The moves of a state, as `MarkovModel.open` takes them; a state
-        without any is a deadlock, or quiescent, and loops.  The updates of
+        without any loops, and is a deadlock unless every machine rests in a
+        terminal state.  The updates of
         each move's branches of positive weight meet their variables'
         domains."""
         pending = []
@@ -1605,8 +1652,7 @@ class _Explorer:
             pending.extend(self._machine_steps(m, state))
         pending.extend(self._env_interleavings(state))
         if not pending:
-            deadlock = self._is_deadlock(state)
-            return [("loop", _NO_TAGS, [(ONE, state)])], deadlock, not deadlock
+            return [("loop", _NO_TAGS, [(ONE, state)])], self._is_deadlock(state)
         if len(pending) > 1:
             pending.sort(key=lambda mv: mv[0])
         domains = self.domains
@@ -1627,7 +1673,7 @@ class _Explorer:
             except EvalError as exc:
                 raise self._error(action, state, exc) from exc
             moves.append((action, tags, applied))
-        return moves, False, False
+        return moves, False
 
     def _is_deadlock(self, state) -> bool:
         """No moves: deadlock unless every machine rests in a terminal stable state."""
@@ -1667,7 +1713,7 @@ def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) ->
             if ref is None:
                 raise BuildError(f"rewards {decl.name}: cannot resolve {item.event}")
             tag = (ref.qualified(), item.event.direction)
-        items.append((tag, closed.spec_expr(item.guard), closed.spec_expr(item.value)))
+        items.append((tag, closed.spec_expr(item.guard), closed.spec_expr(item.value, real=True)))
 
     def evaluate(mm: MarkovModel, lo: int):
         first_move = mm.first_move[lo:].tolist()

@@ -47,6 +47,8 @@ class RunPlan:
     def __post_init__(self):
         if self.engine == "smc" and self.kind != "dtmc":
             raise ValueError("engine=smc requires kind=dtmc")
+        if not 0 < self.tol < 1:  # also refuses nan
+            raise ValueError(f"--tol must lie strictly between 0 and 1, got {self.tol}")
 
 
 @dataclass
@@ -202,7 +204,7 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
         return "CI", {"alpha": 0.05, "n": 1000}, smc.DEFAULT_PATHLEN
     params = {}
     for name, expr in method.params.items():
-        value = closed.spec_expr(expr)(None)
+        value = closed.spec_expr(expr, real=name != "n")(None)
         params[name] = value if name == "n" else float(value)
     pathlen = smc.DEFAULT_PATHLEN
     if method.pathlen is not None:
@@ -215,7 +217,8 @@ def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
     if not isinstance(body, (A.ProbFormula, A.RewardFormula)):
         raise smc.SmcError("simulation needs a P or R formula")
     method, params, pathlen = _sim_params(body.method, closed)
-    theta = None if body.bound is None else float(closed.spec_expr(body.bound.expr)(None))
+    theta = None if body.bound is None \
+        else float(closed.spec_expr(body.bound.expr, real=True)(None))
     if isinstance(body, A.RewardFormula):
         est = smc.run_reward_ci(mm, closed, body.rewards, body.path,
                                 alpha=params.get("alpha", 0.05),

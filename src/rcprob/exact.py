@@ -236,7 +236,7 @@ class ExactChecker:
             raise CheckError(f"a {what} query is not a state formula; "
                              "queries are only allowed at the top level of a property")
         op = e.bound.op
-        p = float(self.closed.spec_expr(e.bound.expr)(None))
+        p = float(self.closed.spec_expr(e.bound.expr, real=True)(None))
         # upper bounds quantify over the worst (largest) adversary, lower
         # bounds over the smallest
         values = self._values(e, "max" if op in ("<", "<=") else "min")

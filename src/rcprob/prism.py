@@ -1,13 +1,15 @@
 """PRISM emission: model file, properties file, and name map.
 
 Emission is structural (module per machine, module per environment module)
-from a closed model.  A machine module prints the machine's step table
-(`MachineRT.steps`), the same table the explorer executes, one command per
-step; the program counter, lock, and exit variables get integer encodings
-recorded in the name map.  Variable ranges are harvested from the explored
-state space, which is why model emission requires a successful build.  Typed events use a two-step synchronise-then-exchange encoding with
-a sender-owned exchange variable.  Correctness is checked syntactically by
-the bundled subset validator; no external checker is invoked.
+from a closed model.  A machine module prints the entries of the machine's
+step table (`MachineRT.steps`), the same entries the explorer executes: one
+command per entry, and for a joint step one command in each of the two
+modules, synchronised on a label of the joint step's own.  The program
+counter, lock, and exit variables get integer encodings recorded in the
+name map.  Variable ranges are harvested from the explored state space,
+which is why model emission requires a successful build.  Correctness is
+checked syntactically by the bundled subset validator; no external checker
+is invoked.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast as A
-from . import model as M
 from . import props as P
-from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ClosedModel,
-                    MarkovModel, Step, build_markov)
+from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ClosedModel, Entry,
+                    MarkovModel, Term, build_markov)
 
 
 class EmitError(ValueError):
@@ -42,7 +43,7 @@ class Mangler:
     def mangle(self, qualified: str) -> str:
         if qualified in self._by_qualified:
             return self._by_qualified[qualified]
-        base = qualified.replace("::", "_").replace(".", "_")
+        base = re.sub(r"\W", "_", qualified.replace("::", "_"))
         candidate = base
         suffix = 2
         while candidate in self._taken:
@@ -91,23 +92,14 @@ class _ModelEmitter:
         self.mangler = mangler
         self.sweep_names = sweep_names or set()
         self.bounds: dict[str, tuple[int, int]] = {}  # filled by `emit`
-        self.enum_codes: dict[str, int] = {}
-        for enum in closed.model.enums:
-            for i, lit in enumerate(enum.literals):
-                self.enum_codes[f"{enum.name}::{lit}"] = i
+        self.enum_codes = {f"{enum.name}::{lit}": i for enum in closed.model.enums
+                           for i, lit in enumerate(enum.literals)}
         self.pc_codes: dict[str, dict[str, int]] = {}
         self.lk_codes: dict[str, dict[object, int]] = {}
         for m in closed.machines:
-            codes = {pc: i for i, pc in enumerate(m.static_pcs)}
-            for st in m.steps:
-                comm = _step_comm(st)
-                if comm is not None and comm.bind_idx is not None:
-                    codes[_recv_pc(m, st)] = len(codes)
-            self.pc_codes[m.name] = codes
-            codes = {LOCK_FREE: 0}
-            for i, t in enumerate(sorted(m.trans_by_id), start=1):
-                codes[t] = i
-            self.lk_codes[m.name] = codes
+            self.pc_codes[m.name] = {pc: i for i, pc in enumerate(m.static_pcs)}
+            self.lk_codes[m.name] = {LOCK_FREE: 0, **{t: i for i, t in
+                                                      enumerate(sorted(m.trans_by_id), start=1)}}
 
     # name helpers --------------------------------------------------------
 
@@ -126,15 +118,58 @@ class _ModelEmitter:
         return "::".join([mod] + parts)
 
     def closure_action(self, closure) -> str:
-        flow = "out"
-        for (ep, d) in closure.tags:
-            kind = self.c.closures._endpoint_info[ep][0]
-            if kind == "platform" and d == "out":
-                flow = "in"  # the platform drives this event into the model
-        return self.mangler.mangle(f"{closure.cid}.{flow}")
+        # "in" where the platform drives this event into the model
+        driven = any(d == "out" and self.c.closures._endpoint_info[ep][0] == "platform"
+                     for ep, d in closure.tags)
+        return self.mangler.mangle(f"{closure.cid}.{'in' if driven else 'out'}")
 
-    def expr(self, e: A.Expr, scope, params: dict | None = None) -> str:
-        return _emit_expr(self, e, scope, params)
+    def label(self, entry: Entry) -> str:
+        """The action label of an entry: none without communication, the
+        closure's for a step alone, and its own for a joint step."""
+        if entry.closure is None:
+            return ""
+        if len(entry.parts) == 1:
+            return self.closure_action(entry.closure)
+        return self.mangler.mangle(f"{entry.closure.cid}::{entry.tag}")
+
+    def labels(self, closure) -> list[str]:
+        """The labels of the entries on a closure, which the environment
+        commands and the rewards on its events take."""
+        return list(dict.fromkeys(self.label(e) for e in self.c.entries_on.get(closure.cid, ())))
+
+    def expr(self, e: A.Expr, scope, real: bool = False) -> str:
+        return _emit_expr2(self, e, scope, None, real)[0]
+
+    def term(self, t: Term, parent: int = 0) -> tuple[str, bool]:
+        """A term's text and whether it is an integer."""
+        params = {name: self.term(sub, 11) for name, sub in t.params}
+        text, prec, integer = _emit_expr2(self, t.expr, t.scope, params)
+        return (f"({text})" if prec < parent else text), integer
+
+    def is_int(self, flat: str) -> bool:
+        return self.c.var_named(flat).domain[0] in ("int", "nat", "range")
+
+    def _resting(self) -> str | None:
+        """Where every machine rests in a terminal state and no unlabelled
+        environment command is enabled: the explorer loops there without a
+        deadlock, so the emitted model takes a loop of its own, and PRISM's
+        `deadlock` holds where the explorer's does.  None if a machine has
+        no terminal state."""
+        rests = []
+        for m in self.c.machines:
+            final = [s for s in sorted(m.states) if not m.trans_from.get(s)]
+            if not final:
+                return None
+            pcs = " | ".join(f"{self.var_id(self.c.vars[m.pc_i].name)}={self.pc_codes[m.name][s]}"
+                             for s in final)
+            rests.append((f"({pcs})" if len(final) > 1 else pcs)
+                         + f" & {self.var_id(self.c.vars[m.lk_i].name)}=0")
+        env = [f"({self.expr(mod.commands[cmd.index].guard, None)})"
+               for mod in (self.c.env.modules if self.c.env else ())
+               for cmd in self.c.env_commands[mod.name] if cmd.label_tag is None]
+        if env:
+            rests.append(f"!({' | '.join(env)})")
+        return " & ".join(rests)
 
     # emission --------------------------------------------------------------
 
@@ -155,12 +190,9 @@ class _ModelEmitter:
                 ident = self.mangler.mangle(f"{enum.name}::{lit}")
                 out.append(f"const int {ident} = {i};")
         out.append("")
-        for v in c.vars:
-            if v.kind == "shared":
-                out.append(f"global {self.var_id(v.name)} : {self._range(v)};")
-        for v in c.vars:
-            if v.kind == "latch":
-                out.append(f"global {self.var_id(v.name)} : {self._range(v)};")
+        for kind in ("shared", "latch"):
+            out.extend(f"global {self.var_id(v.name)} : {self._range(v)};"
+                       for v in c.vars if v.kind == kind)
         out.append("")
         for m in c.machines:
             out.extend(self._module(m))
@@ -189,8 +221,8 @@ class _ModelEmitter:
 
     def _module(self, m) -> list[str]:
         c = self.c
-        mod_name = self.mangler.mangle(f"{c.model.name}::{m.ctrl.name}::{m.mach.name}")
-        out = [f"module {mod_name}"]
+        qualified = f"{c.model.name}::{m.ctrl.name}::{m.mach.name}"
+        out = [f"module {self.mangler.mangle(qualified)}"]
         for v in c.vars:
             if v.kind == "machine" and v.name.startswith(f"{m.ctrl.name}.{m.mach.name}."):
                 out.append(f"  {self.var_id(v.name)} : {self._range(v)};")
@@ -199,36 +231,36 @@ class _ModelEmitter:
         pc_codes = self.pc_codes[m.name]
         lk_codes = self.lk_codes[m.name]
         for pc, code in sorted(pc_codes.items(), key=lambda kv: kv[1]):
-            self.mangler.record(f"{pc_id}={code}",
-                                f"{c.model.name}::{m.ctrl.name}::{m.mach.name}::pc::{pc}")
+            self.mangler.record(f"{pc_id}={code}", f"{qualified}::pc::{pc}")
         for lk, code in sorted(lk_codes.items(), key=lambda kv: kv[1]):
             if lk == LOCK_FREE:
                 continue
-            self.mangler.record(f"{lk_id}={code}",
-                                f"{c.model.name}::{m.ctrl.name}::{m.mach.name}::lk::{lk}")
+            self.mangler.record(f"{lk_id}={code}", f"{qualified}::lk::{lk}")
         init_pc = pc_codes[m.mach.initial]
         out.append(f"  {pc_id} : [0..{len(pc_codes) - 1}] init {init_pc};")
         out.append(f"  {lk_id} : [0..{len(lk_codes) - 1}] init 0;")
-        if m.exit_i is not None:
-            out.append(f"  {self.var_id(c.vars[m.exit_i].name)} : [0..2] init 0;")
+        exit_id = self.var_id(c.vars[m.exit_i].name) if m.exit_i is not None else None
+        if exit_id is not None:
+            for flag, code in EXIT_CODES.items():
+                self.mangler.record(f"{exit_id}={code}", f"{qualified}::exit::{flag}")
+            out.append(f"  {exit_id} : [0..2] init 0;")
         out.append("")
-        out.extend(self._commands(m))
+        out.extend(self._commands(m, pc_id, lk_id, exit_id))
         out.append("endmodule")
         return out
 
-    def _commands(self, m) -> list[str]:
-        """One command per step table entry (two for a receive), then idle
-        loops for the terminal states."""
+    def _commands(self, m, pc_id: str, lk_id: str, exit_id: str | None) -> list[str]:
+        """One command per entry that each step of the table takes part in:
+        its guard on the control variables and the transition guard, and
+        its updates, with the values that the entry binds or latches.  The
+        last machine adds the loop of the resting states."""
         pc_codes = self.pc_codes[m.name]
         lk_codes = self.lk_codes[m.name]
-        pc_id = self.var_id(self.c.vars[m.pc_i].name)
-        lk_id = self.var_id(self.c.vars[m.lk_i].name)
-        exit_id = self.var_id(self.c.vars[m.exit_i].name) if m.exit_i is not None else None
         names = {m.pc_i: (pc_id, pc_codes), m.lk_i: (lk_id, lk_codes),
                  m.exit_i: (exit_id, EXIT_CODES)}
         weights = self.c.weight_table.weights
 
-        def pairs(updates):
+        def control(updates):
             return [(names[i][0], names[i][1][v]) for i, v in updates]
 
         out = []
@@ -240,75 +272,25 @@ class _ModelEmitter:
                 guard.append(f"{lk_id}={lk_codes[st.lock]}")
             if st.exit is not None:
                 guard.append(f"{exit_id}={EXIT_CODES[st.exit]}")
-            if st.rt is not None and st.rt.t.guard is not None:
-                guard.append(self.expr(st.rt.t.guard, m.scope))
+            if st.guard is not None:
+                guard.append(self.term(st.guard)[0])
             guard = " & ".join(guard)
-            if len(st.branches) > 1:
-                alts = " + ".join(f"{weights[w]}:{_updates_text(pairs(u))}"
-                                  for w, u in st.branches)
-                out.append(f"  [] {guard} -> {alts};")
-                continue
-            post = pairs(st.updates)
-            if st.part is not None and st.part.kind == "update":
-                post.extend(self._update_pairs(m, st.part.source_action))
-            comm = _step_comm(st)
-            if comm is None:
-                out.append(f"  [] {guard} -> {_updates_text(post)};")
-                continue
-            label = f"[{self.closure_action(comm.closure)}]"
-            latch = comm.closure.latch
-            if comm.bind_idx is None:
-                if comm.value is not None and latch is not None:
-                    post.append((self.var_id(latch), self.expr(comm.value, m.scope)))
-                out.append(f"  {label} {guard} -> {_updates_text(post)};")
-                continue
-            # receive: synchronise first, copy the exchanged value second
-            recv = pc_codes[_recv_pc(m, st)]
-            if all(i != m.pc_i for i, _ in st.updates):
-                post.append((pc_id, pc_codes[st.pc]))
-            bind = (self.var_id(self.c.vars[comm.bind_idx].name),
-                    self.var_id(latch) if latch else "0")
-            out.append(f"  {label} {guard} -> ({pc_id}'={recv});")
-            out.append(f"  [] {pc_id}={recv} -> {_updates_text([bind] + post)};")
-        for s in sorted(m.states):
-            if not m.trans_from.get(s):
-                out.append(f"  [] {pc_id}={pc_codes[s]} & {lk_id}=0 -> true;")
+            for entry in self.c.entries_of.get(st, ()):
+                if len(st.branches) > 1:
+                    rhs = " + ".join(f"{weights[w]}:{_updates_text(control(u))}"
+                                     for w, u in st.branches)
+                else:
+                    data = (*st.updates, *dict(entry.parts)[st])
+                    rhs = _updates_text(control(st.control) + [
+                        (self.var_id(self.c.vars[i].name), self.term(t)[0]) for i, t in data])
+                out.append(f"  [{self.label(entry)}] {guard} -> {rhs};")
+        if m is self.c.machines[-1] and (resting := self._resting()) is not None:
+            out.append(f"  [] {resting} -> true;")
         return out
 
-    def _update_pairs(self, m, action: M.Action) -> list[tuple[str, str]]:
-        scope = m.scope
-        if isinstance(action, M.Assign):
-            flat, _ = scope.vars[action.target]
-            return [(self.var_id(flat), self.expr(action.expr, scope))]
-        if isinstance(action, M.OpCall):
-            op = self.c.operations[action.name]
-            params = {p: self.expr(a, scope) for p, a in zip(op.params, action.args)}
-            pairs = []
-            for target_qn, value in op.assignments:
-                ref, _ = self.c.resolver.resolve_fqn(target_qn)
-                pairs.append((self.var_id(ref.flat), self.expr(value, None, params)))
-            return pairs
-        if isinstance(action, M.IfAction):
-            cond = self.expr(action.cond, scope)
-            then_pairs = {}
-            for p in M.atomic_parts(action.then):
-                for k, v in self._update_pairs(m, p):
-                    then_pairs[k] = v
-            else_pairs = {}
-            for p in M.atomic_parts(action.orelse):
-                for k, v in self._update_pairs(m, p):
-                    else_pairs[k] = v
-            pairs = []
-            for key in sorted(set(then_pairs) | set(else_pairs)):
-                a = then_pairs.get(key, key)
-                b = else_pairs.get(key, key)
-                pairs.append((key, f"({cond} ? {a} : {b})"))
-            return pairs
-        if isinstance(action, M.Skip):
-            return []
-        raise EmitError(f"cannot emit update for {type(action).__name__}")
-
     def _env_module(self, mod: P.PModule) -> list[str]:
+        """A labelled command takes each label of the entries on its event's
+        closure, since it joins every one of them in the explorer."""
         out = [f"module {self.mangler.mangle(mod.name)}"]
         for v in mod.variables:
             flat = f"env.{mod.name}.{v.name}"
@@ -317,41 +299,21 @@ class _ModelEmitter:
         out.append("")
         for cmd in self.c.env_commands[mod.name]:
             raw = mod.commands[cmd.index]
-            label = ""
-            if raw.label is not None:
-                ref, _ = self.c.resolver.resolve_event(raw.label)
-                closure = self.c.closures.by_endpoint[ref.qualified()]
-                label = f"[{self.closure_action(closure)}] "
-            guard = self.expr(raw.guard, None)
-            if not raw.updates:
-                rhs = "true"
+            labels = [""]
+            if cmd.label_tag is not None:
+                closure = self.c.closures.by_endpoint[cmd.label_tag[0]]
+                labels = self.labels(closure) if cmd.label_tag in closure.tags else []
+            updates = [(u.prob, f"({self.var_id(f'env.{mod.name}.{u.var}')}'="
+                                f"{self.expr(u.expr, None)})") for u in raw.updates]
+            if any(prob is not None for prob, _ in updates):
+                rhs = " + ".join(f"{self.expr(prob, None, real=True)}:{update}"
+                                 for prob, update in updates)
             else:
-                with_prob = [u for u in raw.updates if u.prob is not None]
-                if with_prob:
-                    rhs = " + ".join(
-                        f"{self.expr(u.prob, None)}:"
-                        f"({self.var_id(f'env.{mod.name}.{u.var}')}'={self.expr(u.expr, None)})"
-                        for u in raw.updates)
-                else:
-                    rhs = " & ".join(
-                        f"({self.var_id(f'env.{mod.name}.{u.var}')}'={self.expr(u.expr, None)})"
-                        for u in raw.updates)
-            out.append(f"  {label}{guard} -> {rhs};")
+                rhs = " & ".join(update for _, update in updates) or "true"
+            guard = self.expr(raw.guard, None)
+            out.extend(f"  [{label}] {guard} -> {rhs};" for label in labels)
         out.append("endmodule")
         return out
-
-
-def _step_comm(st: Step):
-    """The communication a step engages in, if any."""
-    if st.rt is not None:
-        return st.rt.trigger_comm
-    return st.part.comm if st.part is not None else None
-
-
-def _recv_pc(m, st: Step) -> str:
-    """The pc between a receive's synchronisation and its value copy, named
-    after the step ('@' keeps it apart from every pc of the machine)."""
-    return f"{st.tag[len(m.name) + 1:]}@recv"
 
 
 def _updates_text(pairs) -> str:
@@ -390,87 +352,79 @@ _PRISM_BIN = {"/\\": "&", "\\/": "|", "==": "=", "!=": "!=", "=>": "=>", "iff": 
               "*": "*", "/": "/"}
 
 
-def _emit_expr(em: _ModelEmitter, e: A.Expr, scope, params=None, parent=0) -> str:
-    text, prec = _emit_expr2(em, e, scope, params)
-    return f"({text})" if prec < parent else text
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None):
-    go = lambda x, parent=0: _emit_expr(em, x, scope, params, parent)
+def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None, real: bool = False,
+                leaf=None):
+    """An expression's PRISM text, its precedence, and whether it is an
+    integer, which decides, as in the explorer, whether `/` truncates: it
+    does unless the expression is `real` or an operand is not an integer.
+    `params` maps parameter names to (text, integer) pairs; `leaf` gives
+    the same triple for the nodes that only properties have."""
+    def typed(x, parent=0):
+        text, prec, integer = _emit_expr2(em, x, scope, params, real, leaf)
+        return (f"({text})" if prec < parent else text), integer
+
+    go = lambda x, parent=0: typed(x, parent)[0]
     if isinstance(e, A.Lit):
         if isinstance(e.value, bool):
-            return _text(e.value), 11
+            return _text(e.value), 11, False
+        if isinstance(e.value, str):  # an enumeration literal
+            return em.mangler.mangle(e.value), 11, False
         if isinstance(e.value, Fraction) and e.value.denominator != 1:
-            return _text(e.value), 9
-        return str(e.value), 11
+            return _text(e.value), 9, False
+        return str(e.value), 11, _is_int(e.value)
     if isinstance(e, A.Ref):
-        segs = e.name.segments
-        model = em.c.model
-        if len(segs) == 2 and model.enum(segs[0]) is not None:
-            return em.mangler.mangle(str(e.name)), 11
-        if scope is not None and len(segs) == 1:
-            name = segs[0]
-            if params is not None and name in params:
-                return params[name], 11
-            if name in scope.consts:
-                return em.mangler.mangle(name), 11
-            if name in scope.vars:
-                return em.var_id(scope.vars[name][0]), 11
-            raise EmitError(f"unknown name {name!r}")
-        if len(segs) == 1 and segs[0] in em.c.consts:
-            return em.mangler.mangle(segs[0]), 11
-        ref, diags = em.c.resolver.resolve_fqn(e.name)
-        if ref is None:
-            raise EmitError(f"cannot resolve {e.name}")
-        if ref.kind == "variable":
-            return em.var_id(ref.flat), 11
-        if ref.kind == "constant":
-            return em.mangler.mangle(ref.path[-1]), 11
-        raise EmitError(f"{e.name} is not emittable")
+        kind, name = em.c.name_of(e, scope, params)
+        if kind == "param":
+            text, integer = params[name]
+            return text, 11, integer
+        if kind == "var":
+            return em.var_id(name), 11, em.is_int(name)
+        return em.mangler.mangle(name), 11, kind == "const" and _is_int(em.c.consts.get(name))
     if isinstance(e, A.ParamRef):
         if params is None or e.name not in params:
             raise EmitError(f"``{e.name} out of scope")
-        return params[e.name], 11
+        text, integer = params[e.name]
+        return text, 11, integer
     if isinstance(e, A.Unary):
         if e.op == "not":
-            return f"!{go(e.operand, 10)}", 6
-        return f"-{go(e.operand, 10)}", 10
+            return f"!{go(e.operand, 10)}", 6, False
+        text, integer = typed(e.operand, 10)
+        return f"-{text}", 10, integer
     if isinstance(e, A.Binary):
         if e.op == "%":
-            return f"mod({go(e.left)}, {go(e.right)})", 11
+            (left, li), (right, ri) = typed(e.left), typed(e.right)
+            return f"mod({left}, {right})", 11, li and ri
         prec = A.BINARY_PREC[e.op]
-        return f"{go(e.left, prec)} {_PRISM_BIN[e.op]} {go(e.right, prec + 1)}", prec
+        (left, li), (right, ri) = typed(e.left, prec), typed(e.right, prec + 1)
+        if e.op == "/" and li and ri and not real:
+            # PRISM divides as reals: truncate towards zero, as the explorer does
+            q = f"{go(e.left, 11)}/{go(e.right, 11)}"
+            return f"({q} >= 0 ? floor({q}) : ceil({q}))", 11, True
+        return f"{left} {_PRISM_BIN[e.op]} {right}", prec, li and ri and e.op in ("+", "-", "*")
     if isinstance(e, A.Cond):
-        return f"({go(e.cond)} ? {go(e.then)} : {go(e.orelse)})", 11
+        (then, ti), (orelse, oi) = typed(e.then), typed(e.orelse)
+        return f"({go(e.cond)} ? {then} : {orelse})", 11, ti and oi
     if isinstance(e, A.FunCall):
         fdef = em.c.functions.get(e.name)
         if fdef is None:
             raise EmitError(f"function {e.name!r} has no definition")
-        args = {p: go(a, 11) for p, a in zip(fdef.params, e.args)}
+        args = {p: typed(a, 11) for p, a in zip(fdef.params, e.args)}
         return _emit_expr2(em, fdef.body, None, args)
     if isinstance(e, A.IsIn):
-        left, _ = em.c.resolver.resolve_fqn(e.container)
-        right, _ = em.c.resolver.resolve_fqn(e.state)
-        ctrl = left.owner
-        mach = left.decl
-        m = next(x for x in em.c.machines if x.mach is mach)
-        pc_id = em.var_id(f"{ctrl.name}.{mach.name}.pc")
-        code = em.pc_codes[m.name][right.decl.name]
-        return f"{pc_id}={code}", 7
+        machine, state = em.c.is_in(e)
+        return f"{em.var_id(f'{machine}.pc')}={em.pc_codes[machine][state]}", 7, False
     if isinstance(e, A.ModVarRef):
-        for mod in em.c.env.modules if em.c.env else ():
-            if e.module is not None and mod.name != e.module:
-                continue
-            for v in mod.variables:
-                if v.name == e.var:
-                    return em.var_id(f"env.{mod.name}.{v.name}"), 11
-        raise EmitError(f"unknown module variable @{e.var}")
+        flat = em.c.env_var(e)
+        return em.var_id(flat), 11, em.is_int(flat)
     if isinstance(e, A.EventVal):
-        ref, _ = em.c.resolver.resolve_event(e.event)
-        closure = em.c.closures.by_endpoint[ref.qualified()]
-        if closure.latch is None:
-            raise EmitError(f"{e.event} carries no value")
-        return em.var_id(closure.latch), 11
+        flat = em.c.event_latch(e)
+        return em.var_id(flat), 11, em.is_int(flat)
+    if leaf is not None:
+        return leaf(e)
     raise EmitError(f"cannot emit {type(e).__name__} in the model")
 
 
@@ -495,6 +449,7 @@ class _PropsEmitter:
     def __init__(self, closed: ClosedModel, model_emitter: _ModelEmitter):
         self.c = closed
         self.em = model_emitter
+        self.int_formula: dict[str, bool] = {}  # per formula emitted so far: is it an integer
 
     def emit(self, spec: P.SpecAst) -> str:
         out = []
@@ -502,17 +457,19 @@ class _PropsEmitter:
             if isinstance(st, P.LabelDecl):
                 out.append(f'label "{st.name}" = {self.state_expr(st.body)};')
             elif isinstance(st, P.FormulaDecl):
-                out.append(f"formula {st.name} = {self.state_expr(st.body)};")
+                text, _, self.int_formula[st.name] = self._typed(st.body)
+                out.append(f"formula {st.name} = {text};")
             elif isinstance(st, P.RewardsDecl):
                 out.append(f'rewards "{st.name}"')
                 for item in st.items:
-                    prefix = ""
-                    if item.event is not None:
+                    prefixes = [""]
+                    if item.event is not None:  # each label of the entries it rewards
                         ref, _ = self.c.resolver.resolve_event(item.event)
                         closure = self.c.closures.by_endpoint[ref.qualified()]
-                        prefix = f"[{self.em.closure_action(closure)}] "
-                    out.append(f"  {prefix}{self.state_expr(item.guard)} : "
-                               f"{self.state_expr(item.value)};")
+                        prefixes = [f"[{label}] " for label in self.em.labels(closure)] \
+                            if (ref.qualified(), item.event.direction) in closure.tags else []
+                    out.extend(f"  {prefix}{self.state_expr(item.guard)} : "
+                               f"{self.state_expr(item.value, real=True)};" for prefix in prefixes)
                 out.append("endrewards")
         for prop in spec.properties:
             out.append(f"// {prop.name}")
@@ -522,49 +479,42 @@ class _PropsEmitter:
     def property_line(self, body: A.Expr) -> str:
         return self.state_expr(body)
 
-    def state_expr(self, e: A.Expr, parent: int = 0) -> str:
-        text, prec = self._expr2(e)
+    def state_expr(self, e: A.Expr, parent: int = 0, real: bool = False) -> str:
+        """A property expression's text; as in the explorer, `/` divides
+        exactly in a `real` one (a probability bound, a reward) and
+        otherwise truncates on two integers."""
+        text, prec, _ = self._typed(e, real)
         return f"({text})" if prec < parent else text
 
-    def _expr2(self, e: A.Expr):
+    def _typed(self, e: A.Expr, real: bool = False):
+        return _emit_expr2(self.em, e, None, None, real, self._leaf)
+
+    def _leaf(self, e: A.Expr):
         if isinstance(e, A.LabelRef):
-            return f'"{e.name}"', 11
+            return f'"{e.name}"', 11, False
         if isinstance(e, A.DeadlockRef):
-            return '"deadlock"', 11
+            return '"deadlock"', 11, False
         if isinstance(e, A.InitRef):
-            return '"init"', 11
+            return '"init"', 11, False
         if isinstance(e, A.FormulaRef):
-            return e.name, 11
-        if isinstance(e, A.Unary) and e.op == "not":
-            return f"!{self.state_expr(e.operand, 10)}", 6
-        if isinstance(e, A.Binary):
-            if e.op == "%":
-                return f"mod({self.state_expr(e.left)}, {self.state_expr(e.right)})", 11
-            prec = A.BINARY_PREC[e.op]
-            left = self.state_expr(e.left, prec)
-            right = self.state_expr(e.right, prec + 1)
-            return f"{left} {_PRISM_BIN[e.op]} {right}", prec
+            return e.name, 11, self.int_formula.get(e.name, False)
         if isinstance(e, A.ProbFormula):
             head = self._pquery("P", e.query, e.bound)
-            return f"{head} [ {self.path_expr(e.path)} ]", 11
+            return f"{head} [ {self.path_expr(e.path)} ]", 11, False
         if isinstance(e, A.RewardFormula):
             name = f'{{"{e.rewards}"}}' if e.rewards else ""
             head = self._pquery(f"R{name}", e.query, e.bound)
-            return f"{head} [ {self.rpath_expr(e.path)} ]", 11
-        if isinstance(e, A.Forall):
-            return f"A [ {self.path_expr(e.path)} ]", 11
-        if isinstance(e, A.Exists):
-            return f"E [ {self.path_expr(e.path)} ]", 11
-        return _emit_expr2(self.em, e, None, None)
+            return f"{head} [ {self.rpath_expr(e.path)} ]", 11, False
+        if isinstance(e, (A.Forall, A.Exists)):
+            quantifier = "A" if isinstance(e, A.Forall) else "E"
+            return f"{quantifier} [ {self.path_expr(e.path)} ]", 11, False
+        raise EmitError(f"cannot emit {type(e).__name__} in a property")
 
     def _pquery(self, head: str, query: str | None, bound: A.Bound | None) -> str:
-        if query is not None:
-            if query == A.QUERY_MIN:
-                return f"{head[0]}min{head[1:]}=?"
-            if query == A.QUERY_MAX:
-                return f"{head[0]}max{head[1:]}=?"
-            return f"{head}=?"
-        return f"{head}{bound.op}{self.state_expr(bound.expr, 9)}"
+        if query is None:
+            return f"{head}{bound.op}{self.state_expr(bound.expr, 9, real=True)}"
+        extremum = {A.QUERY_MIN: "min", A.QUERY_MAX: "max"}.get(query, "")
+        return f"{head[0]}{extremum}{head[1:]}=?"
 
     def path_expr(self, e: A.Expr, parent: int = 0) -> str:
         if isinstance(e, A.Next):

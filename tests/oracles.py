@@ -10,6 +10,8 @@ from brute-force simple-cycle enumeration.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +34,7 @@ class StubContext:
         self.var_names = tuple(var_names)
         self.spec = P.SpecAst()
 
-    def spec_expr(self, e):
+    def spec_expr(self, e, real=False):
         idx = {n: i for i, n in enumerate(self.var_names)}
 
         def compile_(e):
@@ -144,7 +146,7 @@ def random_dtmc(rng, n: int) -> MarkovModel:
         branches = tuple((Fraction(w, total), d) for w, d in zip(weights, dests))
         moves.append([Move("a", branches)])
     mm = MarkovModel("dtmc", ("x",), states, moves,
-                     [s in absorbing for s in range(n)], [False] * n)
+                     [s in absorbing for s in range(n)])
     mm.check_stochastic()
     return mm
 
@@ -169,7 +171,7 @@ def random_mdp(rng, n: int, max_nondet_states: int = 8) -> MarkovModel:
             row.append(Move(f"a{a}", branches))
         moves.append(row)
     mm = MarkovModel("mdp", ("x",), states, moves,
-                     [s in absorbing for s in range(n)], [False] * n)
+                     [s in absorbing for s in range(n)])
     mm.check_stochastic()
     return mm
 
@@ -682,3 +684,232 @@ def reference_monitor(kind: str, sat1, sat2, k):
             return 0
         return None
     return stop
+
+
+# --- an interpreter of the emitted PRISM subset ------------------------------------
+
+_PRISM_TOKEN = re.compile(r'\s*(?:(\d+)|([A-Za-z_]\w*)|("[^"]*")|'
+                          r"(<=>|=>|->|<=|>=|!=|[-+*/()=<>&|!?:,']))")
+# binary operators from the loosest: PRISM's precedence
+_PRISM_LEVELS = [("<=>",), ("=>",), ("|",), ("&",), ("=", "!=", "<", "<=", ">", ">="),
+                 ("+", "-"), ("*", "/")]
+_PRISM_OPS = {"<=>": lambda a, b: a == b, "=>": lambda a, b: (not a) or b,
+              "|": lambda a, b: a or b, "&": lambda a, b: a and b,
+              "=": lambda a, b: a == b, "!=": lambda a, b: a != b,
+              "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+              ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+              "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+              "*": lambda a, b: a * b, "/": lambda a, b: Fraction(a) / Fraction(b)}
+
+
+class _PrismParser:
+    """Recursive descent over one command or expression.  An expression
+    parses to a function of (valuation dict, deadlock flag); `/` divides
+    as reals, as PRISM does."""
+
+    def __init__(self, text: str):
+        self.tokens, pos = [], 0
+        text = text.rstrip()
+        while pos < len(text):
+            m = _PRISM_TOKEN.match(text, pos)
+            assert m and m.end() > pos, f"cannot tokenise {text[pos:]!r}"
+            num, ident, label, op = m.groups()
+            self.tokens.append(("num", int(num)) if num else ("id", ident) if ident
+                               else ("label", label[1:-1]) if label else ("op", op))
+            pos = m.end()
+        self.i = 0
+
+    def peek(self, k=0):
+        return self.tokens[self.i + k] if self.i + k < len(self.tokens) else (None, None)
+
+    def take(self, op=None):
+        tok = self.peek()
+        assert op is None or tok == ("op", op), f"expected {op!r}, got {tok}"
+        self.i += 1
+        return tok
+
+    def expr(self):
+        cond = self.binary(0)
+        if self.peek() == ("op", "?"):
+            self.take("?")
+            then = self.expr()
+            self.take(":")
+            orelse = self.expr()
+            return lambda v, d: then(v, d) if cond(v, d) else orelse(v, d)
+        return cond
+
+    def binary(self, level):
+        if level == len(_PRISM_LEVELS):
+            return self.unary()
+        left = self.binary(level + 1)
+        while self.peek()[0] == "op" and self.peek()[1] in _PRISM_LEVELS[level]:
+            fn = _PRISM_OPS[self.take()[1]]
+            right = self.binary(level + 1)
+            left = (lambda f, a, b: lambda v, d: f(a(v, d), b(v, d)))(fn, left, right)
+        return left
+
+    def unary(self):
+        kind, tok = self.take()
+        if (kind, tok) == ("op", "!"):
+            inner = self.unary()
+            return lambda v, d: not inner(v, d)
+        if (kind, tok) == ("op", "-"):
+            inner = self.unary()
+            return lambda v, d: -inner(v, d)
+        if (kind, tok) == ("op", "("):
+            inner = self.expr()
+            self.take(")")
+            return inner
+        if kind == "num":
+            return lambda v, d: tok
+        if kind == "label":
+            assert tok == "deadlock", f"unknown label {tok!r}"
+            return lambda v, d: d
+        assert kind == "id", f"unexpected {tok!r}"
+        if tok in ("true", "false"):
+            return lambda v, d: tok == "true"
+        if tok in ("floor", "ceil") and self.peek() == ("op", "("):
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            rnd = math.floor if tok == "floor" else math.ceil
+            return lambda v, d: rnd(inner(v, d))
+        return lambda v, d: v[tok]
+
+    def updates(self):
+        """[(probability, [(variable, value)])] of a command's right side."""
+        if self.peek() == ("id", "true") and self.peek(1) in (("op", "+"), (None, None)):
+            self.take()
+            branches = [(lambda v, d: 1, [])]
+        else:
+            branches = []
+            while True:
+                prob = lambda v, d: 1
+                if not (self.peek() == ("op", "(") and self.peek(2) == ("op", "'")):
+                    prob = self.expr()
+                    self.take(":")
+                assigns = []
+                while True:
+                    self.take("(")
+                    name = self.take()[1]
+                    self.take("'")
+                    self.take("=")
+                    assigns.append((name, self.expr()))
+                    self.take(")")
+                    if self.peek() != ("op", "&"):
+                        break
+                    self.take("&")
+                branches.append((prob, assigns))
+                if self.peek() != ("op", "+"):
+                    break
+                self.take("+")
+        assert self.i == len(self.tokens), f"trailing {self.tokens[self.i:]}"
+        return branches
+
+
+class PrismModel:
+    """The emitted PRISM subset, read and explored by its own semantics:
+    modules with integer ranges and booleans, global variables, constants,
+    and guarded commands whose labels synchronise every module that uses
+    them, with the product of their branches.  A state where no command is
+    enabled is labelled "deadlock" and loops.  Written apart from the
+    engine and the emitter, to check that their step semantics agree."""
+
+    def __init__(self, text: str):
+        lines = [ln.strip() for ln in text.splitlines()]
+        lines = [ln for ln in lines if ln and not ln.startswith("//")]
+        self.kind = lines[0]
+        self.consts: dict[str, object] = {}
+        self.ranges: dict[str, tuple] = {}  # name -> (lo, hi), or None for bool
+        self.init: dict[str, object] = {}
+        self.modules: list[list[tuple]] = []  # [(label, guard, branches)] per module
+        for ln in lines[1:]:
+            if ln.startswith("const "):
+                _, _, name, _, value = ln.rstrip(";").split(None, 4)
+                self.consts[name] = _PrismParser(value).expr()(self.consts, False)
+            elif ln.startswith("module "):
+                self.modules.append([])
+            elif ln.startswith("["):
+                label, rest = ln[1:].split("]", 1)
+                guard, updates = rest.rstrip(";").split("->", 1)
+                self.modules[-1].append((label.strip(), _PrismParser(guard).expr(),
+                                         _PrismParser(updates).updates()))
+            elif ln != "endmodule":
+                m = re.fullmatch(r"(?:global )?(\w+) : (?:\[(-?\d+)\.\.(-?\d+)\]|bool) "
+                                 r"init (\S+);", ln)
+                assert m, f"unrecognised line {ln!r}"
+                name, lo, hi, init = m.groups()
+                self.ranges[name] = None if lo is None else (int(lo), int(hi))
+                self.init[name] = init == "true" if lo is None else int(init)
+        self.names = tuple(self.init)
+        self.alphabets = [{label for label, _, _ in cmds if label} for cmds in self.modules]
+
+    def valuation(self, state: tuple) -> dict:
+        return {**self.consts, **dict(zip(self.names, state))}
+
+    def _branches(self, v: dict, branches) -> list:
+        out = [(Fraction(prob(v, False)), assigns) for prob, assigns in branches]
+        assert sum(p for p, _ in out) == 1, out
+        return out
+
+    def moves(self, state: tuple) -> list[dict[tuple, Fraction]]:
+        """The distributions over successor states that the state chooses
+        among; a state without any loops."""
+        return self._moves(state) or [{state: Fraction(1)}]
+
+    def _moves(self, state: tuple) -> list[dict[tuple, Fraction]]:
+        v = self.valuation(state)
+        enabled = [[(label, branches) for label, guard, branches in cmds if guard(v, False)]
+                   for cmds in self.modules]
+        choices = [[self._branches(v, b)] for cmds in enabled for label, b in cmds if not label]
+        labels = dict.fromkeys(label for cmds in enabled for label, _ in cmds if label)
+        for label in labels:
+            parts = [[self._branches(v, b) for lb, b in cmds if lb == label]
+                     for cmds, alphabet in zip(enabled, self.alphabets) if label in alphabet]
+            choices.extend(itertools.product(*parts))
+        out = []
+        for combo in choices:
+            dist: dict[tuple, Fraction] = {}
+            for branches in itertools.product(*combo):
+                p, new = Fraction(1), dict(zip(self.names, state))
+                written = set()
+                for q, assigns in branches:
+                    p *= q
+                    for name, value in assigns:
+                        assert name not in written, f"{name} assigned twice in one step"
+                        written.add(name)
+                        new[name] = self._checked(name, value(v, False))
+                if p:
+                    succ = tuple(new[n] for n in self.names)
+                    dist[succ] = dist.get(succ, 0) + p
+            out.append(dist)
+        return out
+
+    def _checked(self, name: str, value):
+        bounds = self.ranges[name]
+        if bounds is None:
+            assert isinstance(value, bool), (name, value)
+            return value
+        assert not isinstance(value, bool) and value == int(value), \
+            f"{name} is an integer, cannot take {value}"
+        assert bounds[0] <= value <= bounds[1], f"{name}={value} outside {bounds}"
+        return int(value)
+
+    def holds(self, expr: str, state: tuple) -> bool:
+        """A state formula, with "deadlock" true where no command is enabled."""
+        deadlock = not self._moves(state)
+        return bool(_PrismParser(expr).expr()(self.valuation(state), deadlock))
+
+    def explore(self) -> dict[tuple, list[dict[tuple, Fraction]]]:
+        """The moves of every reachable state, from the initial one."""
+        init = tuple(self.init[n] for n in self.names)
+        found, todo = {init: None}, [init]
+        while todo:
+            state = todo.pop()
+            found[state] = self.moves(state)
+            for dist in found[state]:
+                for succ in dist:
+                    if succ not in found:
+                        found[succ] = None
+                        todo.append(succ)
+        return found

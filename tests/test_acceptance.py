@@ -175,7 +175,7 @@ class RawAtomContext:
         self.spec = closed.spec
         self._extras = extras
 
-    def spec_expr(self, e):
+    def spec_expr(self, e, real=False):
         if isinstance(e, A.Binary) and isinstance(e.left, A.Ref) \
                 and len(e.left.name.segments) == 1 \
                 and e.left.name.segments[0] in self._extras:
@@ -185,7 +185,7 @@ class RawAtomContext:
                 return lambda s: read(s) == value
             if e.op == "!=":
                 return lambda s: read(s) != value
-        return self._closed.spec_expr(e)
+        return self._closed.spec_expr(e, real)
 
 
 def pc_eq(value):
@@ -388,7 +388,7 @@ def test_criterion_7_smc_calibration(srw_model, srw_spec):
         [Move("a", ((p_true, 1), (1 - p_true, 2)))],
         [Move("l", ((Fraction(1), 1),))],
         [Move("l", ((Fraction(1), 2),))],
-    ], [False, True, True], [False] * 3)
+    ], [False, True, True])
     ctx = StubContext(("x",))
     correct = 0
     for seed in range(100):

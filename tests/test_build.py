@@ -180,7 +180,7 @@ def test_bad_distribution_is_fatal_at_its_first_state():
     moves = [[Move("a", ((Fraction(1, 2), 1), (Fraction(1, 2), 2)))],
              [Move("b", ((third, 0), (third, 2)))],
              [Move("c", ((third, 0), (third, 1)))]]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3, [False] * 3)
+    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3)
     with pytest.raises(BuildError, match="^state 1 action b: branch probabilities sum to 2/3$"):
         mm.check_stochastic()
     with pytest.raises(BuildError, match="^state 2 action c: branch probabilities sum to 2/3$"):
@@ -215,9 +215,9 @@ def test_stuck_is_quiescent_not_deadlock(srw_default):
     stuck = [i for i, st in enumerate(mm.states) if st[m.pc_i] == "Stuck"]
     assert stuck
     for i in stuck:
+        # no step: the state loops, and resting in a terminal state is no deadlock
         assert not mm.deadlock[i]
-        assert mm.quiescent[i]
-        assert moves_of(mm, i)[0].branches == ((Fraction(1), i),)
+        assert [(mv.action, mv.branches) for mv in moves_of(mm, i)] == [("loop", ((Fraction(1), i),))]
 
 
 def test_state_cap(srw_model, srw_spec):
@@ -672,6 +672,25 @@ def test_send_meets_send_rejected():
     assert not any("ping" in ep for row in all_moves(mm) for mv in row
                    for ep, _ in mv.tags)
     assert any(mm.deadlock)
+
+
+def test_receiver_without_a_value_fails_only_when_paired():
+    # A sends ping without a value; B can answer with r1, which binds y, or
+    # with r2, which binds nothing.  Only the pairing with r1 is an error,
+    # reported when that pairing is enabled.
+    text = TRIGGER_SYNC_MODEL.replace(
+        "transition s1 { from A1 to A2 trigger ping ! 7 }",
+        "transition s1 { from A1 to A2 action ping }").replace(
+        "transition r1 { from B1 to B2 trigger ping ? y }",
+        "transition r1 { from B1 to B2 trigger ping ? y guard y > GUARD }\n"
+        "      transition r2 { from B1 to B2 trigger ping }")
+    closed = instantiate(parse_model(text.replace("GUARD", "0")), {}, None, None, "mdp")
+    mm = build_markov(closed)
+    assert sum(any("ping" in ep for ep, _ in mv.tags) for row in all_moves(mm) for mv in row) == 1
+    closed = instantiate(parse_model(text.replace("GUARD", "0 - 1")), {}, None, None, "mdp")
+    with pytest.raises(BuildError, match="receiver on TSMod::C::A::ping needs a value but "
+                                         "the sender provides none"):
+        build_markov(closed)
 
 
 def test_validate_sync_fixtures_clean():

@@ -325,6 +325,31 @@ def test_cli_smc_rejects_empty_sample(tmp_path, capsys):
     assert "n must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "1"])
+def test_tol_outside_the_unit_interval_exits_2(tol, tmp_path, capsys):
+    # inf stopped value iteration at once and 0, -1 and nan ran it to its cap
+    code = main(["check", SRW_RCM, SRW_RCP, f"--tol={tol}", "--out", str(tmp_path)])
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert code == 2 and len(errors) == 1 and "--tol" in errors[0], errors
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("body", [
+    "Prob>=1/2 of [Finally (SRWMod::SRWRP::x == 2)]",
+    "Prob>=0.5 of [Finally (SRWMod::SRWRP::x == 2)]",
+    "Prob>=1/2 of [Finally (SRWMod::SRWRP::x == 2)] using sim with SPRT at alpha=1/100, "
+    "delta=1/20",
+])
+def test_fraction_bound_divides_exactly(body, tmp_path):
+    # the value is 1/4; integer division made the bound 1/2 and alpha=1/100 zero
+    rcp = tmp_path / "bound.rcp"
+    rcp.write_text(_srw_prop(body))
+    engine = ["--engine", "smc"] if "sim" in body else []
+    out = tmp_path / "out"
+    assert main(["check", SRW_RCM, str(rcp), "--kind", "dtmc", "--out", str(out)] + engine) == 1
+    assert json.loads((out / "report.jsonl").read_text())["verdict"] is False
+
+
 # --- failures in user expressions: one error line, exit code 2 ------------------------
 
 DIV_MODEL = """

@@ -34,7 +34,7 @@ def chain(moves_spec, kind="dtmc"):
                 for p, d in branches)))
         moves.append(row)
     mm = MarkovModel(kind, ("x",), [(i,) for i in range(n)], moves,
-                     [False] * n, [False] * n)
+                     [False] * n)
     mm.check_stochastic()
     return mm, StubContext(("x",))
 

@@ -39,17 +39,20 @@ FIXTURE_MODELS = {
 }
 
 
-def build(name: str):
+def closed_model(name: str):
     fixtures = Path(__file__).parent / "fixtures"
     if name == "srw_2_4":
         spec = parse_spec((fixtures / "srw.rcp").read_text())
-        closed = instantiate(parse_model((fixtures / "srw.rcm").read_text()),
-                             {"MaxDist": 2, "MaxSteps": 4, "Pl": Fraction(1, 2)},
-                             spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc", spec)
-        return build_markov(closed)
+        return instantiate(parse_model((fixtures / "srw.rcm").read_text()),
+                           {"MaxDist": 2, "MaxSteps": 4, "Pl": Fraction(1, 2)},
+                           spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc", spec)
     text, kind = FIXTURE_MODELS[name]
     defs = parse_spec(OP_DEFS).statements[0] if name == "op" else None
-    return build_markov(instantiate(parse_model(text), {}, defs, None, kind))
+    return instantiate(parse_model(text), {}, defs, None, kind)
+
+
+def build(name: str):
+    return build_markov(closed_model(name))
 
 
 NAMES = sorted(FIXTURE_MODELS) + ["srw_2_4"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from rcprob.props import DefinitionsDecl, PModulesDecl, parse_expression, parse_
 from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter, check_prism_model,
                           check_prism_props, emit_pair, emit_properties, mangle)
 
-from oracles import moves_of
+from oracles import PrismModel, moves_of
 
 GOLDEN = Path(__file__).parent / "fixtures" / "srw_golden.prism"
 
@@ -172,6 +173,7 @@ def random_formula(rng, depth=0):
         lambda: A.InitRef(),
         lambda: parse_expression("SRWMod::SRWRP::x == 0"),
         lambda: parse_expression("SRWMod::SRWRP::steps < SRWMod::SRWRP::MaxSteps"),
+        lambda: A.Binary(rng.choice(["<", ">="]), random_number(rng), random_number(rng)),
     ]
     if depth > 2:
         return rng.choice(atoms)()
@@ -195,6 +197,19 @@ def random_formula(rng, depth=0):
     if kind == 4:
         return A.Forall(random_path(rng, depth + 1))
     return A.Exists(random_path(rng, depth + 1))
+
+
+def random_number(rng, depth=0):
+    """An integer expression over `/` and `%`, with formula references."""
+    kind = rng.randrange(4) if depth < 2 else rng.randrange(3)
+    if kind == 0:
+        return parse_expression("SRWMod::SRWRP::x")
+    if kind == 1:
+        return A.Lit(rng.randrange(1, 5))
+    if kind == 2:
+        return A.FormulaRef("f_dist")
+    return A.Binary(rng.choice(["/", "%", "+"]), random_number(rng, depth + 1),
+                    random_number(rng, depth + 1))
 
 
 def random_path(rng, depth):
@@ -222,13 +237,40 @@ def test_translation_total_over_random_formulas(srw_closed):
         text = pe.property_line(formula)
         assert text
         assert check_prism_props(text) == [], text
+    # a query divided at the top level
+    query = A.ProbFormula(None, A.QUERY_PLAIN, A.Finally_(None, A.LabelRef("l_stuck")))
+    text = pe.property_line(A.Binary("/", query, A.Lit(2)))
+    assert text == 'P=? [ F "l_stuck" ] / 2'
+    assert check_prism_props(text) == [], text
+
+
+def test_division_in_properties_as_in_the_explorer(srw_closed):
+    # a probability bound and a reward divide exactly, as the explorer
+    # evaluates them; a state expression truncates on integers
+    spec = parse_spec("""
+    formula f_half = SRWMod::SRWRP::x / 2
+    label l_half = `f_half / 2 >= 1
+    rewards r_half =
+      true : 1/2;
+    endrewards
+    prob property P_quarter:
+      Prob>=3/4 of [Finally #l_half]
+    """)
+    text = emit_properties(srw_closed, spec)
+    trunc = lambda q: f"({q} >= 0 ? floor({q}) : ceil({q}))"
+    assert f"formula f_half = {trunc('SRWMod_SRWRP_x/2')};" in text, text
+    assert f'label "l_half" = {trunc("f_half/2")} >= 1;' in text, text
+    assert "  true : 1 / 2;" in text and "P>=3 / 4 [ F \"l_half\" ]" in text, text
+    assert check_prism_props(text) == [], text
+    reward = spec.statements[2].items[0].value
+    assert srw_closed.spec_expr(reward, real=True)(None) == Fraction(1, 2)
+    assert srw_closed.spec_expr(reward)(None) == 0
 
 
 def test_emit_exit_and_sync_models_validate():
     from test_build import EXIT_MODEL, INPUT_MODEL, SYNC_MODEL, TRIGGER_SYNC_MODEL
     from rcprob.model import parse_model
-    # the validator checks literal updates against the declared ranges,
-    # which catches a receive pc left out of the pc range
+    # the validator checks literal updates against the declared ranges
     assert check_prism_model("dtmc\nmodule M\n  pc : [0..4] init 0;\n"
                              "  [] pc=0 -> (pc'=5);\nendmodule\n")
     for text in (EXIT_MODEL, SYNC_MODEL, TRIGGER_SYNC_MODEL, INPUT_MODEL):
@@ -257,3 +299,112 @@ def test_plain_transition_emitted_as_explored():
               if ln.startswith(f"  [] ABMod_C_S_pc={codes['A']} & ABMod_C_S_lk=0 ->")]
     assert sorted(starts) == sorted([f"(ABMod_C_S_pc'={codes['B']});",
                                      f"(ABMod_C_S_lk'={locks['t2']}) & (ABMod_C_S_pc'={codes['t2_act']});"])
+
+
+# --- differential: the emitted model takes the explorer's steps -----------------------
+
+# `/` on integers truncates towards zero, for both signs
+DIV_MODEL = """
+module DMod {
+  controller C {
+    machine S {
+      var x : int = 7;
+      var y : int = 0 - 7;
+      initial i0;
+      state S0;
+      transition t0 { from i0 to S0 }
+      transition t1 { from S0 to S0 guard x > 1 action x = x / 2 }
+      transition t2 { from S0 to S0 guard y < 0 - 1 action y = y / 2 }
+    }
+  }
+}
+"""
+
+
+# environment modules beside the fixtures: one joins a joint step and
+# counts, the other observes a platform input and interleaves
+OBSERVERS = {
+    "trigger_sync_observed": ("TRIGGER_SYNC_MODEL", """
+    pmodules M: pmodule Obs {
+      pings : [0 to 1] init 0;
+      [TSMod::C::A::ping.out] true -> (1/4: @pings = 1) & (3/4: @pings = 0);
+    }
+    """),
+    "input_observed": ("INPUT_MODEL", """
+    pmodules M: pmodule Obs {
+      pending : bool init false;
+      seen_on : bool init false;
+      [InMod::RP::cmd.out] @pending == false -> (@pending = true);
+      [] @pending == true /\\ InMod::RP::cmd.out.val == Power::On -> (@pending = false) & (@seen_on = true);
+      [] @pending == true /\\ InMod::RP::cmd.out.val != Power::On -> (@pending = false);
+    }
+    """),
+}
+
+
+def _differential_closed(name):
+    import test_build
+    from rcprob.model import parse_model
+    from test_explore_golden import closed_model
+    if name == "division":
+        return instantiate(parse_model(DIV_MODEL), {}, None, None, "mdp")
+    if name in OBSERVERS:
+        model, env = OBSERVERS[name]
+        return instantiate(parse_model(getattr(test_build, model)), {}, None,
+                           parse_spec(env).find(PModulesDecl, "M"), "mdp")
+    return closed_model(name)
+
+
+def _decoder(closed, pair, prism):
+    """Maps an interpreter state back to the explorer's valuation through
+    the name map: pc, lock and exit codes and enumeration literals."""
+    ident = {q: m for m, q in pair.mangler.name_map.items()}
+    em = _ModelEmitter(closed, None, Mangler())
+    columns = []
+    for v in closed.vars:
+        name = ident[em._qualify_flat(v.name)]
+        if v.domain[0] in ("pc", "lock", "exit"):
+            prefix = f"{em._qualify_flat(v.name)}::"
+            codes = {int(m.split("=")[1]): pair.mangler.name_map[m][len(prefix):]
+                     for m in pair.mangler.name_map if m.startswith(f"{name}=")}
+            columns.append((name, lambda x, codes=codes: codes.get(x, x)))
+        elif v.domain[0] == "enum":
+            codes = {prism.consts[ident[lit]]: lit for lit in v.domain[1]}
+            columns.append((name, codes.__getitem__))
+        else:
+            columns.append((name, lambda x: x))
+    at = {n: i for i, n in enumerate(prism.names)}
+
+    def decode(state):
+        return tuple(fn(state[at[name]]) for name, fn in columns)
+    return decode
+
+
+def _move_multiset(moves):
+    return Counter(frozenset(dist.items()) for dist in moves)
+
+
+@pytest.mark.parametrize("name", ["ab", "chained_junction", "choice", "exit", "input", "op",
+                                  "sync", "trigger_sync", "srw_2_4", "division",
+                                  *OBSERVERS])
+def test_emitted_model_takes_the_explorers_steps(name):
+    from rcprob.build import build_markov
+    closed = _differential_closed(name)
+    mm = build_markov(closed)
+    pair = emit_pair(closed, parse_spec(""))
+    prism = PrismModel(pair.model_text)
+    decode = _decoder(closed, pair, prism)
+    found = prism.explore()
+    index = {st: s for s, st in enumerate(mm.states)}
+    reached = [index.get(decode(state)) for state in found]
+    assert None not in reached and sorted(reached) == list(range(mm.num_states)), name
+    deadlock = _PropsEmitter(closed, _ModelEmitter(closed, None, pair.mangler)) \
+        .state_expr(A.DeadlockRef())
+    for state, moves in found.items():
+        s = index[decode(state)]
+        got = _move_multiset({decode(d): p for d, p in dist.items()} for dist in moves)
+        want = _move_multiset({mm.states[d]: p for p, d in mv.branches}
+                              for mv in moves_of(mm, s))
+        assert got == want, (name, mm.states[s])
+        assert prism.holds(deadlock, state) == mm.deadlock[s], (name, mm.states[s])
+

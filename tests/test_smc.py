@@ -33,7 +33,7 @@ def chain30():
         [Move("loop", ((Fraction(1), 2),))],
     ]
     mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves,
-                     [False, True, True], [False] * 3)
+                     [False, True, True])
     return mm, StubContext(("x",))
 
 
@@ -94,8 +94,7 @@ def test_ci_alpha_n():
 def test_ci_degenerate_variance():
     mm, ctx = chain30()
     # goal always reached from the goal state itself: all samples 1
-    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, mm.quiescent,
-                      initial=1)
+    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
     est = run_ci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=40, seed=0)
     assert est.point == 1.0
     assert est.half_width == 0.0
@@ -142,8 +141,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 def test_aci_all_ones_degenerate():
     mm, ctx = chain30()
-    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, mm.quiescent,
-                      initial=1)
+    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
     est = run_aci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=30, seed=0)
     assert est.point == 1.0 and est.half_width == 0.0
 
@@ -247,7 +245,7 @@ def test_reward_simulation_geometric():
     mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], [
         [Move("a", ((Fr(1, 2), 1), (Fr(1, 2), 0)))],
         [Move("loop", ((Fr(1), 1),))],
-    ], [False, True], [False, False])
+    ], [False, True])
     ctx = StubContext(("x",))
     reward_structure(mm, "R", [1, 0])
     est = run_reward_ci(mm, ctx, "R", A.Reachable(var_eq("x", 1)),
@@ -312,7 +310,7 @@ def wide_row_dtmc(seed=7, n=60, width=40):
         moves.append([Move("a", tuple((Fraction(w, sum(weights)), d)
                                       for w, d in zip(weights, dests)))])
     mm = MarkovModel("dtmc", ("x",), [(i,) for i in range(n)], moves,
-                     [s % 10 == 9 for s in range(n)], [False] * n)
+                     [s % 10 == 9 for s in range(n)])
     mm.check_stochastic()
     return mm, StubContext(("x",))
 
@@ -449,7 +447,7 @@ def multi_move_dtmc():
         [Move("l", ((Fraction(1), 3),))],
     ]
     mm = MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves,
-                     [False] * 4, [False] * 4)
+                     [False] * 4)
     mm.check_stochastic()
     return mm, StubContext(("x",))
 
@@ -558,7 +556,7 @@ def test_uniform_equal_to_a_cumulative_weight_moves_past_it():
     moves = [[Move("a", ((Fraction(u), 1), (1 - Fraction(u), 2)))],
              [Move("l", ((Fraction(1), 1),))],
              [Move("l", ((Fraction(1), 2),))]]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3, [False] * 3)
+    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3)
     path, sample = simulate(mm, StubContext(("x",)), seed=6, pathlen=5,
                             path=A.Next(var_eq("x", 2)))
     assert (path.entries, sample) == ([(0, "a", 2)], 1)
@@ -579,7 +577,7 @@ def lazy_copy(mm):
     def successors(state):
         s = index[state]
         return ([(mv.action, mv.tags, [(intern(p), mm.states[d]) for p, d in mv.branches])
-                 for mv in moves_of(mm, s)], mm.deadlock[s], mm.quiescent[s])
+                 for mv in moves_of(mm, s)], mm.deadlock[s])
 
     return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors,
                             mm.weight_table)
@@ -756,8 +754,7 @@ def _bad_distribution_dtmc():
              [Move("l", ((Fraction(1), 1),))],
              [Move("b", ((Fraction(1), 3),))],
              [Move("c", ((Fraction(9, 10), 3),))]]
-    return MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4,
-                       [False] * 4)
+    return MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4)
 
 
 def test_bad_distribution_is_fatal_on_the_states_paths_reach():
@@ -797,7 +794,7 @@ def test_nested_probability_operand_expands_the_whole_model(srw_small, monkeypat
 def test_bounded_finally_decides_at_its_bound():
     # a two-state cycle that never reaches x == 2
     moves = [[Move("a", ((Fraction(1), 1),))], [Move("b", ((Fraction(1), 0),))]]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], moves, [False] * 2, [False] * 2)
+    mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], moves, [False] * 2)
     ctx = StubContext(("x",))
     for path in (A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 2)),
                  A.Until(A.Lit(True), A.Bound("<=", A.Lit(4)), var_eq("x", 2))):
@@ -810,7 +807,7 @@ def test_bounded_finally_decides_at_its_bound():
 
 def test_ci_solve_for_alpha_without_spread_uses_hoeffding():
     mm, ctx = chain30()
-    ones = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, mm.quiescent,
+    ones = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock,
                        initial=1)
     for run in (run_ci, run_aci):
         est = run(ones, ctx, A.Finally_(None, GOAL), w=0.1, n=50, seed=0)
