@@ -24,7 +24,9 @@ interleave through their unlabelled commands.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -336,24 +338,35 @@ class ClosureTable:
 
 # --- exact weights ---------------------------------------------------------------
 
-ONE, ZERO = 0, 1  # the weight ids of 1 and 0 in every table
+ONE, ZERO = 0, 1  # node ONE is the weight 1; weight ids ONE and ZERO are 1 and 0
 
 
 class WeightTable:
-    """The distinct exact weights of a closed model, filled when it is
-    instantiated: every weight in its step tables and environment commands
-    is an id into `weights`.  The product of an environment join and the
-    sum of two branches to one destination are interned once per distinct
-    pair of ids, so that exploring a state does no `Fraction` arithmetic,
+    """The weights of a closed model, as nodes and as exact values.
+
+    A node is the weight 1 (node ONE), a leaf, or the product or sum of two
+    nodes.  A leaf is one junction branch or environment update branch,
+    numbered once, in instantiation order, whatever its value; the explorer
+    makes each product of an environment join and each sum of two branches
+    to one destination once per pair of node ids.  The nodes of a build
+    therefore hold for every configuration that instantiates the model
+    alike with zero at the same leaves (`zero_leaves`), and
+    `MarkovModel.reweigh` evaluates them for each.
+
+    `weights` are the distinct exact values, and `value[n]` is the weight
+    id of node n under this model's own configuration, interned when the
+    node is made, so that exploring a state does no `Fraction` arithmetic,
     hashing or comparison."""
 
     def __init__(self):
         self.weights: list[Fraction] = []
         self._ids: dict[Fraction, int] = {}
-        self._products: dict[tuple[int, int], int] = {}
-        self._sums: dict[tuple[int, int], int] = {}
+        self.value: list[int] = []  # per node
+        self.ops: list = []  # per node: None for a leaf, else (operator, a, b)
+        self._made: dict[tuple, int] = {}
         self.intern(Fraction(1))  # ONE
         self.intern(Fraction(0))  # ZERO
+        self.leaf(Fraction(1))  # node ONE
 
     def intern(self, p: Fraction) -> int:
         i = self._ids.get(p)
@@ -362,17 +375,47 @@ class WeightTable:
             self.weights.append(p)
         return i
 
+    def leaf(self, p: Fraction) -> int:
+        self.value.append(self.intern(p))
+        self.ops.append(None)
+        return len(self.ops) - 1
+
     def product(self, a: int, b: int) -> int:
-        i = self._products.get((a, b))
-        if i is None:
-            i = self._products[a, b] = self.intern(self.weights[a] * self.weights[b])
-        return i
+        if a == ONE or b == ONE:
+            return b if a == ONE else a
+        n = self._made.get((operator.mul, a, b))
+        if n is None:
+            n = self._made[operator.mul, a, b] = self._node(operator.mul, a, b)
+        return n
 
     def sum(self, a: int, b: int) -> int:
-        i = self._sums.get((a, b))
-        if i is None:
-            i = self._sums[a, b] = self.intern(self.weights[a] + self.weights[b])
-        return i
+        n = self._made.get((operator.add, a, b))
+        if n is None:
+            n = self._made[operator.add, a, b] = self._node(operator.add, a, b)
+        return n
+
+    def _node(self, op, a: int, b: int) -> int:
+        n = self.leaf(op(self.weights[self.value[a]], self.weights[self.value[b]]))
+        self.ops[n] = (op, a, b)
+        return n
+
+    def zero_leaves(self) -> tuple[int, ...]:
+        """The leaves whose value is 0: their branches are dropped."""
+        return tuple(n for n, op in enumerate(self.ops) if op is None and self.value[n] == ZERO)
+
+    def evaluate(self, leaves: WeightTable) -> list[int]:
+        """Every node's weight id in the table `leaves`, which numbers its
+        leaves as this one does: each node evaluated exactly from the leaf
+        values of `leaves`, and interned there in node order, the order in
+        which exploring its own model would intern them."""
+        values: list[Fraction] = []
+        for n, op in enumerate(self.ops):
+            if op is None:
+                values.append(leaves.weights[leaves.value[n]])
+            else:
+                f, a, b = op
+                values.append(f(values[a], values[b]))
+        return [leaves.intern(p) for p in values]
 
 
 # --- closed model ----------------------------------------------------------------
@@ -426,7 +469,7 @@ class Step:
     pc: str
     lock: object
     exit: str | None
-    branches: tuple  # ((weight id, ((var index, value), ...)), ...)
+    branches: tuple  # ((weight node, ((var index, value), ...)), ...)
     guard: Term | None = None
     updates: tuple = ()
     comm: CommSpec | None = None
@@ -541,7 +584,7 @@ class MachineRT:
             steps.append(step(t.id, t.source, LOCK_FREE, EXIT_NONE if ex is not None else None,
                               updates, guard=guard, comm=trigger))
         for j in sorted(self.junctions):
-            branches = tuple((self.closed.weight_table.intern(w), ((pc, self._chain_pc(t)),))
+            branches = tuple((self.closed.weight_table.leaf(w), ((pc, self._chain_pc(t)),))
                              for t, w in self.junction_weights[j])
             steps.append(Step(f"{self.name}.{j}", j, LOCK_HELD, None, branches))
         for t in by_id:
@@ -597,7 +640,7 @@ class EnvCommandRT:
     index: int
     label_tag: tuple[str, str] | None  # (endpoint, dir)
     guard_fn: object
-    branches: list[tuple[int, list]]  # (weight id, [(idx, value_fn)])
+    branches: list[tuple[int, list]]  # (weight node, [(idx, value_fn)])
 
     @property
     def tag(self) -> str:
@@ -758,7 +801,7 @@ class ClosedModel:
             ef = compile_(e.orelse)
             return lambda s: tf(s) if cf(s) else ef(s)
         if isinstance(e, A.FunCall):
-            return self._compile_call(e, scope, params, fstack)
+            return self._compile_call(e, scope, params, fstack, real)
         if isinstance(e, A.ParamRef):
             if params is None or e.name not in params:
                 raise BuildError(f"``{e.name} is not a parameter in scope")
@@ -779,7 +822,7 @@ class ClosedModel:
                 raise BuildError(f"unknown formula `{e.name}")
             if e.name in fstack:
                 raise BuildError(f"cyclic formula reference `{e.name}")
-            return self._compile(decl.body, None, params, fstack + (e.name,))
+            return self._compile(decl.body, None, params, fstack + (e.name,), real)
         if isinstance(e, A.ModVarRef):
             return _state_read(self.index[self.env_var(e)])
         if isinstance(e, A.EventVal):
@@ -825,7 +868,7 @@ class ClosedModel:
                     "enumLiteral": ("enum", "::".join(ref.path))}[ref.kind]
         raise BuildError(f"{e.name} ({ref.kind}) is not usable in a state expression")
 
-    def _compile_call(self, e: A.FunCall, scope, params, fstack):
+    def _compile_call(self, e: A.FunCall, scope, params, fstack, real: bool):
         if e.name in fstack:
             raise BuildError(f"recursive function {e.name!r}")
         fdef = self.functions.get(e.name)
@@ -833,9 +876,9 @@ class ClosedModel:
             raise BuildError(f"function {e.name!r} has no definition")
         if len(e.args) != len(fdef.params):
             raise BuildError(f"{e.name} expects {len(fdef.params)} arguments, got {len(e.args)}")
-        arg_fns = [self._compile(a, scope, params, fstack) for a in e.args]
+        arg_fns = [self._compile(a, scope, params, fstack, real) for a in e.args]
         env = dict(zip(fdef.params, arg_fns))
-        return self._compile(fdef.body, None, env, fstack + (e.name,))
+        return self._compile(fdef.body, None, env, fstack + (e.name,), real)
 
     def is_in(self, e: A.IsIn) -> tuple[str, str]:
         """The machine (as "controller.machine") and the state of `is in`."""
@@ -1128,7 +1171,7 @@ class ClosedModel:
                 if not (0 <= p <= 1):
                     raise BuildError(f"pmodule {mod.name}: update probability {p} outside [0,1]")
                 total += p
-                branches.append((self.weight_table.intern(p),
+                branches.append((self.weight_table.leaf(p),
                                  [(var_idx[u.var], self.spec_expr(u.expr))]))
             if total != 1:
                 raise BuildError(f"pmodule {mod.name}: update probabilities sum to {total}, not 1")
@@ -1216,7 +1259,7 @@ class MarkovModel:
     by hand, or by `build_markov`, is complete, with its rows in state
     order.  A model from `MarkovModel.open` starts with its initial state
     and grows through `expand` by its `successors` function: state ->
-    (moves, deadlock), each move (action, tags, [(weight id,
+    (moves, deadlock), each move (action, tags, [(weight node,
     successor state)]) with the branches in the order they are generated.
 
     The move store keeps the moves of the expanded states once, as flat
@@ -1224,16 +1267,20 @@ class MarkovModel:
     `first_move[r + 1]`.  Move m has the action `move_action[m]`, the tags
     `move_tags[m]` and the branches `first_branch[m]` to
     `first_branch[m + 1]`.  Branch b leads to state `dest[b]` with the
-    probability `weights[weight_id[b]]`, whose float is
-    `weight_float[weight_id[b]]`.  `weights` are the distinct exact weights
-    of `weight_table`, which a model explored from a closed model shares
-    with it: they are interned once per closed model, at instantiation, and
-    exploring a state only indexes and appends.  A move's branches
-    keep the order they were generated in, branches to one destination are
-    merged at the first, and only positive ones are kept.  The choice CSR,
-    the sample table, the distribution check, the export and the engines
-    all read these arrays, and the reward structures in `rewards` keep
-    their values in the same layout, per row and per move."""
+    weight node `node_id[b]` of `nodes` (`WeightTable`) and the probability
+    `weights[weight_id[b]]`, whose float is `weight_float[weight_id[b]]`.
+    `weights` are the distinct exact weights of `weight_table`, which a
+    model explored from a closed model shares with it: they are interned
+    once per closed model, as its nodes are made, and exploring a state
+    only indexes and appends.  A move's branches keep the order they were
+    generated in, branches to one destination are merged at the first, and
+    only positive ones are kept.  The choice CSR, the sample table, the
+    distribution check, the export and the engines all read these arrays,
+    and the reward structures in `rewards` keep their values in the same
+    layout, per row and per move.
+
+    `reweigh` gives the model of another configuration on the same store,
+    with weights of its own."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
                  moves: list[list[Move] | None], deadlock: list[bool], initial: int = 0,
@@ -1244,15 +1291,17 @@ class MarkovModel:
         self.deadlock = deadlock
         self.initial = initial
         self.order: list[int] = []
-        self.row_of = self.dest = self.weight_id = np.zeros(0, dtype=np.int64)
+        self.row_of = self.dest = self.node_id = self.weight_id = np.zeros(0, dtype=np.int64)
         self.first_move = self.first_branch = np.zeros(1, dtype=np.int64)
         self.move_action: list[str] = []
         self.move_tags: list[frozenset] = []
         self.weight_table = weight_table if weight_table is not None else WeightTable()
         self.weights = self.weight_table.weights
+        self.nodes = self.weight_table
+        self._value = self.weight_table.value  # the weight id of each node
         self.weight_float = np.zeros(0)
         # since the arrays were extended: moves per row, branches per move,
-        # and the destination and weight id of each branch
+        # and the destination and weight node of each branch
         self._batch = ([], [], [], [])
         self._passed: set[tuple] = set()  # weight id sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
@@ -1265,11 +1314,11 @@ class MarkovModel:
         self._short_names = None
         self._choice_csr = self.choice_moves = None
         self._sample_table = None
-        intern = self.weight_table.intern
+        leaf = self.weight_table.leaf
         for s, row in enumerate(moves):
             if row is not None:
                 self._append(s, [(mv.action, mv.tags,
-                                  [(intern(p), d) for p, d in mv.branches if p > 0])
+                                  [(leaf(p), d) for p, d in mv.branches if p > 0])
                                  for mv in row])
         self._store_batch()
 
@@ -1277,7 +1326,7 @@ class MarkovModel:
     def open(cls, kind: str, var_names: tuple[str, ...], initial: tuple, successors,
              weight_table: WeightTable, max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
         """A model that knows its initial state only and expands on demand;
-        its successors function gives weight ids of `weight_table`."""
+        its successors function gives weight nodes of `weight_table`."""
         mm = cls(kind, var_names, [initial], [None], [False], weight_table=weight_table)
         mm._successors = successors
         mm._index = {initial: 0}
@@ -1319,7 +1368,7 @@ class MarkovModel:
             if k > 1 and len(set(dests[-k:])) < k:  # merge at the first occurrence
                 merged: dict[int, int] = {}
                 for d, w in zip(dests[-k:], weights[-k:]):
-                    merged[d] = self.weight_table.sum(merged[d], w) if d in merged else w
+                    merged[d] = self.nodes.sum(merged[d], w) if d in merged else w
                 del dests[-k:], weights[-k:]
                 dests.extend(merged)
                 weights.extend(merged.values())
@@ -1333,14 +1382,15 @@ class MarkovModel:
     def _store_batch(self):
         """Extend the store's arrays by the rows appended since, and
         `weight_float` by the weights interned since."""
-        row_moves, move_branches, dests, weights = (np.array(b, dtype=np.int64)
-                                                    for b in self._batch)
+        row_moves, move_branches, dests, nodes = (np.array(b, dtype=np.int64)
+                                                  for b in self._batch)
         self._batch = ([], [], [], [])
         lo = len(self.order) - row_moves.size
         self.first_move = np.append(self.first_move, self.first_move[-1] + np.cumsum(row_moves))
         self.first_branch = np.append(self.first_branch,
                                       self.first_branch[-1] + np.cumsum(move_branches))
-        self.dest, self.weight_id = np.append(self.dest, dests), np.append(self.weight_id, weights)
+        self.dest, self.node_id = np.append(self.dest, dests), np.append(self.node_id, nodes)
+        self.weight_id = np.append(self.weight_id, np.array(self._value, dtype=np.int64)[nodes])
         self.weight_float = np.append(self.weight_float,
                                       [float(p) for p in self.weights[self.weight_float.size:]])
         self.row_of = np.append(self.row_of, np.full(self.num_states - self.row_of.size, -1))
@@ -1384,6 +1434,24 @@ class MarkovModel:
         self.check_stochastic(lo)
         if self._sample_table is not None:
             self._append_rows(lo)
+
+    def reweigh(self, closed: ClosedModel) -> MarkovModel:
+        """The model of `closed` on this complete model's store.  A closed
+        model that numbers its weight leaves as this model's nodes do, with
+        zero at the same leaves, explores to the same states, moves and
+        branches; only the weights differ.  The model returned shares the
+        store and the reward structures.  Its weights are its own: every
+        node evaluated exactly with the leaves of `closed` and interned in
+        its weight table, on which the distribution check runs again."""
+        view = copy.copy(self)
+        view.weight_table, view.weights = closed.weight_table, closed.weight_table.weights
+        view._value = self.nodes.evaluate(closed.weight_table)
+        view.weight_id = np.array(view._value, dtype=np.int64)[self.node_id]
+        view.weight_float = np.array([float(p) for p in view.weights])
+        view._passed, view.values = set(), {}
+        view._choice_csr = view.choice_moves = view._sample_table = None
+        view.check_stochastic()
+        return view
 
     # --- reading the store ----------------------------------------------------
 
@@ -1522,7 +1590,7 @@ def _fmt_value(v) -> str:
 class _Explorer:
     """Computes the moves of a state from the closed model's step tables and
     environment commands.  A move is (action, tags, branches), each branch
-    (weight id, [(variable index, value)]).  An expression that fails is
+    (weight node, [(variable index, value)]).  An expression that fails is
     reported as a BuildError naming the step and the state, by one of three
     boundaries: per machine step, per environment command and per applied
     move, where the new values meet their variables' domains.  A partner's
@@ -1655,13 +1723,13 @@ class _Explorer:
             return [("loop", _NO_TAGS, [(ONE, state)])], self._is_deadlock(state)
         if len(pending) > 1:
             pending.sort(key=lambda mv: mv[0])
-        domains = self.domains
+        domains, weight_of = self.domains, self.c.weight_table.value
         moves = []
         for action, tags, branches in pending:
             applied = []
             try:
                 for w, updates in branches:
-                    if w == ZERO:
+                    if weight_of[w] == ZERO:
                         continue
                     new = list(state)
                     for idx, value in updates:

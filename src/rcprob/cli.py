@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .lexer import ParseError
 from .model import parse_model
 from .props import ProbProperty, parse_spec
 from .prism import EmitError, emit_pair
-from .resolve import Diagnostic, Resolver, property_context, validate
+from .resolve import Diagnostic, Resolver, property_context, validate, weight_only_constants
 
 
 @dataclass
@@ -126,6 +125,16 @@ def run(plan: RunPlan) -> int:
 
     if plan.engine == "emit":
         return _run_emit(plan, model, spec, jobs, out_dir)
+    if plan.engine == "smc":
+        skipped = dict.fromkeys(job.prop.name for job in jobs if not isinstance(
+            job.prop.body, (A.ProbFormula, A.RewardFormula)))
+        for name in skipped:
+            print(f"warning: {name}: simulation needs a P or R formula; not checked",
+                  file=sys.stderr)
+        jobs = [job for job in jobs if job.prop.name not in skipped]
+        if skipped and not jobs:
+            print("error: no property left to simulate", file=sys.stderr)
+            return 2
     try:
         records = _run_checks(plan, model, spec, jobs)
     except (BuildError, exact.CheckError, exact.UnsupportedError, smc.SmcError) as exc:
@@ -136,36 +145,68 @@ def run(plan: RunPlan) -> int:
     return 1 if failed else 0
 
 
+def _by_structure(plan: RunPlan, model, spec, jobs) -> list[list[list[Job]]]:
+    """The jobs by configuration, and the configurations by the structure
+    they explore to, each in order of first appearance.  Under the internal
+    engine, configurations that differ only in weight-only constants
+    (`weight_only_constants`) have one structure, unless their weights are
+    zero at different leaves (`_run_checks` tells those apart)."""
+    resolver = Resolver(model, spec)
+    weight_only: dict = {}
+    groups: dict = {}
+    for job in jobs:
+        context = (id(job.defs), id(job.env))
+        names = set()
+        if plan.engine == "internal":
+            key = (id(job.defs), tuple(job.valuation))
+            if key not in weight_only:
+                weight_only[key] = weight_only_constants(resolver, job.defs, job.valuation)
+            names = weight_only[key]
+        structure = (tuple(sorted(kv for kv in job.valuation.items() if kv[0] not in names)),
+                     *context)
+        config = (tuple(sorted(job.valuation.items())), *context)
+        groups.setdefault(structure, {}).setdefault(config, []).append(job)
+    return [list(configs.values()) for configs in groups.values()]
+
+
 def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
-    keys = [(tuple(sorted(job.valuation.items())), id(job.defs), id(job.env), plan.kind)
-            for job in jobs]
-    uses = Counter(keys)
+    """Check the jobs one configuration at a time.  Under the internal
+    engine the first configuration of a structure explores it and the
+    others reweigh that build (`MarkovModel.reweigh`); a structure is freed
+    after its last configuration.  Simulation expands a model of its own
+    per configuration, as its paths reach the states."""
     records = []
-    build_cache: dict = {}
-    for job, key in zip(jobs, keys):
-        t0 = plan.timer()
-        if key in build_cache:
-            closed, mm, build_ms = build_cache[key]
-        else:
-            closed = instantiate(model, job.valuation, job.defs, job.env,
-                                 plan.kind, spec)
-            # simulation expands the states that its paths reach
-            build = build_markov if plan.engine == "internal" else open_markov
-            mm = build(closed, plan.max_states)
+    for configs in _by_structure(plan, model, spec, jobs):
+        built: dict = {}  # the first model of each set of zero leaves
+        for config_jobs in configs:
+            job = config_jobs[0]
+            t0 = plan.timer()
+            try:
+                closed = instantiate(model, job.valuation, job.defs, job.env,
+                                     plan.kind, spec)
+                if plan.engine == "internal":
+                    zeros = closed.weight_table.zero_leaves()
+                    mm = built[zeros].reweigh(closed) if zeros in built \
+                        else build_markov(closed, plan.max_states)
+                    built.setdefault(zeros, mm)
+                else:
+                    mm = open_markov(closed, plan.max_states)
+            except BuildError as exc:
+                if not job.config_id:
+                    raise
+                raise BuildError(f"{exc} [configuration {job.config_id}]") from exc
             build_ms = int((plan.timer() - t0) * 1000)
-            build_cache[key] = (closed, mm, build_ms)
-        uses[key] -= 1
-        if not uses[key]:
-            del build_cache[key]
-        try:
-            records.append(_check_job(plan, job, closed, mm, build_ms))
-        except (EvalError, exact.CheckError, exact.UnsupportedError, smc.SmcError) as exc:
-            where = f" [{job.config_id}]" if job.config_id else ""
-            raise exact.CheckError(f"property {job.prop.name}{where} at line "
-                                   f"{job.prop.pos[0]}: {exc}") from exc
-        # after the last job of its key nothing holds the model, so it is
-        # freed before the next one is built
-        del closed, mm
+            for job in config_jobs:
+                try:
+                    records.append(_check_job(plan, job, closed, mm, build_ms))
+                except (EvalError, exact.CheckError, exact.UnsupportedError,
+                        smc.SmcError) as exc:
+                    where = f" [{job.config_id}]" if job.config_id else ""
+                    raise exact.CheckError(f"property {job.prop.name}{where} at line "
+                                           f"{job.prop.pos[0]}: {exc}") from exc
+            # nothing but `built` holds the model now, so that a structure
+            # is freed before the next one is explored
+            del closed, mm
     records.sort(key=lambda r: (r["property"], r["config"]))
     return records
 
@@ -214,8 +255,6 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
 
 def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
     body = job.prop.body
-    if not isinstance(body, (A.ProbFormula, A.RewardFormula)):
-        raise smc.SmcError("simulation needs a P or R formula")
     method, params, pathlen = _sim_params(body.method, closed)
     theta = None if body.bound is None \
         else float(closed.spec_expr(body.bound.expr, real=True)(None))

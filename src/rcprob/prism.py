@@ -258,7 +258,6 @@ class _ModelEmitter:
         lk_codes = self.lk_codes[m.name]
         names = {m.pc_i: (pc_id, pc_codes), m.lk_i: (lk_id, lk_codes),
                  m.exit_i: (exit_id, EXIT_CODES)}
-        weights = self.c.weight_table.weights
 
         def control(updates):
             return [(names[i][0], names[i][1][v]) for i, v in updates]
@@ -277,8 +276,10 @@ class _ModelEmitter:
             guard = " & ".join(guard)
             for entry in self.c.entries_of.get(st, ()):
                 if len(st.branches) > 1:
-                    rhs = " + ".join(f"{weights[w]}:{_updates_text(control(u))}"
-                                     for w, u in st.branches)
+                    rhs = " + ".join(f"{self._weight(t.prob, m.scope, w)}:"
+                                     f"{_updates_text(control(u))}"
+                                     for (t, _), (w, u) in zip(m.junction_weights[st.pc],
+                                                               st.branches))
                 else:
                     data = (*st.updates, *dict(entry.parts)[st])
                     rhs = _updates_text(control(st.control) + [
@@ -287,6 +288,25 @@ class _ModelEmitter:
         if m is self.c.machines[-1] and (resting := self._resting()) is not None:
             out.append(f"  [] {resting} -> true;")
         return out
+
+    def _weight(self, e: A.Expr, scope, node: int) -> str:
+        """A junction branch's probability: its expression where it reads a
+        swept constant, else its value in this configuration."""
+        if self._reads_sweep(e):
+            return self.expr(e, scope, real=True)
+        table = self.c.weight_table
+        return str(table.weights[table.value[node]])
+
+    def _reads_sweep(self, e: A.Expr) -> bool:
+        """Whether an expression reads a swept constant, itself or in a
+        function that it calls."""
+        for node in A.walk(e):
+            if isinstance(node, A.Ref) and node.name.segments[-1] in self.sweep_names:
+                return True
+            if isinstance(node, A.FunCall) and node.name in self.c.functions \
+                    and self._reads_sweep(self.c.functions[node.name].body):
+                return True
+        return False
 
     def _env_module(self, mod: P.PModule) -> list[str]:
         """A labelled command takes each label of the entries on its event's
@@ -413,7 +433,7 @@ def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None, real: bool = F
         if fdef is None:
             raise EmitError(f"function {e.name!r} has no definition")
         args = {p: typed(a, 11) for p, a in zip(fdef.params, e.args)}
-        return _emit_expr2(em, fdef.body, None, args)
+        return _emit_expr2(em, fdef.body, None, args, real)
     if isinstance(e, A.IsIn):
         machine, state = em.c.is_in(e)
         return f"{em.var_id(f'{machine}.pc')}={em.pc_codes[machine][state]}", 7, False

@@ -8,6 +8,7 @@ diagnostic sequence; it never raises.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -1250,6 +1251,51 @@ def _walk_uses(resolver: Resolver, body: Expr):
                 if decl is not None and id(decl) not in seen:
                     seen.add(id(decl))
                     stack.append(decl.body)
+
+
+# the fields that hold weights: junction branch and environment update probabilities
+_WEIGHT_FIELDS = {(M.Transition, "prob"), (P.PUpdate, "prob")}
+
+
+def _outer_exprs(node):
+    """The outermost expressions at any depth below an AST node, but none in
+    a weight field or a function definition."""
+    if isinstance(node, Expr):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _outer_exprs(item)
+    elif dataclasses.is_dataclass(node) and not isinstance(node, P.PFunctionDef):
+        for f in dataclasses.fields(node):
+            if (type(node), f.name) not in _WEIGHT_FIELDS:
+                yield from _outer_exprs(getattr(node, f.name))
+
+
+def weight_only_constants(resolver: Resolver, defs: P.DefinitionsDecl | None,
+                          names) -> set[str]:
+    """The constants among `names` that nothing reads but junction `prob`
+    expressions and environment update probabilities, with the functions of
+    `defs` they call: a change of their values changes the weights of a
+    model and nothing else.  Any other expression of the model or the
+    property file that reads a constant (a guard, an action, an initial
+    value, a domain, an environment guard or update, a label, a formula, a
+    reward item, a property) makes it structural, as does any name that
+    ends in it, so that a doubt counts as a read."""
+    functions = {f.name: f.body for f in defs.functions} if defs is not None else {}
+    stack = list(_outer_exprs((resolver.model, resolver.spec)))
+    read, called = set(), set()
+    while stack:
+        for node in _walk_uses(resolver, stack.pop()):
+            if isinstance(node, A.Ref):
+                read.add(node.name.segments[-1])
+            elif isinstance(node, A.FunCall) and node.name in functions \
+                    and node.name not in called:
+                called.add(node.name)
+                stack.append(functions[node.name])
+            elif isinstance(node, (A.ProbFormula, A.RewardFormula)) and node.method is not None:
+                stack.extend(node.method.params.values())
+                stack.append(node.method.pathlen)
+    return set(names) - read
 
 
 def _spec_consts_used(resolver: Resolver, body: Expr) -> set[str]:

@@ -815,7 +815,9 @@ class PrismModel:
     enabled is labelled "deadlock" and loops.  Written apart from the
     engine and the emitter, to check that their step semantics agree."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, consts: dict | None = None):
+        """`consts` gives the values of the constants that the text leaves
+        open, as PRISM's `-const` option does."""
         lines = [ln.strip() for ln in text.splitlines()]
         lines = [ln for ln in lines if ln and not ln.startswith("//")]
         self.kind = lines[0]
@@ -825,8 +827,10 @@ class PrismModel:
         self.modules: list[list[tuple]] = []  # [(label, guard, branches)] per module
         for ln in lines[1:]:
             if ln.startswith("const "):
-                _, _, name, _, value = ln.rstrip(";").split(None, 4)
-                self.consts[name] = _PrismParser(value).expr()(self.consts, False)
+                decl, _, value = ln.rstrip(";").partition(" = ")
+                name = decl.split()[2]
+                self.consts[name] = _PrismParser(value).expr()(self.consts, False) if value \
+                    else consts[name]
             elif ln.startswith("module "):
                 self.modules.append([])
             elif ln.startswith("["):

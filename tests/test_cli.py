@@ -167,6 +167,29 @@ def test_cli_smc_engine(tmp_path):
                               "buildMs", "checkMs"]
 
 
+def test_simulation_checks_the_properties_it_can_simulate(tmp_path, capsys):
+    # the README example: P_deadlock_free is an E formula, which hid the rest
+    code = main(["check", SRW_RCM, SRW_RCP, "--kind", "dtmc", "--engine", "smc",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: P_deadlock_free: simulation needs a P or R formula; not checked"]
+    records = [json.loads(ln) for ln in (tmp_path / "report.jsonl").read_text().splitlines()]
+    assert len(records) == 3 * 9
+    assert {r["property"] for r in records} == {"P_stuck", "P_stuck_not_origin",
+                                                "R_stuck_not_origin"}
+
+
+def test_simulation_with_nothing_to_simulate_exits_2(tmp_path, capsys):
+    code = main(["check", SRW_RCM, SRW_RCP, "--kind", "dtmc", "--engine", "smc",
+                 "--prop", "P_deadlock_free", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: P_deadlock_free: simulation needs a P or R formula; not checked",
+        "error: no property left to simulate"]
+    assert not (tmp_path / "report.jsonl").exists()
+
+
 def test_smc_requires_dtmc():
     with pytest.raises(ValueError, match="requires kind=dtmc"):
         RunPlan(SRW_RCM, SRW_RCP, engine="smc", kind="mdp")

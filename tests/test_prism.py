@@ -7,7 +7,8 @@ import pytest
 
 import rcprob.prism
 from rcprob import ast as A
-from rcprob.build import instantiate
+from rcprob.build import build_markov, instantiate
+from rcprob.model import parse_model
 from rcprob.props import DefinitionsDecl, PModulesDecl, parse_expression, parse_spec
 from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter, check_prism_model,
                           check_prism_props, emit_pair, emit_properties, mangle)
@@ -388,11 +389,15 @@ def _move_multiset(moves):
                                   "sync", "trigger_sync", "srw_2_4", "division",
                                   *OBSERVERS])
 def test_emitted_model_takes_the_explorers_steps(name):
-    from rcprob.build import build_markov
     closed = _differential_closed(name)
-    mm = build_markov(closed)
     pair = emit_pair(closed, parse_spec(""))
-    prism = PrismModel(pair.model_text)
+    _assert_takes_the_explorers_steps(closed, build_markov(closed), pair,
+                                      PrismModel(pair.model_text), name)
+
+
+def _assert_takes_the_explorers_steps(closed, mm, pair, prism, name):
+    """The interpreted emission reaches the explored states and takes the
+    same moves at each, with the same deadlocks."""
     decode = _decoder(closed, pair, prism)
     found = prism.explore()
     index = {st: s for s, st in enumerate(mm.states)}
@@ -408,3 +413,63 @@ def test_emitted_model_takes_the_explorers_steps(name):
         assert got == want, (name, mm.states[s])
         assert prism.holds(deadlock, state) == mm.deadlock[s], (name, mm.states[s])
 
+
+
+HALF_MODEL = """
+module HMod {
+  platform P { const N : int; }
+  controller C {
+    requires P;
+    machine S {
+      function Half(v : int) : real;
+      initial i0;
+      pjunction j;
+      state A;
+      state B;
+      transition t0 { from i0 to j }
+      transition t1 { from j to A prob Half(N) }
+      transition t2 { from j to B prob 1 - Half(N) }
+    }
+  }
+}
+"""
+HALF_DEFS = "defs D: pfunction Half(v) = { return (``v / 2) }"
+
+
+def _half_closed(n: int):
+    defs = parse_spec(HALF_DEFS).find(DefinitionsDecl, "D")
+    return instantiate(parse_model(HALF_MODEL), {"N": n}, defs, None, "dtmc")
+
+
+def test_a_weight_that_calls_a_function_divides_exactly():
+    # `prob Half(1)` divided as integers: 0, and its sibling 1
+    closed = _half_closed(1)
+    mm = build_markov(closed)
+    j = next(s for s, st in enumerate(mm.states) if st[closed.machines[0].pc_i] == "j")
+    assert [p for p, _ in moves_of(mm, j)[0].branches] == [Fraction(1, 2), Fraction(1, 2)]
+    pair = emit_pair(closed, parse_spec(""))
+    assert "-> 1/2:(" in pair.model_text and "+ 1/2:(" in pair.model_text
+    _assert_takes_the_explorers_steps(closed, mm, pair, PrismModel(pair.model_text), "half")
+
+
+@pytest.mark.parametrize("name, closed_at, values, printed", [
+    ("srw", lambda pl: instantiate(
+        parse_model((Path(__file__).parent / "fixtures" / "srw.rcm").read_text()),
+        {"MaxDist": 2, "MaxSteps": 4, "Pl": pl},
+        parse_spec((Path(__file__).parent / "fixtures" / "srw.rcp").read_text())
+        .find(DefinitionsDecl, "D_recharge"), None, "dtmc"),
+     {"Pl": (Fraction(3, 10), Fraction(1, 2))}, "1 - Pl:"),
+    # a function body divides as reals in a weight; N = 2 drops a branch
+    ("half", _half_closed, {"N": (1, 2)}, "N / 2:"),
+])
+def test_swept_weights_are_emitted_as_expressions(name, closed_at, values, printed):
+    """The emission of the first configuration, with the swept constant
+    open, takes each configuration's steps at that configuration's value."""
+    (const, points), = values.items()
+    first = closed_at(points[0])
+    pair = emit_pair(first, parse_spec(""), sweep_names={const})
+    assert f" {const};" in pair.model_text and printed in pair.model_text
+    assert not check_prism_model(pair.model_text)
+    for value in points:
+        _assert_takes_the_explorers_steps(first, build_markov(closed_at(value)), pair,
+                                          PrismModel(pair.model_text, {const: value}), name)

@@ -572,11 +572,11 @@ def lazy_copy(mm):
     """A model that expands the states of the complete model `mm` on demand,
     numbering them in the order it meets them."""
     index = {st: s for s, st in enumerate(mm.states)}
-    intern = mm.weight_table.intern
+    leaf = mm.weight_table.leaf
 
     def successors(state):
         s = index[state]
-        return ([(mv.action, mv.tags, [(intern(p), mm.states[d]) for p, d in mv.branches])
+        return ([(mv.action, mv.tags, [(leaf(p), mm.states[d]) for p, d in mv.branches])
                  for mv in moves_of(mm, s)], mm.deadlock[s])
 
     return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors,

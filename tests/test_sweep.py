@@ -1,0 +1,204 @@
+"""One exploration per model structure across a constant sweep: the
+weight-only constants, the reweighed models and the CLI's grouping, each
+against builds of single configurations."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from rcprob import cli
+from rcprob.build import BuildError, build_markov, instantiate
+from rcprob.model import parse_model
+from rcprob.props import DefinitionsDecl, PModulesDecl, parse_spec
+from rcprob.resolve import Resolver, weight_only_constants
+
+from conftest import FIXTURES
+
+SRW_RCM = FIXTURES / "srw.rcm"
+
+TABLE = """
+label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+label l_origin = (SRWMod::SRWRP::x == 0)
+constants C:
+  SRWMod::SRWRP::MaxDist set to 3,
+  SRWMod::SRWRP::MaxSteps STEPS, and
+  SRWMod::SRWRP::Pl PL
+defs D:
+  pfunction Plus(v, maxv) = { return (if (``v) < (``maxv) then (``v) + 1 else (``v) end) }
+  pfunction Minus(v, minv) = { return (if (``v) > (``minv) then (``v) - 1 else (``v) end) }
+  pfunction Update(v, maxv, origin) = { return (if ((``v) < (``maxv)) then (``v + 1) else (``v) end) }
+rewards R_origins =
+  [SRWMod::ctrl_ref::stm_ref::left.out] (SRWMod::SRWRP::x == 0) : 1;
+  [SRWMod::ctrl_ref::stm_ref::right.out] (SRWMod::SRWRP::x == 0) : 1;
+endrewards
+pmodules MW:
+  pmodule A {
+    a : [0 to 2] init 0;
+    [SRWMod::ctrl_ref::stm_ref::left.out] true -> (PL_: @a = 1) & (1 - PL_: @a = 0);
+  }
+  pmodule B {
+    b : [0 to 2] init 0;
+    [SRWMod::ctrl_ref::stm_ref::left.out] true -> (1 - PL_: @b = 1) & (PL_: @b = 2);
+  }
+prob property R_table:
+  Reward {R_origins} =? of [Reachable #l_stuck /\\ not #l_origin]
+  with constants C
+  with definitions D
+prob property P_stuck:
+  Prob=? of [Finally #l_stuck /\\ not #l_origin]
+  with constants C
+  with definitions D
+prob property P_env:
+  Prob=? of [Finally @b == 2]
+  with constants C
+  with definitions D
+  with modules MW
+"""
+
+
+def _table(steps: str, pls: str) -> str:
+    return TABLE.replace("PL_", "SRWMod::SRWRP::Pl").replace("STEPS", steps).replace("PL", pls)
+
+
+def _records(tmp_path, name: str, spec_text: str) -> list[dict]:
+    rcp = tmp_path / f"{name}.rcp"
+    rcp.write_text(spec_text)
+    out = tmp_path / name
+    assert cli.main(["check", str(SRW_RCM), str(rcp), "--kind", "dtmc",
+                     "--out", str(out)]) == 0
+    records = [json.loads(ln) for ln in (out / "report.jsonl").read_text().splitlines()]
+    for rec in records:
+        del rec["buildMs"], rec["checkMs"]
+    return records
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The closed models that `cli` explores."""
+    built = []
+
+    def counted(closed, max_states):
+        built.append(closed)
+        return build_markov(closed, max_states)
+
+    monkeypatch.setattr(cli, "build_markov", counted)
+    return built
+
+
+@pytest.mark.parametrize("pls, structures", [
+    # Pl is weight-only: one build per MaxSteps and set of modules
+    ("0.3, 0.5, 0.8", 1),
+    # Pl = 0 and Pl = 1 each drop a branch of the junction and of both modules
+    ("0, 0.5, 1", 3),
+])
+def test_a_sweep_reports_what_single_configurations_report(tmp_path, builds, pls, structures):
+    swept = _records(tmp_path, "swept", _table("from set {6, 8}", f"from set {{{pls}}}"))
+    assert len(swept) == 3 * 2 * 3
+    assert len(builds) == 2 * 2 * structures
+    alone = []
+    for steps in (6, 8):
+        for pl in pls.split(", "):
+            alone += _records(tmp_path, f"alone_{steps}_{pl}",
+                              _table(f"set to {steps}", f"set to {pl}"))
+    # two per configuration: with the modules and without
+    assert len(builds) == 2 * 2 * structures + 6 * 2
+    assert sorted(alone, key=lambda r: (r["property"], r["config"])) == swept
+
+
+@pytest.mark.parametrize("modules", [None, "MW"])
+def test_reweighed_models_are_the_builds_of_their_configurations(srw_model, modules):
+    spec = parse_spec(_table("set to 6", "set to 0.5"))
+    defs = spec.find(DefinitionsDecl, "D")
+    env = spec.find(PModulesDecl, modules) if modules else None
+
+    def closed(pl):
+        return instantiate(srw_model, {"MaxDist": 3, "MaxSteps": 6, "Pl": pl}, defs, env,
+                           "dtmc", spec)
+
+    base = build_markov(closed(Fraction(3, 10)))
+    for pl in (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)):
+        alone, view = build_markov(closed(pl)), base.reweigh(closed(pl))
+        assert view.export_text() == alone.export_text()
+        # interned in the order that exploring interns them: at Pl = 1/2,
+        # `prob Pl` and `prob 1 - Pl` are one weight, as are the products
+        assert view.weights == alone.weights and len(set(view.weights)) == len(view.weights)
+        assert np.array_equal(view.weight_id, alone.weight_id)
+        assert view.states is base.states and view.dest is base.dest
+    assert len(base.reweigh(closed(Fraction(1, 2))).weights) < len(base.weights)
+
+
+def test_a_bad_distribution_on_a_shared_structure_is_fatal(srw_model):
+    spec = parse_spec(_table("set to 6", "set to 0.5"))
+    defs = spec.find(DefinitionsDecl, "D")
+    configs = [instantiate(srw_model, {"MaxDist": 3, "MaxSteps": 6, "Pl": pl}, defs, None,
+                           "dtmc", spec) for pl in (Fraction(1, 2), Fraction(1, 4))]
+    base = build_markov(configs[0])
+    # a leaf that instantiation would have refused: t3's `prob Pl` made 1/2
+    table = configs[1].weight_table
+    leaf = next(n for n, w in enumerate(table.value) if table.weights[w] == Fraction(1, 4))
+    table.value[leaf] = table.intern(Fraction(1, 2))
+    with pytest.raises(BuildError, match="branch probabilities sum to 5/4"):
+        base.reweigh(configs[1])
+
+
+@pytest.mark.parametrize("t3, bad, message", [
+    ("prob Pl", "1.5", "probability of t2 is -1/2, outside [0,1]"),
+    ("prob 1/2", "0.25", "outgoing probabilities sum to 5/4, not 1"),
+])
+def test_a_bad_weight_under_one_configuration_exits_2_naming_it(tmp_path, capsys, t3, bad,
+                                                                  message):
+    rcm = tmp_path / "m.rcm"
+    rcm.write_text(SRW_RCM.read_text().replace("prob Pl ", f"{t3} "))
+    rcp = tmp_path / "s.rcp"
+    rcp.write_text(_table("set to 6", f"from set {{0.5, {bad}}}"))
+    code = cli.main(["check", str(rcm), str(rcp), "--kind", "dtmc", "--out", str(tmp_path)])
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert code == 2 and len(errors) == 1, errors
+    assert message in errors[0] and errors[0].endswith(
+        f"[configuration MaxDist=3,MaxSteps=6,Pl={bad}]"), errors[0]
+
+
+# --- which constants are weight-only ----------------------------------------------
+
+SCALED = ("function Plus(v : int, maxv : int) : int;",
+          "function Plus(v : int, maxv : int) : int;\n      function Scale(v : int) : real;")
+SCALE_DEF = "  pfunction Scale(v) = { return (``v * SRWMod::SRWRP::Pl) }\n"
+
+
+def _weight_only(model_edits=(), spec_text=""):
+    text = SRW_RCM.read_text()
+    for old, new in model_edits:
+        assert old in text
+        text = text.replace(old, new)
+    spec = parse_spec(_table("set to 6", "set to 0.5").replace(
+        "rewards R_origins", SCALE_DEF + "rewards R_origins") + spec_text)
+    return weight_only_constants(Resolver(parse_model(text), spec),
+                                 spec.find(DefinitionsDecl, "D"), ["MaxDist", "MaxSteps", "Pl"])
+
+
+@pytest.mark.parametrize("case, model_edits, spec_text", [
+    ("junction and environment weights", (), ""),
+    ("a function called from a weight", [SCALED, ("prob Pl ", "prob Scale(1) "),
+                                          ("prob 1 - Pl ", "prob 1 - Scale(1) ")], ""),
+])
+def test_weights_alone_read_a_weight_only_constant(case, model_edits, spec_text):
+    assert _weight_only(model_edits, spec_text) == {"Pl"}, case
+
+
+@pytest.mark.parametrize("case, model_edits, spec_text", [
+    ("guard", [("guard steps == MaxSteps", "guard steps == MaxSteps /\\ Pl > 0")], ""),
+    ("label", (), "label l_pl = (SRWMod::SRWRP::x < SRWMod::SRWRP::Pl)\n"),
+    ("reward item", (), "rewards R_pl =\n  (SRWMod::SRWRP::x == 0) : SRWMod::SRWRP::Pl;\n"
+                        "endrewards\n"),
+    ("function called from an action", [SCALED, ("action x = Plus(x, MaxDist); right",
+                                                 "action x = Plus(x, Scale(1)); right")], ""),
+    ("environment guard", (), "pmodules MG: pmodule G {\n  g : bool init false;\n"
+                              "  [] SRWMod::SRWRP::Pl > 0 -> (@g = true);\n}\n"),
+    ("sim parameter", (), "prob property P_sim:\n  Prob=? of [Finally #l_stuck] using sim "
+                          "with CI at alpha=SRWMod::SRWRP::Pl, n=10\n  with constants C\n"
+                          "  with definitions D\n"),
+])
+def test_any_other_read_makes_a_constant_structural(case, model_edits, spec_text):
+    assert _weight_only(model_edits, spec_text) == set(), case
