@@ -285,8 +285,9 @@ def allowed_sim_params(method: str) -> set[str]:
 
 
 def walk(expr: Expr, stop: tuple = ()):
-    """Yield expr and every sub-expression, pre-order, but none below a node
-    of the types in `stop`."""
+    """Yield expr and every sub-expression, pre-order, the parameters and
+    path length of a simulation method included, but none below a node of
+    the types in `stop`."""
     stack = [expr]
     while stack:
         node = stack.pop()
@@ -310,14 +311,12 @@ def walk(expr: Expr, stop: tuple = ()):
             children = list(node.args)
         elif isinstance(node, Index):
             children = [node.base, *node.indexes]
-        elif isinstance(node, ProbFormula):
+        elif isinstance(node, (ProbFormula, RewardFormula)):
             children = [node.path]
             if node.bound:
                 children.append(node.bound.expr)
-        elif isinstance(node, RewardFormula):
-            children = [node.path]
-            if node.bound:
-                children.append(node.bound.expr)
+            if node.method is not None:
+                children.extend([*node.method.params.values(), node.method.pathlen])
         elif isinstance(node, (Forall, Exists)):
             children = [node.path]
         elif isinstance(node, (Next, Reachable, LTLReward, Cumul)):

@@ -338,84 +338,74 @@ class ClosureTable:
 
 # --- exact weights ---------------------------------------------------------------
 
-ONE, ZERO = 0, 1  # node ONE is the weight 1; weight ids ONE and ZERO are 1 and 0
+ONE = 0  # node ONE is the weight 1
 
 
 class WeightTable:
-    """The weights of a closed model, as nodes and as exact values.
+    """The weights of a closed model, as nodes with exact values.
 
     A node is the weight 1 (node ONE), a leaf, or the product or sum of two
     nodes.  A leaf is one junction branch or environment update branch,
-    numbered once, in instantiation order, whatever its value; the explorer
-    makes each product of an environment join and each sum of two branches
-    to one destination once per pair of node ids.  The nodes of a build
-    therefore hold for every configuration that instantiates the model
-    alike with zero at the same leaves (`zero_leaves`), and
-    `MarkovModel.reweigh` evaluates them for each.
+    numbered once, in instantiation order, whatever its value, with the
+    Term of its `prob` expression as its `source`; the explorer makes each
+    product of an environment join and each sum of two branches to one
+    destination once per pair of node ids.  The nodes of a build therefore
+    hold for every configuration that instantiates the model alike with
+    zero at the same leaves (`zero_leaves`), and `MarkovModel.reweigh`
+    evaluates them for each.
 
-    `weights` are the distinct exact values, and `value[n]` is the weight
-    id of node n under this model's own configuration, interned when the
-    node is made, so that exploring a state does no `Fraction` arithmetic,
-    hashing or comparison."""
+    `weights[n]` is the exact value of node n under this model's own
+    configuration, computed when the node is made, and `zero` holds the
+    nodes whose value is 0, so that exploring a state does no `Fraction`
+    arithmetic, hashing or comparison."""
 
     def __init__(self):
-        self.weights: list[Fraction] = []
-        self._ids: dict[Fraction, int] = {}
-        self.value: list[int] = []  # per node
+        self.weights: list[Fraction] = []  # per node
         self.ops: list = []  # per node: None for a leaf, else (operator, a, b)
+        self.source: list[Term | None] = []  # per node
+        self.zero: set[int] = set()
         self._made: dict[tuple, int] = {}
-        self.intern(Fraction(1))  # ONE
-        self.intern(Fraction(0))  # ZERO
-        self.leaf(Fraction(1))  # node ONE
+        self.leaf(Fraction(1))  # ONE
 
-    def intern(self, p: Fraction) -> int:
-        i = self._ids.get(p)
-        if i is None:
-            i = self._ids[p] = len(self.weights)
-            self.weights.append(p)
-        return i
-
-    def leaf(self, p: Fraction) -> int:
-        self.value.append(self.intern(p))
+    def leaf(self, p: Fraction, source: Term | None = None) -> int:
+        n = len(self.weights)
+        self.weights.append(p)
         self.ops.append(None)
-        return len(self.ops) - 1
+        self.source.append(source)
+        if not p:
+            self.zero.add(n)
+        return n
 
     def product(self, a: int, b: int) -> int:
         if a == ONE or b == ONE:
             return b if a == ONE else a
-        n = self._made.get((operator.mul, a, b))
-        if n is None:
-            n = self._made[operator.mul, a, b] = self._node(operator.mul, a, b)
-        return n
+        return self._node(operator.mul, a, b)
 
     def sum(self, a: int, b: int) -> int:
-        n = self._made.get((operator.add, a, b))
-        if n is None:
-            n = self._made[operator.add, a, b] = self._node(operator.add, a, b)
-        return n
+        return self._node(operator.add, a, b)
 
     def _node(self, op, a: int, b: int) -> int:
-        n = self.leaf(op(self.weights[self.value[a]], self.weights[self.value[b]]))
-        self.ops[n] = (op, a, b)
+        n = self._made.get((op, a, b))
+        if n is None:
+            n = self._made[op, a, b] = self.leaf(op(self.weights[a], self.weights[b]))
+            self.ops[n] = (op, a, b)
         return n
 
     def zero_leaves(self) -> tuple[int, ...]:
         """The leaves whose value is 0: their branches are dropped."""
-        return tuple(n for n, op in enumerate(self.ops) if op is None and self.value[n] == ZERO)
+        return tuple(n for n in sorted(self.zero) if self.ops[n] is None)
 
-    def evaluate(self, leaves: WeightTable) -> list[int]:
-        """Every node's weight id in the table `leaves`, which numbers its
-        leaves as this one does: each node evaluated exactly from the leaf
-        values of `leaves`, and interned there in node order, the order in
-        which exploring its own model would intern them."""
+    def evaluate(self, leaves: WeightTable) -> list[Fraction]:
+        """Every node's exact value with the leaf values of `leaves`, which
+        numbers its leaves as this table does."""
         values: list[Fraction] = []
         for n, op in enumerate(self.ops):
             if op is None:
-                values.append(leaves.weights[leaves.value[n]])
+                values.append(leaves.weights[n])
             else:
                 f, a, b = op
                 values.append(f(values[a], values[b]))
-        return [leaves.intern(p) for p in values]
+        return values
 
 
 # --- closed model ----------------------------------------------------------------
@@ -425,12 +415,14 @@ class WeightTable:
 class Term:
     """An expression of the model with what evaluating or printing it
     needs: the machine scope its bare names resolve in (None: qualified
-    names), the terms its parameters stand for, and `fn`, the closure
-    state -> value that the explorer runs."""
+    names), the terms its parameters stand for, `fn`, the closure
+    state -> value that the explorer runs, and whether it is `real`, such
+    as a probability, and so divides exactly."""
     expr: A.Expr
     scope: ModelScope | None
     params: tuple  # ((name, Term), ...)
     fn: object
+    real: bool = False
 
 
 # the update of a conditional action, one per variable: `c ? t : e`
@@ -530,7 +522,7 @@ class MachineRT:
         # the Step fields that each atomic action fills (`_constituent`)
         self.entry: dict[str, list[dict]] = {}
         self.exit: dict[str, list[dict]] = {}
-        self.junction_weights: dict[str, list[tuple[M.Transition, Fraction]]] = {}
+        self.junction_weights: dict[str, list[tuple[M.Transition, int]]] = {}  # weight leaves
 
     # --- program counter naming -------------------------------------------
 
@@ -584,8 +576,7 @@ class MachineRT:
             steps.append(step(t.id, t.source, LOCK_FREE, EXIT_NONE if ex is not None else None,
                               updates, guard=guard, comm=trigger))
         for j in sorted(self.junctions):
-            branches = tuple((self.closed.weight_table.leaf(w), ((pc, self._chain_pc(t)),))
-                             for t, w in self.junction_weights[j])
+            branches = tuple((w, ((pc, self._chain_pc(t)),)) for t, w in self.junction_weights[j])
             steps.append(Step(f"{self.name}.{j}", j, LOCK_HELD, None, branches))
         for t in by_id:
             for k, part in enumerate(self.parts[t.id]):
@@ -636,15 +627,10 @@ class MachineRT:
 
 @dataclass
 class EnvCommandRT:
-    module: str
-    index: int
+    tag: str
     label_tag: tuple[str, str] | None  # (endpoint, dir)
-    guard_fn: object
-    branches: list[tuple[int, list]]  # (weight node, [(idx, value_fn)])
-
-    @property
-    def tag(self) -> str:
-        return f"{self.module}.c{self.index}"
+    guard: Term
+    branches: list[tuple[int, list]]  # (weight node, [(var index, Term)])
 
 
 class ClosedModel:
@@ -749,11 +735,9 @@ class ClosedModel:
                 domain = _domain_of_typeref(closure.payload, model)
                 add(VarInfo(closure.latch, "latch", domain, _default_for(domain)))
 
-    def _const_value(self, expr: A.Expr, what: str, scope: ModelScope | None = None,
-                     real: bool = False):
-        fn = self._compile(expr, scope=scope, params=None, real=real)
+    def _const_value(self, expr: A.Expr, what: str):
         try:
-            return fn(None)
+            return self._compile(expr, None, None)(None)
         except EvalError as exc:
             raise BuildError(f"{what} must be constant: {exc}") from exc
 
@@ -940,26 +924,33 @@ class ClosedModel:
             rt.parts[t.id] = [self._constituent(rt, a) for a in M.atomic_parts(t.action)]
             guard = self.term(t.guard, rt.scope) if t.guard is not None else None
             rt.initiation[t.id] = (guard, self._comm_spec(rt, t.trigger) if t.trigger else None)
+        weights = self.weight_table.weights
         for j in mach.junctions:
-            outs = rt.trans_from.get(j, [])
-            weights = []
-            for t in outs:
-                w = self._const_value(t.prob, f"probability of {t.id}", rt.scope, real=True)
-                w = Fraction(w)
-                if not (0 <= w <= 1):
-                    raise BuildError(f"probability of {t.id} is {w}, outside [0,1]")
-                weights.append((t, w))
-            total = sum(w for _, w in weights)
+            leaves = rt.junction_weights[j] = []
+            for t in rt.trans_from.get(j, []):
+                w = self._weight_leaf(t.prob, rt.scope, f"probability of {t.id}")
+                if not (0 <= weights[w] <= 1):
+                    raise BuildError(f"probability of {t.id} is {weights[w]}, outside [0,1]")
+                leaves.append((t, w))
+            total = sum(weights[w] for _, w in leaves)
             if total != 1:
                 raise BuildError(
                     f"junction {j} of {mach.name}: outgoing probabilities sum to {total}, not 1")
-            rt.junction_weights[j] = weights
         rt.compile_steps()
         return rt
 
-    def term(self, expr: A.Expr, scope: ModelScope | None = None, params: tuple = ()) -> Term:
+    def term(self, expr: A.Expr, scope: ModelScope | None = None, params: tuple = (),
+             real: bool = False) -> Term:
         fns = {name: t.fn for name, t in params} if params else None
-        return Term(expr, scope, params, self._compile(expr, scope, fns))
+        return Term(expr, scope, params, self._compile(expr, scope, fns, real=real), real)
+
+    def _weight_leaf(self, expr: A.Expr, scope: ModelScope | None, what: str) -> int:
+        """A weight leaf: the probability `expr`, evaluated exactly."""
+        term = self.term(expr, scope, real=True)
+        try:
+            return self.weight_table.leaf(Fraction(term.fn(None)), term)
+        except EvalError as exc:
+            raise BuildError(f"{what} must be constant: {exc}") from exc
 
     def _constituent(self, rt: MachineRT, a: M.Action) -> dict:
         """The Step fields of an atomic action: its communication, or its
@@ -1148,35 +1139,31 @@ class ClosedModel:
                                          f"{cmd.label}: " + "; ".join(str(d) for d in diags))
                     label_tag = (ref.qualified(), cmd.label.direction)
                     alphabet.add(label_tag)
-                guard_fn = self.spec_expr(cmd.guard)
-                branches = self._env_branches(mod, cmd)
-                cmds.append(EnvCommandRT(mod.name, i, label_tag, guard_fn, branches))
+                cmds.append(EnvCommandRT(f"{mod.name}.c{i}", label_tag, self.term(cmd.guard),
+                                         self._env_branches(mod, cmd)))
             self.env_commands[mod.name] = cmds
             self.env_alphabet[mod.name] = alphabet
 
     def _env_branches(self, mod: P.PModule, cmd: P.PCommand):
-        var_idx = {}
-        for v in mod.variables:
-            var_idx[v.name] = self.index[f"env.{mod.name}.{v.name}"]
-        if not cmd.updates:
-            return [(ONE, [])]
+        updates = [(self.index[f"env.{mod.name}.{u.var}"], self.term(u.expr))
+                   for u in cmd.updates]
         with_prob = [u for u in cmd.updates if u.prob is not None]
-        if with_prob and len(with_prob) != len(cmd.updates):
+        if not with_prob:
+            return [(ONE, updates)]
+        if len(with_prob) != len(cmd.updates):
             raise BuildError(f"pmodule {mod.name}: mixed probabilistic and plain updates")
-        if with_prob:
-            branches = []
-            total = Fraction(0)
-            for u in cmd.updates:
-                p = Fraction(self._const_value(u.prob, "update probability", real=True))
-                if not (0 <= p <= 1):
-                    raise BuildError(f"pmodule {mod.name}: update probability {p} outside [0,1]")
-                total += p
-                branches.append((self.weight_table.leaf(p),
-                                 [(var_idx[u.var], self.spec_expr(u.expr))]))
-            if total != 1:
-                raise BuildError(f"pmodule {mod.name}: update probabilities sum to {total}, not 1")
-            return branches
-        return [(ONE, [(var_idx[u.var], self.spec_expr(u.expr)) for u in cmd.updates])]
+        weights = self.weight_table.weights
+        branches = []
+        for u, update in zip(cmd.updates, updates):
+            w = self._weight_leaf(u.prob, None, "update probability")
+            if not (0 <= weights[w] <= 1):
+                raise BuildError(f"pmodule {mod.name}: update probability {weights[w]} "
+                                 "outside [0,1]")
+            branches.append((w, [update]))
+        total = sum(weights[w] for w, _ in branches)
+        if total != 1:
+            raise BuildError(f"pmodule {mod.name}: update probabilities sum to {total}, not 1")
+        return branches
 
 
 def _state_read(idx):
@@ -1267,43 +1254,40 @@ class MarkovModel:
     `first_move[r + 1]`.  Move m has the action `move_action[m]`, the tags
     `move_tags[m]` and the branches `first_branch[m]` to
     `first_branch[m + 1]`.  Branch b leads to state `dest[b]` with the
-    weight node `node_id[b]` of `nodes` (`WeightTable`) and the probability
-    `weights[weight_id[b]]`, whose float is `weight_float[weight_id[b]]`.
-    `weights` are the distinct exact weights of `weight_table`, which a
-    model explored from a closed model shares with it: they are interned
-    once per closed model, as its nodes are made, and exploring a state
-    only indexes and appends.  A move's branches keep the order they were
-    generated in, branches to one destination are merged at the first, and
-    only positive ones are kept.  The choice CSR, the sample table, the
-    distribution check, the export and the engines all read these arrays,
-    and the reward structures in `rewards` keep their values in the same
-    layout, per row and per move.
+    weight node `node_id[b]` of `nodes` (`WeightTable`), whose probability
+    is `weights[node_id[b]]` and its float `weight_float[node_id[b]]`.  A
+    model explored from a closed model shares its `nodes` and their
+    `weights`: a node's value is computed once per closed model, when the
+    node is made, and exploring a state only indexes and appends.  A move's
+    branches keep the order they were generated in, branches to one
+    destination are merged at the first, and only positive ones are kept.
+    The choice CSR, the sample table, the distribution check, the export
+    and the engines all read these arrays, and the reward structures in
+    `rewards` keep their values in the same layout, per row and per move.
 
     `reweigh` gives the model of another configuration on the same store,
     with weights of its own."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
                  moves: list[list[Move] | None], deadlock: list[bool], initial: int = 0,
-                 weight_table: WeightTable | None = None):
+                 nodes: WeightTable | None = None):
         self.kind = kind
         self.var_names = var_names
         self.states = states
         self.deadlock = deadlock
         self.initial = initial
         self.order: list[int] = []
-        self.row_of = self.dest = self.node_id = self.weight_id = np.zeros(0, dtype=np.int64)
+        self.row_of = self.dest = self.node_id = np.zeros(0, dtype=np.int64)
         self.first_move = self.first_branch = np.zeros(1, dtype=np.int64)
         self.move_action: list[str] = []
         self.move_tags: list[frozenset] = []
-        self.weight_table = weight_table if weight_table is not None else WeightTable()
-        self.weights = self.weight_table.weights
-        self.nodes = self.weight_table
-        self._value = self.weight_table.value  # the weight id of each node
+        self.nodes = nodes if nodes is not None else WeightTable()
+        self.weights = self.nodes.weights
         self.weight_float = np.zeros(0)
         # since the arrays were extended: moves per row, branches per move,
         # and the destination and weight node of each branch
         self._batch = ([], [], [], [])
-        self._passed: set[tuple] = set()  # weight id sequences that sum to 1
+        self._passed: set[tuple] = set()  # weight node sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
         # state formula values per (expression, context), `ExactChecker._on_model`:
         # [expression, context, values]; both are kept so their ids are not reused
@@ -1314,7 +1298,7 @@ class MarkovModel:
         self._short_names = None
         self._choice_csr = self.choice_moves = None
         self._sample_table = None
-        leaf = self.weight_table.leaf
+        leaf = self.nodes.leaf
         for s, row in enumerate(moves):
             if row is not None:
                 self._append(s, [(mv.action, mv.tags,
@@ -1324,10 +1308,10 @@ class MarkovModel:
 
     @classmethod
     def open(cls, kind: str, var_names: tuple[str, ...], initial: tuple, successors,
-             weight_table: WeightTable, max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
+             nodes: WeightTable, max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
         """A model that knows its initial state only and expands on demand;
-        its successors function gives weight nodes of `weight_table`."""
-        mm = cls(kind, var_names, [initial], [None], [False], weight_table=weight_table)
+        its successors function gives weight nodes of `nodes`."""
+        mm = cls(kind, var_names, [initial], [None], [False], nodes=nodes)
         mm._successors = successors
         mm._index = {initial: 0}
         mm._max_states = max_states
@@ -1381,7 +1365,7 @@ class MarkovModel:
 
     def _store_batch(self):
         """Extend the store's arrays by the rows appended since, and
-        `weight_float` by the weights interned since."""
+        `weight_float` by the nodes made since."""
         row_moves, move_branches, dests, nodes = (np.array(b, dtype=np.int64)
                                                   for b in self._batch)
         self._batch = ([], [], [], [])
@@ -1390,7 +1374,6 @@ class MarkovModel:
         self.first_branch = np.append(self.first_branch,
                                       self.first_branch[-1] + np.cumsum(move_branches))
         self.dest, self.node_id = np.append(self.dest, dests), np.append(self.node_id, nodes)
-        self.weight_id = np.append(self.weight_id, np.array(self._value, dtype=np.int64)[nodes])
         self.weight_float = np.append(self.weight_float,
                                       [float(p) for p in self.weights[self.weight_float.size:]])
         self.row_of = np.append(self.row_of, np.full(self.num_states - self.row_of.size, -1))
@@ -1440,13 +1423,11 @@ class MarkovModel:
         model that numbers its weight leaves as this model's nodes do, with
         zero at the same leaves, explores to the same states, moves and
         branches; only the weights differ.  The model returned shares the
-        store and the reward structures.  Its weights are its own: every
-        node evaluated exactly with the leaves of `closed` and interned in
-        its weight table, on which the distribution check runs again."""
+        store, its nodes and the reward structures.  Its weights are its
+        own: every node evaluated exactly with the leaves of `closed`, on
+        which the distribution check runs again."""
         view = copy.copy(self)
-        view.weight_table, view.weights = closed.weight_table, closed.weight_table.weights
-        view._value = self.nodes.evaluate(closed.weight_table)
-        view.weight_id = np.array(view._value, dtype=np.int64)[self.node_id]
+        view.weights = self.nodes.evaluate(closed.weight_table)
         view.weight_float = np.array([float(p) for p in view.weights])
         view._passed, view.values = set(), {}
         view._choice_csr = view.choice_moves = view._sample_table = None
@@ -1463,7 +1444,7 @@ class MarkovModel:
         `choice_moves[i]` is the store move of the matrix's row i."""
         if self._choice_csr is None:
             moves = np.diff(self.first_move)  # per row
-            mat = sparse.csr_matrix((self.weight_float[self.weight_id], self.dest,
+            mat = sparse.csr_matrix((self.weight_float[self.node_id], self.dest,
                                      self.first_branch),
                                     shape=(len(self.move_action), self.num_states))
             self.choice_moves = np.argsort(np.repeat(self.order, moves), kind="stable")
@@ -1490,7 +1471,7 @@ class MarkovModel:
         start = start - b0
         lens = np.diff(start)
         owner = np.repeat(np.arange(lens.size), lens)
-        cum = self.weight_float[self.weight_id[b0:]] / np.diff(first_move)[owner]
+        cum = self.weight_float[self.node_id[b0:]] / np.diff(first_move)[owner]
         # left to right within each row, as np.cumsum of the row adds
         rows = np.flatnonzero(lens > 1)
         j = 1
@@ -1512,16 +1493,17 @@ class MarkovModel:
         """Exact distribution checks of the rows from `lo` on (default:
         all): every state has a move and every move's branches sum to 1.
         This implies the dtmc row check: a state with k moves has a row
-        summing to k * (1/k) * 1 = 1.  Each distinct sequence of weights is
-        summed once, in `Fraction` arithmetic, and remembered if it passed."""
+        summing to k * (1/k) * 1 = 1.  Each distinct sequence of weight
+        nodes is summed once, in `Fraction` arithmetic, and remembered if it
+        passed."""
         empty = np.flatnonzero(np.diff(self.first_move[lo:]) == 0)
         if empty.size:
             raise BuildError(f"state {self.order[lo + empty[0]]} has no moves after completion")
         m0 = int(self.first_move[lo])
         b0 = self.first_branch[m0]
-        weight, start = self.weight_id[b0:].tolist(), 0
+        nodes, start = self.node_id[b0:].tolist(), 0
         for m, end in enumerate((self.first_branch[m0 + 1:] - b0).tolist(), m0):
-            key, start = tuple(weight[start:end]), end
+            key, start = tuple(nodes[start:end]), end
             if key not in self._passed:
                 total = sum(self.weights[w] for w in key)
                 if total != 1:
@@ -1564,7 +1546,7 @@ class MarkovModel:
             parts.extend(f"{n}={_fmt_value(v)}" for n, v in zip(self.var_names, st))
             lines.append(" ".join(parts))
         first_move, first_branch = self.first_move.tolist(), self.first_branch.tolist()
-        dest, weight = self.dest.tolist(), self.weight_id.tolist()
+        dest, weight = self.dest.tolist(), self.node_id.tolist()
         for i, r in enumerate(self.row_of.tolist()):
             for m in range(first_move[r], first_move[r + 1]):
                 head = f"{i} ({self.move_action[m]}) "
@@ -1664,9 +1646,9 @@ class _Explorer:
         """The branches of an environment command at a state, their values
         evaluated, or None where its guard is false."""
         try:
-            if not cmd.guard_fn(state):
+            if not cmd.guard.fn(state):
                 return None
-            return [(p, [(i, fn(state)) for i, fn in upd]) for p, upd in cmd.branches]
+            return [(w, [(i, t.fn(state)) for i, t in upd]) for w, upd in cmd.branches]
         except EvalError as exc:
             raise self._error(cmd.tag, state, exc) from exc
 
@@ -1723,13 +1705,13 @@ class _Explorer:
             return [("loop", _NO_TAGS, [(ONE, state)])], self._is_deadlock(state)
         if len(pending) > 1:
             pending.sort(key=lambda mv: mv[0])
-        domains, weight_of = self.domains, self.c.weight_table.value
+        domains, zero = self.domains, self.c.weight_table.zero
         moves = []
         for action, tags, branches in pending:
             applied = []
             try:
                 for w, updates in branches:
-                    if weight_of[w] == ZERO:
+                    if w in zero:
                         continue
                     new = list(state)
                     for idx, value in updates:

@@ -4,7 +4,9 @@ Emission is structural (module per machine, module per environment module)
 from a closed model.  A machine module prints the entries of the machine's
 step table (`MachineRT.steps`), the same entries the explorer executes: one
 command per entry, and for a joint step one command in each of the two
-modules, synchronised on a label of the joint step's own.  The program
+modules, synchronised on a label of the joint step's own.  An
+environment module prints its compiled commands (`env_commands`), which the
+explorer runs too, and every weight is printed from its leaf.  The program
 counter, lock, and exit variables get integer encodings recorded in the
 name map.  Variable ranges are harvested from the explored state space,
 which is why model emission requires a successful build.  Correctness is
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 from . import ast as A
 from . import props as P
-from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ClosedModel, Entry,
-                    MarkovModel, Term, build_markov)
+from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ONE, ClosedModel,
+                    Entry, MarkovModel, Term, build_markov)
 
 
 class EmitError(ValueError):
@@ -137,13 +139,10 @@ class _ModelEmitter:
         commands and the rewards on its events take."""
         return list(dict.fromkeys(self.label(e) for e in self.c.entries_on.get(closure.cid, ())))
 
-    def expr(self, e: A.Expr, scope, real: bool = False) -> str:
-        return _emit_expr2(self, e, scope, None, real)[0]
-
     def term(self, t: Term, parent: int = 0) -> tuple[str, bool]:
         """A term's text and whether it is an integer."""
         params = {name: self.term(sub, 11) for name, sub in t.params}
-        text, prec, integer = _emit_expr2(self, t.expr, t.scope, params)
+        text, prec, integer = _emit_expr2(self, t.expr, t.scope, params, t.real)
         return (f"({text})" if prec < parent else text), integer
 
     def is_int(self, flat: str) -> bool:
@@ -164,9 +163,8 @@ class _ModelEmitter:
                              for s in final)
             rests.append((f"({pcs})" if len(final) > 1 else pcs)
                          + f" & {self.var_id(self.c.vars[m.lk_i].name)}=0")
-        env = [f"({self.expr(mod.commands[cmd.index].guard, None)})"
-               for mod in (self.c.env.modules if self.c.env else ())
-               for cmd in self.c.env_commands[mod.name] if cmd.label_tag is None]
+        env = [f"({self.term(cmd.guard)[0]})" for cmds in self.c.env_commands.values()
+               for cmd in cmds if cmd.label_tag is None]
         if env:
             rests.append(f"!({' | '.join(env)})")
         return " & ".join(rests)
@@ -177,6 +175,7 @@ class _ModelEmitter:
         c = self.c
         sized = {v.name for v in c.vars if v.domain[0] in ("int", "nat")}  # see `_range`
         self.bounds = observed_bounds(build_markov(c), sized)
+        self.latch_owner = self._latch_owners()
         out = [c.kind, ""]
         for name in sorted(c.consts):
             value = c.consts[name]
@@ -192,7 +191,7 @@ class _ModelEmitter:
         out.append("")
         for kind in ("shared", "latch"):
             out.extend(f"global {self.var_id(v.name)} : {self._range(v)};"
-                       for v in c.vars if v.kind == kind)
+                       for v in c.vars if v.kind == kind and v.name not in self.latch_owner)
         out.append("")
         for m in c.machines:
             out.extend(self._module(m))
@@ -202,6 +201,19 @@ class _ModelEmitter:
                 out.extend(self._env_module(mod))
                 out.append("")
         return "\n".join(out).rstrip() + "\n"
+
+    def _latch_owners(self) -> dict:
+        """The machine of each latch that the commands of that machine alone
+        update: it declares the latch, since PRISM lets a labelled command
+        update only the variables of its own module."""
+        writers: dict[str, set] = {}
+        for m in self.c.machines:
+            for st in m.steps:
+                for entry in self.c.entries_of.get(st, ()):
+                    for i, _ in dict(entry.parts)[st]:
+                        writers.setdefault(self.c.vars[i].name, set()).add(m)
+        return {name: ms.pop() for name, ms in writers.items()
+                if len(ms) == 1 and self.c.var_named(name).kind == "latch"}
 
     def _range(self, info) -> str:
         k = info.domain[0]
@@ -224,7 +236,8 @@ class _ModelEmitter:
         qualified = f"{c.model.name}::{m.ctrl.name}::{m.mach.name}"
         out = [f"module {self.mangler.mangle(qualified)}"]
         for v in c.vars:
-            if v.kind == "machine" and v.name.startswith(f"{m.ctrl.name}.{m.mach.name}."):
+            if v.kind == "machine" and v.name.startswith(f"{m.ctrl.name}.{m.mach.name}.") \
+                    or self.latch_owner.get(v.name) is m:
                 out.append(f"  {self.var_id(v.name)} : {self._range(v)};")
         pc_id = self.var_id(f"{m.ctrl.name}.{m.mach.name}.pc")
         lk_id = self.var_id(f"{m.ctrl.name}.{m.mach.name}.lk")
@@ -276,26 +289,28 @@ class _ModelEmitter:
             guard = " & ".join(guard)
             for entry in self.c.entries_of.get(st, ()):
                 if len(st.branches) > 1:
-                    rhs = " + ".join(f"{self._weight(t.prob, m.scope, w)}:"
-                                     f"{_updates_text(control(u))}"
-                                     for (t, _), (w, u) in zip(m.junction_weights[st.pc],
-                                                               st.branches))
+                    rhs = " + ".join(f"{self._weight(w)}:{_updates_text(control(u))}"
+                                     for w, u in st.branches)
                 else:
-                    data = (*st.updates, *dict(entry.parts)[st])
-                    rhs = _updates_text(control(st.control) + [
-                        (self.var_id(self.c.vars[i].name), self.term(t)[0]) for i, t in data])
+                    rhs = _updates_text(control(st.control)
+                                        + self._assignments((*st.updates, *dict(entry.parts)[st])))
                 out.append(f"  [{self.label(entry)}] {guard} -> {rhs};")
         if m is self.c.machines[-1] and (resting := self._resting()) is not None:
             out.append(f"  [] {resting} -> true;")
         return out
 
-    def _weight(self, e: A.Expr, scope, node: int) -> str:
-        """A junction branch's probability: its expression where it reads a
-        swept constant, else its value in this configuration."""
-        if self._reads_sweep(e):
-            return self.expr(e, scope, real=True)
+    def _assignments(self, updates) -> list[tuple[str, str]]:
+        return [(self.var_id(self.c.vars[i].name), self.term(t)[0]) for i, t in updates]
+
+    def _weight(self, node: int) -> str:
+        """A junction or environment branch's probability: its leaf's
+        expression where that reads a swept constant, else its value in
+        this configuration."""
         table = self.c.weight_table
-        return str(table.weights[table.value[node]])
+        source = table.source[node]
+        if source is not None and self._reads_sweep(source.expr):
+            return self.term(source)[0]
+        return str(table.weights[node])
 
     def _reads_sweep(self, e: A.Expr) -> bool:
         """Whether an expression reads a swept constant, itself or in a
@@ -318,19 +333,16 @@ class _ModelEmitter:
             out.append(f"  {self.var_id(flat)} : {self._range(info)};")
         out.append("")
         for cmd in self.c.env_commands[mod.name]:
-            raw = mod.commands[cmd.index]
             labels = [""]
             if cmd.label_tag is not None:
                 closure = self.c.closures.by_endpoint[cmd.label_tag[0]]
                 labels = self.labels(closure) if cmd.label_tag in closure.tags else []
-            updates = [(u.prob, f"({self.var_id(f'env.{mod.name}.{u.var}')}'="
-                                f"{self.expr(u.expr, None)})") for u in raw.updates]
-            if any(prob is not None for prob, _ in updates):
-                rhs = " + ".join(f"{self.expr(prob, None, real=True)}:{update}"
-                                 for prob, update in updates)
+            if cmd.branches[0][0] == ONE:  # plain updates
+                rhs = _updates_text(self._assignments(cmd.branches[0][1]))
             else:
-                rhs = " & ".join(update for _, update in updates) or "true"
-            guard = self.expr(raw.guard, None)
+                rhs = " + ".join(f"{self._weight(w)}:{_updates_text(self._assignments(u))}"
+                                 for w, u in cmd.branches)
+            guard = self.term(cmd.guard)[0]
             out.extend(f"  [{label}] {guard} -> {rhs};" for label in labels)
         out.append("endmodule")
         return out
@@ -610,6 +622,7 @@ def check_prism_model(text: str) -> list[str]:
         errors.append("missing model kind header (dtmc|mdp)")
         return errors
     ranges: dict[str, tuple[int, int]] = {}  # integer variables with literal bounds
+    shared = {ln[len("global "):].split(":")[0].strip() for ln in lines if ln.startswith("global ")}
     in_module = False
     for i, ln in enumerate(lines[1:], start=2):
         try:
@@ -633,7 +646,7 @@ def check_prism_model(text: str) -> list[str]:
                     raise PrismSyntaxError("endmodule outside a module")
                 in_module = False
             elif in_module and ln.startswith("["):
-                _check_command(ln, ranges)
+                _check_command(ln, ranges, shared)
             elif in_module:
                 _check_var(ln, ranges)
             elif ln.startswith("rewards"):
@@ -673,7 +686,8 @@ def _check_var(ln: str, ranges: dict[str, tuple[int, int]]):
         ranges[name] = (int(bounds.group(1)), int(bounds.group(2)))
 
 
-def _check_command(ln: str, ranges: dict[str, tuple[int, int]]):
+def _check_command(ln: str, ranges: dict[str, tuple[int, int]], shared: set[str]):
+    """Check a command; a labelled one may not update a global variable."""
     if not ln.endswith(";"):
         raise PrismSyntaxError("command must end with ';'")
     if "]" not in ln:
@@ -700,6 +714,8 @@ def _check_command(ln: str, ranges: dict[str, tuple[int, int]]):
                 raise PrismSyntaxError(f"update {assign!r} must be parenthesised")
             if "'" not in assign:
                 raise PrismSyntaxError(f"update {assign!r} must assign a primed variable")
+            if label and assign[1:assign.index("'")].strip() in shared:
+                raise PrismSyntaxError(f"labelled command updates global {assign!r}")
             literal = re.fullmatch(r"\(\s*(\w+)\s*'\s*=\s*(-?\d+)\s*\)", assign)
             if literal and literal.group(1) in ranges:
                 lo, hi = ranges[literal.group(1)]

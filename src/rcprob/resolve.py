@@ -1292,9 +1292,6 @@ def weight_only_constants(resolver: Resolver, defs: P.DefinitionsDecl | None,
                     and node.name not in called:
                 called.add(node.name)
                 stack.append(functions[node.name])
-            elif isinstance(node, (A.ProbFormula, A.RewardFormula)) and node.method is not None:
-                stack.extend(node.method.params.values())
-                stack.append(node.method.pathlen)
     return set(names) - read
 
 

@@ -85,7 +85,7 @@ def moves_of(mm: MarkovModel, s: int) -> list[Move] | None:
     for m in range(mm.first_move[r], mm.first_move[r + 1]):
         branches = range(mm.first_branch[m], mm.first_branch[m + 1])
         out.append(Move(mm.move_action[m],
-                        tuple((mm.weights[mm.weight_id[b]], int(mm.dest[b])) for b in branches),
+                        tuple((mm.weights[mm.node_id[b]], int(mm.dest[b])) for b in branches),
                         mm.move_tags[m]))
     return out
 

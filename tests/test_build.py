@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -58,8 +59,8 @@ def test_junction_sum_ok(srw_model, srw_spec):
     for pl in (Fraction(1, 2), Fraction(3, 10)):
         closed = instantiate(srw_model, {"MaxDist": 10, "MaxSteps": 20, "Pl": pl},
                              defs, None, "dtmc", srw_spec)
-        weights = closed.machines[0].junction_weights["p0"]
-        assert sum(w for _, w in weights) == 1
+        leaves = closed.machines[0].junction_weights["p0"]
+        assert sum(closed.weight_table.weights[w] for _, w in leaves) == 1
 
 
 def test_junction_sum_violation(srw_model, srw_spec):
@@ -942,19 +943,21 @@ def _junction_move(closed, mm):
     return moves_of(mm, j)[0]
 
 
-def test_env_join_products_that_coincide_share_one_weight_id(srw_model, srw_spec):
-    mm = build_markov(_join_closed(srw_model, srw_spec))
+def test_env_join_products_are_made_once_per_pair_of_leaves(srw_model, srw_spec):
+    closed = _join_closed(srw_model, srw_spec)
+    mm = build_markov(closed)
     joins = [m for m, action in enumerate(mm.move_action) if action.endswith("+A.c0+B.c0")]
-    assert joins
-    for m in joins:
-        ids = mm.weight_id[mm.first_branch[m]:mm.first_branch[m + 1]].tolist()
-        # nine destinations; 1/2*1/3 and 1/3*1/2 are one weight, as are
-        # 1/2*1/6 and 1/6*1/2, and 1/3*1/6 and 1/6*1/3
-        assert len(ids) == 9 and len(set(ids)) == 6
-        assert sorted(mm.weights[w] for w in set(ids)) == [
-            Fraction(1, 36), Fraction(1, 18), Fraction(1, 12), Fraction(1, 9),
-            Fraction(1, 6), Fraction(1, 4)]
-    assert len(set(mm.weights)) == len(mm.weights)
+    assert len(joins) > 1
+    products = {tuple(mm.node_id[mm.first_branch[m]:mm.first_branch[m + 1]].tolist())
+                for m in joins}
+    # every join takes the same nine product nodes, one per pair of leaves,
+    # to nine destinations; 1/2*1/3 and 1/3*1/2 stay two nodes of one value
+    (nodes,) = products
+    assert len(nodes) == len(set(nodes)) == 9
+    assert all(closed.weight_table.ops[n][0] is operator.mul for n in nodes)
+    assert sorted(mm.weights[n] for n in nodes) == [
+        Fraction(1, 36), Fraction(1, 18), Fraction(1, 18), Fraction(1, 12), Fraction(1, 12),
+        Fraction(1, 9), Fraction(1, 6), Fraction(1, 6), Fraction(1, 4)]
 
 
 def test_junction_branches_to_one_target_merge_to_their_exact_sum():
@@ -971,12 +974,15 @@ def test_prob_zero_branch_is_not_stored():
     mm = build_markov(closed)
     move = _junction_move(closed, mm)
     assert [p for p, _ in move.branches] == [Fraction(1)]
-    assert all(mm.weights[w] > 0 for w in mm.weight_id.tolist())
-    assert len(set(mm.weights)) == len(mm.weights)
+    assert all(mm.weights[w] > 0 for w in mm.node_id.tolist())
+    # the two zero leaves are known when they are made, and no branch keeps one
+    zero = closed.weight_table.zero
+    assert len(closed.weight_table.zero_leaves()) == 2 == len(zero)
+    assert not zero & set(mm.node_id.tolist())
 
 
 def _floats_match(mm):
-    assert (mm.weight_id < len(mm.weight_float)).all()
+    assert (mm.node_id < len(mm.weight_float)).all()
     assert all(mm.weight_float[i] == float(mm.weights[i]) for i in range(len(mm.weight_float)))
 
 
@@ -989,8 +995,9 @@ def test_models_of_one_closed_model_share_its_weight_table(srw_model, srw_spec):
         build_markov(closed, max_states=40)
     full = build_markov(closed)
     assert full.weights is lazy.weights is closed.weight_table.weights
+    assert full.nodes is lazy.nodes is closed.weight_table
     _floats_match(full)
-    lazy.expand_all()  # meets the products that the other builds interned
+    lazy.expand_all()  # meets the products that the other builds made
     _floats_match(lazy)
     assert lazy.export_text() == full.export_text()
     again = build_markov(closed)
@@ -998,9 +1005,9 @@ def test_models_of_one_closed_model_share_its_weight_table(srw_model, srw_spec):
     assert again.export_text() == full.export_text()
 
 
-def test_exploration_hashes_and_compares_no_fraction_per_state(srw_model, srw_spec, monkeypatch):
-    closed = instantiate(srw_model, {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(1, 2)},
-                         srw_spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc", srw_spec)
+def _fraction_calls(closed, monkeypatch):
+    """The model of `closed`, and the `Fraction` hashes and comparisons
+    that exploring it made."""
     calls = {"hash": 0, "eq": 0}
     real_hash, real_eq = Fraction.__hash__, Fraction.__eq__
 
@@ -1016,5 +1023,18 @@ def test_exploration_hashes_and_compares_no_fraction_per_state(srw_model, srw_sp
     monkeypatch.setattr(Fraction, "__eq__", counted_eq)
     mm = build_markov(closed)
     monkeypatch.undo()
+    return mm, calls
+
+
+def test_exploration_hashes_and_compares_no_fraction_per_state(srw_model, srw_spec, monkeypatch):
+    closed = instantiate(srw_model, {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(1, 2)},
+                         srw_spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc", srw_spec)
+    mm, calls = _fraction_calls(closed, monkeypatch)
     assert mm.num_states > 1000
-    assert calls["hash"] <= len(mm.weights) and calls["eq"] <= len(mm.weights), calls
+    assert calls["hash"] == 0 and calls["eq"] <= len(set(mm.weights)), calls
+
+
+def test_exploring_environment_joins_hashes_no_fraction(srw_model, srw_spec, monkeypatch):
+    mm, calls = _fraction_calls(_join_closed(srw_model, srw_spec), monkeypatch)
+    assert any(action.endswith("+A.c0+B.c0") for action in mm.move_action)
+    assert calls["hash"] == 0 and calls["eq"] <= len(set(mm.weights)), calls

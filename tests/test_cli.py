@@ -559,3 +559,31 @@ def test_state_dependent_constant_is_a_validation_error(case, tmp_path, capsys):
     assert [(d["code"], d["line"], d["col"]) for d in diags] == [("TYPE", line, col)], diags
     assert "cannot depend on the state" in diags[0]["message"]
     assert not (tmp_path / "out" / "report.jsonl").exists()
+
+
+# A property-file constant that the property's configuration leaves open is
+# a validation error naming the property, wherever the property reads it.
+OPEN_CONSTANT = {
+    "step bound": ("Prob=? of [Finally<=K #l_stuck]", []),
+    "sim parameter": ("Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=K",
+                      ["--engine", "smc"]),
+    "sim path length": ("Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, "
+                        "n=100, pathlen=K", ["--engine", "smc"]),
+}
+
+
+@pytest.mark.parametrize("case", OPEN_CONSTANT)
+def test_an_unconfigured_constant_is_a_validation_error_naming_the_property(case, tmp_path,
+                                                                             capsys):
+    body, flags = OPEN_CONSTANT[case]
+    spec = tmp_path / "k.rcp"
+    spec.write_text(Path(SRW_RCP).read_text() + "\nconst K : nat\n\nprob property P_k:\n"
+                    f"  {body}\n  with constants C_fair_MD10_MS20_100\n"
+                    "  with definitions D_recharge\n")
+    code = main(["check", SRW_RCM, str(spec), "--kind", "dtmc", "--out", str(tmp_path / "out"),
+                 *flags])
+    diags = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+    assert code == 2
+    assert [(d["code"], d["message"]) for d in diags] == [
+        ("SCOPE", "property P_k: constant 'K' is not covered by its constant configuration")]
+    assert not (tmp_path / "out" / "report.jsonl").exists()

@@ -415,6 +415,56 @@ def _assert_takes_the_explorers_steps(closed, mm, pair, prism, name):
 
 
 
+def _random_env(rng) -> str:
+    """An environment module of unlabelled commands, each with two or three
+    probabilistic updates of a variable of its own, one of them sometimes 0."""
+    hi = rng.randint(1, 3)
+    lines = ["pmodules E: pmodule R {", f"  r : [0 to {hi}] init 0;"]
+    for _ in range(rng.randint(1, 2)):
+        den = rng.choice([2, 3, 4, 6])
+        num = rng.randint(0, den)
+        probs = [f"{num}/{den}", f"1 - {num}/{den}"] + (["0"] if rng.random() < 0.3 else [])
+        rng.shuffle(probs)
+        updates = " & ".join(f"({p}: @r = {rng.choice([str(rng.randint(0, hi)), '@r'])})"
+                             for p in probs)
+        lines.append(f"  [] @r {rng.choice(['<', '<=', '!='])} {rng.randint(0, hi)} -> {updates};")
+    return "\n".join(lines + ["}"])
+
+
+def test_fuzzed_models_with_an_environment_take_the_explorers_steps():
+    from test_acceptance import random_model_text
+    rng = random.Random(15)
+    with_zero = 0
+    for _ in range(100):
+        text, env = random_model_text(rng), _random_env(rng)
+        closed = instantiate(parse_model(text), {}, None,
+                             parse_spec(env).find(PModulesDecl, "E"), rng.choice(["dtmc", "mdp"]))
+        pair = emit_pair(closed, parse_spec(""))
+        assert check_prism_model(pair.model_text) == [], pair.model_text
+        _assert_takes_the_explorers_steps(closed, build_markov(closed), pair,
+                                          PrismModel(pair.model_text), f"{text}\n{env}")
+        with_zero += bool(closed.weight_table.zero_leaves())
+    assert with_zero > 0
+
+
+def test_a_latch_is_declared_in_the_module_that_writes_it():
+    """PRISM lets a labelled command update the variables of its own module
+    only: a latch is declared in the one machine module that writes it, and
+    the validator refuses a labelled command that updates a global."""
+    from test_build import INPUT_MODEL, TRIGGER_SYNC_MODEL
+    for text, latch, module in ((TRIGGER_SYNC_MODEL, "TSMod_C_A_ping_val", "TSMod_C_A"),
+                                (INPUT_MODEL, "InMod_C_S_cmd_val", "InMod_C_S")):
+        pair = emit_pair(instantiate(parse_model(text), {}, None, None, "mdp"), parse_spec(""))
+        assert check_prism_model(pair.model_text) == [] and "global" not in pair.model_text
+        lines = pair.model_text.splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(f"  {latch} : "))
+        assert [ln for ln in lines[:at] if ln.startswith("module ")][-1] == f"module {module}"
+        as_global = pair.model_text.replace(lines[at] + "\n", "").replace(
+            "\nmodule ", f"\nglobal {lines[at].strip()}\nmodule ", 1)
+        errors = check_prism_model(as_global)
+        assert errors and all("labelled command updates global" in e for e in errors), errors
+
+
 HALF_MODEL = """
 module HMod {
   platform P { const N : int; }

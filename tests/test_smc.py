@@ -572,7 +572,7 @@ def lazy_copy(mm):
     """A model that expands the states of the complete model `mm` on demand,
     numbering them in the order it meets them."""
     index = {st: s for s, st in enumerate(mm.states)}
-    leaf = mm.weight_table.leaf
+    leaf = mm.nodes.leaf
 
     def successors(state):
         s = index[state]
@@ -580,7 +580,7 @@ def lazy_copy(mm):
                  for mv in moves_of(mm, s)], mm.deadlock[s])
 
     return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors,
-                            mm.weight_table)
+                            mm.nodes)
 
 
 def _state_reward(ctx, guard, value):

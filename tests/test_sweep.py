@@ -121,12 +121,17 @@ def test_reweighed_models_are_the_builds_of_their_configurations(srw_model, modu
     for pl in (Fraction(3, 10), Fraction(1, 2), Fraction(4, 5)):
         alone, view = build_markov(closed(pl)), base.reweigh(closed(pl))
         assert view.export_text() == alone.export_text()
-        # interned in the order that exploring interns them: at Pl = 1/2,
-        # `prob Pl` and `prob 1 - Pl` are one weight, as are the products
-        assert view.weights == alone.weights and len(set(view.weights)) == len(view.weights)
-        assert np.array_equal(view.weight_id, alone.weight_id)
+        # the nodes that exploring makes, in its order, with the values of
+        # this configuration
+        assert view.weights == alone.weights and view.weights is not base.weights
+        assert np.array_equal(view.node_id, alone.node_id)
         assert view.states is base.states and view.dest is base.dest
-    assert len(base.reweigh(closed(Fraction(1, 2))).weights) < len(base.weights)
+        assert view.nodes is base.nodes
+    # at Pl = 1/2, `prob Pl` and `prob 1 - Pl` are two leaves of one value,
+    # as are the products
+    half = base.reweigh(closed(Fraction(1, 2)))
+    assert len(half.weights) == len(base.weights)
+    assert len(set(half.weights)) < len(set(base.weights))
 
 
 def test_a_bad_distribution_on_a_shared_structure_is_fatal(srw_model):
@@ -137,8 +142,9 @@ def test_a_bad_distribution_on_a_shared_structure_is_fatal(srw_model):
     base = build_markov(configs[0])
     # a leaf that instantiation would have refused: t3's `prob Pl` made 1/2
     table = configs[1].weight_table
-    leaf = next(n for n, w in enumerate(table.value) if table.weights[w] == Fraction(1, 4))
-    table.value[leaf] = table.intern(Fraction(1, 2))
+    leaf = next(n for n, w in enumerate(table.weights)
+                if table.ops[n] is None and w == Fraction(1, 4))
+    table.weights[leaf] = Fraction(1, 2)
     with pytest.raises(BuildError, match="branch probabilities sum to 5/4"):
         base.reweigh(configs[1])
 
