@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 
 from . import ast as A
 from . import model as M
@@ -1443,6 +1442,8 @@ class MarkovModel:
         taken in state order, by one stable permutation of its moves:
         `choice_moves[i]` is the store move of the matrix's row i."""
         if self._choice_csr is None:
+            # imported here: simulation and emission never build this matrix
+            from scipy import sparse
             moves = np.diff(self.first_move)  # per row
             mat = sparse.csr_matrix((self.weight_float[self.node_id], self.dest,
                                      self.first_branch),

@@ -48,6 +48,8 @@ class RunPlan:
             raise ValueError("engine=smc requires kind=dtmc")
         if not 0 < self.tol < 1:  # also refuses nan
             raise ValueError(f"--tol must lie strictly between 0 and 1, got {self.tol}")
+        if self.max_states < 1:
+            raise ValueError(f"--max-states must be a positive integer, got {self.max_states}")
 
 
 @dataclass
@@ -89,12 +91,17 @@ def _verdict_fields(record_value):
 
 def run(plan: RunPlan) -> int:
     out_dir = Path(plan.out_dir)
-    try:
-        model_text = Path(plan.model_path).read_text()
-        spec_text = Path(plan.spec_path).read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    texts = []
+    for path in (plan.model_path, plan.spec_path):
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except UnicodeDecodeError as exc:
+            print(f"error: {path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)
+            return 3
+    model_text, spec_text = texts
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -135,6 +142,11 @@ def run(plan: RunPlan) -> int:
         if skipped and not jobs:
             print("error: no property left to simulate", file=sys.stderr)
             return 2
+    if plan.engine == "internal":
+        # loaded before the first timer starts, so that no record's
+        # buildMs/checkMs holds the import
+        import scipy.sparse.csgraph  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
     try:
         records = _run_checks(plan, model, spec, jobs)
     except (BuildError, exact.CheckError, exact.UnsupportedError, smc.SmcError) as exc:

@@ -20,6 +20,9 @@ Fixpoints iterate boolean sparse mat-vec steps until they stop changing;
 "some move" and "every move" of a state reduce the per-move results over the
 state's block of moves.  Reachability is a breadth-first search and strongly
 connected components come from `scipy.sparse.csgraph`.
+
+scipy is imported by the functions that build a matrix or call one of its
+routines, not here: simulation, validation and emission start without it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
-from scipy.sparse.linalg import splu
 
 from . import ast as A
 from . import props as P
@@ -121,6 +121,7 @@ class ExactChecker:
     def dtmc_matrix(self):
         """The dtmc transition matrix: each state mixes its moves uniformly."""
         if self._dtmc_csr is None:
+            from scipy import sparse
             mat, bounds = self.mdp_arrays()
             counts = np.diff(bounds)
             mix = sparse.csr_matrix(
@@ -368,6 +369,8 @@ class ExactChecker:
 
         Every caller's precomputation guarantees that each state of idx
         leaves idx with probability 1, so the system is nonsingular."""
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
         q = self.dtmc_matrix()[idx][:, idx]
         self.iterations = 1
         return splu((sparse.identity(idx.size, format="csc") - q).tocsc()).solve(b)
@@ -494,6 +497,7 @@ class ExactChecker:
         """E[G (p => F q)] via a one-bit obligation monitor product."""
         # product node = s * 2 + bit, where bit is an obligation still owed
         # after entering s; a good lasso loops through a clean (bit 0) node
+        from scipy import sparse
         edges = self.succ().tocoo()
         src, dst = edges.row, edges.col
         owed = ~q[dst]
@@ -722,6 +726,8 @@ def _reach(rev, through: np.ndarray, target: np.ndarray) -> np.ndarray:
     """States of target, and states of through with a path inside through to
     target: a breadth-first search over the reversed edges `rev` (a square
     CSR matrix) from a virtual root wired to every target state."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
     n = rev.shape[0]
     keep = through[rev.indices]
     kept = np.concatenate([[0], np.cumsum(keep)])
@@ -739,6 +745,7 @@ def _sccs(graph):
     """Strongly connected component labels of a square sparse graph, and
     which nodes lie on a cycle: in a component of more than one node, or
     with a self-loop."""
+    from scipy.sparse import csgraph
     _, labels = csgraph.connected_components(graph, connection="strong")
     return labels, (np.bincount(labels)[labels] > 1) | (graph.diagonal() != 0)
 

@@ -69,8 +69,8 @@ def normal_quantile(p: float) -> float:
 
 
 def _student_quantile(p: float, df: int) -> float:
-    # imported here: scipy.stats is most of `import rcprob` and only ACI with
-    # fewer than 50 samples needs it
+    # imported here, like every scipy module rcprob uses: only ACI with fewer
+    # than 50 samples needs it
     from scipy import stats
     return float(stats.t.ppf(p, df))
 

@@ -102,6 +102,17 @@ def test_cli_missing_file_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("which", ["model", "spec"])
+def test_a_file_that_is_not_utf8_exits_3_naming_it(which, tmp_path, capsys):
+    bad = tmp_path / f"bad.{'rcm' if which == 'model' else 'rcp'}"
+    bad.write_bytes(b"// \xff\n")
+    files = [str(bad), SRW_RCP] if which == "model" else [SRW_RCM, str(bad)]
+    code = main(["check", *files, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert err == [f"error: {bad}: not UTF-8 text at byte 3"]
+
+
 def test_cli_failing_property_exit_1(tmp_path):
     rcp = tmp_path / "f.rcp"
     rcp.write_text("""
@@ -357,6 +368,16 @@ def test_tol_outside_the_unit_interval_exits_2(tol, tmp_path, capsys):
     assert not (tmp_path / "report.jsonl").exists()
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_states_below_one_exits_2(cap, tmp_path, capsys):
+    # a cap below one state passed validation and failed the first build
+    code = main(["check", SRW_RCM, SRW_RCP, "--max-states", cap, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [f"error: --max-states must be a positive integer, got {cap}"]
+    assert not (tmp_path / "report.jsonl").exists()
+
+
 @pytest.mark.parametrize("body", [
     "Prob>=1/2 of [Finally (SRWMod::SRWRP::x == 2)]",
     "Prob>=0.5 of [Finally (SRWMod::SRWRP::x == 2)]",
@@ -587,3 +608,64 @@ def test_an_unconfigured_constant_is_a_validation_error_naming_the_property(case
     assert [(d["code"], d["message"]) for d in diags] == [
         ("SCOPE", "property P_k: constant 'K' is not covered by its constant configuration")]
     assert not (tmp_path / "out" / "report.jsonl").exists()
+
+
+# Only the internal engine loads scipy.  Each case runs in a fresh interpreter
+# with the srw model, a property file and an output directory as arguments,
+# and prints the scipy modules loaded at its end.
+COLD_START = """
+import json, sys, time
+from pathlib import Path
+import rcprob
+from rcprob.cli import RunPlan, run, sweep_experiments
+model_path, spec_path, out_dir = sys.argv[1:]
+{body}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+COLD_START_CASES = {
+    "import": "",
+    "validate": "model = rcprob.parse_model(Path(model_path).read_text())\n"
+                "spec = rcprob.parse_spec(Path(spec_path).read_text())\n"
+                "assert not [d for d in rcprob.validate(model, spec) if d.severity == 'error']\n"
+                "assert sweep_experiments(model, spec)",
+    "emit": "assert run(RunPlan(model_path, spec_path, engine='emit', out_dir=out_dir)) == 0",
+    "smc": "assert run(RunPlan(model_path, spec_path, engine='smc', kind='dtmc', "
+           "out_dir=out_dir)) == 0",
+}
+SIM_SPEC = _srw_prop("Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=200") \
+    + "prob property R_sim:\n  Reward {R_origins} =? of [Cumul 4]\n" \
+      "  with constants C_all\n  with definitions D_all\n"
+
+
+def _cold_start(body: str, spec: str, tmp_path) -> list:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", COLD_START.format(body=body), SRW_RCM, spec,
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", COLD_START_CASES)
+def test_cold_start_leaves_scipy_unloaded(case, tmp_path):
+    spec = tmp_path / "sim.rcp"
+    spec.write_text(SIM_SPEC)
+    assert _cold_start(COLD_START_CASES[case], str(spec) if case == "smc" else SRW_RCP,
+                       tmp_path) == []
+
+
+def test_internal_engine_loads_scipy_before_its_first_timer(tmp_path):
+    # the case that keeps the test above from passing vacuously: the exact
+    # engine needs scipy, and loads it before any buildMs/checkMs starts
+    spec = tmp_path / "p.rcp"
+    spec.write_text(_srw_prop("Prob=? of [Finally #l_stuck]"))
+    body = ("seen = []\n"
+            "def timer():\n"
+            "    if not seen:\n"
+            "        seen.append({'scipy.sparse.csgraph', 'scipy.sparse.linalg'}\n"
+            "                    <= set(sys.modules))\n"
+            "    return time.perf_counter()\n"
+            "assert run(RunPlan(model_path, spec_path, kind='dtmc', out_dir=out_dir, "
+            "timer=timer)) == 0\n"
+            "assert seen == [True], seen")
+    assert "scipy.sparse.csgraph" in _cold_start(body, str(spec), tmp_path)
