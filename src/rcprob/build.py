@@ -1194,15 +1194,6 @@ def eval_expr(closed: ClosedModel, expr: A.Expr, state: tuple | None = None):
 
 
 @dataclass
-class Move:
-    """One move of a state, as the constructor of `MarkovModel` takes it."""
-    action: str
-    # in the order the explorer generated them, each destination once
-    branches: tuple[tuple[Fraction, int], ...]
-    tags: frozenset = frozenset()
-
-
-@dataclass
 class SampleTable:
     """What simulation adds to a model's move store: a sort key per branch
     and an absorbing flag per row.  The entries of row r are the branches
@@ -1241,12 +1232,13 @@ class MarkovModel:
 
     `states` lists every state known so far, and `order` the expanded ones
     in the order they were: they are the rows of the move store, and
-    `row_of[s]` is the row of state s, -1 while unexpanded.  A model built
-    by hand, or by `build_markov`, is complete, with its rows in state
-    order.  A model from `MarkovModel.open` starts with its initial state
-    and grows through `expand` by its `successors` function: state ->
-    (moves, deadlock), each move (action, tags, [(weight node,
+    `row_of[s]` is the row of state s, -1 while unexpanded.  A model starts
+    with the states it is given (`open_markov`: the initial one) and grows
+    through `expand` by its `successors` function: state -> (moves,
+    deadlock), each move (action, tags, [(weight node of `nodes`,
     successor state)]) with the branches in the order they are generated.
+    A successor not yet known becomes the next state.  `build_markov`
+    expands every reachable state, breadth-first in state order.
 
     The move store keeps the moves of the expanded states once, as flat
     arrays in row order.  The moves of row r are `first_move[r]` to
@@ -1267,21 +1259,20 @@ class MarkovModel:
     `reweigh` gives the model of another configuration on the same store,
     with weights of its own."""
 
-    def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple],
-                 moves: list[list[Move] | None], deadlock: list[bool], initial: int = 0,
-                 nodes: WeightTable | None = None):
+    def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple], successors,
+                 nodes: WeightTable, initial: int = 0, max_states: int = DEFAULT_STATE_CAP):
         self.kind = kind
         self.var_names = var_names
         self.states = states
-        self.deadlock = deadlock
+        self.deadlock = [False] * len(states)
         self.initial = initial
         self.order: list[int] = []
         self.row_of = self.dest = self.node_id = np.zeros(0, dtype=np.int64)
         self.first_move = self.first_branch = np.zeros(1, dtype=np.int64)
         self.move_action: list[str] = []
         self.move_tags: list[frozenset] = []
-        self.nodes = nodes if nodes is not None else WeightTable()
-        self.weights = self.nodes.weights
+        self.nodes = nodes
+        self.weights = nodes.weights
         self.weight_float = np.zeros(0)
         # since the arrays were extended: moves per row, branches per move,
         # and the destination and weight node of each branch
@@ -1291,30 +1282,14 @@ class MarkovModel:
         # state formula values per (expression, context), `ExactChecker._on_model`:
         # [expression, context, values]; both are kept so their ids are not reused
         self.values: dict[tuple[int, int], list] = {}
-        self._successors = None
-        self._index: dict[tuple, int] | None = None
-        self._max_states = DEFAULT_STATE_CAP
+        # cleared once every known state is expanded
+        self._successors = successors
+        self._index: dict[tuple, int] | None = {st: s for s, st in enumerate(states)}
+        self._max_states = max_states
         self._short_names = None
         self._choice_csr = self.choice_moves = None
         self._sample_table = None
-        leaf = self.nodes.leaf
-        for s, row in enumerate(moves):
-            if row is not None:
-                self._append(s, [(mv.action, mv.tags,
-                                  [(leaf(p), d) for p, d in mv.branches if p > 0])
-                                 for mv in row])
         self._store_batch()
-
-    @classmethod
-    def open(cls, kind: str, var_names: tuple[str, ...], initial: tuple, successors,
-             nodes: WeightTable, max_states: int = DEFAULT_STATE_CAP) -> "MarkovModel":
-        """A model that knows its initial state only and expands on demand;
-        its successors function gives weight nodes of `nodes`."""
-        mm = cls(kind, var_names, [initial], [None], [False], nodes=nodes)
-        mm._successors = successors
-        mm._index = {initial: 0}
-        mm._max_states = max_states
-        return mm
 
     @property
     def num_states(self) -> int:
@@ -1334,18 +1309,16 @@ class MarkovModel:
         self.deadlock.append(False)
         return s
 
-    def _append(self, s: int, moves):
-        """Append the moves of state s as the next row, in integers only.  A
-        successor is a state of an open model, discovered when new, else a
-        state index."""
+    def _expand_one(self, s: int):
+        """Append the moves of state s as the next row, in integers only; a
+        successor state is discovered when new."""
+        moves, self.deadlock[s] = self._successors(self.states[s])
         index = self._index
         row_moves, move_branches, dests, weights = self._batch
         for action, tags, branches in moves:
             for w, succ in branches:
-                if index is not None:
-                    dst = index.get(succ)
-                    succ = self._discover(succ) if dst is None else dst
-                dests.append(succ)
+                dst = index.get(succ)
+                dests.append(self._discover(succ) if dst is None else dst)
                 weights.append(w)
             k = len(branches)
             if k > 1 and len(set(dests[-k:])) < k:  # merge at the first occurrence
@@ -1378,26 +1351,37 @@ class MarkovModel:
         self.row_of = np.append(self.row_of, np.full(self.num_states - self.row_of.size, -1))
         self.row_of[self.order[lo:]] = np.arange(lo, len(self.order))
 
-    def _expand_one(self, s: int):
-        moves, self.deadlock[s] = self._successors(self.states[s])
-        self._append(s, moves)
-
     def expand(self, states):
         """Expand the given unexpanded states, in order; their successors
         become known states.  The distribution check applies to them.  An
-        expansion that fails leaves no row of its batch behind."""
-        lo, moves = len(self.order), len(self.move_action)
+        expansion that fails, in a successor or in the check, leaves the
+        model as it was: no row, state or array of its batch stays behind."""
+        lo, moves, known = len(self.order), len(self.move_action), len(self.states)
+        arrays = self.first_move, self.first_branch, self.dest, self.node_id, self.row_of
         try:
             for s in states:
                 self._expand_one(s)
+            self._store_batch()
+            self.check_stochastic(lo)
         except BaseException:
+            for s in self.order[lo:]:
+                self.deadlock[s] = False
+            for st in self.states[known:]:
+                del self._index[st]
             del self.order[lo:], self.move_action[moves:], self.move_tags[moves:]
+            del self.states[known:], self.deadlock[known:]
+            self.first_move, self.first_branch, self.dest, self.node_id, self.row_of = arrays
             self._batch = ([], [], [], [])
             raise
-        self._expanded_from(lo)
+        if len(self.order) == len(self.states):  # complete: nothing left to expand
+            self._successors = self._index = None
+        if self._sample_table is not None:
+            self._append_rows(lo)
 
     def expand_all(self):
         """Expand every reachable state, breadth-first in state order."""
+        if self._successors is None:  # complete
+            return
         rows = self.row_of.tolist()
 
         def unexpanded():
@@ -1408,14 +1392,6 @@ class MarkovModel:
                 s += 1
 
         self.expand(unexpanded())
-
-    def _expanded_from(self, lo: int):
-        self._store_batch()
-        if len(self.order) == len(self.states):  # complete: nothing left to expand
-            self._successors = self._index = None
-        self.check_stochastic(lo)
-        if self._sample_table is not None:
-            self._append_rows(lo)
 
     def reweigh(self, closed: ClosedModel) -> MarkovModel:
         """The model of `closed` on this complete model's store.  A closed
@@ -1693,10 +1669,10 @@ class _Explorer:
     # one state ----------------------------------------------------------------
 
     def successors(self, state):
-        """The moves of a state, as `MarkovModel.open` takes them; a state
-        without any loops, and is a deadlock unless every machine rests in a
-        terminal state.  The updates of
-        each move's branches of positive weight meet their variables'
+        """The moves of a state and its deadlock flag, as the successors
+        function of `MarkovModel`.  A state without any move loops, and is a
+        deadlock unless every machine rests in a terminal state.  The updates
+        of each move's branches of positive weight meet their variables'
         domains."""
         pending = []
         for m in self.c.machines:
@@ -1735,9 +1711,9 @@ class _Explorer:
 def open_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:
     """The closed model's Markov model, of which only the initial state is
     known; `MarkovModel.expand` explores it on demand."""
-    return MarkovModel.open(closed.kind, tuple(v.name for v in closed.vars),
-                            closed.initial_state(), _Explorer(closed).successors,
-                            closed.weight_table, max_states)
+    return MarkovModel(closed.kind, tuple(v.name for v in closed.vars),
+                       [closed.initial_state()], _Explorer(closed).successors,
+                       closed.weight_table, max_states=max_states)
 
 
 def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:

@@ -66,13 +66,17 @@ def config_id_of(valuation: dict) -> str:
 
 
 def sweep_experiments(model, spec, prop_glob: str = "*"):
-    """One job per property and configuration, in deterministic order."""
+    """One job per property that `prop_glob` matches and per configuration,
+    in deterministic order.  A glob that matches none of the spec's
+    properties is an error."""
+    props = [prop for prop in spec.properties if fnmatch.fnmatch(prop.name, prop_glob)]
+    if spec.properties and not props:
+        raise BuildError(f"--prop {prop_glob!r} matches no property "
+                         f"({', '.join(prop.name for prop in spec.properties)})")
     resolver = Resolver(model, spec)
     jobs: list[Job] = []
     diags: list[Diagnostic] = []
-    for prop in spec.properties:
-        if not fnmatch.fnmatch(prop.name, prop_glob):
-            continue
+    for prop in props:
         config, defs, env = property_context(resolver, prop, diags)
         for valuation in expand_sweep(config):
             jobs.append(Job(prop, config_id_of(valuation), valuation, defs, env))

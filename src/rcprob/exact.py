@@ -303,15 +303,21 @@ class ExactChecker:
         return self._until_mdp(sat1, sat2, mode)
 
     def _bounded_until(self, sat1, sat2, k: int, mode: str) -> np.ndarray:
-        x = sat2.astype(float)
         if k < 0:
             return np.zeros(self.n)
-        run = sat1 & ~sat2
-        self.iterations = k
-        for _ in range(k):
-            step = self._one_step(x, mode)
-            x = np.where(sat2, 1.0, np.where(run, step, 0.0))
-        return x
+        return self._backups(sat2.astype(float), k, lambda x: np.where(sat2, 1.0, np.where(
+            sat1, self._one_step(x, mode), 0.0)))
+
+    def _backups(self, x, k: int, backup) -> np.ndarray:
+        """x after k backups, or after the first that leaves x unchanged, as
+        the rest would (a backup is a function of x); `iterations` counts them."""
+        self.iterations = 0
+
+        def counted(x):
+            self.iterations += 1
+            return backup(x)
+
+        return _lfp(counted, x, k)
 
     # qualitative precomputation ------------------------------------------------
 
@@ -575,17 +581,12 @@ class ExactChecker:
         return x
 
     def _cumul_reward(self, k: int, state_r, move_r, mode) -> np.ndarray:
-        x = np.zeros(self.n)
         if mode == "exact":
             base = self._dtmc_reward_base(state_r, move_r)
             mat = self.dtmc_matrix()
-            for _ in range(k):
-                x = base + mat.dot(x)
-        else:
-            for _ in range(k):
-                x = self._expected_move_reward(state_r, move_r, x, mode)
-        self.iterations = k
-        return x
+            return self._backups(np.zeros(self.n), k, lambda x: base + mat.dot(x))
+        return self._backups(np.zeros(self.n), k,
+                             lambda x: self._expected_move_reward(state_r, move_r, x, mode))
 
     def _total_reward(self, state_r, move_r, mode) -> np.ndarray:
         if mode != "exact":
@@ -711,9 +712,9 @@ def _gf_or_fg(e: A.Expr):
 
 
 def _lfp(step, x: np.ndarray, limit: int | None = None) -> np.ndarray:
-    """Iterate a monotone boolean step from x until it stops changing (or
-    `limit` times): the least fixpoint above an x below it, the greatest
-    below an x above it."""
+    """Iterate a step from x until it stops changing (or `limit` times).
+    For a monotone boolean step, that is the least fixpoint above an x below
+    it, the greatest below an x above it."""
     for _ in itertools.count() if limit is None else range(limit):
         new = step(x)
         if np.array_equal(new, x):

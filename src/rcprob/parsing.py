@@ -54,12 +54,38 @@ from .ast import (
     WeakUntil,
     Binary,
 )
-from .lexer import NAME, NUMBER, OP, TokenStream
+from .lexer import NAME, NUMBER, OP, ParseError, TokenStream
 
 _REL_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _BOUND_OPS = ("<", "<=", ">", ">=")
 _TEMPORAL_HEADS = ("Next", "Finally", "Globally")
 _STATE_FORMULA_HEADS = ("Prob", "Reward", "Forall", "Exists")
+# Deeper input is a ParseError, so that neither the parser nor an engine that
+# recurses on the tree runs out of stack.  A level is opened by each bracket
+# and prefix operator, and by each node of the tree above its leaves.
+MAX_NESTING = 50
+_TOO_DEEP = f"expression nested deeper than {MAX_NESTING} levels"
+
+
+def _children(node):
+    """The subexpressions of a node, a bound's expression for the bound."""
+    for value in vars(node).values():
+        if isinstance(value, dict):
+            value = tuple(value.values())
+        for x in value if isinstance(value, tuple) else (value,):
+            x = x.expr if isinstance(x, Bound) else x
+            if isinstance(x, (Expr, SimMethodSpec)):
+                yield x
+
+
+def _check_depth(node, level: int = 0):
+    """Refuse the first node more than `MAX_NESTING` levels below the root,
+    such as the first term of a chain of binary operators too long; the
+    recursion stops there."""
+    if level > MAX_NESTING:
+        raise ParseError(_TOO_DEEP, *node.pos)
+    for x in _children(node):
+        _check_depth(x, level + 1)
 
 
 class ExprParser:
@@ -75,11 +101,25 @@ class ExprParser:
         self.ts = ts
         self.spec_mode = spec_mode
         self.formula_depth = 0
+        self.depth = 0  # levels open around the current token
 
     # --- entry points --------------------------------------------------
 
     def parse(self) -> Expr:
-        return self._iff()
+        return self._nested(self._iff)
+
+    def _nested(self, rule) -> Expr:
+        """Parse by `rule` one level deeper, opened by the last token; the
+        outermost level also checks the depth of the tree."""
+        if self.depth > MAX_NESTING:
+            opener = self.ts.peek(-1)
+            raise ParseError(_TOO_DEEP, opener.line, opener.col)
+        self.depth += 1
+        expr = rule()
+        self.depth -= 1
+        if not self.depth:
+            _check_depth(expr)
+        return expr
 
     def parse_qname(self) -> QName:
         tok = self.ts.expect_name()
@@ -122,21 +162,20 @@ class ExprParser:
                     break
                 name_tok = self.ts.advance()
                 self.ts.expect("=")
-                value = self._additive()
+                value = self._nested(self._additive)
                 pname = name_tok.text
                 if pname not in allowed:
                     raise self.ts.error(
                         f"parameter {pname!r} is not valid for method {method}"
                     )
-                store = spec.params if pname != "pathlen" else None
                 if pname == "pathlen":
                     if spec.pathlen is not None:
                         raise self.ts.error("duplicate pathlen")
                     spec.pathlen = value
+                elif pname in spec.params:
+                    raise self.ts.error(f"duplicate parameter {pname!r}")
                 else:
-                    if pname in spec.params:
-                        raise self.ts.error(f"duplicate parameter {pname!r}")
-                    store[pname] = value
+                    spec.params[pname] = value
         return spec
 
     # --- precedence ladder ----------------------------------------------
@@ -153,7 +192,7 @@ class ExprParser:
         left = self._temporal()
         if self.spec_mode and self.ts.at("=>"):
             tok = self.ts.advance()
-            right = self._implies()
+            right = self._nested(self._implies)
             return Binary("=>", left, right, pos=(tok.line, tok.col))
         return left
 
@@ -166,9 +205,9 @@ class ExprParser:
                 if word == "Next":
                     if self.ts.current.text in _BOUND_OPS:
                         raise self.ts.error("bounded Next is not supported")
-                    return Next(self._temporal(), pos=(tok.line, tok.col))
+                    return Next(self._nested(self._temporal), pos=(tok.line, tok.col))
                 bound = self._maybe_bound()
-                operand = self._temporal()
+                operand = self._nested(self._temporal)
                 cls = Finally_ if word == "Finally" else Globally
                 return cls(bound, operand, pos=(tok.line, tok.col))
         left = self._or()
@@ -180,7 +219,7 @@ class ExprParser:
                     self.ts.advance()
                 self._require_formula_ctx(word, tok)
                 bound = self._maybe_bound()
-                right = self._temporal()
+                right = self._nested(self._temporal)
                 cls = {"Until": Until, "Weak": WeakUntil, "Release": Release}[word]
                 return cls(left, bound, right, pos=(tok.line, tok.col))
         return left
@@ -214,7 +253,7 @@ class ExprParser:
     def _not(self) -> Expr:
         if self.ts.at_name("not"):
             tok = self.ts.advance()
-            return Unary("not", self._not(), pos=(tok.line, tok.col))
+            return Unary("not", self._nested(self._not), pos=(tok.line, tok.col))
         return self._relational()
 
     def _relational(self) -> Expr:
@@ -249,19 +288,24 @@ class ExprParser:
     def _unary(self) -> Expr:
         if self.ts.at("-"):
             tok = self.ts.advance()
-            return Unary("neg", self._unary(), pos=(tok.line, tok.col))
+            return Unary("neg", self._nested(self._unary), pos=(tok.line, tok.col))
         return self._postfix()
 
     def _postfix(self) -> Expr:
         expr = self._primary()
         while self.spec_mode and self.ts.at("["):
             tok = self.ts.advance()
-            indexes = [self.parse()]
-            while self.ts.accept(","):
-                indexes.append(self.parse())
-            self.ts.expect("]")
-            expr = Index(expr, tuple(indexes), pos=(tok.line, tok.col))
+            expr = Index(expr, self._list(self.parse(), "]"), pos=(tok.line, tok.col))
         return expr
+
+    def _list(self, first: Expr, close: str) -> tuple:
+        """`first` and the expressions after it, separated by commas, up to
+        the token `close`."""
+        items = [first]
+        while self.ts.accept(","):
+            items.append(self.parse())
+        self.ts.expect(close)
+        return tuple(items)
 
     # --- primaries -------------------------------------------------------
 
@@ -295,11 +339,7 @@ class ExprParser:
                 ts.advance()
                 name = ts.expect_name("function name").text
                 ts.expect("(")
-                args = [self.parse()]
-                while ts.accept(","):
-                    args.append(self.parse())
-                ts.expect(")")
-                return FunCall(name, tuple(args), pos=pos)
+                return FunCall(name, self._list(self.parse(), ")"), pos=pos)
         if tok.kind == NAME:
             word = tok.text
             if word == "true":
@@ -324,11 +364,7 @@ class ExprParser:
             if not self.spec_mode and ts.peek().text == "(" and ts.peek().kind == OP:
                 ts.advance()
                 ts.expect("(")
-                args = [self.parse()]
-                while ts.accept(","):
-                    args.append(self.parse())
-                ts.expect(")")
-                return FunCall(word, tuple(args), pos=pos)
+                return FunCall(word, self._list(self.parse(), ")"), pos=pos)
             qn = self.parse_qname()
             if self.spec_mode and ts.at(".") and ts.peek().text in ("in", "out"):
                 ts.advance()
@@ -365,11 +401,7 @@ class ExprParser:
                 step = self.parse()
             self.ts.expect("}")
             return SetRange(first, hi, step, pos=pos)
-        items = [first]
-        while self.ts.accept(","):
-            items.append(self.parse())
-        self.ts.expect("}")
-        return SetExt(tuple(items), pos=pos)
+        return SetExt(self._list(first, "}"), pos=pos)
 
     def _module_var(self, pos) -> Expr:
         self.ts.advance()
@@ -402,37 +434,23 @@ class ExprParser:
         ts = self.ts
         tok = ts.advance()
         pos = (tok.line, tok.col)
-        if word in ("Forall", "Exists"):
-            ts.expect("[")
-            self.formula_depth += 1
-            body = self.parse()
-            self.formula_depth -= 1
-            ts.expect("]")
-            cls = Forall if word == "Forall" else Exists
-            return cls(body, pos=pos)
-        if word == "Prob":
-            bound, query = self._bound_or_query()
-            ts.expect_keyword("of")
-            ts.expect("[")
-            self.formula_depth += 1
-            body = self.parse()
-            self.formula_depth -= 1
-            ts.expect("]")
-            method = self.parse_sim_method() if ts.at_name("using") else None
-            return ProbFormula(bound, query, body, method, pos=pos)
-        # Reward
         rname = None
-        if ts.accept("{"):
+        if word == "Reward" and ts.accept("{"):
             rname = ts.expect_name("rewards name").text
             ts.expect("}")
-        bound, query = self._bound_or_query()
-        ts.expect_keyword("of")
+        if word in ("Prob", "Reward"):
+            bound, query = self._bound_or_query()
+            ts.expect_keyword("of")
         ts.expect("[")
         self.formula_depth += 1
         body = self.parse()
         self.formula_depth -= 1
         ts.expect("]")
+        if word in ("Forall", "Exists"):
+            return (Forall if word == "Forall" else Exists)(body, pos=pos)
         method = self.parse_sim_method() if ts.at_name("using") else None
+        if word == "Prob":
+            return ProbFormula(bound, query, body, method, pos=pos)
         return RewardFormula(rname, bound, query, body, method, pos=pos)
 
     def _reward_path(self, word: str) -> Expr:

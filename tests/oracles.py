@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.sparse.linalg import spsolve
 
 from rcprob import ast as A
 from rcprob import props as P
-from rcprob.build import MarkovModel, Move, RewardStructure
+from rcprob.build import MarkovModel, RewardStructure, WeightTable
 
 
 class StubContext:
@@ -75,6 +76,39 @@ def var_in(name: str, values) -> A.Expr:
     return expr
 
 
+@dataclass
+class Move:
+    """One move of a state of an explicit model, by destination index."""
+    action: str
+    # in the order the explorer generated them, each destination once
+    branches: tuple[tuple[Fraction, int], ...]
+    tags: frozenset = frozenset()
+
+
+def explicit_model(kind: str, var_names, states, moves: list[list[Move]], deadlock: list[bool],
+                   initial: int = 0, lazy: bool = False) -> MarkovModel:
+    """The model whose state i is `states[i]`, with the moves `moves[i]`
+    (branches of weight 0 dropped) and the deadlock flag `deadlock[i]`.  It
+    knows every state from the start, in index order, and is expanded whole,
+    states the initial one cannot reach included; with `lazy` it knows only
+    the initial state and is not expanded, so that it numbers its states in
+    the order it meets them."""
+    index = {st: s for s, st in enumerate(states)}
+    nodes = WeightTable()
+
+    def successors(state):
+        s = index[state]
+        return ([(mv.action, mv.tags,
+                  [(nodes.leaf(p), states[d]) for p, d in mv.branches if p > 0])
+                 for mv in moves[s]], deadlock[s])
+
+    if lazy:
+        return MarkovModel(kind, tuple(var_names), [states[initial]], successors, nodes)
+    mm = MarkovModel(kind, tuple(var_names), list(states), successors, nodes, initial)
+    mm.expand_all()
+    return mm
+
+
 def moves_of(mm: MarkovModel, s: int) -> list[Move] | None:
     """The moves of state s, read from mm's move store as `Move` records;
     None while s is unexpanded."""
@@ -101,7 +135,7 @@ def dtmc_row(mm: MarkovModel, s: int) -> dict[int, Fraction]:
 
 
 def all_moves(mm: MarkovModel) -> list[list[Move] | None]:
-    """The moves of every state of mm, as its constructor takes them."""
+    """The moves of every state of mm, as `explicit_model` takes them."""
     return [moves_of(mm, s) for s in range(mm.num_states)]
 
 
@@ -145,10 +179,7 @@ def random_dtmc(rng, n: int) -> MarkovModel:
         total = sum(weights)
         branches = tuple((Fraction(w, total), d) for w, d in zip(weights, dests))
         moves.append([Move("a", branches)])
-    mm = MarkovModel("dtmc", ("x",), states, moves,
-                     [s in absorbing for s in range(n)])
-    mm.check_stochastic()
-    return mm
+    return explicit_model("dtmc", ("x",), states, moves, [s in absorbing for s in range(n)])
 
 
 def random_mdp(rng, n: int, max_nondet_states: int = 8) -> MarkovModel:
@@ -170,10 +201,7 @@ def random_mdp(rng, n: int, max_nondet_states: int = 8) -> MarkovModel:
             branches = tuple((Fraction(w, total), d) for w, d in zip(weights, dests))
             row.append(Move(f"a{a}", branches))
         moves.append(row)
-    mm = MarkovModel("mdp", ("x",), states, moves,
-                     [s in absorbing for s in range(n)])
-    mm.check_stochastic()
-    return mm
+    return explicit_model("mdp", ("x",), states, moves, [s in absorbing for s in range(n)])
 
 
 # --- explicit export parsing -------------------------------------------------------

@@ -381,10 +381,9 @@ def test_criterion_7_smc_calibration(srw_model, srw_spec):
     ok_ci = covered >= 180
     ok_apmc = apmc_samples(0.05, 0.01) == 1060
     # SPRT: true probability exactly two deltas below the threshold
-    from rcprob.build import MarkovModel, Move
-    from oracles import StubContext, var_eq
+    from oracles import Move, StubContext, explicit_model, var_eq
     p_true = Fraction(3, 10)
-    chain = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], [
+    chain = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], [
         [Move("a", ((p_true, 1), (1 - p_true, 2)))],
         [Move("l", ((Fraction(1), 1),))],
         [Move("l", ((Fraction(1), 2),))],

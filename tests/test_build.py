@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from rcprob.build import (BuildError, MarkovModel, Move, attach_rewards, build_markov,
+from rcprob.build import (BuildError, attach_rewards, build_markov,
                           eval_expr, expand_sweep, instantiate, open_markov)
 from rcprob.model import parse_model
 from rcprob.props import (ConstantsConfig, DefinitionsDecl, PModulesDecl,
                           RewardsDecl, parse_expression, parse_spec)
 
 from conftest import make_srw
-from oracles import all_moves, dtmc_row, move_rewards_of, moves_of
+from oracles import Move, all_moves, dtmc_row, explicit_model, move_rewards_of, moves_of
 
 
 def entry(names, state, mm):
@@ -181,11 +181,12 @@ def test_bad_distribution_is_fatal_at_its_first_state():
     moves = [[Move("a", ((Fraction(1, 2), 1), (Fraction(1, 2), 2)))],
              [Move("b", ((third, 0), (third, 2)))],
              [Move("c", ((third, 0), (third, 1)))]]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3)
+    mm = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3, lazy=True)
     with pytest.raises(BuildError, match="^state 1 action b: branch probabilities sum to 2/3$"):
-        mm.check_stochastic()
+        mm.expand_all()
+    mm.expand([0])
     with pytest.raises(BuildError, match="^state 2 action c: branch probabilities sum to 2/3$"):
-        mm.check_stochastic(2)
+        mm.expand([2])
 
 
 def test_state_count_same_for_dtmc_and_mdp(srw_model, srw_spec):

@@ -8,6 +8,7 @@ import pytest
 
 from rcprob.cli import RunPlan, config_id_of, main, run, sweep_experiments
 from rcprob.model import parse_model
+from rcprob.parsing import MAX_NESTING
 from rcprob.props import parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -199,6 +200,77 @@ def test_simulation_with_nothing_to_simulate_exits_2(tmp_path, capsys):
         "warning: P_deadlock_free: simulation needs a P or R formula; not checked",
         "error: no property left to simulate"]
     assert not (tmp_path / "report.jsonl").exists()
+
+
+ENGINE_FLAGS = {"internal": ["--kind", "dtmc"], "smc": ["--kind", "dtmc", "--engine", "smc"],
+                "emit": ["--engine", "emit"]}
+
+
+@pytest.mark.parametrize("engine", ENGINE_FLAGS)
+def test_a_prop_glob_that_matches_nothing_exits_2(engine, tmp_path, capsys):
+    # it exited 0 with an empty report, and under emit 2 naming loose constants
+    code = main(["check", SRW_RCM, SRW_RCP, "--prop", "nomatch", *ENGINE_FLAGS[engine],
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --prop 'nomatch' matches no property (P_deadlock_free, P_stuck, "
+        "P_stuck_not_origin, R_stuck_not_origin)"]
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def _nested(shape, levels, atom):
+    """An expression over `atom` that nests `levels` levels deep."""
+    if shape == "brackets":
+        return "(" * levels + atom + ")" * levels
+    if shape == "not":
+        return "not " * levels + atom
+    return " /\\ ".join([atom] * (levels + 1))
+
+
+def _nested_pair(tmp_path, where, shape, levels):
+    """Paths to the SRW fixture with the guard of t6 (rcm) or a label of
+    the spec (rcp) nested `levels` deep, with the text of that file and the
+    offset in it where the expression starts."""
+    model_text, spec_text = Path(SRW_RCM).read_text(), _srw_prop("Prob=? of [Finally #l_deep]")
+    expr = _nested(shape, levels, "true" if where == "rcm" else "#l_stuck")
+    if where == "rcm":
+        model_text = model_text.replace("guard steps == MaxSteps", f"guard {expr}")
+    label = expr if where == "rcp" else "#l_stuck"
+    spec_text = spec_text.replace("prob property", f"label l_deep = {label}\nprob property")
+    text = model_text if where == "rcm" else spec_text
+    model, spec = tmp_path / "m.rcm", tmp_path / "s.rcp"
+    model.write_text(model_text)
+    spec.write_text(spec_text)
+    return str(model), str(spec), text, text.index(expr)
+
+
+NESTINGS = [(where, shape) for where in ("rcm", "rcp")
+            for shape in ("brackets", "not", "chain")]
+
+
+@pytest.mark.parametrize("where,shape", NESTINGS)
+def test_an_expression_nested_to_the_bound_runs_under_every_engine(where, shape, tmp_path):
+    model, spec, *_ = _nested_pair(tmp_path, where, shape, MAX_NESTING)
+    for engine, flags in ENGINE_FLAGS.items():
+        assert main(["check", model, spec, *flags, "--out", str(tmp_path / engine)]) == 0
+
+
+@pytest.mark.parametrize("where,shape", NESTINGS)
+def test_an_expression_nested_past_the_bound_is_a_syntax_error(where, shape, tmp_path, capsys):
+    # 75 brackets or 600 nots, and a chain of 800 operators, ended in a
+    # RecursionError traceback in the parser or in an engine; the error
+    # names the opener of the first level past the bound, or the first term
+    # of a chain too long
+    model, spec, text, at = _nested_pair(tmp_path, where, shape, MAX_NESTING + 1)
+    at += {"brackets": MAX_NESTING, "not": 4 * MAX_NESTING, "chain": 0}[shape]
+    line, col = text[:at].count("\n") + 1, at - text.rfind("\n", 0, at)
+    for engine, flags in ENGINE_FLAGS.items():
+        code = main(["check", model, spec, *flags, "--out", str(tmp_path / engine)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err, err
+        assert json.loads(err) == {
+            "code": "SYNTAX", "severity": "error", "file": None, "line": line, "col": col,
+            "message": f"expression nested deeper than {MAX_NESTING} levels"}
 
 
 def test_smc_requires_dtmc():

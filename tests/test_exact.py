@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcprob import ast as A
-from rcprob.build import MarkovModel, Move
 from rcprob.exact import (ExactChecker, UnsupportedError, check_AE,
                           check_property, check_state_formula, expected_reward,
                           prob_path)
 from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 
 from conftest import make_srw
-from oracles import (StubContext, all_moves, brute_ae, dense_reach, dense_reach_reward,
-                     dtmc_row, explicit_dtmc_csr, explicit_dtmc_matrix, explicit_step_reward,
-                     mdp_extremal_reach, mdp_zero_one_sets, moves_of, parse_explicit,
-                     random_dtmc, random_mdp, reward_structure,
+from oracles import (Move, StubContext, all_moves, brute_ae, dense_reach, dense_reach_reward,
+                     dtmc_row, explicit_dtmc_csr, explicit_dtmc_matrix, explicit_model,
+                     explicit_step_reward, mdp_extremal_reach, mdp_zero_one_sets, moves_of,
+                     parse_explicit, random_dtmc, random_mdp, reward_structure,
                      sparse_reach, sparse_reach_reward, sparse_total_reward, var_eq,
                      var_in)
 
@@ -33,9 +32,7 @@ def chain(moves_spec, kind="dtmc"):
                 (Fraction(str(p)) if isinstance(p, float) else Fraction(p), d)
                 for p, d in branches)))
         moves.append(row)
-    mm = MarkovModel(kind, ("x",), [(i,) for i in range(n)], moves,
-                     [False] * n)
-    mm.check_stochastic()
+    mm = explicit_model(kind, ("x",), [(i,) for i in range(n)], moves, [False] * n)
     return mm, StubContext(("x",))
 
 
@@ -130,6 +127,27 @@ def test_bounded_zero_steps():
     target = var_eq("x", 1)
     values = prob_path(mm, ctx, A.Finally_(A.Bound("<=", A.Lit(0)), target))
     assert values[0] == 0.0 and values[1] == 1.0
+
+
+def test_step_bounds_stop_at_a_fixed_point():
+    # chain30: s0 -> goal with p=0.3, sink with p=0.7; both absorbing.  Every
+    # backup after the first returns the same array, so any bound past one
+    # step runs two (all k ran, and 10**11 steps on the SRW fixture took
+    # more than a minute)
+    mm, ctx = chain([
+        [("a", [(Fraction(3, 10), 1), (Fraction(7, 10), 2)])],
+        [("loop", [(1, 1)])],
+        [("loop", [(1, 2)])],
+    ])
+    goal = var_eq("x", 1)
+    reward_structure(mm, "R", [1, 0, 0])
+    for mode in ("exact", "max"):
+        for k, iterations in ((1, 1), (1000, 2), (10 ** 12, 2)):
+            checker = ExactChecker(mm, ctx)
+            values = checker.prob_path(A.Finally_(A.Bound("<=", A.Lit(k)), goal), mode)
+            assert (values.tolist(), checker.iterations) == ([0.3, 1.0, 0.0], iterations)
+            values = checker.expected_reward("R", A.Cumul(A.Lit(k)), mode)
+            assert (values.tolist(), checker.iterations) == ([1.0, 0.0, 0.0], iterations)
 
 
 def brute_force_bounded_reach(mm, target, k):

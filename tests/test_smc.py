@@ -11,7 +11,7 @@ from scipy import stats as scipy_stats
 
 from rcprob import ast as A
 from rcprob import props as P
-from rcprob.build import BuildError, MarkovModel, Move, attach_rewards, open_markov
+from rcprob.build import BuildError, MarkovModel, attach_rewards, open_markov
 from rcprob.exact import check_property, expected_reward
 from rcprob.props import parse_expression
 from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
@@ -19,8 +19,8 @@ from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
 
 import oracles
 from conftest import make_srw
-from oracles import (StubContext, all_moves, move_rewards_of, moves_of, reward_structure,
-                     var_eq, var_in)
+from oracles import (Move, StubContext, all_moves, explicit_model, move_rewards_of, moves_of,
+                     reward_structure, var_eq, var_in)
 
 
 def chain30():
@@ -30,8 +30,7 @@ def chain30():
         [Move("loop", ((Fraction(1), 1),))],
         [Move("loop", ((Fraction(1), 2),))],
     ]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves,
-                     [False, True, True])
+    mm = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False, True, True])
     return mm, StubContext(("x",))
 
 
@@ -92,7 +91,7 @@ def test_ci_alpha_n():
 def test_ci_degenerate_variance():
     mm, ctx = chain30()
     # goal always reached from the goal state itself: all samples 1
-    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
+    mm2 = explicit_model("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
     est = run_ci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=40, seed=0)
     assert est.point == 1.0
     assert est.half_width == 0.0
@@ -132,7 +131,7 @@ def test_aci_student_t_path():
 
 def test_aci_all_ones_degenerate():
     mm, ctx = chain30()
-    mm2 = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
+    mm2 = explicit_model("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
     est = run_aci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=30, seed=0)
     assert est.point == 1.0 and est.half_width == 0.0
 
@@ -233,7 +232,7 @@ def test_partitioned_reproducibility():
 def test_reward_simulation_geometric():
     from fractions import Fraction as Fr
     from rcprob.smc import run_reward_ci
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], [
+    mm = explicit_model("dtmc", ("x",), [(0,), (1,)], [
         [Move("a", ((Fr(1, 2), 1), (Fr(1, 2), 0)))],
         [Move("loop", ((Fr(1), 1),))],
     ], [False, True])
@@ -300,9 +299,8 @@ def wide_row_dtmc(seed=7, n=60, width=40):
         weights = [rng.randint(1, 9) for _ in dests]
         moves.append([Move("a", tuple((Fraction(w, sum(weights)), d)
                                       for w, d in zip(weights, dests)))])
-    mm = MarkovModel("dtmc", ("x",), [(i,) for i in range(n)], moves,
-                     [s % 10 == 9 for s in range(n)])
-    mm.check_stochastic()
+    mm = explicit_model("dtmc", ("x",), [(i,) for i in range(n)], moves,
+                        [s % 10 == 9 for s in range(n)])
     return mm, StubContext(("x",))
 
 
@@ -437,9 +435,7 @@ def multi_move_dtmc():
         [Move("l", ((Fraction(1), 2),))],
         [Move("l", ((Fraction(1), 3),))],
     ]
-    mm = MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves,
-                     [False] * 4)
-    mm.check_stochastic()
+    mm = explicit_model("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4)
     return mm, StubContext(("x",))
 
 
@@ -547,7 +543,7 @@ def test_uniform_equal_to_a_cumulative_weight_moves_past_it():
     moves = [[Move("a", ((Fraction(u), 1), (1 - Fraction(u), 2)))],
              [Move("l", ((Fraction(1), 1),))],
              [Move("l", ((Fraction(1), 2),))]]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3)
+    mm = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3)
     path, sample = simulate(mm, StubContext(("x",)), seed=6, pathlen=5,
                             path=A.Next(var_eq("x", 2)))
     assert (path.entries, sample) == ([(0, "a", 2)], 1)
@@ -570,8 +566,7 @@ def lazy_copy(mm):
         return ([(mv.action, mv.tags, [(leaf(p), mm.states[d]) for p, d in mv.branches])
                  for mv in moves_of(mm, s)], mm.deadlock[s])
 
-    return MarkovModel.open(mm.kind, mm.var_names, mm.states[mm.initial], successors,
-                            mm.nodes)
+    return MarkovModel(mm.kind, mm.var_names, [mm.states[mm.initial]], successors, mm.nodes)
 
 
 def _state_reward(ctx, guard, value):
@@ -739,29 +734,46 @@ def test_cli_smc_exceeds_max_states_as_a_build_error(tmp_path, capsys):
 
 def _bad_distribution_dtmc():
     """s0 -> s1 (target, absorbing) or s2, each 1/2; s2 -> s3, whose only
-    move sums to 9/10."""
+    move sums to 9/10.  Expanded on demand, from s0."""
     half = Fraction(1, 2)
     moves = [[Move("a", ((half, 1), (half, 2)))],
              [Move("l", ((Fraction(1), 1),))],
              [Move("b", ((Fraction(1), 3),))],
              [Move("c", ((Fraction(9, 10), 3),))]]
-    return MarkovModel("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4)
+    return explicit_model("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4,
+                          lazy=True)
 
 
 def test_bad_distribution_is_fatal_on_the_states_paths_reach():
-    mm = _bad_distribution_dtmc()
     with pytest.raises(BuildError, match="sum to 9/10"):
-        mm.check_stochastic()
+        _bad_distribution_dtmc().expand_all()
     ctx = StubContext(("x",))
     with pytest.raises(BuildError, match="sum to 9/10"):
-        run_ci(lazy_copy(mm), ctx, A.Finally_(None, GOAL), alpha=0.05, n=20, seed=0)
+        run_ci(_bad_distribution_dtmc(), ctx, A.Finally_(None, GOAL), alpha=0.05, n=20, seed=0)
     # within one step no path leaves s2, so s3 is never expanded or checked
-    lazy = lazy_copy(mm)
+    lazy = _bad_distribution_dtmc()
     est = run_ci(lazy, ctx, A.Finally_(A.Bound("<=", A.Lit(1)), GOAL), alpha=0.05, n=20,
                  seed=0)
     assert 0 < est.point < 1 and sorted(lazy.order) == [0, 1, 2]
     with pytest.raises(BuildError, match="sum to 9/10"):
         lazy.expand_all()
+
+
+def test_a_failed_distribution_check_leaves_the_model_as_it_was():
+    # the failed batch stayed stored, so that a retry passed the bad model
+    lazy = _bad_distribution_dtmc()
+    lazy.expand([0])
+
+    def snapshot():
+        return (list(lazy.states), list(lazy.order), list(lazy.deadlock),
+                lazy.first_move.tolist(), lazy.dest.tolist(), lazy.row_of.tolist())
+
+    before = snapshot()
+    for _ in range(2):
+        with pytest.raises(BuildError, match="^state 3 action c: branch probabilities "
+                                             "sum to 9/10$"):
+            lazy.expand_all()
+        assert snapshot() == before
 
 
 def test_nested_probability_operand_expands_the_whole_model(srw_small, monkeypatch):
@@ -785,7 +797,7 @@ def test_nested_probability_operand_expands_the_whole_model(srw_small, monkeypat
 def test_bounded_finally_decides_at_its_bound():
     # a two-state cycle that never reaches x == 2
     moves = [[Move("a", ((Fraction(1), 1),))], [Move("b", ((Fraction(1), 0),))]]
-    mm = MarkovModel("dtmc", ("x",), [(0,), (1,)], moves, [False] * 2)
+    mm = explicit_model("dtmc", ("x",), [(0,), (1,)], moves, [False] * 2)
     ctx = StubContext(("x",))
     for path in (A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 2)),
                  A.Until(A.Lit(True), A.Bound("<=", A.Lit(4)), var_eq("x", 2))):
@@ -798,8 +810,7 @@ def test_bounded_finally_decides_at_its_bound():
 
 def test_ci_solve_for_alpha_without_spread_uses_hoeffding():
     mm, ctx = chain30()
-    ones = MarkovModel("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock,
-                       initial=1)
+    ones = explicit_model("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
     for run in (run_ci, run_aci):
         est = run(ones, ctx, A.Finally_(None, GOAL), w=0.1, n=50, seed=0)
         assert est.point == 1.0
