@@ -294,42 +294,47 @@ def walk(expr: Expr, stop: tuple = ()):
         if node is None or not isinstance(node, Expr):
             continue
         yield node
-        if isinstance(node, stop):
-            continue
-        children = []
-        if isinstance(node, Unary):
-            children = [node.operand]
-        elif isinstance(node, Binary):
-            children = [node.left, node.right]
-        elif isinstance(node, Cond):
-            children = [node.cond, node.then, node.orelse]
-        elif isinstance(node, SetExt):
-            children = list(node.items)
-        elif isinstance(node, SetRange):
-            children = [node.lo, node.hi, node.step]
-        elif isinstance(node, FunCall):
-            children = list(node.args)
-        elif isinstance(node, Index):
-            children = [node.base, *node.indexes]
-        elif isinstance(node, (ProbFormula, RewardFormula)):
-            children = [node.path]
-            if node.bound:
-                children.append(node.bound.expr)
-            if node.method is not None:
-                children.extend([*node.method.params.values(), node.method.pathlen])
-        elif isinstance(node, (Forall, Exists)):
-            children = [node.path]
-        elif isinstance(node, (Next, Reachable, LTLReward, Cumul)):
-            children = [node.operand]
-        elif isinstance(node, (Finally_, Globally)):
-            children = [node.operand]
-            if node.bound:
-                children.append(node.bound.expr)
-        elif isinstance(node, (Until, WeakUntil, Release)):
-            children = [node.left, node.right]
-            if node.bound:
-                children.append(node.bound.expr)
-        stack.extend(c for c in children if c is not None)
+        if not isinstance(node, stop):
+            stack.extend(subexpressions(node))
+
+
+def subexpressions(node: Expr) -> list[Expr]:
+    """The sub-expressions of a node, in source order, the parameters and
+    path length of a simulation method included."""
+    children = []
+    if isinstance(node, Unary):
+        children = [node.operand]
+    elif isinstance(node, Binary):
+        children = [node.left, node.right]
+    elif isinstance(node, Cond):
+        children = [node.cond, node.then, node.orelse]
+    elif isinstance(node, SetExt):
+        children = list(node.items)
+    elif isinstance(node, SetRange):
+        children = [node.lo, node.hi, node.step]
+    elif isinstance(node, FunCall):
+        children = list(node.args)
+    elif isinstance(node, Index):
+        children = [node.base, *node.indexes]
+    elif isinstance(node, (ProbFormula, RewardFormula)):
+        children = [node.path]
+        if node.bound:
+            children.append(node.bound.expr)
+        if node.method is not None:
+            children.extend([*node.method.params.values(), node.method.pathlen])
+    elif isinstance(node, (Forall, Exists)):
+        children = [node.path]
+    elif isinstance(node, (Next, Reachable, LTLReward, Cumul)):
+        children = [node.operand]
+    elif isinstance(node, (Finally_, Globally)):
+        children = [node.operand]
+        if node.bound:
+            children.append(node.bound.expr)
+    elif isinstance(node, (Until, WeakUntil, Release)):
+        children = [node.left, node.right]
+        if node.bound:
+            children.append(node.bound.expr)
+    return [c for c in children if c is not None]
 
 
 NUMERIC_LITERAL_TYPES = (int, Fraction)

@@ -1312,7 +1312,7 @@ class MarkovModel:
     def _expand_one(self, s: int):
         """Append the moves of state s as the next row, in integers only; a
         successor state is discovered when new."""
-        moves, self.deadlock[s] = self._successors(self.states[s])
+        moves, deadlock = self._successors(self.states[s])
         index = self._index
         row_moves, move_branches, dests, weights = self._batch
         for action, tags, branches in moves:
@@ -1333,6 +1333,7 @@ class MarkovModel:
             self.move_action.append(action)
             self.move_tags.append(tags)
         row_moves.append(len(moves))
+        self.deadlock[s] = deadlock
         self.order.append(s)
 
     def _store_batch(self):

@@ -61,31 +61,28 @@ _BOUND_OPS = ("<", "<=", ">", ">=")
 _TEMPORAL_HEADS = ("Next", "Finally", "Globally")
 _STATE_FORMULA_HEADS = ("Prob", "Reward", "Forall", "Exists")
 # Deeper input is a ParseError, so that neither the parser nor an engine that
-# recurses on the tree runs out of stack.  A level is opened by each bracket
-# and prefix operator, and by each node of the tree above its leaves.
+# recurses on the tree runs out of stack.  The parser's own recursion opens a
+# level at each bracket, call argument, `if` part, prefix operator, `=>` and
+# temporal operator: at most MAX_NESTING.  The tree it builds has at most
+# MAX_HEIGHT levels of nodes: a chain of binary operators, which the parser
+# reads in a loop, is as high as it is long, and the engines recurse on it.
+# Under `rcprob check` they gave out at chains of about 490 operators.
 MAX_NESTING = 50
+MAX_HEIGHT = 250
 _TOO_DEEP = f"expression nested deeper than {MAX_NESTING} levels"
+_TOO_HIGH = f"expression more than {MAX_HEIGHT} operators deep"
 
 
-def _children(node):
-    """The subexpressions of a node, a bound's expression for the bound."""
-    for value in vars(node).values():
-        if isinstance(value, dict):
-            value = tuple(value.values())
-        for x in value if isinstance(value, tuple) else (value,):
-            x = x.expr if isinstance(x, Bound) else x
-            if isinstance(x, (Expr, SimMethodSpec)):
-                yield x
-
-
-def _check_depth(node, level: int = 0):
-    """Refuse the first node more than `MAX_NESTING` levels below the root,
-    such as the first term of a chain of binary operators too long; the
-    recursion stops there."""
-    if level > MAX_NESTING:
-        raise ParseError(_TOO_DEEP, *node.pos)
-    for x in _children(node):
-        _check_depth(x, level + 1)
+def _too_high(root: Expr) -> bool:
+    """Whether a node of the tree lies more than `MAX_HEIGHT` levels below
+    its root."""
+    stack = [(root, 0)]
+    while stack:
+        node, level = stack.pop()
+        if level > MAX_HEIGHT:
+            return True
+        stack.extend((x, level + 1) for x in ast.subexpressions(node))
+    return False
 
 
 class ExprParser:
@@ -110,15 +107,17 @@ class ExprParser:
 
     def _nested(self, rule) -> Expr:
         """Parse by `rule` one level deeper, opened by the last token; the
-        outermost level also checks the depth of the tree."""
+        outermost level also checks the height of the tree, and refuses one
+        too high at its first token."""
         if self.depth > MAX_NESTING:
             opener = self.ts.peek(-1)
             raise ParseError(_TOO_DEEP, opener.line, opener.col)
+        first = self.ts.current
         self.depth += 1
         expr = rule()
         self.depth -= 1
-        if not self.depth:
-            _check_depth(expr)
+        if not self.depth and _too_high(expr):
+            raise ParseError(_TOO_HIGH, first.line, first.col)
         return expr
 
     def parse_qname(self) -> QName:
@@ -168,14 +167,15 @@ class ExprParser:
                     raise self.ts.error(
                         f"parameter {pname!r} is not valid for method {method}"
                     )
+                store = spec.params if pname != "pathlen" else None
                 if pname == "pathlen":
                     if spec.pathlen is not None:
                         raise self.ts.error("duplicate pathlen")
                     spec.pathlen = value
-                elif pname in spec.params:
-                    raise self.ts.error(f"duplicate parameter {pname!r}")
                 else:
-                    spec.params[pname] = value
+                    if pname in spec.params:
+                        raise self.ts.error(f"duplicate parameter {pname!r}")
+                    store[pname] = value
         return spec
 
     # --- precedence ladder ----------------------------------------------
@@ -295,17 +295,12 @@ class ExprParser:
         expr = self._primary()
         while self.spec_mode and self.ts.at("["):
             tok = self.ts.advance()
-            expr = Index(expr, self._list(self.parse(), "]"), pos=(tok.line, tok.col))
+            indexes = [self.parse()]
+            while self.ts.accept(","):
+                indexes.append(self.parse())
+            self.ts.expect("]")
+            expr = Index(expr, tuple(indexes), pos=(tok.line, tok.col))
         return expr
-
-    def _list(self, first: Expr, close: str) -> tuple:
-        """`first` and the expressions after it, separated by commas, up to
-        the token `close`."""
-        items = [first]
-        while self.ts.accept(","):
-            items.append(self.parse())
-        self.ts.expect(close)
-        return tuple(items)
 
     # --- primaries -------------------------------------------------------
 
@@ -339,7 +334,11 @@ class ExprParser:
                 ts.advance()
                 name = ts.expect_name("function name").text
                 ts.expect("(")
-                return FunCall(name, self._list(self.parse(), ")"), pos=pos)
+                args = [self.parse()]
+                while ts.accept(","):
+                    args.append(self.parse())
+                ts.expect(")")
+                return FunCall(name, tuple(args), pos=pos)
         if tok.kind == NAME:
             word = tok.text
             if word == "true":
@@ -364,7 +363,11 @@ class ExprParser:
             if not self.spec_mode and ts.peek().text == "(" and ts.peek().kind == OP:
                 ts.advance()
                 ts.expect("(")
-                return FunCall(word, self._list(self.parse(), ")"), pos=pos)
+                args = [self.parse()]
+                while ts.accept(","):
+                    args.append(self.parse())
+                ts.expect(")")
+                return FunCall(word, tuple(args), pos=pos)
             qn = self.parse_qname()
             if self.spec_mode and ts.at(".") and ts.peek().text in ("in", "out"):
                 ts.advance()
@@ -401,7 +404,11 @@ class ExprParser:
                 step = self.parse()
             self.ts.expect("}")
             return SetRange(first, hi, step, pos=pos)
-        return SetExt(self._list(first, "}"), pos=pos)
+        items = [first]
+        while self.ts.accept(","):
+            items.append(self.parse())
+        self.ts.expect("}")
+        return SetExt(tuple(items), pos=pos)
 
     def _module_var(self, pos) -> Expr:
         self.ts.advance()
@@ -434,23 +441,37 @@ class ExprParser:
         ts = self.ts
         tok = ts.advance()
         pos = (tok.line, tok.col)
-        rname = None
-        if word == "Reward" and ts.accept("{"):
-            rname = ts.expect_name("rewards name").text
-            ts.expect("}")
-        if word in ("Prob", "Reward"):
+        if word in ("Forall", "Exists"):
+            ts.expect("[")
+            self.formula_depth += 1
+            body = self.parse()
+            self.formula_depth -= 1
+            ts.expect("]")
+            cls = Forall if word == "Forall" else Exists
+            return cls(body, pos=pos)
+        if word == "Prob":
             bound, query = self._bound_or_query()
             ts.expect_keyword("of")
+            ts.expect("[")
+            self.formula_depth += 1
+            body = self.parse()
+            self.formula_depth -= 1
+            ts.expect("]")
+            method = self.parse_sim_method() if ts.at_name("using") else None
+            return ProbFormula(bound, query, body, method, pos=pos)
+        # Reward
+        rname = None
+        if ts.accept("{"):
+            rname = ts.expect_name("rewards name").text
+            ts.expect("}")
+        bound, query = self._bound_or_query()
+        ts.expect_keyword("of")
         ts.expect("[")
         self.formula_depth += 1
         body = self.parse()
         self.formula_depth -= 1
         ts.expect("]")
-        if word in ("Forall", "Exists"):
-            return (Forall if word == "Forall" else Exists)(body, pos=pos)
         method = self.parse_sim_method() if ts.at_name("using") else None
-        if word == "Prob":
-            return ProbFormula(bound, query, body, method, pos=pos)
         return RewardFormula(rname, bound, query, body, method, pos=pos)
 
     def _reward_path(self, word: str) -> Expr:

@@ -8,7 +8,7 @@ import pytest
 
 from rcprob.cli import RunPlan, config_id_of, main, run, sweep_experiments
 from rcprob.model import parse_model
-from rcprob.parsing import MAX_NESTING
+from rcprob.parsing import MAX_HEIGHT, MAX_NESTING
 from rcprob.props import parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -218,6 +218,11 @@ def test_a_prop_glob_that_matches_nothing_exits_2(engine, tmp_path, capsys):
     assert not (tmp_path / "report.jsonl").exists()
 
 
+# the parser's own levels bound brackets and `not`s, the height of the tree a
+# chain of binary operators
+BOUNDS = {"brackets": MAX_NESTING, "not": MAX_NESTING, "chain": MAX_HEIGHT}
+
+
 def _nested(shape, levels, atom):
     """An expression over `atom` that nests `levels` levels deep."""
     if shape == "brackets":
@@ -250,7 +255,8 @@ NESTINGS = [(where, shape) for where in ("rcm", "rcp")
 
 @pytest.mark.parametrize("where,shape", NESTINGS)
 def test_an_expression_nested_to_the_bound_runs_under_every_engine(where, shape, tmp_path):
-    model, spec, *_ = _nested_pair(tmp_path, where, shape, MAX_NESTING)
+    # chains of up to about 490 operators ran before there was a bound
+    model, spec, *_ = _nested_pair(tmp_path, where, shape, BOUNDS[shape])
     for engine, flags in ENGINE_FLAGS.items():
         assert main(["check", model, spec, *flags, "--out", str(tmp_path / engine)]) == 0
 
@@ -259,10 +265,12 @@ def test_an_expression_nested_to_the_bound_runs_under_every_engine(where, shape,
 def test_an_expression_nested_past_the_bound_is_a_syntax_error(where, shape, tmp_path, capsys):
     # 75 brackets or 600 nots, and a chain of 800 operators, ended in a
     # RecursionError traceback in the parser or in an engine; the error
-    # names the opener of the first level past the bound, or the first term
-    # of a chain too long
-    model, spec, text, at = _nested_pair(tmp_path, where, shape, MAX_NESTING + 1)
+    # names the opener of the first level past the bound, or the first token
+    # of an expression too high
+    model, spec, text, at = _nested_pair(tmp_path, where, shape, BOUNDS[shape] + 1)
     at += {"brackets": MAX_NESTING, "not": 4 * MAX_NESTING, "chain": 0}[shape]
+    message = (f"expression more than {MAX_HEIGHT} operators deep" if shape == "chain"
+               else f"expression nested deeper than {MAX_NESTING} levels")
     line, col = text[:at].count("\n") + 1, at - text.rfind("\n", 0, at)
     for engine, flags in ENGINE_FLAGS.items():
         code = main(["check", model, spec, *flags, "--out", str(tmp_path / engine)])
@@ -270,7 +278,7 @@ def test_an_expression_nested_past_the_bound_is_a_syntax_error(where, shape, tmp
         assert code == 2 and "Traceback" not in err, err
         assert json.loads(err) == {
             "code": "SYNTAX", "severity": "error", "file": None, "line": line, "col": col,
-            "message": f"expression nested deeper than {MAX_NESTING} levels"}
+            "message": message}
 
 
 def test_smc_requires_dtmc():

@@ -11,7 +11,7 @@ from scipy import stats as scipy_stats
 
 from rcprob import ast as A
 from rcprob import props as P
-from rcprob.build import BuildError, MarkovModel, attach_rewards, open_markov
+from rcprob.build import BuildError, MarkovModel, WeightTable, attach_rewards, open_markov
 from rcprob.exact import check_property, expected_reward
 from rcprob.props import parse_expression
 from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
@@ -558,15 +558,8 @@ def test_uniform_equal_to_a_cumulative_weight_moves_past_it():
 def lazy_copy(mm):
     """A model that expands the states of the complete model `mm` on demand,
     numbering them in the order it meets them."""
-    index = {st: s for s, st in enumerate(mm.states)}
-    leaf = mm.nodes.leaf
-
-    def successors(state):
-        s = index[state]
-        return ([(mv.action, mv.tags, [(leaf(p), mm.states[d]) for p, d in mv.branches])
-                 for mv in moves_of(mm, s)], mm.deadlock[s])
-
-    return MarkovModel(mm.kind, mm.var_names, [mm.states[mm.initial]], successors, mm.nodes)
+    return explicit_model(mm.kind, mm.var_names, mm.states, all_moves(mm), mm.deadlock,
+                          mm.initial, lazy=True)
 
 
 def _state_reward(ctx, guard, value):
@@ -759,10 +752,27 @@ def test_bad_distribution_is_fatal_on_the_states_paths_reach():
         lazy.expand_all()
 
 
-def test_a_failed_distribution_check_leaves_the_model_as_it_was():
-    # the failed batch stayed stored, so that a retry passed the bad model
-    lazy = _bad_distribution_dtmc()
-    lazy.expand([0])
+def _capped_at_two_states():
+    """s0, a deadlock, has a move to the new states s1 and s2; the model
+    holds at most two states, so that expanding s0 fails at s2."""
+    nodes = WeightTable()
+
+    def successors(state):
+        half = nodes.leaf(Fraction(1, 2))
+        return [("a", frozenset(), [(half, (1,)), (half, (2,))])], True
+
+    return MarkovModel("dtmc", ("x",), [(0,)], successors, nodes, max_states=2)
+
+
+@pytest.mark.parametrize("make,first,error", [
+    (_bad_distribution_dtmc, [0], "^state 3 action c: branch probabilities sum to 9/10$"),
+    (_capped_at_two_states, [], "^state-space cap of 2 states exceeded$")],
+    ids=["distribution", "state-cap"])
+def test_a_failed_expansion_leaves_the_model_as_it_was(make, first, error):
+    # a failed distribution check left its batch stored, so that a retry
+    # passed the bad model; a row that hit the state cap kept its deadlock flag
+    lazy = make()
+    lazy.expand(first)
 
     def snapshot():
         return (list(lazy.states), list(lazy.order), list(lazy.deadlock),
@@ -770,8 +780,7 @@ def test_a_failed_distribution_check_leaves_the_model_as_it_was():
 
     before = snapshot()
     for _ in range(2):
-        with pytest.raises(BuildError, match="^state 3 action c: branch probabilities "
-                                             "sum to 9/10$"):
+        with pytest.raises(BuildError, match=error):
             lazy.expand_all()
         assert snapshot() == before
 
