@@ -50,6 +50,8 @@ class RunPlan:
             raise ValueError(f"--tol must lie strictly between 0 and 1, got {self.tol}")
         if self.max_states < 1:
             raise ValueError(f"--max-states must be a positive integer, got {self.max_states}")
+        if not 0 <= self.seed < smc.SEED_LIMIT:
+            raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -105,24 +107,26 @@ def run(plan: RunPlan) -> int:
         except UnicodeDecodeError as exc:
             print(f"error: {path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)
             return 3
-    model_text, spec_text = texts
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    try:
-        model = parse_model(model_text)
-        spec = parse_spec(spec_text)
-    except ParseError as exc:
-        diag = Diagnostic("SYNTAX", "error", exc.message, (exc.line, exc.col))
-        _write_diagnostics(out_dir, [diag], plan)
-        print(diag.to_json(), file=sys.stderr)
-        return 2
+    parsed = []
+    for parse, path, text in zip((parse_model, parse_spec),
+                                 (plan.model_path, plan.spec_path), texts):
+        try:
+            parsed.append(parse(text))
+        except ParseError as exc:
+            diag = Diagnostic("SYNTAX", "error", exc.message, (exc.line, exc.col))
+            _write_diagnostics(out_dir, [diag], path)
+            print(diag.to_json(path), file=sys.stderr)
+            return 2
+    model, spec = parsed
 
     diags = validate(model, spec)
-    _write_diagnostics(out_dir, diags, plan)
+    _write_diagnostics(out_dir, diags, plan.spec_path)
     for d in diags:
         print(d.to_json(), file=sys.stderr)
     if any(d.severity == "error" for d in diags):
@@ -320,8 +324,8 @@ def _run_emit(plan: RunPlan, model, spec, jobs, out_dir: Path) -> int:
     return 0
 
 
-def _write_diagnostics(out_dir: Path, diags, plan: RunPlan):
-    lines = [d.to_json(plan.spec_path) for d in diags]
+def _write_diagnostics(out_dir: Path, diags, file: str):
+    lines = [d.to_json(file) for d in diags]
     (out_dir / "diagnostics.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 

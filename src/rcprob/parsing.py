@@ -69,6 +69,13 @@ _STATE_FORMULA_HEADS = ("Prob", "Reward", "Forall", "Exists")
 # Under `rcprob check` they gave out at chains of about 490 operators.
 MAX_NESTING = 50
 MAX_HEIGHT = 250
+# A label or formula reference stands for the tree it names, and the engines
+# recurse on the expanded tree, where a reference counts one level:
+# `resolve.validate` bounds its height by MAX_EXPANDED_HEIGHT.  That leaves a
+# tree at MAX_HEIGHT room to reference labels up to 49 levels high, and keeps
+# well below the engines' limit: they ran expanded trees of 453 levels and
+# gave out at about 490.
+MAX_EXPANDED_HEIGHT = 300
 _TOO_DEEP = f"expression nested deeper than {MAX_NESTING} levels"
 _TOO_HIGH = f"expression more than {MAX_HEIGHT} operators deep"
 

@@ -16,6 +16,7 @@ from . import ast as A
 from . import model as M
 from . import props as P
 from .ast import Expr, QName
+from .parsing import MAX_EXPANDED_HEIGHT
 
 # --- diagnostics --------------------------------------------------------------
 
@@ -817,6 +818,7 @@ def validate(model: M.ModelAst, spec: P.SpecAst) -> list[Diagnostic]:
             _validate_pmodules(resolver, st, diags)
         elif isinstance(st, P.ProbProperty):
             _validate_property(resolver, st, diags)
+    _check_expanded_heights(resolver.spec, diags)
     return diags
 
 
@@ -1245,12 +1247,78 @@ def _walk_uses(resolver: Resolver, body: Expr):
     while stack:
         for node in A.walk(stack.pop()):
             yield node
-            if isinstance(node, (A.LabelRef, A.FormulaRef)):
-                kind = P.LabelDecl if isinstance(node, A.LabelRef) else P.FormulaDecl
-                decl = resolver.spec.find(kind, node.name)
-                if decl is not None and id(decl) not in seen:
-                    seen.add(id(decl))
-                    stack.append(decl.body)
+            decl = _declaration(resolver.spec, node)
+            if decl is not None and id(decl) not in seen:
+                seen.add(id(decl))
+                stack.append(decl.body)
+
+
+def _declaration(spec: P.SpecAst, node: Expr):
+    """The declaration that a label or formula reference names, if any."""
+    if isinstance(node, (A.LabelRef, A.FormulaRef)):
+        return spec.find(P.LabelDecl if isinstance(node, A.LabelRef) else P.FormulaDecl,
+                         node.name)
+    return None
+
+
+def _references(spec: P.SpecAst, body: Expr) -> list:
+    """The declarations of the labels and formulas that body names, each once."""
+    decls = (_declaration(spec, node) for node in A.walk(body))
+    return list({id(decl): decl for decl in decls if decl is not None}.values())
+
+
+def _expanded_height(spec: P.SpecAst, body: Expr, heights: dict) -> int:
+    """The height of body with each label or formula reference one level
+    above the body it names, whose height is `heights[id(decl)]` (0 where
+    unknown)."""
+    top, stack = 0, [(body, 0)]
+    while stack:
+        node, level = stack.pop()
+        decl = _declaration(spec, node)
+        if decl is not None:
+            level += 1 + heights.get(id(decl), 0)
+        top = max(top, level)
+        stack.extend((x, level + 1) for x in A.subexpressions(node))
+    return top
+
+
+def _check_expanded_heights(spec: P.SpecAst, diags: list[Diagnostic]):
+    """Refuse a label on a cycle of references, and a label, formula or
+    property more than `MAX_EXPANDED_HEIGHT` levels high with the labels and
+    formulas it references expanded: the engines recurse on the expanded
+    tree.  Of a chain of references past the bound only the first
+    declaration past it is named; a cycle of formulas alone is the
+    classifier's to report."""
+    decls = [*spec.of_kind(P.LabelDecl), *spec.of_kind(P.FormulaDecl)]
+    heights: dict = {}
+    for root in decls:
+        # depth first, each declaration after the ones it references;
+        # `at` holds the stack position of each declaration on it
+        stack, at = [(root, iter(_references(spec, root.body)))], {id(root): 0}
+        while stack and id(root) not in heights:
+            decl, todo = stack[-1]
+            ref = next((r for r in todo if id(r) not in heights), None)
+            if ref is None:
+                stack.pop()
+                del at[id(decl)]
+                heights[id(decl)] = _expanded_height(spec, decl.body, heights)
+            elif id(ref) in at:
+                label = next((d for d, _ in stack[at[id(ref)]:]
+                              if isinstance(d, P.LabelDecl)), None)
+                if label is not None:
+                    diags.append(Diagnostic("SCOPE", "error",
+                                            f"cyclic label reference #{label.name}", label.pos))
+            else:
+                at[id(ref)] = len(stack)
+                stack.append((ref, iter(_references(spec, ref.body))))
+    for st in [*decls, *spec.properties]:
+        if _expanded_height(spec, st.body, heights) > MAX_EXPANDED_HEIGHT and all(
+                heights[id(d)] <= MAX_EXPANDED_HEIGHT for d in _references(spec, st.body)):
+            kind = {P.LabelDecl: "label", P.FormulaDecl: "formula"}.get(type(st), "property")
+            diags.append(Diagnostic(
+                "UNSUPPORTED", "error",
+                f"{kind} {st.name} is more than {MAX_EXPANDED_HEIGHT} levels high with the "
+                "labels and formulas it references expanded", st.pos))
 
 
 # the fields that hold weights: junction branch and environment update probabilities

@@ -1,20 +1,26 @@
 """Statistical model checking: seeded forward simulation plus the CI, ACI,
 APMC, and SPRT estimation/decision methods.
 
-Sampling is reproducible: sample `i` of a run with seed `s` draws one
-uniform per step from its own generator derived from (s, i), so serial and
-partitioned runs produce identical estimates.  Paths walk the model's
-move store through its `SampleTable`, a batch of consecutive sample indices
-in lockstep, and a model that is still growing expands the states they
-reach as they reach them; the sequential methods (CI with w and alpha,
-SPRT) use the samples in index order and stop at the first index that
-decides them.
+Sampling is reproducible by construction: the uniform that sample `i` of a
+run with seed `s` draws at step `t` is a pure function of (s, i, t), so a
+sample does not depend on its batch, its order or the process.  It comes
+from Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011) keyed with the 64 bits of `s`, at the counter
+(t // 2 as two 32-bit words, i low, i high): of the four words (a, b, c, d)
+that a counter gives, an even step takes a and b and an odd one c and d, as
+((a >> 5) * 2**26 + (b >> 6)) / 2**53, numpy's 53-bit construction.
+Paths walk the model's move store through its `SampleTable`, a batch of
+consecutive sample indices in lockstep, and a model that is still growing
+expands the states they reach as they reach them; the sequential methods
+(CI with w and alpha, SPRT) use the samples in index order and stop at the
+first index that decides them.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,14 +83,55 @@ def _student_quantile(p: float, df: int) -> float:
 
 # --- simulation --------------------------------------------------------------
 
-_CHUNK = 64  # uniforms drawn per path at a time
-# paths advanced in lockstep; each holds its generator, about 1.2 KB
-_MAX_BATCH = 1024
+_BLOCK = 16  # steps whose uniforms one Philox call draws for every live path
+_MAX_BATCH = 1024  # paths advanced in lockstep
 _FIRST_BATCH = 64  # the sequential methods' first batch; later ones double
+SEED_LIMIT = 2 ** 64  # seeds are the 64-bit Philox keys: 0 <= seed < SEED_LIMIT
+
+# Philox4x32 multipliers, one per multiplied word, and each round's key
+# increment: round r adds r times the Weyl words to the key
+_PHILOX_M = np.array([0xD2511F53, 0xCD9E8D57], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_BUMPS = np.arange(10, dtype=np.uint64)[:, None] * np.array(
+    [0x9E3779B9, 0xBB67AE85], dtype=np.uint64)
+# the positions of the low and high 32-bit halves of a uint64 seen as two uint32
+_LO, _HI = (0, 1) if sys.byteorder == "little" else (1, 0)
 
 
-def _rng_for(seed: int, i: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64((seed & 0xFFFFFFFF) * 2654435761 + i))
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high 32-bit words of each element of a uint64 array, as
+    views."""
+    words = x.view(np.uint32)
+    return words[..., _LO::2], words[..., _HI::2]
+
+
+def philox_uniforms(seed: int, samples: np.ndarray, t0: int, steps: int) -> np.ndarray:
+    """The uniforms of steps t0 .. t0 + steps - 1 of each sample in
+    `samples` (an int64 array of sample indices) under `seed`, one row per
+    sample: Philox4x32-10 over every (sample, pair of steps) counter at once.
+
+    The counter words (c0, c1, c2, c3) are kept as two stacked arrays, the
+    multiplied words x = (c0, c2) and the others y = (c1, c3), so that a
+    round is three array operations: one uint64 product of both multiplied
+    words, whose 32-bit halves are read as views, and two xors."""
+    pairs = np.arange(t0 // 2, (t0 + steps + 1) // 2, dtype=np.uint64)
+    n, m = len(samples), pairs.size
+    x = np.empty((2, n, m), dtype=np.uint32)
+    y = np.empty_like(x)
+    x[0], y[0] = _halves(pairs)
+    lo, hi = _halves(samples.astype(np.uint64))
+    x[1], y[1] = lo[:, None], hi[:, None]
+    keys = (np.array([seed & 0xFFFFFFFF, seed >> 32], dtype=np.uint64)
+            + _PHILOX_BUMPS).astype(np.uint32)
+    for key in keys[:, :, None, None]:
+        lo, hi = _halves(x * _PHILOX_M)
+        # c0, c2 = hi(M1 c2) ^ c1 ^ k0, hi(M0 c0) ^ c3 ^ k1; c1, c3 = lo(M1 c2), lo(M0 c0)
+        x = hi[::-1] ^ y ^ key
+        y = lo[::-1]
+    # the uniforms of each counter's even step, from (c0, c1), and odd step,
+    # from (c2, c3), interleaved
+    u = ((x >> 5) * 2.0 ** 26 + (y >> 6)) * 2.0 ** -53
+    first = t0 % 2
+    return u.transpose(1, 2, 0).reshape(n, 2 * m)[:, first:first + steps]
 
 
 def _require_dtmc(mm: MarkovModel):
@@ -93,16 +140,18 @@ def _require_dtmc(mm: MarkovModel):
                        "(uniform resolution) instead of mdp")
 
 
-def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
-          monitor: Monitor, rewards: RewardStructure | None = None, trace=None):
-    """Advance one path per generator in `rngs` from the initial state, all
-    in lockstep.
+def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
+          pathlen: int, monitor: Monitor, rewards: RewardStructure | None = None,
+          trace=None):
+    """Advance one path per sample index in `samples` from the initial
+    state, all in lockstep.
 
     Before each step the states that live paths reach for the first time
     are expanded, and the monitor (and rewards) extended over them.  Then
     the monitor decides which live paths end and their values; paths still
-    undecided at step `pathlen` end censored.  Every other path draws one
-    uniform u from its own generator and moves to the first entry of its
+    undecided at step `pathlen` end censored.  Every other path takes its
+    sample's uniform u of the step (`philox_uniforms`, drawn for the live
+    paths once per block of steps) and moves to the first entry of its
     state's row whose cumulative weight exceeds u.  With `rewards` a path
     gains its state's reward plus its move's per step; `trace` collects the
     live paths' (states, moves, successors) per step.  Returns per path its
@@ -112,14 +161,16 @@ def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
     their count and the width of their states' rows, so the last paths of a
     batch cost about as much per step as one path walked alone."""
     pathlen = _count("pathlen", pathlen)
-    n = len(rngs)
+    if not 0 <= seed < SEED_LIMIT:
+        raise SmcError(f"the seed must lie in [0, 2**64), got {seed}")
+    n = len(samples)
     value = np.zeros(n)
     capped = np.zeros(n, dtype=bool)
     length = np.zeros(n, dtype=np.int64)
     gain = np.zeros(n)
-    draws = np.empty((n, _CHUNK))
     live = np.arange(n)
     states = np.full(n, mm.initial)
+    draws = np.empty((n, 0))  # the live paths' uniforms of the current block
     # the live paths' (row, u) as complex numbers, to search table.key
     query = np.empty(n, dtype=complex)
     table = mm.sample_table()
@@ -146,14 +197,15 @@ def _walk(mm: MarkovModel, closed: ClosedModel, rngs: list, pathlen: int,
             value[ended] = monitor.value[rows[done]]
             length[ended] = t
             live, states, rows = live[~done], states[~done], rows[~done]
+            draws = draws[~done]
             query = query[:live.size]
             if not live.size:
                 break
-        j = t % _CHUNK
+        j = t % _BLOCK
         if j == 0:
-            draws[live] = [rngs[i].random(_CHUNK) for i in live.tolist()]
+            draws = philox_uniforms(seed, samples[live], t, _BLOCK)
         query.real = rows
-        query.imag = draws[:, j][live]
+        query.imag = draws[:, j]
         # the keys <= (row, u) end at the row's first branch whose
         # cumulative weight exceeds u; its last one is 1.0 > u
         pos = table.key.searchsorted(query, "right")
@@ -228,8 +280,8 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     _require_dtmc(mm)
     monitor = compile_monitor(closed, path)
     steps = []
-    value, capped, _, _ = _walk(mm, closed, [_rng_for(seed, 0)], pathlen, monitor,
-                                trace=steps)
+    value, capped, _, _ = _walk(mm, closed, seed, np.zeros(1, dtype=np.int64), pathlen,
+                                monitor, trace=steps)
     entries = [(int(s[0]), mm.move_action[move[0]], int(nxt[0])) for s, move, nxt in steps]
     if capped[0]:
         return SimPath(entries, "pathlen-cap"), monitor.censor_value
@@ -263,9 +315,8 @@ class _SampleStream:
         lo = 0
         while lo < limit:
             hi = min(lo + size, limit)
-            rngs = [_rng_for(self.seed, i) for i in range(lo, hi)]
-            value, capped, length, _ = _walk(self.mm, self.closed, rngs, self.pathlen,
-                                             self.monitor)
+            value, capped, length, _ = _walk(self.mm, self.closed, self.seed,
+                                             np.arange(lo, hi), self.pathlen, self.monitor)
             value[capped] = self.monitor.censor_value
             self._earlier.add(*self._last)
             self._last = (capped, length)
@@ -507,8 +558,8 @@ def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
     gains = []
     used = _PathTotals()
     for lo in range(0, n, _MAX_BATCH):
-        rngs = [_rng_for(seed, i) for i in range(lo, min(lo + _MAX_BATCH, n))]
-        diverged, capped, length, gain = _walk(mm, closed, rngs, pathlen, monitor,
+        samples = np.arange(lo, min(lo + _MAX_BATCH, n))
+        diverged, capped, length, gain = _walk(mm, closed, seed, samples, pathlen, monitor,
                                                rewards=rewards)
         gains.append(gain)
         used.add(capped | (diverged > 0), length)

@@ -637,9 +637,38 @@ def _exists_response_path(succ, s, p, q) -> bool:
 # --- reference sampler --------------------------------------------------------------
 
 
-def reference_rng(seed: int, i: int) -> np.random.Generator:
-    """The documented generator of sample i of a run with this seed."""
-    return np.random.Generator(np.random.PCG64((seed & 0xFFFFFFFF) * 2654435761 + i))
+def philox4x32(counter, key, rounds: int = 10) -> tuple:
+    """Philox4x32 (Salmon et al., SC 2011) of four 32-bit counter words
+    under two 32-bit key words, in Python ints."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(rounds):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ c3 ^ k1, \
+            p0 & 0xFFFFFFFF
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
+class reference_rng:
+    """The documented uniforms of sample i of a run with this seed, one per
+    step: step t reads the Philox4x32-10 words (a, b, c, d) of the counter
+    (t // 2 low, t // 2 high, i low, i high) under the key (seed low, seed
+    high), an even step a and b, an odd one c and d, as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53."""
+
+    def __init__(self, seed: int, i: int):
+        self.key = (seed & 0xFFFFFFFF, seed >> 32)
+        self.i = i
+        self.t = 0
+
+    def random(self) -> float:
+        pair, odd = divmod(self.t, 2)
+        words = philox4x32((pair & 0xFFFFFFFF, pair >> 32, self.i & 0xFFFFFFFF, self.i >> 32),
+                           self.key)
+        a, b = words[2 * odd:2 * odd + 2]
+        self.t += 1
+        return ((a >> 5) * 2 ** 26 + (b >> 6)) / 2 ** 53
 
 
 def reference_path(mm: MarkovModel, rng, pathlen: int, stop):

@@ -8,7 +8,7 @@ import pytest
 
 from rcprob.cli import RunPlan, config_id_of, main, run, sweep_experiments
 from rcprob.model import parse_model
-from rcprob.parsing import MAX_HEIGHT, MAX_NESTING
+from rcprob.parsing import MAX_EXPANDED_HEIGHT, MAX_HEIGHT, MAX_NESTING
 from rcprob.props import parse_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -265,8 +265,8 @@ def test_an_expression_nested_to_the_bound_runs_under_every_engine(where, shape,
 def test_an_expression_nested_past_the_bound_is_a_syntax_error(where, shape, tmp_path, capsys):
     # 75 brackets or 600 nots, and a chain of 800 operators, ended in a
     # RecursionError traceback in the parser or in an engine; the error
-    # names the opener of the first level past the bound, or the first token
-    # of an expression too high
+    # names the file, and in it the opener of the first level past the
+    # bound, or the first token of an expression too high
     model, spec, text, at = _nested_pair(tmp_path, where, shape, BOUNDS[shape] + 1)
     at += {"brackets": MAX_NESTING, "not": 4 * MAX_NESTING, "chain": 0}[shape]
     message = (f"expression more than {MAX_HEIGHT} operators deep" if shape == "chain"
@@ -276,9 +276,70 @@ def test_an_expression_nested_past_the_bound_is_a_syntax_error(where, shape, tmp
         code = main(["check", model, spec, *flags, "--out", str(tmp_path / engine)])
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err, err
-        assert json.loads(err) == {
-            "code": "SYNTAX", "severity": "error", "file": None, "line": line, "col": col,
-            "message": message}
+        want = {"code": "SYNTAX", "severity": "error", "line": line, "col": col,
+                "message": message, "file": model if where == "rcm" else spec}
+        assert json.loads(err) == want
+        assert json.loads((tmp_path / engine / "diagnostics.jsonl").read_text()) == want
+
+
+def _with_decls(tmp_path, decls, body):
+    """The small SRW setup with the declarations and one property."""
+    spec = tmp_path / "decls.rcp"
+    spec.write_text(_srw_prop(body).replace("prob property", "\n".join(decls + ["prob property"])))
+    return str(spec)
+
+
+def _trues(n):
+    return " /\\ ".join(["true"] * n)
+
+
+@pytest.mark.parametrize("count", [5, 40])
+def test_label_chains_are_bounded_with_references_expanded(count, tmp_path, capsys):
+    # each label is within the parser's bounds, but 40 of them composed into
+    # a tree that ended in a RecursionError traceback under internal and smc
+    labels = [f"label d_0 = {_trues(41)}"] + [f"label d_{i} = #d_{i - 1} /\\ {_trues(40)}"
+                                              for i in range(1, count)]
+    spec = _with_decls(tmp_path, labels, f"Prob=? of [Finally #d_{count - 1}]")
+    for engine, flags in ENGINE_FLAGS.items():
+        code = main(["check", SRW_RCM, spec, *flags, "--out", str(tmp_path / engine)])
+        err = capsys.readouterr().err
+        if count == 5:
+            assert code == 0, err
+            continue
+        # d_i is 40 + 41 i levels high, so d_7 is the first past the bound
+        assert code == 2 and "Traceback" not in err, err
+        assert [json.loads(line)["message"] for line in err.splitlines()] == [
+            f"label d_7 is more than {MAX_EXPANDED_HEIGHT} levels high with the labels and "
+            "formulas it references expanded"]
+
+
+@pytest.mark.parametrize("kind", ["label", "formula"])
+def test_a_chain_of_references_to_the_bound_runs_under_every_engine(kind, tmp_path, capsys):
+    # a reference counts one level: the property's Prob, Finally and
+    # reference levels and the chain's reach the bound, and one more is past it
+    sigil = "#" if kind == "label" else "`"
+    for depth, want in ((MAX_EXPANDED_HEIGHT - 3, 0), (MAX_EXPANDED_HEIGHT - 2, 2)):
+        decls = [f"{kind} d_0 = true"] + [f"{kind} d_{i} = {sigil}d_{i - 1}"
+                                          for i in range(1, depth + 1)]
+        spec = _with_decls(tmp_path, decls, f"Prob=? of [Finally {sigil}d_{depth}]")
+        for engine, flags in ENGINE_FLAGS.items():
+            code = main(["check", SRW_RCM, spec, *flags, "--out", str(tmp_path / engine)])
+            err = capsys.readouterr().err
+            assert code == want and "Traceback" not in err, err
+        if want:
+            assert json.loads(err)["message"].startswith("property P_bad is more than")
+
+
+def test_a_cycle_of_label_references_exits_2(tmp_path, capsys):
+    # it ended in a RecursionError traceback
+    spec = _with_decls(tmp_path, ["label a = #b", "label b = not #a"],
+                       "Prob=? of [Finally #a]")
+    for engine, flags in ENGINE_FLAGS.items():
+        code = main(["check", SRW_RCM, spec, *flags, "--out", str(tmp_path / engine)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err, err
+        assert [json.loads(line)["message"] for line in err.splitlines()] == [
+            "cyclic label reference #a"]
 
 
 def test_smc_requires_dtmc():
@@ -446,6 +507,32 @@ def test_tol_outside_the_unit_interval_exits_2(tol, tmp_path, capsys):
     errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
     assert code == 2 and len(errors) == 1 and "--tol" in errors[0], errors
     assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("seed", [str(-2 ** 32), "-1", str(2 ** 64)])
+def test_seed_outside_64_bits_exits_2(seed, tmp_path, capsys):
+    # -2**32 simulated the samples of seed 0
+    code = main(["check", SRW_RCM, SRW_RCP, "--kind", "dtmc", "--engine", "smc",
+                 "--seed", seed, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err == [f"error: --seed must lie in [0, 2**64), got {seed}"]
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_seeds_that_differ_above_bit_32_give_different_estimates(tmp_path):
+    # the seed was masked to its low 32 bits, so 0 and 2**32 gave one estimate
+    spec = tmp_path / "one.rcp"
+    spec.write_text(Path(SRW_RCP).read_text().replace("from set {20 to 100 by step 10}",
+                                                       "set to 20"))
+    values = []
+    for seed in (0, 2 ** 32, 1):
+        out = tmp_path / str(seed)
+        assert main(["check", SRW_RCM, str(spec), "--kind", "dtmc", "--engine", "smc",
+                     "--prop", "R_stuck_not_origin", "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        values.append(json.loads((out / "report.jsonl").read_text())["value"])
+    assert len(set(values)) == 3, values
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

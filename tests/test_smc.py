@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from rcprob import ast as A
@@ -15,7 +16,8 @@ from rcprob.build import BuildError, MarkovModel, WeightTable, attach_rewards, o
 from rcprob.exact import check_property, expected_reward
 from rcprob.props import parse_expression
 from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
-                        run_aci, run_apmc, run_ci, run_reward_ci, run_sprt, simulate)
+                        philox_uniforms, run_aci, run_apmc, run_ci, run_reward_ci, run_sprt,
+                        simulate)
 
 import oracles
 from conftest import make_srw
@@ -227,6 +229,13 @@ def test_partitioned_reproducibility():
     assert a.point == b.point and a.half_width == b.half_width
     c = run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=200, seed=8)
     assert c.point != a.point or c.half_width != a.half_width
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_is_refused(seed):
+    mm, ctx = chain30()
+    with pytest.raises(SmcError, match="seed must lie in"):
+        run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=10, seed=seed)
 
 
 def test_reward_simulation_geometric():
@@ -459,14 +468,30 @@ def test_multi_move_frequencies_match_mixture():
     assert {tag for _, tag, _ in entries} == {"a", "b", "c"}
 
 
-def test_block_draws_equal_scalar_draws():
-    # every path draws its uniforms in blocks; the reproducibility of each
-    # (seed, i) sample rests on blocks continuing the scalar stream
-    for a, b in [(1, 1), (64, 64), (3, 61), (64, 7)]:
-        blocks = oracles.reference_rng(5, 9)
-        got = np.concatenate([blocks.random(a), blocks.random(b)])
-        scalar = oracles.reference_rng(5, 9)
-        assert got.tolist() == [scalar.random() for _ in range(a + b)]
+@pytest.mark.parametrize("counter, key, words", [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+])
+def test_philox_oracle_gives_the_known_answers(counter, key, words):
+    # the known-answer vectors that Random123 ships for Philox4x32-10
+    assert oracles.philox4x32(counter, key) == words
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1),
+       samples=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=4),
+       t0=st.one_of(st.integers(0, 40), st.integers(0, 2 ** 34)),
+       steps=st.integers(1, 20))
+def test_block_uniforms_equal_the_oracle(seed, samples, t0, steps):
+    # a path's uniforms of a block of steps, drawn for every live path at
+    # once, are the scalar stream of its (seed, sample) from the block's start
+    got = philox_uniforms(seed, np.array(samples, dtype=np.int64), t0, steps)
+    for i, row in zip(samples, got.tolist()):
+        scalar = oracles.reference_rng(seed, i)
+        scalar.t = t0
+        assert row == [scalar.random() for _ in range(steps)]
 
 
 def test_sequential_stream_keeps_only_its_last_batch(srw_small):
