@@ -692,6 +692,10 @@ class ClosedModel:
         self.index: dict[str, int] = {}
 
         def add(info: VarInfo):
+            try:
+                _check_domain(info, info.init)
+            except EvalError as exc:
+                raise BuildError(f"bad initial value: {exc}") from exc
             self.index[info.name] = len(self.vars)
             self.vars.append(info)
 
@@ -726,9 +730,7 @@ class ClosedModel:
                         default = lo
                     init = self._const_value(v.init, f"init of @{v.name}") \
                         if v.init is not None else default
-                    info = VarInfo(f"env.{mod.name}.{v.name}", "env", domain, init)
-                    _check_domain(info, init)
-                    add(info)
+                    add(VarInfo(f"env.{mod.name}.{v.name}", "env", domain, init))
         for closure in self.closures.closures:
             if closure.latch is not None:
                 domain = _domain_of_typeref(closure.payload, model)
@@ -763,7 +765,7 @@ class ClosedModel:
             v = e.value
             return lambda s: v
         if isinstance(e, A.Ref):
-            return self._compile_ref(e, scope, params, fstack)
+            return self._compile_ref(e, scope)
         if isinstance(e, A.Unary):
             inner = compile_(e.operand)
             if e.op == "not":
@@ -812,10 +814,8 @@ class ClosedModel:
             return _state_read(self.index[self.event_latch(e)])
         raise BuildError(f"cannot evaluate {type(e).__name__} in a state expression")
 
-    def _compile_ref(self, e: A.Ref, scope, params, fstack):
-        kind, name = self.name_of(e, scope, params)
-        if kind == "param":
-            return params[name]
+    def _compile_ref(self, e: A.Ref, scope: ModelScope | None):
+        kind, name = self.name_of(e, scope)
         if kind == "var":
             return _state_read(self.index[name])
         if kind == "const":
@@ -824,28 +824,23 @@ class ClosedModel:
             name = self.consts[name]
         return lambda s: name
 
-    def name_of(self, e: A.Ref, scope: ModelScope | None, params) -> tuple[str, str]:
-        """What a name stands for, as ("param", name), ("enum", literal),
-        ("const", name) or ("var", flat variable).  With a machine `scope`,
-        bare names resolve lexically (model expressions); without it, names
-        resolve as qualified references (property expressions)."""
+    def name_of(self, e: A.Ref, scope: ModelScope | None) -> tuple[str, str]:
+        """What a name stands for, as ("enum", literal), ("const", name) or
+        ("var", flat variable).  With a machine `scope`, names resolve
+        lexically (model expressions); without it, a bare name is a
+        constant and others resolve as qualified references (property
+        expressions)."""
         segs = e.name.segments
-        if len(segs) == 2 and self.model.enum(segs[0]) is not None:
-            return "enum", str(e.name)
         if scope is not None:
-            name = segs[0]
-            if len(segs) == 1 and params is not None and name in params:
-                return "param", name
-            if len(segs) == 1 and name in scope.consts:
-                return "const", name
-            if len(segs) == 1 and name in scope.vars:
-                return "var", scope.vars[name][0]
-            raise BuildError(f"unknown name {e.name} in machine {scope.mach.name}")
-        if len(segs) == 1 and segs[0] in self.consts:
+            ref = scope.lookup(e.name)
+            if ref is None:
+                raise BuildError(f"unknown name {e.name} in {scope.where}")
+        elif len(segs) == 1 and segs[0] in self.consts:
             return "const", segs[0]
-        ref, diags = self.resolver.resolve_fqn(e.name)
-        if ref is None or any(d.severity == "error" for d in diags):
-            raise BuildError(f"cannot resolve {e.name}: " + "; ".join(str(d) for d in diags))
+        else:
+            ref, diags = self.resolver.resolve_fqn(e.name)
+            if ref is None or any(d.severity == "error" for d in diags):
+                raise BuildError(f"cannot resolve {e.name}: " + "; ".join(str(d) for d in diags))
         if ref.kind in ("variable", "constant", "enumLiteral"):
             return {"variable": ("var", ref.flat), "constant": ("const", ref.path[-1]),
                     "enumLiteral": ("enum", "::".join(ref.path))}[ref.kind]
@@ -965,7 +960,7 @@ class ClosedModel:
         variable that either branch assigns, a variable it leaves standing
         for itself."""
         if isinstance(a, M.Assign):
-            flat, _ = rt.scope.vars[a.target]
+            flat = rt.scope.vars[a.target].flat
             return [(self.index[flat], self.term(A.Ref(A.QName((a.target,))), rt.scope),
                      self.term(a.expr, rt.scope))]
         if isinstance(a, M.OpCall):
@@ -1026,7 +1021,7 @@ class ClosedModel:
                     "use an explicit '!' or '?' form")
         return CommSpec(closure, direction,
                          self.term(comm.value, rt.scope) if comm.value is not None else None,
-                         self.index[rt.scope.vars[comm.var][0]] if comm.var is not None else None)
+                         self.index[rt.scope.vars[comm.var].flat] if comm.var is not None else None)
 
     # --- linking the step tables ------------------------------------------------
 

@@ -113,22 +113,19 @@ def run(plan: RunPlan) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
+    paths = {"model": plan.model_path, "spec": plan.spec_path}
     parsed = []
-    for parse, path, text in zip((parse_model, parse_spec),
-                                 (plan.model_path, plan.spec_path), texts):
+    for parse, source, text in zip((parse_model, parse_spec), paths, texts):
         try:
             parsed.append(parse(text))
         except ParseError as exc:
-            diag = Diagnostic("SYNTAX", "error", exc.message, (exc.line, exc.col))
-            _write_diagnostics(out_dir, [diag], path)
-            print(diag.to_json(path), file=sys.stderr)
+            _report_diagnostics(out_dir, [Diagnostic("SYNTAX", "error", exc.message,
+                                                     (exc.line, exc.col), source)], paths)
             return 2
     model, spec = parsed
 
     diags = validate(model, spec)
-    _write_diagnostics(out_dir, diags, plan.spec_path)
-    for d in diags:
-        print(d.to_json(), file=sys.stderr)
+    _report_diagnostics(out_dir, diags, paths)
     if any(d.severity == "error" for d in diags):
         return 2
 
@@ -324,9 +321,13 @@ def _run_emit(plan: RunPlan, model, spec, jobs, out_dir: Path) -> int:
     return 0
 
 
-def _write_diagnostics(out_dir: Path, diags, file: str):
-    lines = [d.to_json(file) for d in diags]
+def _report_diagnostics(out_dir: Path, diags, paths: dict):
+    """Write the diagnostics to diagnostics.jsonl and standard error, each
+    naming the path of its source file."""
+    lines = [d.to_json(paths[d.source]) for d in diags]
     (out_dir / "diagnostics.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+    for line in lines:
+        print(line, file=sys.stderr)
 
 
 def _write_reports(out_dir: Path, records: list[dict]):

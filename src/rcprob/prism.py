@@ -409,10 +409,7 @@ def _emit_expr2(em: _ModelEmitter, e: A.Expr, scope, params=None, real: bool = F
             return _text(e.value), 9, False
         return str(e.value), 11, _is_int(e.value)
     if isinstance(e, A.Ref):
-        kind, name = em.c.name_of(e, scope, params)
-        if kind == "param":
-            text, integer = params[name]
-            return text, 11, integer
+        kind, name = em.c.name_of(e, scope)
         if kind == "var":
             return em.var_id(name), 11, em.is_int(name)
         return em.mangler.mangle(name), 11, kind == "const" and _is_int(em.c.consts.get(name))

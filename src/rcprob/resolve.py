@@ -1,9 +1,12 @@
 """Name resolution against the model and well-formedness validation.
 
 Qualified names in properties are resolved by walking containment from the
-module root (WFREF-1/2).  `validate` runs every well-formedness condition
-over a parsed model/property pair and returns an ordered, deterministic
-diagnostic sequence; it never raises.
+module root (WFREF-1/2).  One classifier types the expressions of both
+files: those of a platform or machine with their names resolved lexically
+(`ModelScope.lookup`), those of the property file as qualified references.
+`validate` runs every well-formedness condition over a parsed
+model/property pair and returns an ordered, deterministic diagnostic
+sequence; it never raises.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ class Diagnostic:
     severity: str  # "error" | "warning"
     message: str
     pos: tuple[int, int] = (0, 0)
+    source: str = "spec"  # the file it is about: "model" | "spec"
 
     def to_json(self, file: str | None = None) -> str:
         rec = {
@@ -352,6 +356,7 @@ class ClassifyCtx:
     definitions: P.DefinitionsDecl | None = None
     in_formula: bool = False
     _formula_stack: tuple = ()
+    scope: ModelScope | None = None  # set for the expressions of a platform or machine
 
 
 class _Classifier:
@@ -361,7 +366,27 @@ class _Classifier:
         self.resolver = ctx.resolver
 
     def err(self, code, msg, pos):
+        if self.ctx.scope is not None and code.startswith("WFExp"):
+            code = "TYPE"  # the WFExp conditions are the property language's
         self.diags.append(Diagnostic(code, "error", msg, pos))
+
+    def expect(self, e: Expr, want: TypeClass, what: str, pos):
+        """Classify `e`, reporting a type other than `want` at `pos`."""
+        t = self.classify(e)
+        if not _same(t, want):
+            self.err("TYPE", f"{what} must be {want}, got {t}", pos)
+
+    def _lookup(self, e: A.Ref) -> tuple[ResolvedRef | None, list[Diagnostic]]:
+        """What a name stands for, with the diagnostics of its resolution:
+        lexically in a platform or machine, else as a qualified reference."""
+        scope = self.ctx.scope
+        if scope is None:
+            return self.resolver.resolve_fqn(e.name)
+        ref = scope.lookup(e.name)
+        if ref is not None:
+            return ref, []
+        return None, [Diagnostic("SCOPE", "error", f"unknown name {e.name} in {scope.where}",
+                                 e.pos)]
 
     def classify(self, e: Expr) -> TypeClass:
         ctx = self.ctx
@@ -370,7 +395,7 @@ class _Classifier:
                 return BOOL
             return NUM
         if isinstance(e, A.Ref):
-            ref, diags = self.resolver.resolve_fqn(e.name)
+            ref, diags = self._lookup(e)
             self.diags.extend(diags)
             if ref is None:
                 return ANY
@@ -438,9 +463,7 @@ class _Classifier:
                 self.err("SCOPE", f"cyclic formula reference `{e.name}", e.pos)
                 return ANY
             inner = _Classifier(
-                ClassifyCtx(self.resolver, self.ctx.params, self.ctx.modules,
-                            self.ctx.definitions, self.ctx.in_formula,
-                            self.ctx._formula_stack + (decl,)),
+                dataclasses.replace(self.ctx, _formula_stack=self.ctx._formula_stack + (decl,)),
                 self.diags,
             )
             return inner.classify(decl.body)
@@ -575,32 +598,47 @@ class _Classifier:
         return BOOL if v.type == "bool" else NUM
 
     def _call(self, e: A.FunCall) -> TypeClass:
-        fdef = None
-        if self.ctx.definitions is not None:
-            for f in self.ctx.definitions.functions:
-                if f.name == e.name:
-                    fdef = f
-        if fdef is None:
-            for decl in self.resolver.spec.of_kind(P.DefinitionsDecl):
-                for f in decl.functions:
+        """A call of a machine function, or in a property of a definitions
+        function; a machine function's arguments must have its parameters'
+        types."""
+        scope, fdef, model_fn = self.ctx.scope, None, None
+        if scope is not None:
+            model_fn = scope.functions.get(e.name)
+        else:
+            if self.ctx.definitions is not None:
+                for f in self.ctx.definitions.functions:
                     if f.name == e.name:
                         fdef = f
-        model_fn = None
-        for _, mach in self.resolver.model.machines():
-            for f in mach.functions:
-                if f.name == e.name:
-                    model_fn = f
+            if fdef is None:
+                for decl in self.resolver.spec.of_kind(P.DefinitionsDecl):
+                    for f in decl.functions:
+                        if f.name == e.name:
+                            fdef = f
+            for _, mach in self.resolver.model.machines():
+                for f in mach.functions:
+                    if f.name == e.name:
+                        model_fn = f
+        name = e.name if scope is not None else f"&{e.name}"
         if fdef is None and model_fn is None:
-            self.err("SCOPE", f"unknown function &{e.name}", e.pos)
+            self.err("SCOPE", f"unknown function {name}", e.pos)
             return ANY
-        if fdef is not None and len(e.args) != len(fdef.params):
-            self.err("TYPE", f"&{e.name} expects {len(fdef.params)} arguments, got {len(e.args)}",
-                     e.pos)
-        for a in e.args:
-            self.classify(a)
+        params = fdef.params if fdef is not None else model_fn.params
+        if len(e.args) != len(params):
+            self.err("TYPE", f"{name} expects {len(params)} arguments, got {len(e.args)}", e.pos)
+        self.arguments(name, e.args, model_fn.params if model_fn is not None else ())
         if model_fn is not None:
             return type_of_typeref(model_fn.result, self.resolver.model)
         return ANY
+
+    def arguments(self, name: str, args, params):
+        """Classify the arguments of a call, each against the type of its
+        parameter in `params`, (name, TypeRef) pairs."""
+        for i, a in enumerate(args):
+            if i < len(params):
+                tc = type_of_typeref(params[i][1], self.resolver.model)
+                self.expect(a, tc, f"argument {params[i][0]} of {name}", a.pos)
+            else:
+                self.classify(a)
 
     def _bound(self, b: A.Bound | None, pos, what="a step bound"):
         if b is None:
@@ -616,7 +654,7 @@ class _Classifier:
         or through a label or formula."""
         for node in _walk_uses(self.resolver, e):
             if isinstance(node, A.Ref):
-                ref = self.resolver.resolve_fqn(node.name)[0]
+                ref = self._lookup(node)[0]
                 reads = ref is not None and ref.kind == "variable"
             else:
                 reads = isinstance(node, (A.IsIn, A.ModVarRef, A.EventVal, A.DeadlockRef,
@@ -662,129 +700,52 @@ def classify(model: M.ModelAst, spec: P.SpecAst, expr: Expr,
     return tc
 
 
-# --- model-scope expression checking ---------------------------------------------
+# --- model scopes -------------------------------------------------------------------
 
 
 class ModelScope:
-    """Lexical scope for expressions written inside one machine."""
+    """Lexical scope of the expressions written in machine `mach` of `ctrl`,
+    with the platform `ctrl` requires, or with neither in `platform` alone."""
 
-    def __init__(self, model: M.ModelAst, ctrl: M.Controller, mach: M.Machine):
+    def __init__(self, model: M.ModelAst, ctrl: M.Controller | None = None,
+                 mach: M.Machine | None = None, platform: M.Platform | None = None):
+        if ctrl is not None:
+            platform = model.platform(ctrl.requires) if ctrl.requires else None
         self.model = model
-        self.ctrl = ctrl
-        self.mach = mach
-        self.vars: dict[str, tuple[str, M.VarDecl]] = {}
-        self.consts: dict[str, M.ConstDecl] = {}
-        self.functions = {f.name: f for f in mach.functions}
+        self.where = f"machine {mach.name}" if mach is not None else f"platform {platform.name}"
+        self.vars: dict[str, ResolvedRef] = {}
+        self.consts: dict[str, ResolvedRef] = {}
         self.operations: dict[str, M.OperationDecl] = {}
-        platform = model.platform(ctrl.requires) if ctrl.requires else None
+        self.functions: dict[str, M.FunctionDecl] = {}
+        self.events: dict[str, M.EventDecl] = {}
         if platform is not None:
-            for v in platform.variables:
-                self.vars[v.name] = (f"{platform.name}.{v.name}", v)
+            self._add_vars(platform.variables, platform.name)
             for c in platform.constants:
-                self.consts[c.name] = c
-            for o in platform.operations:
-                self.operations[o.name] = o
-        for v in mach.variables:
-            self.vars[v.name] = (f"{ctrl.name}.{mach.name}.{v.name}", v)
-        self.events = {e.name: e for e in mach.events}
+                self.consts[c.name] = ResolvedRef("constant", (c.name,), c,
+                                                  type_of_typeref(c.type, model))
+            self.operations = {o.name: o for o in platform.operations}
+        if mach is not None:
+            self._add_vars(mach.variables, f"{ctrl.name}.{mach.name}")
+            self.functions = {f.name: f for f in mach.functions}
+            self.events = {e.name: e for e in mach.events}
 
+    def _add_vars(self, variables, owner: str):
+        for v in variables:
+            self.vars[v.name] = ResolvedRef("variable", (v.name,), v,
+                                            type_of_typeref(v.type, self.model),
+                                            flat=f"{owner}.{v.name}")
 
-def _check_model_expr(scope: ModelScope, e: Expr, diags: list[Diagnostic],
-                      const_only: bool = False) -> TypeClass:
-    model = scope.model
-
-    def go(e) -> TypeClass:
-        if isinstance(e, A.Lit):
-            return BOOL if isinstance(e.value, bool) else NUM
-        if isinstance(e, A.Ref):
-            segs = e.name.segments
-            if len(segs) == 2 and model.enum(segs[0]) is not None:
-                enum = model.enum(segs[0])
-                if segs[1] in enum.literals:
-                    return enum_of(enum.name)
-                diags.append(Diagnostic("SCOPE", "error",
-                                        f"enum {segs[0]} has no literal {segs[1]}", e.pos))
-                return ANY
-            if len(segs) != 1:
-                diags.append(Diagnostic("SCOPE", "error",
-                                        f"unknown name {e.name} in machine {scope.mach.name}",
-                                        e.pos))
-                return ANY
-            name = segs[0]
-            if name in scope.consts:
-                return type_of_typeref(scope.consts[name].type, model)
-            if name in scope.vars:
-                if const_only:
-                    diags.append(Diagnostic(
-                        "TYPE", "error",
-                        f"{name!r}: junction probabilities may only reference constants",
-                        e.pos))
-                return type_of_typeref(scope.vars[name][1].type, model)
-            diags.append(Diagnostic("SCOPE", "error",
-                                    f"unknown name {name!r} in machine {scope.mach.name}",
-                                    e.pos))
-            return ANY
-        if isinstance(e, A.Unary):
-            t = go(e.operand)
-            if e.op == "not":
-                if not _is_bool(t):
-                    diags.append(Diagnostic("TYPE", "error",
-                                            "operand of 'not' must be boolean", e.pos))
-                return BOOL
-            if not _is_num(t):
-                diags.append(Diagnostic("TYPE", "error",
-                                        "operand of unary '-' must be numeric", e.pos))
-            return NUM
-        if isinstance(e, A.Binary):
-            t1, t2 = go(e.left), go(e.right)
-            if e.op in ("/\\", "\\/"):
-                for t in (t1, t2):
-                    if not _is_bool(t):
-                        diags.append(Diagnostic("TYPE", "error",
-                                                f"operands of {e.op!r} must be boolean", e.pos))
-                return BOOL
-            if e.op in ("==", "!="):
-                if not _same(t1, t2):
-                    diags.append(Diagnostic("TYPE", "error",
-                                            f"equality compares {t1} with {t2}", e.pos))
-                return BOOL
-            if e.op in ("<", "<=", ">", ">="):
-                for t in (t1, t2):
-                    if not _is_num(t):
-                        diags.append(Diagnostic("TYPE", "error",
-                                                "comparison operands must be numeric", e.pos))
-                return BOOL
-            for t in (t1, t2):
-                if not _is_num(t):
-                    diags.append(Diagnostic("TYPE", "error",
-                                            "arithmetic operands must be numeric", e.pos))
-            return NUM
-        if isinstance(e, A.Cond):
-            if not _is_bool(go(e.cond)):
-                diags.append(Diagnostic("TYPE", "error",
-                                        "conditional guard must be boolean", e.pos))
-            t1, t2 = go(e.then), go(e.orelse)
-            if not _same(t1, t2):
-                diags.append(Diagnostic("TYPE", "error",
-                                        f"conditional branches differ: {t1} vs {t2}", e.pos))
-            return t1 if t1.kind != "any" else t2
-        if isinstance(e, A.FunCall):
-            f = scope.functions.get(e.name)
-            if f is None:
-                diags.append(Diagnostic("SCOPE", "error",
-                                        f"unknown function {e.name!r}", e.pos))
-                return ANY
-            if len(e.args) != len(f.params):
-                diags.append(Diagnostic("TYPE", "error",
-                                        f"{e.name} expects {len(f.params)} arguments", e.pos))
-            for a in e.args:
-                go(a)
-            return type_of_typeref(f.result, model)
-        diags.append(Diagnostic("TYPE", "error",
-                                f"{type(e).__name__} is not a model expression", e.pos))
-        return ANY
-
-    return go(e)
+    def lookup(self, name: QName) -> ResolvedRef | None:
+        """What a name stands for here: an enumeration literal `E::L`, or a
+        constant or else a variable named by one segment; None for any other
+        name."""
+        segs = name.segments
+        if len(segs) == 1:
+            return self.consts.get(segs[0]) or self.vars.get(segs[0])
+        enum = self.model.enum(segs[0]) if len(segs) == 2 else None
+        if enum is not None and segs[1] in enum.literals:
+            return ResolvedRef("enumLiteral", segs, enum, enum_of(enum.name))
+        return None
 
 
 # --- full validation --------------------------------------------------------------
@@ -794,7 +755,9 @@ def validate(model: M.ModelAst, spec: P.SpecAst) -> list[Diagnostic]:
     """Run every well-formedness check; returns a deterministic diagnostic list."""
     diags: list[Diagnostic] = []
     resolver = Resolver(model, spec)
-    _validate_model(model, diags)
+    _validate_model(resolver, diags)
+    for d in diags:
+        d.source = "model"
     for st in spec.statements:
         if isinstance(st, P.ConstantDecl):
             _check_type_name(st.type, model, diags)
@@ -832,7 +795,8 @@ def _classify_in(resolver, expr, diags, params=frozenset(), modules=None, defini
     return _Classifier(ctx, diags).classify(expr)
 
 
-def _validate_model(model: M.ModelAst, diags: list[Diagnostic]):
+def _validate_model(resolver: Resolver, diags: list[Diagnostic]):
+    model = resolver.model
     for e in model.enums:
         if len(set(e.literals)) != len(e.literals):
             diags.append(Diagnostic("TYPE", "error",
@@ -846,12 +810,8 @@ def _validate_model(model: M.ModelAst, diags: list[Diagnostic]):
     for p in model.platforms:
         for c in p.constants:
             _check_type_name(c.type, model, diags)
-        for v in p.variables:
-            _check_type_name(v.type, model, diags)
-            if v.type.name == "real":
-                diags.append(Diagnostic("TYPE", "error",
-                                        "real is restricted to constants and probabilities",
-                                        v.pos))
+        scope = ModelScope(model, platform=p)
+        _validate_vars(_Classifier(ClassifyCtx(resolver, scope=scope), diags), p.variables)
         for ev in p.events:
             if ev.payload is not None:
                 _check_type_name(ev.payload, model, diags)
@@ -866,137 +826,92 @@ def _validate_model(model: M.ModelAst, diags: list[Diagnostic]):
                     "asynchronous connections are not supported; model buffering with an "
                     "environment module instead", conn.pos))
         for mach in ctrl.machines:
-            _validate_machine(model, ctrl, mach, diags)
+            scope = ModelScope(model, ctrl, mach)
+            _validate_machine(_Classifier(ClassifyCtx(resolver, scope=scope), diags), mach)
 
 
-def _validate_machine(model, ctrl, mach, diags):
-    scope = ModelScope(model, ctrl, mach)
-    for v in mach.variables:
-        _check_type_name(v.type, model, diags)
+def _validate_vars(cls: _Classifier, variables: list[M.VarDecl]):
+    """Each variable has a known type, not real, and an initial value of it."""
+    for v in variables:
+        _check_type_name(v.type, cls.resolver.model, cls.diags)
         if v.type.name == "real":
-            diags.append(Diagnostic("TYPE", "error",
-                                    "real is restricted to constants and probabilities", v.pos))
-        _check_model_expr(scope, v.init, diags)
-    junctions = set(mach.junctions)
+            cls.err("TYPE", "real is restricted to constants and probabilities", v.pos)
+        cls.expect(v.init, type_of_typeref(v.type, cls.resolver.model),
+                   f"initial value of {v.name}", v.init.pos)
+
+
+def _validate_machine(cls: _Classifier, mach: M.Machine):
+    _validate_vars(cls, mach.variables)
     for t in mach.transitions:
         if t.guard is not None:
-            tc = _check_model_expr(scope, t.guard, diags)
-            if not _is_bool(tc):
-                diags.append(Diagnostic("TYPE", "error",
-                                        f"guard of {t.id} must be boolean", t.pos))
+            cls.expect(t.guard, BOOL, f"guard of {t.id}", t.pos)
         if t.prob is not None:
-            _check_model_expr(scope, t.prob, diags, const_only=True)
+            cls.classify(t.prob)
+            cls._stateless(t.prob, "a junction probability")
         if t.trigger is not None:
-            _validate_trigger(scope, t, diags)
+            _validate_comm(cls, t.trigger, f"transition {t.id}", t.pos)
         if t.action is not None:
-            _validate_action(scope, t.action, diags, f"transition {t.id}")
+            _validate_action(cls, t.action, f"transition {t.id}")
     for s in mach.states:
         for kind, action in (("entry", s.entry), ("exit", s.exit)):
             if action is not None:
-                _validate_action(scope, action, diags, f"{kind} of {s.name}")
+                _validate_action(cls, action, f"{kind} of {s.name}")
     # junction branches must cover each junction
     for j in mach.junctions:
         if not any(t.source == j for t in mach.transitions):
-            diags.append(Diagnostic("SCOPE", "error",
-                                    f"probabilistic junction {j} has no outgoing transitions",
-                                    mach.pos))
-    _reachability_warning(mach, diags)
+            cls.err("SCOPE", f"probabilistic junction {j} has no outgoing transitions", mach.pos)
+    _reachability_warning(mach, cls.diags)
 
 
-def _validate_trigger(scope: ModelScope, t: M.Transition, diags):
-    ev = scope.events.get(t.trigger.event)
+def _validate_comm(cls: _Classifier, comm: M.Comm | M.Trigger, where: str, pos):
+    """A communication, as an action or a trigger: a declared event, a
+    payload for a value to carry and a variable to receive it in."""
+    scope = cls.ctx.scope
+    ev = scope.events.get(comm.event)
     if ev is None:
-        diags.append(Diagnostic("SCOPE", "error",
-                                f"transition {t.id}: unknown trigger event {t.trigger.event!r}",
-                                t.pos))
+        cls.err("SCOPE", f"{where}: unknown event {comm.event!r}", pos)
         return
-    if t.trigger.op == "?":
-        if ev.payload is None:
-            diags.append(Diagnostic("TYPE", "error",
-                                    f"transition {t.id}: input trigger on untyped event",
-                                    t.pos))
-        if t.trigger.var not in scope.vars:
-            diags.append(Diagnostic("SCOPE", "error",
-                                    f"transition {t.id}: unknown input variable {t.trigger.var!r}",
-                                    t.pos))
-    elif t.trigger.op == "!":
-        if ev.payload is None:
-            diags.append(Diagnostic("TYPE", "error",
-                                    f"transition {t.id}: output trigger on untyped event",
-                                    t.pos))
-        else:
-            _check_model_expr(scope, t.trigger.value, diags)
+    if comm.op and ev.payload is None:
+        way = "input" if comm.op == "?" else "output"
+        cls.err("TYPE", f"{where}: {way} on untyped event {comm.event!r}", pos)
+    if comm.op == "?" and comm.var not in scope.vars:
+        cls.err("SCOPE", f"{where}: unknown input variable {comm.var!r}", pos)
+    if comm.op == "!" and ev.payload is not None:
+        cls.classify(comm.value)
 
 
-def _validate_action(scope: ModelScope, action: M.Action, diags, where: str):
+def _validate_action(cls: _Classifier, action: M.Action, where: str):
+    scope = cls.ctx.scope
     if isinstance(action, M.Seq):
         for p in action.parts:
-            _validate_action(scope, p, diags, where)
-        return
-    if isinstance(action, M.Skip):
-        return
-    if isinstance(action, M.Assign):
+            _validate_action(cls, p, where)
+    elif isinstance(action, M.Assign):
         if action.target not in scope.vars:
-            diags.append(Diagnostic("SCOPE", "error",
-                                    f"{where}: assignment to unknown variable {action.target!r}",
-                                    action.pos))
-            return
-        vt = type_of_typeref(scope.vars[action.target][1].type, scope.model)
-        et = _check_model_expr(scope, action.expr, diags)
-        if not _same(vt, et):
-            diags.append(Diagnostic("TYPE", "error",
-                                    f"{where}: assigning {et} to {vt} variable "
-                                    f"{action.target!r}", action.pos))
-        return
-    if isinstance(action, M.Comm):
-        ev = scope.events.get(action.event)
-        if ev is None:
-            diags.append(Diagnostic("SCOPE", "error",
-                                    f"{where}: unknown event {action.event!r}", action.pos))
-            return
-        if action.op == "!":
-            if ev.payload is None:
-                diags.append(Diagnostic("TYPE", "error",
-                                        f"{where}: output on untyped event {action.event!r}",
-                                        action.pos))
-            else:
-                _check_model_expr(scope, action.value, diags)
-        elif action.op == "?":
-            if ev.payload is None:
-                diags.append(Diagnostic("TYPE", "error",
-                                        f"{where}: input on untyped event {action.event!r}",
-                                        action.pos))
-            if action.var not in scope.vars:
-                diags.append(Diagnostic("SCOPE", "error",
-                                        f"{where}: unknown input variable {action.var!r}",
-                                        action.pos))
-        return
-    if isinstance(action, M.OpCall):
+            cls.err("SCOPE", f"{where}: assignment to unknown variable {action.target!r}",
+                    action.pos)
+        else:
+            cls.expect(action.expr, scope.vars[action.target].type,
+                       f"{where}: the value assigned to {action.target!r}", action.pos)
+    elif isinstance(action, M.Comm):
+        _validate_comm(cls, action, where, action.pos)
+    elif isinstance(action, M.OpCall):
         op = scope.operations.get(action.name)
         if op is None:
-            diags.append(Diagnostic("SCOPE", "error",
-                                    f"{where}: unknown operation {action.name!r}", action.pos))
+            cls.err("SCOPE", f"{where}: unknown operation {action.name!r}", action.pos)
             return
         if len(action.args) != len(op.params):
-            diags.append(Diagnostic("TYPE", "error",
-                                    f"{where}: {action.name} expects {len(op.params)} arguments",
-                                    action.pos))
-        for a in action.args:
-            _check_model_expr(scope, a, diags)
-        return
-    if isinstance(action, M.IfAction):
-        tc = _check_model_expr(scope, action.cond, diags)
-        if not _is_bool(tc):
-            diags.append(Diagnostic("TYPE", "error",
-                                    f"{where}: conditional guard must be boolean", action.pos))
-        _validate_action(scope, action.then, diags, where)
-        _validate_action(scope, action.orelse, diags, where)
+            cls.err("TYPE", f"{where}: {action.name} expects {len(op.params)} arguments, "
+                    f"got {len(action.args)}", action.pos)
+        cls.arguments(action.name, action.args, op.params)
+    elif isinstance(action, M.IfAction):
+        cls.expect(action.cond, BOOL, f"{where}: a conditional guard", action.pos)
+        _validate_action(cls, action.then, where)
+        _validate_action(cls, action.orelse, where)
         if not M.is_atomic(action):
-            diags.append(Diagnostic("UNSUPPORTED", "error",
-                                    f"{where}: conditional actions with non-atomic branches "
-                                    "are not supported", action.pos))
-        return
-    raise AssertionError(type(action).__name__)
+            cls.err("UNSUPPORTED", f"{where}: conditional actions with non-atomic branches "
+                    "are not supported", action.pos)
+    elif not isinstance(action, M.Skip):
+        raise AssertionError(type(action).__name__)
 
 
 def _reachability_warning(mach: M.Machine, diags):
@@ -1016,11 +931,6 @@ def _reachability_warning(mach: M.Machine, diags):
             diags.append(Diagnostic("SCOPE", "warning",
                                     f"state {s.name} is unreachable in the node graph of "
                                     f"{mach.name}", s.pos))
-
-
-def _const_value_type(resolver, expr, diags) -> TypeClass:
-    cls = _Classifier(ClassifyCtx(resolver), diags)
-    return cls.classify(expr)
 
 
 def literal_value(expr):
@@ -1053,7 +963,7 @@ def _validate_config(resolver: Resolver, cfg: P.ConstantsConfig, diags):
             continue
         spec = entry.spec
         if isinstance(spec, P.Exactly):
-            _const_value_type(resolver, spec.value, diags)
+            _classify_in(resolver, spec.value, diags)
             if literal_value(spec.value) is None:
                 diags.append(Diagnostic("TYPE", "error",
                                         f"configuration value for {key} must be a literal",

@@ -81,6 +81,21 @@ def test_uncovered_loose_symbol(srw_model, srw_spec):
                     None, None, "dtmc", srw_spec)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("var x : int = 0;", "var x : int = true;", "int variable SRWRP.x cannot take value True"),
+    ("initial i0;", "var b : bool = 3; initial i0;",
+     "bool variable ctrl_ref.stm_ref.b cannot take value 3"),
+], ids=["platform", "machine"])
+def test_an_initial_value_outside_its_type_is_a_build_error(srw_model_text, srw_spec,
+                                                            old, new, message):
+    # without validation, SRWRP.x was true in every state
+    model = parse_model(srw_model_text.replace(old, new, 1))
+    defs = srw_spec.find(DefinitionsDecl, "D_recharge")
+    with pytest.raises(BuildError, match=f"bad initial value: {message}"):
+        instantiate(model, {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(1, 2)},
+                    defs, None, "dtmc", srw_spec)
+
+
 # --- expression evaluation --------------------------------------------------------
 
 

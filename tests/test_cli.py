@@ -282,6 +282,35 @@ def test_an_expression_nested_past_the_bound_is_a_syntax_error(where, shape, tmp
         assert json.loads((tmp_path / engine / "diagnostics.jsonl").read_text()) == want
 
 
+# (an edit of srw.rcm, an edit of srw.rcp, the file the diagnostics name)
+FILE_NAMED = {
+    "real variable": (("var x : int = 0;", "var x : real = 0;"), None, "rcm"),
+    "argument": (("x == 0)", "x + 0)"), None, "rcm"),
+    "initial value": (("var x : int = 0;", "var x : int = true;"), None, "rcm"),
+    "property": (None, ("(SRWMod::SRWRP::x == 0)", "(SRWMod::SRWRP::x == true)"), "rcp"),
+}
+
+
+@pytest.mark.parametrize("case", FILE_NAMED)
+def test_a_validation_diagnostic_names_its_file(case, tmp_path, capsys):
+    # a diagnostic about the model was written against the property file,
+    # and printed with no file at all
+    paths = {}
+    for ext, edit in zip(("rcm", "rcp"), FILE_NAMED[case][:2]):
+        text = (FIXTURES / f"srw.{ext}").read_text()
+        paths[ext] = tmp_path / f"srw.{ext}"
+        paths[ext].write_text(text.replace(*edit, 1) if edit else text)
+    out = tmp_path / "out"
+    code = main(["check", str(paths["rcm"]), str(paths["rcp"]), "--kind", "dtmc",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    printed = [json.loads(line) for line in err.splitlines()]
+    assert printed == [json.loads(line) for line in
+                       (out / "diagnostics.jsonl").read_text().splitlines()]
+    assert {rec["file"] for rec in printed} == {str(paths[FILE_NAMED[case][2]])}
+
+
 def _with_decls(tmp_path, decls, body):
     """The small SRW setup with the declarations and one property."""
     spec = tmp_path / "decls.rcp"
@@ -660,6 +689,10 @@ FAILING_INPUTS = {
     "fractional Cumul smc": (None, _srw_prop("Reward {R_origins} =? of [Cumul 2.5] using sim "
                                              "with CI at alpha=0.05, n=10"),
                              ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
+    # an initial value out of range was an EvalError traceback
+    "pmodule init": (None, _srw_prop("Prob=? of [Finally #l_stuck]", modules=True)
+                     .replace("init 0", "init 7"), ["--kind", "dtmc"],
+                     "bad initial value: variable env.E.n range [0..2] violated by 7"),
 }
 # simulation parameters outside their ranges: alpha and delta in (0,1), SPRT
 # alpha in (0, 1/2), epsilon and w positive

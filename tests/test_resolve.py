@@ -222,3 +222,72 @@ def test_inline_with_clause_content_validated(srw_model):
     diags = validate(srw_model, spec)
     assert any("``missing" in d.message or "missing" in d.message
                for d in diags if d.code == "SCOPE")
+
+
+# --- model diagnostics ----------------------------------------------------------
+
+T6_GUARD = "guard steps == MaxSteps"
+T2_ACTION = "action x = Plus(x, MaxDist); right"
+
+# one-line edits of srw.rcm: (text replaced, its replacement, the errors as
+# (code, line, col)); each edit replaces the first occurrence only
+MODEL_EDITS = {
+    "not-num": (T6_GUARD, "guard not steps", [("TYPE", 34, 48)]),
+    "and-num": (T6_GUARD, "guard steps /\\ true", [("TYPE", 34, 54)]),
+    "compare-bool": (T6_GUARD, "guard (x < 1) < 2", [("TYPE", 34, 56)]),
+    "equal-mixed": (T6_GUARD, "guard steps == true", [("TYPE", 34, 54)]),
+    "unknown-name": (T6_GUARD, "guard stepz == 0", [("SCOPE", 34, 48)]),
+    "qualified-name": (T6_GUARD, "guard A::b == 0", [("SCOPE", 34, 48)]),
+    "unknown-enum": (T6_GUARD, "guard E::L == 0", [("SCOPE", 34, 48)]),
+    "branches-differ": (T6_GUARD, "guard if x > 0 then true else 1 end", [("TYPE", 34, 48)]),
+    "negate-bool": (T6_GUARD, "guard -(x < 0)", [("TYPE", 34, 48), ("TYPE", 34, 7)]),
+    "prob-reads-var": ("prob Pl", "prob x", [("TYPE", 31, 44)]),
+    "unknown-function": ("x = Plus(x, MaxDist)", "x = Plux(x, MaxDist)", [("SCOPE", 30, 62)]),
+    "arity": ("x = Plus(x, MaxDist)", "x = Plus(x)", [("TYPE", 30, 62)]),
+    "assign-mixed": ("x = Plus(x, MaxDist)", "x = true", [("TYPE", 30, 58)]),
+    "assign-unknown": ("x = Plus(x, MaxDist)", "z = 1", [("SCOPE", 30, 58)]),
+    "output-untyped": (T2_ACTION, "action x = 1; right ! 1", [("TYPE", 30, 65)]),
+    "unknown-event": (T2_ACTION, "action x = 1; rigt", [("SCOPE", 30, 65)]),
+    "if-guard-num": (T2_ACTION, "action if x then x = 1 else x = 2 end", [("TYPE", 30, 58)]),
+    "unknown-trigger": (T6_GUARD, "trigger nope " + T6_GUARD, [("SCOPE", 34, 7)]),
+    "input-untyped": (T6_GUARD, "trigger left ? x " + T6_GUARD, [("TYPE", 34, 7)]),
+    # mended: an argument or initial value of another type than declared
+    "argument-type": ("Update(steps, MaxSteps, x == 0)", "Update(steps, MaxSteps, x + 0)",
+                      [("TYPE", 26, 60)]),
+    "platform-init": ("var x : int = 0;", "var x : int = true;", [("TYPE", 9, 19)]),
+    "machine-init": ("initial i0;", "var b : bool = 3; initial i0;", [("TYPE", 24, 22)]),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_EDITS)
+def test_model_diagnostics_are_pinned(srw_model_text, srw_spec, case):
+    from rcprob.model import parse_model
+    old, new, expected = MODEL_EDITS[case]
+    assert old in srw_model_text
+    model = parse_model(srw_model_text.replace(old, new, 1))
+    errors = [(d.code, *d.pos) for d in validate(model, srw_spec) if d.severity == "error"]
+    assert errors == expected
+
+
+def test_operation_arguments_are_checked_against_their_parameters():
+    from rcprob.model import parse_model
+    model = parse_model("""
+    module M { platform P { operation move(d : int, on : bool); }
+      controller c { requires P; machine s { initial i;
+        state A { entry move(true, 1 > 0) };
+        state B { entry move(1, 2) };
+        transition t0 { from i to A } transition t1 { from A to B } } } }
+    """)
+    errors = [(d.code, *d.pos, d.message) for d in validate(model, SpecAst())]
+    assert errors == [
+        ("TYPE", 4, 30, "argument d of move must be numeric, got boolean"),
+        ("TYPE", 5, 33, "argument on of move must be boolean, got numeric"),
+    ]
+
+
+def test_validation_diagnostics_name_their_source(srw_model_text):
+    from rcprob.model import parse_model
+    model = parse_model(srw_model_text.replace("var x : int = 0;", "var x : int = true;"))
+    spec = parse_spec("label l = (SRWMod::SRWRP::x == SRWMod::SRWRP::left)\n")
+    assert [(d.code, d.source) for d in validate(model, spec)] == [
+        ("TYPE", "model"), ("TYPE", "spec")]
