@@ -14,6 +14,7 @@ import argparse
 import fnmatch
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -167,7 +168,7 @@ def _by_structure(plan: RunPlan, model, spec, jobs) -> list[list[list[Job]]]:
     they explore to, each in order of first appearance.  Under the internal
     engine, configurations that differ only in weight-only constants
     (`weight_only_constants`) have one structure, unless their weights are
-    zero at different leaves (`_run_checks` tells those apart)."""
+    zero at different leaves (`_check_structure` tells those apart)."""
     resolver = Resolver(model, spec)
     weight_only: dict = {}
     groups: dict = {}
@@ -187,14 +188,84 @@ def _by_structure(plan: RunPlan, model, spec, jobs) -> list[list[list[Job]]]:
 
 
 def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
-    """Check the jobs one configuration at a time.  Under the internal
-    engine the first configuration of a structure explores it and the
-    others reweigh that build (`MarkovModel.reweigh`); a structure is freed
-    after its last configuration.  Simulation expands a model of its own
-    per configuration, as its paths reach the states."""
+    """Check the structures of the sweep (`_by_structure`), one per task of
+    a pool of forked processes when there are two or more and this process
+    may run on two or more CPUs, else one after another here.  Either way
+    each structure's warnings are printed, and its first error raised, in
+    structure order, as a serial run would."""
+    structures = _by_structure(plan, model, spec, jobs)
+    workers = min(len(structures), _cpu_count())
+    outcomes = _in_workers(plan, model, spec, structures, workers) if workers > 1 \
+        else (_check_structure(plan, model, spec, configs) for configs in structures)
     records = []
-    for configs in _by_structure(plan, model, spec, jobs):
-        built: dict = {}  # the first model of each set of zero leaves
+    try:
+        for recs, warnings, error in outcomes:
+            for line in warnings:
+                print(line, file=sys.stderr)
+            if error is not None:
+                raise error
+            records += recs
+    finally:
+        outcomes.close()  # a pool cancels the tasks not begun and ends its workers
+    records.sort(key=lambda r: (r["property"], r["config"]))
+    return records
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, as `taskset` sets them; 1 where the
+    platform does not tell, so that nothing forks there."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+_worker_inputs: tuple = ()  # set in each worker, by its initializer
+
+
+def _set_worker_inputs(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _check_structure_at(index: int):
+    plan, model, spec, structures = _worker_inputs
+    return _check_structure(plan, model, spec, structures[index])
+
+
+def _in_workers(plan: RunPlan, model, spec, structures, workers: int):
+    """The outcomes of `_check_structure` on each structure, in order, from
+    `workers` processes that fork from this one and so inherit its inputs,
+    which are not pickled.  Forking is safe here: no thread of this program
+    runs, and OpenBLAS stops its own threads in its fork handler."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # the fork start method flushes stdout and stderr before each fork, so
+    # that no child writes text buffered here a second time
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_set_worker_inputs,
+                               initargs=(plan, model, spec, structures))
+    try:
+        futures = [pool.submit(_check_structure_at, i) for i in range(len(structures))]
+        for future in futures:
+            yield future.result()
+    except BrokenProcessPool:
+        raise exact.CheckError("a worker process ended abruptly while checking "
+                               "the sweep") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
+        -> tuple[list[dict], list[str], Exception | None]:
+    """The records of one structure's jobs, its warnings, and the error that
+    stopped it (or None).  Under the internal engine the first configuration
+    explores the structure and the others reweigh that build
+    (`MarkovModel.reweigh`).  Simulation expands a model of its own per
+    configuration, as its paths reach the states."""
+    records, warnings = [], []
+    built: dict = {}  # the first model of each set of zero leaves
+    try:
         for config_jobs in configs:
             job = config_jobs[0]
             t0 = plan.timer()
@@ -215,28 +286,27 @@ def _run_checks(plan: RunPlan, model, spec, jobs) -> list[dict]:
             build_ms = int((plan.timer() - t0) * 1000)
             for job in config_jobs:
                 try:
-                    records.append(_check_job(plan, job, closed, mm, build_ms))
+                    records.append(_check_job(plan, job, closed, mm, build_ms, warnings))
                 except (EvalError, exact.CheckError, exact.UnsupportedError,
                         smc.SmcError) as exc:
                     where = f" [{job.config_id}]" if job.config_id else ""
                     raise exact.CheckError(f"property {job.prop.name}{where} at line "
                                            f"{job.prop.pos[0]}: {exc}") from exc
-            # nothing but `built` holds the model now, so that a structure
-            # is freed before the next one is explored
-            del closed, mm
-    records.sort(key=lambda r: (r["property"], r["config"]))
-    return records
+    except (BuildError, exact.CheckError, exact.UnsupportedError, smc.SmcError) as exc:
+        return records, warnings, exc
+    return records, warnings, None
 
 
-def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int) -> dict:
-    """The report record of one job on its model."""
+def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: list) -> dict:
+    """The report record of one job on its model; a warning about the job
+    goes to `warnings`."""
     t1 = plan.timer()
     if plan.engine == "internal":
         body = job.prop.body
         if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
                 and body.query in (A.QUERY_MIN, A.QUERY_MAX):
-            print(f"warning: {job.prop.name}: a dtmc has a single adversary; "
-                  f"treating the query as plain =?", file=sys.stderr)
+            warnings.append(f"warning: {job.prop.name}: a dtmc has a single adversary; "
+                            f"treating the query as plain =?")
         result = exact.check_property(mm, closed, job.prop, job.config_id,
                                       tol=plan.tol)
         rec = {**_verdict_fields(result.verdict_json()), "mode": result.mode,

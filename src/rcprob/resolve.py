@@ -838,6 +838,7 @@ def _validate_vars(cls: _Classifier, variables: list[M.VarDecl]):
             cls.err("TYPE", "real is restricted to constants and probabilities", v.pos)
         cls.expect(v.init, type_of_typeref(v.type, cls.resolver.model),
                    f"initial value of {v.name}", v.init.pos)
+        cls._stateless(v.init, "an initial value")
 
 
 def _validate_machine(cls: _Classifier, mach: M.Machine):
@@ -874,10 +875,16 @@ def _validate_comm(cls: _Classifier, comm: M.Comm | M.Trigger, where: str, pos):
     if comm.op and ev.payload is None:
         way = "input" if comm.op == "?" else "output"
         cls.err("TYPE", f"{where}: {way} on untyped event {comm.event!r}", pos)
-    if comm.op == "?" and comm.var not in scope.vars:
-        cls.err("SCOPE", f"{where}: unknown input variable {comm.var!r}", pos)
-    if comm.op == "!" and ev.payload is not None:
-        cls.classify(comm.value)
+    payload = None if ev.payload is None else type_of_typeref(ev.payload, cls.resolver.model)
+    if comm.op == "?":
+        var = scope.vars.get(comm.var)
+        if var is None:
+            cls.err("SCOPE", f"{where}: unknown input variable {comm.var!r}", pos)
+        elif payload is not None and not _same(var.type, payload):
+            cls.err("TYPE", f"{where}: input variable {comm.var!r} of event "
+                    f"{comm.event!r} must be {payload}, got {var.type}", pos)
+    if comm.op == "!" and payload is not None:
+        cls.expect(comm.value, payload, f"{where}: the value sent on {comm.event!r}", pos)
 
 
 def _validate_action(cls: _Classifier, action: M.Action, where: str):

@@ -483,27 +483,48 @@ def test_models_released_after_their_last_job(tmp_path, monkeypatch):
       with constants C_long
       with definitions D_all
     """)
+    # the builds of each process, whether this one or a forked worker:
+    # (pid, MaxSteps, the MaxSteps of its earlier models still alive)
+    log = tmp_path / "builds.jsonl"
     built = []  # (MaxSteps, weak reference to the model)
-    alive_at_build = []
     build_markov = cli.build_markov
 
     def tracking_build(closed, *args):
-        alive_at_build.append([steps for steps, ref in built if ref() is not None])
+        alive = [steps for steps, ref in built if ref() is not None]
         mm = build_markov(closed, *args)
         built.append((closed.consts["MaxSteps"], weakref.ref(mm)))
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), closed.consts["MaxSteps"], alive]) + "\n")
         return mm
 
     monkeypatch.setattr(cli, "build_markov", tracking_build)
     plan = RunPlan(SRW_RCM, str(rcp), engine="internal", kind="dtmc",
                    out_dir=str(tmp_path / "out"))
-    assert run(plan) == 0
-    # C_short serves A_stuck and B_deadlock from one build, and is gone
-    # before C_long is built
-    assert [steps for steps, _ in built] == [4, 6]
-    assert alive_at_build == [[], []]
-    records = [json.loads(ln) for ln in
-               (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
-    assert [r["property"] for r in records] == ["A_stuck", "B_deadlock", "C_stuck"]
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+        built.clear()
+        log.unlink(missing_ok=True)
+        assert run(plan) == 0
+        builds = [json.loads(line) for line in log.read_text().splitlines()]
+        alive_at_build = [alive for _, _, alive in builds]
+        if cpus == 1:
+            # C_short serves A_stuck and B_deadlock from one build, and is
+            # gone before C_long is built
+            assert [steps for _, steps, _ in builds] == [4, 6]
+            assert alive_at_build == [[], []]
+            assert {pid for pid, _, _ in builds} == {os.getpid()}
+        else:
+            # each structure is built once, in a worker, which takes its
+            # structures in order and frees each before the next
+            assert sorted(steps for _, steps, _ in builds) == [4, 6]
+            assert alive_at_build == [[], []]
+            assert os.getpid() not in {pid for pid, _, _ in builds}
+            for pid in {pid for pid, _, _ in builds}:
+                mine = [steps for p, steps, _ in builds if p == pid]
+                assert mine == sorted(mine)
+        records = [json.loads(ln) for ln in
+                   (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+        assert [r["property"] for r in records] == ["A_stuck", "B_deadlock", "C_stuck"]
 
 
 def test_cli_smc_rejects_empty_sample(tmp_path, capsys):

@@ -256,6 +256,8 @@ MODEL_EDITS = {
                       [("TYPE", 26, 60)]),
     "platform-init": ("var x : int = 0;", "var x : int = true;", [("TYPE", 9, 19)]),
     "machine-init": ("initial i0;", "var b : bool = 3; initial i0;", [("TYPE", 24, 22)]),
+    # mended: an initial value that reads a variable
+    "init-reads-var": ("initial i0;", "var b : int = x; initial i0;", [("TYPE", 24, 21)]),
 }
 
 
@@ -282,6 +284,24 @@ def test_operation_arguments_are_checked_against_their_parameters():
     assert errors == [
         ("TYPE", 4, 30, "argument d of move must be numeric, got boolean"),
         ("TYPE", 5, 33, "argument on of move must be boolean, got numeric"),
+    ]
+
+
+def test_communications_are_checked_against_their_payload_type():
+    from rcprob.model import parse_model
+    model = parse_model("""
+    module M { controller C { event ping : int;
+      machine A { event ping : int; initial a0; state A1; state A2;
+        transition s0 { from a0 to A1 } transition s1 { from A1 to A2 action ping ! true } }
+      machine B { var y : bool = false; event ping : int; initial b0; state B1; state B2;
+        transition r0 { from b0 to B1 } transition r1 { from B1 to B2 trigger ping ? y } }
+      connection A.ping -> B.ping; } }
+    """)
+    errors = [(d.code, *d.pos, d.message) for d in validate(model, SpecAst())]
+    assert errors == [
+        ("TYPE", 4, 78, "transition s1: the value sent on 'ping' must be numeric, got boolean"),
+        ("TYPE", 6, 41, "transition r1: input variable 'y' of event 'ping' must be numeric, "
+                        "got boolean"),
     ]
 
 

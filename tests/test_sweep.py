@@ -75,16 +75,19 @@ def _records(tmp_path, name: str, spec_text: str) -> list[dict]:
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """The closed models that `cli` explores."""
-    built = []
+def builds(monkeypatch, tmp_path):
+    """The number of closed models that `cli` has explored, in this process
+    or in the workers it forks."""
+    log = tmp_path / "builds.log"
+    log.touch()
 
     def counted(closed, max_states):
-        built.append(closed)
+        with open(log, "a") as fh:
+            fh.write(f"{cli.config_id_of(closed.consts)}\n")
         return build_markov(closed, max_states)
 
     monkeypatch.setattr(cli, "build_markov", counted)
-    return built
+    return lambda: len(log.read_text().splitlines())
 
 
 @pytest.mark.parametrize("pls, structures", [
@@ -96,14 +99,14 @@ def builds(monkeypatch):
 def test_a_sweep_reports_what_single_configurations_report(tmp_path, builds, pls, structures):
     swept = _records(tmp_path, "swept", _table("from set {6, 8}", f"from set {{{pls}}}"))
     assert len(swept) == 3 * 2 * 3
-    assert len(builds) == 2 * 2 * structures
+    assert builds() == 2 * 2 * structures
     alone = []
     for steps in (6, 8):
         for pl in pls.split(", "):
             alone += _records(tmp_path, f"alone_{steps}_{pl}",
                               _table(f"set to {steps}", f"set to {pl}"))
     # two per configuration: with the modules and without
-    assert len(builds) == 2 * 2 * structures + 6 * 2
+    assert builds() == 2 * 2 * structures + 6 * 2
     assert sorted(alone, key=lambda r: (r["property"], r["config"])) == swept
 
 
