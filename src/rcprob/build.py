@@ -9,15 +9,16 @@ action collapse to a single step.  Probabilistic junctions branch at the
 junction step with exact rational weights.  Multiple simultaneously enabled
 steps become separate actions (mdp) or a uniform mixture (dtmc).  Each
 machine compiles these micro-steps once into a step table (`Step`,
-`MachineRT.compile_steps`) that the explorer executes and the PRISM emitter
-prints.
+`MachineRT.compile_steps`), which the PRISM emitter prints as PRISM commands
+and the explorer as the Python source of one successors function
+(`_Explorer`); both print the expressions of the steps from the same Terms.
 
 Communication is synchronous over connection closures: the transitive
 closure of connections over one event is a single synchronisation set; a
 send meeting a matching enabled trigger of another machine steps jointly,
 with the exchanged value bound in the same step and latched for `.val`
 observations.  Instantiation links the step tables into these joint steps
-(`Entry`), which the explorer looks up and the emitter prints.
+(`Entry`), which the explorer and the emitter print.
 Environment modules gate and join steps through their command labels, and
 interleave through their unlabelled commands.
 """
@@ -27,8 +28,9 @@ from __future__ import annotations
 import copy
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -126,23 +128,40 @@ def _int_mod(a, b):
     raise EvalError("'%' needs integer operands")
 
 
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _int_div,
-    "%": _int_mod,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "/\\": lambda a, b: a and b,
-    "\\/": lambda a, b: a or b,
-    "=>": lambda a, b: (not a) or b,
-    "iff": lambda a, b: bool(a) == bool(b),
-}
+def _implies(a, b):
+    return (not a) or b
+
+
+def _no_state():
+    raise EvalError("expression needs a state")
+
+
+# Python precedence levels of the generated source, loosest first
+_PY_COND, _PY_OR, _PY_AND, _PY_NOT, _PY_CMP, _PY_SUM, _PY_PRODUCT, _PY_NEG, _PY_ATOM = \
+    2, 3, 4, 5, 6, 11, 12, 13, 16
+_PY_ARITH = {"+": _PY_SUM, "-": _PY_SUM, "*": _PY_PRODUCT}
+_PY_CALLS = {"/": "_int_div", "%": "_int_mod", "=>": "_implies"}
+
+
+def _paren(printed: tuple, level: int) -> str:
+    """The text of a printed expression where one of binding `level` goes."""
+    text, prec = printed[0], printed[1]
+    return f"({text})" if prec < level else text
+
+
+def _truth(printed: tuple, level: int) -> str:
+    """The text of a printed expression as a bool, as `/\\`, `\\/` and `iff`
+    take their operands."""
+    return _paren(printed, level) if printed[2] else f"bool({printed[0]})"
+
+
+def _compile_py(source: str, namespace: dict, mode: str):
+    """Compile generated source; an expression too deep for Python's parser
+    is a build error."""
+    try:
+        return eval(compile(source, "<rcprob>", mode), namespace)
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise BuildError(f"expression too deep to compile to Python: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -414,14 +433,21 @@ class WeightTable:
 class Term:
     """An expression of the model with what evaluating or printing it
     needs: the machine scope its bare names resolve in (None: qualified
-    names), the terms its parameters stand for, `fn`, the closure
-    state -> value that the explorer runs, and whether it is `real`, such
-    as a probability, and so divides exactly."""
+    names), the terms its parameters stand for, whether it is `real`, such
+    as a probability, and so divides exactly, and `source`, its Python
+    source as a function of the state, printed when the term is made and
+    compiled in `namespace` on first use of `fn`."""
     expr: A.Expr
     scope: ModelScope | None
     params: tuple  # ((name, Term), ...)
-    fn: object
-    real: bool = False
+    real: bool
+    source: str
+    namespace: dict = field(repr=False)
+
+    @cached_property
+    def fn(self):
+        """The function state -> value of the term."""
+        return _compile_py(self.source, self.namespace, "eval")
 
 
 # the update of a conditional action, one per variable: `c ? t : e`
@@ -648,6 +674,11 @@ class ClosedModel:
         self.resolver = Resolver(model, self.spec)
         self.closures = ClosureTable(model)
         self.weight_table = WeightTable()
+        # the globals of the generated source: its helpers, and the values
+        # without a Python literal under the names `_py_value` gives them
+        self.namespace = {"EvalError": EvalError, "_int_div": _int_div, "_int_mod": _int_mod,
+                          "_real_div": _real_div, "_implies": _implies, "_no_state": _no_state}
+        self._spec_terms: dict[tuple[int, bool], tuple[A.Expr, Term]] = {}  # `spec_expr`
 
         self.consts: dict[str, object] = {}
         loose_consts, loose_funcs, loose_ops = M.loose_symbols(model)
@@ -738,7 +769,7 @@ class ClosedModel:
 
     def _const_value(self, expr: A.Expr, what: str):
         try:
-            return self._compile(expr, None, None)(None)
+            return self.term(expr).fn(None)
         except EvalError as exc:
             raise BuildError(f"{what} must be constant: {exc}") from exc
 
@@ -748,81 +779,127 @@ class ClosedModel:
     def initial_state(self) -> tuple:
         return tuple(v.init for v in self.vars)
 
-    # --- expression compilation ---------------------------------------------
+    @cached_property
+    def successors(self):
+        """The successors function of this model's Markov model, printed and
+        compiled when the model is first explored (`_Explorer`)."""
+        return _Explorer(self).successors
 
-    def _compile(self, e: A.Expr, scope: ModelScope | None, params: dict | None,
-                 fstack: tuple = (), real: bool = False):
-        """Compile to a closure state -> value.
+    # --- Python source of expressions ------------------------------------------
+
+    def _py(self, e: A.Expr, scope: ModelScope | None, params: dict | None, read,
+            fstack: tuple = (), real: bool = False) -> tuple[str, int, bool]:
+        """Print an expression as Python source: its text, the precedence of
+        its outermost operator and whether its value is a bool.
 
         With a machine `scope`, bare names resolve lexically (model
         expressions); without it, names resolve as qualified references
-        (property expressions).  `params` maps parameter names to argument
-        closures.  A `real` expression, such as a probability, divides
-        exactly; otherwise `/` on two integers truncates.
-        """
-        compile_ = lambda x: self._compile(x, scope, params, fstack, real)
+        (property expressions).  `params` maps parameter names to the
+        printed arguments, and `read(i)` gives the text that reads variable
+        i.  A `real` expression, such as a probability, divides exactly;
+        otherwise `/` on two integers truncates (`_int_div`).  `/\\` and
+        `\\/` give a bool and evaluate their right operand only when
+        needed; every other operator evaluates both of its operands."""
+        def go(x, level=0):
+            return _paren(self._py(x, scope, params, read, fstack, real), level)
+
         if isinstance(e, A.Lit):
-            v = e.value
-            return lambda s: v
+            return self._py_value(e.value)
         if isinstance(e, A.Ref):
-            return self._compile_ref(e, scope)
+            kind, name = self.name_of(e, scope)
+            if kind == "var":
+                return self._py_read(self.index[name], read)
+            if kind == "const":
+                if name not in self.consts:
+                    raise BuildError(f"constant {e.name} has no value in this configuration")
+                return self._py_value(self.consts[name])
+            return self._py_value(name)
         if isinstance(e, A.Unary):
-            inner = compile_(e.operand)
             if e.op == "not":
-                return lambda s: not inner(s)
-            return lambda s: -inner(s)
+                return f"not {go(e.operand, _PY_NOT)}", _PY_NOT, True
+            return f"-{go(e.operand, _PY_NEG)}", _PY_NEG, False
         if isinstance(e, A.Binary):
-            lf = compile_(e.left)
-            rf = compile_(e.right)
-            op = _real_div if real and e.op == "/" else _BINOPS[e.op]
-            if e.op == "/\\":
-                return lambda s: bool(lf(s)) and bool(rf(s))
-            if e.op == "\\/":
-                return lambda s: bool(lf(s)) or bool(rf(s))
-            return lambda s: op(lf(s), rf(s))
+            left = self._py(e.left, scope, params, read, fstack, real)
+            right = self._py(e.right, scope, params, read, fstack, real)
+            if e.op in ("/\\", "\\/"):
+                word, level = ("and", _PY_AND) if e.op == "/\\" else ("or", _PY_OR)
+                return f"{_truth(left, level)} {word} {_truth(right, level)}", level, True
+            if e.op == "iff":
+                return f"{_truth(left, _PY_CMP + 1)} == {_truth(right, _PY_CMP + 1)}", \
+                    _PY_CMP, True
+            if e.op in _PY_ARITH:
+                level = _PY_ARITH[e.op]
+                return f"{_paren(left, level)} {e.op} {_paren(right, level + 1)}", level, False
+            if e.op in _PY_CALLS:
+                fn = "_real_div" if real and e.op == "/" else _PY_CALLS[e.op]
+                return f"{fn}({left[0]}, {right[0]})", _PY_ATOM, e.op == "=>" and right[2]
+            # a comparison; one in an operand is bracketed, as Python chains them
+            return f"{_paren(left, _PY_CMP + 1)} {e.op} {_paren(right, _PY_CMP + 1)}", \
+                _PY_CMP, True
         if isinstance(e, A.Cond):
-            cf = compile_(e.cond)
-            tf = compile_(e.then)
-            ef = compile_(e.orelse)
-            return lambda s: tf(s) if cf(s) else ef(s)
+            cond = self._py(e.cond, scope, params, read, fstack, real)
+            then = self._py(e.then, scope, params, read, fstack, real)
+            orelse = self._py(e.orelse, scope, params, read, fstack, real)
+            return (f"({_paren(then, _PY_OR)} if {_paren(cond, _PY_OR)} "
+                    f"else {_paren(orelse, _PY_COND)})", _PY_ATOM, then[2] and orelse[2])
         if isinstance(e, A.FunCall):
-            return self._compile_call(e, scope, params, fstack, real)
+            if e.name in fstack:
+                raise BuildError(f"recursive function {e.name!r}")
+            fdef = self.functions.get(e.name)
+            if fdef is None:
+                raise BuildError(f"function {e.name!r} has no definition")
+            if len(e.args) != len(fdef.params):
+                raise BuildError(
+                    f"{e.name} expects {len(fdef.params)} arguments, got {len(e.args)}")
+            args = {p: self._py(a, scope, params, read, fstack, real)
+                    for p, a in zip(fdef.params, e.args)}
+            return self._py(fdef.body, None, args, read, fstack + (e.name,), real)
         if isinstance(e, A.ParamRef):
             if params is None or e.name not in params:
                 raise BuildError(f"``{e.name} is not a parameter in scope")
-            fn = params[e.name]
-            return fn
+            return params[e.name]
         if isinstance(e, A.IsIn):
             machine, target = self.is_in(e)
-            pc_i = self.index[f"{machine}.pc"]
-            return lambda s: s[pc_i] == target
+            return f"{read(self.index[f'{machine}.pc'])} == {target!r}", _PY_CMP, True
         if isinstance(e, A.LabelRef):
             decl = self.spec.find(P.LabelDecl, e.name)
             if decl is None:
                 raise BuildError(f"unknown label #{e.name}")
-            return self._compile(decl.body, None, None, fstack)
+            return self._py(decl.body, None, None, read, fstack)
         if isinstance(e, A.FormulaRef):
             decl = self.spec.find(P.FormulaDecl, e.name)
             if decl is None:
                 raise BuildError(f"unknown formula `{e.name}")
             if e.name in fstack:
                 raise BuildError(f"cyclic formula reference `{e.name}")
-            return self._compile(decl.body, None, params, fstack + (e.name,), real)
+            return self._py(decl.body, None, params, read, fstack + (e.name,), real)
         if isinstance(e, A.ModVarRef):
-            return _state_read(self.index[self.env_var(e)])
+            return self._py_read(self.index[self.env_var(e)], read)
         if isinstance(e, A.EventVal):
-            return _state_read(self.index[self.event_latch(e)])
+            return self._py_read(self.index[self.event_latch(e)], read)
         raise BuildError(f"cannot evaluate {type(e).__name__} in a state expression")
 
-    def _compile_ref(self, e: A.Ref, scope: ModelScope | None):
-        kind, name = self.name_of(e, scope)
-        if kind == "var":
-            return _state_read(self.index[name])
-        if kind == "const":
-            if name not in self.consts:
-                raise BuildError(f"constant {e.name} has no value in this configuration")
-            name = self.consts[name]
-        return lambda s: name
+    def _py_read(self, i: int, read) -> tuple[str, int, bool]:
+        return read(i), _PY_ATOM, self.vars[i].domain[0] == "bool"
+
+    def _py_value(self, value) -> tuple[str, int, bool]:
+        """A value (bool, int, enumeration literal or `Fraction`) as printed
+        source: a literal, or for a `Fraction` a name in the namespace made
+        of its numerator and denominator."""
+        if isinstance(value, bool):
+            return repr(value), _PY_ATOM, True
+        if isinstance(value, int) and value < 0:
+            return repr(value), _PY_NEG, False
+        if isinstance(value, (int, str)):
+            return repr(value), _PY_ATOM, False
+        name = f"_q{value.numerator}_{value.denominator}".replace("-", "m")
+        self.namespace[name] = value
+        return name, _PY_ATOM, False
+
+    def _py_term(self, t: Term, read) -> tuple[str, int, bool]:
+        """Print a term, its parameters standing for the terms they name."""
+        params = {name: self._py_term(sub, read) for name, sub in t.params}
+        return self._py(t.expr, t.scope, params, read, real=t.real)
 
     def name_of(self, e: A.Ref, scope: ModelScope | None) -> tuple[str, str]:
         """What a name stands for, as ("enum", literal), ("const", name) or
@@ -845,18 +922,6 @@ class ClosedModel:
             return {"variable": ("var", ref.flat), "constant": ("const", ref.path[-1]),
                     "enumLiteral": ("enum", "::".join(ref.path))}[ref.kind]
         raise BuildError(f"{e.name} ({ref.kind}) is not usable in a state expression")
-
-    def _compile_call(self, e: A.FunCall, scope, params, fstack, real: bool):
-        if e.name in fstack:
-            raise BuildError(f"recursive function {e.name!r}")
-        fdef = self.functions.get(e.name)
-        if fdef is None:
-            raise BuildError(f"function {e.name!r} has no definition")
-        if len(e.args) != len(fdef.params):
-            raise BuildError(f"{e.name} expects {len(fdef.params)} arguments, got {len(e.args)}")
-        arg_fns = [self._compile(a, scope, params, fstack, real) for a in e.args]
-        env = dict(zip(fdef.params, arg_fns))
-        return self._compile(fdef.body, None, env, fstack + (e.name,), real)
 
     def is_in(self, e: A.IsIn) -> tuple[str, str]:
         """The machine (as "controller.machine") and the state of `is in`."""
@@ -892,9 +957,15 @@ class ClosedModel:
         return closure.latch
 
     def spec_expr(self, e: A.Expr, real: bool = False):
-        """Compile a property expression to a state closure; a `real` one,
-        such as a probability bound or a reward, divides exactly."""
-        return self._compile(e, None, None, real=real)
+        """A property expression as a function state -> value; a `real`
+        one, such as a probability bound or a reward, divides exactly.  It
+        is compiled once per expression node, which the cache pins so that
+        its id is not reused: simulation asks again each time its paths
+        reach new states."""
+        key = (id(e), real)
+        if key not in self._spec_terms:
+            self._spec_terms[key] = (e, self.term(e, real=real))
+        return self._spec_terms[key][1].fn
 
     # --- machines ------------------------------------------------------------
 
@@ -935,8 +1006,19 @@ class ClosedModel:
 
     def term(self, expr: A.Expr, scope: ModelScope | None = None, params: tuple = (),
              real: bool = False) -> Term:
-        fns = {name: t.fn for name, t in params} if params else None
-        return Term(expr, scope, params, self._compile(expr, scope, fns, real=real), real)
+        """A term, printed now, so that a name or call it cannot resolve is
+        a build error of the instantiation; it compiles on first use."""
+        reads = []
+
+        def read(i):
+            reads.append(i)
+            return f"s[{i}]"
+
+        args = {name: self._py_term(sub, read) for name, sub in params}
+        text = _paren(self._py(expr, scope, args, read, real=real), _PY_COND)
+        if reads:  # the value of a term that reads the state needs one
+            text = f"_no_state() if s is None else {text}"
+        return Term(expr, scope, params, real, f"lambda s: {text}", self.namespace)
 
     def _weight_leaf(self, expr: A.Expr, scope: ModelScope | None, what: str) -> int:
         """A weight leaf: the probability `expr`, evaluated exactly."""
@@ -1158,14 +1240,6 @@ class ClosedModel:
         if total != 1:
             raise BuildError(f"pmodule {mod.name}: update probabilities sum to {total}, not 1")
         return branches
-
-
-def _state_read(idx):
-    def read(s):
-        if s is None:
-            raise EvalError("expression needs a state")
-        return s[idx]
-    return read
 
 
 # --- public instantiation ------------------------------------------------------
@@ -1543,172 +1617,341 @@ def _fmt_value(v) -> str:
 
 
 class _Explorer:
-    """Computes the moves of a state from the closed model's step tables and
-    environment commands.  A move is (action, tags, branches), each branch
-    (weight node, [(variable index, value)]).  An expression that fails is
-    reported as a BuildError naming the step and the state, by one of three
-    boundaries: per machine step, per environment command and per applied
-    move, where the new values meet their variables' domains.  A partner's
-    guard is evaluated within the step that initiates the joint step."""
+    """Prints the closed model's step tables and environment commands as
+    the Python source of one function, `successors(state)`, and compiles
+    it: the successors function of the closed model's `MarkovModel`.
+
+    A move is (action, tags, branches), each branch (weight node,
+    successor state).  The function unpacks the state into the locals s0,
+    s1, ... and has one block per machine, which dispatches on the
+    machine's lock and program counter and takes the steps there in table
+    order.  The guard of each step, the partner guards of its entries and
+    the values of their updates are inlined as `ClosedModel._py` prints
+    them, and each successor state is built as one tuple.  An entry on an
+    event closure joins, module by module, one enabled command of each
+    environment module labelled with one of the closure's tags; a module
+    with none enabled blocks the entry.  The unlabelled environment
+    commands follow.  The moves are sorted by action.  A state without any
+    move loops, and is a deadlock unless every machine rests in a terminal
+    state.
+
+    An expression that fails is reported as a BuildError naming the step
+    and the state (`_error`), by one of three boundaries: per machine step,
+    per environment command and per move, where the new values meet their
+    variables' domains (`_check_domain`).  A partner's guard is evaluated
+    within the step that initiates the joint step.  A move whose values
+    leave their domains is reported once every step has run, the first
+    such move in action order.  Branches of weight 0 are dropped, and
+    their values are not checked."""
 
     def __init__(self, closed: ClosedModel):
         self.c = closed
         self.env_modules = [(closed.env_alphabet[name], closed.env_commands[name])
                             for name in sorted(closed.env_commands)]
-        self.domains = [None if v.kind in ("pc", "lock", "exit") else v for v in closed.vars]
+        self.namespace = closed.namespace
+        self.namespace.update(_err=self._error, _no_step=_no_step, _bad=_domain_error,
+                              _first=operator.itemgetter(0), _NO_TAGS=_NO_TAGS)
+        self.named: dict[int, str] = {}  # namespace names of the objects the source uses
+        self.lines: list[str] = []
+        self.locals = 0
+        self.printed = 0  # expressions printed so far
+        self.source = self._print()
+        _compile_py(self.source, self.namespace, "exec")
+        self.successors = self.namespace["successors"]
 
     def _error(self, tag: str, state, exc: EvalError) -> BuildError:
         valuation = ", ".join(f"{v.name}={_fmt_value(x)}" for v, x in zip(self.c.vars, state))
         return BuildError(f"{tag} at state ({valuation}): {exc}")
 
-    # machine steps -----------------------------------------------------------
+    # printing ------------------------------------------------------------------
 
-    def _machine_steps(self, m: MachineRT, state) -> list:
-        """Execute the machine's step table entries that match the state."""
-        pc = state[m.pc_i]
-        lk = state[m.lk_i]
-        if lk == LOCK_FREE:
-            steps = m.initiations.get(pc, ())
-        else:
-            exit_v = state[m.exit_i] if m.exit_i is not None else EXIT_NONE
-            steps = m.locked.get((pc, exit_v))
-            if steps is None:
-                raise BuildError(f"machine {m.mach.name}: no step at pc {pc!r} "
-                                 f"(lock {lk}, exit flag {exit_v})")
-        moves = []
-        for st in steps:
-            try:
-                if st.lock not in (None, LOCK_HELD, lk) \
-                        or st.guard is not None and not st.guard.fn(state):
-                    continue
-                if st.error is not None:
-                    raise st.error
-                if st.partner is None:
-                    entries = st.entries
-                elif state[st.partner.lk_i] != LOCK_FREE:
-                    continue
-                else:
-                    entries = st.joints.get(state[st.partner.pc_i], ())
-                for entry in entries:
-                    moves.extend(self._entry_moves(entry, state))
-            except EvalError as exc:
-                raise self._error(st.tag, state, exc) from exc
-        return moves
+    def emit(self, depth: int, line: str):
+        self.lines.append("    " * depth + line)
 
-    def _entry_moves(self, entry: Entry, state):
-        if entry.plain:
-            return ((entry.tag, _NO_TAGS, entry.parts[0][0].branches),)
-        if len(entry.parts) > 1:
-            guard = entry.parts[1][0].guard
-            if guard is not None and not guard.fn(state):
-                return ()
-        if entry.error is not None:
-            raise entry.error
-        updates = []
-        for st, added in entry.parts:
-            updates.extend(st.control)
-            updates.extend([(i, t.fn(state)) for i, t in st.updates])
-            updates.extend([(i, t.fn(state)) for i, t in added])
-        if entry.closure is None:
-            return ((entry.tag, _NO_TAGS, [(ONE, updates)]),)
-        return self._with_env(state, entry.tag, updates, entry.closure.tags)
+    def block(self, depth: int, header: str, body):
+        """A compound statement whose body `body(depth)` prints."""
+        self.emit(depth, header)
+        n = len(self.lines)
+        body(depth + 1)
+        if len(self.lines) == n:
+            self.emit(depth + 1, "pass")
 
-    # environment modules -------------------------------------------------------
+    def attempt(self, depth: int, body, tag: str):
+        """`body(depth)` in a try statement whose EvalError is reported
+        against `tag`, where it evaluates an expression."""
+        start, printed = len(self.lines), self.printed
+        self.block(depth, "try:", body)
+        if self.printed == printed:  # nothing to fail
+            self.lines[start:] = [line[4:] for line in self.lines[start + 1:]]
+            return
+        self.emit(depth, "except EvalError as exc:")
+        self.emit(depth + 1, f"raise _err({tag!r}, s, exc) from exc")
 
-    def _env_command(self, cmd: EnvCommandRT, state):
-        """The branches of an environment command at a state, their values
-        evaluated, or None where its guard is false."""
-        try:
-            if not cmd.guard.fn(state):
-                return None
-            return [(w, [(i, t.fn(state)) for i, t in upd]) for w, upd in cmd.branches]
-        except EvalError as exc:
-            raise self._error(cmd.tag, state, exc) from exc
+    def fresh(self, prefix: str) -> str:
+        self.locals += 1
+        return f"{prefix}{self.locals}"
 
-    def _with_env(self, state, tag, updates, tags) -> list:
-        """Join a tagged model step with matching environment-module commands."""
-        participants = []
-        for alphabet, commands in self.env_modules:
-            if not (alphabet & tags):
-                continue
-            enabled = []
-            for cmd in commands:
-                if cmd.label_tag in tags:
-                    branches = self._env_command(cmd, state)
-                    if branches is not None:
-                        enabled.append((cmd.tag, branches))
-            if not enabled:
-                return []  # the step is blocked by this module
-            participants.append(enabled)
-        product = self.c.weight_table.product
-        out = []
-        for combo in itertools.product(*participants):
-            branches = [(ONE, updates)]
-            jtag = tag
-            for cmd_tag, cmd_branches in combo:
-                jtag += f"+{cmd_tag}"
-                branches = [(product(p0, p1), upd0 + upd1) for p0, upd0 in branches
-                            for p1, upd1 in cmd_branches]
-            out.append((jtag, tags, branches))
-        return out
+    def name(self, obj, prefix: str) -> str:
+        """The namespace name of an object that the source uses."""
+        if id(obj) not in self.named:
+            self.named[id(obj)] = f"_{prefix}{len(self.named)}"
+            self.namespace[self.named[id(obj)]] = obj
+        return self.named[id(obj)]
 
-    def _env_interleavings(self, state) -> list:
-        out = []
+    def expr(self, term: Term, level: int) -> str:
+        self.printed += 1
+        return _paren(self.c._py_term(term, lambda i: f"s{i}"), level)
+
+    def _print(self) -> str:
+        c = self.c
+        unpack = "".join(f"s{i}, " for i in range(len(c.vars)))
+        self.lines += ["def successors(s):", f"    {unpack}= s" if unpack else "",
+                       "    out = []", "    bad = []"]
+        for m in c.machines:
+            self._machine(m)
         for _, commands in self.env_modules:
             for cmd in commands:
                 if cmd.label_tag is None:
-                    branches = self._env_command(cmd, state)
-                    if branches is not None:
-                        out.append((cmd.tag, _NO_TAGS, branches))
-        return out
+                    flag, branches = self._command(1, cmd)
+                    self.block(1, f"if {flag}:",
+                               lambda d: self._move(d, cmd.tag, "_NO_TAGS", branches))
+        resting = " or ".join(f"s{m.lk_i} != {LOCK_FREE!r} or s{m.pc_i} in "
+                              f"{tuple(sorted(m.trans_from))!r}" for m in c.machines)
+        self.lines += ["    if bad:",
+                       "        action, exc = min(bad, key=_first)",
+                       "        raise _err(action, s, exc) from exc",
+                       "    if not out:",
+                       f"        return [('loop', _NO_TAGS, [({ONE}, s)])], {resting or 'False'}",
+                       "    if len(out) > 1:",
+                       "        out.sort(key=_first)",
+                       "    return out, False"]
+        return "\n".join(self.lines) + "\n"
 
-    # one state ----------------------------------------------------------------
+    # machine steps -----------------------------------------------------------
 
-    def successors(self, state):
-        """The moves of a state and its deadlock flag, as the successors
-        function of `MarkovModel`.  A state without any move loops, and is a
-        deadlock unless every machine rests in a terminal state.  The updates
-        of each move's branches of positive weight meet their variables'
-        domains."""
-        pending = []
-        for m in self.c.machines:
-            pending.extend(self._machine_steps(m, state))
-        pending.extend(self._env_interleavings(state))
-        if not pending:
-            return [("loop", _NO_TAGS, [(ONE, state)])], self._is_deadlock(state)
-        if len(pending) > 1:
-            pending.sort(key=lambda mv: mv[0])
-        domains, zero = self.domains, self.c.weight_table.zero
-        moves = []
-        for action, tags, branches in pending:
-            applied = []
-            try:
-                for w, updates in branches:
-                    if w in zero:
-                        continue
-                    new = list(state)
-                    for idx, value in updates:
-                        info = domains[idx]
-                        if info is not None:
-                            _check_domain(info, value)
-                        new[idx] = value
-                    applied.append((w, tuple(new)))
-            except EvalError as exc:
-                raise self._error(action, state, exc) from exc
-            moves.append((action, tags, applied))
-        return moves, False
+    def _machine(self, m: MachineRT):
+        """Take the machine's steps at its pc: its initiations when its lock
+        is free, else those of its (pc, exit flag) position."""
+        pc, lk = f"s{m.pc_i}", f"s{m.lk_i}"
+        flag = f"s{m.exit_i}" if m.exit_i is not None else repr(EXIT_NONE)
+        self.emit(1, f"# {m.name}")
 
-    def _is_deadlock(self, state) -> bool:
-        """No moves: deadlock unless every machine rests in a terminal stable state."""
-        return any(state[m.lk_i] != LOCK_FREE or m.trans_from.get(state[m.pc_i])
-                   for m in self.c.machines)
+        def free(d):
+            for k, (at, steps) in enumerate(m.initiations.items()):
+                self.block(d, f"{'elif' if k else 'if'} {pc} == {at!r}:",
+                           lambda d, steps=steps: [self._step(d, m, st) for st in steps])
+
+        self.block(1, f"if {lk} == {LOCK_FREE!r}:", free)
+        for (at, exit_), steps in m.locked.items():
+            cond = f"{pc} == {at!r}" + ("" if m.exit_i is None else f" and {flag} == {exit_!r}")
+            self.block(1, f"elif {cond}:",
+                       lambda d, steps=steps: [self._step(d, m, st) for st in steps])
+        self.block(1, "else:", lambda d: self.emit(
+            d, f"raise _no_step({m.mach.name!r}, {pc}, {lk}, {flag})"))
+
+    def _step(self, d: int, m: MachineRT, st: Step):
+        def taken(d):
+            if st.error is not None:
+                self.emit(d, f"raise {self.name(st.error, 'e')}")
+            elif st.partner is None:
+                for entry in st.entries:
+                    self._entry(d, entry)
+            else:
+                q = st.partner
+                self.block(d, f"if s{q.lk_i} == {LOCK_FREE!r}:", lambda d: [
+                    self.block(d, f"{'elif' if k else 'if'} s{q.pc_i} == {at!r}:",
+                               lambda d, es=entries: [self._entry(d, e) for e in es])
+                    for k, (at, entries) in enumerate(st.joints.items())])
+
+        def guarded(d):
+            conds = []
+            if st.lock not in (None, LOCK_HELD, LOCK_FREE):
+                conds.append(f"s{m.lk_i} == {st.lock!r}")
+            if st.guard is not None:
+                conds.append(self.expr(st.guard, _PY_AND))
+            if conds:
+                self.block(d, f"if {' and '.join(conds)}:", taken)
+            else:
+                taken(d)
+
+        self.attempt(d, guarded, st.tag)
+
+    def _entry(self, d: int, entry: Entry):
+        st = entry.parts[0][0]
+        if entry.plain:
+            self._move(d, entry.tag, "_NO_TAGS",
+                       [(w, self._control(updates)) for w, updates in st.branches])
+            return
+        guard = entry.parts[1][0].guard if len(entry.parts) > 1 else None
+        if guard is not None:
+            self.block(d, f"if {self.expr(guard, _PY_COND)}:",
+                       lambda d: self._entry_moves(d, entry))
+        else:
+            self._entry_moves(d, entry)
+
+    def _entry_moves(self, d: int, entry: Entry):
+        if entry.error is not None:
+            self.emit(d, f"raise {self.name(entry.error, 'e')}")
+            return
+        updates = []
+        for st, added in entry.parts:
+            updates += self._control(st.control)
+            updates += [self._value(d, i, t) for i, t in (*st.updates, *added)]
+        if entry.closure is None:
+            self._move(d, entry.tag, "_NO_TAGS", [(ONE, updates)])
+            return
+        tags = entry.closure.tags
+        participants = [[cmd for cmd in commands if cmd.label_tag in tags]
+                        for alphabet, commands in self.env_modules if alphabet & tags]
+        self._join(d, entry.tag, self.name(tags, "t"), updates, participants, [])
+
+    # environment modules -------------------------------------------------------
+
+    def _join(self, d: int, tag: str, tags: str, updates: list, participants: list,
+              chosen: list):
+        """Evaluate the commands of the next participating module, and go on
+        where one of them is enabled; past the last one, join."""
+        if len(chosen) == len(participants):
+            self._combos(d, tag, tags, [(ONE, updates)], chosen)
+            return
+        commands = participants[len(chosen)]
+        if not commands:
+            return  # this module blocks the step
+        enabled = [(cmd, *self._command(d, cmd)) for cmd in commands]
+        self.block(d, f"if {' or '.join(flag for _, flag, _ in enabled)}:",
+                   lambda d: self._join(d, tag, tags, updates, participants, chosen + [enabled]))
+
+    def _combos(self, d: int, tag: str, tags: str, branches: list, chosen: list):
+        """One move per combination of enabled commands, the first module's
+        varying slowest; its branches are the products of theirs."""
+        if not chosen:
+            self._move(d, tag, tags, branches)
+            return
+        product = self.c.weight_table.product
+        for cmd, flag, cmd_branches in chosen[0]:
+            joined = [(product(p0, p1), u0 + u1) for p0, u0 in branches
+                      for p1, u1 in cmd_branches]
+
+            def then(d, tag=f"{tag}+{cmd.tag}", joined=joined):
+                self._combos(d, tag, tags, joined, chosen[1:])
+
+            if len(chosen[0]) == 1:
+                then(d)  # the module's test ran
+            else:
+                self.block(d, f"if {flag}:", then)
+
+    def _command(self, d: int, cmd: EnvCommandRT) -> tuple[str, list]:
+        """Evaluate an environment command's guard, into a flag, and where
+        it holds the values of its branches; return the flag and the
+        branches."""
+        flag = self.fresh("g")
+        branches = []
+
+        def values(d):
+            branches.extend((w, [self._value(d, i, t) for i, t in updates])
+                            for w, updates in cmd.branches)
+
+        def evaluate(d):
+            self.emit(d, f"{flag} = {self.expr(cmd.guard, _PY_COND)}")
+            if all(_constant(self.c, t) for _, updates in cmd.branches for _, t in updates):
+                values(d)  # prints nothing
+            else:
+                self.block(d, f"if {flag}:", values)
+
+        self.attempt(d, evaluate, cmd.tag)
+        return flag, branches
+
+    # moves ------------------------------------------------------------------------
+
+    def _control(self, updates) -> list:
+        return [(i, repr(v), False) for i, v in updates]
+
+    def _value(self, d: int, i: int, t: Term) -> tuple[int, str, bool]:
+        """The update of variable i to the value of t, as (i, text, whether
+        its domain is checked): a constant, or a local that holds the value,
+        evaluated here.  A constant known to lie in the domain is not
+        checked."""
+        info = self.c.vars[i]
+        checked = info.kind not in ("pc", "lock", "exit")
+        value = _constant(self.c, t)
+        if value is None:
+            local = self.fresh("v")
+            self.emit(d, f"{local} = {self.expr(t, _PY_COND)}")
+            return i, local, checked
+        if checked and _domain_error(info, value[0]) is None:
+            checked = False
+        return i, self.c._py_value(value[0])[0], checked
+
+    def _move(self, d: int, action: str, tags: str, branches: list):
+        """Append a move with the branches of positive weight, each to the
+        state its updates make, the last update of a variable winning;
+        where a value leaves its variable's domain, note the move's error."""
+        zero = self.c.weight_table.zero
+        branches = [(w, updates) for w, updates in branches if w not in zero]
+        checks = dict.fromkeys((i, text) for _, updates in branches
+                               for i, text, checked in updates if checked)
+        line = (f"out.append(({action!r}, {tags}, ["
+                + ", ".join(f"({w}, {self._successor(updates)})" for w, updates in branches)
+                + "]))")
+        if not checks:
+            self.emit(d, line)
+            return
+        error = self.fresh("e")
+        self.emit(d, f"{error} = " + " or ".join(self._check(i, text) for i, text in checks))
+        self.block(d, f"if {error}:", lambda d: self.emit(d, f"bad.append(({action!r}, {error}))"))
+        self.block(d, "else:", lambda d: self.emit(d, line))
+
+    def _successor(self, updates) -> str:
+        values = {i: text for i, text, _ in updates}
+        if not values:
+            return "s"
+        return "(" + ", ".join(values.get(i, f"s{i}") for i in range(len(self.c.vars))) + ",)"
+
+    def _check(self, i: int, text: str) -> str:
+        """An expression that gives the error of a value of variable i that
+        leaves its domain, else a false value: an inline test of the value's
+        type and bounds, and where that fails, `_domain_error`."""
+        info = self.c.vars[i]
+        kind = info.domain[0]
+        test = {"int": f"type({text}) is not int",
+                "nat": f"type({text}) is not int or {text} < 0",
+                "bool": f"type({text}) is not bool"}.get(kind)
+        if kind == "range":
+            test = f"type({text}) is not int or not {info.domain[1]} <= {text} <= {info.domain[2]}"
+        call = f"_bad({self.name(info, 'D')}, {text})"
+        return f"({test}) and {call}" if test else call
+
+
+def _domain_error(info: VarInfo, value) -> EvalError | None:
+    try:
+        _check_domain(info, value)
+    except EvalError as exc:
+        return exc
+    return None
+
+
+def _no_step(machine: str, pc, lk, exit_flag) -> BuildError:
+    return BuildError(f"machine {machine}: no step at pc {pc!r} (lock {lk}, exit flag {exit_flag})")
+
+
+def _constant(closed: ClosedModel, t: Term) -> tuple | None:
+    """(value,) of a term that is a literal or names a constant, else None."""
+    if isinstance(t.expr, A.Lit):
+        return (t.expr.value,)
+    if isinstance(t.expr, A.Ref):
+        kind, name = closed.name_of(t.expr, t.scope)
+        if kind == "enum":
+            return (name,)
+        if kind == "const" and name in closed.consts:
+            return (closed.consts[name],)
+    return None
 
 
 def open_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:
     """The closed model's Markov model, of which only the initial state is
     known; `MarkovModel.expand` explores it on demand."""
     return MarkovModel(closed.kind, tuple(v.name for v in closed.vars),
-                       [closed.initial_state()], _Explorer(closed).successors,
+                       [closed.initial_state()], closed.successors,
                        closed.weight_table, max_states=max_states)
 
 

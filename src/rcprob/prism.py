@@ -203,17 +203,29 @@ class _ModelEmitter:
         return "\n".join(out).rstrip() + "\n"
 
     def _latch_owners(self) -> dict:
-        """The machine of each latch that the commands of that machine alone
-        update: it declares the latch, since PRISM lets a labelled command
-        update only the variables of its own module."""
-        writers: dict[str, set] = {}
+        """The machine of each latch, which the commands of that machine
+        alone update: it declares the latch, since PRISM lets a labelled
+        command update only the variables of its own module.  A latch that
+        the commands of two machines update is refused: which of them wrote
+        last would need a variable of its own."""
+        writers: dict[str, list] = {}
         for m in self.c.machines:
             for st in m.steps:
                 for entry in self.c.entries_of.get(st, ()):
                     for i, _ in dict(entry.parts)[st]:
-                        writers.setdefault(self.c.vars[i].name, set()).add(m)
-        return {name: ms.pop() for name, ms in writers.items()
-                if len(ms) == 1 and self.c.var_named(name).kind == "latch"}
+                        ms = writers.setdefault(self.c.vars[i].name, [])
+                        if m not in ms:
+                            ms.append(m)
+        owners = {}
+        for name, ms in writers.items():
+            if self.c.var_named(name).kind != "latch":
+                continue
+            if len(ms) > 1:
+                raise EmitError(f"latch {self._qualify_flat(name)} is written by machines "
+                                f"{' and '.join(m.name for m in ms)}; emitting a latch that "
+                                "more than one machine writes is not supported")
+            owners[name] = ms[0]
+        return owners
 
     def _range(self, info) -> str:
         k = info.domain[0]

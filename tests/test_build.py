@@ -1,8 +1,13 @@
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rcprob
 from rcprob.build import (BuildError, attach_rewards, build_markov,
                           eval_expr, expand_sweep, instantiate, open_markov)
 from rcprob.model import parse_model
@@ -129,6 +134,18 @@ def test_eval_division_by_zero(closed_recharge):
     from rcprob.build import EvalError
     with pytest.raises(EvalError, match="division by zero"):
         eval_expr(closed_recharge, parse_expression("1 / 0"))
+
+
+def test_a_property_expression_is_compiled_once_per_closed_model(closed_recharge):
+    # simulation asks for an atom's function each time its paths reach new
+    # states; compiling it anew each time cost srw-smc a tenth of its time
+    from rcprob.build import EvalError
+    e = parse_expression("SRWMod::SRWRP::x == 0 /\\ SRWMod::SRWRP::steps > 1")
+    fn = closed_recharge.spec_expr(e)
+    assert closed_recharge.spec_expr(e) is fn and closed_recharge.spec_expr(e, real=True) is not fn
+    assert fn((0, 2, 0, "Move")) is True and fn((1, 2, 0, "Move")) is False
+    with pytest.raises(EvalError, match="expression needs a state"):
+        fn(None)
 
 
 # --- chain construction -----------------------------------------------------------
@@ -1054,3 +1071,37 @@ def test_exploring_environment_joins_hashes_no_fraction(srw_model, srw_spec, mon
     mm, calls = _fraction_calls(_join_closed(srw_model, srw_spec), monkeypatch)
     assert any(action.endswith("+A.c0+B.c0") for action in mm.move_action)
     assert calls["hash"] == 0 and calls["eq"] <= len(set(mm.weights)), calls
+
+
+# --- generated source ----------------------------------------------------------------
+
+# Prints the successors source of the SRW fixture, of it with JOIN_ENV's
+# modules and of SYNC_MODEL (the arguments: the fixtures, JOIN_ENV, SYNC_MODEL).
+SOURCE_OF = """
+import sys
+from fractions import Fraction
+from pathlib import Path
+from rcprob.build import _Explorer, instantiate
+from rcprob.model import parse_model
+from rcprob.props import DefinitionsDecl, PModulesDecl, parse_spec
+fixtures, join_env, sync_model = sys.argv[1:]
+model = parse_model((Path(fixtures) / "srw.rcm").read_text())
+spec = parse_spec((Path(fixtures) / "srw.rcp").read_text())
+for env in (None, parse_spec(join_env).find(PModulesDecl, "MTwo")):
+    print(_Explorer(instantiate(model, {"MaxDist": 2, "MaxSteps": 4, "Pl": Fraction(1, 2)},
+                                spec.find(DefinitionsDecl, "D_recharge"), env, "dtmc",
+                                spec)).source)
+print(_Explorer(instantiate(parse_model(sync_model), {}, None, None, "mdp")).source)
+"""
+
+
+def test_generated_source_does_not_depend_on_the_hash_seed():
+    # no set or dict order may leak into the code
+    fixtures = Path(__file__).parent / "fixtures"
+    env = dict(os.environ, PYTHONPATH=str(Path(rcprob.__file__).parent.parent))
+    texts = [subprocess.run([sys.executable, "-c", SOURCE_OF, str(fixtures), JOIN_ENV, SYNC_MODEL],
+                            env=dict(env, PYTHONHASHSEED=seed), capture_output=True, text=True,
+                            check=True, timeout=60).stdout
+             for seed in ("1", "2")]
+    assert texts[0].count("def successors(s):") == 3 and "+A.c0+B.c0" in texts[0]
+    assert texts[0] == texts[1]

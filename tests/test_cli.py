@@ -149,6 +149,57 @@ def test_cli_emit(tmp_path):
     assert len((tmp_path / "srw.sweep.tsv").read_text().splitlines()) == 9
 
 
+# both machines send on ping, so both write its latch
+TWO_WRITERS_MODEL = """
+module TSMod {
+  controller C {
+    event ping : int;
+    machine A {
+      var a : int = 0;
+      event ping : int;
+      initial a0;
+      state A1;
+      state A2;
+      state A3;
+      transition s0 { from a0 to A1 }
+      transition s1 { from A1 to A2 trigger ping ! 7 }
+      transition s2 { from A2 to A3 trigger ping ? a }
+    }
+    machine B {
+      var y : int = 0;
+      event ping : int;
+      initial b0;
+      state B1;
+      state B2;
+      state B3;
+      transition r0 { from b0 to B1 }
+      transition r1 { from B1 to B2 trigger ping ? y }
+      transition r2 { from B2 to B3 trigger ping ! 3 }
+    }
+    connection A.ping -> B.ping;
+    connection B.ping -> A.ping;
+  }
+}
+"""
+
+
+def test_emitting_a_latch_that_two_machines_write_exits_2(tmp_path, capsys):
+    # it stayed a global that both modules' labelled commands update, and
+    # the run wrote a model that PRISM refuses and exited 0
+    model, spec = tmp_path / "two.rcm", tmp_path / "two.rcp"
+    model.write_text(TWO_WRITERS_MODEL)
+    spec.write_text(DEADLOCK_FREE)
+    assert main(["check", str(model), str(spec), "--out", str(tmp_path / "internal")]) == 0
+    code = main(["check", str(model), str(spec), "--engine", "emit",
+                 "--out", str(tmp_path / "emit")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert err.splitlines() == ["error: latch TSMod::C::A::ping::val is written by machines "
+                                "C.A and C.B; emitting a latch that more than one machine "
+                                "writes is not supported"]
+    assert not (tmp_path / "emit" / "two.prism").exists()
+
+
 def test_cli_smc_engine(tmp_path):
     rcp = tmp_path / "s.rcp"
     rcp.write_text("""
@@ -665,6 +716,43 @@ def _div_model(step, var_type="int"):
     return DIV_MODEL.replace("STEP", step).replace("TYPE", var_type)
 
 
+# A's s1 and B's r1 synchronise on go, so B first waits at B1 with A at A1,
+# where A's s2 initiates the joint step and evaluates B's guard on r2
+PARTNER_MODEL = """
+module SyncDiv {
+  controller C {
+    event go;
+    event ping : int;
+    machine A {
+      event go;
+      event ping : int;
+      initial a0;
+      state A0;
+      state A1;
+      state A2;
+      transition s0 { from a0 to A0 }
+      transition s1 { from A0 to A1 trigger go }
+      transition s2 { from A1 to A2 trigger ping ! 1 }
+    }
+    machine B {
+      var y : int = 0;
+      event go;
+      event ping : int;
+      initial b0;
+      state B0;
+      state B1;
+      state B2;
+      transition r0 { from b0 to B0 }
+      transition r1 { from B0 to B1 trigger go }
+      transition r2 { from B1 to B2 trigger ping ? y guard 1 / y > 0 }
+    }
+    connection A.go -> B.go;
+    connection A.ping -> B.ping;
+  }
+}
+"""
+
+
 def _srw_prop(body, command="[] true -> (@n = 0);", modules=False):
     return (SRW_SETUP.replace("COMMAND", command) + f"prob property P_bad:\n  {body}\n"
             "  with constants C_all\n  with definitions D_all\n"
@@ -681,6 +769,14 @@ FAILING_INPUTS = {
              "C.A.s1@act0 at state ("),
     "received": (_div_model("trigger ping ! (0 - 3)", "nat"), DEADLOCK_FREE, [],
                  "C.A.s1+C.B.r1 at state (C.A.a=0, C.A.lk=0, C.A.pc=A1, C.B.y=0, "),
+    # a partner's guard fails within the step that initiates the joint step
+    "partner guard": (PARTNER_MODEL, DEADLOCK_FREE, [],
+                      "C.A.s2 at state (C.A.lk=0, C.A.pc=A1, C.B.y=0, C.B.lk=0, C.B.pc=B1, "),
+    # simulation explores the states its paths reach, as they reach them
+    "guard smc": (_div_model("guard 1 / a > 0"),
+                  "prob property P:\n  Prob=? of [Finally DivMod::C::A is in DivMod::C::A::A2] "
+                  "using sim with CI at alpha=0.05, n=10\n",
+                  ["--kind", "dtmc", "--engine", "smc"], "C.A.s1 at state ("),
     "pmodule guard": (None, _srw_prop("Prob=? of [Finally #l_stuck]",
                                       "[] 1 / @n > 0 -> (@n = 1);", modules=True),
                       ["--kind", "dtmc"], "E.c0 at state ("),
@@ -710,6 +806,11 @@ FAILING_INPUTS = {
     "fractional Cumul smc": (None, _srw_prop("Reward {R_origins} =? of [Cumul 2.5] using sim "
                                              "with CI at alpha=0.05, n=10"),
                              ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
+    # Python's parser nests at most 200 brackets, and each division is a call
+    "division chain": (Path(SRW_RCM).read_text().replace(
+        "guard steps == MaxSteps", "guard x" + " / 1" * 240 + " == 0 /\\ steps == MaxSteps"),
+        _srw_prop("Prob=? of [Finally #l_stuck]"), ["--kind", "dtmc"],
+        "expression too deep to compile to Python: "),
     # an initial value out of range was an EvalError traceback
     "pmodule init": (None, _srw_prop("Prob=? of [Finally #l_stuck]", modules=True)
                      .replace("init 0", "init 7"), ["--kind", "dtmc"],
