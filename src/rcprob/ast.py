@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 Pos = tuple[int, int]
 
@@ -335,6 +334,3 @@ def subexpressions(node: Expr) -> list[Expr]:
         if node.bound:
             children.append(node.bound.expr)
     return [c for c in children if c is not None]
-
-
-NUMERIC_LITERAL_TYPES = (int, Fraction)

@@ -170,6 +170,7 @@ class VarInfo:
     kind: str  # shared | machine | lock | pc | exit | env | latch
     domain: tuple  # ("int",) ("nat",) ("bool",) ("enum", literals) ("range", lo, hi) ("pc",) ("lock",) ("exit",)
     init: object
+    qualified: str  # its name in the name map; a declared variable's is its resolved name
 
 
 def _default_for(domain):
@@ -525,15 +526,13 @@ _NO_TAGS = frozenset()  # shared by the untagged moves: a fresh one is 216 bytes
 
 class MachineRT:
     def __init__(self, closed: "ClosedModel", ctrl: M.Controller, mach: M.Machine):
-        self.closed = closed
         self.ctrl = ctrl
         self.mach = mach
         self.name = f"{ctrl.name}.{mach.name}"
-        self.scope = ModelScope(closed.model, ctrl, mach)
-        self.lk_i = closed.index[f"{ctrl.name}.{mach.name}.lk"]
-        self.pc_i = closed.index[f"{ctrl.name}.{mach.name}.pc"]
-        exit_key = f"{ctrl.name}.{mach.name}.exit"
-        self.exit_i = closed.index.get(exit_key)
+        self.scope = closed.scopes[self.name]
+        self.lk_i = closed.index[f"{self.name}.lk"]
+        self.pc_i = closed.index[f"{self.name}.pc"]
+        self.exit_i = closed.index.get(f"{self.name}.exit")
         self.junctions = set(mach.junctions)
         self.states = {s.name: s for s in mach.states}
         self.trans_by_id = {t.id: t for t in mach.transitions}
@@ -730,22 +729,27 @@ class ClosedModel:
             self.index[info.name] = len(self.vars)
             self.vars.append(info)
 
+        def declare(scope: ModelScope, variables, kind: str):
+            for v in variables:
+                ref = scope.vars[v.name]
+                add(VarInfo(ref.flat, kind, _domain_of_typeref(v.type, model),
+                            self._const_value(v.init, f"initial value of {v.name}"),
+                            ref.qualified()))
+
         for p in model.platforms:
-            for v in p.variables:
-                add(VarInfo(f"{p.name}.{v.name}", "shared",
-                            _domain_of_typeref(v.type, model),
-                            self._const_value(v.init, f"initial value of {v.name}")))
+            declare(ModelScope(model, platform=p), p.variables, "shared")
+        self.scopes: dict[str, ModelScope] = {}  # of each machine, by its name
         for ctrl in model.controllers:
             for mach in ctrl.machines:
                 base = f"{ctrl.name}.{mach.name}"
-                for v in mach.variables:
-                    add(VarInfo(f"{base}.{v.name}", "machine",
-                                _domain_of_typeref(v.type, model),
-                                self._const_value(v.init, f"initial value of {v.name}")))
-                add(VarInfo(f"{base}.lk", "lock", ("lock",), LOCK_FREE))
-                add(VarInfo(f"{base}.pc", "pc", ("pc",), mach.initial))
+                qualified = f"{model.name}::{ctrl.name}::{mach.name}"
+                self.scopes[base] = ModelScope(model, ctrl, mach)
+                declare(self.scopes[base], mach.variables, "machine")
+                add(VarInfo(f"{base}.lk", "lock", ("lock",), LOCK_FREE, f"{qualified}::lk"))
+                add(VarInfo(f"{base}.pc", "pc", ("pc",), mach.initial, f"{qualified}::pc"))
                 if any(s.exit is not None for s in mach.states):
-                    add(VarInfo(f"{base}.exit", "exit", ("exit",), EXIT_NONE))
+                    add(VarInfo(f"{base}.exit", "exit", ("exit",), EXIT_NONE,
+                                f"{qualified}::exit"))
         if self.env is not None:
             for mod in self.env.modules:
                 for v in mod.variables:
@@ -761,11 +765,13 @@ class ClosedModel:
                         default = lo
                     init = self._const_value(v.init, f"init of @{v.name}") \
                         if v.init is not None else default
-                    add(VarInfo(f"env.{mod.name}.{v.name}", "env", domain, init))
+                    add(VarInfo(f"env.{mod.name}.{v.name}", "env", domain, init,
+                                f"{mod.name}::{v.name}"))
         for closure in self.closures.closures:
             if closure.latch is not None:
                 domain = _domain_of_typeref(closure.payload, model)
-                add(VarInfo(closure.latch, "latch", domain, _default_for(domain)))
+                add(VarInfo(closure.latch, "latch", domain, _default_for(domain),
+                            f"{closure.cid}::val"))
 
     def _const_value(self, expr: A.Expr, what: str):
         try:

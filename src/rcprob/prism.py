@@ -106,18 +106,7 @@ class _ModelEmitter:
     # name helpers --------------------------------------------------------
 
     def var_id(self, flat: str) -> str:
-        qualified = self._qualify_flat(flat)
-        return self.mangler.mangle(qualified)
-
-    def _qualify_flat(self, flat: str) -> str:
-        mod = self.c.model.name
-        if flat.startswith("env."):
-            _, pmod, var = flat.split(".", 2)
-            return f"{pmod}::{var}"
-        if flat.startswith("latch."):
-            return flat.replace("latch.", "") + "::val"
-        parts = flat.split(".")
-        return "::".join([mod] + parts)
+        return self.mangler.mangle(self.c.var_named(flat).qualified)
 
     def closure_action(self, closure) -> str:
         # "in" where the platform drives this event into the model
@@ -218,10 +207,11 @@ class _ModelEmitter:
                             ms.append(m)
         owners = {}
         for name, ms in writers.items():
-            if self.c.var_named(name).kind != "latch":
+            info = self.c.var_named(name)
+            if info.kind != "latch":
                 continue
             if len(ms) > 1:
-                raise EmitError(f"latch {self._qualify_flat(name)} is written by machines "
+                raise EmitError(f"latch {info.qualified} is written by machines "
                                 f"{' and '.join(m.name for m in ms)}; emitting a latch that "
                                 "more than one machine writes is not supported")
             owners[name] = ms[0]

@@ -1,12 +1,15 @@
 """Name resolution against the model and well-formedness validation.
 
 Qualified names in properties are resolved by walking containment from the
-module root (WFREF-1/2).  One classifier types the expressions of both
-files: those of a platform or machine with their names resolved lexically
-(`ModelScope.lookup`), those of the property file as qualified references.
-`validate` runs every well-formedness condition over a parsed
-model/property pair and returns an ordered, deterministic diagnostic
-sequence; it never raises.
+module root (WFREF-1/2), one `ResolvedRef` per segment, each made from its
+parent's.  The same constructor makes the refs of the names a platform or
+machine declares (`ModelScope`), so the flat and qualified names of a
+declared variable are formed here alone.  One classifier types the
+expressions of both files: those of a platform or machine with their names
+resolved lexically (`ModelScope.lookup`), those of the property file as
+qualified references.  `validate` runs every well-formedness condition
+over a parsed model/property pair and returns an ordered, deterministic
+diagnostic sequence; it never raises.
 """
 
 from __future__ import annotations
@@ -114,20 +117,69 @@ def _same(a, b):
 
 @dataclass
 class ResolvedRef:
+    """What a qualified name refers to.
+
+    `kind` is module, platform, controllerInstance, machineInstance, enum,
+    enumLiteral, constant, variable, event, operation, function, junction,
+    state or transition, and `decl` its declaration: the enumeration of a
+    literal, the name of a junction.  `path` holds the segments as written,
+    so a name with a wrong head keeps it.  `type` is the type of a
+    constant, variable, function result, event payload or literal.  `flat`
+    is set for variables only: the state variable `platform.var` or
+    `controller.machine.var`.  `owner` is the platform of a platform
+    member, the controller of a machine or controller event, the machine of
+    a machine variable or function, the (controller, machine) pair of a
+    machine event, junction, state or transition, and None for the rest.
+
+    This module alone forms the flat and qualified names of declared
+    variables (`_member`); `build` and the PRISM emitter read them."""
     kind: str
     path: tuple[str, ...]
     decl: object = None
     type: TypeClass = ANY
-    flat: str | None = None  # flat state-variable identity for vars
-    owner: object = None  # containing machine/platform/controller
+    flat: str | None = None
+    owner: object = None
 
     def qualified(self) -> str:
         return "::".join(self.path)
 
 
-_CHILD_KINDS = {
-    "module", "platform", "controllerInstance", "machineInstance", "enum",
-}
+# the field of a declaration that holds its type, by kind
+_TYPE_FIELDS = {"constant": "type", "variable": "type", "function": "result",
+                "event": "payload"}
+
+
+def _name(decl) -> str:
+    if isinstance(decl, str):  # a junction or an enumeration literal
+        return decl
+    return decl.id if isinstance(decl, M.Transition) else decl.name
+
+
+def _member(model: M.ModelAst, parent: ResolvedRef, kind: str, decl) -> ResolvedRef:
+    """The ref of `decl`, a member of kind `kind` of what `parent` refers to."""
+    path = parent.path + (_name(decl),)
+    if kind == "enumLiteral":
+        return ResolvedRef(kind, path, parent.decl, enum_of(parent.decl.name))
+    typeref = getattr(decl, _TYPE_FIELDS[kind]) if kind in _TYPE_FIELDS else None
+    tc = type_of_typeref(typeref, model) if typeref is not None else ANY
+    owner, flat = parent.decl, None
+    if parent.kind == "module":
+        owner = None
+    elif parent.kind == "machineInstance" and kind not in ("variable", "function"):
+        owner = (parent.owner, parent.decl)
+    if kind == "variable":
+        at = (parent.owner, parent.decl) if parent.kind == "machineInstance" else (parent.decl,)
+        flat = ".".join([*(node.name for node in at), decl.name])
+    return ResolvedRef(kind, path, decl, tc, flat, owner)
+
+
+def _enum_literal(model: M.ModelAst, segs: tuple[str, ...]) -> ResolvedRef | None:
+    """The enumeration literal that `E::L` names, else None: a type
+    reference, exempt from the module-rooted walk."""
+    enum = model.enum(segs[0]) if len(segs) == 2 else None
+    if enum is None or segs[1] not in enum.literals:
+        return None
+    return ResolvedRef("enumLiteral", segs, enum, enum_of(enum.name))
 
 
 class Resolver:
@@ -136,189 +188,73 @@ class Resolver:
     def __init__(self, model: M.ModelAst, spec: P.SpecAst | None = None):
         self.model = model
         self.spec = spec if spec is not None else P.SpecAst()
-        self._head_entities = {}
-        for p in model.platforms:
-            self._head_entities[p.name] = ("platform", p)
-        for c in model.controllers:
-            self._head_entities[c.name] = ("controllerInstance", c)
-        for e in model.enums:
-            self._head_entities[e.name] = ("enum", e)
-
-    # flat identities -----------------------------------------------------
-
-    def flat_platform_var(self, platform: M.Platform, var: str) -> str:
-        return f"{platform.name}.{var}"
-
-    def flat_machine_var(self, ctrl: M.Controller, mach: M.Machine, var: str) -> str:
-        return f"{ctrl.name}.{mach.name}.{var}"
-
-    # FQN resolution --------------------------------------------------------
 
     def resolve_fqn(self, qn: QName) -> tuple[ResolvedRef | None, list[Diagnostic]]:
+        """Walk a qualified name from its first segment to its last, one
+        child ref at a time.  A head other than the module is an error, but
+        one that names a child of the module starts the walk; a bare name
+        that names none is a property-file constant."""
         segs = qn.segments
         diags: list[Diagnostic] = []
-        # Enum literals are type references, exempt from the module-rooted walk.
-        if len(segs) == 2 and self.model.enum(segs[0]) is not None:
-            enum = self.model.enum(segs[0])
-            if segs[1] in enum.literals:
-                return (
-                    ResolvedRef("enumLiteral", (segs[0], segs[1]), enum, enum_of(enum.name)),
-                    diags,
-                )
+        ref = _enum_literal(self.model, segs)
+        if ref is not None:
+            return ref, diags
         if segs[0] == self.model.name:
-            entity = ("module", self.model)
-        elif segs[0] in self._head_entities:
-            diags.append(Diagnostic(
-                "WFREF-1", "error",
-                f"first segment {segs[0]!r} must be the module {self.model.name!r}",
-                qn.pos,
-            ))
-            entity = self._head_entities[segs[0]]
-        elif len(segs) == 1:
-            # bare names resolve against property-file constant declarations
-            decl = self.spec.find(P.ConstantDecl, segs[0])
-            if decl is not None:
-                return (
-                    ResolvedRef("constant", (segs[0],), decl,
-                                type_of_typeref(decl.type, self.model)),
-                    diags,
-                )
-            diags.append(Diagnostic("SCOPE", "error", f"unknown name {segs[0]!r}", qn.pos))
-            return None, diags
+            ref = ResolvedRef("module", segs[:1], self.model)
         else:
+            # the head looked up among the module's children, its path as written
+            ref = self._child(ResolvedRef("module", (), self.model), segs[0])
+            if ref is None and len(segs) == 1:
+                decl = self.spec.find(P.ConstantDecl, segs[0])
+                if decl is None:
+                    diags.append(Diagnostic("SCOPE", "error", f"unknown name {segs[0]!r}",
+                                            qn.pos))
+                    return None, diags
+                return ResolvedRef("constant", segs, decl,
+                                   type_of_typeref(decl.type, self.model)), diags
             diags.append(Diagnostic(
                 "WFREF-1", "error",
                 f"first segment {segs[0]!r} must be the module {self.model.name!r}",
                 qn.pos,
             ))
-            diags.append(Diagnostic(
-                "WFREF-2", "error",
-                f"{segs[1]!r} is not a child of {segs[0]!r}",
-                qn.pos,
-            ))
-            return None, diags
-        path = [segs[0]]
-        for i in range(1, len(segs)):
-            child = self._child(entity, segs[i])
+            if ref is None:
+                ref = ResolvedRef("unknown", segs[:1])  # it names nothing, so has no children
+        for name in segs[1:]:
+            child = self._child(ref, name)
             if child is None:
                 diags.append(Diagnostic(
-                    "WFREF-2", "error",
-                    f"{segs[i]!r} is not a child of {segs[i - 1]!r}",
-                    qn.pos,
+                    "WFREF-2", "error", f"{name!r} is not a child of {ref.path[-1]!r}", qn.pos,
                 ))
                 return None, diags
-            entity = child
-            path.append(segs[i])
-        ref = self._make_ref(entity, tuple(path))
-        if len(segs) == 1 and ref.kind != "module":
-            # a known non-module head alone (e.g. a bare platform name)
-            pass
+            ref = child
         return ref, diags
 
-    def _child(self, entity, name):
-        kind, node = entity
-        if kind == "module":
-            got = self._head_entities.get(name)
-            return got
-        if kind == "platform":
-            for c in node.constants:
-                if c.name == name:
-                    return ("constant", (node, c))
-            for v in node.variables:
-                if v.name == name:
-                    return ("variable", (node, v))
-            for e in node.events:
-                if e.name == name:
-                    return ("event", (node, e))
-            for o in node.operations:
-                if o.name == name:
-                    return ("operation", (node, o))
+    def _child(self, parent: ResolvedRef, name: str) -> ResolvedRef | None:
+        """The ref of the child `name` of what `parent` refers to, None if
+        it has none."""
+        node = parent.decl
+        if parent.kind == "module":
+            members = (("platform", node.platforms), ("controllerInstance", node.controllers),
+                       ("enum", node.enums))
+        elif parent.kind == "platform":
+            members = (("constant", node.constants), ("variable", node.variables),
+                       ("event", node.events), ("operation", node.operations))
+        elif parent.kind == "controllerInstance":
+            members = (("machineInstance", node.machines), ("event", node.events))
+        elif parent.kind == "machineInstance":
+            members = (("variable", node.variables), ("event", node.events),
+                       ("function", node.functions),
+                       ("junction", (node.initial, *node.junctions)),
+                       ("state", node.states), ("transition", node.transitions))
+        elif parent.kind == "enum":
+            members = (("enumLiteral", node.literals),)
+        else:
             return None
-        if kind == "controllerInstance":
-            for m in node.machines:
-                if m.name == name:
-                    return ("machineInstance", (node, m))
-            for e in node.events:
-                if e.name == name:
-                    return ("event", (node, e))
-            return None
-        if kind == "machineInstance":
-            ctrl, mach = node
-            for v in mach.variables:
-                if v.name == name:
-                    return ("variable", (ctrl, mach, v))
-            for e in mach.events:
-                if e.name == name:
-                    return ("event", ((ctrl, mach), e))
-            for f in mach.functions:
-                if f.name == name:
-                    return ("function", (mach, f))
-            if name == mach.initial or name in mach.junctions:
-                return ("junction", (ctrl, mach, name))
-            st = mach.state(name)
-            if st is not None:
-                return ("state", (ctrl, mach, st))
-            for t in mach.transitions:
-                if t.id == name:
-                    return ("transition", (ctrl, mach, t))
-            return None
-        if kind == "enum":
-            if name in node.literals:
-                return ("enumLiteral", (node, name))
-            return None
+        for kind, decls in members:
+            for decl in decls:
+                if _name(decl) == name:
+                    return _member(self.model, parent, kind, decl)
         return None
-
-    def _make_ref(self, entity, path) -> ResolvedRef:
-        kind, node = entity
-        if kind == "module":
-            return ResolvedRef("module", path, node)
-        if kind == "platform":
-            return ResolvedRef("platform", path, node)
-        if kind == "controllerInstance":
-            return ResolvedRef("controllerInstance", path, node)
-        if kind == "machineInstance":
-            ctrl, mach = node
-            return ResolvedRef("machineInstance", path, mach, owner=ctrl)
-        if kind == "enum":
-            return ResolvedRef("enum", path, node)
-        if kind == "enumLiteral":
-            enum, lit = node
-            return ResolvedRef("enumLiteral", path, enum, enum_of(enum.name))
-        if kind == "constant":
-            owner, decl = node
-            return ResolvedRef("constant", path, decl,
-                               type_of_typeref(decl.type, self.model), owner=owner)
-        if kind == "variable":
-            if len(node) == 2:
-                owner, decl = node
-                flat = self.flat_platform_var(owner, decl.name)
-            else:
-                ctrl, mach, decl = node
-                owner = mach
-                flat = self.flat_machine_var(ctrl, mach, decl.name)
-            return ResolvedRef("variable", path, decl,
-                               type_of_typeref(decl.type, self.model), flat=flat, owner=owner)
-        if kind == "event":
-            owner, decl = node
-            tc = type_of_typeref(decl.payload, self.model) if decl.payload else ANY
-            return ResolvedRef("event", path, decl, tc, owner=owner)
-        if kind == "function":
-            mach, decl = node
-            return ResolvedRef("function", path, decl,
-                               type_of_typeref(decl.result, self.model), owner=mach)
-        if kind == "operation":
-            owner, decl = node
-            return ResolvedRef("operation", path, decl, owner=owner)
-        if kind == "junction":
-            ctrl, mach, name = node
-            return ResolvedRef("junction", path, name, owner=(ctrl, mach))
-        if kind == "state":
-            ctrl, mach, st = node
-            return ResolvedRef("state", path, st, owner=(ctrl, mach))
-        if kind == "transition":
-            ctrl, mach, t = node
-            return ResolvedRef("transition", path, t, owner=(ctrl, mach))
-        raise AssertionError(kind)
 
     def resolve_event(self, ev: A.EventRef) -> tuple[ResolvedRef | None, list[Diagnostic]]:
         ref, diags = self.resolve_fqn(ev.name)
@@ -718,22 +654,22 @@ class ModelScope:
         self.operations: dict[str, M.OperationDecl] = {}
         self.functions: dict[str, M.FunctionDecl] = {}
         self.events: dict[str, M.EventDecl] = {}
+        root = ResolvedRef("module", (model.name,), model)
         if platform is not None:
-            self._add_vars(platform.variables, platform.name)
-            for c in platform.constants:
-                self.consts[c.name] = ResolvedRef("constant", (c.name,), c,
-                                                  type_of_typeref(c.type, model))
+            at = _member(model, root, "platform", platform)
+            self._add(at, "constant", platform.constants, self.consts)
+            self._add(at, "variable", platform.variables, self.vars)
             self.operations = {o.name: o for o in platform.operations}
         if mach is not None:
-            self._add_vars(mach.variables, f"{ctrl.name}.{mach.name}")
+            at = _member(model, _member(model, root, "controllerInstance", ctrl),
+                         "machineInstance", mach)
+            self._add(at, "variable", mach.variables, self.vars)
             self.functions = {f.name: f for f in mach.functions}
             self.events = {e.name: e for e in mach.events}
 
-    def _add_vars(self, variables, owner: str):
-        for v in variables:
-            self.vars[v.name] = ResolvedRef("variable", (v.name,), v,
-                                            type_of_typeref(v.type, self.model),
-                                            flat=f"{owner}.{v.name}")
+    def _add(self, at: ResolvedRef, kind: str, decls, names: dict):
+        for decl in decls:
+            names[decl.name] = _member(self.model, at, kind, decl)
 
     def lookup(self, name: QName) -> ResolvedRef | None:
         """What a name stands for here: an enumeration literal `E::L`, or a
@@ -742,10 +678,7 @@ class ModelScope:
         segs = name.segments
         if len(segs) == 1:
             return self.consts.get(segs[0]) or self.vars.get(segs[0])
-        enum = self.model.enum(segs[0]) if len(segs) == 2 else None
-        if enum is not None and segs[1] in enum.literals:
-            return ResolvedRef("enumLiteral", segs, enum, enum_of(enum.name))
-        return None
+        return _enum_literal(self.model, segs)
 
 
 # --- full validation --------------------------------------------------------------

@@ -94,6 +94,28 @@ def test_golden_model(srw_pair):
     assert srw_pair.model_text == GOLDEN.read_text()
 
 
+NAMEMAPS = {
+    "srw": "srw_golden.namemap.tsv",
+    "srw with environment": "srw_env_golden.namemap.tsv",
+    "latch": "input_golden.namemap.tsv",
+}
+
+
+@pytest.mark.parametrize("case", NAMEMAPS)
+def test_golden_namemap(case, srw_pair, srw_model, srw_spec):
+    """The name maps of the SRW fixture, of it with environment modules
+    and of a model with a latch, as committed."""
+    from test_build import INPUT_MODEL, _join_closed
+    if case == "srw":
+        pair = srw_pair
+    elif case == "srw with environment":
+        pair = emit_pair(_join_closed(srw_model, srw_spec), srw_spec)
+    else:
+        pair = emit_pair(instantiate(parse_model(INPUT_MODEL), {}, None, None, "mdp"),
+                         parse_spec(""))
+    assert pair.mangler.tsv() == (GOLDEN.parent / NAMEMAPS[case]).read_text()
+
+
 def test_property_translations(srw_closed):
     em = _ModelEmitter(srw_closed, None, Mangler())
     pe = _PropsEmitter(srw_closed, em)
@@ -360,12 +382,11 @@ def _decoder(closed, pair, prism):
     """Maps an interpreter state back to the explorer's valuation through
     the name map: pc, lock and exit codes and enumeration literals."""
     ident = {q: m for m, q in pair.mangler.name_map.items()}
-    em = _ModelEmitter(closed, None, Mangler())
     columns = []
     for v in closed.vars:
-        name = ident[em._qualify_flat(v.name)]
+        name = ident[v.qualified]
         if v.domain[0] in ("pc", "lock", "exit"):
-            prefix = f"{em._qualify_flat(v.name)}::"
+            prefix = f"{v.qualified}::"
             codes = {int(m.split("=")[1]): pair.mangler.name_map[m][len(prefix):]
                      for m in pair.mangler.name_map if m.startswith(f"{name}=")}
             columns.append((name, lambda x, codes=codes: codes.get(x, x)))

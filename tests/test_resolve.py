@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 
 from rcprob import ast as A
+from rcprob.model import parse_model
 from rcprob.props import parse_expression, parse_spec, SpecAst
-from rcprob.resolve import (BOOL, NUM, ResolveError, classify,
+from rcprob.resolve import (ANY, BOOL, NUM, Resolver, ResolveError, classify, enum_of,
                             resolve_fqn, set_of, validate)
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -35,6 +36,96 @@ def test_resolve_shared_variable(srw_model, srw_spec):
     assert ref.kind == "variable"
     assert ref.type == NUM
     assert ref.flat == "SRWRP.x"
+
+
+# a model with one entity of each kind that a qualified name can reach
+TABLE_MODEL = """
+module TMod {
+  platform P {
+    const N : int;
+    var x : int = 0;
+    event go : Mode;
+    operation stop(v : int);
+  }
+  controller C {
+    requires P;
+    event go : Mode;
+    machine S {
+      var on : bool = false;
+      event go : Mode;
+      function f(v : int) : int;
+      initial i0;
+      pjunction j;
+      state A;
+      transition t0 { from i0 to j }
+      transition t1 { from j to A prob 1 }
+    }
+    connection S.go -> C.go;
+  }
+  connection C.go -> P.go;
+  enum Mode { Off, On }
+}
+"""
+
+# name: (kind, path, flat, owner, type); an owner is named by the entity
+# it is, a pair of them by a tuple
+RESOLVE_TABLE = {
+    "TMod": ("module", ("TMod",), None, None, ANY),
+    "TMod::P": ("platform", ("TMod", "P"), None, None, ANY),
+    "TMod::C": ("controllerInstance", ("TMod", "C"), None, None, ANY),
+    "TMod::C::S": ("machineInstance", ("TMod", "C", "S"), None, "C", ANY),
+    "TMod::Mode": ("enum", ("TMod", "Mode"), None, None, ANY),
+    "Mode::On": ("enumLiteral", ("Mode", "On"), None, None, enum_of("Mode")),
+    "TMod::Mode::Off": ("enumLiteral", ("TMod", "Mode", "Off"), None, None, enum_of("Mode")),
+    "TMod::P::N": ("constant", ("TMod", "P", "N"), None, "P", NUM),
+    "TMod::P::x": ("variable", ("TMod", "P", "x"), "P.x", "P", NUM),
+    "TMod::P::go": ("event", ("TMod", "P", "go"), None, "P", enum_of("Mode")),
+    "TMod::P::stop": ("operation", ("TMod", "P", "stop"), None, "P", ANY),
+    "TMod::C::go": ("event", ("TMod", "C", "go"), None, "C", enum_of("Mode")),
+    "TMod::C::S::on": ("variable", ("TMod", "C", "S", "on"), "C.S.on", "S", BOOL),
+    "TMod::C::S::go": ("event", ("TMod", "C", "S", "go"), None, ("C", "S"), enum_of("Mode")),
+    "TMod::C::S::f": ("function", ("TMod", "C", "S", "f"), None, "S", NUM),
+    "TMod::C::S::i0": ("junction", ("TMod", "C", "S", "i0"), None, ("C", "S"), ANY),
+    "TMod::C::S::j": ("junction", ("TMod", "C", "S", "j"), None, ("C", "S"), ANY),
+    "TMod::C::S::A": ("state", ("TMod", "C", "S", "A"), None, ("C", "S"), ANY),
+    "TMod::C::S::t1": ("transition", ("TMod", "C", "S", "t1"), None, ("C", "S"), ANY),
+    "K": ("constant", ("K",), None, None, NUM),
+}
+
+
+@pytest.mark.parametrize("name", RESOLVE_TABLE)
+def test_resolve_each_kind_of_entity(name):
+    model = parse_model(TABLE_MODEL)
+    ctrl = model.controller("C")
+    nodes = {"P": model.platform("P"), "C": ctrl, "S": ctrl.machines[0]}
+    kind, path, flat, owner, type_ = RESOLVE_TABLE[name]
+    ref, diags = Resolver(model, parse_spec("const K : int")).resolve_fqn(qn(name))
+    assert diags == []
+    assert (ref.kind, ref.path, ref.flat, ref.type) == (kind, path, flat, type_)
+    assert ref.qualified() == "::".join(path)
+    if isinstance(owner, tuple):
+        assert len(ref.owner) == 2 and all(o is nodes[n] for o, n in zip(ref.owner, owner))
+    else:
+        assert ref.owner is (nodes[owner] if owner is not None else None)
+
+
+def test_resolve_diagnostics(srw_model, srw_spec):
+    resolver = Resolver(srw_model, srw_spec)
+    # a known entity as the head: an error, but the walk goes on from it
+    ref, diags = resolver.resolve_fqn(qn("SRWRP::x"))
+    assert [(d.code, d.message) for d in diags] == [
+        ("WFREF-1", "first segment 'SRWRP' must be the module 'SRWMod'")]
+    assert (ref.kind, ref.path, ref.flat) == ("variable", ("SRWRP", "x"), "SRWRP.x")
+    ref, diags = resolver.resolve_fqn(qn("Nope::x"))
+    assert ref is None and [(d.code, d.message) for d in diags] == [
+        ("WFREF-1", "first segment 'Nope' must be the module 'SRWMod'"),
+        ("WFREF-2", "'x' is not a child of 'Nope'")]
+    ref, diags = resolver.resolve_fqn(qn("SRWMod::SRWRP::nope"))
+    assert ref is None and [(d.code, d.message) for d in diags] == [
+        ("WFREF-2", "'nope' is not a child of 'SRWRP'")]
+    ref, diags = resolver.resolve_fqn(qn("nope"))
+    assert ref is None and [(d.code, d.message) for d in diags] == [
+        ("SCOPE", "unknown name 'nope'")]
 
 
 def test_resolve_roundtrip(srw_model, srw_spec):
