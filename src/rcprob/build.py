@@ -1268,18 +1268,38 @@ def eval_expr(closed: ClosedModel, expr: A.Expr, state: tuple | None = None):
 # --- Markov model ---------------------------------------------------------------
 
 
+def _extended(a: np.ndarray, new) -> np.ndarray:
+    """`a` followed by `new`, as a prefix of a buffer with room to spare:
+    `new` is written by one slice into the room past the end of `a`, and a
+    full buffer is replaced by one twice as large, so appending r items
+    costs O(r) amortised instead of a copy of the whole array.  `a` must own
+    its data or be a result of this function; the arrays of the move store,
+    the sample table, the monitors and the reward structures are extended
+    only through it."""
+    n = a.size
+    end = n + len(new)
+    buf = a.base
+    if buf is None or buf.size < end:
+        buf = np.empty(max(end, 2 * n), a.dtype)
+        buf[:n] = a
+    buf[n:end] = new
+    return buf[:end]
+
+
 @dataclass
 class SampleTable:
-    """What simulation adds to a model's move store: a sort key per branch
-    and an absorbing flag per row.  The entries of row r are the branches
-    of its k moves in store order, with weight p/k.  `key` is the complex
-    number r + c*1j per entry, where c sums the row's weights left to right
-    up to the entry, the last one set to 1.0: numpy orders complex numbers
-    by real and then imaginary part, so one searchsorted over `key` compares
-    u with the cumulative weights of the path's own row, exactly, and finds
-    the branch the path takes.  Rows are appended as states are expanded,
-    and their keys stay sorted."""
-    key: np.ndarray
+    """What simulation adds to a model's move store, per row and per entry.
+    The entries of row r are the branches of its k moves in store order,
+    with weight p/k, from entry `first[r]` on; entry e is branch e, of store
+    move `move[e]`.  `cum[e]` sums the weights of e's row left to right up
+    to e, the row's last entry set to 1.0.  A path at row r with uniform u
+    in [0, 1) takes the row's first entry whose `cum` exceeds u: it steps
+    from `first[r]` while `cum <= u`, which the row's last entry stops, so a
+    step takes at most as many rounds as the row has entries.  Rows are
+    appended as states are expanded."""
+    first: np.ndarray
+    cum: np.ndarray
+    move: np.ndarray
     absorbing: np.ndarray  # per row: every branch leads back to its state
 
 
@@ -1298,8 +1318,7 @@ class RewardStructure:
     def cover(self, mm: MarkovModel):
         if self.state.size < len(mm.order):
             state, move = self.evaluate(mm, self.state.size)
-            self.state = np.concatenate([self.state, state])
-            self.move = np.concatenate([self.move, move])
+            self.state, self.move = _extended(self.state, state), _extended(self.move, move)
 
 
 class MarkovModel:
@@ -1414,17 +1433,17 @@ class MarkovModel:
     def _store_batch(self):
         """Extend the store's arrays by the rows appended since, and
         `weight_float` by the nodes made since."""
-        row_moves, move_branches, dests, nodes = (np.array(b, dtype=np.int64)
-                                                  for b in self._batch)
+        row_moves, move_branches, dests, nodes = self._batch
         self._batch = ([], [], [], [])
-        lo = len(self.order) - row_moves.size
-        self.first_move = np.append(self.first_move, self.first_move[-1] + np.cumsum(row_moves))
-        self.first_branch = np.append(self.first_branch,
-                                      self.first_branch[-1] + np.cumsum(move_branches))
-        self.dest, self.node_id = np.append(self.dest, dests), np.append(self.node_id, nodes)
-        self.weight_float = np.append(self.weight_float,
+        lo = len(self.order) - len(row_moves)
+        self.first_move = _extended(self.first_move,
+                                    self.first_move[-1] + np.array(row_moves).cumsum())
+        self.first_branch = _extended(self.first_branch,
+                                      self.first_branch[-1] + np.array(move_branches).cumsum())
+        self.dest, self.node_id = _extended(self.dest, dests), _extended(self.node_id, nodes)
+        self.weight_float = _extended(self.weight_float,
                                       [float(p) for p in self.weights[self.weight_float.size:]])
-        self.row_of = np.append(self.row_of, np.full(self.num_states - self.row_of.size, -1))
+        self.row_of = _extended(self.row_of, np.full(self.num_states - self.row_of.size, -1))
         self.row_of[self.order[lo:]] = np.arange(lo, len(self.order))
 
     def expand(self, states):
@@ -1433,7 +1452,7 @@ class MarkovModel:
         expansion that fails, in a successor or in the check, leaves the
         model as it was: no row, state or array of its batch stays behind."""
         lo, moves, known = len(self.order), len(self.move_action), len(self.states)
-        arrays = self.first_move, self.first_branch, self.dest, self.node_id, self.row_of
+        arrays = self.first_move, self.first_branch, self.dest, self.node_id
         try:
             for s in states:
                 self._expand_one(s)
@@ -1446,7 +1465,10 @@ class MarkovModel:
                 del self._index[st]
             del self.order[lo:], self.move_action[moves:], self.move_tags[moves:]
             del self.states[known:], self.deadlock[known:]
-            self.first_move, self.first_branch, self.dest, self.node_id, self.row_of = arrays
+            self.first_move, self.first_branch, self.dest, self.node_id = arrays
+            # the batch's rows were set in place
+            self.row_of = self.row_of[:known]
+            self.row_of[self.row_of >= lo] = -1
             self._batch = ([], [], [], [])
             raise
         if len(self.order) == len(self.states):  # complete: nothing left to expand
@@ -1510,37 +1532,36 @@ class MarkovModel:
         """The simulation table of the expanded states, built once per model
         and extended by each expansion."""
         if self._sample_table is None:
-            self._sample_table = SampleTable(np.zeros(0, dtype=complex),
+            self._sample_table = SampleTable(np.zeros(0, dtype=np.int64), np.zeros(0),
+                                             np.zeros(0, dtype=np.int64),
                                              np.zeros(0, dtype=bool))
             self._append_rows(0)
         return self._sample_table
 
     def _append_rows(self, lo: int):
-        """Append the keys and absorbing flags of the rows from `lo` on."""
+        """Append the entries and absorbing flags of the rows from `lo` on,
+        in a number of array operations bounded by the widest row's."""
         table = self._sample_table
         first_move = self.first_move[lo:]
+        m0, m1 = first_move[0], first_move[-1]
         start = self.first_branch[first_move]  # per row, then the end
         b0 = start[0]
-        start = start - b0
-        lens = np.diff(start)
-        owner = np.repeat(np.arange(lens.size), lens)
-        cum = self.weight_float[self.node_id[b0:]] / np.diff(first_move)[owner]
-        # left to right within each row, as np.cumsum of the row adds
-        rows = np.flatnonzero(lens > 1)
-        j = 1
-        while rows.size:
-            at = start[rows] + j
-            cum[at] += cum[at - 1]
-            j += 1
-            rows = rows[lens[rows] > j]
-        cum[start[1:] - 1] = 1.0
-        key = np.empty(cum.size, dtype=complex)
-        key.real = owner + lo
-        key.imag = cum
-        leaves = np.bincount(owner[self.dest[b0:] != np.array(self.order[lo:])[owner]],
-                             minlength=lens.size)
-        table.key = np.concatenate([table.key, key])
-        table.absorbing = np.concatenate([table.absorbing, leaves == 0])
+        at = start[:-1] - b0  # each row's first entry in the batch
+        lens = start[1:] - start[:-1]
+        owner = np.arange(lens.size).repeat(lens)
+        cum = self.weight_float[self.node_id[b0:]] / (first_move[1:] - first_move[:-1])[owner]
+        # left to right within each row, as np.cumsum of the row adds, up
+        # to the row's last entry, which is 1.0
+        for j in range(1, lens.max(initial=0) - 1):
+            at_j = at[lens > j + 1] + j
+            cum[at_j] += cum[at_j - 1]
+        cum[start[1:] - (b0 + 1)] = 1.0
+        moves = self.first_branch[m0:m1 + 1]
+        stays = self.row_of[self.dest[b0:]] == owner + lo  # the entry leads back
+        table.first = _extended(table.first, start[:-1])
+        table.cum = _extended(table.cum, cum)
+        table.move = _extended(table.move, np.arange(m0, m1).repeat(moves[1:] - moves[:-1]))
+        table.absorbing = _extended(table.absorbing, np.logical_and.reduceat(stays, at))
 
     def check_stochastic(self, lo: int = 0):
         """Exact distribution checks of the rows from `lo` on (default:
@@ -1549,7 +1570,8 @@ class MarkovModel:
         summing to k * (1/k) * 1 = 1.  Each distinct sequence of weight
         nodes is summed once, in `Fraction` arithmetic, and remembered if it
         passed."""
-        empty = np.flatnonzero(np.diff(self.first_move[lo:]) == 0)
+        first_move = self.first_move[lo:]
+        empty = (first_move[1:] == first_move[:-1]).nonzero()[0]
         if empty.size:
             raise BuildError(f"state {self.order[lo + empty[0]]} has no moves after completion")
         m0 = int(self.first_move[lo])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ast as A
-from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value
+from .build import ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_value
 from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
 
 DEFAULT_PATHLEN = 10_000
@@ -170,9 +170,7 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
     gain = np.zeros(n)
     live = np.arange(n)
     states = np.full(n, mm.initial)
-    draws = np.empty((n, 0))  # the live paths' uniforms of the current block
-    # the live paths' (row, u) as complex numbers, to search table.key
-    query = np.empty(n, dtype=complex)
+    draws = np.empty((n, _BLOCK))  # per path, its uniforms of the current block
     table = mm.sample_table()
     horizon = monitor.horizon
     t = 0
@@ -196,25 +194,25 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
             ended = live[done]
             value[ended] = monitor.value[rows[done]]
             length[ended] = t
-            live, states, rows = live[~done], states[~done], rows[~done]
-            draws = draws[~done]
-            query = query[:live.size]
+            keep = ~done
+            live, states, rows = live[keep], states[keep], rows[keep]
             if not live.size:
                 break
         j = t % _BLOCK
         if j == 0:
-            draws = philox_uniforms(seed, samples[live], t, _BLOCK)
-        query.real = rows
-        query.imag = draws[:, j]
-        # the keys <= (row, u) end at the row's first branch whose
-        # cumulative weight exceeds u; its last one is 1.0 > u
-        pos = table.key.searchsorted(query, "right")
-        if rewards is not None or trace is not None:
-            moves = mm.first_branch.searchsorted(pos, "right") - 1
+            draws[live] = philox_uniforms(seed, samples[live], t, _BLOCK)
+        u = draws[live, j]
+        # step from the row's first entry while its cumulative weight is
+        # <= u; the row's last one is 1.0 > u
+        pos = table.first[rows]
+        ahead = (table.cum[pos] <= u).nonzero()[0]
+        while ahead.size:
+            pos[ahead] += 1
+            ahead = ahead[table.cum[pos[ahead]] <= u[ahead]]
         if rewards is not None:
-            gain[live] += rewards.state[rows] + rewards.move[moves]
+            gain[live] += rewards.state[rows] + rewards.move[table.move[pos]]
         if trace is not None:
-            trace.append((states, moves, mm.dest[pos]))
+            trace.append((states, table.move[pos], mm.dest[pos]))
         states = mm.dest[pos]
         t += 1
     length[live] = t
@@ -245,7 +243,7 @@ class Monitor:
             absorbing = mm.sample_table().absorbing[lo:lo + states.size]
             parts = self.rule(ExactChecker(mm, closed, states=states).sat, absorbing)
             self.ends, self.value, self.final = (
-                np.concatenate([old, new]) for old, new in
+                _extended(old, new) for old, new in
                 zip((self.ends, self.value, self.final), parts))
 
 
