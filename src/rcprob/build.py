@@ -1274,8 +1274,8 @@ def _extended(a: np.ndarray, new) -> np.ndarray:
     full buffer is replaced by one twice as large, so appending r items
     costs O(r) amortised instead of a copy of the whole array.  `a` must own
     its data or be a result of this function; the arrays of the move store,
-    the sample table, the monitors and the reward structures are extended
-    only through it."""
+    the sample table, the reward structures, the monitors and the state
+    formula values cached on a model are extended only through it."""
     n = a.size
     end = n + len(new)
     buf = a.base

@@ -301,12 +301,12 @@ def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: lis
     """The report record of one job on its model; a warning about the job
     goes to `warnings`."""
     t1 = plan.timer()
+    body = job.prop.body
+    if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
+            and body.query in (A.QUERY_MIN, A.QUERY_MAX):
+        warnings.append(f"warning: {job.prop.name}: a dtmc has a single adversary; "
+                        f"treating the query as plain =?")
     if plan.engine == "internal":
-        body = job.prop.body
-        if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
-                and body.query in (A.QUERY_MIN, A.QUERY_MAX):
-            warnings.append(f"warning: {job.prop.name}: a dtmc has a single adversary; "
-                            f"treating the query as plain =?")
         result = exact.check_property(mm, closed, job.prop, job.config_id,
                                       tol=plan.tol)
         rec = {**_verdict_fields(result.verdict_json()), "mode": result.mode,

@@ -37,7 +37,8 @@ import numpy as np
 
 from . import ast as A
 from . import props as P
-from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value, attach_rewards
+from .build import (ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_value,
+                    attach_rewards)
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
@@ -171,7 +172,7 @@ class ExactChecker:
         entry = self.mm.values.setdefault((id(e), id(self.closed)),
                                           [e, self.closed, np.zeros(0, dtype=bool)])
         if entry[2].size < self.mm.num_states:
-            entry[2] = np.concatenate([entry[2], values_from(entry[2].size)])
+            entry[2] = _extended(entry[2], values_from(entry[2].size))
             entry[2].flags.writeable = False
         return self._at_states(entry[2])
 

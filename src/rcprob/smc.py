@@ -11,9 +11,13 @@ that a counter gives, an even step takes a and b and an odd one c and d, as
 ((a >> 5) * 2**26 + (b >> 6)) / 2**53, numpy's 53-bit construction.
 Paths walk the model's move store through its `SampleTable`, a batch of
 consecutive sample indices in lockstep, and a model that is still growing
-expands the states they reach as they reach them; the sequential methods
-(CI with w and alpha, SPRT) use the samples in index order and stop at the
-first index that decides them.
+expands the states they reach as they reach them.  A path takes the first
+entry of its state's row whose cumulative weight exceeds its uniform,
+stepping along the row from its first entry (`_select`), so a step costs
+a few array operations over the live paths plus one round per entry of
+the widest row reached.  The sequential methods (CI with w and alpha,
+SPRT) use the samples in index order and stop at the first index that
+decides them.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ast as A
-from .build import ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_value
+from .build import (ClosedModel, MarkovModel, RewardStructure, SampleTable, _extended,
+                    _fmt_value)
 from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
 
 DEFAULT_PATHLEN = 10_000
@@ -151,15 +156,18 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
     the monitor decides which live paths end and their values; paths still
     undecided at step `pathlen` end censored.  Every other path takes its
     sample's uniform u of the step (`philox_uniforms`, drawn for the live
-    paths once per block of steps) and moves to the first entry of its
-    state's row whose cumulative weight exceeds u.  With `rewards` a path
-    gains its state's reward plus its move's per step; `trace` collects the
-    live paths' (states, moves, successors) per step.  Returns per path its
-    value, whether it was censored, its length and its gain.
+    paths once per block of steps into a block of the whole batch, where a
+    path keeps its place) and moves to the first entry of its state's row
+    whose cumulative weight exceeds u (`_select`), whose move the table
+    gives.  With `rewards` a path gains its state's reward plus its move's
+    per step; `trace` collects the live paths' (states, moves, successors)
+    per step.  Returns per path its value, whether it was censored, its
+    length and its gain.
 
-    A step is a fixed number of numpy calls over the live paths, whatever
-    their count and the width of their states' rows, so the last paths of a
-    batch cost about as much per step as one path walked alone."""
+    A step is a few numpy calls over the live paths, plus one round of
+    `_select` per entry of the widest row a live path stands on, so the
+    last paths of a batch cost about as much per step as one path walked
+    alone."""
     pathlen = _count("pathlen", pathlen)
     if not 0 <= seed < SEED_LIMIT:
         raise SmcError(f"the seed must lie in [0, 2**64), got {seed}")
@@ -201,14 +209,7 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
         j = t % _BLOCK
         if j == 0:
             draws[live] = philox_uniforms(seed, samples[live], t, _BLOCK)
-        u = draws[live, j]
-        # step from the row's first entry while its cumulative weight is
-        # <= u; the row's last one is 1.0 > u
-        pos = table.first[rows]
-        ahead = (table.cum[pos] <= u).nonzero()[0]
-        while ahead.size:
-            pos[ahead] += 1
-            ahead = ahead[table.cum[pos[ahead]] <= u[ahead]]
+        pos = _select(table, rows, draws[live, j])
         if rewards is not None:
             gain[live] += rewards.state[rows] + rewards.move[table.move[pos]]
         if trace is not None:
@@ -217,6 +218,20 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
         t += 1
     length[live] = t
     return value, capped, length, gain
+
+
+def _select(table: SampleTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The entry that a path at each of `rows` takes with its uniform u in
+    [0, 1): the first of its row whose cumulative weight exceeds u.  Each
+    path steps from its row's first entry while the weight is <= u, which
+    the row's last entry, 1.0, stops; the paths that still step shrink each
+    round, so a call takes as many rounds as the widest row reached."""
+    pos = table.first[rows]
+    ahead = (table.cum[pos] <= u).nonzero()[0]
+    while ahead.size:
+        pos[ahead] += 1
+        ahead = ahead[table.cum[pos[ahead]] <= u[ahead]]
+    return pos
 
 
 class Monitor:

@@ -427,6 +427,46 @@ def test_smc_requires_dtmc():
         RunPlan(SRW_RCM, SRW_RCP, engine="smc", kind="mdp")
 
 
+@pytest.mark.parametrize("engine", ["internal", "smc"])
+def test_a_min_or_max_query_on_a_dtmc_warns_under_every_engine(engine, tmp_path, capsys):
+    rcp = tmp_path / "minmax.rcp"
+    rcp.write_text("""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    constants C_all:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 4, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_all:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    rewards R_steps = true : 1; endrewards
+    prob property P_min:
+      Prob min=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=50
+      with constants C_all
+      with definitions D_all
+    prob property P_plain:
+      Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=50
+      with constants C_all
+      with definitions D_all
+    prob property R_max:
+      Reward {R_steps} max=? of [Cumul 3] using sim with CI at alpha=0.05, n=50
+      with constants C_all
+      with definitions D_all
+    """)
+    code = main(["check", SRW_RCM, str(rcp), "--kind", "dtmc", "--engine", engine,
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {name}: a dtmc has a single adversary; treating the query as plain =?"
+        for name in ("P_min", "R_max")]
+    records = [json.loads(line)
+               for line in (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+    assert [r["property"] for r in records] == ["P_min", "P_plain", "R_max"]
+    # Cumul 3 counts the first three steps
+    assert records[2]["value"] == 3
+
+
 def test_record_count_and_order(tmp_path):
     plan = RunPlan(SRW_RCM, SRW_RCP, engine="internal", kind="dtmc",
                    prop_glob="P_*", out_dir=str(tmp_path), timer=fixed_timer)

@@ -12,10 +12,11 @@ from scipy import stats as scipy_stats
 
 from rcprob import ast as A
 from rcprob import props as P
-from rcprob.build import BuildError, MarkovModel, WeightTable, attach_rewards, open_markov
+from rcprob.build import (BuildError, MarkovModel, SampleTable, WeightTable, attach_rewards,
+                          open_markov)
 from rcprob.exact import check_property, expected_reward
 from rcprob.props import parse_expression
-from rcprob.smc import (SmcError, _SampleStream, apmc_samples, normal_quantile,
+from rcprob.smc import (SmcError, _SampleStream, _select, apmc_samples, normal_quantile,
                         philox_uniforms, run_aci, run_apmc, run_ci, run_reward_ci, run_sprt,
                         simulate)
 
@@ -374,6 +375,43 @@ def test_rewards_match_reference_on_single_move_models(srw_small):
         assert est.point > 0
 
 
+def test_rewards_match_reference_on_rows_of_several_moves():
+    # a path gains its state's reward plus that of the move it takes, which
+    # the rows mix uniformly: each move of a row has a reward of its own
+    models = [multi_move_dtmc()[0]]
+    for seed in (3, 6, 8):  # the initial state mixes several moves
+        mdp = oracles.random_mdp(random.Random(seed), 30, max_nondet_states=20)
+        models.append(explicit_model("dtmc", mdp.var_names, mdp.states, all_moves(mdp),
+                                     mdp.deadlock))
+    ctx = StubContext(("x",))
+    goal = var_in("x", [1, 2, 3])
+    later_moves = 0
+    for mm in models:
+        rows = all_moves(mm)
+        assert max(len(row) for row in rows) > 1
+        rng = random.Random(len(rows))
+        rs = reward_structure(mm, "R", [rng.randint(0, 3) for _ in rows],
+                              {(s, j): rng.randint(1, 9) / 4 for s, row in enumerate(rows)
+                               for j in range(len(row))})
+        target = _sat(mm, ctx, goal)
+        cases = [(A.Cumul(A.Lit(15)), lambda s, t, a: 0 if t >= 15 else None),
+                 (A.Reachable(goal), lambda s, t, a: 0 if target[s] or a else None)]
+        for rpath, stop in cases:
+            est = run_reward_ci(mm, ctx, "R", rpath, n=300, seed=2, pathlen=40)
+            values = []
+            for i in range(300):
+                _, _, steps = oracles.reference_path(mm, oracles.reference_rng(2, i), 40, stop)
+                acc = 0.0
+                for s, j in steps:
+                    r = mm.row_of[s]
+                    acc += rs.state[r] + rs.move[mm.first_move[r] + j]
+                    later_moves += j > 0
+                values.append(acc)
+            assert est.point == float(np.array(values).mean()), rpath
+            assert est.point > 0
+    assert later_moves > 0
+
+
 def _stop_index(samples, stop):
     """The number of samples a sequential rule uses, with their path
     statistics."""
@@ -521,30 +559,30 @@ def test_sample_count_must_be_positive(run):
         run(mm, ctx)
 
 
-def test_complex_keys_order_by_state_then_weight():
-    # the successor search rests on numpy ordering complex numbers by real
-    # part, then imaginary part, with exact comparisons
-    big = float(2 ** 40)
-    c = 0.3
-    keys = np.array([big - 1 + 1j, big + c * 1j, big + np.nextafter(c, 1) * 1j, big + 1j,
-                     big + 1 + 0.5j])
-    queries = np.array([big + np.nextafter(c, 0) * 1j, big + c * 1j,
-                        big + np.nextafter(c, 1) * 1j, big + 0.999j, big + 1 + 0j])
-    assert keys.searchsorted(queries, "right").tolist() == [1, 2, 3, 3, 4]
-    # equal to a searchsorted within each state's own row
-    rng = np.random.default_rng(1)
-    rows = [np.sort(rng.random(rng.integers(1, 6))) for _ in range(50)]
-    for row in rows:
+def test_selection_within_a_row_equals_a_search_of_the_row():
+    # rows of widths 1 to 64 of sorted cumulative weights, the last 1.0; each
+    # row is tried at u = 0, at each inner cumulative weight, which the path
+    # moves past, and at the largest uniform below 1
+    rng = np.random.default_rng(5)
+    rows = []
+    for width in range(1, 65):
+        row = np.sort(rng.random(width))
         row[-1] = 1.0
-    start = np.cumsum([0] + [len(row) for row in rows])
-    flat = np.concatenate(rows)
-    key = np.repeat(np.arange(50), np.diff(start)) + 1j * flat
-    states = rng.integers(0, 50, 500)
-    u = np.where(rng.random(500) < 0.2, flat[start[states]], rng.random(500))
-    query = np.empty(500, dtype=complex)
-    query.real, query.imag = states, u
-    want = [start[s] + np.searchsorted(rows[s], x, side="right") for s, x in zip(states, u)]
-    assert key.searchsorted(query, "right").tolist() == want
+        rows.append(row)
+    first = np.cumsum([0] + [row.size for row in rows])
+    table = SampleTable(first[:-1], np.concatenate(rows), np.zeros(first[-1], dtype=np.int64),
+                        np.zeros(len(rows), dtype=bool))
+    at, us, want = [], [], []
+    for r, row in enumerate(rows):
+        for u in [0.0, *row[:-1], 1.0 - 2.0 ** -53]:
+            at.append(r)
+            us.append(u)
+            want.append(first[r] + np.searchsorted(row, u, "right"))
+    # the rows in a shuffled order, so that paths of every width walk together
+    order = rng.permutation(len(at))
+    at, us = np.array(at)[order], np.array(us)[order]
+    assert len(at) == sum(range(1, 65)) + 64
+    assert _select(table, at, us).tolist() == np.array(want)[order].tolist()
 
 
 def test_empty_horizons_decide_at_the_initial_state():
