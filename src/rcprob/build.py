@@ -1540,7 +1540,8 @@ class MarkovModel:
 
     def _append_rows(self, lo: int):
         """Append the entries and absorbing flags of the rows from `lo` on,
-        in a number of array operations bounded by the widest row's."""
+        in a few array operations per batch and per entry of its widest
+        row."""
         table = self._sample_table
         first_move = self.first_move[lo:]
         m0, m1 = first_move[0], first_move[-1]

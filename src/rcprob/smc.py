@@ -155,11 +155,11 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
     are expanded, and the monitor (and rewards) extended over them.  Then
     the monitor decides which live paths end and their values; paths still
     undecided at step `pathlen` end censored.  Every other path takes its
-    sample's uniform u of the step (`philox_uniforms`, drawn for the live
-    paths once per block of steps into a block of the whole batch, where a
-    path keeps its place) and moves to the first entry of its state's row
-    whose cumulative weight exceeds u (`_select`), whose move the table
-    gives.  With `rewards` a path gains its state's reward plus its move's
+    sample's uniform u of the step (`philox_uniforms`, drawn once per
+    block of steps for the live paths, each into its own row of the
+    batch's block) and moves to the first entry of its state's row whose
+    cumulative weight exceeds u (`_select`); the table gives the entry's
+    move.  With `rewards` a path gains its state's reward plus its move's
     per step; `trace` collects the live paths' (states, moves, successors)
     per step.  Returns per path its value, whether it was censored, its
     length and its gain.
@@ -209,7 +209,9 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
         j = t % _BLOCK
         if j == 0:
             draws[live] = philox_uniforms(seed, samples[live], t, _BLOCK)
-        pos = _select(table, rows, draws[live, j])
+        # draws[live, j], read as a column and then a gather, which numpy
+        # does faster than one mixed index
+        pos = _select(table, rows, draws[:, j][live])
         if rewards is not None:
             gain[live] += rewards.state[rows] + rewards.move[table.move[pos]]
         if trace is not None:
@@ -224,8 +226,9 @@ def _select(table: SampleTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The entry that a path at each of `rows` takes with its uniform u in
     [0, 1): the first of its row whose cumulative weight exceeds u.  Each
     path steps from its row's first entry while the weight is <= u, which
-    the row's last entry, 1.0, stops; the paths that still step shrink each
-    round, so a call takes as many rounds as the widest row reached."""
+    the row's last entry, 1.0, stops; only the paths that still step are
+    read each round, and there are at most as many rounds as the widest of
+    `rows` has entries."""
     pos = table.first[rows]
     ahead = (table.cum[pos] <= u).nonzero()[0]
     while ahead.size:
