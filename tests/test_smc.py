@@ -692,6 +692,9 @@ def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model
     assert table.absorbing.size == len(lazy.order) == lazy.first_move.size - 1
     assert sorted(np.flatnonzero(lazy.row_of >= 0)) == sorted(lazy.order)
     assert table.cum.size == table.move.size == lazy.dest.size == lazy.num_transitions()
+    assert (table.first == lazy.first_branch[lazy.first_move[:-1]]).all()
+    assert (table.move == lazy.first_branch.searchsorted(np.arange(lazy.dest.size), "right")
+            - 1).all()
     # expanding the rest gives the full build, state for state
     lazy.expand_all()
     remap = {st: s for s, st in enumerate(full.states)}
