@@ -1558,7 +1558,7 @@ class MarkovModel:
             cum[at_j] += cum[at_j - 1]
         cum[start[1:] - (b0 + 1)] = 1.0
         moves = self.first_branch[m0:m1 + 1]
-        stays = self.row_of[self.dest[b0:]] == owner + lo  # the entry leads back
+        stays = self.row_of[self.dest[b0:]] == owner + lo  # back to its own state
         table.first = _extended(table.first, start[:-1])
         table.cum = _extended(table.cum, cum)
         table.move = _extended(table.move, np.arange(m0, m1).repeat(moves[1:] - moves[:-1]))
