@@ -1557,11 +1557,12 @@ class MarkovModel:
             at_j = at[lens > j + 1] + j
             cum[at_j] += cum[at_j - 1]
         cum[start[1:] - (b0 + 1)] = 1.0
-        moves = self.first_branch[m0:m1 + 1]
+        branches = self.first_branch[m0:m1 + 1]  # per move, then the end
         stays = self.row_of[self.dest[b0:]] == owner + lo  # back to its own state
         table.first = _extended(table.first, start[:-1])
         table.cum = _extended(table.cum, cum)
-        table.move = _extended(table.move, np.arange(m0, m1).repeat(moves[1:] - moves[:-1]))
+        table.move = _extended(table.move,
+                               np.arange(m0, m1).repeat(branches[1:] - branches[:-1]))
         table.absorbing = _extended(table.absorbing, np.logical_and.reduceat(stays, at))
 
     def check_stochastic(self, lo: int = 0):
