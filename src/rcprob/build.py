@@ -30,7 +30,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -321,29 +321,21 @@ class ClosureTable:
         """Endpoints whose event some machine engages through a trigger or a
         communication action."""
         used: set[str] = set()
-
-        def scan_action(prefix, action):
-            if action is None:
-                return
-            if isinstance(action, M.Comm):
-                used.add(prefix + action.event)
-            elif isinstance(action, M.Seq):
-                for p in action.parts:
-                    scan_action(prefix, p)
-            elif isinstance(action, M.IfAction):
-                scan_action(prefix, action.then)
-                scan_action(prefix, action.orelse)
-
         for c in model.controllers:
             for mach in c.machines:
                 prefix = f"{model.name}::{c.name}::{mach.name}::"
-                for t in mach.transitions:
-                    if t.trigger is not None:
-                        used.add(prefix + t.trigger.event)
-                    scan_action(prefix, t.action)
-                for s in mach.states:
-                    scan_action(prefix, s.entry)
-                    scan_action(prefix, s.exit)
+                actions = [t.action for t in mach.transitions]
+                actions += [a for s in mach.states for a in (s.entry, s.exit)]
+                used.update(prefix + t.trigger.event for t in mach.transitions
+                            if t.trigger is not None)
+                while actions:
+                    action = actions.pop()
+                    if isinstance(action, M.Comm):
+                        used.add(prefix + action.event)
+                    elif isinstance(action, M.Seq):
+                        actions += action.parts
+                    elif isinstance(action, M.IfAction):
+                        actions += (action.then, action.orelse)
         return used
 
     def machine_endpoint(self, ctrl: M.Controller, mach: M.Machine, event: str) -> str:
@@ -479,10 +471,8 @@ class Step:
     it runs; `comm` is the communication of its trigger or constituent.
 
     Linking the machines (`ClosedModel._link`) gives each step the entries
-    it takes part in: `entries`, those it runs alone, or, where another
-    machine uses its event, the joint entries with that `partner`'s
-    initiations, in `joints` by the partner's pc.  A step that cannot be
-    linked keeps the `error`, which taking it raises."""
+    it takes part in, which the closed model keeps (`solo`, `joints`).  A
+    step that cannot be linked keeps the `error`, which taking it raises."""
     tag: str
     pc: str
     lock: object
@@ -491,9 +481,6 @@ class Step:
     guard: Term | None = None
     updates: tuple = ()
     comm: CommSpec | None = None
-    entries: tuple = ()
-    partner: MachineRT | None = None
-    joints: dict | None = None
     error: BuildError | None = None
 
     @property
@@ -1122,9 +1109,15 @@ class ClosedModel:
         other direction, the receiver binding the sent value; a receiving
         initiation only answers a sender.  A sent value is latched.
 
-        It also records, for the emitter, the entries that each step takes
-        part in (`entries_of`) and those on each closure (`entries_on`, by
-        closure id), in the order they are made."""
+        The entries a step runs alone are `solo[step]`; a step that pairs
+        has its partner machine and the joint entries by the partner's pc in
+        `joints[step]`.  Steps refer to no entry, so that steps and entries
+        form no reference cycle.  It also records, for the emitter, the
+        entries that each step takes part in (`entries_of`) and those on
+        each closure (`entries_on`, by closure id), in the order they are
+        made."""
+        self.solo: dict[Step, tuple[Entry, ...]] = {}
+        self.joints: dict[Step, tuple[MachineRT, dict[str, list[Entry]]]] = {}
         self.entries_of: dict[Step, list[Entry]] = {}
         self.entries_on: dict[str, list[Entry]] = {}
         for m in self.machines:
@@ -1132,7 +1125,8 @@ class ClosedModel:
                 try:
                     made = self._link_step(m, st)
                 except BuildError as exc:
-                    st.error, made = exc, ()
+                    # without the traceback, whose frames hold this model
+                    st.error, made = exc.with_traceback(None), ()
                 for entry in made:
                     for part, _ in entry.parts:
                         self.entries_of.setdefault(part, []).append(entry)
@@ -1143,13 +1137,13 @@ class ClosedModel:
         """Link one step and return the entries it initiates."""
         comm = st.comm
         if comm is None:
-            st.entries = (Entry(st.tag, ((st, ()),)),)
-            return st.entries
+            made = self.solo[st] = (Entry(st.tag, ((st, ()),)),)
+            return made
         closure = comm.closure
         partners = [p for p in self.closure_users[closure.cid] if p is not m]
         if not partners:
-            st.entries = self._solo_entries(st, comm)
-            return st.entries
+            made = self.solo[st] = self._solo_entries(st, comm)
+            return made
         if comm.direction == "out" or st.lock != LOCK_FREE:
             if len(partners) > 1:
                 raise BuildError(
@@ -1160,7 +1154,7 @@ class ClosedModel:
                 if q.lock == LOCK_FREE and q.comm is not None \
                         and q.comm.closure is closure and q.comm.direction != comm.direction:
                     joints.setdefault(q.pc, []).append(self._joint(st, q))
-            st.partner, st.joints = partners[0], joints
+            self.joints[st] = (partners[0], joints)
             return [e for es in joints.values() for e in es]
         return []
 
@@ -1430,6 +1424,12 @@ class MarkovModel:
         self.deadlock[s] = deadlock
         self.order.append(s)
 
+    def _only_successor(self) -> int | None:
+        """The successor of the row last appended when it has one move of
+        one branch, else None."""
+        row_moves, move_branches, dests, _ = self._batch
+        return dests[-1] if row_moves[-1] == 1 and move_branches[-1] == 1 else None
+
     def _store_batch(self):
         """Extend the store's arrays by the rows appended since, and
         `weight_float` by the nodes made since."""
@@ -1446,16 +1446,42 @@ class MarkovModel:
         self.row_of = _extended(self.row_of, np.full(self.num_states - self.row_of.size, -1))
         self.row_of[self.order[lo:]] = np.arange(lo, len(self.order))
 
-    def expand(self, states):
+    def expand(self, states, ahead: int = 0):
         """Expand the given unexpanded states, in order; their successors
-        become known states.  The distribution check applies to them.  An
-        expansion that fails, in a successor or in the check, leaves the
-        model as it was: no row, state or array of its batch stays behind."""
+        become known states.  With `ahead`, the batch also expands each
+        state's deterministic chain, after the states: from the state it
+        follows the only branch of the only move, expanding at most `ahead`
+        states, and it ends after a state of several moves or branches and
+        before an expanded one.  The distribution check applies to the
+        batch.  An expansion that fails, in a successor or in the check,
+        leaves the model as it was: no row, state or array of its batch
+        stays behind.  A batch with chains that fails is made again with the
+        states alone, so that only the states given raise an error."""
+        if ahead:
+            states = list(states)
+            try:
+                return self._expand(states, ahead)
+            except BuildError:
+                pass
+        self._expand(states, 0)
+
+    def _expand(self, states, ahead: int):
         lo, moves, known = len(self.order), len(self.move_action), len(self.states)
         arrays = self.first_move, self.first_branch, self.dest, self.node_id
         try:
+            chains = []  # the first state of each state's chain
             for s in states:
                 self._expand_one(s)
+                if ahead:
+                    chains.append(self._only_successor())
+            batch = set(self.order[lo:]) if ahead else set()
+            for s in chains:
+                for _ in range(ahead):
+                    if s is None or s in batch or s < known and self.row_of[s] >= 0:
+                        break
+                    batch.add(s)
+                    self._expand_one(s)
+                    s = self._only_successor()
             self._store_batch()
             self.check_stochastic(lo)
         except BaseException:
@@ -1666,12 +1692,12 @@ class _Explorer:
     state.
 
     An expression that fails is reported as a BuildError naming the step
-    and the state (`_error`), by one of three boundaries: per machine step,
-    per environment command and per move, where the new values meet their
-    variables' domains (`_check_domain`).  A partner's guard is evaluated
-    within the step that initiates the joint step.  A move whose values
-    leave their domains is reported once every step has run, the first
-    such move in action order.  Branches of weight 0 are dropped, and
+    and the state (`_state_error`), by one of three boundaries: per machine
+    step, per environment command and per move, where the new values meet
+    their variables' domains (`_check_domain`).  A partner's guard is
+    evaluated within the step that initiates the joint step.  A move whose
+    values leave their domains is reported once every step has run, the
+    first such move in action order.  Branches of weight 0 are dropped, and
     their values are not checked."""
 
     def __init__(self, closed: ClosedModel):
@@ -1679,19 +1705,18 @@ class _Explorer:
         self.env_modules = [(closed.env_alphabet[name], closed.env_commands[name])
                             for name in sorted(closed.env_commands)]
         self.namespace = closed.namespace
-        self.namespace.update(_err=self._error, _no_step=_no_step, _bad=_domain_error,
-                              _first=operator.itemgetter(0), _NO_TAGS=_NO_TAGS)
+        # nothing in the namespace refers back to the closed model or the
+        # explorer, so that the model is freed by reference counting
+        self.namespace.update(_err=partial(_state_error, closed.vars), _no_step=_no_step,
+                              _bad=_domain_error, _first=operator.itemgetter(0),
+                              _NO_TAGS=_NO_TAGS)
         self.named: dict[int, str] = {}  # namespace names of the objects the source uses
         self.lines: list[str] = []
         self.locals = 0
         self.printed = 0  # expressions printed so far
         self.source = self._print()
         _compile_py(self.source, self.namespace, "exec")
-        self.successors = self.namespace["successors"]
-
-    def _error(self, tag: str, state, exc: EvalError) -> BuildError:
-        valuation = ", ".join(f"{v.name}={_fmt_value(x)}" for v, x in zip(self.c.vars, state))
-        return BuildError(f"{tag} at state ({valuation}): {exc}")
+        self.successors = self.namespace.pop("successors")
 
     # printing ------------------------------------------------------------------
 
@@ -1783,15 +1808,15 @@ class _Explorer:
         def taken(d):
             if st.error is not None:
                 self.emit(d, f"raise {self.name(st.error, 'e')}")
-            elif st.partner is None:
-                for entry in st.entries:
+            elif st not in self.c.joints:
+                for entry in self.c.solo.get(st, ()):
                     self._entry(d, entry)
             else:
-                q = st.partner
+                q, joints = self.c.joints[st]
                 self.block(d, f"if s{q.lk_i} == {LOCK_FREE!r}:", lambda d: [
                     self.block(d, f"{'elif' if k else 'if'} s{q.pc_i} == {at!r}:",
                                lambda d, es=entries: [self._entry(d, e) for e in es])
-                    for k, (at, entries) in enumerate(st.joints.items())])
+                    for k, (at, entries) in enumerate(joints.items())])
 
         def guarded(d):
             conds = []
@@ -1950,6 +1975,11 @@ class _Explorer:
             test = f"type({text}) is not int or not {info.domain[1]} <= {text} <= {info.domain[2]}"
         call = f"_bad({self.name(info, 'D')}, {text})"
         return f"({test}) and {call}" if test else call
+
+
+def _state_error(variables: list[VarInfo], tag: str, state, exc: EvalError) -> BuildError:
+    valuation = ", ".join(f"{v.name}={_fmt_value(x)}" for v, x in zip(variables, state))
+    return BuildError(f"{tag} at state ({valuation}): {exc}")
 
 
 def _domain_error(info: VarInfo, value) -> EvalError | None:

@@ -88,6 +88,13 @@ def sweep_experiments(model, spec, prop_glob: str = "*"):
     return jobs
 
 
+# the files that a check writes to its output directory besides
+# diagnostics.jsonl, and the extensions of those that an emission names
+# after the model
+_REPORTS = ("report.jsonl", "report.txt")
+_EMITTED = ("prism", "props", "namemap.tsv", "sweep.tsv")
+
+
 def _verdict_fields(record_value):
     if isinstance(record_value, bool):
         return {"verdict": record_value}
@@ -110,6 +117,12 @@ def run(plan: RunPlan) -> int:
             return 3
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's outputs, which this run replaces or, if it
+        # fails, leaves out
+        stem = Path(plan.model_path).stem
+        stale = [f"{stem}.{ext}" for ext in _EMITTED] if plan.engine == "emit" else _REPORTS
+        for name in stale:
+            (out_dir / name).unlink(missing_ok=True)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -262,7 +275,9 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
     stopped it (or None).  Under the internal engine the first configuration
     explores the structure and the others reweigh that build
     (`MarkovModel.reweigh`).  Simulation expands a model of its own per
-    configuration, as its paths reach the states."""
+    configuration, as its paths reach the states, and registers the
+    configuration's fixed-count jobs with one `smc.SamplePool` before it
+    checks the first, so that one walk serves them all."""
     records, warnings = [], []
     built: dict = {}  # the first model of each set of zero leaves
     try:
@@ -284,9 +299,20 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
                     raise
                 raise BuildError(f"{exc} [configuration {job.config_id}]") from exc
             build_ms = int((plan.timer() - t0) * 1000)
+            pool = None
+            if plan.engine == "smc":
+                pool = smc.SamplePool(mm, closed, plan.seed)
+                for job in config_jobs:
+                    try:
+                        lane = _sim_lane(job, closed)
+                        if lane is not None:
+                            pool.add(*lane)
+                    except ValueError:
+                        pass  # the job raises it again when it is checked
             for job in config_jobs:
                 try:
-                    records.append(_check_job(plan, job, closed, mm, build_ms, warnings))
+                    records.append(_check_job(plan, job, closed, mm, build_ms, warnings,
+                                              pool))
                 except (EvalError, exact.CheckError, exact.UnsupportedError,
                         smc.SmcError) as exc:
                     where = f" [{job.config_id}]" if job.config_id else ""
@@ -297,9 +323,10 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
     return records, warnings, None
 
 
-def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: list) -> dict:
-    """The report record of one job on its model; a warning about the job
-    goes to `warnings`."""
+def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: list,
+               pool=None) -> dict:
+    """The report record of one job on its model, simulated on its lane of
+    `pool` if it has one; a warning about the job goes to `warnings`."""
     t1 = plan.timer()
     body = job.prop.body
     if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
@@ -312,7 +339,7 @@ def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: lis
         rec = {**_verdict_fields(result.verdict_json()), "mode": result.mode,
                "states": mm.num_states}
     else:
-        est = _run_smc_job(plan, mm, closed, job)
+        est = _run_smc_job(plan, mm, closed, job, pool)
         rec = {**_verdict_fields(est.verdict_json()), "mode": f"smc-{est.method}",
                "n": est.n, "states": len(mm.order),
                "pathLen": {"mean": est.path_len_mean, "max": est.path_len_max}}
@@ -340,7 +367,22 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
     return method.method, params, pathlen
 
 
-def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
+def _sim_lane(job: Job, closed) -> tuple | None:
+    """The arguments of `smc.SamplePool.add` for a job that simulates a
+    fixed number of samples (CI or ACI given n, APMC, reward CI); None for
+    a sequential one (CI or ACI given w and alpha, SPRT)."""
+    body = job.prop.body
+    method, params, pathlen = _sim_params(body.method, closed)
+    if isinstance(body, A.RewardFormula):
+        return body.path, pathlen, params.get("n", 1000), body.rewards
+    if method == "APMC":
+        return body.path, pathlen, smc.apmc_parameters(**params)[2]
+    if method in ("CI", "ACI") and "n" in params:
+        return body.path, pathlen, params["n"]
+    return None
+
+
+def _run_smc_job(plan: RunPlan, mm, closed, job, pool) -> smc.Estimate:
     body = job.prop.body
     method, params, pathlen = _sim_params(body.method, closed)
     theta = None if body.bound is None \
@@ -349,7 +391,7 @@ def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
         est = smc.run_reward_ci(mm, closed, body.rewards, body.path,
                                 alpha=params.get("alpha", 0.05),
                                 n=params.get("n", 1000),
-                                seed=plan.seed, pathlen=pathlen)
+                                seed=plan.seed, pathlen=pathlen, pool=pool)
     elif method == "SPRT":
         if theta is None:
             raise smc.SmcError("SPRT needs a probability bound, not a query")
@@ -358,7 +400,8 @@ def _run_smc_job(plan: RunPlan, mm, closed, job) -> smc.Estimate:
                             seed=plan.seed, pathlen=pathlen)
     else:
         runner = {"CI": smc.run_ci, "ACI": smc.run_aci, "APMC": smc.run_apmc}[method]
-        est = runner(mm, closed, body.path, seed=plan.seed, pathlen=pathlen, **params)
+        est = runner(mm, closed, body.path, seed=plan.seed, pathlen=pathlen, pool=pool,
+                     **params)
     if theta is not None:
         est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
                          ">": est.point > theta, ">=": est.point >= theta}[body.bound.op]

@@ -42,6 +42,7 @@ from .build import (ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_v
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
+_EXTREMUM = {"max": np.maximum, "min": np.minimum}  # over a state's moves, per mode
 
 AE_FRAGMENT = ("X, F, G, U, W, R over state formulas, bounded or not, and the "
                "fairness shapes GF, FG, GF=>GF, FG=>GF, G(p => F q)")
@@ -139,17 +140,33 @@ class ExactChecker:
         return self._mdp_arrays
 
     def _move_support(self):
-        """The choice CSR's support as a boolean matrix, and the first move
-        of each state (every state has one: see `check_stochastic`)."""
-        mat, bounds = self.mdp_arrays()
-        return mat.astype(bool), bounds[:-1]
+        """The choice CSR's support as a boolean matrix (every state has a
+        move: see `check_stochastic`)."""
+        return self.mdp_arrays()[0].astype(bool)
 
-    def _reduce_moves(self, per_move: np.ndarray, mode: str) -> np.ndarray:
-        mat, bounds = self.mdp_arrays()
-        groups = bounds[:-1]
-        if mode == "max":
-            return np.maximum.reduceat(per_move, groups)
-        return np.minimum.reduceat(per_move, groups)
+    @functools.cached_property
+    def _move_ranks(self):
+        """The choice CSR's first move of each state, and per rank j >= 1
+        the states with more than j moves and their moves of rank j."""
+        bounds = self.mdp_arrays()[1]
+        counts = np.diff(bounds)
+        ranks = []
+        states = np.flatnonzero(counts > 1)
+        while states.size:
+            j = len(ranks) + 1
+            ranks.append((states, bounds[states] + j))
+            states = states[counts[states] > j + 1]
+        return bounds[:-1], ranks
+
+    def _reduce_moves(self, per_move: np.ndarray, op) -> np.ndarray:
+        """Each state's moves' values reduced by the ufunc `op`: one pass
+        per rank over the states with a move of that rank, so that each
+        move is read once."""
+        first, ranks = self._move_ranks
+        out = per_move[first]
+        for states, moves in ranks:
+            out[states] = op(out[states], per_move[moves])
+        return out
 
     # --- state formulas ----------------------------------------------------
 
@@ -292,7 +309,7 @@ class ExactChecker:
             return self.dtmc_matrix().dot(target)
         mat, bounds = self.mdp_arrays()
         per_move = mat.dot(target)
-        return self._reduce_moves(per_move, mode)
+        return self._reduce_moves(per_move, _EXTREMUM[mode])
 
     def _until(self, left: A.Expr, right: A.Expr, k: int | None, mode: str) -> np.ndarray:
         sat1 = self.sat(left)
@@ -330,8 +347,8 @@ class ExactChecker:
         """States where the minimum until-probability is 0: the complement
         of the least fixpoint of states where every move keeps a positive
         chance."""
-        sup, starts = self._move_support()
-        return ~_lfp(lambda x: sat2 | (sat1 & np.logical_and.reduceat(sup @ x, starts)),
+        sup = self._move_support()
+        return ~_lfp(lambda x: sat2 | (sat1 & self._reduce_moves(sup @ x, np.logical_and)),
                      sat2)
 
     def _prob01_dtmc(self, sat1, sat2):
@@ -345,20 +362,21 @@ class ExactChecker:
         """Prob1E: states where some adversary reaches sat2 almost surely:
         the greatest u such that every state of u reaches sat2 through sat1
         by moves that all stay inside u."""
-        sup, starts = self._move_support()
+        sup = self._move_support()
 
         def attractor(u):
             stays = ~(sup @ ~u)
-            return _lfp(lambda v: sat2 | (sat1 & np.logical_or.reduceat(stays & (sup @ v), starts)),
-                        sat2)
+            return _lfp(lambda v: sat2 | (sat1 & self._reduce_moves(stays & (sup @ v),
+                                                                    np.logical_or)), sat2)
 
         return _lfp(attractor, np.ones(self.n, dtype=bool))
 
     def _prob1_min(self, sat1, sat2):
         """Prob1A: states where every adversary reaches sat2 almost surely."""
-        sup, starts = self._move_support()
+        sup = self._move_support()
         # greatest existential invariant inside sat1 & ~sat2
-        inv = _lfp(lambda x: x & np.logical_or.reduceat(~(sup @ ~x), starts), sat1 & ~sat2)
+        inv = _lfp(lambda x: x & self._reduce_moves(~(sup @ ~x), np.logical_or),
+                   sat1 & ~sat2)
         # existential reach (within ~sat2) of a bad state or the invariant
         return ~self._reach_exists(sat1 & ~sat2, (~sat1 & ~sat2) | inv)
 
@@ -557,7 +575,7 @@ class ExactChecker:
         """One Bellman backup of expected reward per state of an mdp."""
         mat, bounds = self.mdp_arrays()
         per_move = move_r + mat.dot(x)
-        return state_r + self._reduce_moves(per_move, mode)
+        return state_r + self._reduce_moves(per_move, _EXTREMUM[mode])
 
     def _reach_reward(self, target: np.ndarray, state_r, move_r, mode) -> np.ndarray:
         ones = np.ones(self.n, dtype=bool)

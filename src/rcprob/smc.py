@@ -11,13 +11,18 @@ that a counter gives, an even step takes a and b and an odd one c and d, as
 ((a >> 5) * 2**26 + (b >> 6)) / 2**53, numpy's 53-bit construction.
 Paths walk the model's move store through its `SampleTable`, a batch of
 consecutive sample indices in lockstep, and a model that is still growing
-expands the states they reach as they reach them.  A path takes the first
-entry of its state's row whose cumulative weight exceeds its uniform,
-stepping along the row from its first entry (`_select`), so a step costs
-a few array operations over the live paths plus one round per entry of
-the widest row reached.  The sequential methods (CI with w and alpha,
-SPRT) use the samples in index order and stop at the first index that
-decides them.
+expands the states they reach as they reach them, each with the
+deterministic chain that follows it.  A path takes the first entry of its
+state's row whose cumulative weight exceeds its uniform, stepping along
+the row from its first entry (`_select`), so a step costs a few array
+operations over the live paths plus one round per entry of the widest row
+reached.  Since a path depends only on its sample index, one walk serves
+several jobs: each is a lane with its own monitor, path length, sample
+count and rewards (`_walk`), and the fixed-count jobs of a configuration
+(CI and ACI given n, APMC, reward CI) share one walk through a
+`SamplePool`.  The sequential methods (CI and ACI with w and alpha, SPRT)
+walk alone: they use the samples in index order and stop at the first
+index that decides them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,6 +38,7 @@ from . import ast as A
 from .build import (ClosedModel, MarkovModel, RewardStructure, SampleTable, _extended,
                     _fmt_value)
 from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
+from .props import pretty_pexpr
 
 DEFAULT_PATHLEN = 10_000
 MAX_SEQUENTIAL_SAMPLES = 10_000_000
@@ -145,64 +151,108 @@ def _require_dtmc(mm: MarkovModel):
                        "(uniform resolution) instead of mdp")
 
 
+@dataclass
+class _Lane:
+    """One job's share of a walk: its monitor, its path length, the number
+    of samples it counts (None: every sample of the walk) and the reward
+    structure whose gain it sums, if any.  A lane of a `SamplePool` gathers
+    its samples into `tally` once walked."""
+
+    monitor: Monitor
+    pathlen: int
+    n: int | None = None
+    rewards: RewardStructure | None = None
+    tally: _Tally | None = None
+
+    def __post_init__(self):
+        self.pathlen = _count("pathlen", self.pathlen)
+
+    @property
+    def last(self) -> int:
+        """The last step at which its paths stand."""
+        horizon = self.monitor.horizon
+        return self.pathlen if horizon is None else min(self.pathlen, horizon)
+
+
 def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
-          pathlen: int, monitor: Monitor, rewards: RewardStructure | None = None,
-          trace=None):
+          lanes: list[_Lane], trace=None) -> list[tuple]:
     """Advance one path per sample index in `samples` from the initial
-    state, all in lockstep.
+    state, all in lockstep, for one or more lanes.
 
     Before each step the states that live paths reach for the first time
-    are expanded, and the monitor (and rewards) extended over them.  Then
-    the monitor decides which live paths end and their values; paths still
-    undecided at step `pathlen` end censored.  Every other path takes its
-    sample's uniform u of the step (`philox_uniforms`, drawn once per
-    block of steps for the live paths, each into its own row of the
-    batch's block) and moves to the first entry of its state's row whose
-    cumulative weight exceeds u (`_select`); the table gives the entry's
-    move.  With `rewards` a path gains its state's reward plus its move's
-    per step; `trace` collects the live paths' (states, moves, successors)
-    per step.  Returns per path its value, whether it was censored, its
-    length and its gain.
+    are expanded, each with its deterministic chain as far as the last step
+    of a lane still open (`MarkovModel.expand`), and the lanes' monitors
+    and rewards are extended over the new rows.  Then each lane's monitor
+    decides which of the paths that the lane counts end, and their values;
+    its paths still undecided at its `pathlen` end censored.  A path stays
+    live while a lane that counts it is undecided.  Every live path takes
+    its sample's uniform u of the step (`philox_uniforms`, drawn once per
+    block of steps for the live paths, each into its own row of the batch's
+    block) and moves to the first entry of its state's row whose cumulative
+    weight exceeds u (`_select`); the table gives the entry's move.  A lane
+    with rewards gains, on each path it still counts, the reward of the
+    path's state plus that of its move per step; `trace` collects the live
+    paths' (states, moves, successors) per step.  Returns per lane, per
+    path, its value, whether it was censored, its length and its gain: a
+    path's figures in a lane are those of the lane walked alone.
 
-    A step is a few numpy calls over the live paths, plus one round of
-    `_select` per entry of the widest row a live path stands on, so the
-    last paths of a batch cost about as much per step as one path walked
-    alone."""
-    pathlen = _count("pathlen", pathlen)
+    A step is a few numpy calls over the live paths per lane, plus one
+    round of `_select` per entry of the widest row a live path stands on,
+    so the last paths of a batch cost about as much per step as one path
+    walked alone, and the lanes of a walk share its steps."""
     if not 0 <= seed < SEED_LIMIT:
         raise SmcError(f"the seed must lie in [0, 2**64), got {seed}")
     n = len(samples)
-    value = np.zeros(n)
-    capped = np.zeros(n, dtype=bool)
-    length = np.zeros(n, dtype=np.int64)
-    gain = np.zeros(n)
+    outs = [(np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64), np.zeros(n))
+            for _ in lanes]
+    # per lane, the paths it counts and has not decided, and how many: when
+    # they are all the live paths, as in a walk of one lane, no mask is read
+    counted = [np.ones(n, dtype=bool) if lane.n is None else samples < lane.n
+               for lane in lanes]
+    undecided = [int(np.count_nonzero(c)) for c in counted]
     live = np.arange(n)
     states = np.full(n, mm.initial)
     draws = np.empty((n, _BLOCK))  # per path, its uniforms of the current block
     table = mm.sample_table()
-    horizon = monitor.horizon
     t = 0
     while live.size:
         rows = mm.row_of[states]
         if rows.min() < 0:
-            mm.expand(np.unique(states[rows < 0]).tolist())
+            last = max(lane.last for lane, left in zip(lanes, undecided) if left)
+            mm.expand(np.unique(states[rows < 0]).tolist(), ahead=last - t)
             rows = mm.row_of[states]
-        monitor.cover(mm, closed)
-        if rewards is not None:
-            rewards.cover(mm)
-        if t == horizon:
-            value[live] = monitor.final[rows]
-            break
-        done = monitor.ends[rows]
-        if t >= pathlen:
-            capped[live[~done]] = True
-            value[live] = monitor.value[rows]
-            break
-        if np.count_nonzero(done):
-            ended = live[done]
-            value[ended] = monitor.value[rows[done]]
-            length[ended] = t
-            keep = ~done
+        ended = False
+        for i, lane in enumerate(lanes):
+            if not undecided[i]:
+                continue
+            monitor = lane.monitor
+            monitor.cover(mm, closed)
+            if lane.rewards is not None:
+                lane.rewards.cover(mm)
+            here = slice(None) if undecided[i] == live.size else counted[i][live]
+            at, at_rows = live[here], rows[here]
+            value, capped, length, _ = outs[i]
+            if t == monitor.horizon:
+                values = monitor.final
+            else:
+                values = monitor.value
+                done = monitor.ends[at_rows]
+                if t >= lane.pathlen:
+                    capped[at[~done]] = True
+                elif np.count_nonzero(done):
+                    at, at_rows = at[done], at_rows[done]
+                else:
+                    continue
+            value[at] = values[at_rows]
+            length[at] = t
+            counted[i][at] = False
+            undecided[i] -= at.size
+            ended = True
+        if ended:
+            keep = np.zeros(live.size, dtype=bool)
+            for c, left in zip(counted, undecided):
+                if left:
+                    keep |= c[live]
             live, states, rows = live[keep], states[keep], rows[keep]
             if not live.size:
                 break
@@ -212,14 +262,16 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
         # draws[live, j], read as a column and then a gather, which numpy
         # does faster than one mixed index
         pos = _select(table, rows, draws[:, j][live])
-        if rewards is not None:
-            gain[live] += rewards.state[rows] + rewards.move[table.move[pos]]
+        for i, lane in enumerate(lanes):
+            if lane.rewards is not None and undecided[i]:
+                here = slice(None) if undecided[i] == live.size else counted[i][live]
+                outs[i][3][live[here]] += lane.rewards.state[rows[here]] + \
+                    lane.rewards.move[table.move[pos[here]]]
         if trace is not None:
             trace.append((states, table.move[pos], mm.dest[pos]))
         states = mm.dest[pos]
         t += 1
-    length[live] = t
-    return value, capped, length, gain
+    return outs
 
 
 def _select(table: SampleTable, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -294,18 +346,19 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     """Simulate one path, monitoring the formula; returns (SimPath, sample).
     It is sample 0 of the run with this seed."""
     _require_dtmc(mm)
-    monitor = compile_monitor(closed, path)
+    lane = _Lane(compile_monitor(closed, path), pathlen)
     steps = []
-    value, capped, _, _ = _walk(mm, closed, seed, np.zeros(1, dtype=np.int64), pathlen,
-                                monitor, trace=steps)
+    [(value, capped, _, _)] = _walk(mm, closed, seed, np.zeros(1, dtype=np.int64), [lane],
+                                    trace=steps)
     entries = [(int(s[0]), mm.move_action[move[0]], int(nxt[0])) for s, move, nxt in steps]
     if capped[0]:
-        return SimPath(entries, "pathlen-cap"), monitor.censor_value
+        return SimPath(entries, "pathlen-cap"), lane.monitor.censor_value
     return SimPath(entries, "bound-hit"), int(value[0])
 
 
 class _SampleStream:
-    """Deterministic Bernoulli sample stream for a formula on a dtmc.
+    """Deterministic Bernoulli sample stream for a formula on a dtmc, walked
+    as one lane.
 
     `batches` yields the samples in index order; a method that stops after
     `n` samples, all drawn, reads the path statistics of those from
@@ -315,11 +368,10 @@ class _SampleStream:
     def __init__(self, mm: MarkovModel, closed: ClosedModel, path: A.Expr,
                  seed: int, pathlen: int):
         _require_dtmc(mm)
-        self.monitor = compile_monitor(closed, path)
+        self.lane = _Lane(compile_monitor(closed, path), pathlen)
         self.mm = mm
         self.closed = closed
         self.seed = seed
-        self.pathlen = pathlen
         self._earlier = _PathTotals()
         self._last = (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
 
@@ -331,9 +383,9 @@ class _SampleStream:
         lo = 0
         while lo < limit:
             hi = min(lo + size, limit)
-            value, capped, length, _ = _walk(self.mm, self.closed, self.seed,
-                                             np.arange(lo, hi), self.pathlen, self.monitor)
-            value[capped] = self.monitor.censor_value
+            [(value, capped, length, _)] = _walk(self.mm, self.closed, self.seed,
+                                                 np.arange(lo, hi), [self.lane])
+            value[capped] = self.lane.monitor.censor_value
             self._earlier.add(*self._last)
             self._last = (capped, length)
             yield value.astype(np.int64).tolist()
@@ -371,6 +423,103 @@ class _PathTotals:
                 "path_len_max": self.length_max}
 
 
+@dataclass
+class _Tally(_PathTotals):
+    """What a fixed-count job reads of its samples: their path statistics,
+    the sum of the 0/1 samples (a censored path counts as its monitor's
+    `censor_value`), and for a reward job each batch's gains, whose paths
+    count as cap hits when censored or diverged."""
+
+    total: int = 0
+    gains: list = field(default_factory=list)
+
+    def gather(self, lane: _Lane, value, capped, length, gain):
+        if lane.rewards is None:
+            value[capped] = lane.monitor.censor_value
+            self.total += int(np.count_nonzero(value))
+            self.add(capped, length)
+        else:
+            self.gains.append(gain)
+            self.add(capped | (value > 0), length)
+
+
+class SamplePool:
+    """The fixed-count simulation jobs of one configuration, walked once:
+    CI and ACI given `n`, APMC and reward CI, on one model under one seed.
+
+    `add` registers a job's lane, by its path formula (a reward job: its
+    reward path and reward structure), path length and sample count; the
+    jobs of one path formula share one monitor.  `lane` gives a job its
+    lane, tallied: the first call walks every lane registered and not yet
+    walked, together, in batches of `_MAX_BATCH` consecutive sample
+    indices, and a lane not registered is added first.  Each lane's tally
+    is that of the lane walked alone.  A joint walk that fails is dropped
+    and the lane asked for walks alone; the states that the dropped walk
+    expanded stay in the model."""
+
+    def __init__(self, mm: MarkovModel, closed: ClosedModel, seed: int):
+        self.mm = mm
+        self.closed = closed
+        self.seed = seed
+        self._monitors: dict[str, Monitor] = {}
+        self._lanes: dict[tuple, _Lane] = {}
+
+    def add(self, path: A.Expr, pathlen, n, rname: str | None = None) -> _Lane:
+        """The lane of n samples of `path` cut off at `pathlen`, registered
+        once; with a reward path it sums the rewards `rname`."""
+        text = pretty_pexpr(path)
+        key = (text, rname, pathlen, n)
+        if key not in self._lanes:
+            _require_dtmc(self.mm)
+            rewards = None
+            if isinstance(path, A.REWARD_PATH_NODES):
+                rewards = reward_source(self.mm, self.closed, rname)
+            monitor = self._monitors.get(text)
+            if monitor is None:
+                monitor = self._monitors[text] = _reward_monitor(self.closed, path) \
+                    if rewards is not None else compile_monitor(self.closed, path)
+            self._lanes[key] = _Lane(monitor, pathlen, _count("the sample count n", n),
+                                     rewards)
+        return self._lanes[key]
+
+    def lane(self, path: A.Expr, pathlen, n, rname: str | None = None) -> _Lane:
+        lane = self.add(path, pathlen, n, rname)
+        if lane.tally is None:
+            pending = [other for other in self._lanes.values() if other.tally is None]
+            try:
+                self._walk(pending)
+            except ValueError:
+                if len(pending) == 1:
+                    raise
+                # an error of some lane's monitor, rewards or states: this
+                # lane walks alone, so that the error is raised by the job
+                # whose samples meet it, as it is without a pool
+                self._walk([lane])
+        return lane
+
+    def _walk(self, lanes: list[_Lane]):
+        tallies = [_Tally() for _ in lanes]
+        size = max(lane.n for lane in lanes)
+        for lo in range(0, size, _MAX_BATCH):
+            samples = np.arange(lo, min(lo + _MAX_BATCH, size))
+            here = [i for i, lane in enumerate(lanes) if lane.n > lo]
+            outs = _walk(self.mm, self.closed, self.seed, samples, [lanes[i] for i in here])
+            for i, out in zip(here, outs):
+                k = min(lanes[i].n - lo, samples.size)
+                tallies[i].gather(lanes[i], *(a[:k] for a in out))
+        for lane, tally in zip(lanes, tallies):
+            lane.tally = tally
+
+
+def _tally(mm, closed, seed, pool: SamplePool | None, path, pathlen, n,
+           rname=None) -> _Tally:
+    """The tally of a fixed-count job: of its lane in `pool`, the pool of
+    this model, closed model and seed, or without one walked alone."""
+    if pool is None:
+        pool = SamplePool(mm, closed, seed)
+    return pool.lane(path, pathlen, n, rname).tally
+
+
 def _count(name: str, value) -> int:
     """A sample count or a path length: a whole number of at least 1."""
     if value < 1 or value != int(value):
@@ -394,18 +543,19 @@ def _two_of_three(**kwargs):
 
 
 def run_ci(mm, closed, path, w=None, alpha=None, n=None, seed=0,
-           pathlen=DEFAULT_PATHLEN) -> Estimate:
+           pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
     """Confidence-interval estimation with a normal-approximation interval;
     given w and alpha, sampling stops once the Wilson score interval is
-    within w of the mean."""
-    return _ci_like(mm, closed, path, "CI", w, alpha, n, seed, pathlen)
+    within w of the mean.  Given n, the samples are those of the job's lane
+    in `pool` (`SamplePool`), if any."""
+    return _ci_like(mm, closed, path, "CI", w, alpha, n, seed, pathlen, pool)
 
 
 def run_aci(mm, closed, path, w=None, alpha=None, n=None, seed=0,
-            pathlen=DEFAULT_PATHLEN) -> Estimate:
+            pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
     """As run_ci but with the variance estimated from the samples
     (Student-t quantile below 50 samples)."""
-    return _ci_like(mm, closed, path, "ACI", w, alpha, n, seed, pathlen)
+    return _ci_like(mm, closed, path, "ACI", w, alpha, n, seed, pathlen, pool)
 
 
 def _half_width(method, alpha, mean, var_sum, n):
@@ -419,22 +569,13 @@ def _half_width(method, alpha, mean, var_sum, n):
     return q * math.sqrt(max(sigma2, 0.0) / n)
 
 
-def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
+def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen, pool) -> Estimate:
     given = _two_of_three(w=w, alpha=alpha, n=n)
     _within("w", w, math.inf)
     _within("alpha", alpha)
-    stream = _SampleStream(mm, closed, path, seed, pathlen)
-    if "n" in given:
-        n = _count("the sample count n", n)
-    if "n" in given and "alpha" in given:
-        total = sum(sum(batch) for batch in stream.batches(n))
-        mean = total / n
-        var_sum = total * (1.0 - mean) ** 2 + (n - total) * mean ** 2
-        hw = _half_width(method, alpha, mean, var_sum, n)
-        return Estimate(method, mean, n, seed, half_width=hw, alpha=alpha,
-                        **stream.stats(n))
-    if "w" in given and "alpha" in given:
+    if "n" not in given:
         z = normal_quantile(1.0 - alpha / 2.0)
+        stream = _SampleStream(mm, closed, path, seed, pathlen)
         total = 0
         count = 0
         for x in stream.samples():
@@ -447,13 +588,17 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
             raise SmcError("sequential sampling exceeded the sample cap")
         return Estimate(method, total / count, count, seed, half_width=hw, alpha=alpha,
                         **stream.stats(count))
-    # w and n given: solve for alpha
-    total = sum(sum(batch) for batch in stream.batches(n))
+    tally = _tally(mm, closed, seed, pool, path, pathlen, n)
+    n, total = tally.count, tally.total
     mean = total / n
+    var_sum = total * (1.0 - mean) ** 2 + (n - total) * mean ** 2
+    if "alpha" in given:
+        hw = _half_width(method, alpha, mean, var_sum, n)
+        return Estimate(method, mean, n, seed, half_width=hw, alpha=alpha, **tally.fields())
+    # w and n given: solve for alpha
     if method == "CI":
         sigma = math.sqrt(mean * (1.0 - mean) / n)
     else:
-        var_sum = total * (1.0 - mean) ** 2 + (n - total) * mean ** 2
         sigma = math.sqrt((var_sum / (n - 1) if n > 1 else 0.0) / n)
     if sigma == 0.0:
         # no spread to scale by: the Chernoff-Hoeffding bound for w
@@ -462,7 +607,7 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen) -> Estimate:
         z = w / sigma
         alpha_solved = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
     return Estimate(method, mean, n, seed, half_width=w, alpha=alpha_solved,
-                    **stream.stats(n))
+                    **tally.fields())
 
 
 def _wilson_half_width(z: float, total: int, n: int) -> float:
@@ -483,25 +628,28 @@ def apmc_samples(epsilon: float, delta: float) -> int:
     return max(1, math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
 
 
-def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
-             pathlen=DEFAULT_PATHLEN) -> Estimate:
-    """Approximate model checking with the Chernoff-Hoeffding bound
-    n >= ln(2/delta) / (2 epsilon^2); the missing parameter is solved for."""
+def apmc_parameters(epsilon=None, delta=None, n=None) -> tuple[float, float, int]:
+    """(epsilon, delta, n) of APMC from two of them, the third solved for by
+    the Chernoff-Hoeffding bound n >= ln(2/delta) / (2 epsilon^2)."""
     given = _two_of_three(epsilon=epsilon, delta=delta, n=n)
     _within("epsilon", epsilon, math.inf)
     _within("delta", delta)
     if "epsilon" in given and "delta" in given:
-        n = apmc_samples(epsilon, delta)
-    elif "n" in given and "delta" in given:
-        n = _count("the sample count n", n)
-        epsilon = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
-    else:
-        n = _count("the sample count n", n)
-        delta = 2.0 * math.exp(-2.0 * n * epsilon * epsilon)
-    stream = _SampleStream(mm, closed, path, seed, pathlen)
-    total = sum(sum(batch) for batch in stream.batches(n))
-    return Estimate("APMC", total / n, n, seed, epsilon=epsilon, delta=delta,
-                    **stream.stats(n))
+        return epsilon, delta, apmc_samples(epsilon, delta)
+    n = _count("the sample count n", n)
+    if "delta" in given:
+        return math.sqrt(math.log(2.0 / delta) / (2.0 * n)), delta, n
+    return epsilon, 2.0 * math.exp(-2.0 * n * epsilon * epsilon), n
+
+
+def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
+             pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+    """Approximate model checking with the Chernoff-Hoeffding bound
+    (`apmc_parameters`), on the job's lane in `pool`, if any."""
+    epsilon, delta, n = apmc_parameters(epsilon, delta, n)
+    tally = _tally(mm, closed, seed, pool, path, pathlen, n)
+    return Estimate("APMC", tally.total / n, n, seed, epsilon=epsilon, delta=delta,
+                    **tally.fields())
 
 
 def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
@@ -550,39 +698,34 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
 # --- reward sampling -----------------------------------------------------------
 
 
-def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
-                  pathlen=DEFAULT_PATHLEN) -> Estimate:
-    """Mean-reward estimation for Cumul k and almost-sure Reachable formulas.
-    A path that reaches an absorbing state outside the target of Reachable
-    diverges; it is censored and counted as a cap hit."""
-    n = _count("the sample count n", n)
-    _within("alpha", alpha)
-    _require_dtmc(mm)
-    rewards = reward_source(mm, closed, rname)
+def _reward_monitor(closed: ClosedModel, rpath: A.Expr) -> Monitor:
+    """The monitor of a reward path: Cumul k decides at step k; Reachable
+    when a path reaches its target or an absorbing state outside it, where
+    the path diverges, and the value of a path is whether it diverged."""
     if isinstance(rpath, A.Cumul):
         k = max(step_bound(closed, A.Bound("<=", rpath.operand)), 0)
-        monitor = Monitor(lambda sat, absorbing: [np.zeros_like(absorbing)] * 3, k)
-    elif isinstance(rpath, A.Reachable):
-        # the value of a path is whether it diverged
+        return Monitor(lambda sat, absorbing: [np.zeros_like(absorbing)] * 3, k)
+    if isinstance(rpath, A.Reachable):
         def rule(sat, absorbing):
             target = sat(rpath.operand)
             return target | absorbing, absorbing & ~target, np.zeros_like(absorbing)
 
-        monitor = Monitor(rule)
-    else:
-        raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
-    gains = []
-    used = _PathTotals()
-    for lo in range(0, n, _MAX_BATCH):
-        samples = np.arange(lo, min(lo + _MAX_BATCH, n))
-        diverged, capped, length, gain = _walk(mm, closed, seed, samples, pathlen, monitor,
-                                               rewards=rewards)
-        gains.append(gain)
-        used.add(capped | (diverged > 0), length)
-    arr = np.concatenate(gains)
+        return Monitor(rule)
+    raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
+
+
+def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
+                  pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+    """Mean-reward estimation for Cumul k and almost-sure Reachable formulas,
+    on the job's lane in `pool`, if any.  A path that reaches an absorbing
+    state outside the target of Reachable diverges; it is censored and
+    counted as a cap hit."""
+    n = _count("the sample count n", n)
+    _within("alpha", alpha)
+    tally = _tally(mm, closed, seed, pool, rpath, pathlen, n, rname)
+    arr = np.concatenate(tally.gains)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     hw = normal_quantile(1.0 - alpha / 2.0) * sd / math.sqrt(len(arr))
     return Estimate("CI", mean, len(arr), seed, half_width=hw, alpha=alpha,
-                    **used.fields())
-
+                    **tally.fields())

@@ -14,6 +14,7 @@ from rcprob.props import parse_spec
 FIXTURES = Path(__file__).parent / "fixtures"
 SRW_RCM = str(FIXTURES / "srw.rcm")
 SRW_RCP = str(FIXTURES / "srw.rcp")
+SRW_RCP_TEXT = (FIXTURES / "srw.rcp").read_text()
 
 
 def fixed_timer():
@@ -542,6 +543,79 @@ def test_cli_smc_sprt(tmp_path):
     assert rec["verdict"] is True
 
 
+def test_a_failed_simulation_leaves_no_earlier_report(tmp_path, capsys):
+    # a run that exited 2 left the previous run's report.jsonl in place
+    out = tmp_path / "out"
+    assert main(["check", SRW_RCM, SRW_RCP, "--engine", "smc", "--kind", "dtmc",
+                 "--prop", "P_stuck", "--out", str(out)]) == 0
+    assert (out / "report.jsonl").exists() and (out / "report.txt").exists()
+    rcp = tmp_path / "query.rcp"
+    rcp.write_text(SRW_RCP_TEXT.replace("Prob=? of [Finally #l_stuck]",
+                                        "Prob=? of [Finally #l_stuck] using sim with SPRT "
+                                        "at alpha=0.01, delta=0.05"))
+    assert main(["check", SRW_RCM, str(rcp), "--engine", "smc", "--kind", "dtmc",
+                 "--prop", "P_stuck", "--out", str(out)]) == 2
+    assert "SPRT needs a probability bound, not a query" in capsys.readouterr().err
+    assert sorted(f.name for f in out.iterdir()) == ["diagnostics.jsonl"]
+
+
+def test_an_unswept_emission_leaves_no_earlier_sweep(tmp_path):
+    # the sweep of an earlier emission stayed next to a model that fixes MaxSteps
+    assert main(["check", SRW_RCM, SRW_RCP, "--engine", "emit", "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "srw.sweep.tsv").read_text().splitlines()) == 9
+    rcp = tmp_path / "fixed.rcp"
+    rcp.write_text(SRW_RCP_TEXT.replace("MaxSteps from set {20 to 100 by step 10}",
+                                        "MaxSteps set to 20"))
+    assert main(["check", SRW_RCM, str(rcp), "--engine", "emit", "--out", str(tmp_path)]) == 0
+    assert "const int MaxSteps = 20;" in (tmp_path / "srw.prism").read_text()
+    assert not (tmp_path / "srw.sweep.tsv").exists()
+    # a check of the same directory keeps the emission's files
+    assert main(["check", SRW_RCM, str(rcp), "--kind", "dtmc", "--prop", "P_stuck",
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "srw.prism").exists() and (tmp_path / "report.jsonl").exists()
+
+
+def test_each_job_of_a_failed_joint_walk_reports_its_own_error(tmp_path, capsys):
+    # A_ok's samples meet no error and B_bad's parameters are wrong; the
+    # joint walk of A_ok and C_neg meets C_neg's negative reward, which
+    # was raised as A_ok's before B_bad's own error
+    rcp = tmp_path / "errors.rcp"
+    rcp.write_text("""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    constants C_all:
+      SRWMod::SRWRP::MaxDist set to 2,
+      SRWMod::SRWRP::MaxSteps set to 4, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_all:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    rewards R_neg =
+      (SRWMod::SRWRP::x == 2) : -1;
+    endrewards
+    prob property A_ok:
+      Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=100
+      with constants C_all
+      with definitions D_all
+    prob property B_bad:
+      Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.05, n=100, pathlen=0
+      with constants C_all
+      with definitions D_all
+    prob property C_neg:
+      Reward {R_neg} =? of [Cumul 10] using sim with CI at alpha=0.05, n=100
+      with constants C_all
+      with definitions D_all
+    """)
+    argv = ["check", SRW_RCM, str(rcp), "--engine", "smc", "--kind", "dtmc",
+            "--out", str(tmp_path / "out")]
+    for prop, error in (("*", "property B_bad [MaxDist=2,MaxSteps=4,Pl=0.5] at line 18: "
+                              "pathlen must be at least 1 and whole, got 0"),
+                        ("[AC]*", "rewards R_neg: negative reward -1 at state")):
+        assert main(argv + ["--prop", prop]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert main(argv + ["--prop", "A_ok"]) == 0
+
+
 def test_models_released_after_their_last_job(tmp_path, monkeypatch):
     import weakref
     import rcprob.cli as cli
@@ -616,6 +690,29 @@ def test_models_released_after_their_last_job(tmp_path, monkeypatch):
         records = [json.loads(ln) for ln in
                    (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
         assert [r["property"] for r in records] == ["A_stuck", "B_deadlock", "C_stuck"]
+
+
+@pytest.mark.parametrize("engine", ["smc", "internal", "emit"])
+def test_a_run_leaves_no_cyclic_garbage(engine, tmp_path, monkeypatch):
+    # each closed model was freed by the cyclic collector, not when the run
+    # dropped it: it, its explorer, its steps and their entries formed cycles
+    import gc
+    import rcprob.cli as cli
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)  # the models are built here
+    plan = RunPlan(SRW_RCM, SRW_RCP, engine=engine, kind="dtmc", seed=3,
+                   out_dir=str(tmp_path))
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(plan) == 0
+        gc.collect()
+        kept = {type(o).__qualname__ for o in gc.garbage
+                if type(o).__module__.startswith("rcprob")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert kept == set()
 
 
 def test_cli_smc_rejects_empty_sample(tmp_path, capsys):

@@ -932,3 +932,126 @@ def test_sprt_wrong_verdicts_within_alpha():
             wrong = sum(run_sprt(mm, ctx, path, bound, theta, alpha=alpha, delta=delta,
                                  seed=seed).satisfied != holds for seed in range(seeds))
             assert wrong / seeds <= ceiling, (theta, wrong)
+
+
+# --- joint walks and lookahead ----------------------------------------------------
+
+
+def test_a_pool_gives_each_job_the_estimate_it_has_alone(srw_model, srw_spec, monkeypatch):
+    import rcprob.smc as smc
+    from rcprob.smc import SamplePool, apmc_parameters
+    closed, _ = make_srw(srw_model, srw_spec, maxdist=6, maxsteps=40)
+    far = parse_expression("SRWMod::SRWRP::x >= 3 \\/ SRWMod::SRWRP::x <= -3")
+    stuck = parse_expression(
+        "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
+    near = A.Finally_(A.Bound("<=", A.Lit(12)), far)
+    cumul = A.Cumul(A.Lit(25))
+    # in property order: (runner, arguments, keywords, lane of the pool or None)
+    jobs = [
+        (run_ci, (near,), dict(alpha=0.05, n=700, pathlen=30), (near, 30, 700)),
+        (run_apmc, (near,), dict(epsilon=0.1, delta=0.05),
+         (near, 10_000, apmc_parameters(0.1, 0.05)[2])),
+        (run_aci, (A.Finally_(None, stuck),), dict(w=0.05, alpha=0.05), None),
+        (run_sprt, (A.Finally_(None, far), A.Bound(">=", A.Lit(0.3)), 0.3),
+         dict(alpha=0.05, delta=0.05), None),
+        (run_reward_ci, ("R_origins", cumul), dict(alpha=0.05, n=1500),
+         (cumul, 10_000, 1500, "R_origins")),
+        (run_aci, (near,), dict(w=0.05, n=300), (near, 10_000, 300)),
+    ]
+    walks = []  # the lanes of each walk
+    walk = smc._walk
+
+    def counted(mm, closed, seed, samples, lanes, trace=None):
+        walks.append(len(lanes))
+        return walk(mm, closed, seed, samples, lanes, trace)
+
+    monkeypatch.setattr(smc, "_walk", counted)
+    mm = open_markov(closed)
+    pool = SamplePool(mm, closed, 9)
+    for *_, lane in jobs:
+        if lane is not None:
+            pool.add(*lane)
+    joint = [run(mm, closed, *args, seed=9, **kw, pool=pool) if lane else
+             run(mm, closed, *args, seed=9, **kw) for run, args, kw, lane in jobs]
+    # the four fixed-count jobs walk their first batch together, the reward
+    # job its second alone
+    assert walks.count(4) == 1 and walks.count(1) > 1
+    for (run, args, kw, _), est in zip(jobs, joint):
+        alone = run(open_markov(closed), closed, *args, seed=9, **kw)
+        assert est == alone, run.__name__
+    assert [est.method for est in joint] == ["CI", "APMC", "ACI", "SPRT", "CI", "ACI"]
+    assert joint[0].cap_hits == 0 < joint[4].point and joint[3].decision is not None
+    # and the samples of the stream that the reference sampler checks
+    stream = _SampleStream(open_markov(closed), closed, near, 9, 30)
+    samples = [x for batch in stream.batches(700) for x in batch]
+    assert joint[0].point == sum(samples) / 700
+    assert stream.stats(700) == {key: getattr(joint[0], key) for key in
+                                 ("cap_hits", "path_len_mean", "path_len_max")}
+
+
+def _chains():
+    """0 -> 1 or 5, each 1/2; 1 -> 2 -> 3, which goes back to 0 or to 4, an
+    absorbing state; 5 -> 6 -> 7 -> 8 -> 6.  Expanded on demand, from 0."""
+    half = Fraction(1, 2)
+
+    def to(d):
+        return [Move("a", ((Fraction(1), d),))]
+
+    moves = [[Move("a", ((half, 1), (half, 5)))], to(2), to(3),
+             [Move("a", ((half, 0), (half, 4)))], to(4), to(6), to(7), to(8), to(6)]
+    return explicit_model("dtmc", ("x",), [(i,) for i in range(9)], moves, [False] * 9,
+                          lazy=True)
+
+
+def test_lookahead_expands_the_deterministic_chains_of_the_states_reached():
+    lazy = _chains()
+
+    def rows():
+        return [lazy.states[s][0] for s in lazy.order]
+
+    lazy.expand([0], ahead=5)  # a state of two branches has no chain
+    assert rows() == [0]
+    # the chains after the states; 1's ends after 3, whose move branches,
+    # and 5's after two states, as far as the walk could go
+    lazy.expand([lazy.states.index((1,)), lazy.states.index((5,))], ahead=2)
+    assert rows() == [0, 1, 5, 2, 3, 6, 7]
+    # 8's chain ends before 6, expanded earlier, and 4's at 4 itself
+    lazy.expand([lazy.states.index((4,)), lazy.states.index((8,))], ahead=5)
+    assert rows() == [0, 1, 5, 2, 3, 6, 7, 4, 8]
+    # a chain that meets a state expanded in its own batch ends there
+    fresh = _chains()
+    fresh.expand([0])
+    fresh.expand([fresh.states.index((5,))], ahead=10)
+    assert [fresh.states[s][0] for s in fresh.order] == [0, 5, 6, 7, 8]
+    # the sample table and the distribution check cover the chains
+    table = fresh.sample_table()
+    assert table.absorbing.size == len(fresh.order) == fresh.first_move.size - 1
+
+
+@pytest.mark.parametrize("bound,pathlen,reached", [(4, 100, 5), (30, 7, 8), (None, 12, 13)])
+def test_a_walk_looks_ahead_no_further_than_its_last_step(bound, pathlen, reached):
+    # a line 0 -> 1 -> ... -> 39 whose paths never reach their target
+    n = 40
+    moves = [[Move("a", ((Fraction(1), min(i + 1, n - 1)),))] for i in range(n)]
+    lazy = explicit_model("dtmc", ("x",), [(i,) for i in range(n)], moves, [False] * n,
+                          lazy=True)
+    bound = None if bound is None else A.Bound("<=", A.Lit(bound))
+    est = run_ci(lazy, StubContext(("x",)), A.Finally_(bound, var_eq("x", 99)), alpha=0.05,
+                 n=10, seed=0, pathlen=pathlen)
+    assert est.point == 0.0
+    # the first expansion took the whole chain that the walk could reach
+    assert sorted(lazy.states[s][0] for s in lazy.order) == list(range(reached))
+
+
+def test_a_chain_that_fails_is_dropped_for_the_states_reached():
+    # 0 -> 1 (the target) -> 2, whose only move sums to 9/10: the batch of
+    # 0 and its chain fails, and 0 alone does not
+    moves = [[Move("a", ((Fraction(1), 1),))], [Move("b", ((Fraction(1), 2),))],
+             [Move("c", ((Fraction(9, 10), 2),))]]
+    lazy = explicit_model("dtmc", ("x",), [(i,) for i in range(3)], moves, [False] * 3,
+                          lazy=True)
+    path = A.Finally_(A.Bound("<=", A.Lit(5)), var_eq("x", 1))
+    est = run_ci(lazy, StubContext(("x",)), path, alpha=0.05, n=10, seed=0)
+    assert est.point == 1.0 and sorted(lazy.order) == [0, 1]
+    with pytest.raises(BuildError, match="sum to 9/10"):
+        lazy.expand_all()
