@@ -139,10 +139,15 @@ def philox_uniforms(seed: int, samples: np.ndarray, t0: int, steps: int) -> np.n
         x = hi[::-1] ^ y ^ key
         y = lo[::-1]
     # the uniforms of each counter's even step, from (c0, c1), and odd step,
-    # from (c2, c3), interleaved
-    u = ((x >> 5) * 2.0 ** 26 + (y >> 6)) * 2.0 ** -53
+    # from (c2, c3), interleaved: computed in place in that layout, through
+    # a (2, n, m) view of it, so that no temporary is as large as the result
+    u = np.empty((n, m, 2))
+    words = u.transpose(2, 0, 1)
+    np.multiply(x >> 5, 2.0 ** 26, out=words)
+    words += y >> 6
+    words *= 2.0 ** -53
     first = t0 % 2
-    return u.transpose(1, 2, 0).reshape(n, 2 * m)[:, first:first + steps]
+    return u.reshape(n, 2 * m)[:, first:first + steps]
 
 
 def _require_dtmc(mm: MarkovModel):
