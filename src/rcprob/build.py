@@ -136,11 +136,23 @@ def _no_state():
     raise EvalError("expression needs a state")
 
 
+def _fold(op, value, *operands):
+    """`op` folded left over `value` and the values of `operands`, each a
+    function called after the operations before it, as nested calls would
+    evaluate them."""
+    for operand in operands:
+        value = op(value, operand())
+    return value
+
+
 # Python precedence levels of the generated source, loosest first
 _PY_COND, _PY_OR, _PY_AND, _PY_NOT, _PY_CMP, _PY_SUM, _PY_PRODUCT, _PY_NEG, _PY_ATOM = \
     2, 3, 4, 5, 6, 11, 12, 13, 16
 _PY_ARITH = {"+": _PY_SUM, "-": _PY_SUM, "*": _PY_PRODUCT}
 _PY_CALLS = {"/": "_int_div", "%": "_int_mod", "=>": "_implies"}
+# the functions a chain of one operator folds with (`ClosedModel._py_chain`)
+_PY_FOLDS = {**_PY_CALLS, "iff": "_eq", "==": "_eq", "!=": "_ne", "<": "_lt", "<=": "_le",
+             ">": "_gt", ">=": "_ge"}
 
 
 def _paren(printed: tuple, level: int) -> str:
@@ -663,7 +675,10 @@ class ClosedModel:
         # the globals of the generated source: its helpers, and the values
         # without a Python literal under the names `_py_value` gives them
         self.namespace = {"EvalError": EvalError, "_int_div": _int_div, "_int_mod": _int_mod,
-                          "_real_div": _real_div, "_implies": _implies, "_no_state": _no_state}
+                          "_real_div": _real_div, "_implies": _implies, "_no_state": _no_state,
+                          "_fold": _fold, "_eq": operator.eq, "_ne": operator.ne,
+                          "_lt": operator.lt, "_le": operator.le, "_gt": operator.gt,
+                          "_ge": operator.ge}
         self._spec_terms: dict[tuple[int, bool], tuple[A.Expr, Term]] = {}  # `spec_expr`
 
         self.consts: dict[str, object] = {}
@@ -811,6 +826,9 @@ class ClosedModel:
             if e.op == "not":
                 return f"not {go(e.operand, _PY_NOT)}", _PY_NOT, True
             return f"-{go(e.operand, _PY_NEG)}", _PY_NEG, False
+        if isinstance(e, A.Binary) and e.op in _PY_FOLDS and isinstance(e.left, A.Binary) \
+                and e.left.op == e.op:
+            return self._py_chain(e, scope, params, read, fstack, real)
         if isinstance(e, A.Binary):
             left = self._py(e.left, scope, params, read, fstack, real)
             right = self._py(e.right, scope, params, read, fstack, real)
@@ -871,6 +889,24 @@ class ClosedModel:
         if isinstance(e, A.EventVal):
             return self._py_read(self.index[self.event_latch(e)], read)
         raise BuildError(f"cannot evaluate {type(e).__name__} in a state expression")
+
+    def _py_chain(self, e: A.Binary, scope, params, read, fstack, real) -> tuple[str, int, bool]:
+        """A left-deep chain of one operator, such as `a / b / c`, as one
+        call of `_fold` over its operands rather than one nested call or
+        bracket per operator, which Python's parser limits to 200.  Each
+        operand after the first is a function of no arguments, so that the
+        operands and operations run in the order nested calls would run
+        them and the first `EvalError` is the same."""
+        operands = []
+        while isinstance(e.left, A.Binary) and e.left.op == e.op:
+            operands.append(e.right)
+            e = e.left
+        operands += [e.right, e.left]
+        printed = [self._py(x, scope, params, read, fstack, real) for x in reversed(operands)]
+        fn = "_real_div" if real and e.op == "/" else _PY_FOLDS[e.op]
+        texts = [_truth(p, _PY_COND) if e.op == "iff" else p[0] for p in printed]
+        return (f"_fold({fn}, {texts[0]}, " + ", ".join(f"lambda: {t}" for t in texts[1:]) + ")",
+                _PY_ATOM, e.op not in ("/", "%") and (e.op != "=>" or printed[-1][2]))
 
     def _py_read(self, i: int, read) -> tuple[str, int, bool]:
         return read(i), _PY_ATOM, self.vars[i].domain[0] == "bool"
@@ -1348,12 +1384,15 @@ class MarkovModel:
     with weights of its own."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple], successors,
-                 nodes: WeightTable, initial: int = 0, max_states: int = DEFAULT_STATE_CAP):
+                 nodes: WeightTable, initial: int = 0, max_states: int = DEFAULT_STATE_CAP,
+                 closed: ClosedModel | None = None):
         self.kind = kind
         self.var_names = var_names
         self.states = states
         self.deadlock = [False] * len(states)
         self.initial = initial
+        # the configuration whose weights the model has, if explored from one
+        self.closed = closed
         self.order: list[int] = []
         self.row_of = self.dest = self.node_id = np.zeros(0, dtype=np.int64)
         self.first_move = self.first_branch = np.zeros(1, dtype=np.int64)
@@ -1368,14 +1407,20 @@ class MarkovModel:
         self._passed: set[tuple] = set()  # weight node sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
         # state formula values per (expression, context), `ExactChecker._on_model`:
-        # [expression, context, values]; both are kept so their ids are not reused
+        # [expression, context, values]; both are kept so their ids are not
+        # reused.  `atoms` holds those of plain state expressions, shared
+        # with the models `reweigh` makes; `values` those of P, R, A and E.
+        self.atoms: dict[tuple[int, int], list] = {}
         self.values: dict[tuple[int, int], list] = {}
+        # what the engines derive from the store but not from the weights,
+        # shared with the models `reweigh` makes; replaced by each expansion
+        self.derived: dict = {}
         # cleared once every known state is expanded
         self._successors = successors
         self._index: dict[tuple, int] | None = {st: s for s, st in enumerate(states)}
         self._max_states = max_states
         self._short_names = None
-        self._choice_csr = self.choice_moves = None
+        self._choice_csr = self._dtmc_csr = self.choice_moves = None
         self._sample_table = None
         self._store_batch()
 
@@ -1389,46 +1434,49 @@ class MarkovModel:
 
     # --- expansion ------------------------------------------------------------
 
-    def _discover(self, state: tuple) -> int:
-        if len(self.states) >= self._max_states:
-            raise BuildError(f"state-space cap of {self._max_states} states exceeded")
-        s = self._index[state] = len(self.states)
-        self.states.append(state)
-        self.deadlock.append(False)
-        return s
-
-    def _expand_one(self, s: int):
-        """Append the moves of state s as the next row, in integers only; a
-        successor state is discovered when new."""
-        moves, deadlock = self._successors(self.states[s])
-        index = self._index
+    def _expand_rows(self, work, grow: bool, chains: list | None = None):
+        """Append the moves of the states of `work` as the next rows, in
+        order and in integers only; a successor state is discovered when
+        new.  With `grow`, `work` is a list and each state discovered joins
+        it; with `chains`, the only successor of each state (the only
+        branch of its only move), or None, is appended to it."""
+        states, index, successors = self.states, self._index, self._successors
+        deadlock, order, cap, merge = self.deadlock, self.order, self._max_states, self.nodes.sum
+        actions, action_tags = self.move_action, self.move_tags
         row_moves, move_branches, dests, weights = self._batch
-        for action, tags, branches in moves:
-            for w, succ in branches:
-                dst = index.get(succ)
-                dests.append(self._discover(succ) if dst is None else dst)
-                weights.append(w)
-            k = len(branches)
-            if k > 1 and len(set(dests[-k:])) < k:  # merge at the first occurrence
-                merged: dict[int, int] = {}
-                for d, w in zip(dests[-k:], weights[-k:]):
-                    merged[d] = self.nodes.sum(merged[d], w) if d in merged else w
-                del dests[-k:], weights[-k:]
-                dests.extend(merged)
-                weights.extend(merged.values())
-                k = len(merged)
-            move_branches.append(k)
-            self.move_action.append(action)
-            self.move_tags.append(tags)
-        row_moves.append(len(moves))
-        self.deadlock[s] = deadlock
-        self.order.append(s)
-
-    def _only_successor(self) -> int | None:
-        """The successor of the row last appended when it has one move of
-        one branch, else None."""
-        row_moves, move_branches, dests, _ = self._batch
-        return dests[-1] if row_moves[-1] == 1 and move_branches[-1] == 1 else None
+        for s in work:
+            moves, dead = successors(states[s])
+            for action, tags, branches in moves:
+                for w, succ in branches:
+                    dst = index.get(succ)
+                    if dst is None:
+                        dst = len(states)
+                        if dst >= cap:
+                            raise BuildError(f"state-space cap of {cap} states exceeded")
+                        index[succ] = dst
+                        states.append(succ)
+                        deadlock.append(False)
+                        if grow:
+                            work.append(dst)
+                    dests.append(dst)
+                    weights.append(w)
+                k = len(branches)
+                if k > 1 and len(set(dests[-k:])) < k:  # merge at the first occurrence
+                    merged: dict[int, int] = {}
+                    for d, w in zip(dests[-k:], weights[-k:]):
+                        merged[d] = merge(merged[d], w) if d in merged else w
+                    del dests[-k:], weights[-k:]
+                    dests.extend(merged)
+                    weights.extend(merged.values())
+                    k = len(merged)
+                move_branches.append(k)
+                actions.append(action)
+                action_tags.append(tags)
+            row_moves.append(len(moves))
+            deadlock[s] = dead
+            order.append(s)
+            if chains is not None:
+                chains.append(dests[-1] if len(moves) == 1 and k == 1 else None)
 
     def _store_batch(self):
         """Extend the store's arrays by the rows appended since, and
@@ -1466,22 +1514,25 @@ class MarkovModel:
         self._expand(states, 0)
 
     def _expand(self, states, ahead: int):
+        """`expand`; with `states` None, of every unexpanded state and each
+        state discovered meanwhile."""
         lo, moves, known = len(self.order), len(self.move_action), len(self.states)
         arrays = self.first_move, self.first_branch, self.dest, self.node_id
         try:
-            chains = []  # the first state of each state's chain
-            for s in states:
-                self._expand_one(s)
-                if ahead:
-                    chains.append(self._only_successor())
+            chains = [] if ahead else None  # the first state of each state's chain
+            if states is None:
+                self._expand_rows(np.flatnonzero(self.row_of < 0).tolist(), True)
+            else:
+                self._expand_rows(states, False, chains)
             batch = set(self.order[lo:]) if ahead else set()
-            for s in chains:
+            for s in chains or ():
                 for _ in range(ahead):
                     if s is None or s in batch or s < known and self.row_of[s] >= 0:
                         break
                     batch.add(s)
-                    self._expand_one(s)
-                    s = self._only_successor()
+                    follow = []
+                    self._expand_rows((s,), False, follow)
+                    s = follow[0]
             self._store_batch()
             self.check_stochastic(lo)
         except BaseException:
@@ -1501,58 +1552,88 @@ class MarkovModel:
             self._successors = self._index = None
         if self._sample_table is not None:
             self._append_rows(lo)
+        self.derived = {}
+        self._choice_csr = self._dtmc_csr = self.choice_moves = None
 
     def expand_all(self):
         """Expand every reachable state, breadth-first in state order."""
-        if self._successors is None:  # complete
-            return
-        rows = self.row_of.tolist()
-
-        def unexpanded():
-            s = 0
-            while s < len(self.states):  # the states grow as they are expanded
-                if s >= len(rows) or rows[s] < 0:
-                    yield s
-                s += 1
-
-        self.expand(unexpanded())
+        if self._successors is not None:  # else complete
+            self._expand(None, 0)
 
     def reweigh(self, closed: ClosedModel) -> MarkovModel:
         """The model of `closed` on this complete model's store.  A closed
         model that numbers its weight leaves as this model's nodes do, with
         zero at the same leaves, explores to the same states, moves and
         branches; only the weights differ.  The model returned shares the
-        store, its nodes and the reward structures.  Its weights are its
-        own: every node evaluated exactly with the leaves of `closed`, on
-        which the distribution check runs again."""
+        store, its nodes, the reward structures and what the engines derive
+        from the store alone (`derived`, `atoms`), so `closed` must differ
+        from this model's configuration only in constants that nothing but
+        weights reads (`resolve.weight_only_constants`).  Its weights, and
+        the matrices made of them, are its own: every node evaluated
+        exactly with the leaves of `closed`, on which the distribution
+        check runs again."""
         view = copy.copy(self)
+        view.closed = closed
         view.weights = self.nodes.evaluate(closed.weight_table)
         view.weight_float = np.array([float(p) for p in view.weights])
         view._passed, view.values = set(), {}
-        view._choice_csr = view.choice_moves = view._sample_table = None
+        view._choice_csr = view._dtmc_csr = view._sample_table = None
         view.check_stochastic()
         return view
 
     # --- reading the store ----------------------------------------------------
 
     def choice_csr(self):
-        """The choice CSR of a complete model, built once: the move-by-state
-        branch matrix, with the moves in state order, and the first move of
-        each state followed by the number of moves.  The store's rows are
-        taken in state order, by one stable permutation of its moves:
-        `choice_moves[i]` is the store move of the matrix's row i."""
+        """The choice CSR of a complete model, built once per model: the
+        move-by-state branch matrix, with the moves in state order, and the
+        first move of each state followed by the number of moves.  The
+        store's rows are taken in state order, by one stable permutation of
+        its moves: `choice_moves[i]` is the store move of the matrix's row
+        i.  All but the weights is made once per structure (`derived`)."""
         if self._choice_csr is None:
             # imported here: simulation and emission never build this matrix
             from scipy import sparse
-            moves = np.diff(self.first_move)  # per row
-            mat = sparse.csr_matrix((self.weight_float[self.node_id], self.dest,
-                                     self.first_branch),
+            if "choice" not in self.derived:
+                self.derived["choice"] = self._choice_layout()
+            self.choice_moves, branch, indices, indptr, bounds = self.derived["choice"]
+            mat = sparse.csr_matrix((self.weight_float[self.node_id[branch]], indices, indptr),
                                     shape=(len(self.move_action), self.num_states))
-            self.choice_moves = np.argsort(np.repeat(self.order, moves), kind="stable")
-            mat = mat[self.choice_moves]
-            mat.sum_duplicates()  # sorts the columns of each move
-            self._choice_csr = (mat, np.concatenate([[0], np.cumsum(moves[self.row_of])]))
+            mat.has_sorted_indices = True
+            self._choice_csr = (mat, bounds)
         return self._choice_csr
+
+    def _choice_layout(self):
+        """The choice CSR without its weights: the store move of each row,
+        the store branch, column and row pointers of its entries, and the
+        first move of each state.  A move's branches lead to distinct
+        states (`_expand_rows` merges the others), taken in state order."""
+        from scipy import sparse
+        moves = np.diff(self.first_move)  # per row
+        choice_moves = np.argsort(np.repeat(self.order, moves), kind="stable")
+        branches = sparse.csr_matrix((np.arange(self.dest.size), self.dest, self.first_branch),
+                                     shape=(len(self.move_action), self.num_states))
+        branches = branches[choice_moves]
+        branches.sort_indices()
+        return (choice_moves, branches.data, branches.indices, branches.indptr,
+                np.concatenate([[0], np.cumsum(moves[self.row_of])]))
+
+    def dtmc_csr(self):
+        """The dtmc transition matrix of a complete model, built once per
+        model: each state mixes its moves uniformly.  With one move per
+        state it is the choice CSR itself."""
+        if self._dtmc_csr is None:
+            from scipy import sparse
+            mat, bounds = self.choice_csr()
+            counts = np.diff(bounds)
+            if (counts == 1).all():
+                self._dtmc_csr = mat
+            else:
+                mix = sparse.csr_matrix(
+                    (np.repeat(1.0 / counts, counts), np.arange(mat.shape[0]), bounds),
+                    shape=(self.num_states, mat.shape[0]))
+                self._dtmc_csr = (mix @ mat).tocsr()
+                self._dtmc_csr.sort_indices()
+        return self._dtmc_csr
 
     def sample_table(self) -> SampleTable:
         """The simulation table of the expanded states, built once per model
@@ -1595,18 +1676,24 @@ class MarkovModel:
         """Exact distribution checks of the rows from `lo` on (default:
         all): every state has a move and every move's branches sum to 1.
         This implies the dtmc row check: a state with k moves has a row
-        summing to k * (1/k) * 1 = 1.  Each distinct sequence of weight
-        nodes is summed once, in `Fraction` arithmetic, and remembered if it
-        passed."""
+        summing to k * (1/k) * 1 = 1.  A move whose only branch is node ONE
+        sums to 1 in every configuration and is passed over; each distinct
+        sequence of weight nodes of the others is summed once, in
+        `Fraction` arithmetic, and remembered if it passed."""
         first_move = self.first_move[lo:]
         empty = (first_move[1:] == first_move[:-1]).nonzero()[0]
         if empty.size:
             raise BuildError(f"state {self.order[lo + empty[0]]} has no moves after completion")
         m0 = int(self.first_move[lo])
         b0 = self.first_branch[m0]
-        nodes, start = self.node_id[b0:].tolist(), 0
-        for m, end in enumerate((self.first_branch[m0 + 1:] - b0).tolist(), m0):
-            key, start = tuple(nodes[start:end]), end
+        starts, ends = self.first_branch[m0:-1] - b0, self.first_branch[m0 + 1:] - b0
+        nodes = self.node_id[b0:]
+        certain = ends - starts == 1
+        certain[certain] = nodes[starts[certain]] == ONE
+        todo = np.flatnonzero(~certain)
+        nodes = nodes.tolist()
+        for m, start, end in zip((todo + m0).tolist(), starts[todo].tolist(), ends[todo].tolist()):
+            key = tuple(nodes[start:end])
             if key not in self._passed:
                 total = sum(self.weights[w] for w in key)
                 if total != 1:
@@ -2012,7 +2099,7 @@ def open_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> Mar
     known; `MarkovModel.expand` explores it on demand."""
     return MarkovModel(closed.kind, tuple(v.name for v in closed.vars),
                        [closed.initial_state()], closed.successors,
-                       closed.weight_table, max_states=max_states)
+                       closed.weight_table, max_states=max_states, closed=closed)
 
 
 def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> MarkovModel:

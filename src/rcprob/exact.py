@@ -9,13 +9,18 @@ adds the fairness shapes GF, FG, GF=>GF, FG=>GF and G(p => F q).
 Probability and reward operators first split the states by qualitative
 graph precomputation (prob-0/prob-1, finite-reward regions, bottom strongly
 connected components).  On a dtmc the remaining unbounded values come from
-one sparse LU solve of (I - P[m, m]) x = b over the undecided states m; on
-an mdp they come from value iteration, which stops when successive iterates
-change by less than `tol`.  A/E path quantifiers run pure graph analysis
-over the positive-probability edge relation of the deadlock-completed model.
+one sparse LU solve of (I - P[m, m]) x = b over the undecided states m that
+branch: a state of m whose only successor in m is certain is eliminated
+first (`ExactChecker._solve`).  On an mdp they come from value iteration,
+which stops when successive iterates change by less than `tol`.  A/E path
+quantifiers run pure graph analysis over the positive-probability edge
+relation of the deadlock-completed model.
 
 The graph layer reads two boolean sparse matrices: the support of the dtmc
 matrix (state to state) and the support of the choice CSR (move to state).
+The weights do not change them, so they, the values of plain state
+expressions and the prob-0/prob-1 sets are made once for the models of a
+structure that `MarkovModel.reweigh` gives (`MarkovModel.derived`).
 Fixpoints iterate boolean sparse mat-vec steps until they stop changing;
 "some move" and "every move" of a state reduce the per-move results over the
 state's block of moves.  Reachability is a breadth-first search and strongly
@@ -81,6 +86,28 @@ def _is_state_expr(e: A.Expr) -> bool:
         e, stop=(A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)))
 
 
+def _per_structure_sets(method):
+    """A method of the support graphs and of boolean state sets, computed
+    once per structure (`ExactChecker._per_structure`) for each value of the
+    sets; the arrays it gives are read-only, as the structure's models share
+    them.  Each call takes the support graph first, found or made, so that
+    a traced run (`perfbench/tracing.py`) times each checker's use of it."""
+    @functools.wraps(method)
+    def cached(self, *sets):
+        self.pred()
+
+        def make():
+            out = method(self, *sets)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.flags.writeable = False
+            return out
+
+        return self._per_structure(
+            (method.__name__, *(np.packbits(s).tobytes() for s in sets)), make)
+
+    return cached
+
+
 class ExactChecker:
     """Checks over a complete model.  With `states`, an array of state
     indices, `sat` evaluates state formulas at those states only, and the
@@ -108,29 +135,31 @@ class ExactChecker:
 
     # --- graph structure -------------------------------------------------
 
+    def _per_structure(self, key, make):
+        """make(), computed once for the models of one structure: what the
+        store gives whatever the weights (`MarkovModel.derived`)."""
+        derived = self.mm.derived
+        if key not in derived:
+            derived[key] = make()
+        return derived[key]
+
     def succ(self):
-        """The support graph: a boolean CSR of the positive dtmc entries."""
+        """The support graph: a boolean CSR of the positive dtmc entries.
+        Weights are positive, so every model of a structure has the same."""
         if self._succ is None:
-            self._succ = self.dtmc_matrix().astype(bool)
+            self._succ = self._per_structure("succ", lambda: self.dtmc_matrix().astype(bool))
         return self._succ
 
     def pred(self):
         """The support graph reversed."""
         if self._pred is None:
-            self._pred = self.succ().T.tocsr()
+            self._pred = self._per_structure("pred", lambda: self.succ().T.tocsr())
         return self._pred
 
     def dtmc_matrix(self):
-        """The dtmc transition matrix: each state mixes its moves uniformly."""
+        """The dtmc transition matrix (`MarkovModel.dtmc_csr`)."""
         if self._dtmc_csr is None:
-            from scipy import sparse
-            mat, bounds = self.mdp_arrays()
-            counts = np.diff(bounds)
-            mix = sparse.csr_matrix(
-                (np.repeat(1.0 / counts, counts), np.arange(mat.shape[0]), bounds),
-                shape=(self.n, mat.shape[0]))
-            self._dtmc_csr = (mix @ mat).tocsr()
-            self._dtmc_csr.sort_indices()
+            self._dtmc_csr = self.mm.dtmc_csr()
         return self._dtmc_csr
 
     def mdp_arrays(self):
@@ -142,9 +171,8 @@ class ExactChecker:
     def _move_support(self):
         """The choice CSR's support as a boolean matrix (every state has a
         move: see `check_stochastic`)."""
-        return self.mdp_arrays()[0].astype(bool)
+        return self._per_structure("move_support", lambda: self.mdp_arrays()[0].astype(bool))
 
-    @functools.cached_property
     def _move_ranks(self):
         """The choice CSR's first move of each state, and per rank j >= 1
         the states with more than j moves and their moves of rank j."""
@@ -162,7 +190,7 @@ class ExactChecker:
         """Each state's moves' values reduced by the ufunc `op`: one pass
         per rank over the states with a move of that rank, so that each
         move is read once."""
-        first, ranks = self._move_ranks
+        first, ranks = self._per_structure("move_ranks", self._move_ranks)
         out = per_move[first]
         for states, moves in ranks:
             out[states] = op(out[states], per_move[moves])
@@ -182,21 +210,28 @@ class ExactChecker:
     def _at_states(self, values: np.ndarray) -> np.ndarray:
         return values if self.states is None else values[self.states]
 
-    def _on_model(self, e: A.Expr, values_from) -> np.ndarray:
-        """A state formula's truth at every state the model knows, cached on
-        the model and extended by `values_from(lo)`, its truth at the states
-        from lo on."""
-        entry = self.mm.values.setdefault((id(e), id(self.closed)),
-                                          [e, self.closed, np.zeros(0, dtype=bool)])
+    def _on_model(self, cache: dict, e: A.Expr, context, values_from) -> np.ndarray:
+        """A state formula's truth at every state the model knows, cached
+        in `cache` per formula and context and extended by
+        `values_from(lo)`, its truth at the states from lo on."""
+        entry = cache.setdefault((id(e), id(context)), [e, context, np.zeros(0, dtype=bool)])
         if entry[2].size < self.mm.num_states:
             entry[2] = _extended(entry[2], values_from(entry[2].size))
             entry[2].flags.writeable = False
         return self._at_states(entry[2])
 
     def _atom(self, e: A.Expr) -> np.ndarray:
+        """A plain state expression's truth.  Under the model's own
+        configuration it is kept in `MarkovModel.atoms`, which the models of
+        a structure share: their configurations differ only in constants
+        that no state expression reads."""
+        context = None if self.closed is self.mm.closed else self.closed
+        return self._on_model(self.mm.atoms, e, context, lambda lo: self._evaluate(e, lo))
+
+    def _evaluate(self, e: A.Expr, lo: int) -> np.ndarray:
+        """A plain state expression's truth at the states from lo on."""
         fn = self.closed.spec_expr(e)
-        return self._on_model(e, lambda lo: np.array(
-            [bool(fn(st)) for st in self.mm.states[lo:]], dtype=bool))
+        return np.array([bool(fn(st)) for st in self.mm.states[lo:]], dtype=bool)
 
     def _sat(self, e: A.Expr) -> np.ndarray:
         mm = self.mm
@@ -211,7 +246,7 @@ class ExactChecker:
         if self.states is not None and isinstance(
                 e, (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)):
             mm.expand_all()  # complete from now on: computed once
-            return self._on_model(e, lambda lo: ExactChecker(
+            return self._on_model(mm.values, e, self.closed, lambda lo: ExactChecker(
                 mm, self.closed, self.tol).sat(e)[lo:])
         if isinstance(e, A.LabelRef):
             decl = self.closed.spec.find(P.LabelDecl, e.name)
@@ -343,6 +378,7 @@ class ExactChecker:
         """States with a positive-probability path to sat2 through sat1."""
         return _reach(self.pred(), sat1, sat2)
 
+    @_per_structure_sets
     def _prob0_min(self, sat1, sat2):
         """States where the minimum until-probability is 0: the complement
         of the least fixpoint of states where every move keeps a positive
@@ -351,6 +387,7 @@ class ExactChecker:
         return ~_lfp(lambda x: sat2 | (sat1 & self._reduce_moves(sup @ x, np.logical_and)),
                      sat2)
 
+    @_per_structure_sets
     def _prob01_dtmc(self, sat1, sat2):
         """prob0 and prob1 of sat1 U sat2 on a dtmc: states that reach sat2
         with probability 0, and states that cannot reach a prob0 state
@@ -358,6 +395,7 @@ class ExactChecker:
         prob0 = ~self._reach_exists(sat1 & ~sat2, sat2)
         return prob0, ~self._reach_exists(sat1 & ~sat2, prob0)
 
+    @_per_structure_sets
     def _prob1_max(self, sat1, sat2):
         """Prob1E: states where some adversary reaches sat2 almost surely:
         the greatest u such that every state of u reaches sat2 through sat1
@@ -371,6 +409,7 @@ class ExactChecker:
 
         return _lfp(attractor, np.ones(self.n, dtype=bool))
 
+    @_per_structure_sets
     def _prob1_min(self, sat1, sat2):
         """Prob1A: states where every adversary reaches sat2 almost surely."""
         sup = self._move_support()
@@ -390,15 +429,57 @@ class ExactChecker:
         return np.clip(x, 0.0, 1.0)
 
     def _solve(self, idx: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x with (I - P[idx, idx]) x = b by one sparse LU factorisation.
+        """x with (I - Q) x = b, Q = P[idx, idx] of the dtmc matrix P.
 
         Every caller's precomputation guarantees that each state of idx
-        leaves idx with probability 1, so the system is nonsingular."""
+        leaves idx with probability 1, so the system is nonsingular.  A row
+        of Q whose only entry is 1.0, to t, says x_s = b_s + x_t; those rows
+        are eliminated first, which is exact Gaussian elimination.  No chain
+        of them cycles, as its states would never leave idx, so pointer
+        jumping follows each chain to its end e, a state of any other row,
+        within ceil(log2 |idx|) + 1 rounds: x_s = acc_s + x_e.  One sparse
+        LU factorisation of the other rows, their columns redirected to the
+        chain ends, gives x at the ends."""
         from scipy import sparse
         from scipy.sparse.linalg import splu
-        q = self.dtmc_matrix()[idx][:, idx]
         self.iterations = 1
-        return splu((sparse.identity(idx.size, format="csc") - q).tocsc()).solve(b)
+        p, m = self.dtmc_matrix(), idx.size
+        # the entries of Q as (row, column, value), read off P's arrays
+        local = np.full(self.n, -1)
+        local[idx] = np.arange(m)
+        start = p.indptr[idx]
+        lens = p.indptr[idx + 1] - start
+        entries = np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
+        rows, cols = np.repeat(np.arange(m), lens), local[p.indices[entries]]
+        inside = cols >= 0
+        rows, cols, vals = rows[inside], cols[inside], p.data[entries[inside]]
+        unit = (vals == 1.0) & (np.bincount(rows, minlength=m) == 1)[rows]
+        chained = np.zeros(m, dtype=bool)
+        chained[rows[unit]] = True
+        nxt = np.arange(m)
+        nxt[rows[unit]] = cols[unit]
+        acc = np.where(chained, b, 0.0)
+        for _ in range(m.bit_length() + 1):
+            if not chained[nxt].any():
+                break
+            acc += acc[nxt]
+            nxt = nxt[nxt]
+        else:
+            raise CheckError("the linear system is singular: a chain of certain "
+                             "moves never leaves the undecided states")
+        # the rows of the chain ends, over the chain ends
+        ends = np.flatnonzero(~chained)
+        k = ends.size
+        at = np.full(m, -1)
+        at[ends] = np.arange(k)
+        rest = ~chained[rows]
+        rows, cols, vals = at[rows[rest]], cols[rest], vals[rest]
+        diag = np.arange(k)
+        a = sparse.csc_matrix((np.concatenate([np.ones(k), -vals]),
+                               (np.concatenate([diag, rows]),
+                                np.concatenate([diag, at[nxt[cols]]]))), shape=(k, k))
+        rhs = b[ends] + np.bincount(rows, weights=vals * acc[cols], minlength=k)
+        return acc + splu(a).solve(rhs)[at[nxt]]
 
     def _until_mdp(self, sat1, sat2, mode) -> np.ndarray:
         if mode == "max":

@@ -136,6 +136,25 @@ def test_eval_division_by_zero(closed_recharge):
         eval_expr(closed_recharge, parse_expression("1 / 0"))
 
 
+@pytest.mark.parametrize("text, value", [
+    ("64 / 2 / 2 / 2", 8), ("7 / 2 / 2", 1), ("-7 / 2 / 2", -1), ("100 % 30 % 7", 3),
+    ("((1 == 1) == (2 == 2)) == true", True), ("((1 < 2) != false) != true", False),
+    ("true iff false iff false", True), ("1" + " / 1" * 240, 1)])
+def test_a_chain_of_one_operator_folds_as_nested_operators_would(closed_recharge, text, value):
+    # one call over the operands, not one bracket per operator, so that the
+    # parser's longest chains compile
+    assert eval_expr(closed_recharge, parse_expression(text)) == value
+
+
+def test_a_chain_raises_the_error_of_its_first_failing_operation(closed_recharge):
+    from rcprob.build import EvalError
+    # an operand is evaluated after the operations before it
+    with pytest.raises(EvalError, match="division by zero"):
+        eval_expr(closed_recharge, parse_expression("1 / 0 / 1 / (0.5 % 2)"))
+    with pytest.raises(EvalError, match="'%' needs integer operands"):
+        eval_expr(closed_recharge, parse_expression("1 / 1 / (0.5 % 2) / 0"))
+
+
 def test_a_property_expression_is_compiled_once_per_closed_model(closed_recharge):
     # simulation asks for an atom's function each time its paths reach new
     # states; compiling it anew each time cost srw-smc a tenth of its time

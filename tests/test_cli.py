@@ -943,11 +943,6 @@ FAILING_INPUTS = {
     "fractional Cumul smc": (None, _srw_prop("Reward {R_origins} =? of [Cumul 2.5] using sim "
                                              "with CI at alpha=0.05, n=10"),
                              ["--kind", "dtmc", "--engine", "smc"], AT_PROPERTY),
-    # Python's parser nests at most 200 brackets, and each division is a call
-    "division chain": (Path(SRW_RCM).read_text().replace(
-        "guard steps == MaxSteps", "guard x" + " / 1" * 240 + " == 0 /\\ steps == MaxSteps"),
-        _srw_prop("Prob=? of [Finally #l_stuck]"), ["--kind", "dtmc"],
-        "expression too deep to compile to Python: "),
     # an initial value out of range was an EvalError traceback
     "pmodule init": (None, _srw_prop("Prob=? of [Finally #l_stuck]", modules=True)
                      .replace("init 0", "init 7"), ["--kind", "dtmc"],
@@ -987,6 +982,24 @@ def test_failing_expression_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert code == 2 and len(errors) == 1 and "Traceback" not in err, err
     line = spec_text[:spec_text.find("prob property")].count("\n") + 1
     assert errors[0].startswith("error: " + where.format(line=line)), errors[0]
+
+
+def test_a_chain_of_divisions_as_long_as_the_parser_admits_explores(tmp_path, capsys):
+    # Python's parser nests at most 200 brackets; printed as one nested call
+    # per division, this guard exited 2 with "expression too deep to compile"
+    guard = "guard steps == MaxSteps"
+    values = []
+    for chain in (" / 1" * 240, ""):
+        model = tmp_path / "m.rcm"
+        model.write_text(Path(SRW_RCM).read_text().replace(
+            guard, f"guard x{chain} == 0 /\\ steps == MaxSteps"))
+        spec = tmp_path / "s.rcp"
+        spec.write_text(_srw_prop("Prob=? of [Finally #l_stuck]"))
+        out = tmp_path / f"out{len(chain)}"
+        code = main(["check", str(model), str(spec), "--out", str(out), "--kind", "dtmc"])
+        assert code == 0, capsys.readouterr().err
+        values.append(json.loads((out / "report.jsonl").read_text())["value"])
+    assert values[0] == values[1]
 
 
 def test_weak_until_and_release_simulate_near_their_exact_values(tmp_path):

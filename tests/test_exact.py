@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcprob import ast as A
+from rcprob.build import build_markov, instantiate
 from rcprob.exact import (ExactChecker, UnsupportedError, check_AE,
                           check_property, check_state_formula, expected_reward,
                           prob_path)
+from rcprob.model import parse_model
 from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 
 from conftest import make_srw
@@ -494,6 +496,98 @@ def test_default_tolerance_matches_sparse_oracle(srw_model, srw_spec, defs, pl, 
         assert 0 < expected < np.inf
         assert result.verdict == pytest.approx(expected, rel=1e-9, abs=0), prop.name
         assert result.iterations == 1, prop.name
+
+
+# --- the solve over branching states --------------------------------------------------
+
+
+def _lu_of_whole_system(checker, idx, b):
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+    q = checker.dtmc_matrix()[idx][:, idx]
+    return splu((sparse.identity(idx.size, format="csc") - q).tocsc()).solve(b)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Each system the exact engine solves, checked against one LU
+    factorisation of the whole system; the list holds, per system, how many
+    of its rows are a single 1.0, which the solve eliminates."""
+    unit_rows = []
+    solve = ExactChecker._solve
+
+    def checked(self, idx, b):
+        x = solve(self, idx, b)
+        np.testing.assert_allclose(x, _lu_of_whole_system(self, idx, b), rtol=1e-12, atol=0)
+        q = self.dtmc_matrix()[idx][:, idx]
+        single = np.flatnonzero(np.diff(q.indptr) == 1)
+        unit_rows.append(int((q.data[q.indptr[single]] == 1.0).sum()))
+        return x
+
+    monkeypatch.setattr(ExactChecker, "_solve", checked)
+    return unit_rows
+
+
+def test_the_solve_matches_one_lu_on_every_srw_configuration(srw_model, srw_spec, solves):
+    names = ("P_stuck", "P_stuck_not_origin", "R_stuck_not_origin")
+    for maxsteps in range(20, 101, 10):  # C_fair_MD10_MS20_100
+        closed, mm = make_srw(srw_model, srw_spec, maxsteps=maxsteps)
+        for name in names:
+            check_property(mm, closed, srw_spec.find(ProbProperty, name))
+    # the probabilities are decided by the precomputation, the rewards solved
+    assert len(solves) == 9 and min(solves) > 0
+
+
+def test_the_solve_matches_one_lu_on_random_dtmcs(solves):
+    from test_acceptance import random_model_text
+    rng = random.Random(99)  # criterion 6's models, each as a dtmc
+    for _ in range(100):
+        closed = instantiate(parse_model(random_model_text(rng)), {}, None, None, "dtmc")
+        mm = build_markov(closed)
+        checker = ExactChecker(mm, closed)
+        ones = np.ones(mm.num_states, dtype=bool)
+        reward_structure(mm, "R", [1] * mm.num_states)
+        state_r, move_r = checker._reward_arrays("R")
+        for t in range(mm.num_states):
+            target = np.arange(mm.num_states) == t
+            checker._until_dtmc(ones, target)
+            checker._until_dtmc(~(np.arange(mm.num_states) == 0), target)
+            checker._reach_reward(target, state_r, move_r, "exact")
+        reward_structure(mm, "R0", [int(s == 0) for s in range(mm.num_states)])
+        checker._total_reward(*checker._reward_arrays("R0"), "exact")
+    assert sum(n > 0 for n in solves) > 500
+
+
+def test_the_solve_follows_chains_to_each_kind_of_end(solves):
+    # 0 branches into four chains: 1-2 ends at 2, whose successor is the
+    # target 3; 4-10 at 10, whose successor is the prob-0 sink 5; 6-7 at the
+    # branching state 0; and 8, whose two moves lead to 9, so that its dtmc
+    # row is 1.0 by mixing, at the branching state 9
+    quarter = Fraction(1, 4)
+    mm, ctx = chain([
+        [("a", [(quarter, 1), (quarter, 4), (quarter, 6), (quarter, 8)])],
+        [("a", [(1, 2)])], [("a", [(1, 3)])], [("loop", [(1, 3)])],
+        [("a", [(1, 10)])], [("loop", [(1, 5)])],
+        [("a", [(1, 7)])], [("a", [(1, 0)])],
+        [("a", [(1, 9)]), ("b", [(1, 9)])],
+        [("a", [(0.5, 0), (0.5, 3)])],
+        [("a", [(1, 5)])],
+    ])
+    checker = ExactChecker(mm, ctx)
+    idx = np.array([0, 1, 2, 4, 6, 7, 8, 9, 10])  # every state leaves it surely
+    for b in (np.ones(idx.size), np.random.default_rng(1).random(idx.size)):
+        checker._solve(idx, b)
+    target = var_eq("x", 3)
+    values = prob_path(mm, ctx, F(target), tol=1e-13)
+    oracle = dense_reach(explicit_dtmc_matrix(parse_explicit(mm.export_text())),
+                         np.arange(11) == 3)
+    np.testing.assert_allclose(values, oracle, rtol=1e-12)
+    reward_structure(mm, "R", [1] * 11)
+    rewards = expected_reward(mm, ctx, "R", A.Reachable(target), tol=1e-13)
+    assert rewards[[1, 2, 3]].tolist() == [2.0, 1.0, 0.0] and np.isinf(rewards[0])
+    # the probabilities are undecided at 0, 6, 7, 8 and 9, and the rewards
+    # finite at 1 and 2
+    assert solves == [5, 5, 3, 1]
 
 
 # --- property-level checks -----------------------------------------------------------

@@ -2,6 +2,7 @@
 weight-only constants, the reweighed models and the CLI's grouping, each
 against builds of single configurations."""
 
+import collections
 import json
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 from rcprob import cli
-from rcprob.build import BuildError, build_markov, instantiate
+from rcprob.build import BuildError, MarkovModel, build_markov, instantiate, open_markov
+from rcprob.exact import ExactChecker, check_property
 from rcprob.model import parse_model
-from rcprob.props import DefinitionsDecl, PModulesDecl, parse_spec
+from rcprob.props import DefinitionsDecl, PModulesDecl, ProbProperty, parse_spec
 from rcprob.resolve import Resolver, weight_only_constants
 
 from conftest import FIXTURES
@@ -167,6 +169,78 @@ def test_a_bad_weight_under_one_configuration_exits_2_naming_it(tmp_path, capsys
     assert code == 2 and len(errors) == 1, errors
     assert message in errors[0] and errors[0].endswith(
         f"[configuration MaxDist=3,MaxSteps=6,Pl={bad}]"), errors[0]
+
+
+# --- what the models of a structure share ----------------------------------------
+
+NESTED = """
+prob property P_next:
+  Prob=? of [Finally (Prob>0.4 of [Next (SRWMod::SRWRP::x < 0)])]
+  with constants C
+  with definitions D
+"""
+
+
+def test_a_weight_only_sweep_derives_its_structure_once(tmp_path, monkeypatch):
+    made = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            made[name] += 1
+            return fn(*args)
+        return call
+
+    per_structure = ExactChecker._per_structure
+
+    def per_structure_counted(self, key, make):
+        return per_structure(self, key, counted(key if isinstance(key, str) else key[0], make))
+
+    monkeypatch.setattr(ExactChecker, "_per_structure", per_structure_counted)
+    monkeypatch.setattr(ExactChecker, "_evaluate", counted("atom", ExactChecker._evaluate))
+    monkeypatch.setattr(MarkovModel, "_choice_layout",
+                        counted("choice order", MarkovModel._choice_layout))
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)  # no worker keeps a count of its own
+    records = _records(tmp_path, "swept", _table("set to 6", "from set {0.3, 0.5, 0.8}"))
+    assert len(records) == 3 * 3
+    # two structures, with the modules and without, of three configurations
+    # each: R_table and P_stuck read the atoms of l_stuck and l_origin and
+    # one pair of prob-0/1 sets, P_env one atom and another pair
+    assert made == {"atom": 3, "choice order": 2, "succ": 2, "pred": 2, "_prob01_dtmc": 2}
+
+
+def test_a_nested_probability_is_judged_per_configuration(tmp_path):
+    # Prob>0.4 of [Next x < 0] holds at states that differ with Pl, and with
+    # them the prob-0/1 sets of the Finally around it
+    swept = _records(tmp_path, "swept", _table("set to 6", "from set {0.3, 0.5, 0.8}") + NESTED)
+    alone = []
+    for pl in ("0.3", "0.5", "0.8"):
+        alone += _records(tmp_path, f"alone_{pl}", _table("set to 6", f"set to {pl}") + NESTED)
+    nested = [r for r in swept if r["property"] == "P_next"]
+    assert len({r["value"] for r in nested}) == 3
+    assert sorted(alone, key=lambda r: (r["property"], r["config"])) == swept
+
+
+def test_reweighed_models_share_the_structure_and_not_the_weights(srw_model):
+    spec = parse_spec(_table("set to 6", "set to 0.5"))
+
+    def closed(pl):
+        return instantiate(srw_model, {"MaxDist": 3, "MaxSteps": 6, "Pl": pl},
+                           spec.find(DefinitionsDecl, "D"), None, "dtmc", spec)
+
+    base = build_markov(closed(Fraction(3, 10)))
+    view = base.reweigh(closed(Fraction(4, 5)))
+    prop = spec.find(ProbProperty, "R_table")
+    values = [check_property(mm, mm.closed, prop).verdict for mm in (base, view)]
+    assert values[0] != values[1]
+    assert view.derived is base.derived and view.atoms is base.atoms and base.derived
+    assert view.values is not base.values
+    assert (view.dtmc_csr() != base.dtmc_csr()).nnz > 0
+    # a growing model keeps nothing derived from its store past an expansion
+    lazy = open_markov(closed(Fraction(1, 2)))
+    lazy.expand([0])
+    lazy.derived["support"] = "of the states expanded so far"
+    lazy.expand(np.flatnonzero(lazy.row_of < 0).tolist())
+    assert lazy.derived == {}
 
 
 # --- which constants are weight-only ----------------------------------------------
