@@ -11,9 +11,10 @@ import pytest
 
 from rcprob import cli
 from rcprob.build import BuildError, MarkovModel, build_markov, instantiate, open_markov
-from rcprob.exact import ExactChecker, check_property
+from rcprob.exact import ExactChecker, check_property, check_state_formula
 from rcprob.model import parse_model
-from rcprob.props import DefinitionsDecl, PModulesDecl, ProbProperty, parse_spec
+from rcprob.props import (DefinitionsDecl, PModulesDecl, ProbProperty, parse_expression,
+                          parse_spec)
 from rcprob.resolve import Resolver, weight_only_constants
 
 from conftest import FIXTURES
@@ -235,6 +236,12 @@ def test_reweighed_models_share_the_structure_and_not_the_weights(srw_model):
     assert view.derived is base.derived and view.atoms is base.atoms and base.derived
     assert view.values is not base.values
     assert (view.dtmc_csr() != base.dtmc_csr()).nnz > 0
+    # a checker under another configuration than the model's keeps its atoms apart
+    near = parse_expression("SRWMod::SRWRP::x < SRWMod::SRWRP::MaxDist - 1")
+    other = instantiate(srw_model, {"MaxDist": 2, "MaxSteps": 6, "Pl": Fraction(1, 2)},
+                        spec.find(DefinitionsDecl, "D"), None, "dtmc", spec)
+    mine, theirs = (check_state_formula(view, c, near) for c in (view.closed, other))
+    assert (mine != theirs).any()
     # a growing model keeps nothing derived from its store past an expansion
     lazy = open_markov(closed(Fraction(1, 2)))
     lazy.expand([0])
