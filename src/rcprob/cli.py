@@ -275,9 +275,9 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
     stopped it (or None).  Under the internal engine the first configuration
     explores the structure and the others reweigh that build
     (`MarkovModel.reweigh`).  Simulation expands a model of its own per
-    configuration, as its paths reach the states, and registers the
-    configuration's fixed-count jobs with one `smc.SamplePool` before it
-    checks the first, so that one walk serves them all."""
+    configuration, as its paths reach the states, and registers every job
+    of the configuration with one `smc.SamplePool` before it checks the
+    first, so that one walk serves them all."""
     records, warnings = [], []
     built: dict = {}  # the first model of each set of zero leaves
     try:
@@ -299,20 +299,14 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
                     raise
                 raise BuildError(f"{exc} [configuration {job.config_id}]") from exc
             build_ms = int((plan.timer() - t0) * 1000)
-            pool = None
+            sims = [None] * len(config_jobs)
             if plan.engine == "smc":
                 pool = smc.SamplePool(mm, closed, plan.seed)
-                for job in config_jobs:
-                    try:
-                        lane = _sim_lane(job, closed)
-                        if lane is not None:
-                            pool.add(*lane)
-                    except ValueError:
-                        pass  # the job raises it again when it is checked
-            for job in config_jobs:
+                sims = [_sim_job(job, closed, mm, pool) for job in config_jobs]
+            for job, sim in zip(config_jobs, sims):
                 try:
                     records.append(_check_job(plan, job, closed, mm, build_ms, warnings,
-                                              pool))
+                                              sim))
                 except (EvalError, exact.CheckError, exact.UnsupportedError,
                         smc.SmcError) as exc:
                     where = f" [{job.config_id}]" if job.config_id else ""
@@ -324,9 +318,10 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
 
 
 def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: list,
-               pool=None) -> dict:
-    """The report record of one job on its model, simulated on its lane of
-    `pool` if it has one; a warning about the job goes to `warnings`."""
+               sim=None) -> dict:
+    """The report record of one job on its model, simulated by `sim`
+    (`_sim_job`) under the smc engine; a warning about the job goes to
+    `warnings`."""
     t1 = plan.timer()
     body = job.prop.body
     if plan.kind == "dtmc" and isinstance(body, (A.ProbFormula, A.RewardFormula)) \
@@ -339,7 +334,7 @@ def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: lis
         rec = {**_verdict_fields(result.verdict_json()), "mode": result.mode,
                "states": mm.num_states}
     else:
-        est = _run_smc_job(plan, mm, closed, job, pool)
+        est = sim()
         rec = {**_verdict_fields(est.verdict_json()), "mode": f"smc-{est.method}",
                "n": est.n, "states": len(mm.order),
                "pathLen": {"mean": est.path_len_mean, "max": est.path_len_max}}
@@ -367,45 +362,46 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
     return method.method, params, pathlen
 
 
-def _sim_lane(job: Job, closed) -> tuple | None:
-    """The arguments of `smc.SamplePool.add` for a job that simulates a
-    fixed number of samples (CI or ACI given n, APMC, reward CI); None for
-    a sequential one (CI or ACI given w and alpha, SPRT)."""
+def _sim_job(job: Job, closed, mm, pool: smc.SamplePool):
+    """The call that simulates a job on its lane of `pool`, its parameters
+    evaluated once, here, and its lane registered, so that the first job
+    checked walks every lane; an error of the job is raised by the call."""
     body = job.prop.body
-    method, params, pathlen = _sim_params(body.method, closed)
-    if isinstance(body, A.RewardFormula):
-        return body.path, pathlen, params.get("n", 1000), body.rewards
-    if method == "APMC":
-        return body.path, pathlen, smc.apmc_parameters(**params)[2]
-    if method in ("CI", "ACI") and "n" in params:
-        return body.path, pathlen, params["n"]
-    return None
+    error = None
+    try:
+        method, params, pathlen = _sim_params(body.method, closed)
+        theta = None if body.bound is None \
+            else float(closed.spec_expr(body.bound.expr, real=True)(None))
+        rname = None
+        if isinstance(body, A.RewardFormula):
+            rname = body.rewards
+            params = {"alpha": params.get("alpha", 0.05), "n": params.get("n", 1000)}
+            run, args, stop = smc.run_reward_ci, (rname, body.path), params["n"]
+        elif method == "SPRT":
+            if theta is None:
+                raise smc.SmcError("SPRT needs a probability bound, not a query")
+            params = {"alpha": params.get("alpha"), "delta": params.get("delta")}
+            run, args = smc.run_sprt, (body.path, body.bound, theta)
+            stop = smc.sprt_rule(theta, **params)
+        elif method == "APMC":
+            run, args, stop = smc.run_apmc, (body.path,), smc.apmc_parameters(**params)[2]
+        else:
+            run = {"CI": smc.run_ci, "ACI": smc.run_aci}[method]
+            args, stop = (body.path,), smc.ci_stop(method, **params)
+        pool.add(body.path, pathlen, stop, rname)
+    except ValueError as exc:
+        error = exc
 
+    def simulate() -> smc.Estimate:
+        if error is not None:
+            raise error
+        est = run(mm, closed, *args, seed=pool.seed, pathlen=pathlen, pool=pool, **params)
+        if theta is not None and est.satisfied is None:
+            est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
+                             ">": est.point > theta, ">=": est.point >= theta}[body.bound.op]
+        return est
 
-def _run_smc_job(plan: RunPlan, mm, closed, job, pool) -> smc.Estimate:
-    body = job.prop.body
-    method, params, pathlen = _sim_params(body.method, closed)
-    theta = None if body.bound is None \
-        else float(closed.spec_expr(body.bound.expr, real=True)(None))
-    if isinstance(body, A.RewardFormula):
-        est = smc.run_reward_ci(mm, closed, body.rewards, body.path,
-                                alpha=params.get("alpha", 0.05),
-                                n=params.get("n", 1000),
-                                seed=plan.seed, pathlen=pathlen, pool=pool)
-    elif method == "SPRT":
-        if theta is None:
-            raise smc.SmcError("SPRT needs a probability bound, not a query")
-        return smc.run_sprt(mm, closed, body.path, body.bound, theta,
-                            alpha=params.get("alpha"), delta=params.get("delta"),
-                            seed=plan.seed, pathlen=pathlen)
-    else:
-        runner = {"CI": smc.run_ci, "ACI": smc.run_aci, "APMC": smc.run_apmc}[method]
-        est = runner(mm, closed, body.path, seed=plan.seed, pathlen=pathlen, pool=pool,
-                     **params)
-    if theta is not None:
-        est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
-                         ">": est.point > theta, ">=": est.point >= theta}[body.bound.op]
-    return est
+    return simulate
 
 
 def _run_emit(plan: RunPlan, model, spec, jobs, out_dir: Path) -> int:

@@ -18,11 +18,11 @@ the row from its first entry (`_select`), so a step costs a few array
 operations over the live paths plus one round per entry of the widest row
 reached.  Since a path depends only on its sample index, one walk serves
 several jobs: each is a lane with its own monitor, path length, sample
-count and rewards (`_walk`), and the fixed-count jobs of a configuration
-(CI and ACI given n, APMC, reward CI) share one walk through a
-`SamplePool`.  The sequential methods (CI and ACI with w and alpha, SPRT)
-walk alone: they use the samples in index order and stop at the first
-index that decides them.
+count and rewards (`_walk`), and every simulation job of a configuration
+is a lane of one `SamplePool`.  A fixed-count lane (CI and ACI given n,
+APMC, reward CI) reads its first n samples; a sequential one (CI and ACI
+given w and alpha, SPRT) reads the samples in index order and stops at the
+first that decides it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def _student_quantile(p: float, df: int) -> float:
 
 _BLOCK = 16  # steps whose uniforms one Philox call draws for every live path
 _MAX_BATCH = 1024  # paths advanced in lockstep
-_FIRST_BATCH = 64  # the sequential methods' first batch; later ones double
+_FIRST_BATCH = 64  # a pool's first batch when its lanes are all sequential
 SEED_LIMIT = 2 ** 64  # seeds are the 64-bit Philox keys: 0 <= seed < SEED_LIMIT
 
 # Philox4x32 multipliers, one per multiplied word, and each round's key
@@ -159,14 +159,16 @@ def _require_dtmc(mm: MarkovModel):
 @dataclass
 class _Lane:
     """One job's share of a walk: its monitor, its path length, the number
-    of samples it counts (None: every sample of the walk) and the reward
-    structure whose gain it sums, if any.  A lane of a `SamplePool` gathers
+    of samples it counts (None: every sample of the walk), the reward
+    structure whose gain it sums, if any, and for a sequential job the rule
+    that stops it before its n-th sample.  A lane of a `SamplePool` gathers
     its samples into `tally` once walked."""
 
     monitor: Monitor
     pathlen: int
     n: int | None = None
     rewards: RewardStructure | None = None
+    rule: _Wilson | _Wald | None = None
     tally: _Tally | None = None
 
     def __post_init__(self):
@@ -361,66 +363,83 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     return SimPath(entries, "bound-hit"), int(value[0])
 
 
-class _SampleStream:
-    """Deterministic Bernoulli sample stream for a formula on a dtmc, walked
-    as one lane.
+@dataclass(frozen=True)
+class _Wilson:
+    """The rule of CI and ACI given w and alpha: stop at the first sample
+    whose Wilson score interval, with quantile z, lies within w of the
+    mean."""
 
-    `batches` yields the samples in index order; a method that stops after
-    `n` samples, all drawn, reads the path statistics of those from
-    `stats(n)`.  Only the last batch's per-path arrays are kept; earlier
-    batches, used in full, are kept as sums."""
+    z: float
+    w: float
 
-    def __init__(self, mm: MarkovModel, closed: ClosedModel, path: A.Expr,
-                 seed: int, pathlen: int):
-        _require_dtmc(mm)
-        self.lane = _Lane(compile_monitor(closed, path), pathlen)
-        self.mm = mm
-        self.closed = closed
-        self.seed = seed
-        self._earlier = _PathTotals()
-        self._last = (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
+    def stop(self, tally: _Tally, samples: list) -> int | None:
+        """How many of `samples`, the 0/1 samples that follow those of
+        `tally`, the rule reads; None: all, and it is not decided."""
+        total = tally.total
+        for i, x in enumerate(samples, 1):
+            total += x
+            if _wilson_half_width(self.z, total, tally.count + i) <= self.w:
+                return i
+        return None
 
-    def batches(self, n: int | None = None):
-        """The 0/1 samples as one list per batch: the first `n`, or with `n`
-        None batches that double in size up to the sequential sample cap."""
-        limit = MAX_SEQUENTIAL_SAMPLES if n is None else n
-        size = _FIRST_BATCH if n is None else _MAX_BATCH
-        lo = 0
-        while lo < limit:
-            hi = min(lo + size, limit)
-            [(value, capped, length, _)] = _walk(self.mm, self.closed, self.seed,
-                                                 np.arange(lo, hi), [self.lane])
-            value[capped] = self.lane.monitor.censor_value
-            self._earlier.add(*self._last)
-            self._last = (capped, length)
-            yield value.astype(np.int64).tolist()
-            lo, size = hi, min(2 * size, _MAX_BATCH)
 
-    def samples(self):
-        """The samples one by one, for the sequential methods."""
-        for batch in self.batches():
-            yield from batch
+@dataclass(frozen=True)
+class _Wald:
+    """The rule of Wald's SPRT: stop at the first sample whose
+    log-likelihood ratio, summed in `tally.score`, leaves (accept_h0,
+    accept_h1); `one` and `zero` are the terms of a 1 and a 0."""
 
-    def stats(self, n: int) -> dict:
-        used = replace(self._earlier)
-        used.add(*(a[:n - used.count] for a in self._last))
-        return used.fields()
+    one: float
+    zero: float
+    accept_h0: float
+    accept_h1: float
+
+    def stop(self, tally: _Tally, samples: list) -> int | None:
+        for i, x in enumerate(samples, 1):
+            tally.score += self.one if x else self.zero
+            if not self.accept_h0 < tally.score < self.accept_h1:
+                return i
+        return None
 
 
 @dataclass
-class _PathTotals:
-    """Running path statistics of the samples used."""
+class _Tally:
+    """What a job reads of its samples, in index order: their count and path
+    statistics, the sum of the 0/1 samples (a censored path counts as its
+    monitor's `censor_value`), a sequential rule's running score and
+    whether the rule stopped, and for a reward job each batch's gains,
+    whose paths count as cap hits when censored or diverged.  A 0/1 lane
+    keeps sums only."""
 
     count: int = 0
     cap_hits: int = 0
     length_sum: int = 0
     length_max: int = 0
+    total: int = 0
+    score: float = 0.0
+    stopped: bool = False
+    gains: list = field(default_factory=list)
 
-    def add(self, capped: np.ndarray, length: np.ndarray):
-        self.count += length.size
-        self.cap_hits += int(capped.sum())
-        self.length_sum += int(length.sum())
-        self.length_max = max(self.length_max, int(length.max(initial=0)))
+    def gather(self, lane: _Lane, value, capped, length, gain) -> bool:
+        """Add the paths of the next batch that the lane reads: up to its
+        sample count n, or to the sample its rule stops at.  True once the
+        lane reads no more."""
+        k = min(lane.n - self.count, value.size)
+        if lane.rewards is not None:
+            self.gains.append(gain[:k])
+            capped = capped | (value > 0)
+        else:
+            value[capped] = lane.monitor.censor_value
+            if lane.rule is not None:
+                used = lane.rule.stop(self, value[:k].astype(np.int64).tolist())
+                self.stopped = used is not None
+                k = used if self.stopped else k
+            self.total += int(np.count_nonzero(value[:k]))
+        self.count += k
+        self.cap_hits += int(np.count_nonzero(capped[:k]))
+        self.length_sum += int(length[:k].sum())
+        self.length_max = max(self.length_max, int(length[:k].max(initial=0)))
+        return self.stopped or self.count == lane.n
 
     def fields(self) -> dict:
         """The Estimate fields that summarise these paths."""
@@ -428,39 +447,23 @@ class _PathTotals:
                 "path_len_max": self.length_max}
 
 
-@dataclass
-class _Tally(_PathTotals):
-    """What a fixed-count job reads of its samples: their path statistics,
-    the sum of the 0/1 samples (a censored path counts as its monitor's
-    `censor_value`), and for a reward job each batch's gains, whose paths
-    count as cap hits when censored or diverged."""
-
-    total: int = 0
-    gains: list = field(default_factory=list)
-
-    def gather(self, lane: _Lane, value, capped, length, gain):
-        if lane.rewards is None:
-            value[capped] = lane.monitor.censor_value
-            self.total += int(np.count_nonzero(value))
-            self.add(capped, length)
-        else:
-            self.gains.append(gain)
-            self.add(capped | (value > 0), length)
-
-
 class SamplePool:
-    """The fixed-count simulation jobs of one configuration, walked once:
-    CI and ACI given `n`, APMC and reward CI, on one model under one seed.
+    """The simulation jobs of one configuration, walked once, on one model
+    under one seed.
 
     `add` registers a job's lane, by its path formula (a reward job: its
-    reward path and reward structure), path length and sample count; the
-    jobs of one path formula share one monitor.  `lane` gives a job its
-    lane, tallied: the first call walks every lane registered and not yet
-    walked, together, in batches of `_MAX_BATCH` consecutive sample
-    indices, and a lane not registered is added first.  Each lane's tally
-    is that of the lane walked alone.  A joint walk that fails is dropped
-    and the lane asked for walks alone; the states that the dropped walk
-    expanded stay in the model."""
+    reward path and reward structure), path length and what stops it: a
+    sample count n, or a sequential rule that reads the samples in index
+    order and stops at the first that decides it, up to
+    `MAX_SEQUENTIAL_SAMPLES`.  The jobs of one path formula share one
+    monitor.  `lane` gives a job its lane, tallied: the first call walks
+    every lane registered and not yet walked, together, and a lane not
+    registered is added first.  The pool walks consecutive batches of
+    sample indices while a lane is open: of `_MAX_BATCH` while a fixed-count
+    lane is open, else of `_FIRST_BATCH` and doubling up to `_MAX_BATCH`.
+    Each lane's tally is that of the lane walked alone.  A joint walk that
+    fails is dropped and the lane asked for walks alone; the states that the
+    dropped walk expanded stay in the model."""
 
     def __init__(self, mm: MarkovModel, closed: ClosedModel, seed: int):
         self.mm = mm
@@ -469,11 +472,12 @@ class SamplePool:
         self._monitors: dict[str, Monitor] = {}
         self._lanes: dict[tuple, _Lane] = {}
 
-    def add(self, path: A.Expr, pathlen, n, rname: str | None = None) -> _Lane:
-        """The lane of n samples of `path` cut off at `pathlen`, registered
-        once; with a reward path it sums the rewards `rname`."""
+    def add(self, path: A.Expr, pathlen, stop, rname: str | None = None) -> _Lane:
+        """The lane of `path` cut off at `pathlen` stopped by `stop` (a
+        sample count, a `_Wilson` or a `_Wald`), registered once; with a
+        reward path it sums the rewards `rname`."""
         text = pretty_pexpr(path)
-        key = (text, rname, pathlen, n)
+        key = (text, rname, pathlen, stop)
         if key not in self._lanes:
             _require_dtmc(self.mm)
             rewards = None
@@ -483,12 +487,13 @@ class SamplePool:
             if monitor is None:
                 monitor = self._monitors[text] = _reward_monitor(self.closed, path) \
                     if rewards is not None else compile_monitor(self.closed, path)
-            self._lanes[key] = _Lane(monitor, pathlen, _count("the sample count n", n),
-                                     rewards)
+            rule = stop if isinstance(stop, (_Wilson, _Wald)) else None
+            n = MAX_SEQUENTIAL_SAMPLES if rule else _count("the sample count n", stop)
+            self._lanes[key] = _Lane(monitor, pathlen, n, rewards, rule)
         return self._lanes[key]
 
-    def lane(self, path: A.Expr, pathlen, n, rname: str | None = None) -> _Lane:
-        lane = self.add(path, pathlen, n, rname)
+    def lane(self, path: A.Expr, pathlen, stop, rname: str | None = None) -> _Lane:
+        lane = self.add(path, pathlen, stop, rname)
         if lane.tally is None:
             pending = [other for other in self._lanes.values() if other.tally is None]
             try:
@@ -504,25 +509,28 @@ class SamplePool:
 
     def _walk(self, lanes: list[_Lane]):
         tallies = [_Tally() for _ in lanes]
-        size = max(lane.n for lane in lanes)
-        for lo in range(0, size, _MAX_BATCH):
-            samples = np.arange(lo, min(lo + _MAX_BATCH, size))
-            here = [i for i, lane in enumerate(lanes) if lane.n > lo]
-            outs = _walk(self.mm, self.closed, self.seed, samples, [lanes[i] for i in here])
-            for i, out in zip(here, outs):
-                k = min(lanes[i].n - lo, samples.size)
-                tallies[i].gather(lanes[i], *(a[:k] for a in out))
+        open_lanes = list(zip(lanes, tallies))
+        lo, size = 0, _FIRST_BATCH
+        while open_lanes:
+            if any(lane.rule is None for lane, _ in open_lanes):
+                size = _MAX_BATCH
+            hi = min(lo + size, max(lane.n for lane, _ in open_lanes))
+            outs = _walk(self.mm, self.closed, self.seed, np.arange(lo, hi),
+                         [lane for lane, _ in open_lanes])
+            open_lanes = [(lane, tally) for (lane, tally), out in zip(open_lanes, outs)
+                          if not tally.gather(lane, *out)]
+            lo, size = hi, min(2 * size, _MAX_BATCH)
         for lane, tally in zip(lanes, tallies):
             lane.tally = tally
 
 
-def _tally(mm, closed, seed, pool: SamplePool | None, path, pathlen, n,
+def _tally(mm, closed, seed, pool: SamplePool | None, path, pathlen, stop,
            rname=None) -> _Tally:
-    """The tally of a fixed-count job: of its lane in `pool`, the pool of
-    this model, closed model and seed, or without one walked alone."""
+    """The tally of a job's lane: in `pool`, the pool of this model, closed
+    model and seed, or without one walked alone."""
     if pool is None:
         pool = SamplePool(mm, closed, seed)
-    return pool.lane(path, pathlen, n, rname).tally
+    return pool.lane(path, pathlen, stop, rname).tally
 
 
 def _count(name: str, value) -> int:
@@ -551,8 +559,8 @@ def run_ci(mm, closed, path, w=None, alpha=None, n=None, seed=0,
            pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
     """Confidence-interval estimation with a normal-approximation interval;
     given w and alpha, sampling stops once the Wilson score interval is
-    within w of the mean.  Given n, the samples are those of the job's lane
-    in `pool` (`SamplePool`), if any."""
+    within w of the mean.  The samples are those of the job's lane in
+    `pool` (`SamplePool`), if any."""
     return _ci_like(mm, closed, path, "CI", w, alpha, n, seed, pathlen, pool)
 
 
@@ -568,36 +576,39 @@ def _half_width(method, alpha, mean, var_sum, n):
         sigma2 = mean * (1.0 - mean)
         q = normal_quantile(1.0 - alpha / 2.0)
     else:
-        sigma2 = var_sum / (n - 1) if n > 1 else 0.0
+        sigma2 = var_sum / (n - 1)  # n >= 2 (`ci_stop`)
         q = _student_quantile(1.0 - alpha / 2.0, n - 1) if n < 50 \
             else normal_quantile(1.0 - alpha / 2.0)
     return q * math.sqrt(max(sigma2, 0.0) / n)
 
 
-def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen, pool) -> Estimate:
+def ci_stop(method, w=None, alpha=None, n=None):
+    """What stops the lane of CI or ACI (`method`) given two of w, alpha and
+    n (`SamplePool.add`): the sample count n, or given w and alpha the
+    Wilson rule."""
     given = _two_of_three(w=w, alpha=alpha, n=n)
     _within("w", w, math.inf)
     _within("alpha", alpha)
     if "n" not in given:
-        z = normal_quantile(1.0 - alpha / 2.0)
-        stream = _SampleStream(mm, closed, path, seed, pathlen)
-        total = 0
-        count = 0
-        for x in stream.samples():
-            total += x
-            count += 1
-            hw = _wilson_half_width(z, total, count)
-            if hw <= w:
-                break
-        else:
-            raise SmcError("sequential sampling exceeded the sample cap")
-        return Estimate(method, total / count, count, seed, half_width=hw, alpha=alpha,
-                        **stream.stats(count))
-    tally = _tally(mm, closed, seed, pool, path, pathlen, n)
+        return _Wilson(normal_quantile(1.0 - alpha / 2.0), w)
+    if method == "ACI" and "alpha" in given and _count("the sample count n", n) < 2:
+        raise SmcError(f"the sample count n must be at least 2 for ACI given alpha, got "
+                       f"{_fmt_value(n)}")
+    return n
+
+
+def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen, pool) -> Estimate:
+    stop = ci_stop(method, w, alpha, n)
+    tally = _tally(mm, closed, seed, pool, path, pathlen, stop)
     n, total = tally.count, tally.total
     mean = total / n
+    if isinstance(stop, _Wilson):
+        if not tally.stopped:
+            raise SmcError("sequential sampling exceeded the sample cap")
+        return Estimate(method, mean, n, seed, half_width=_wilson_half_width(stop.z, total, n),
+                        alpha=alpha, **tally.fields())
     var_sum = total * (1.0 - mean) ** 2 + (n - total) * mean ** 2
-    if "alpha" in given:
+    if alpha is not None:
         hw = _half_width(method, alpha, mean, var_sum, n)
         return Estimate(method, mean, n, seed, half_width=hw, alpha=alpha, **tally.fields())
     # w and n given: solve for alpha
@@ -609,8 +620,7 @@ def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen, pool) -> Esti
         # no spread to scale by: the Chernoff-Hoeffding bound for w
         alpha_solved = min(1.0, 2.0 * math.exp(-2.0 * n * w * w))
     else:
-        z = w / sigma
-        alpha_solved = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
+        alpha_solved = 2.0 * (1.0 - statistics.NormalDist().cdf(w / sigma))
     return Estimate(method, mean, n, seed, half_width=w, alpha=alpha_solved,
                     **tally.fields())
 
@@ -657,13 +667,9 @@ def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
                     **tally.fields())
 
 
-def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
-             delta=None, seed=0, pathlen=DEFAULT_PATHLEN) -> Estimate:
-    """Wald sequential probability ratio test of a bounded property.
-
-    Tests H0: p >= theta + delta against H1: p <= theta - delta with
-    type I = type II = alpha; the decision is mapped back to the bound's
-    direction."""
+def sprt_rule(theta: float, alpha=None, delta=None) -> _Wald:
+    """What stops the lane of an SPRT of the threshold theta
+    (`SamplePool.add`)."""
     if alpha is None or delta is None:
         raise SmcError("SPRT needs both alpha and delta")
     _within("alpha", alpha, 0.5)
@@ -673,31 +679,27 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
     if p1 <= 0.0 or p0 >= 1.0:
         raise SmcError(
             f"SPRT indifference region around {theta} with delta {delta} leaves (0,1)")
-    log_accept_h1 = math.log((1.0 - alpha) / alpha)
-    log_accept_h0 = math.log(alpha / (1.0 - alpha))
-    lr_one = math.log(p1 / p0)
-    lr_zero = math.log((1.0 - p1) / (1.0 - p0))
-    stream = _SampleStream(mm, closed, path, seed, pathlen)
-    llr = 0.0
-    total = 0
-    count = 0
-    decision = None
-    for x in stream.samples():
-        count += 1
-        total += x
-        llr += lr_one if x else lr_zero
-        if llr >= log_accept_h1:
-            decision = "accept-H1"
-            break
-        if llr <= log_accept_h0:
-            decision = "accept-H0"
-            break
-    if decision is None:
+    return _Wald(math.log(p1 / p0), math.log((1.0 - p1) / (1.0 - p0)),
+                 math.log(alpha / (1.0 - alpha)), math.log((1.0 - alpha) / alpha))
+
+
+def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
+             delta=None, seed=0, pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+    """Wald sequential probability ratio test of a bounded property, on the
+    job's lane in `pool`, if any.
+
+    Tests H0: p >= theta + delta against H1: p <= theta - delta with
+    type I = type II = alpha; the decision is mapped back to the bound's
+    direction."""
+    rule = sprt_rule(theta, alpha, delta)
+    tally = _tally(mm, closed, seed, pool, path, pathlen, rule)
+    if not tally.stopped:
         raise SmcError("SPRT exceeded the sample cap without a decision")
+    decision = "accept-H1" if tally.score >= rule.accept_h1 else "accept-H0"
     high = decision == "accept-H0"  # p is on the high side of theta
     satisfied = high if bound.op in (">", ">=") else not high
-    return Estimate("SPRT", total / count, count, seed, alpha=alpha, delta=delta,
-                    decision=decision, satisfied=satisfied, **stream.stats(count))
+    return Estimate("SPRT", tally.total / tally.count, tally.count, seed, alpha=alpha,
+                    delta=delta, decision=decision, satisfied=satisfied, **tally.fields())
 
 
 # --- reward sampling -----------------------------------------------------------

@@ -616,6 +616,86 @@ def test_each_job_of_a_failed_joint_walk_reports_its_own_error(tmp_path, capsys)
     assert main(argv + ["--prop", "A_ok"]) == 0
 
 
+# one configuration whose jobs use every simulation method: SPRT, CI and ACI
+# given w and alpha, CI given n, APMC and reward CI
+MIXED_RCP = r"""
+    label l_stuck = SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck
+    label l_origin = (SRWMod::SRWRP::x == 0)
+    label l_far = (SRWMod::SRWRP::x >= 3) \/ (SRWMod::SRWRP::x <= -3)
+    constants C_one:
+      SRWMod::SRWRP::MaxDist set to 10,
+      SRWMod::SRWRP::MaxSteps set to 40, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_norecharge:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    rewards R_origins =
+      [SRWMod::ctrl_ref::stm_ref::left.out] (SRWMod::SRWRP::x == 0) : 1;
+      [SRWMod::ctrl_ref::stm_ref::right.out] (SRWMod::SRWRP::x == 0) : 1;
+    endrewards
+    prob property P_sprt:
+      Prob>=0.3 of [Finally #l_far] using sim with SPRT at alpha=0.05, delta=0.05
+      with constants C_one
+      with definitions D_norecharge
+    prob property P_ci_w:
+      Prob=? of [Finally<=12 #l_far] using sim with CI at w=0.05, alpha=0.05
+      with constants C_one
+      with definitions D_norecharge
+    prob property P_aci_w:
+      Prob=? of [Finally #l_stuck /\ not #l_origin] using sim with ACI at w=0.04, alpha=0.05
+      with constants C_one
+      with definitions D_norecharge
+    prob property P_ci_n:
+      Prob=? of [Finally<=12 #l_far] using sim with CI at alpha=0.05, n=700, pathlen=30
+      with constants C_one
+      with definitions D_norecharge
+    prob property P_apmc:
+      Prob<=0.9 of [Finally<=12 #l_far] using sim with APMC at epsilon=0.1, delta=0.05
+      with constants C_one
+      with definitions D_norecharge
+    prob property R_ci:
+      Reward {R_origins} =? of [Cumul 25] using sim with CI at alpha=0.05, n=1500
+      with constants C_one
+      with definitions D_norecharge
+    """
+
+
+def test_a_mixed_method_configuration_reports_what_each_job_reports_alone(tmp_path,
+                                                                          monkeypatch):
+    import rcprob.smc as smc
+    rcp = tmp_path / "mixed.rcp"
+    rcp.write_text(MIXED_RCP)
+    walks = []  # the lanes of each walk
+    walk = smc._walk
+
+    def counted(mm, closed, seed, samples, lanes, trace=None):
+        walks.append(len(lanes))
+        return walk(mm, closed, seed, samples, lanes, trace)
+
+    monkeypatch.setattr(smc, "_walk", counted)
+
+    def records(prop):
+        # each record without the sizes of the model, which grows with the
+        # paths of every job of a walk, and without the timings
+        out = tmp_path / prop.replace("*", "all")
+        assert main(["check", SRW_RCM, str(rcp), "--engine", "smc", "--kind", "dtmc",
+                     "--seed", "3", "--prop", prop, "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in (out / "report.jsonl").read_text().splitlines()]
+        for rec in recs:
+            for key in ("buildMs", "checkMs", "states", "transitions"):
+                del rec[key]
+        return {rec.pop("property"): rec for rec in recs}
+
+    joint = records("*")
+    # the six jobs walk their first batch together, the sequential ones too
+    assert walks[0] == 6
+    assert sorted(rec["mode"] for rec in joint.values()) == [
+        "smc-ACI", "smc-APMC", "smc-CI", "smc-CI", "smc-CI", "smc-SPRT"]
+    for name, rec in joint.items():
+        assert records(name) == {name: rec}, name
+
+
 def test_models_released_after_their_last_job(tmp_path, monkeypatch):
     import weakref
     import rcprob.cli as cli
@@ -1072,7 +1152,7 @@ def test_an_unconfigured_constant_is_a_validation_error_naming_the_property(case
     spec = tmp_path / "k.rcp"
     spec.write_text(Path(SRW_RCP).read_text() + "\nconst K : nat\n\nprob property P_k:\n"
                     f"  {body}\n  with constants C_fair_MD10_MS20_100\n"
-                    "  with definitions D_recharge\n")
+                    "  with definitions D_norecharge\n")
     code = main(["check", SRW_RCM, str(spec), "--kind", "dtmc", "--out", str(tmp_path / "out"),
                  *flags])
     diags = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]

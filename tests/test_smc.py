@@ -16,9 +16,9 @@ from rcprob.build import (BuildError, MarkovModel, SampleTable, WeightTable, att
                           open_markov)
 from rcprob.exact import check_property, expected_reward
 from rcprob.props import parse_expression
-from rcprob.smc import (SmcError, _SampleStream, _select, apmc_samples, normal_quantile,
-                        philox_uniforms, run_aci, run_apmc, run_ci, run_reward_ci, run_sprt,
-                        simulate)
+from rcprob.smc import (SamplePool, SmcError, _Lane, _select, _walk, apmc_samples, ci_stop,
+                        compile_monitor, normal_quantile, philox_uniforms, run_aci, run_apmc,
+                        run_ci, run_reward_ci, run_sprt, simulate, sprt_rule)
 
 import oracles
 from conftest import make_srw
@@ -296,6 +296,18 @@ def _reference(mm, ctx, kind, left, right, k, seed, pathlen):
             yield value, steps, False
 
 
+def _walked(mm, ctx, path, seed, pathlen, n):
+    """Samples 0 .. n-1 of `path` walked as one lane: the 0/1 samples, a
+    censored path counted as its monitor's `censor_value`, and the path
+    statistics of the tally of the same lane in a pool."""
+    lane = _Lane(compile_monitor(ctx, path), pathlen)
+    [(value, capped, _, _)] = _walk(mm, ctx, seed, np.arange(n), [lane])
+    value[capped] = lane.monitor.censor_value
+    tally = SamplePool(mm, ctx, seed).lane(path, pathlen, n).tally
+    assert tally.total == np.count_nonzero(value)
+    return value.astype(int).tolist(), tally.fields()
+
+
 def wide_row_dtmc(seed=7, n=60, width=40):
     """One move per state over `width` successors in random order, with
     uneven weights; every tenth state is absorbing."""
@@ -337,14 +349,13 @@ def test_samples_match_reference_on_single_move_models(srw_small, pathlen):
     for mm, ctx, p, q in _single_move_models(srw_small):
         assert all(len(row) == 1 for row in all_moves(mm))
         for kind, path, left, right, k in _shapes(p, q):
-            stream = _SampleStream(mm, ctx, path, 11, pathlen)
-            got = [x for batch in stream.batches(n) for x in batch]
+            got, stats = _walked(mm, ctx, path, 11, pathlen, n)
             want = list(itertools.islice(
                 _reference(mm, ctx, kind, left, right, k, 11, pathlen), n))
             assert got == [value for value, _, _ in want], (kind, k)
             lengths = [steps for _, steps, _ in want]
             caps += sum(capped for _, _, capped in want)
-            assert stream.stats(n) == {
+            assert stats == {
                 "cap_hits": sum(capped for _, _, capped in want),
                 "path_len_mean": sum(lengths) / n, "path_len_max": max(lengths)}, (kind, k)
             checked += 1
@@ -532,19 +543,41 @@ def test_block_uniforms_equal_the_oracle(seed, samples, t0, steps):
         assert row == [scalar.random() for _ in range(steps)]
 
 
-def test_sequential_stream_keeps_only_its_last_batch(srw_small):
+def test_a_sequential_lane_reads_its_samples_in_order_and_keeps_sums(srw_small,
+                                                                      monkeypatch):
+    import rcprob.smc as smc
     closed, mm = srw_small
     goal = parse_expression("SRWMod::SRWRP::x == 2")
-    stream = _SampleStream(mm, closed, A.Finally_(None, goal), 3, 12)
-    used = 64 + 128 + 256 + 100  # into the fourth batch
-    got = list(itertools.islice(stream.samples(), used))
-    want = list(itertools.islice(_reference(mm, closed, "F", None, goal, None, 3, 12), used))
-    assert got == [value for value, _, _ in want]
-    assert [a.size for a in stream._last] == [512, 512]
+    path = A.Finally_(None, goal)
+    sizes = []  # of each batch walked
+    walk = smc._walk
+
+    def counted(mm, closed, seed, samples, lanes, trace=None):
+        sizes.append(samples.size)
+        return walk(mm, closed, seed, samples, lanes, trace)
+
+    monkeypatch.setattr(smc, "_walk", counted)
+    stop = ci_stop("CI", w=0.033, alpha=0.05)
+    tally = SamplePool(mm, closed, 3).lane(path, 12, stop).tally
+    # the reference samples up to the first whose Wilson interval is narrow
+    # enough, into the fourth batch
+    want, total = [], 0
+    for value, steps, capped in _reference(mm, closed, "F", None, goal, None, 3, 12):
+        want.append((value, steps, capped))
+        total += value
+        if smc._wilson_half_width(stop.z, total, len(want)) <= 0.033:
+            break
+    used = len(want)
+    assert 64 + 128 + 256 < used <= 64 + 128 + 256 + 512
+    assert sizes == [64, 128, 256, 512]
+    assert (tally.stopped, tally.count, tally.total) == (True, used, total)
     lengths = [steps for _, steps, _ in want]
-    assert stream.stats(used) == {
+    assert tally.fields() == {
         "cap_hits": sum(capped for _, _, capped in want),
         "path_len_mean": sum(lengths) / used, "path_len_max": max(lengths)}
+    # a 0/1 lane's tally keeps sums, not per-path arrays
+    assert tally.gains == []
+    assert all(np.ndim(v) == 0 for k, v in vars(tally).items() if k != "gains")
 
 
 @pytest.mark.parametrize("run", [
@@ -552,10 +585,12 @@ def test_sequential_stream_keeps_only_its_last_batch(srw_small):
     lambda mm, ctx: run_aci(mm, ctx, A.Finally_(None, GOAL), w=0.1, n=-3),
     lambda mm, ctx: run_apmc(mm, ctx, A.Finally_(None, GOAL), delta=0.1, n=0),
     lambda mm, ctx: run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(3)), n=0),
+    # the Student-t quantile of ACI needs n - 1 >= 1 degrees of freedom
+    lambda mm, ctx: run_aci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=1),
 ])
 def test_sample_count_must_be_positive(run):
     mm, ctx = chain30()
-    with pytest.raises(SmcError, match="at least 1"):
+    with pytest.raises(SmcError, match="the sample count n must be at least [12]"):
         run(mm, ctx)
 
 
@@ -657,10 +692,8 @@ def test_lazy_expansion_samples_equal_full_build(srw_small, pathlen):
     smaller = 0
     for full, lazy, ctx, p, q, rname in _lazy_and_full_models(srw_small):
         for kind, path, _, _, k in _shapes(p, q):
-            streams = [_SampleStream(mm, ctx, path, 13, pathlen) for mm in (full, lazy)]
-            got = [[x for batch in stream.batches(n) for x in batch] for stream in streams]
+            got = [_walked(mm, ctx, path, 13, pathlen, n) for mm in (full, lazy)]
             assert got[0] == got[1], (kind, k)
-            assert streams[0].stats(n) == streams[1].stats(n), (kind, k)
         for seed in range(5):
             walks = []
             for mm in (full, lazy):
@@ -939,21 +972,23 @@ def test_sprt_wrong_verdicts_within_alpha():
 
 def test_a_pool_gives_each_job_the_estimate_it_has_alone(srw_model, srw_spec, monkeypatch):
     import rcprob.smc as smc
-    from rcprob.smc import SamplePool, apmc_parameters
+    from rcprob.smc import apmc_parameters
     closed, _ = make_srw(srw_model, srw_spec, maxdist=6, maxsteps=40)
     far = parse_expression("SRWMod::SRWRP::x >= 3 \\/ SRWMod::SRWRP::x <= -3")
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
     near = A.Finally_(A.Bound("<=", A.Lit(12)), far)
     cumul = A.Cumul(A.Lit(25))
-    # in property order: (runner, arguments, keywords, lane of the pool or None)
+    at_least = A.Bound(">=", A.Lit(0.3))
+    # in property order: (runner, arguments, keywords, lane of the pool)
     jobs = [
         (run_ci, (near,), dict(alpha=0.05, n=700, pathlen=30), (near, 30, 700)),
         (run_apmc, (near,), dict(epsilon=0.1, delta=0.05),
          (near, 10_000, apmc_parameters(0.1, 0.05)[2])),
-        (run_aci, (A.Finally_(None, stuck),), dict(w=0.05, alpha=0.05), None),
-        (run_sprt, (A.Finally_(None, far), A.Bound(">=", A.Lit(0.3)), 0.3),
-         dict(alpha=0.05, delta=0.05), None),
+        (run_aci, (A.Finally_(None, stuck),), dict(w=0.05, alpha=0.05),
+         (A.Finally_(None, stuck), 10_000, ci_stop("ACI", w=0.05, alpha=0.05))),
+        (run_sprt, (A.Finally_(None, far), at_least, 0.3), dict(alpha=0.05, delta=0.05),
+         (A.Finally_(None, far), 10_000, sprt_rule(0.3, 0.05, 0.05))),
         (run_reward_ci, ("R_origins", cumul), dict(alpha=0.05, n=1500),
          (cumul, 10_000, 1500, "R_origins")),
         (run_aci, (near,), dict(w=0.05, n=300), (near, 10_000, 300)),
@@ -969,24 +1004,21 @@ def test_a_pool_gives_each_job_the_estimate_it_has_alone(srw_model, srw_spec, mo
     mm = open_markov(closed)
     pool = SamplePool(mm, closed, 9)
     for *_, lane in jobs:
-        if lane is not None:
-            pool.add(*lane)
-    joint = [run(mm, closed, *args, seed=9, **kw, pool=pool) if lane else
-             run(mm, closed, *args, seed=9, **kw) for run, args, kw, lane in jobs]
-    # the four fixed-count jobs walk their first batch together, the reward
-    # job its second alone
-    assert walks.count(4) == 1 and walks.count(1) > 1
+        pool.add(*lane)
+    joint = [run(mm, closed, *args, seed=9, **kw, pool=pool) for run, args, kw, _ in jobs]
+    # all six jobs, the two sequential ones included, walk their first batch
+    # together, the reward job its second alone
+    assert walks[:2] == [6, 1]
     for (run, args, kw, _), est in zip(jobs, joint):
         alone = run(open_markov(closed), closed, *args, seed=9, **kw)
         assert est == alone, run.__name__
     assert [est.method for est in joint] == ["CI", "APMC", "ACI", "SPRT", "CI", "ACI"]
     assert joint[0].cap_hits == 0 < joint[4].point and joint[3].decision is not None
-    # and the samples of the stream that the reference sampler checks
-    stream = _SampleStream(open_markov(closed), closed, near, 9, 30)
-    samples = [x for batch in stream.batches(700) for x in batch]
+    # and the samples that the reference sampler checks
+    samples, stats = _walked(open_markov(closed), closed, near, 9, 30, 700)
     assert joint[0].point == sum(samples) / 700
-    assert stream.stats(700) == {key: getattr(joint[0], key) for key in
-                                 ("cap_hits", "path_len_mean", "path_len_max")}
+    assert stats == {key: getattr(joint[0], key) for key in
+                     ("cap_hits", "path_len_mean", "path_len_max")}
 
 
 def _chains():
