@@ -1406,12 +1406,9 @@ class MarkovModel:
         self._batch = ([], [], [], [])
         self._passed: set[tuple] = set()  # weight node sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
-        # state formula values per (expression, context), `ExactChecker._on_model`:
-        # [expression, context, values]; both are kept so their ids are not
-        # reused.  `atoms` holds those of plain state expressions, shared
-        # with the models `reweigh` makes; `values` those of P, R, A and E.
+        # the truth of plain state expressions per (expression, context),
+        # `ExactChecker._atom`, shared with the models `reweigh` makes
         self.atoms: dict[tuple[int, int], list] = {}
-        self.values: dict[tuple[int, int], list] = {}
         # what the engines derive from the store but not from the weights,
         # shared with the models `reweigh` makes; replaced by each expansion
         self.derived: dict = {}
@@ -1576,7 +1573,7 @@ class MarkovModel:
         view.closed = closed
         view.weights = self.nodes.evaluate(closed.weight_table)
         view.weight_float = np.array([float(p) for p in view.weights])
-        view._passed, view.values = set(), {}
+        view._passed = set()
         view._choice_csr = view._dtmc_csr = view._sample_table = None
         view.check_stochastic()
         return view

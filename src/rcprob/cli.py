@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import json
-import math
 import os
 import sys
 import time
@@ -96,11 +95,7 @@ _EMITTED = ("prism", "props", "namemap.tsv", "sweep.tsv")
 
 
 def _verdict_fields(record_value):
-    if isinstance(record_value, bool):
-        return {"verdict": record_value}
-    if record_value == math.inf:
-        return {"value": "inf"}
-    return {"value": record_value}
+    return {"verdict" if isinstance(record_value, bool) else "value": record_value}
 
 
 def run(plan: RunPlan) -> int:

@@ -6,6 +6,11 @@ Every engine of rcprob accepts the same linear fragment: X, F, G, U, W
 P (here), A/E (here) and simulation (`smc`) implement only those two; A/E
 adds the fairness shapes GF, FG, GF=>GF, FG=>GF and G(p => F q).
 
+A state formula that nests no P, R, A, E, `deadlock` or `init`, through
+its labels and formulas too, is one term of `ClosedModel.spec_expr`: its
+`/\\` and `\\/` read their right operand only where needed, as the model
+does.  Those of other formulas read both operands at every state.
+
 Probability and reward operators first split the states by qualitative
 graph precomputation (prob-0/prob-1, finite-reward regions, bottom strongly
 connected components).  On a dtmc the remaining unbounded values come from
@@ -14,7 +19,9 @@ branch: a state of m whose only successor in m is certain is eliminated
 first (`ExactChecker._solve`).  On an mdp they come from value iteration,
 which stops when successive iterates change by less than `tol`.  A/E path
 quantifiers run pure graph analysis over the positive-probability edge
-relation of the deadlock-completed model.
+relation of the deadlock-completed model: the fairness shapes reach the
+cycles that one search for strongly connected components finds
+(`ExactChecker._cycles`), and EG is a greatest fixpoint.
 
 The graph layer reads two boolean sparse matrices: the support of the dtmc
 matrix (state to state) and the support of the choice CSR (move to state).
@@ -44,10 +51,16 @@ from . import ast as A
 from . import props as P
 from .build import (ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_value,
                     attach_rewards)
+from .resolve import walk_uses
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
 _EXTREMUM = {"max": np.maximum, "min": np.minimum}  # over a state's moves, per mode
+
+# the operators that a state formula nests to be read over the whole model
+NESTED = (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)
+# what a plain state expression, one term of `ClosedModel.spec_expr`, holds none of
+_NOT_PLAIN = NESTED + (A.DeadlockRef, A.InitRef) + A.PATH_NODES
 
 AE_FRAGMENT = ("X, F, G, U, W, R over state formulas, bounded or not, and the "
                "fairness shapes GF, FG, GF=>GF, FG=>GF, G(p => F q)")
@@ -82,8 +95,14 @@ class CheckResult:
 def _is_state_expr(e: A.Expr) -> bool:
     """Whether e is a state formula: its path operators, if any, are operands
     of P, R, A or E."""
-    return not any(isinstance(node, A.PATH_NODES + A.REWARD_PATH_NODES) for node in A.walk(
-        e, stop=(A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)))
+    return not any(isinstance(node, A.PATH_NODES + A.REWARD_PATH_NODES)
+                   for node in A.walk(e, stop=NESTED))
+
+
+def nests(spec: P.SpecAst, kinds: tuple, *exprs: A.Expr) -> bool:
+    """Whether one of exprs holds a node of the types `kinds`, itself or
+    through the labels and formulas of `spec` that it uses."""
+    return any(isinstance(node, kinds) for e in exprs for node in walk_uses(spec, e))
 
 
 def _per_structure_sets(method):
@@ -109,20 +128,18 @@ def _per_structure_sets(method):
 
 
 class ExactChecker:
-    """Checks over a complete model.  With `states`, an array of state
-    indices, `sat` evaluates state formulas at those states only, and the
-    model may still be growing: a formula that needs more than each state's
-    own valuation (P, R, A, E) expands the whole model first."""
+    """Checks over a complete model.  `sat` gives a state formula's truth
+    at every state the model knows; one that nests no P, R, A or E reads no
+    more than those states, so it may be asked of a growing model, as the
+    simulation monitors do (`smc.Monitor.cover`)."""
 
-    def __init__(self, mm: MarkovModel, closed: ClosedModel,
-                 tol: float = DEFAULT_TOL, states: np.ndarray | None = None):
+    def __init__(self, mm: MarkovModel, closed: ClosedModel, tol: float = DEFAULT_TOL):
         self.mm = mm
         self.closed = closed
         self.tol = tol
-        self.states = states
         self.iterations = 0
         self.engine = "graph"
-        self.n = mm.num_states if states is None else states.size
+        self.n = mm.num_states
         self._sat_cache: dict[int, np.ndarray] = {}
         self._succ = None
         self._pred = None
@@ -207,26 +224,19 @@ class ExactChecker:
         self._sat_cache[key] = (e, out)
         return out
 
-    def _at_states(self, values: np.ndarray) -> np.ndarray:
-        return values if self.states is None else values[self.states]
-
-    def _on_model(self, cache: dict, e: A.Expr, context, values_from) -> np.ndarray:
-        """A state formula's truth at every state the model knows, cached
-        in `cache` per formula and context and extended by
-        `values_from(lo)`, its truth at the states from lo on."""
-        entry = cache.setdefault((id(e), id(context)), [e, context, np.zeros(0, dtype=bool)])
-        if entry[2].size < self.mm.num_states:
-            entry[2] = _extended(entry[2], values_from(entry[2].size))
-            entry[2].flags.writeable = False
-        return self._at_states(entry[2])
-
     def _atom(self, e: A.Expr) -> np.ndarray:
         """A plain state expression's truth.  Under the model's own
         configuration it is kept in `MarkovModel.atoms`, which the models of
         a structure share: their configurations differ only in constants
         that no state expression reads."""
         context = None if self.closed is self.mm.closed else self.closed
-        return self._on_model(self.mm.atoms, e, context, lambda lo: self._evaluate(e, lo))
+        # [expression, context, values]: both are kept so their ids are not reused
+        entry = self.mm.atoms.setdefault((id(e), id(context)),
+                                         [e, context, np.zeros(0, dtype=bool)])
+        if entry[2].size < self.n:
+            entry[2] = _extended(entry[2], self._evaluate(e, entry[2].size))
+            entry[2].flags.writeable = False
+        return entry[2]
 
     def _evaluate(self, e: A.Expr, lo: int) -> np.ndarray:
         """A plain state expression's truth at the states from lo on."""
@@ -240,14 +250,9 @@ class ExactChecker:
                 raise CheckError("a numeric literal is not a state formula")
             return np.full(self.n, e.value, dtype=bool)
         if isinstance(e, A.DeadlockRef):
-            return self._at_states(np.array(mm.deadlock, dtype=bool))
+            return np.array(mm.deadlock, dtype=bool)
         if isinstance(e, A.InitRef):
-            return self._at_states(np.arange(mm.num_states) == mm.initial)
-        if self.states is not None and isinstance(
-                e, (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)):
-            mm.expand_all()  # complete from now on: computed once
-            return self._on_model(mm.values, e, self.closed, lambda lo: ExactChecker(
-                mm, self.closed, self.tol).sat(e)[lo:])
+            return np.arange(mm.num_states) == mm.initial
         if isinstance(e, A.LabelRef):
             decl = self.closed.spec.find(P.LabelDecl, e.name)
             if decl is None:
@@ -258,6 +263,8 @@ class ExactChecker:
             if decl is None:
                 raise CheckError(f"unknown formula `{e.name}")
             return self.sat(decl.body)
+        if not nests(self.closed.spec, _NOT_PLAIN, e):
+            return self._atom(e)  # one term, which short-circuits (module docstring)
         if isinstance(e, A.Unary) and e.op == "not":
             return ~self.sat(e.operand)
         if isinstance(e, A.Binary) and e.op in ("/\\", "\\/", "=>", "iff"):
@@ -279,7 +286,8 @@ class ExactChecker:
         if isinstance(e, A.PATH_NODES):
             raise UnsupportedError(
                 "a path formula is not a state formula; wrap it in Prob/Forall/Exists")
-        # plain boolean state expression over the valuation
+        # reads a P, R, A, E, `deadlock` or `init` outside a connective, which
+        # `ClosedModel.spec_expr` refuses by name
         return self._atom(e)
 
     def _compare(self, e: A.ProbFormula | A.RewardFormula) -> np.ndarray:
@@ -529,36 +537,18 @@ class ExactChecker:
         if shape is None:
             raise UnsupportedError(
                 f"path formula outside the supported A/E fragment ({AE_FRAGMENT})")
-        kind = shape[0]
-        if kind == "GF":
-            target = self.sat(shape[1])
-            if quant == "E":
-                return self._e_gf(target)
-            return ~self._e_fg(~target)
-        if kind == "FG":
-            target = self.sat(shape[1])
-            if quant == "E":
-                return self._e_fg(target)
-            return ~self._e_gf(~target)
-        if kind == "GF=>GF":
-            p, q = self.sat(shape[1]), self.sat(shape[2])
-            if quant == "A":
-                # no reachable cycle through a p-state inside the ~q subgraph
-                bad_cycle = self._cycle_states(~q) & p
-                return ~self._reach_exists(np.ones(self.n, dtype=bool), bad_cycle)
-            return self._e_fg(~p) | self._e_gf(q)
-        if kind == "FG=>GF":
-            p, q = self.sat(shape[1]), self.sat(shape[2])
-            if quant == "A":
-                return ~self._e_fg(p & ~q)
-            return self._e_gf(~p) | self._e_gf(q)
+        kind, sets = shape[0], [self.sat(e) for e in shape[1:]]
+        everywhere = np.ones(self.n, dtype=bool)
         if kind == "G=>F":
-            p, q = self.sat(shape[1]), self.sat(shape[2])
+            p, q = sets
             if quant == "A":
-                bad = p & self._eg(~q)
-                return ~self._reach_exists(np.ones(self.n, dtype=bool), bad)
+                return ~self._reach_exists(everywhere, p & self._eg(~q))
             return self._e_response(p, q)
-        raise AssertionError(kind)
+        # E reaches a fair cycle; A fails where E of the negated shape holds
+        pairs = _FAIRNESS[kind](everywhere, *sets)[quant == "A"]
+        fair = functools.reduce(np.logical_or, (self._cycles(*pair) for pair in pairs))
+        found = self._reach_exists(everywhere, fair)
+        return found if quant == "E" else ~found
 
     def _ae_until(self, quant: str, left: A.Expr, right: A.Expr, k: int | None) -> np.ndarray:
         sat1, sat2 = self.sat(left), self.sat(right)
@@ -582,22 +572,20 @@ class ExactChecker:
         succ = self.succ()
         return _lfp(lambda x: x & (succ @ x), target)
 
-    def _cycle_states(self, restrict: np.ndarray) -> np.ndarray:
-        """States on a cycle of the support graph restricted to `restrict`."""
-        idx = np.flatnonzero(restrict)
-        out = np.zeros(self.n, dtype=bool)
-        out[idx] = _sccs(self.succ()[idx][:, idx])[1]
+    def _cycles(self, stay: np.ndarray, visit: np.ndarray, graph=None) -> np.ndarray:
+        """Nodes on a cycle inside `stay` whose strongly connected component
+        there holds a `visit` node: the nodes of the lassos that loop
+        through `visit` forever and never leave `stay`, the standard
+        emptiness check of fairness (Baier and Katoen, Principles of Model
+        Checking).  The graph is the support graph unless given."""
+        graph = self.succ() if graph is None else graph
+        idx = np.flatnonzero(stay)
+        labels, cyclic = _sccs(graph[idx][:, idx])
+        good = np.zeros(idx.size, dtype=bool)
+        good[labels[cyclic & visit[idx]]] = True
+        out = np.zeros(graph.shape[0], dtype=bool)
+        out[idx] = good[labels]
         return out
-
-    def _e_gf(self, target: np.ndarray) -> np.ndarray:
-        # reach a cyclic SCC containing a target state, then loop through it
-        labels, cyclic = _sccs(self.succ())
-        good = np.zeros(labels.max() + 1, dtype=bool)
-        good[labels[cyclic & target]] = True
-        return self._reach_exists(np.ones(self.n, dtype=bool), good[labels])
-
-    def _e_fg(self, target: np.ndarray) -> np.ndarray:
-        return self._reach_exists(np.ones(self.n, dtype=bool), self._eg(target))
 
     def _e_response(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """E[G (p => F q)] via a one-bit obligation monitor product."""
@@ -611,10 +599,9 @@ class ExactChecker:
         cols = np.concatenate([2 * dst + (p[dst] & owed), 2 * dst + owed])
         prod = sparse.csr_matrix((np.ones(rows.size, dtype=bool), (rows, cols)),
                                  shape=(2 * self.n, 2 * self.n))
-        labels, cyclic = _sccs(prod)
-        good = np.zeros(labels.max() + 1, dtype=bool)
-        good[labels[0::2][cyclic[0::2]]] = True
-        reach = _reach(prod.T.tocsr(), np.ones(2 * self.n, dtype=bool), good[labels])
+        everywhere = np.ones(2 * self.n, dtype=bool)
+        reach = _reach(prod.T.tocsr(), everywhere,
+                       self._cycles(everywhere, np.arange(2 * self.n) % 2 == 0, prod))
         return reach[2 * np.arange(self.n) + (p & ~q)]
 
     # --- rewards ---------------------------------------------------------------
@@ -799,6 +786,17 @@ def _ae_shape(path: A.Expr):
         if left is not None and right is not None and right[0] == "GF":
             return (f"{left[0]}=>GF", left[1], right[1])
     return None
+
+
+# per fairness shape, given every state and its operands' sets, the
+# (stay, visit) pairs of `ExactChecker._cycles` whose fair cycles make E
+# hold, and those of the negated shape, which make A fail
+_FAIRNESS = {
+    "GF": lambda t, p: ([(t, p)], [(~p, t)]),
+    "FG": lambda t, p: ([(p, t)], [(t, ~p)]),
+    "GF=>GF": lambda t, p, q: ([(~p, t), (t, q)], [(~q, p)]),
+    "FG=>GF": lambda t, p, q: ([(t, ~p), (t, q)], [(p & ~q, t)]),
+}
 
 
 def _gf_or_fg(e: A.Expr):

@@ -82,7 +82,6 @@ class EmittedPair:
     model_text: str
     props_text: str
     mangler: Mangler
-    sweep_text: str | None = None
 
 
 # --- model emission ------------------------------------------------------------

@@ -588,7 +588,7 @@ class _Classifier:
         """Report an expression that must be a constant but reads a model or
         environment variable, `is in`, `.val`, `deadlock` or `init`, itself
         or through a label or formula."""
-        for node in _walk_uses(self.resolver, e):
+        for node in walk_uses(self.resolver.spec, e):
             if isinstance(node, A.Ref):
                 ref = self._lookup(node)[0]
                 reads = ref is not None and ref.kind == "variable"
@@ -1091,13 +1091,14 @@ def _validate_property(resolver: Resolver, prop: P.ProbProperty, diags):
                                 "by its constant configuration", prop.pos))
 
 
-def _walk_uses(resolver: Resolver, body: Expr):
-    """The nodes of body and of the labels and formulas it uses, each once."""
+def walk_uses(spec: P.SpecAst, body: Expr):
+    """The nodes of body and of the labels and formulas of spec it uses,
+    each once."""
     stack, seen = [body], set()
     while stack:
         for node in A.walk(stack.pop()):
             yield node
-            decl = _declaration(resolver.spec, node)
+            decl = _declaration(spec, node)
             if decl is not None and id(decl) not in seen:
                 seen.add(id(decl))
                 stack.append(decl.body)
@@ -1203,7 +1204,7 @@ def weight_only_constants(resolver: Resolver, defs: P.DefinitionsDecl | None,
     stack = list(_outer_exprs((resolver.model, resolver.spec)))
     read, called = set(), set()
     while stack:
-        for node in _walk_uses(resolver, stack.pop()):
+        for node in walk_uses(resolver.spec, stack.pop()):
             if isinstance(node, A.Ref):
                 read.add(node.name.segments[-1])
             elif isinstance(node, A.FunCall) and node.name in functions \
@@ -1215,6 +1216,6 @@ def weight_only_constants(resolver: Resolver, defs: P.DefinitionsDecl | None,
 
 def _spec_consts_used(resolver: Resolver, body: Expr) -> set[str]:
     names = {s.name for s in resolver.spec.of_kind(P.ConstantDecl)}
-    return {node.name.segments[0] for node in _walk_uses(resolver, body)
+    return {node.name.segments[0] for node in walk_uses(resolver.spec, body)
             if isinstance(node, A.Ref) and len(node.name.segments) == 1
             and node.name.segments[0] in names}

@@ -37,7 +37,8 @@ import numpy as np
 from . import ast as A
 from .build import (ClosedModel, MarkovModel, RewardStructure, SampleTable, _extended,
                     _fmt_value)
-from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
+from .exact import (NESTED, ExactChecker, UnsupportedError, nests, reward_source, step_bound,
+                    until_form)
 from .props import pretty_pexpr
 
 DEFAULT_PATHLEN = 10_000
@@ -303,25 +304,29 @@ class Monitor:
     `value[r]`; at step `horizon` (never when None) every path is decided
     with the sample `final[r]`.  A censored path counts as `censor_value`.
     `rule(sat, absorbing)` gives (ends, value, final) of some rows from
-    `sat`, the rows' truth of a state formula, and their absorbing flags."""
+    `sat`, the rows' truth of a state formula, and their absorbing flags.
+    A monitor whose formulas nest P, R, A or E (`nested`) reads them over
+    the whole model, which it expands before its first rows."""
 
-    def __init__(self, rule, horizon: int | None = None, censor_value: int = 0):
+    def __init__(self, rule, horizon: int | None = None, censor_value: int = 0,
+                 nested: bool = False):
         self.rule = rule
         self.horizon = horizon
         self.censor_value = censor_value
+        self.nested = nested
         self.ends = self.value = self.final = np.zeros(0, dtype=bool)
 
     def cover(self, mm: MarkovModel, closed: ClosedModel):
-        """Extend the arrays over the rows expanded since; a state formula
-        that expands the whole model adds rows, covered in turn."""
-        while self.ends.size < len(mm.order):
-            lo = self.ends.size
+        """Extend the arrays over the rows expanded since."""
+        if self.nested:
+            mm.expand_all()
+        lo = self.ends.size
+        if lo < len(mm.order):
             states = np.array(mm.order[lo:], dtype=np.int64)
-            absorbing = mm.sample_table().absorbing[lo:lo + states.size]
-            parts = self.rule(ExactChecker(mm, closed, states=states).sat, absorbing)
+            sat = ExactChecker(mm, closed).sat
+            parts = self.rule(lambda e: sat(e)[states], mm.sample_table().absorbing[lo:])
             self.ends, self.value, self.final = (
-                _extended(old, new) for old, new in
-                zip((self.ends, self.value, self.final), parts))
+                _extended(old, new) for old, new in zip((self.ends, self.value, self.final), parts))
 
 
 def compile_monitor(closed: ClosedModel, path: A.Expr) -> Monitor:
@@ -337,7 +342,8 @@ def compile_monitor(closed: ClosedModel, path: A.Expr) -> Monitor:
     if isinstance(form, A.Next):
         # at step 0 an absorbing state's only successor is itself
         return Monitor(lambda sat, absorbing: (absorbing, sat(form.operand),
-                                               sat(form.operand)), 1)
+                                               sat(form.operand)), 1,
+                       nested=nests(closed.spec, NESTED, form.operand))
     negated, left, right, k = form
 
     def rule(sat, absorbing):
@@ -345,7 +351,8 @@ def compile_monitor(closed: ClosedModel, path: A.Expr) -> Monitor:
         # with the empty horizon (k = -1) the until fails at step 0
         return hit | absorbing | ~sat(left), hit ^ negated, (hit & (k != -1)) ^ negated
 
-    return Monitor(rule, None if k is None else max(k, 0), censor_value=int(negated))
+    return Monitor(rule, None if k is None else max(k, 0), censor_value=int(negated),
+                   nested=nests(closed.spec, NESTED, left, right))
 
 
 def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
@@ -717,7 +724,7 @@ def _reward_monitor(closed: ClosedModel, rpath: A.Expr) -> Monitor:
             target = sat(rpath.operand)
             return target | absorbing, absorbing & ~target, np.zeros_like(absorbing)
 
-        return Monitor(rule)
+        return Monitor(rule, nested=nests(closed.spec, NESTED, rpath.operand))
     raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
 
 

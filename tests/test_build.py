@@ -68,10 +68,9 @@ def test_junction_sum_ok(srw_model, srw_spec):
         assert sum(closed.weight_table.weights[w] for _, w in leaves) == 1
 
 
-def test_junction_sum_violation(srw_model, srw_spec):
+def test_junction_sum_violation(srw_model_text, srw_spec):
     defs = srw_spec.find(DefinitionsDecl, "D_recharge")
-    model = parse_model(open("tests/fixtures/srw.rcm").read()
-                        .replace("prob 1 - Pl", "prob 1 - Pl - 0.1"))
+    model = parse_model(srw_model_text.replace("prob 1 - Pl", "prob 1 - Pl - 0.1"))
     with pytest.raises(BuildError, match="sum to 9/10"):
         instantiate(model, {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(6, 10)},
                     defs, None, "dtmc", srw_spec)

@@ -1064,6 +1064,64 @@ def test_failing_expression_exits_2_with_one_error_line(case, tmp_path, capsys):
     assert errors[0].startswith("error: " + where.format(line=line)), errors[0]
 
 
+def _props(tmp_path, name, decls, props, *flags):
+    """The records, without timings, of the SRW_SETUP model with the
+    declarations `decls` and the properties `props` (name: body)."""
+    spec = tmp_path / f"{name}.rcp"
+    spec.write_text(SRW_SETUP.replace("COMMAND", "[] true -> (@n = 0);") + decls + "".join(
+        f"prob property {prop}:\n  {body}\n  with constants C_all\n  with definitions D_all\n"
+        for prop, body in props.items()))
+    out = tmp_path / name
+    assert main(["check", SRW_RCM, str(spec), "--kind", "dtmc", "--seed", "3",
+                 "--out", str(out), *flags]) == 0
+    recs = [json.loads(ln) for ln in (out / "report.jsonl").read_text().splitlines()]
+    for rec in recs:
+        del rec["buildMs"], rec["checkMs"]
+    return {rec.pop("property"): rec for rec in recs}
+
+
+@pytest.mark.parametrize("engine", ["internal", "smc"])
+def test_a_connective_reads_its_right_operand_only_where_the_left_does_not_decide(
+        engine, tmp_path):
+    # 10 / x fails at x == 0, where the left operand decides; elsewhere
+    # 10 / x > 5 holds at x == 1 alone (x ranges over -2..2)
+    decls = ("label l_and = SRWMod::SRWRP::x != 0 /\\ 10 / SRWMod::SRWRP::x > 5\n"
+             "label l_or = SRWMod::SRWRP::x == 0 \\/ 10 / SRWMod::SRWRP::x > 5\n")
+    recs = _props(tmp_path, engine, decls, {
+        "P_and": "Prob=? of [Finally #l_and]",
+        "P_and_ref": "Prob=? of [Finally SRWMod::SRWRP::x == 1]",
+        "P_or": "Prob=? of [Globally #l_or]",
+        "P_or_ref": "Prob=? of [Globally SRWMod::SRWRP::x == 0 \\/ SRWMod::SRWRP::x == 1]"},
+        "--engine", engine)
+    assert recs["P_and"] == recs["P_and_ref"] and recs["P_or"] == recs["P_or_ref"], recs
+    assert 0 < recs["P_and"]["value"] < 1 and 0 < recs["P_or"]["value"] < 1, recs
+
+
+@pytest.mark.parametrize("through", ["label", "formula"])
+def test_a_simulated_operand_nesting_prob_by_name_reads_the_whole_model(through, tmp_path,
+                                                                        monkeypatch):
+    # the monitor finds the Prob behind the name and expands the model
+    # before its first rows, as for a Prob written in place; one that missed
+    # it would judge the Prob over the states the paths had reached
+    from rcprob.exact import ExactChecker
+    solves = []  # per solve, the states of the model and how many are expanded
+    prob_path = ExactChecker.prob_path
+    monkeypatch.setattr(ExactChecker, "prob_path", lambda self, *args: solves.append(
+        (self.n, len(self.mm.order))) or prob_path(self, *args))
+    likely = "Prob>=0.8 of [Finally SRWMod::SRWRP::x == 2]"
+    decls = f"label l_likely = {likely}\nformula f_likely = {likely}\n"
+    name = "#l_likely" if through == "label" else "`f_likely"
+    inline = {"P": f"Prob=? of [Finally ({likely})]"}
+    simulated = _props(tmp_path, through, decls, {"P": f"Prob=? of [Finally {name}]"},
+                       "--engine", "smc")
+    named = list(solves)
+    assert simulated == _props(tmp_path, "inline", decls, inline, "--engine", "smc")
+    assert 0 < simulated["P"]["value"] < 1
+    full = simulated["P"]["states"]
+    assert full == _props(tmp_path, "exact", decls, inline)["P"]["states"]
+    assert named == [(full, full)], named
+
+
 def test_a_chain_of_divisions_as_long_as_the_parser_admits_explores(tmp_path, capsys):
     # Python's parser nests at most 200 brackets; printed as one nested call
     # per division, this guard exited 2 with "expression too deep to compile"
