@@ -238,125 +238,71 @@ def _domain_of_typeref(t: M.TypeRef, model: M.ModelAst):
 
 @dataclass
 class Closure:
-    cid: str
-    endpoints: frozenset[str]  # canonical endpoint names
+    cid: str  # the least qualified name of its events
     tags: frozenset[tuple[str, str]]  # (endpoint, "in"/"out") per connection edge
     payload: M.TypeRef | None
     latch: str | None  # flat latch variable, typed closures only
 
 
 class ClosureTable:
-    def __init__(self, model: M.ModelAst):
-        self.model = model
-        self._endpoint_info: dict[str, tuple] = {}  # canonical -> (kind, owner, EventDecl)
-        parent: dict[str, str] = {}
+    """The closures of a model's events, each event keyed by its qualified
+    name (`ResolvedRef.qualified`).  The connections, with their ends as
+    `Resolver.connections` resolves them, join events into closures.
+    `validate` refuses a connection end that names no event, and a
+    connection that joins events of different payload types."""
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        def register(key, kind, owner, decl):
-            self._endpoint_info[key] = (kind, owner, decl)
-            parent.setdefault(key, key)
-
-        for p in model.platforms:
-            for e in p.events:
-                register(f"{model.name}::{p.name}::{e.name}", "platform", p, e)
-        for c in model.controllers:
-            for e in c.events:
-                register(f"{model.name}::{c.name}::{e.name}", "controller", c, e)
-            for mach in c.machines:
-                for e in mach.events:
-                    register(f"{model.name}::{c.name}::{mach.name}::{e.name}", "machine",
-                             (c, mach), e)
-
+    def __init__(self, resolver: Resolver):
+        self.events = {ref.qualified(): ref for ref in resolver.events()}
+        joined = {key: {key} for key in self.events}  # the events joined to each so far
         edges = []
-
-        def endpoint_key(node, event, ctrl=None):
-            if ctrl is not None:
-                if node == ctrl.name:
-                    return f"{model.name}::{ctrl.name}::{event}"
-                for mach in ctrl.machines:
-                    if mach.name == node:
-                        return f"{model.name}::{ctrl.name}::{mach.name}::{event}"
-            if model.platform(node) is not None:
-                return f"{model.name}::{node}::{event}"
-            if model.controller(node) is not None:
-                return f"{model.name}::{node}::{event}"
-            raise BuildError(f"connection references unknown node {node!r}")
-
-        for conn in model.connections:
-            src = endpoint_key(conn.src_node, conn.src_event)
-            dst = endpoint_key(conn.dst_node, conn.dst_event)
-            union(src, dst)
+        for conn, src, dst in resolver.connections():
+            if src is None or dst is None:
+                raise BuildError(f"connection {conn}: an end names no event")
+            src, dst = src.qualified(), dst.qualified()
+            members = joined[src] | joined[dst]
+            for key in members:
+                joined[key] = members
             edges.append((src, dst))
-        for c in model.controllers:
-            for conn in c.connections:
-                src = endpoint_key(conn.src_node, conn.src_event, c)
-                dst = endpoint_key(conn.dst_node, conn.dst_event, c)
-                union(src, dst)
-                edges.append((src, dst))
-
-        used = self._machine_used_endpoints(model)
-        groups: dict[str, set[str]] = {}
-        for key in self._endpoint_info:
-            groups.setdefault(find(key), set()).add(key)
         self.by_endpoint: dict[str, Closure] = {}
         self.closures: list[Closure] = []
-        for members in sorted((sorted(g) for g in groups.values())):
-            cid = members[0]
-            tags = set()
-            for src, dst in edges:
-                if src in members:
-                    tags.add((src, "out"))
-                    tags.add((dst, "in"))
-            payload = None
-            for m in members:
-                decl = self._endpoint_info[m][2]
-                if decl.payload is not None:
-                    payload = decl.payload
-            in_use = any(m in used for m in members)
-            latch = f"latch.{cid}" if payload is not None and in_use else None
-            closure = Closure(cid, frozenset(members), frozenset(tags), payload, latch)
+        for cid in sorted(self.events):
+            if cid in self.by_endpoint:
+                continue
+            members = joined[cid]
+            tags = frozenset(tag for src, dst in edges if src in members
+                             for tag in ((src, "out"), (dst, "in")))
+            payload = self.events[cid].decl.payload  # validated: every member's
+            # a latch where some machine engages a typed event of the closure
+            in_use = payload is not None and any(
+                isinstance(ref.owner, tuple) and _engages(ref.owner[1], ref.decl.name)
+                for ref in map(self.events.get, members))
+            closure = Closure(cid, tags, payload, f"latch.{cid}" if in_use else None)
             self.closures.append(closure)
-            for m in members:
-                self.by_endpoint[m] = closure
-
-    def _machine_used_endpoints(self, model: M.ModelAst) -> set[str]:
-        """Endpoints whose event some machine engages through a trigger or a
-        communication action."""
-        used: set[str] = set()
-        for c in model.controllers:
-            for mach in c.machines:
-                prefix = f"{model.name}::{c.name}::{mach.name}::"
-                actions = [t.action for t in mach.transitions]
-                actions += [a for s in mach.states for a in (s.entry, s.exit)]
-                used.update(prefix + t.trigger.event for t in mach.transitions
-                            if t.trigger is not None)
-                while actions:
-                    action = actions.pop()
-                    if isinstance(action, M.Comm):
-                        used.add(prefix + action.event)
-                    elif isinstance(action, M.Seq):
-                        actions += action.parts
-                    elif isinstance(action, M.IfAction):
-                        actions += (action.then, action.orelse)
-        return used
-
-    def machine_endpoint(self, ctrl: M.Controller, mach: M.Machine, event: str) -> str:
-        return f"{self.model.name}::{ctrl.name}::{mach.name}::{event}"
+            for key in members:
+                self.by_endpoint[key] = closure
 
     def endpoint_dir(self, key: str) -> set[str]:
         """Connection roles of an endpoint: subset of {'in','out'}."""
         closure = self.by_endpoint[key]
         return {d for (ep, d) in closure.tags if ep == key}
+
+
+def _engages(mach: M.Machine, event: str) -> bool:
+    """Whether machine `mach` engages `event` through a trigger or a
+    communication action."""
+    if any(t.trigger is not None and t.trigger.event == event for t in mach.transitions):
+        return True
+    actions = [t.action for t in mach.transitions]
+    actions += [a for s in mach.states for a in (s.entry, s.exit)]
+    while actions:
+        action = actions.pop()
+        if isinstance(action, M.Comm) and action.event == event:
+            return True
+        if isinstance(action, M.Seq):
+            actions += action.parts
+        elif isinstance(action, M.IfAction):
+            actions += (action.then, action.orelse)
+    return False
 
 
 # --- exact weights ---------------------------------------------------------------
@@ -670,7 +616,7 @@ class ClosedModel:
         self.env = env
         self.spec = spec if spec is not None else P.SpecAst()
         self.resolver = Resolver(model, self.spec)
-        self.closures = ClosureTable(model)
+        self.closures = ClosureTable(self.resolver)
         self.weight_table = WeightTable()
         # the globals of the generated source: its helpers, and the values
         # without a Python literal under the names `_py_value` gives them
@@ -739,13 +685,13 @@ class ClosedModel:
                             ref.qualified()))
 
         for p in model.platforms:
-            declare(ModelScope(model, platform=p), p.variables, "shared")
+            declare(ModelScope(self.resolver, platform=p), p.variables, "shared")
         self.scopes: dict[str, ModelScope] = {}  # of each machine, by its name
         for ctrl in model.controllers:
             for mach in ctrl.machines:
                 base = f"{ctrl.name}.{mach.name}"
                 qualified = f"{model.name}::{ctrl.name}::{mach.name}"
-                self.scopes[base] = ModelScope(model, ctrl, mach)
+                self.scopes[base] = ModelScope(self.resolver, ctrl, mach)
                 declare(self.scopes[base], mach.variables, "machine")
                 add(VarInfo(f"{base}.lk", "lock", ("lock",), LOCK_FREE, f"{qualified}::lk"))
                 add(VarInfo(f"{base}.pc", "pc", ("pc",), mach.initial, f"{qualified}::pc"))
@@ -1110,10 +1056,10 @@ class ClosedModel:
 
     def _comm_spec(self, rt: MachineRT, comm: M.Comm | M.Trigger) -> CommSpec:
         event, op = comm.event, comm.op
-        decl = rt.scope.events.get(event)
-        if decl is None:
+        ref = rt.scope.events.get(event)
+        if ref is None:
             raise BuildError(f"machine {rt.mach.name} declares no event {event!r}")
-        endpoint = self.closures.machine_endpoint(rt.ctrl, rt.mach, event)
+        endpoint = ref.qualified()
         closure = self.closures.by_endpoint[endpoint]
         rt.uses_closures.add(closure.cid)
         if op == "!":

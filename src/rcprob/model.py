@@ -199,6 +199,9 @@ class Connection:
     is_async: bool = False
     pos: Pos = field(default=(0, 0), compare=False)
 
+    def __str__(self):
+        return f"{self.src_node}.{self.src_event} -> {self.dst_node}.{self.dst_event}"
+
 
 @dataclass
 class Platform:
@@ -566,7 +569,9 @@ def _dup_check(names, what, pos):
 
 
 def _check_model(module: ModelAst):
-    """Structural invariants enforced straight after parsing."""
+    """Structural invariants enforced straight after parsing.  What the ends
+    of a connection name is checked at validation (`resolve.validate`),
+    under the one scoping rule of `resolve.Resolver.endpoint`."""
     _dup_check(
         [p.name for p in module.platforms] + [c.name for c in module.controllers]
         + [e.name for e in module.enums],
@@ -591,7 +596,6 @@ def _check_model(module: ModelAst):
                              c.pos[0], c.pos[1])
         for m in c.machines:
             _check_machine(m)
-    _check_connections(module)
 
 
 def _check_machine(m: Machine):
@@ -635,38 +639,6 @@ def _check_machine(m: Machine):
         )
 
 
-def _check_connections(module: ModelAst):
-    def events_of(node_name, scope_ctrl=None):
-        p = module.platform(node_name)
-        if p is not None:
-            return {e.name for e in p.events}
-        c = module.controller(node_name)
-        if c is not None:
-            return {e.name for e in c.events}
-        if scope_ctrl is not None:
-            for m in scope_ctrl.machines:
-                if m.name == node_name:
-                    return {e.name for e in m.events}
-        return None
-
-    def check(conn: Connection, scope_ctrl=None):
-        for node, event in ((conn.src_node, conn.src_event), (conn.dst_node, conn.dst_event)):
-            if scope_ctrl is not None and node == scope_ctrl.name:
-                evs = {e.name for e in scope_ctrl.events}
-            else:
-                evs = events_of(node, scope_ctrl)
-            if evs is None:
-                raise ParseError(f"connection references unknown node {node!r}", *conn.pos)
-            if event not in evs:
-                raise ParseError(f"node {node!r} declares no event {event!r}", *conn.pos)
-
-    for conn in module.connections:
-        check(conn)
-    for c in module.controllers:
-        for conn in c.connections:
-            check(conn, c)
-
-
 def parse_model(text: str) -> ModelAst:
     """Parse `.rcm` text into a validated ModelAst."""
     return ModelParser(text).parse()
@@ -699,7 +671,7 @@ def pretty_expr(e: Expr, parent_prec: int = 0) -> str:
         v = e.value
         if isinstance(v, bool):
             return "true" if v else "false"
-        if isinstance(v, Fraction) and v.denominator != 1:
+        if isinstance(v, Fraction):  # a real, whole or not, prints with its point
             return _fraction_literal(v)
         return str(v)
     if isinstance(e, A.Ref):
@@ -827,14 +799,10 @@ def pretty_model(m: ModelAst) -> str:
                 out.append(f"      transition {t.id} {{ " + " ".join(bits) + " }")
             out.append("    }")
         for conn in c.connections:
-            a = " async" if conn.is_async else ""
-            out.append(f"    connection {conn.src_node}.{conn.src_event} -> "
-                       f"{conn.dst_node}.{conn.dst_event}{a};")
+            out.append(f"    connection {conn}{' async' if conn.is_async else ''};")
         out.append("  }")
     for conn in m.connections:
-        a = " async" if conn.is_async else ""
-        out.append(f"  connection {conn.src_node}.{conn.src_event} -> "
-                   f"{conn.dst_node}.{conn.dst_event}{a};")
+        out.append(f"  connection {conn}{' async' if conn.is_async else ''};")
     for e in m.enums:
         out.append(f"  enum {e.name} {{ {', '.join(e.literals)} }}")
     out.append("}")

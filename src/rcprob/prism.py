@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast as A
+from . import model as M
 from . import props as P
 from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ONE, ClosedModel,
                     Entry, MarkovModel, Term, build_markov)
@@ -109,7 +110,7 @@ class _ModelEmitter:
 
     def closure_action(self, closure) -> str:
         # "in" where the platform drives this event into the model
-        driven = any(d == "out" and self.c.closures._endpoint_info[ep][0] == "platform"
+        driven = any(d == "out" and isinstance(self.c.closures.events[ep].owner, M.Platform)
                      for ep, d in closure.tags)
         return self.mangler.mangle(f"{closure.cid}.{'in' if driven else 'out'}")
 

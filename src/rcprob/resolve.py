@@ -3,8 +3,10 @@
 Qualified names in properties are resolved by walking containment from the
 module root (WFREF-1/2), one `ResolvedRef` per segment, each made from its
 parent's.  The same constructor makes the refs of the names a platform or
-machine declares (`ModelScope`), so the flat and qualified names of a
-declared variable are formed here alone.  One classifier types the
+machine declares (`ModelScope`), of every event (`Resolver.events`) and of
+the events that connection ends name (`Resolver.endpoint`), so the flat
+and qualified names of a declared variable or event are formed here
+alone.  One classifier types the
 expressions of both files: those of a platform or machine with their names
 resolved lexically (`ModelScope.lookup`), those of the property file as
 qualified references.  `validate` runs every well-formedness condition
@@ -132,7 +134,9 @@ class ResolvedRef:
     machine event, junction, state or transition, and None for the rest.
 
     This module alone forms the flat and qualified names of declared
-    variables (`_member`); `build` and the PRISM emitter read them."""
+    variables and events (`_member`), and decides which event a connection
+    end names (`Resolver.endpoint`); `build` and the PRISM emitter read
+    them."""
     kind: str
     path: tuple[str, ...]
     decl: object = None
@@ -188,6 +192,8 @@ class Resolver:
     def __init__(self, model: M.ModelAst, spec: P.SpecAst | None = None):
         self.model = model
         self.spec = spec if spec is not None else P.SpecAst()
+        self.root = ResolvedRef("module", (model.name,), model)
+        self._children: dict[tuple, ResolvedRef | None] = {}  # of `_child`
 
     def resolve_fqn(self, qn: QName) -> tuple[ResolvedRef | None, list[Diagnostic]]:
         """Walk a qualified name from its first segment to its last, one
@@ -200,7 +206,7 @@ class Resolver:
         if ref is not None:
             return ref, diags
         if segs[0] == self.model.name:
-            ref = ResolvedRef("module", segs[:1], self.model)
+            ref = self.root
         else:
             # the head looked up among the module's children, its path as written
             ref = self._child(ResolvedRef("module", (), self.model), segs[0])
@@ -231,7 +237,13 @@ class Resolver:
 
     def _child(self, parent: ResolvedRef, name: str) -> ResolvedRef | None:
         """The ref of the child `name` of what `parent` refers to, None if
-        it has none."""
+        it has none; made once per resolver."""
+        key = (parent.kind, parent.path, name)
+        if key not in self._children:
+            self._children[key] = self._find_child(parent, name)
+        return self._children[key]
+
+    def _find_child(self, parent: ResolvedRef, name: str) -> ResolvedRef | None:
         node = parent.decl
         if parent.kind == "module":
             members = (("platform", node.platforms), ("controllerInstance", node.controllers),
@@ -271,6 +283,47 @@ class Resolver:
             ))
             return None, diags
         return ref, diags
+
+    def events(self) -> list[ResolvedRef]:
+        """The ref of every event that the model declares."""
+        root = self.root
+        nodes = [self._child(root, p.name) for p in self.model.platforms]
+        for ctrl in self.model.controllers:
+            at = self._child(root, ctrl.name)
+            nodes += [at, *(self._child(at, m.name) for m in ctrl.machines)]
+        # each kept as `_child` would make it, for the connection ends to find
+        return [self._children.setdefault((at.kind, at.path, e.name),
+                                          _member(self.model, at, "event", e))
+                for at in nodes for e in at.decl.events]
+
+    def endpoint(self, node: str, event: str,
+                 ctrl: M.Controller | None = None) -> ResolvedRef | None:
+        """The event that the connection end `node.event` names, None if it
+        names none.  This is the one scoping rule of connections.  In a
+        connection of controller `ctrl`, `node` is the controller itself,
+        else one of its machines, else a platform or controller of the
+        module; in a module connection, a platform, else a controller.  The
+        first node of that name is meant, whether or not it declares
+        `event`."""
+        root, at = self.root, None
+        if ctrl is not None:
+            at = self._child(root, ctrl.name)
+            if node != ctrl.name:
+                at = self._child(at, node)
+                at = at if at is not None and at.kind == "machineInstance" else None
+        if at is None:
+            at = self._child(root, node)
+        ref = self._child(at, event) if at is not None else None
+        return ref if ref is not None and ref.kind == "event" else None
+
+    def connections(self):
+        """Each connection of the module, then of each controller, with the
+        events that its source and its target name (`endpoint`)."""
+        scoped = [(None, conn) for conn in self.model.connections]
+        scoped += [(c, conn) for c in self.model.controllers for conn in c.connections]
+        for ctrl, conn in scoped:
+            yield (conn, self.endpoint(conn.src_node, conn.src_event, ctrl),
+                   self.endpoint(conn.dst_node, conn.dst_event, ctrl))
 
 
 def resolve_fqn(model: M.ModelAst, spec: P.SpecAst, qn: QName) -> ResolvedRef:
@@ -641,10 +694,12 @@ def classify(model: M.ModelAst, spec: P.SpecAst, expr: Expr,
 
 class ModelScope:
     """Lexical scope of the expressions written in machine `mach` of `ctrl`,
-    with the platform `ctrl` requires, or with neither in `platform` alone."""
+    with the platform `ctrl` requires, or with neither in `platform` alone.
+    Its refs are the ones `resolver` walks to (`Resolver._child`)."""
 
-    def __init__(self, model: M.ModelAst, ctrl: M.Controller | None = None,
+    def __init__(self, resolver: Resolver, ctrl: M.Controller | None = None,
                  mach: M.Machine | None = None, platform: M.Platform | None = None):
+        model = resolver.model
         if ctrl is not None:
             platform = model.platform(ctrl.requires) if ctrl.requires else None
         self.model = model
@@ -653,23 +708,22 @@ class ModelScope:
         self.consts: dict[str, ResolvedRef] = {}
         self.operations: dict[str, M.OperationDecl] = {}
         self.functions: dict[str, M.FunctionDecl] = {}
-        self.events: dict[str, M.EventDecl] = {}
-        root = ResolvedRef("module", (model.name,), model)
+        self.events: dict[str, ResolvedRef] = {}
+
+        def add(at: ResolvedRef, decls, names: dict):
+            for decl in decls:
+                names[decl.name] = resolver._child(at, decl.name)
+
         if platform is not None:
-            at = _member(model, root, "platform", platform)
-            self._add(at, "constant", platform.constants, self.consts)
-            self._add(at, "variable", platform.variables, self.vars)
+            at = resolver._child(resolver.root, platform.name)
+            add(at, platform.constants, self.consts)
+            add(at, platform.variables, self.vars)
             self.operations = {o.name: o for o in platform.operations}
         if mach is not None:
-            at = _member(model, _member(model, root, "controllerInstance", ctrl),
-                         "machineInstance", mach)
-            self._add(at, "variable", mach.variables, self.vars)
+            at = resolver._child(resolver._child(resolver.root, ctrl.name), mach.name)
+            add(at, mach.variables, self.vars)
+            add(at, mach.events, self.events)
             self.functions = {f.name: f for f in mach.functions}
-            self.events = {e.name: e for e in mach.events}
-
-    def _add(self, at: ResolvedRef, kind: str, decls, names: dict):
-        for decl in decls:
-            names[decl.name] = _member(self.model, at, kind, decl)
 
     def lookup(self, name: QName) -> ResolvedRef | None:
         """What a name stands for here: an enumeration literal `E::L`, or a
@@ -734,16 +788,27 @@ def _validate_model(resolver: Resolver, diags: list[Diagnostic]):
         if len(set(e.literals)) != len(e.literals):
             diags.append(Diagnostic("TYPE", "error",
                                     f"enum {e.name} repeats a literal", e.pos))
-    for conn in model.connections:
+    for conn, src, dst in resolver.connections():
         if conn.is_async:
             diags.append(Diagnostic(
                 "UNSUPPORTED", "error",
                 "asynchronous connections are not supported; model buffering with an "
                 "environment module instead", conn.pos))
+        for ref, node, event in ((src, conn.src_node, conn.src_event),
+                                 (dst, conn.dst_node, conn.dst_event)):
+            if ref is None:
+                diags.append(Diagnostic("SCOPE", "error",
+                                        f"connection {conn}: {node}.{event} names no event",
+                                        conn.pos))
+        if src is not None and dst is not None and src.decl.payload != dst.decl.payload:
+            diags.append(Diagnostic(
+                "TYPE", "error", f"connection {conn} joins events of different payload "
+                f"types: {src.decl.payload or 'none'} and {dst.decl.payload or 'none'}",
+                conn.pos))
     for p in model.platforms:
         for c in p.constants:
             _check_type_name(c.type, model, diags)
-        scope = ModelScope(model, platform=p)
+        scope = ModelScope(resolver, platform=p)
         _validate_vars(_Classifier(ClassifyCtx(resolver, scope=scope), diags), p.variables)
         for ev in p.events:
             if ev.payload is not None:
@@ -752,14 +817,8 @@ def _validate_model(resolver: Resolver, diags: list[Diagnostic]):
                     diags.append(Diagnostic("TYPE", "error",
                                             "real event payloads are not supported", ev.pos))
     for ctrl in model.controllers:
-        for conn in ctrl.connections:
-            if conn.is_async:
-                diags.append(Diagnostic(
-                    "UNSUPPORTED", "error",
-                    "asynchronous connections are not supported; model buffering with an "
-                    "environment module instead", conn.pos))
         for mach in ctrl.machines:
-            scope = ModelScope(model, ctrl, mach)
+            scope = ModelScope(resolver, ctrl, mach)
             _validate_machine(_Classifier(ClassifyCtx(resolver, scope=scope), diags), mach)
 
 
@@ -801,10 +860,11 @@ def _validate_comm(cls: _Classifier, comm: M.Comm | M.Trigger, where: str, pos):
     """A communication, as an action or a trigger: a declared event, a
     payload for a value to carry and a variable to receive it in."""
     scope = cls.ctx.scope
-    ev = scope.events.get(comm.event)
-    if ev is None:
+    ref = scope.events.get(comm.event)
+    if ref is None:
         cls.err("SCOPE", f"{where}: unknown event {comm.event!r}", pos)
         return
+    ev = ref.decl
     if comm.op and ev.payload is None:
         way = "input" if comm.op == "?" else "output"
         cls.err("TYPE", f"{where}: {way} on untyped event {comm.event!r}", pos)

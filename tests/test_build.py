@@ -85,6 +85,19 @@ def test_uncovered_loose_symbol(srw_model, srw_spec):
                     None, None, "dtmc", srw_spec)
 
 
+def test_a_connection_end_that_names_no_event_is_a_build_error():
+    # without validation, the closures raised a KeyError: in the controller
+    # P names the machine, which declares no go
+    model = parse_model("""
+    module M { platform P { event go; }
+      controller c { requires P; event go;
+        machine P { initial i; state A; transition t0 { from i to A } }
+        connection P.go -> c.go; } }
+    """)
+    with pytest.raises(BuildError, match=r"^connection P\.go -> c\.go: an end names no event$"):
+        instantiate(model, {}, None, None, "dtmc")
+
+
 @pytest.mark.parametrize("old,new,message", [
     ("var x : int = 0;", "var x : int = true;", "int variable SRWRP.x cannot take value True"),
     ("initial i0;", "var b : bool = 3; initial i0;",

@@ -363,6 +363,63 @@ def test_a_validation_diagnostic_names_its_file(case, tmp_path, capsys):
     assert {rec["file"] for rec in printed} == {str(paths[FILE_NAMED[case][2]])}
 
 
+def _clash_pair():
+    """The fixture pair with machine stm_ref renamed SRWRP, the platform's
+    name, and without its event left: in the controller, `SRWRP.left`
+    names the machine, which declares no left."""
+    rcm = (FIXTURES / "srw.rcm").read_text().replace("stm_ref", "SRWRP")
+    rcm = rcm.replace("    machine SRWRP {\n      event left;\n", "    machine SRWRP {\n")
+    rcm = rcm.replace("; left }", " }")
+    assert rcm.count("event left;") == 2 and "    connection SRWRP.left -> ctrl_ref.left;" in rcm
+    rcp = SRW_RCP_TEXT.replace("stm_ref", "SRWRP").replace(
+        "  [SRWMod::ctrl_ref::SRWRP::left.out] (SRWMod::SRWRP::x == 0) : 1;\n", "")
+    return rcm, rcp
+
+
+# a machine sends a bool on a closure that reaches an int platform event
+MISTYPED_RCM = """\
+module M {
+  platform P { event ping : int; }
+  controller c { requires P; event ping : bool;
+    machine s { event ping : bool; initial i; state A; state B;
+      transition t0 { from i to A }
+      transition t1 { from A to B action ping ! true } }
+    connection s.ping -> c.ping; }
+  connection c.ping -> P.ping;
+}
+"""
+# (model, spec, the diagnostic's code, line, column and message)
+BAD_CONNECTIONS = {
+    # the parser took SRWRP for the platform and the closures for the
+    # machine, which ended in a KeyError traceback
+    "name clash": (*_clash_pair(), "SCOPE", 35, 5,
+                   "connection SRWRP.left -> ctrl_ref.left: SRWRP.left names no event"),
+    # the latch held the machine's true, which `.val == 1` read as 1
+    "payload types": (MISTYPED_RCM,
+                      "prob property P:\n  Prob=? of [Finally M::P::ping.in.val == 1]\n",
+                      "TYPE", 8, 3, "connection c.ping -> P.ping joins events of different "
+                                    "payload types: bool and int"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONNECTIONS)
+def test_a_bad_connection_is_one_diagnostic_under_every_engine(case, tmp_path, capsys):
+    rcm_text, rcp_text, code, line, col, message = BAD_CONNECTIONS[case]
+    rcm, rcp = tmp_path / "bad.rcm", tmp_path / "bad.rcp"
+    rcm.write_text(rcm_text)
+    rcp.write_text(rcp_text)
+    want = [{"code": code, "severity": "error", "message": message, "file": str(rcm),
+             "line": line, "col": col}]
+    for engine, flags in ENGINE_FLAGS.items():
+        out = tmp_path / engine
+        assert main(["check", str(rcm), str(rcp), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [json.loads(ln) for ln in err.splitlines()] == want
+        assert [json.loads(ln) for ln in
+                (out / "diagnostics.jsonl").read_text().splitlines()] == want
+
+
 def _with_decls(tmp_path, decls, body):
     """The small SRW setup with the declarations and one property."""
     spec = tmp_path / "decls.rcp"
@@ -692,6 +749,52 @@ def test_a_mixed_method_configuration_reports_what_each_job_reports_alone(tmp_pa
     assert walks[0] == 6
     assert sorted(rec["mode"] for rec in joint.values()) == [
         "smc-ACI", "smc-APMC", "smc-CI", "smc-CI", "smc-CI", "smc-SPRT"]
+    for name, rec in joint.items():
+        assert records(name) == {name: rec}, name
+
+
+# two paths that differ in one literal: x / 2 divides whole numbers, x / 2.0
+# exactly, so only the first can hold at x == 3
+DIVISIONS_RCP = r"""
+    constants C_one:
+      SRWMod::SRWRP::MaxDist set to 5,
+      SRWMod::SRWRP::MaxSteps set to 20, and
+      SRWMod::SRWRP::Pl set to 0.5
+    defs D_norecharge:
+      pfunction Plus(v, maxv) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+      pfunction Minus(v, minv) = { return (if ``v > ``minv then ``v - 1 else ``v end) }
+      pfunction Update(v, maxv, origin) = { return (if ``v < ``maxv then ``v + 1 else ``v end) }
+    prob property P_int:
+      Prob=? of [Finally (SRWMod::SRWRP::x / 2 == 1 /\ SRWMod::SRWRP::x == 3)]
+      using sim with CI at alpha=0.05, n=500
+      with constants C_one
+      with definitions D_norecharge
+    prob property P_real:
+      Prob=? of [Finally (SRWMod::SRWRP::x / 2.0 == 1 /\ SRWMod::SRWRP::x == 3)]
+      using sim with CI at alpha=0.05, n=500
+      with constants C_one
+      with definitions D_norecharge
+    """
+
+
+def test_an_integer_and_a_real_division_are_simulated_apart(tmp_path):
+    # both paths printed as `x / 2`, so the joint walk gave P_real the
+    # monitor of P_int
+    rcp = tmp_path / "divisions.rcp"
+    rcp.write_text(DIVISIONS_RCP)
+
+    def records(prop):
+        out = tmp_path / prop.replace("*", "all")
+        assert main(["check", SRW_RCM, str(rcp), "--engine", "smc", "--kind", "dtmc",
+                     "--seed", "3", "--prop", prop, "--out", str(out)]) == 0
+        recs = [json.loads(ln) for ln in (out / "report.jsonl").read_text().splitlines()]
+        for rec in recs:
+            for key in ("buildMs", "checkMs", "states", "transitions"):
+                del rec[key]
+        return {rec.pop("property"): rec for rec in recs}
+
+    joint = records("*")
+    assert joint["P_real"]["value"] == 0.0 < joint["P_int"]["value"]
     for name, rec in joint.items():
         assert records(name) == {name: rec}, name
 

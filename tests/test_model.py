@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from rcprob.lexer import ParseError
 from rcprob.model import loose_symbols, parse_model, pretty_model
+from rcprob.props import SpecAst
+from rcprob.resolve import validate
 
 
 def test_srw_inventory(srw_model):
@@ -134,8 +136,10 @@ def test_nested_machines_rejected():
 
 
 def test_connection_unknown_event():
-    with pytest.raises(ParseError, match="declares no event"):
-        parse_model("""
+    # a connection end is resolved at validation, under the scoping rule
+    # of `Resolver.endpoint`: a SCOPE diagnostic at the connection, where
+    # the parser raised a syntax error
+    model = parse_model("""
         module M {
           platform P { event ping; }
           controller c { requires P; event ping;
@@ -143,6 +147,8 @@ def test_connection_unknown_event():
               transition t0 { from i to A } }
             connection s.pong -> c.ping; } }
         """)
+    assert [(d.code, d.message, d.pos) for d in validate(model, SpecAst())] == [
+        ("SCOPE", "connection s.pong -> c.ping: s.pong names no event", (7, 13))]
 
 
 def test_roundtrip_srw(srw_model, srw_model_text):

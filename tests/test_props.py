@@ -317,6 +317,23 @@ def test_pretty_reparse_fixpoint(srw_spec):
     assert pretty_spec(again) == printed
 
 
+def test_a_whole_real_literal_prints_as_a_real():
+    # `2.0` and `1.0` printed as `2` and `1`, which parse as integers: the
+    # printed path was the key of `x / 2` too, and a swept real became whole
+    spec = parse_spec("""
+    constants C:
+      M::P::Pl set to 1.0
+    prob property P:
+      Prob=? of [Finally M::P::x / 2.0 == 1]
+    """)
+    printed = pretty_spec(spec)
+    assert "Pl set to 1.0" in printed and "M::P::x / 2.0 == 1" in printed
+    again = parse_spec(printed)
+    pl = again.find(ConstantsConfig, "C").entries[0].spec.value.value
+    divisor = again.find(ProbProperty, "P").body.path.operand.left.right.value
+    assert type(pl) is type(divisor) is Fraction
+
+
 def test_pretty_reparse_pmodules():
     text = """
     pmodules MEnv: pmodule Par {

@@ -191,6 +191,58 @@ def test_async_connection_rejected():
     assert any(d.code == "UNSUPPORTED" and "asynchronous" in d.message for d in diags)
 
 
+# a controller with a machine named like the module's platform, and
+# connections in both scopes
+SCOPED_MODEL = """
+module M {
+  platform P { event go; }
+  controller c { requires P; event go;
+    machine P { event done; initial i; state A; transition t0 { from i to A } }
+    machine s { event go; initial i; state A; transition t0 { from i to A } }
+    connection s.go -> c.go;
+    connection P.done -> c.go; }
+  connection c.go -> P.go;
+}
+"""
+
+
+def test_a_connection_end_names_the_controller_then_its_machines_then_the_module():
+    from rcprob.model import parse_model
+    model = parse_model(SCOPED_MODEL)
+    resolver, c = Resolver(model), model.controller("c")
+    assert resolver.endpoint("c", "go", c).qualified() == "M::c::go"
+    assert resolver.endpoint("s", "go", c).qualified() == "M::c::s::go"
+    assert resolver.endpoint("P", "done", c).qualified() == "M::c::P::done"
+    # in the controller the machine P hides the platform P, which declares go
+    assert resolver.endpoint("P", "go", c) is None
+    assert resolver.endpoint("P", "go").qualified() == "M::P::go"
+    assert resolver.endpoint("c", "go").qualified() == "M::c::go"
+    assert resolver.endpoint("s", "go") is None  # no machine is in the module's scope
+    assert resolver.endpoint("c", "s", c) is None  # a machine is no event
+    assert [(str(conn), src.qualified(), dst.qualified())
+            for conn, src, dst in resolver.connections()] == [
+        ("c.go -> P.go", "M::c::go", "M::P::go"),
+        ("s.go -> c.go", "M::c::s::go", "M::c::go"),
+        ("P.done -> c.go", "M::c::P::done", "M::c::go")]
+    assert validate(model, SpecAst()) == []
+
+
+def test_a_connection_joining_events_of_different_payload_types_is_a_type_error():
+    from rcprob.model import parse_model
+    model = parse_model("""
+    module M {
+      platform P { event ping : int; }
+      controller c { requires P; event ping : int;
+        machine s { event ping; initial i; state A; transition t0 { from i to A } }
+        connection s.ping -> c.ping; }
+      connection c.ping -> P.ping;
+    }
+    """)
+    assert [(d.code, d.message, d.pos) for d in validate(model, SpecAst())] == [
+        ("TYPE", "connection s.ping -> c.ping joins events of different payload types: "
+                 "none and int", (6, 9))]
+
+
 def test_real_variable_rejected():
     from rcprob.model import parse_model
     model = parse_model("""
