@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record, field
 
 Pos = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class QName:
+class QName(Record, frozen=True):
     """Qualified name with `::`-separated segments, unresolved at parse time."""
 
     segments: tuple[str, ...]
@@ -22,8 +21,7 @@ class QName:
         return "::".join(self.segments)
 
 
-@dataclass(frozen=True)
-class EventRef:
+class EventRef(Record, frozen=True):
     """An event endpoint with an explicit direction (`name.in` / `name.out`)."""
 
     name: QName
@@ -35,8 +33,7 @@ class EventRef:
         return s + ".val" if self.valued else s
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(Record, frozen=True):
     op: str  # > >= < <=
     expr: "Expr"
 
@@ -47,28 +44,23 @@ QUERY_MIN = "min=?"
 QUERY_MAX = "max=?"
 
 
-@dataclass
-class Expr:
+class Expr(Record):
     pos: Pos = field(default=(0, 0), kw_only=True, compare=False)
 
 
-@dataclass
 class Lit(Expr):
     value: object = None  # bool | int | Fraction
 
 
-@dataclass
 class Ref(Expr):
     name: QName = None
 
 
-@dataclass
 class Unary(Expr):
     op: str = ""  # "not" | "neg"
     operand: Expr = None
 
 
-@dataclass
 class Binary(Expr):
     op: str = ""
     left: Expr = None
@@ -85,32 +77,27 @@ BINARY_PREC = {
 }
 
 
-@dataclass
 class Cond(Expr):
     cond: Expr = None
     then: Expr = None
     orelse: Expr = None
 
 
-@dataclass
 class SetExt(Expr):
     items: tuple[Expr, ...] = ()
 
 
-@dataclass
 class SetRange(Expr):
     lo: Expr = None
     hi: Expr = None
     step: Expr | None = None
 
 
-@dataclass
 class IsIn(Expr):
     container: QName = None
     state: QName = None
 
 
-@dataclass
 class ModVarRef(Expr):
     """`@v` or `@Group::Module::v` reference to an environment-module variable."""
 
@@ -119,43 +106,35 @@ class ModVarRef(Expr):
     var: str = ""
 
 
-@dataclass
 class LabelRef(Expr):
     name: str = ""
 
 
-@dataclass
 class DeadlockRef(Expr):
     pass
 
 
-@dataclass
 class InitRef(Expr):
     pass
 
 
-@dataclass
 class FormulaRef(Expr):
     name: str = ""
 
 
-@dataclass
 class ParamRef(Expr):
     name: str = ""
 
 
-@dataclass
 class FunCall(Expr):
     name: str = ""
     args: tuple[Expr, ...] = ()
 
 
-@dataclass
 class EventVal(Expr):
     event: EventRef = None
 
 
-@dataclass
 class Index(Expr):
     """Array indexing; parsed for completeness, rejected by validation."""
 
@@ -166,7 +145,6 @@ class Index(Expr):
 # --- state formulas ---------------------------------------------------------
 
 
-@dataclass
 class ProbFormula(Expr):
     bound: Bound | None = None
     query: str | None = None
@@ -174,7 +152,6 @@ class ProbFormula(Expr):
     method: "SimMethodSpec | None" = None
 
 
-@dataclass
 class RewardFormula(Expr):
     rewards: str | None = None
     bound: Bound | None = None
@@ -183,12 +160,10 @@ class RewardFormula(Expr):
     method: "SimMethodSpec | None" = None
 
 
-@dataclass
 class Forall(Expr):
     path: Expr = None
 
 
-@dataclass
 class Exists(Expr):
     path: Expr = None
 
@@ -196,38 +171,32 @@ class Exists(Expr):
 # --- path formulas ----------------------------------------------------------
 
 
-@dataclass
 class Next(Expr):
     operand: Expr = None
 
 
-@dataclass
 class Finally_(Expr):
     bound: Bound | None = None
     operand: Expr = None
 
 
-@dataclass
 class Globally(Expr):
     bound: Bound | None = None
     operand: Expr = None
 
 
-@dataclass
 class Until(Expr):
     left: Expr = None
     bound: Bound | None = None
     right: Expr = None
 
 
-@dataclass
 class WeakUntil(Expr):
     left: Expr = None
     bound: Bound | None = None
     right: Expr = None
 
 
-@dataclass
 class Release(Expr):
     left: Expr = None
     bound: Bound | None = None
@@ -237,22 +206,18 @@ class Release(Expr):
 # --- reward path formulas ---------------------------------------------------
 
 
-@dataclass
 class Reachable(Expr):
     operand: Expr = None
 
 
-@dataclass
 class LTLReward(Expr):
     operand: Expr = None
 
 
-@dataclass
 class Cumul(Expr):
     operand: Expr = None
 
 
-@dataclass
 class TotalReward(Expr):
     pass
 
@@ -261,8 +226,7 @@ PATH_NODES = (Next, Finally_, Globally, Until, WeakUntil, Release)
 REWARD_PATH_NODES = (Reachable, LTLReward, Cumul, TotalReward)
 
 
-@dataclass
-class SimMethodSpec:
+class SimMethodSpec(Record):
     """A statistical checking method with its parameters."""
 
     method: str = "CI"  # CI | ACI | APMC | SPRT

@@ -28,7 +28,6 @@ from __future__ import annotations
 import copy
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -37,6 +36,7 @@ import numpy as np
 from . import ast as A
 from . import model as M
 from . import props as P
+from .record import Record, field
 from .resolve import ModelScope, Resolver, literal_value
 
 LOCK_FREE = 0
@@ -176,8 +176,7 @@ def _compile_py(source: str, namespace: dict, mode: str):
         raise BuildError(f"expression too deep to compile to Python: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class VarInfo:
+class VarInfo(Record, frozen=True):
     name: str  # flat identity
     kind: str  # shared | machine | lock | pc | exit | env | latch
     domain: tuple  # ("int",) ("nat",) ("bool",) ("enum", literals) ("range", lo, hi) ("pc",) ("lock",) ("exit",)
@@ -200,24 +199,25 @@ def _default_for(domain):
 
 def _check_domain(info: VarInfo, value):
     k = info.domain[0]
+    text = M.pretty_expr(A.Lit(value))  # a whole real prints as 1.0, which no int is
     if k == "nat":
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise EvalError(f"nat variable {info.name} cannot take value {value!r}")
+            raise EvalError(f"nat variable {info.name} cannot take value {text}")
     elif k == "int":
         if not isinstance(value, int) or isinstance(value, bool):
-            raise EvalError(f"int variable {info.name} cannot take value {value!r}")
+            raise EvalError(f"int variable {info.name} cannot take value {text}")
     elif k == "bool":
         if not isinstance(value, bool):
-            raise EvalError(f"bool variable {info.name} cannot take value {value!r}")
+            raise EvalError(f"bool variable {info.name} cannot take value {text}")
     elif k == "enum":
         if value not in info.domain[1]:
-            raise EvalError(f"enum variable {info.name} cannot take value {value!r}")
+            raise EvalError(f"enum variable {info.name} cannot take value {text}")
     elif k == "range":
         if not isinstance(value, int) or isinstance(value, bool) \
                 or not (info.domain[1] <= value <= info.domain[2]):
             raise EvalError(
                 f"variable {info.name} range [{info.domain[1]}..{info.domain[2]}] "
-                f"violated by {value!r}")
+                f"violated by {text}")
 
 
 def _domain_of_typeref(t: M.TypeRef, model: M.ModelAst):
@@ -236,8 +236,7 @@ def _domain_of_typeref(t: M.TypeRef, model: M.ModelAst):
 # --- event closures -------------------------------------------------------------
 
 
-@dataclass
-class Closure:
+class Closure(Record):
     cid: str  # the least qualified name of its events
     tags: frozenset[tuple[str, str]]  # (endpoint, "in"/"out") per connection edge
     payload: M.TypeRef | None
@@ -380,8 +379,7 @@ class WeightTable:
 # --- closed model ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Term:
+class Term(Record, frozen=True, eq=False):
     """An expression of the model with what evaluating or printing it
     needs: the machine scope its bare names resolve in (None: qualified
     names), the terms its parameters stand for, whether it is `real`, such
@@ -405,8 +403,7 @@ class Term:
 _IF_UPDATE = A.Cond(A.ParamRef("c"), A.ParamRef("t"), A.ParamRef("e"))
 
 
-@dataclass
-class CommSpec:
+class CommSpec(Record):
     closure: Closure
     direction: str  # "in" | "out"
     value: Term | None = None  # the sent value
@@ -416,8 +413,7 @@ class CommSpec:
 LOCK_HELD = "*"  # a lock guard that any held lock meets; no transition id is "*"
 
 
-@dataclass(eq=False)
-class Step:
+class Step(Record, eq=False):
     """One micro-step of a machine, fixed when the machine is compiled.
 
     Its control guard is on the program counter `pc`, the `lock`
@@ -446,8 +442,7 @@ class Step:
         return self.branches[0][1]
 
 
-@dataclass(eq=False)
-class Entry:
+class Entry(Record, eq=False):
     """One entry of the step table: one step that the explorer takes and
     the emitter prints, as one PRISM command per machine.  `parts` holds a
     step of each machine that takes part, the initiating one first, each
@@ -594,8 +589,7 @@ class MachineRT:
                                  | {self.entering_pc(s) for s in self.states})
 
 
-@dataclass
-class EnvCommandRT:
+class EnvCommandRT(Record):
     tag: str
     label_tag: tuple[str, str] | None  # (endpoint, dir)
     guard: Term
@@ -1262,8 +1256,7 @@ def _extended(a: np.ndarray, new) -> np.ndarray:
     return buf[:end]
 
 
-@dataclass
-class SampleTable:
+class SampleTable(Record):
     """What simulation adds to a model's move store, per row and per entry.
     The entries of row r are the branches of its k moves in store order,
     with weight p/k, from entry `first[r]` on; entry e is branch e, of store
@@ -1279,8 +1272,7 @@ class SampleTable:
     absorbing: np.ndarray  # per row: every branch leads back to its state
 
 
-@dataclass
-class RewardStructure:
+class RewardStructure(Record):
     """A reward structure in the move store's layout, as floats: `state[r]`
     is the reward of the state of row r and `move[m]` that of store move m.
     `cover` extends both over the rows expanded since it last ran, by

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import ast as A
@@ -27,11 +26,11 @@ from .lexer import ParseError
 from .model import parse_model
 from .props import ProbProperty, parse_spec
 from .prism import EmitError, emit_pair
+from .record import Record
 from .resolve import Diagnostic, Resolver, property_context, validate, weight_only_constants
 
 
-@dataclass
-class RunPlan:
+class RunPlan(Record):
     model_path: str
     spec_path: str
     engine: str = "internal"  # internal | smc | emit
@@ -54,8 +53,7 @@ class RunPlan:
             raise ValueError(f"--seed must lie in [0, 2**64), got {self.seed}")
 
 
-@dataclass
-class Job:
+class Job(Record):
     prop: ProbProperty
     config_id: str
     valuation: dict

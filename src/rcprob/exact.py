@@ -43,7 +43,6 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +50,7 @@ from . import ast as A
 from . import props as P
 from .build import (ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_value,
                     attach_rewards)
+from .record import Record
 from .resolve import walk_uses
 
 DEFAULT_TOL = 1e-6
@@ -74,8 +74,7 @@ class CheckError(ValueError):
     pass
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     prop: str
     config: str
     verdict: object  # bool | float | the string "inf"

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 
 class ParseError(ValueError):
@@ -29,8 +30,7 @@ _OPERATORS = [
 ]
 
 
-@dataclass
-class Token:
+class Token(Record):
     kind: str
     text: str
     line: int

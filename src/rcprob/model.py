@@ -8,18 +8,17 @@ transitions), directed connections, and enumeration declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ast import BINARY_PREC, Expr, Pos
 from .lexer import ParseError, TokenStream
 from .parsing import ExprParser
+from .record import Record, field
 
 BASE_TYPES = ("int", "nat", "bool", "real")
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(Record, frozen=True):
     name: str  # base type or enum name
     pos: Pos = field(default=(0, 0), compare=False)
 
@@ -27,38 +26,33 @@ class TypeRef:
         return self.name
 
 
-@dataclass
-class ConstDecl:
+class ConstDecl(Record):
     name: str
     type: TypeRef
     value: Expr | None  # None = loose
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class VarDecl:
+class VarDecl(Record):
     name: str
     type: TypeRef
     init: Expr
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class EventDecl:
+class EventDecl(Record):
     name: str
     payload: TypeRef | None
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class OperationDecl:
+class OperationDecl(Record):
     name: str
     params: tuple[tuple[str, TypeRef], ...]
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class FunctionDecl:
+class FunctionDecl(Record):
     name: str
     params: tuple[tuple[str, TypeRef], ...]
     result: TypeRef
@@ -68,23 +62,19 @@ class FunctionDecl:
 # --- actions -----------------------------------------------------------------
 
 
-@dataclass
-class Action:
+class Action(Record):
     pos: Pos = field(default=(0, 0), kw_only=True, compare=False)
 
 
-@dataclass
 class Skip(Action):
     pass
 
 
-@dataclass
 class Assign(Action):
     target: str = ""
     expr: Expr = None
 
 
-@dataclass
 class Comm(Action):
     """Event communication: sync `e`, output `e!v`, or input `e?x`."""
 
@@ -94,18 +84,15 @@ class Comm(Action):
     var: str | None = None  # bound variable for "?"
 
 
-@dataclass
 class OpCall(Action):
     name: str = ""
     args: tuple[Expr, ...] = ()
 
 
-@dataclass
 class Seq(Action):
     parts: tuple[Action, ...] = ()
 
 
-@dataclass
 class IfAction(Action):
     cond: Expr = None
     then: Action = None
@@ -139,16 +126,14 @@ def is_atomic(action: Action | None) -> bool:
 # --- nodes and transitions ---------------------------------------------------
 
 
-@dataclass
-class StateNode:
+class StateNode(Record):
     name: str
     entry: Action | None = None
     exit: Action | None = None
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class Trigger:
+class Trigger(Record):
     event: str
     op: str  # "" sync, "?" input, "!" output
     var: str | None = None
@@ -156,8 +141,7 @@ class Trigger:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class Transition:
+class Transition(Record):
     id: str
     source: str
     target: str
@@ -168,8 +152,7 @@ class Transition:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class Machine:
+class Machine(Record):
     name: str
     variables: list[VarDecl] = field(default_factory=list)
     events: list[EventDecl] = field(default_factory=list)
@@ -190,8 +173,7 @@ class Machine:
         return None
 
 
-@dataclass
-class Connection:
+class Connection(Record):
     src_node: str
     src_event: str
     dst_node: str
@@ -203,8 +185,7 @@ class Connection:
         return f"{self.src_node}.{self.src_event} -> {self.dst_node}.{self.dst_event}"
 
 
-@dataclass
-class Platform:
+class Platform(Record):
     name: str
     constants: list[ConstDecl] = field(default_factory=list)
     variables: list[VarDecl] = field(default_factory=list)
@@ -213,8 +194,7 @@ class Platform:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class Controller:
+class Controller(Record):
     name: str
     requires: str | None = None
     events: list[EventDecl] = field(default_factory=list)
@@ -223,15 +203,13 @@ class Controller:
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class EnumDecl:
+class EnumDecl(Record):
     name: str
     literals: tuple[str, ...]
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class ModelAst:
+class ModelAst(Record):
     name: str
     platforms: list[Platform] = field(default_factory=list)
     controllers: list[Controller] = field(default_factory=list)

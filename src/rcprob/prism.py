@@ -17,7 +17,6 @@ is invoked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ast as A
@@ -25,6 +24,7 @@ from . import model as M
 from . import props as P
 from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ONE, ClosedModel,
                     Entry, MarkovModel, Term, build_markov)
+from .record import Record
 
 
 class EmitError(ValueError):
@@ -78,8 +78,7 @@ def mangle(qn: A.QName | str) -> str:
     return text.replace("::", "_").replace(".", "_")
 
 
-@dataclass
-class EmittedPair:
+class EmittedPair(Record):
     model_text: str
     props_text: str
     mangler: Mangler

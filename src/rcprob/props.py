@@ -7,153 +7,131 @@ definitions, environment module groups, and named properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast as A
 from .ast import Bound, EventRef, Expr, Pos, QName, SimMethodSpec
 from .lexer import NAME, ParseError, TokenStream
 from .parsing import ExprParser
 from .model import TypeRef
+from .record import Record, field
 
 
-@dataclass
-class Statement:
+class Statement(Record):
     pos: Pos = field(default=(0, 0), kw_only=True, compare=False)
 
 
-@dataclass
 class ConstantDecl(Statement):
     name: str = ""
     type: TypeRef = None
 
 
 # value specifications for constant configurations
-@dataclass(frozen=True)
-class Exactly:
+class Exactly(Record, frozen=True):
     value: Expr
 
 
-@dataclass(frozen=True)
-class FromSet:
+class FromSet(Record, frozen=True):
     values: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class FromRange:
+class FromRange(Record, frozen=True):
     lo: Expr
     hi: Expr
     step: Expr | None
 
 
-@dataclass
-class ConfigEntry:
+class ConfigEntry(Record):
     name: QName
     spec: object  # Exactly | FromSet | FromRange
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
 class ConstantsConfig(Statement):
     name: str = ""
     entries: list[ConfigEntry] = field(default_factory=list)
 
 
-@dataclass
 class LabelDecl(Statement):
     name: str = ""
     body: Expr = None
 
 
-@dataclass
 class FormulaDecl(Statement):
     name: str = ""
     body: Expr = None
 
 
-@dataclass
-class RewardItem:
+class RewardItem(Record):
     event: EventRef | None  # None = state reward
     guard: Expr = None
     value: Expr = None
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
 class RewardsDecl(Statement):
     name: str = ""
     items: list[RewardItem] = field(default_factory=list)
 
 
-@dataclass
-class PFunctionDef:
+class PFunctionDef(Record):
     name: str
     params: tuple[str, ...]
     body: Expr
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class POperationDef:
+class POperationDef(Record):
     name: str
     params: tuple[str, ...]
     assignments: tuple[tuple[QName, Expr], ...]
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
 class DefinitionsDecl(Statement):
     name: str = ""
     functions: list[PFunctionDef] = field(default_factory=list)
     operations: list[POperationDef] = field(default_factory=list)
 
 
-@dataclass
-class PVariable:
+class PVariable(Record):
     name: str
     type: object  # "bool" | (lo Expr, hi Expr)
     init: Expr | None
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class PUpdate:
+class PUpdate(Record):
     prob: Expr | None
     var: str = ""
     expr: Expr = None
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class PCommand:
+class PCommand(Record):
     label: EventRef | None
     guard: Expr = None
     updates: tuple[PUpdate, ...] = ()  # empty tuple = skip
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
-class PModule:
+class PModule(Record):
     name: str
     variables: list[PVariable] = field(default_factory=list)
     commands: list[PCommand] = field(default_factory=list)
     pos: Pos = field(default=(0, 0), compare=False)
 
 
-@dataclass
 class PModulesDecl(Statement):
     name: str = ""
     modules: list[PModule] = field(default_factory=list)
 
 
-@dataclass
-class WithClause:
+class WithClause(Record):
     """`with ...` attachment: either a name reference or inline content."""
 
     ref: str | None = None
     inline: object = None  # ConstantsConfig | DefinitionsDecl | PModulesDecl
 
 
-@dataclass
 class ProbProperty(Statement):
     name: str = ""
     body: Expr = None
@@ -162,8 +140,7 @@ class ProbProperty(Statement):
     with_modules: WithClause | None = None
 
 
-@dataclass
-class SpecAst:
+class SpecAst(Record):
     statements: list[Statement] = field(default_factory=list)
 
     def of_kind(self, cls):

@@ -16,21 +16,20 @@ diagnostic sequence; it never raises.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from fractions import Fraction
 
 from . import ast as A
 from . import model as M
 from . import props as P
 from .ast import Expr, QName
 from .parsing import MAX_EXPANDED_HEIGHT
+from .record import Record, fields, replace
 
 # --- diagnostics --------------------------------------------------------------
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(Record):
     code: str
     severity: str  # "error" | "warning"
     message: str
@@ -61,8 +60,7 @@ class ResolveError(Exception):
 # --- type classes --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeClass:
+class TypeClass(Record, frozen=True):
     kind: str  # bool | num | set | enum | query | path | any
     param: object = None
 
@@ -117,8 +115,7 @@ def _same(a, b):
 # --- resolved references --------------------------------------------------------
 
 
-@dataclass
-class ResolvedRef:
+class ResolvedRef(Record):
     """What a qualified name refers to.
 
     `kind` is module, platform, controllerInstance, machineInstance, enum,
@@ -337,8 +334,7 @@ def resolve_fqn(model: M.ModelAst, spec: P.SpecAst, qn: QName) -> ResolvedRef:
 # --- expression classification ---------------------------------------------------
 
 
-@dataclass
-class ClassifyCtx:
+class ClassifyCtx(Record):
     resolver: Resolver
     params: frozenset = frozenset()
     modules: P.PModulesDecl | None = None
@@ -452,7 +448,7 @@ class _Classifier:
                 self.err("SCOPE", f"cyclic formula reference `{e.name}", e.pos)
                 return ANY
             inner = _Classifier(
-                dataclasses.replace(self.ctx, _formula_stack=self.ctx._formula_stack + (decl,)),
+                replace(self.ctx, _formula_stack=self.ctx._formula_stack + (decl,)),
                 self.diags,
             )
             return inner.classify(decl.body)
@@ -810,20 +806,29 @@ def _validate_model(resolver: Resolver, diags: list[Diagnostic]):
             _check_type_name(c.type, model, diags)
         scope = ModelScope(resolver, platform=p)
         _validate_vars(_Classifier(ClassifyCtx(resolver, scope=scope), diags), p.variables)
-        for ev in p.events:
-            if ev.payload is not None:
-                _check_type_name(ev.payload, model, diags)
-                if ev.payload.name == "real":
-                    diags.append(Diagnostic("TYPE", "error",
-                                            "real event payloads are not supported", ev.pos))
+        _validate_events(p.events, model, diags)
     for ctrl in model.controllers:
+        _validate_events(ctrl.events, model, diags)
         for mach in ctrl.machines:
+            _validate_events(mach.events, model, diags)
             scope = ModelScope(resolver, ctrl, mach)
             _validate_machine(_Classifier(ClassifyCtx(resolver, scope=scope), diags), mach)
 
 
+def _validate_events(events: list[M.EventDecl], model: M.ModelAst, diags):
+    """The events of a platform, controller or machine: each payload a
+    known type, and not real."""
+    for ev in events:
+        if ev.payload is not None:
+            _check_type_name(ev.payload, model, diags)
+            if ev.payload.name == "real":
+                diags.append(Diagnostic("TYPE", "error",
+                                        "real event payloads are not supported", ev.pos))
+
+
 def _validate_vars(cls: _Classifier, variables: list[M.VarDecl]):
-    """Each variable has a known type, not real, and an initial value of it."""
+    """Each variable has a known type, not real, and an initial value of it:
+    a literal one in the domain of an int or nat variable."""
     for v in variables:
         _check_type_name(v.type, cls.resolver.model, cls.diags)
         if v.type.name == "real":
@@ -831,6 +836,13 @@ def _validate_vars(cls: _Classifier, variables: list[M.VarDecl]):
         cls.expect(v.init, type_of_typeref(v.type, cls.resolver.model),
                    f"initial value of {v.name}", v.init.pos)
         cls._stateless(v.init, "an initial value")
+        value = literal_value(v.init)
+        if v.type.name in ("int", "nat") and isinstance(value, Fraction):
+            cls.err("TYPE", f"initial value of {v.name} must be an integer, got the real "
+                    f"{M.pretty_expr(v.init)}", v.init.pos)
+        elif v.type.name == "nat" and isinstance(value, int) and value < 0:
+            cls.err("TYPE", f"initial value of {v.name} must be a natural number, got "
+                    f"{M.pretty_expr(v.init)}", v.init.pos)
 
 
 def _validate_machine(cls: _Classifier, mach: M.Machine):
@@ -1244,10 +1256,10 @@ def _outer_exprs(node):
     elif isinstance(node, (list, tuple)):
         for item in node:
             yield from _outer_exprs(item)
-    elif dataclasses.is_dataclass(node) and not isinstance(node, P.PFunctionDef):
-        for f in dataclasses.fields(node):
-            if (type(node), f.name) not in _WEIGHT_FIELDS:
-                yield from _outer_exprs(getattr(node, f.name))
+    elif isinstance(node, Record) and not isinstance(node, P.PFunctionDef):
+        for name in fields(node):
+            if (type(node), name) not in _WEIGHT_FIELDS:
+                yield from _outer_exprs(getattr(node, name))
 
 
 def weight_only_constants(resolver: Resolver, defs: P.DefinitionsDecl | None,

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .build import (ClosedModel, MarkovModel, RewardStructure, SampleTable, _ext
 from .exact import (NESTED, ExactChecker, UnsupportedError, nests, reward_source, step_bound,
                     until_form)
 from .props import pretty_pexpr
+from .record import Record, field
 
 DEFAULT_PATHLEN = 10_000
 MAX_SEQUENTIAL_SAMPLES = 10_000_000
@@ -49,14 +49,12 @@ class SmcError(ValueError):
     pass
 
 
-@dataclass
-class SimPath:
+class SimPath(Record):
     entries: list  # (state index, action tag, successor index)
     terminal: str  # "bound-hit" | "pathlen-cap"
 
 
-@dataclass
-class Estimate:
+class Estimate(Record):
     method: str
     point: float
     n: int
@@ -157,8 +155,7 @@ def _require_dtmc(mm: MarkovModel):
                        "(uniform resolution) instead of mdp")
 
 
-@dataclass
-class _Lane:
+class _Lane(Record):
     """One job's share of a walk: its monitor, its path length, the number
     of samples it counts (None: every sample of the walk), the reward
     structure whose gain it sums, if any, and for a sequential job the rule
@@ -370,8 +367,7 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     return SimPath(entries, "bound-hit"), int(value[0])
 
 
-@dataclass(frozen=True)
-class _Wilson:
+class _Wilson(Record, frozen=True):
     """The rule of CI and ACI given w and alpha: stop at the first sample
     whose Wilson score interval, with quantile z, lies within w of the
     mean."""
@@ -390,8 +386,7 @@ class _Wilson:
         return None
 
 
-@dataclass(frozen=True)
-class _Wald:
+class _Wald(Record, frozen=True):
     """The rule of Wald's SPRT: stop at the first sample whose
     log-likelihood ratio, summed in `tally.score`, leaves (accept_h0,
     accept_h1); `one` and `zero` are the terms of a 1 and a 0."""
@@ -409,8 +404,7 @@ class _Wald:
         return None
 
 
-@dataclass
-class _Tally:
+class _Tally(Record):
     """What a job reads of its samples, in index order: their count and path
     statistics, the sum of the 0/1 samples (a censored path counts as its
     monitor's `censor_value`), a sequential rule's running score and

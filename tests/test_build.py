@@ -99,10 +99,14 @@ def test_a_connection_end_that_names_no_event_is_a_build_error():
 
 
 @pytest.mark.parametrize("old,new,message", [
-    ("var x : int = 0;", "var x : int = true;", "int variable SRWRP.x cannot take value True"),
+    ("var x : int = 0;", "var x : int = true;", "int variable SRWRP.x cannot take value true"),
     ("initial i0;", "var b : bool = 3; initial i0;",
      "bool variable ctrl_ref.stm_ref.b cannot take value 3"),
-], ids=["platform", "machine"])
+    # printed as the model writes it, not as Fraction(5, 2)
+    ("var steps : nat = 0;", "var steps : nat = 2.5;",
+     "nat variable SRWRP.steps cannot take value 2.5"),
+    ("var x : int = 0;", "var x : int = Pl * 2;", r"int variable SRWRP.x cannot take value 1\.0"),
+], ids=["platform", "machine", "real", "whole real"])
 def test_an_initial_value_outside_its_type_is_a_build_error(srw_model_text, srw_spec,
                                                             old, new, message):
     # without validation, SRWRP.x was true in every state

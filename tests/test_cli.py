@@ -1323,9 +1323,10 @@ def test_an_unconfigured_constant_is_a_validation_error_naming_the_property(case
     assert not (tmp_path / "out" / "report.jsonl").exists()
 
 
-# Only the internal engine loads scipy.  Each case runs in a fresh interpreter
-# with the srw model, a property file and an output directory as arguments,
-# and prints the scipy modules loaded at its end.
+# Only the internal engine loads scipy, and no engine loads dataclasses.  Each
+# case runs in a fresh interpreter with the srw model, a property file and an
+# output directory as arguments, and prints the scipy modules loaded at its
+# end and whether dataclasses is.
 COLD_START = """
 import json, sys, time
 from pathlib import Path
@@ -1333,7 +1334,8 @@ import rcprob
 from rcprob.cli import RunPlan, run, sweep_experiments
 model_path, spec_path, out_dir = sys.argv[1:]
 {body}
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps({{"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "dataclasses": "dataclasses" in sys.modules}}))
 """
 COLD_START_CASES = {
     "import": "",
@@ -1350,7 +1352,7 @@ SIM_SPEC = _srw_prop("Prob=? of [Finally #l_stuck] using sim with CI at alpha=0.
       "  with constants C_all\n  with definitions D_all\n"
 
 
-def _cold_start(body: str, spec: str, tmp_path) -> list:
+def _cold_start(body: str, spec: str, tmp_path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", COLD_START.format(body=body), SRW_RCM, spec,
                            str(tmp_path / "out")], env=env, capture_output=True, text=True,
@@ -1359,12 +1361,23 @@ def _cold_start(body: str, spec: str, tmp_path) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("case", COLD_START_CASES)
-def test_cold_start_leaves_scipy_unloaded(case, tmp_path):
+def _cold_start_case(case: str, tmp_path) -> dict:
     spec = tmp_path / "sim.rcp"
     spec.write_text(SIM_SPEC)
-    assert _cold_start(COLD_START_CASES[case], str(spec) if case == "smc" else SRW_RCP,
-                       tmp_path) == []
+    return _cold_start(COLD_START_CASES[case], str(spec) if case == "smc" else SRW_RCP,
+                       tmp_path)
+
+
+@pytest.mark.parametrize("case", COLD_START_CASES)
+def test_cold_start_leaves_scipy_unloaded(case, tmp_path):
+    assert _cold_start_case(case, tmp_path)["scipy"] == []
+
+
+@pytest.mark.parametrize("case", COLD_START_CASES)
+def test_cold_start_leaves_dataclasses_unloaded(case, tmp_path):
+    # the record classes are `rcprob.record`'s: processing 104 classes with
+    # dataclasses took about 40 ms of each cold start
+    assert _cold_start_case(case, tmp_path)["dataclasses"] is False
 
 
 def test_internal_engine_loads_scipy_before_its_first_timer(tmp_path):
@@ -1381,4 +1394,4 @@ def test_internal_engine_loads_scipy_before_its_first_timer(tmp_path):
             "assert run(RunPlan(model_path, spec_path, kind='dtmc', out_dir=out_dir, "
             "timer=timer)) == 0\n"
             "assert seen == [True], seen")
-    assert "scipy.sparse.csgraph" in _cold_start(body, str(spec), tmp_path)
+    assert "scipy.sparse.csgraph" in _cold_start(body, str(spec), tmp_path)["scipy"]

@@ -243,6 +243,25 @@ def test_a_connection_joining_events_of_different_payload_types_is_a_type_error(
                  "none and int", (6, 9))]
 
 
+def test_controller_and_machine_event_payloads_are_validated():
+    # they passed validation, and `check` then exited 2 with no position:
+    # "unsupported state variable type 'Foo'"
+    model = parse_model("""
+    module M {
+      controller c { event ping : Foo; event pong : real;
+        machine s { event ping : Foo; event pong : real; initial i; state A;
+          transition t0 { from i to A action ping } }
+        connection s.ping -> c.ping; connection s.pong -> c.pong; }
+    }
+    """)
+    assert [(d.code, *d.pos, d.message) for d in validate(model, SpecAst())] == [
+        ("TYPE", 3, 35, "unknown type 'Foo'"),
+        ("TYPE", 3, 40, "real event payloads are not supported"),
+        ("TYPE", 4, 34, "unknown type 'Foo'"),
+        ("TYPE", 4, 39, "real event payloads are not supported"),
+    ]
+
+
 def test_real_variable_rejected():
     from rcprob.model import parse_model
     model = parse_model("""
@@ -401,6 +420,11 @@ MODEL_EDITS = {
     "machine-init": ("initial i0;", "var b : bool = 3; initial i0;", [("TYPE", 24, 22)]),
     # mended: an initial value that reads a variable
     "init-reads-var": ("initial i0;", "var b : int = x; initial i0;", [("TYPE", 24, 21)]),
+    # mended: a real or negative literal that initialises an int or nat
+    # variable, which `check` refused with no position
+    "nat-real-init": ("var steps : nat = 0;", "var steps : nat = 2.5;", [("TYPE", 10, 23)]),
+    "int-real-init": ("var x : int = 0;", "var x : int = 0.0;", [("TYPE", 9, 19)]),
+    "nat-negative-init": ("var steps : nat = 0;", "var steps : nat = -1;", [("TYPE", 10, 23)]),
 }
 
 
