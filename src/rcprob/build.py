@@ -663,11 +663,12 @@ class ClosedModel:
         self.vars: list[VarInfo] = []
         self.index: dict[str, int] = {}
 
-        def add(info: VarInfo):
+        def add(info: VarInfo, pos: tuple = (0, 0)):
             try:
                 _check_domain(info, info.init)
             except EvalError as exc:
-                raise BuildError(f"bad initial value: {exc}") from exc
+                where = f", declared at line {pos[0]}" if pos[0] else ""
+                raise BuildError(f"bad initial value: {exc}{where}") from exc
             self.index[info.name] = len(self.vars)
             self.vars.append(info)
 
@@ -676,7 +677,7 @@ class ClosedModel:
                 ref = scope.vars[v.name]
                 add(VarInfo(ref.flat, kind, _domain_of_typeref(v.type, model),
                             self._const_value(v.init, f"initial value of {v.name}"),
-                            ref.qualified()))
+                            ref.qualified()), v.pos)
 
         for p in model.platforms:
             declare(ModelScope(self.resolver, platform=p), p.variables, "shared")
@@ -1344,9 +1345,12 @@ class MarkovModel:
         self._batch = ([], [], [], [])
         self._passed: set[tuple] = set()  # weight node sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
-        # the truth of plain state expressions per (expression, context),
-        # `ExactChecker._atom`, shared with the models `reweigh` makes
-        self.atoms: dict[tuple[int, int], list] = {}
+        # the truth of plain state expressions per row, by (printed form,
+        # context) (`truth`), shared with the models `reweigh` makes
+        self.atoms: dict[tuple[str, object], np.ndarray] = {}
+        # the truth of P, R, A and E operators per (printed form, context)
+        # under this model's weights (`exact.ExactChecker`), not shared
+        self.solved: dict[tuple[str, object], tuple] = {}
         # what the engines derive from the store but not from the weights,
         # shared with the models `reweigh` makes; replaced by each expansion
         self.derived: dict = {}
@@ -1366,6 +1370,26 @@ class MarkovModel:
     def num_transitions(self) -> int:
         """Branches of the expanded states."""
         return int(self.first_branch[-1])
+
+    def truth(self, closed: ClosedModel, e: A.Expr, text: str) -> np.ndarray:
+        """The truth of the plain state expression e, printed `text`, under
+        `closed`, at each expanded row.  It is kept in `atoms` by its text,
+        and by `closed` when that is not the model's own configuration, and
+        extended over the rows expanded since: the models of a structure
+        share it, as their configurations differ only in constants that no
+        state expression reads."""
+        key = (text, None if closed is self.closed else closed)
+        known = self.atoms.setdefault(key, np.zeros(0, dtype=bool))
+        if known.size < len(self.order):
+            known = self.atoms[key] = _extended(
+                known, self.evaluate(closed, e, self.order[known.size:]))
+            known.flags.writeable = False
+        return known
+
+    def evaluate(self, closed: ClosedModel, e: A.Expr, states) -> np.ndarray:
+        """One pass of a plain state expression over the given states."""
+        fn, known = closed.spec_expr(e), self.states
+        return np.array([bool(fn(known[s])) for s in states], dtype=bool)
 
     # --- expansion ------------------------------------------------------------
 
@@ -1512,6 +1536,7 @@ class MarkovModel:
         view.weights = self.nodes.evaluate(closed.weight_table)
         view.weight_float = np.array([float(p) for p in view.weights])
         view._passed = set()
+        view.solved = {}
         view._choice_csr = view._dtmc_csr = view._sample_table = None
         view.check_stochastic()
         return view
@@ -2052,7 +2077,9 @@ def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) ->
     attach it; its `cover` evaluates it over the states expanded later.  An
     item adds its value to its state's reward, or with an event to the
     reward of each of the state's moves that the event tags, summed in
-    float in item order."""
+    float in item order.  Its guard is read through `MarkovModel.truth`,
+    so that equal guards are evaluated once per structure, and its value
+    only where the guard holds."""
     items = []
     for item in decl.items:
         tag = None
@@ -2061,17 +2088,26 @@ def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) ->
             if ref is None:
                 raise BuildError(f"rewards {decl.name}: cannot resolve {item.event}")
             tag = (ref.qualified(), item.event.direction)
-        items.append((tag, closed.spec_expr(item.guard), closed.spec_expr(item.value, real=True)))
+        items.append((tag, item.guard, P.pretty_pexpr(item.guard), closed.spec_expr(item.guard),
+                      closed.spec_expr(item.value, real=True)))
 
     def evaluate(mm: MarkovModel, lo: int):
         first_move = mm.first_move[lo:].tolist()
         m0 = first_move[0]
         state_r, move_r = np.zeros(len(first_move) - 1), np.zeros(first_move[-1] - m0)
-        for r, s in enumerate(mm.order[lo:]):
+        try:
+            holds = [mm.truth(closed, guard, text)[lo:] for _, guard, text, _, _ in items]
+            rows = np.flatnonzero(np.any(holds, axis=0)).tolist()
+        except EvalError:
+            # a guard fails at some row: the guards are read state by state,
+            # so that the error names the first failing state, as a value's does
+            holds, rows = None, range(len(first_move) - 1)
+        for r in rows:
+            s = mm.order[lo + r]
             state = mm.states[s]
-            for tag, guard_fn, value_fn in items:
+            for i, (tag, _, _, guard_fn, value_fn) in enumerate(items):
                 try:
-                    if not guard_fn(state):
+                    if not (guard_fn(state) if holds is None else holds[i][r]):
                         continue
                     value = value_fn(state)
                 except EvalError as exc:

@@ -6,10 +6,11 @@ Every engine of rcprob accepts the same linear fragment: X, F, G, U, W
 P (here), A/E (here) and simulation (`smc`) implement only those two; A/E
 adds the fairness shapes GF, FG, GF=>GF, FG=>GF and G(p => F q).
 
-A state formula that nests no P, R, A, E, `deadlock` or `init`, through
-its labels and formulas too, is one term of `ClosedModel.spec_expr`: its
-`/\\` and `\\/` read their right operand only where needed, as the model
-does.  Those of other formulas read both operands at every state.
+A state formula compiles to nodes (`ExactChecker.node`): each maximal
+subterm that holds no P, R, A, E, `deadlock` or `init`, through its labels
+and formulas too, is one term of `ClosedModel.spec_expr`; each P, R, A and
+E is solved over the whole model; and a connective above them reads its
+right operand only where its left leaves it undecided, as the terms do.
 
 Probability and reward operators first split the states by qualitative
 graph precomputation (prob-0/prob-1, finite-reward regions, bottom strongly
@@ -48,19 +49,15 @@ import numpy as np
 
 from . import ast as A
 from . import props as P
-from .build import (ClosedModel, MarkovModel, RewardStructure, _extended, _fmt_value,
-                    attach_rewards)
+from .build import ClosedModel, MarkovModel, RewardStructure, _fmt_value, attach_rewards
 from .record import Record
-from .resolve import walk_uses
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10 ** 6  # value iteration sweeps before CheckError
 _EXTREMUM = {"max": np.maximum, "min": np.minimum}  # over a state's moves, per mode
 
-# the operators that a state formula nests to be read over the whole model
+# the operators of a state formula that are read over the whole model
 NESTED = (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)
-# what a plain state expression, one term of `ClosedModel.spec_expr`, holds none of
-_NOT_PLAIN = NESTED + (A.DeadlockRef, A.InitRef) + A.PATH_NODES
 
 AE_FRAGMENT = ("X, F, G, U, W, R over state formulas, bounded or not, and the "
                "fairness shapes GF, FG, GF=>GF, FG=>GF, G(p => F q)")
@@ -98,10 +95,8 @@ def _is_state_expr(e: A.Expr) -> bool:
                    for node in A.walk(e, stop=NESTED))
 
 
-def nests(spec: P.SpecAst, kinds: tuple, *exprs: A.Expr) -> bool:
-    """Whether one of exprs holds a node of the types `kinds`, itself or
-    through the labels and formulas of `spec` that it uses."""
-    return any(isinstance(node, kinds) for e in exprs for node in walk_uses(spec, e))
+def _at(truth: np.ndarray, states: np.ndarray | None) -> np.ndarray:
+    return truth if states is None else truth[states]
 
 
 def _per_structure_sets(method):
@@ -127,10 +122,11 @@ def _per_structure_sets(method):
 
 
 class ExactChecker:
-    """Checks over a complete model.  `sat` gives a state formula's truth
-    at every state the model knows; one that nests no P, R, A or E reads no
-    more than those states, so it may be asked of a growing model, as the
-    simulation monitors do (`smc.Monitor.cover`)."""
+    """Checks over a model.  `sat` gives a state formula's truth at every
+    state, or at the expanded states that a simulation monitor asks of a
+    model that is still growing (`smc.Monitor.cover`), which keeps one
+    checker for the model's life: a P, R, A or E in the formula expands
+    the whole model when it is first read."""
 
     def __init__(self, mm: MarkovModel, closed: ClosedModel, tol: float = DEFAULT_TOL):
         self.mm = mm
@@ -138,12 +134,17 @@ class ExactChecker:
         self.tol = tol
         self.iterations = 0
         self.engine = "graph"
-        self.n = mm.num_states
-        self._sat_cache: dict[int, np.ndarray] = {}
+        # the configuration of what the model keeps: None for its own
+        self._context = None if closed is mm.closed else closed
+        self._refs: dict = {}  # the nodes of labels and formulas by text (`_compile`)
         self._succ = None
         self._pred = None
         self._dtmc_csr = None
         self._mdp_arrays = None
+
+    @property
+    def n(self) -> int:
+        return self.mm.num_states
 
     @functools.cached_property
     def _deterministic(self) -> bool:
@@ -214,80 +215,99 @@ class ExactChecker:
 
     # --- state formulas ----------------------------------------------------
 
-    def sat(self, e: A.Expr) -> np.ndarray:
-        # keyed by node identity; the node is pinned so ids cannot be recycled
-        key = id(e)
-        if key in self._sat_cache:
-            return self._sat_cache[key][1]
-        out = self._sat(e)
-        self._sat_cache[key] = (e, out)
-        return out
+    def node(self, e: A.Expr):
+        """A state formula compiled to its node: a function of (states, keep)
+        that gives its truth at every state, or at `states` (`sat`).  A
+        plain subterm, which holds no P, R, A, E, `deadlock`, `init` or path
+        operator, itself or through the labels and formulas it uses, is one
+        term of `ClosedModel.spec_expr`; the model keeps its truth by its
+        printed form (`MarkovModel.truth`), and that of a P, R, A or E too
+        (`_solved`).  The connectives above them combine arrays."""
+        node = self._compile(e)
+        return self._leaf(e) if node is None else node
 
-    def _atom(self, e: A.Expr) -> np.ndarray:
-        """A plain state expression's truth.  Under the model's own
-        configuration it is kept in `MarkovModel.atoms`, which the models of
-        a structure share: their configurations differ only in constants
-        that no state expression reads."""
-        context = None if self.closed is self.mm.closed else self.closed
-        # [expression, context, values]: both are kept so their ids are not reused
-        entry = self.mm.atoms.setdefault((id(e), id(context)),
-                                         [e, context, np.zeros(0, dtype=bool)])
-        if entry[2].size < self.n:
-            entry[2] = _extended(entry[2], self._evaluate(e, entry[2].size))
-            entry[2].flags.writeable = False
-        return entry[2]
-
-    def _evaluate(self, e: A.Expr, lo: int) -> np.ndarray:
-        """A plain state expression's truth at the states from lo on."""
-        fn = self.closed.spec_expr(e)
-        return np.array([bool(fn(st)) for st in self.mm.states[lo:]], dtype=bool)
-
-    def _sat(self, e: A.Expr) -> np.ndarray:
-        mm = self.mm
-        if isinstance(e, A.Lit):
-            if not isinstance(e.value, bool):
-                raise CheckError("a numeric literal is not a state formula")
-            return np.full(self.n, e.value, dtype=bool)
+    def _compile(self, e: A.Expr):
+        """e's node, or None when e is plain: decided from its operands', and
+        for a label or formula once per checker, by its text."""
+        if isinstance(e, (A.LabelRef, A.FormulaRef)):
+            text = P.pretty_pexpr(e)
+            if text not in self._refs:
+                decl = self.closed.spec.find(
+                    P.LabelDecl if isinstance(e, A.LabelRef) else P.FormulaDecl, e.name)
+                # an unknown name is plain: `ClosedModel.spec_expr` refuses it
+                self._refs[text] = None if decl is None else self._compile(decl.body)
+            return self._refs[text]
+        if isinstance(e, NESTED):
+            text = P.pretty_pexpr(e)
+            return lambda states, keep: _at(self._solved(text, e), states)
         if isinstance(e, A.DeadlockRef):
-            return np.array(mm.deadlock, dtype=bool)
+            return lambda states, keep: _at(np.array(self.mm.deadlock, dtype=bool), states)
         if isinstance(e, A.InitRef):
-            return np.arange(mm.num_states) == mm.initial
-        if isinstance(e, A.LabelRef):
-            decl = self.closed.spec.find(P.LabelDecl, e.name)
-            if decl is None:
-                raise CheckError(f"unknown label #{e.name}")
-            return self.sat(decl.body)
-        if isinstance(e, A.FormulaRef):
-            decl = self.closed.spec.find(P.FormulaDecl, e.name)
-            if decl is None:
-                raise CheckError(f"unknown formula `{e.name}")
-            return self.sat(decl.body)
-        if not nests(self.closed.spec, _NOT_PLAIN, e):
-            return self._atom(e)  # one term, which short-circuits (module docstring)
-        if isinstance(e, A.Unary) and e.op == "not":
-            return ~self.sat(e.operand)
-        if isinstance(e, A.Binary) and e.op in ("/\\", "\\/", "=>", "iff"):
-            l = self.sat(e.left)
-            r = self.sat(e.right)
-            if e.op == "/\\":
-                return l & r
-            if e.op == "\\/":
-                return l | r
-            if e.op == "=>":
-                return ~l | r
-            return l == r
-        if isinstance(e, (A.ProbFormula, A.RewardFormula)):
-            return self._compare(e)
-        if isinstance(e, A.Forall):
-            return self.check_ae("A", e.path)
-        if isinstance(e, A.Exists):
-            return self.check_ae("E", e.path)
+            return lambda states, keep: _at(np.arange(self.n) == self.mm.initial, states)
         if isinstance(e, A.PATH_NODES):
             raise UnsupportedError(
                 "a path formula is not a state formula; wrap it in Prob/Forall/Exists")
+        operands = A.subexpressions(e)
+        nodes = [self._compile(x) for x in operands]
+        if all(node is None for node in nodes):
+            return None
+        nodes = [self._leaf(x) if node is None else node for x, node in zip(operands, nodes)]
+        if isinstance(e, A.Unary) and e.op == "not":
+            return lambda states, keep: ~nodes[0](states, keep)
+        if isinstance(e, A.Binary) and e.op in ("/\\", "\\/", "=>", "iff"):
+            return functools.partial(self._connective, e.op, *nodes)
         # reads a P, R, A, E, `deadlock` or `init` outside a connective, which
         # `ClosedModel.spec_expr` refuses by name
-        return self._atom(e)
+        return self._leaf(e)
+
+    def _leaf(self, e: A.Expr):
+        """The node of a plain state formula: unless `keep` it is evaluated
+        at the states alone, and not kept."""
+        if isinstance(e, A.Lit):
+            if not isinstance(e.value, bool):
+                raise CheckError("a numeric literal is not a state formula")
+            return lambda states, keep: np.full(self.n if states is None else len(states), e.value)
+        text, mm = P.pretty_pexpr(e), self.mm
+        return lambda states, keep: mm.truth(self.closed, e, text)[_at(mm.row_of, states)] \
+            if keep else mm.evaluate(self.closed, e, states)
+
+    def sat(self, e, states: np.ndarray | None = None) -> np.ndarray:
+        """The truth of a state formula, or of its `node`, at every state of
+        the model, which it expands first, or at `states`, expanded states
+        given by index."""
+        if states is None:
+            self.mm.expand_all()
+        return (self.node(e) if isinstance(e, A.Expr) else e)(states, True)
+
+    def _connective(self, op: str, left, right, states, keep: bool) -> np.ndarray:
+        """`/\\` and `=>` read their right operand only at the states where the
+        left holds, `\\/` where it fails, and keep nothing read there, so that
+        an operand is never evaluated where its guard fails."""
+        l = left(states, keep)
+        if op == "iff":
+            return l == right(states, keep)
+        need = ~l if op == "\\/" else l
+        if need.all():
+            return right(states, keep)
+        out = ~l if op == "=>" else l.copy()
+        if need.any():
+            out[need] = right(np.flatnonzero(need) if states is None else states[need], False)
+        return out
+
+    def _solved(self, text: str, e: A.Expr) -> np.ndarray:
+        """The truth of a P, R, A or E at every state, solved over the whole
+        model once per model (`MarkovModel.solved`): a later read sets the
+        `engine` that the solve used, and counts no `iterations`.  It expands
+        a model that is still growing."""
+        self.mm.expand_all()
+        key = (text, self._context)
+        if key not in self.mm.solved:
+            truth = self.check_ae("A" if isinstance(e, A.Forall) else "E", e.path) \
+                if isinstance(e, (A.Forall, A.Exists)) else self._compare(e)
+            truth.flags.writeable = False
+            self.mm.solved[key] = truth, self.engine
+        truth, self.engine = self.mm.solved[key]
+        return truth
 
     def _compare(self, e: A.ProbFormula | A.RewardFormula) -> np.ndarray:
         """A bounded P or R formula: per state, whether its value meets the
@@ -854,6 +874,7 @@ def _flip(mode: str) -> str:
     if mode == "max":
         return "min"
     return mode
+
 
 
 # --- public operations ------------------------------------------------------------

@@ -36,8 +36,7 @@ import numpy as np
 from . import ast as A
 from .build import (ClosedModel, MarkovModel, RewardStructure, SampleTable, _extended,
                     _fmt_value)
-from .exact import (NESTED, ExactChecker, UnsupportedError, nests, reward_source, step_bound,
-                    until_form)
+from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
 from .props import pretty_pexpr
 from .record import Record, field
 
@@ -179,8 +178,8 @@ class _Lane(Record):
         return self.pathlen if horizon is None else min(self.pathlen, horizon)
 
 
-def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
-          lanes: list[_Lane], trace=None) -> list[tuple]:
+def _walk(mm: MarkovModel, seed: int, samples: np.ndarray, lanes: list[_Lane],
+          trace=None) -> list[tuple]:
     """Advance one path per sample index in `samples` from the initial
     state, all in lockstep, for one or more lanes.
 
@@ -231,7 +230,7 @@ def _walk(mm: MarkovModel, closed: ClosedModel, seed: int, samples: np.ndarray,
             if not undecided[i]:
                 continue
             monitor = lane.monitor
-            monitor.cover(mm, closed)
+            monitor.cover()
             if lane.rewards is not None:
                 lane.rewards.cover(mm)
             here = slice(None) if undecided[i] == live.size else counted[i][live]
@@ -300,56 +299,55 @@ class Monitor:
     Before step t a path at row r is decided when `ends[r]`, with the sample
     `value[r]`; at step `horizon` (never when None) every path is decided
     with the sample `final[r]`.  A censored path counts as `censor_value`.
-    `rule(sat, absorbing)` gives (ends, value, final) of some rows from
-    `sat`, the rows' truth of a state formula, and their absorbing flags.
-    A monitor whose formulas nest P, R, A or E (`nested`) reads them over
-    the whole model, which it expands before its first rows."""
+    `rule(*truths, absorbing)` gives (ends, value, final) of some rows from
+    the truths of the state formulas `operands` at the rows' states, and
+    the rows' absorbing flags.  The operands are compiled once by
+    `checker`, the model's, which the monitor keeps for the model's life
+    (`ExactChecker.node`): a cover reads them at the new rows only, and a
+    P, R, A or E in one expands the whole model when it is first read."""
 
-    def __init__(self, rule, horizon: int | None = None, censor_value: int = 0,
-                 nested: bool = False):
+    def __init__(self, checker: ExactChecker, rule, operands: tuple = (),
+                 horizon: int | None = None, censor_value: int = 0):
+        self.checker = checker
         self.rule = rule
+        self.nodes = [checker.node(e) for e in operands]
         self.horizon = horizon
         self.censor_value = censor_value
-        self.nested = nested
         self.ends = self.value = self.final = np.zeros(0, dtype=bool)
 
-    def cover(self, mm: MarkovModel, closed: ClosedModel):
+    def cover(self):
         """Extend the arrays over the rows expanded since."""
-        if self.nested:
-            mm.expand_all()
+        mm = self.checker.mm
         lo = self.ends.size
         if lo < len(mm.order):
             states = np.array(mm.order[lo:], dtype=np.int64)
-            sat = ExactChecker(mm, closed).sat
-            parts = self.rule(lambda e: sat(e)[states], mm.sample_table().absorbing[lo:])
+            absorbing = mm.sample_table().absorbing[lo:]
+            parts = self.rule(*(self.checker.sat(node, states) for node in self.nodes), absorbing)
             self.ends, self.value, self.final = (
                 _extended(old, new) for old, new in zip((self.ends, self.value, self.final), parts))
 
 
-def compile_monitor(closed: ClosedModel, path: A.Expr) -> Monitor:
+def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
     """The monitor of a path formula in the until normal form (`until_form`):
     X decides at step 1, and [not] (left U<=k right) when the path reaches a
     right state, leaves the left states or sticks, or at step k by whether it
     is at a right state.  A negated until flips the until's samples."""
-    form = until_form(path, closed)
+    form = until_form(path, checker.closed)
     if form is None:
         raise UnsupportedError(
             f"{type(path).__name__} is not simulable; simulation accepts X, F, G, U, "
             "W and R over state formulas, bounded or not")
     if isinstance(form, A.Next):
         # at step 0 an absorbing state's only successor is itself
-        return Monitor(lambda sat, absorbing: (absorbing, sat(form.operand),
-                                               sat(form.operand)), 1,
-                       nested=nests(closed.spec, NESTED, form.operand))
+        return Monitor(checker, lambda hit, absorbing: (absorbing, hit, hit), (form.operand,), 1)
     negated, left, right, k = form
 
-    def rule(sat, absorbing):
-        hit = sat(right)
+    def rule(hit, holds, absorbing):
         # with the empty horizon (k = -1) the until fails at step 0
-        return hit | absorbing | ~sat(left), hit ^ negated, (hit & (k != -1)) ^ negated
+        return hit | absorbing | ~holds, hit ^ negated, (hit & (k != -1)) ^ negated
 
-    return Monitor(rule, None if k is None else max(k, 0), censor_value=int(negated),
-                   nested=nests(closed.spec, NESTED, left, right))
+    return Monitor(checker, rule, (right, left), None if k is None else max(k, 0),
+                   censor_value=int(negated))
 
 
 def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
@@ -357,10 +355,9 @@ def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
     """Simulate one path, monitoring the formula; returns (SimPath, sample).
     It is sample 0 of the run with this seed."""
     _require_dtmc(mm)
-    lane = _Lane(compile_monitor(closed, path), pathlen)
+    lane = _Lane(compile_monitor(ExactChecker(mm, closed), path), pathlen)
     steps = []
-    [(value, capped, _, _)] = _walk(mm, closed, seed, np.zeros(1, dtype=np.int64), [lane],
-                                    trace=steps)
+    [(value, capped, _, _)] = _walk(mm, seed, np.zeros(1, dtype=np.int64), [lane], trace=steps)
     entries = [(int(s[0]), mm.move_action[move[0]], int(nxt[0])) for s, move, nxt in steps]
     if capped[0]:
         return SimPath(entries, "pathlen-cap"), lane.monitor.censor_value
@@ -469,6 +466,7 @@ class SamplePool:
     def __init__(self, mm: MarkovModel, closed: ClosedModel, seed: int):
         self.mm = mm
         self.closed = closed
+        self.checker = ExactChecker(mm, closed)  # that of every monitor of the pool
         self.seed = seed
         self._monitors: dict[str, Monitor] = {}
         self._lanes: dict[tuple, _Lane] = {}
@@ -486,8 +484,8 @@ class SamplePool:
                 rewards = reward_source(self.mm, self.closed, rname)
             monitor = self._monitors.get(text)
             if monitor is None:
-                monitor = self._monitors[text] = _reward_monitor(self.closed, path) \
-                    if rewards is not None else compile_monitor(self.closed, path)
+                monitor = self._monitors[text] = _reward_monitor(self.checker, path) \
+                    if rewards is not None else compile_monitor(self.checker, path)
             rule = stop if isinstance(stop, (_Wilson, _Wald)) else None
             n = MAX_SEQUENTIAL_SAMPLES if rule else _count("the sample count n", stop)
             self._lanes[key] = _Lane(monitor, pathlen, n, rewards, rule)
@@ -516,7 +514,7 @@ class SamplePool:
             if any(lane.rule is None for lane, _ in open_lanes):
                 size = _MAX_BATCH
             hi = min(lo + size, max(lane.n for lane, _ in open_lanes))
-            outs = _walk(self.mm, self.closed, self.seed, np.arange(lo, hi),
+            outs = _walk(self.mm, self.seed, np.arange(lo, hi),
                          [lane for lane, _ in open_lanes])
             open_lanes = [(lane, tally) for (lane, tally), out in zip(open_lanes, outs)
                           if not tally.gather(lane, *out)]
@@ -706,19 +704,18 @@ def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
 # --- reward sampling -----------------------------------------------------------
 
 
-def _reward_monitor(closed: ClosedModel, rpath: A.Expr) -> Monitor:
+def _reward_monitor(checker: ExactChecker, rpath: A.Expr) -> Monitor:
     """The monitor of a reward path: Cumul k decides at step k; Reachable
     when a path reaches its target or an absorbing state outside it, where
     the path diverges, and the value of a path is whether it diverged."""
     if isinstance(rpath, A.Cumul):
-        k = max(step_bound(closed, A.Bound("<=", rpath.operand)), 0)
-        return Monitor(lambda sat, absorbing: [np.zeros_like(absorbing)] * 3, k)
+        k = max(step_bound(checker.closed, A.Bound("<=", rpath.operand)), 0)
+        return Monitor(checker, lambda absorbing: [np.zeros_like(absorbing)] * 3, (), k)
     if isinstance(rpath, A.Reachable):
-        def rule(sat, absorbing):
-            target = sat(rpath.operand)
+        def rule(target, absorbing):
             return target | absorbing, absorbing & ~target, np.zeros_like(absorbing)
 
-        return Monitor(rule, nested=nests(closed.spec, NESTED, rpath.operand))
+        return Monitor(checker, rule, (rpath.operand,))
     raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the engine's own algorithms: reachability
 probabilities and rewards come from dense or sparse linear solves over the
 exported explicit text format, MDP extrema and their 0/1 states from
-exhaustive memoryless-adversary enumeration, and qualitative path verdicts
-from brute-force simple-cycle enumeration.
+exhaustive memoryless-adversary enumeration, qualitative path verdicts
+from brute-force simple-cycle enumeration, and state formulas state by
+state, with connectives that read left to right.
 """
 
 from __future__ import annotations
@@ -741,6 +742,30 @@ def reference_monitor(kind: str, sat1, sat2, k):
             return 0
         return None
     return stop
+
+
+def short_circuit_sat(e: A.Expr, n: int, nested, atom) -> np.ndarray:
+    """The truth of a state formula at each of n states, read state by state
+    as Baier and Katoen's satisfaction relation (ch. 10) with connectives
+    that read left to right: `/\\` and `=>` read their right operand only at
+    a state where the left holds, `\\/` only where it fails.  `nested(e)`
+    gives the truth of a P, R, A or E at every state; `atom(e, s)` that of
+    any other operand at state s, and is asked nowhere else."""
+    def at(e, s) -> bool:
+        if isinstance(e, A.Unary) and e.op == "not":
+            return not at(e.operand, s)
+        if isinstance(e, A.Binary) and e.op in ("/\\", "\\/", "=>", "iff"):
+            left = at(e.left, s)
+            if e.op == "iff":
+                return left == at(e.right, s)
+            if e.op == "\\/":
+                return left or at(e.right, s)
+            return at(e.right, s) if left else e.op == "=>"
+        if isinstance(e, (A.ProbFormula, A.RewardFormula, A.Forall, A.Exists)):
+            return bool(nested(e)[s])
+        return bool(atom(e, s))
+
+    return np.array([at(e, s) for s in range(n)], dtype=bool)
 
 
 # --- an interpreter of the emitted PRISM subset ------------------------------------

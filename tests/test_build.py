@@ -117,6 +117,21 @@ def test_an_initial_value_outside_its_type_is_a_build_error(srw_model_text, srw_
                     defs, None, "dtmc", srw_spec)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("var x : int = 0;", "var x : int = Pl * 2;"),
+    ("initial i0;", "var b : bool = 3; initial i0;")], ids=["platform", "machine"])
+def test_a_bad_initial_value_names_the_line_of_its_declaration(srw_model_text, srw_spec,
+                                                               old, new):
+    # a real-valued initial value passes validation, and its build error
+    # named no position
+    text = srw_model_text.replace(old, new, 1)
+    line = text[:text.index(new)].count("\n") + 1
+    defs = srw_spec.find(DefinitionsDecl, "D_recharge")
+    with pytest.raises(BuildError, match=f"^bad initial value: .*, declared at line {line}$"):
+        instantiate(parse_model(text), {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(1, 2)},
+                    defs, None, "dtmc", srw_spec)
+
+
 # --- expression evaluation --------------------------------------------------------
 
 
@@ -349,6 +364,25 @@ def test_negative_reward_rejected(srw_small):
     closed, mm = srw_small
     decl = parse_spec("rewards R_bad = true : -1; endrewards").statements[0]
     with pytest.raises(BuildError, match="negative reward"):
+        attach_rewards(mm, decl, closed)
+
+
+@pytest.mark.parametrize("items,fails", [
+    ("true : 1 / (SRWMod::SRWRP::x + 3); (10 / SRWMod::SRWRP::x > 0) : 1;", {0}),
+    ("(SRWMod::SRWRP::x < 0) : 1 / (SRWMod::SRWRP::x + 1); "
+     "(10 / (SRWMod::SRWRP::x - 1) > 0) : 1;", {-1, 1}),
+    ("(10 / (SRWMod::SRWRP::x - 1) > 0) : 1; "
+     "(SRWMod::SRWRP::x < 0) : 1 / (SRWMod::SRWRP::x + 1);", {-1, 1})],
+    ids=["guard", "value first", "guard first"])
+def test_a_failing_reward_item_names_the_first_failing_state(srw_small, items, fails):
+    # the guards are read for every state at once, through the model's
+    # cache; the error still names the first state, in expansion order, at
+    # which a guard or a value fails (`fails` holds the values of x there)
+    closed, mm = srw_small
+    decl = parse_spec(f"rewards R_bad = {items} endrewards").statements[0]
+    x = closed.index["SRWRP.x"]
+    first = next(s for s in mm.order if mm.states[s][x] in fails)
+    with pytest.raises(BuildError, match=rf"^rewards R_bad at state {first}: division by zero$"):
         attach_rewards(mm, decl, closed)
 
 

@@ -726,9 +726,9 @@ def test_a_mixed_method_configuration_reports_what_each_job_reports_alone(tmp_pa
     walks = []  # the lanes of each walk
     walk = smc._walk
 
-    def counted(mm, closed, seed, samples, lanes, trace=None):
+    def counted(mm, seed, samples, lanes, trace=None):
         walks.append(len(lanes))
-        return walk(mm, closed, seed, samples, lanes, trace)
+        return walk(mm, seed, samples, lanes, trace)
 
     monkeypatch.setattr(smc, "_walk", counted)
 
@@ -1395,3 +1395,87 @@ def test_internal_engine_loads_scipy_before_its_first_timer(tmp_path):
             "timer=timer)) == 0\n"
             "assert seen == [True], seen")
     assert "scipy.sparse.csgraph" in _cold_start(body, str(spec), tmp_path)["scipy"]
+
+
+# --- state formulas that mix nested operators with plain operands ----------------
+
+X = "SRWMod::SRWRP::x"
+# `10 / x` fails where x is 0, which the left operand of the outer `/\` excludes
+MIXED = {"P_mixed": "Prob>0.5 of [Finally #l_stuck]",
+         "P_mixed_k": "Prob>0.5 of [Finally<=10 #l_stuck]"}
+MIXED_PATH = f"Finally ({X} != 0 /\\ ((NESTED) /\\ 10 / {X} > 1))"
+
+
+def _mixed_spec(query: str) -> str:
+    head = SRW_RCP_TEXT[:SRW_RCP_TEXT.index("prob property")]
+    return head + ("constants C_small:\n  SRWMod::SRWRP::MaxDist set to 3,\n"
+                   "  SRWMod::SRWRP::MaxSteps set to 10, and\n  SRWMod::SRWRP::Pl set to 0.5\n") \
+        + "".join(f"prob property {name}:\n  Prob{query} of [{MIXED_PATH.replace('NESTED', n)}]\n"
+                  "  with constants C_small\n  with definitions D_norecharge\n"
+                  for name, n in MIXED.items())
+
+
+def _mixed_oracle(kind: str) -> dict:
+    """Per property, the value at the initial state from the short-circuit
+    oracle, with the nested probabilities from the exported matrix."""
+    import numpy as np
+    from fractions import Fraction
+    from oracles import (all_moves, explicit_dtmc_csr, parse_explicit, short_circuit_sat,
+                         sparse_reach)
+    from rcprob.build import build_markov, instantiate
+    from rcprob.props import DefinitionsDecl, parse_expression, pretty_pexpr
+    spec = parse_spec(_mixed_spec("=?"))
+    closed = instantiate(parse_model(Path(SRW_RCM).read_text()),
+                         {"MaxDist": 3, "MaxSteps": 10, "Pl": Fraction(1, 2)},
+                         spec.find(DefinitionsDecl, "D_norecharge"), None, kind, spec)
+    mm = build_markov(closed)
+    # one move per state: every adversary of the mdp gives the dtmc's values
+    assert all(len(moves) == 1 for moves in all_moves(mm))
+    mat = explicit_dtmc_csr(parse_explicit(mm.export_text()))
+    xs = [st[closed.index["SRWRP.x"]] for st in mm.states]
+    stuck = np.array([st[closed.index["ctrl_ref.stm_ref.pc"]] == "Stuck" for st in mm.states])
+    within = stuck.astype(float)
+    for _ in range(10):
+        within = np.where(stuck, 1.0, mat @ within)
+    nested = {MIXED["P_mixed"]: sparse_reach(mat, stuck) > 0.5,
+              MIXED["P_mixed_k"]: within > 0.5}
+    asked = []
+
+    def atom(e, s):
+        asked.append(xs[s])
+        x = xs[s]
+        return {f"{X} != 0": lambda: x != 0, f"10 / {X} > 1": lambda: int(10 / x) > 1}[
+            pretty_pexpr(e)]()
+
+    values = {}
+    for name, text in MIXED.items():
+        phi = parse_expression(f"Prob=? of [{MIXED_PATH.replace('NESTED', text)}]").path.operand
+        sat = short_circuit_sat(phi, mm.num_states, lambda e: nested[pretty_pexpr(e)], atom)
+        values[name] = sparse_reach(mat, sat)[mm.initial]
+        assert 0 < values[name] < 1
+    assert 0 in asked  # the guard reads states with x = 0 and keeps `10 / x` from them
+    return values
+
+
+@pytest.mark.parametrize("kind,query,flags", [
+    ("dtmc", "=?", ["--kind", "dtmc"]),
+    ("mdp", " max=?", ["--kind", "mdp"]),
+    ("dtmc", "=?", ["--kind", "dtmc", "--engine", "smc", "--seed", "3"])],
+    ids=["dtmc", "mdp", "smc"])
+def test_a_nested_probability_beside_a_guarded_division_short_circuits(
+        kind, query, flags, tmp_path, capsys):
+    # `10 / x` was read at every state, also where x != 0 fails: exit 2 with
+    # "division by zero" under every engine
+    spec = tmp_path / "mixed.rcp"
+    spec.write_text(_mixed_spec(query))
+    out = tmp_path / "out"
+    assert main(["check", SRW_RCM, str(spec), *flags, "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    records = {r["property"]: r for r in map(json.loads,
+                                              (out / "report.jsonl").read_text().splitlines())}
+    for name, want in _mixed_oracle(kind).items():
+        rec = records[name]
+        if "--engine" in flags:
+            assert abs(rec["value"] - want) <= rec["halfWidth"], (name, rec, want)
+        else:
+            assert rec["value"] == pytest.approx(want, abs=1e-9), name

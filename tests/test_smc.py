@@ -14,7 +14,7 @@ from rcprob import ast as A
 from rcprob import props as P
 from rcprob.build import (BuildError, MarkovModel, SampleTable, WeightTable, attach_rewards,
                           open_markov)
-from rcprob.exact import check_property, expected_reward
+from rcprob.exact import ExactChecker, check_property, expected_reward
 from rcprob.props import parse_expression
 from rcprob.smc import (SamplePool, SmcError, _Lane, _select, _walk, apmc_samples, ci_stop,
                         compile_monitor, normal_quantile, philox_uniforms, run_aci, run_apmc,
@@ -300,8 +300,8 @@ def _walked(mm, ctx, path, seed, pathlen, n):
     """Samples 0 .. n-1 of `path` walked as one lane: the 0/1 samples, a
     censored path counted as its monitor's `censor_value`, and the path
     statistics of the tally of the same lane in a pool."""
-    lane = _Lane(compile_monitor(ctx, path), pathlen)
-    [(value, capped, _, _)] = _walk(mm, ctx, seed, np.arange(n), [lane])
+    lane = _Lane(compile_monitor(ExactChecker(mm, ctx), path), pathlen)
+    [(value, capped, _, _)] = _walk(mm, seed, np.arange(n), [lane])
     value[capped] = lane.monitor.censor_value
     tally = SamplePool(mm, ctx, seed).lane(path, pathlen, n).tally
     assert tally.total == np.count_nonzero(value)
@@ -552,9 +552,9 @@ def test_a_sequential_lane_reads_its_samples_in_order_and_keeps_sums(srw_small,
     sizes = []  # of each batch walked
     walk = smc._walk
 
-    def counted(mm, closed, seed, samples, lanes, trace=None):
+    def counted(mm, seed, samples, lanes, trace=None):
         sizes.append(samples.size)
-        return walk(mm, closed, seed, samples, lanes, trace)
+        return walk(mm, seed, samples, lanes, trace)
 
     monkeypatch.setattr(smc, "_walk", counted)
     stop = ci_stop("CI", w=0.033, alpha=0.05)
@@ -996,9 +996,9 @@ def test_a_pool_gives_each_job_the_estimate_it_has_alone(srw_model, srw_spec, mo
     walks = []  # the lanes of each walk
     walk = smc._walk
 
-    def counted(mm, closed, seed, samples, lanes, trace=None):
+    def counted(mm, seed, samples, lanes, trace=None):
         walks.append(len(lanes))
-        return walk(mm, closed, seed, samples, lanes, trace)
+        return walk(mm, seed, samples, lanes, trace)
 
     monkeypatch.setattr(smc, "_walk", counted)
     mm = open_markov(closed)

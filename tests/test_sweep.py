@@ -14,7 +14,7 @@ from rcprob.build import BuildError, MarkovModel, build_markov, instantiate, ope
 from rcprob.exact import ExactChecker, check_property, check_state_formula
 from rcprob.model import parse_model
 from rcprob.props import (DefinitionsDecl, PModulesDecl, ProbProperty, parse_expression,
-                          parse_spec)
+                          parse_spec, pretty_pexpr)
 from rcprob.resolve import Resolver, weight_only_constants
 
 from conftest import FIXTURES
@@ -197,17 +197,52 @@ def test_a_weight_only_sweep_derives_its_structure_once(tmp_path, monkeypatch):
         return per_structure(self, key, counted(key if isinstance(key, str) else key[0], make))
 
     monkeypatch.setattr(ExactChecker, "_per_structure", per_structure_counted)
-    monkeypatch.setattr(ExactChecker, "_evaluate", counted("atom", ExactChecker._evaluate))
+    monkeypatch.setattr(MarkovModel, "evaluate", counted("atom", MarkovModel.evaluate))
     monkeypatch.setattr(MarkovModel, "_choice_layout",
                         counted("choice order", MarkovModel._choice_layout))
     monkeypatch.setattr(cli, "_cpu_count", lambda: 1)  # no worker keeps a count of its own
     records = _records(tmp_path, "swept", _table("set to 6", "from set {0.3, 0.5, 0.8}"))
     assert len(records) == 3 * 3
     # two structures, with the modules and without, of three configurations
-    # each: R_table and P_stuck read one atom each, their conjunction of
-    # l_stuck and not l_origin, and share one pair of prob-0/1 sets; P_env
-    # reads one atom and another pair
+    # each: R_table and P_stuck share one atom, their conjunction of l_stuck
+    # and not l_origin, and one pair of prob-0/1 sets, and R_origins' two
+    # equal guards take one pass; P_env reads one atom and another pair
     assert made == {"atom": 3, "choice order": 2, "succ": 2, "pred": 2, "_prob01_dtmc": 2}
+
+
+def test_equal_state_formulas_are_evaluated_once_per_structure(tmp_path, monkeypatch):
+    # the reward table's shape: three rows share each structure of the rows
+    # without recharge, and one has structures of its own, over five values
+    # of MaxSteps.  The conjunction, written in each row, took one pass per
+    # row, 20, where one per structure is 10; the two equal guards of
+    # R_origins take one pass per structure too
+    passes = collections.Counter()
+    evaluate = MarkovModel.evaluate
+
+    def counted(self, closed, e, states):
+        passes[pretty_pexpr(e)] += 1
+        return evaluate(self, closed, e, states)
+
+    monkeypatch.setattr(MarkovModel, "evaluate", counted)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+    table = TABLE[:TABLE.index("pmodules MW")].replace("STEPS", "from set {2, 4, 6, 8, 10}")
+    table = table.replace("Pl PL", "Pl set to 0.5").replace(
+        "defs D:", "defs D_norecharge:") + (
+        "defs D_recharge:\n"
+        "  pfunction Plus(v, maxv) = { return (if (``v) < (``maxv) then (``v) + 1 "
+        "else (``v) end) }\n"
+        "  pfunction Minus(v, minv) = { return (if (``v) > (``minv) then (``v) - 1 "
+        "else (``v) end) }\n"
+        "  pfunction Update(v, maxv, origin) = { return (if ``origin then 0 else (if ((``v) < "
+        "(``maxv)) then (``v + 1) else (``v) end) end) }\n")
+    for row, defs in (("R_a", "D_norecharge"), ("R_b", "D_recharge"), ("R_c", "D_norecharge"),
+                      ("R_d", "D_norecharge")):
+        table += (f"prob property {row}:\n"
+                  "  Reward {R_origins} =? of [Reachable #l_stuck /\\ not #l_origin]\n"
+                  f"  with constants C\n  with definitions {defs}\n")
+    assert len(_records(tmp_path, "table", table)) == 4 * 5
+    guard = pretty_pexpr(parse_expression("(SRWMod::SRWRP::x == 0)"))
+    assert passes == {"#l_stuck /\\ not #l_origin": 10, guard: 10}
 
 
 def test_a_nested_probability_is_judged_per_configuration(tmp_path):
