@@ -95,10 +95,6 @@ def _is_state_expr(e: A.Expr) -> bool:
                    for node in A.walk(e, stop=NESTED))
 
 
-def _at(truth: np.ndarray, states: np.ndarray | None) -> np.ndarray:
-    return truth if states is None else truth[states]
-
-
 def _per_structure_sets(method):
     """A method of the support graphs and of boolean state sets, computed
     once per structure (`ExactChecker._per_structure`) for each value of the
@@ -134,8 +130,6 @@ class ExactChecker:
         self.tol = tol
         self.iterations = 0
         self.engine = "graph"
-        # the configuration of what the model keeps: None for its own
-        self._context = None if closed is mm.closed else closed
         self._refs: dict = {}  # the nodes of labels and formulas by text (`_compile`)
         self._succ = None
         self._pred = None
@@ -217,11 +211,11 @@ class ExactChecker:
 
     def node(self, e: A.Expr):
         """A state formula compiled to its node: a function of (states, keep)
-        that gives its truth at every state, or at `states` (`sat`).  A
-        plain subterm, which holds no P, R, A, E, `deadlock`, `init` or path
-        operator, itself or through the labels and formulas it uses, is one
-        term of `ClosedModel.spec_expr`; the model keeps its truth by its
-        printed form (`MarkovModel.truth`), and that of a P, R, A or E too
+        that gives its truth at `states` (`sat`).  A plain subterm, which
+        holds no P, R, A, E, `deadlock`, `init` or path operator, itself or
+        through the labels and formulas it uses, is one term of
+        `ClosedModel.spec_expr`; the model keeps its truth by its printed
+        form (`MarkovModel.truth`), and that of a P, R, A or E too
         (`_solved`).  The connectives above them combine arrays."""
         node = self._compile(e)
         return self._leaf(e) if node is None else node
@@ -239,11 +233,11 @@ class ExactChecker:
             return self._refs[text]
         if isinstance(e, NESTED):
             text = P.pretty_pexpr(e)
-            return lambda states, keep: _at(self._solved(text, e), states)
+            return lambda states, keep: self._solved(text, e)[states]
         if isinstance(e, A.DeadlockRef):
-            return lambda states, keep: _at(np.array(self.mm.deadlock, dtype=bool), states)
+            return lambda states, keep: np.array(self.mm.deadlock, dtype=bool)[states]
         if isinstance(e, A.InitRef):
-            return lambda states, keep: _at(np.arange(self.n) == self.mm.initial, states)
+            return lambda states, keep: states == self.mm.initial
         if isinstance(e, A.PATH_NODES):
             raise UnsupportedError(
                 "a path formula is not a state formula; wrap it in Prob/Forall/Exists")
@@ -266,17 +260,18 @@ class ExactChecker:
         if isinstance(e, A.Lit):
             if not isinstance(e.value, bool):
                 raise CheckError("a numeric literal is not a state formula")
-            return lambda states, keep: np.full(self.n if states is None else len(states), e.value)
+            return lambda states, keep: np.full(len(states), e.value)
         text, mm = P.pretty_pexpr(e), self.mm
-        return lambda states, keep: mm.truth(self.closed, e, text)[_at(mm.row_of, states)] \
+        return lambda states, keep: mm.truth(self.closed, e, text)[mm.row_of[states]] \
             if keep else mm.evaluate(self.closed, e, states)
 
     def sat(self, e, states: np.ndarray | None = None) -> np.ndarray:
-        """The truth of a state formula, or of its `node`, at every state of
-        the model, which it expands first, or at `states`, expanded states
-        given by index."""
+        """The truth of a state formula, or of its `node`, at `states`,
+        expanded states given by index, or at every state of the model,
+        which it expands first."""
         if states is None:
             self.mm.expand_all()
+            states = np.arange(self.n)
         return (self.node(e) if isinstance(e, A.Expr) else e)(states, True)
 
     def _connective(self, op: str, left, right, states, keep: bool) -> np.ndarray:
@@ -291,7 +286,7 @@ class ExactChecker:
             return right(states, keep)
         out = ~l if op == "=>" else l.copy()
         if need.any():
-            out[need] = right(np.flatnonzero(need) if states is None else states[need], False)
+            out[need] = right(states[need], False)
         return out
 
     def _solved(self, text: str, e: A.Expr) -> np.ndarray:
@@ -300,7 +295,7 @@ class ExactChecker:
         `engine` that the solve used, and counts no `iterations`.  It expands
         a model that is still growing."""
         self.mm.expand_all()
-        key = (text, self._context)
+        key = (text, None if self.closed is self.mm.closed else self.closed)
         if key not in self.mm.solved:
             truth = self.check_ae("A" if isinstance(e, A.Forall) else "E", e.path) \
                 if isinstance(e, (A.Forall, A.Exists)) else self._compare(e)
