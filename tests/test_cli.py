@@ -1442,8 +1442,8 @@ def _mixed_oracle(kind: str) -> dict:
     asked = []
 
     def atom(e, s):
-        asked.append(xs[s])
         x = xs[s]
+        asked.append(x)
         return {f"{X} != 0": lambda: x != 0, f"10 / {X} > 1": lambda: int(10 / x) > 1}[
             pretty_pexpr(e)]()
 
