@@ -24,7 +24,7 @@ from .build import (DEFAULT_STATE_CAP, BuildError, EvalError, _fmt_value, build_
                     expand_sweep, instantiate, open_markov)
 from .lexer import ParseError
 from .model import parse_model
-from .props import ProbProperty, parse_spec
+from .props import FormulaDecl, LabelDecl, ProbProperty, parse_spec
 from .prism import EmitError, emit_pair
 from .record import Record
 from .resolve import Diagnostic, Resolver, property_context, validate, weight_only_constants
@@ -154,9 +154,11 @@ def run(plan: RunPlan) -> int:
         if skipped and not jobs:
             print("error: no property left to simulate", file=sys.stderr)
             return 2
-    if plan.engine == "internal":
+    if plan.engine == "internal" \
+            or any(_solves_nested(job.prop.body.path, spec) for job in jobs):
         # loaded before the first timer starts, so that no record's
-        # buildMs/checkMs holds the import
+        # buildMs/checkMs holds the import; a simulated formula needs it
+        # where it nests a formula that the exact engine solves
         import scipy.sparse.csgraph  # noqa: F401
         import scipy.sparse.linalg  # noqa: F401
     try:
@@ -167,6 +169,19 @@ def run(plan: RunPlan) -> int:
     _write_reports(out_dir, records)
     failed = any(rec.get("verdict") is False for rec in records)
     return 1 if failed else 0
+
+
+def _solves_nested(e: A.Expr, spec, seen: tuple = ()) -> bool:
+    """Whether an expression reads a P, R, A or E formula, itself or
+    through a label or formula."""
+    for node in A.walk(e):
+        if isinstance(node, exact.NESTED):
+            return True
+        if isinstance(node, (A.LabelRef, A.FormulaRef)) and node.name not in seen:
+            decl = spec.find(LabelDecl if isinstance(node, A.LabelRef) else FormulaDecl, node.name)
+            if decl is not None and _solves_nested(decl.body, spec, (*seen, node.name)):
+                return True
+    return False
 
 
 def _by_structure(plan: RunPlan, model, spec, jobs) -> list[list[list[Job]]]:
@@ -399,18 +414,17 @@ def _sim_job(job: Job, closed, mm, pool: smc.SamplePool):
 
 def _run_emit(plan: RunPlan, model, spec, jobs, out_dir: Path) -> int:
     """Emit the model closed over the first property's first configuration;
-    the constants that its sweep varies stay open."""
+    the constants that its sweep varies stay open, and the variable ranges
+    hold for each of their values."""
     stem = Path(plan.model_path).stem
     sweep = [job for job in jobs if job.prop is jobs[0].prop] if jobs else []
     defs, env = (sweep[0].defs, sweep[0].env) if sweep else (None, None)
     valuations = [job.valuation for job in sweep] or [{}]
-    sweep_names = set()
-    if len(valuations) > 1:
-        sweep_names = {k for k in valuations[0]
-                       if len({_fmt_value(v[k]) for v in valuations}) > 1}
+    varied = {k: [v[k] for v in valuations] for k in valuations[0]
+              if len({_fmt_value(v[k]) for v in valuations}) > 1}
     try:
         closed = instantiate(model, valuations[0], defs, env, plan.kind, spec)
-        pair = emit_pair(closed, spec, sweep_names=sweep_names)
+        pair = emit_pair(closed, spec, sweep=varied)
     except (BuildError, EmitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

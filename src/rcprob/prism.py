@@ -8,14 +8,16 @@ modules, synchronised on a label of the joint step's own.  An
 environment module prints its compiled commands (`env_commands`), which the
 explorer runs too, and every weight is printed from its leaf.  The program
 counter, lock, and exit variables get integer encodings recorded in the
-name map.  Variable ranges are harvested from the explored state space,
-which is why model emission requires a successful build.  Correctness is
-checked syntactically by the bundled subset validator; no external checker
-is invoked.
+name map.  The ranges of `int` and `nat` variables come from a static
+analysis of the same tables over every configuration of the sweep
+(`ranges.variable_ranges`), so emission explores no state; a variable that
+the analysis cannot bound is refused.  Correctness is checked syntactically
+by the bundled subset validator; no external checker is invoked.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -23,7 +25,9 @@ from . import ast as A
 from . import model as M
 from . import props as P
 from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ONE, ClosedModel,
-                    Entry, MarkovModel, Term, build_markov)
+                    Entry, Term)
+# not called here: perfbench's tracer wraps this name until ROADMAP item 11
+from .build import build_markov  # noqa: F401
 from .record import Record
 
 
@@ -88,10 +92,10 @@ class EmittedPair(Record):
 
 
 class _ModelEmitter:
-    def __init__(self, closed: ClosedModel, sweep_names: set[str] | None, mangler: Mangler):
+    def __init__(self, closed: ClosedModel, sweep: dict | None, mangler: Mangler):
         self.c = closed
         self.mangler = mangler
-        self.sweep_names = sweep_names or set()
+        self.sweep = sweep or {}  # each swept constant's values
         self.bounds: dict[str, tuple[int, int]] = {}  # filled by `emit`
         self.enum_codes = {f"{enum.name}::{lit}": i for enum in closed.model.enums
                            for i, lit in enumerate(enum.literals)}
@@ -160,15 +164,23 @@ class _ModelEmitter:
     # emission --------------------------------------------------------------
 
     def emit(self) -> str:
+        # imported here, so that `import rcprob` does not compile it
+        from .ranges import variable_ranges
+
         c = self.c
-        sized = {v.name for v in c.vars if v.domain[0] in ("int", "nat")}  # see `_range`
-        self.bounds = observed_bounds(build_markov(c), sized)
         self.latch_owner = self._latch_owners()
+        self.bounds = variable_ranges(c, self.sweep)
+        unbounded = [c.var_named(name).qualified for name, (lo, hi) in self.bounds.items()
+                     if math.inf in (-lo, hi)]
+        if unbounded:
+            raise EmitError(f"cannot bound the range of {', '.join(unbounded)}: no guard, "
+                            "conditional or count of the steps that write it limits its "
+                            "values, and PRISM needs a finite range")
         out = [c.kind, ""]
         for name in sorted(c.consts):
             value = c.consts[name]
             ident = self.mangler.mangle(name)
-            if name in self.sweep_names:
+            if name in self.sweep:
                 out.append(f"const {_const_type(value)} {ident};")
             else:
                 out.append(f"const {_const_type(value)} {ident} = {_text(value)};")
@@ -225,11 +237,7 @@ class _ModelEmitter:
             lo, hi = 0, len(info.domain[1]) - 1
             init_code = self.enum_codes[init]
             return f"[{lo}..{hi}] init {init_code}"
-        lo, hi = self.bounds.get(info.name, (init, init))
-        if k == "nat":
-            lo = max(0, lo)
-        if k == "range":
-            lo, hi = info.domain[1], info.domain[2]
+        lo, hi = info.domain[1:] if k == "range" else self.bounds[info.name]
         return f"[{lo}..{hi}] init {init}"
 
     def _module(self, m) -> list[str]:
@@ -317,7 +325,7 @@ class _ModelEmitter:
         """Whether an expression reads a swept constant, itself or in a
         function that it calls."""
         for node in A.walk(e):
-            if isinstance(node, A.Ref) and node.name.segments[-1] in self.sweep_names:
+            if isinstance(node, A.Ref) and node.name.segments[-1] in self.sweep:
                 return True
             if isinstance(node, A.FunCall) and node.name in self.c.functions \
                     and self._reads_sweep(self.c.functions[node.name].body):
@@ -351,22 +359,6 @@ class _ModelEmitter:
 
 def _updates_text(pairs) -> str:
     return " & ".join(f"({k}'={v})" for k, v in pairs) if pairs else "true"
-
-
-def observed_bounds(mm: MarkovModel, names: set[str]) -> dict[str, tuple[int, int]]:
-    """Min/max over the reachable states of the named integer variables,
-    read in one pass over the states."""
-    cols = [i for i, name in enumerate(mm.var_names) if name in names]
-    lo = [mm.states[0][i] for i in cols]
-    hi = lo[:]
-    for st in mm.states:
-        for k, i in enumerate(cols):
-            v = st[i]
-            if v < lo[k]:
-                lo[k] = v
-            elif v > hi[k]:
-                hi[k] = v
-    return {mm.var_names[i]: (lo[k], hi[k]) for k, i in enumerate(cols)}
 
 
 def _const_type(value) -> str:
@@ -463,10 +455,11 @@ def _text(value) -> str:
     return ("true" if value else "false") if isinstance(value, bool) else str(value)
 
 
-def emit_model(closed: ClosedModel, sweep_names: set[str] | None = None,
+def emit_model(closed: ClosedModel, sweep: dict | None = None,
                mangler: Mangler | None = None) -> str:
-    """Emit the PRISM model text for a closed model."""
-    em = _ModelEmitter(closed, sweep_names, mangler or Mangler())
+    """Emit the PRISM model text for a closed model; the constants of
+    `sweep`, by name to their values, stay open."""
+    em = _ModelEmitter(closed, sweep, mangler or Mangler())
     text = em.emit()
     em.mangler.check_bijective()
     return text
@@ -588,16 +581,14 @@ class _PropsEmitter:
 
 def emit_properties(closed: ClosedModel, spec: P.SpecAst,
                     mangler: Mangler | None = None) -> str:
-    """Emit the PRISM properties text (labels, formulas, rewards, properties);
-    unlike the model text, it needs no exploration."""
+    """Emit the PRISM properties text (labels, formulas, rewards, properties)."""
     em = _ModelEmitter(closed, None, mangler or Mangler())
     return _PropsEmitter(closed, em).emit(spec)
 
 
-def emit_pair(closed: ClosedModel, spec: P.SpecAst,
-              sweep_names: set[str] | None = None) -> EmittedPair:
+def emit_pair(closed: ClosedModel, spec: P.SpecAst, sweep: dict | None = None) -> EmittedPair:
     mangler = Mangler()
-    em = _ModelEmitter(closed, sweep_names, mangler)
+    em = _ModelEmitter(closed, sweep, mangler)
     model_text = em.emit()
     props_text = _PropsEmitter(closed, em).emit(closed.spec if spec is None else spec)
     mangler.check_bijective()

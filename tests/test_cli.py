@@ -201,6 +201,35 @@ def test_emitting_a_latch_that_two_machines_write_exits_2(tmp_path, capsys):
     assert not (tmp_path / "emit" / "two.prism").exists()
 
 
+# a step that adds to x forever: nothing bounds its range
+UNBOUNDED_MODEL = """
+module Up {
+  controller C {
+    machine S {
+      var x : int = 0;
+      initial i0;
+      state A;
+      transition t0 { from i0 to A }
+      transition t1 { from A to A action x = x + 1 }
+    }
+  }
+}
+"""
+
+
+def test_emitting_a_variable_that_nothing_bounds_exits_2(tmp_path, capsys):
+    model, spec = tmp_path / "up.rcm", tmp_path / "up.rcp"
+    model.write_text(UNBOUNDED_MODEL)
+    spec.write_text(DEADLOCK_FREE)
+    code = main(["check", str(model), str(spec), "--engine", "emit", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err, err
+    assert err.splitlines() == ["error: cannot bound the range of Up::C::S::x: no guard, "
+                                "conditional or count of the steps that write it limits its "
+                                "values, and PRISM needs a finite range"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["diagnostics.jsonl", "up.rcm", "up.rcp"]
+
+
 def test_cli_smc_engine(tmp_path):
     rcp = tmp_path / "s.rcp"
     rcp.write_text("""
@@ -1371,6 +1400,39 @@ def _cold_start_case(case: str, tmp_path) -> dict:
 @pytest.mark.parametrize("case", COLD_START_CASES)
 def test_cold_start_leaves_scipy_unloaded(case, tmp_path):
     assert _cold_start_case(case, tmp_path)["scipy"] == []
+
+
+# whether scipy is loaded when the checks start, under simulation
+AT_CHECKS = """
+import json, sys
+import rcprob.cli as cli
+model_path, spec_path, out_dir = sys.argv[1:]
+loaded, checks = [], cli._run_checks
+def recorded(*args):
+    loaded.append("scipy.sparse.linalg" in sys.modules)
+    return checks(*args)
+cli._run_checks = recorded
+plan = cli.RunPlan(model_path, spec_path, engine="smc", kind="dtmc", seed=3, out_dir=out_dir)
+assert cli.run(plan) == 0
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize("path, loaded", [
+    ("[Finally #l_stuck]", False),
+    ("[Finally (Prob>0.5 of [Finally #l_stuck])]", True),
+])
+def test_a_simulation_that_nests_a_solve_loads_scipy_before_its_timers(path, loaded, tmp_path):
+    # the first nested solve of each process imported scipy within its
+    # record's checkMs
+    spec = tmp_path / "sim.rcp"
+    spec.write_text(_srw_prop(f"Prob=? of {path} using sim with CI at alpha=0.05, n=200"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", AT_CHECKS, SRW_RCM, str(spec),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [loaded]
 
 
 @pytest.mark.parametrize("case", COLD_START_CASES)

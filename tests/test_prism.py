@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import rcprob.build
 import rcprob.prism
 from rcprob import ast as A
-from rcprob.build import build_markov, instantiate
+from rcprob.build import ClosedModel, MarkovModel, build_markov, instantiate
 from rcprob.model import parse_model
 from rcprob.props import DefinitionsDecl, PModulesDecl, parse_expression, parse_spec
 from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter, check_prism_model,
@@ -130,15 +131,21 @@ def test_property_translations(srw_closed):
         assert got == expected, (source, got)
 
 
-def test_properties_emit_without_exploring(srw_closed, srw_spec, srw_pair, monkeypatch):
-    # only the model text sizes variable ranges from an exploration
-    def no_build(closed):
+def test_properties_emit_without_exploring(srw_model, srw_spec, srw_pair, monkeypatch):
+    # the model text sized its variable ranges from a second exploration;
+    # now every way to explore fails, and the pair is the same
+    def explored(*args, **kwargs):
         raise AssertionError("explored")
 
-    monkeypatch.setattr(rcprob.prism, "build_markov", no_build)
-    assert emit_properties(srw_closed, srw_spec) == srw_pair.props_text
-    with pytest.raises(AssertionError, match="explored"):
-        emit_pair(srw_closed, srw_spec)
+    monkeypatch.setattr(rcprob.prism, "build_markov", explored)
+    monkeypatch.setattr(rcprob.build, "build_markov", explored)
+    monkeypatch.setattr(MarkovModel, "expand", explored)
+    monkeypatch.setattr(ClosedModel, "successors", property(explored))
+    closed = instantiate(srw_model, {"MaxDist": 10, "MaxSteps": 20, "Pl": Fraction(1, 2)},
+                         srw_spec.find(DefinitionsDecl, "D_recharge"), None, "mdp", srw_spec)
+    pair = emit_pair(closed, srw_spec)
+    assert (pair.model_text, pair.props_text) == (srw_pair.model_text, srw_pair.props_text)
+    assert emit_properties(closed, srw_spec) == srw_pair.props_text
 
 
 def test_more_translations(srw_closed):
@@ -538,9 +545,86 @@ def test_swept_weights_are_emitted_as_expressions(name, closed_at, values, print
     open, takes each configuration's steps at that configuration's value."""
     (const, points), = values.items()
     first = closed_at(points[0])
-    pair = emit_pair(first, parse_spec(""), sweep_names={const})
+    pair = emit_pair(first, parse_spec(""), sweep={const: points})
     assert f" {const};" in pair.model_text and printed in pair.model_text
     assert not check_prism_model(pair.model_text)
     for value in points:
         _assert_takes_the_explorers_steps(first, build_markov(closed_at(value)), pair,
                                           PrismModel(pair.model_text, {const: value}), name)
+
+
+def _srw_closed_at(maxsteps: int):
+    fixtures = Path(__file__).parent / "fixtures"
+    spec = parse_spec((fixtures / "srw.rcp").read_text())
+    return instantiate(parse_model((fixtures / "srw.rcm").read_text()),
+                       {"MaxDist": 2, "MaxSteps": maxsteps, "Pl": Fraction(1, 2)},
+                       spec.find(DefinitionsDecl, "D_recharge"), None, "dtmc")
+
+
+def test_the_ranges_of_a_swept_emission_hold_for_every_configuration():
+    # the ranges were those explored in the first configuration: `steps`
+    # was declared [0..2] and left it at MaxSteps 4 and 6
+    points = (2, 4, 6)
+    first = _srw_closed_at(points[0])
+    pair = emit_pair(first, parse_spec(""), sweep={"MaxSteps": points})
+    assert "global SRWMod_SRWRP_steps : [0..6] init 0;" in pair.model_text
+    assert "global SRWMod_SRWRP_x : [-2..2] init 0;" in pair.model_text
+    for value in points:
+        _assert_takes_the_explorers_steps(first, build_markov(_srw_closed_at(value)), pair,
+                                          PrismModel(pair.model_text, {"MaxSteps": value}),
+                                          f"MaxSteps={value}")
+
+
+# two robots each report done once to a coordinator that counts the reports
+# with no guard: only the protocol bounds the count
+FLEET_MODEL = """
+module Fleet {
+  platform FP { const MaxWork : nat; event alldone; }
+  controller Ctl {
+    requires FP;
+    event alldone;
+""" + "".join(f"""
+    machine R{i} {{
+      var w : nat = 0;
+      event done;
+      initial i0;
+      pjunction p0;
+      state Idle;
+      state Finished;
+      transition t0 {{ from i0 to Idle }}
+      transition t1 {{ from Idle to p0 guard w < MaxWork }}
+      transition t2 {{ from p0 to Idle prob 0.5 action w = w + 1 }}
+      transition t3 {{ from p0 to Idle prob 0.5 }}
+      transition t4 {{ from Idle to Finished guard w == MaxWork action done }}
+    }}""" for i in (1, 2)) + """
+    machine Coord {
+      var count : nat = 0;
+      event done1;
+      event done2;
+      event alldone;
+      initial c0;
+      state Wait;
+      state All;
+      transition w0 { from c0 to Wait }
+      transition d1 { from Wait to Wait trigger done1 action count = count + 1 }
+      transition d2 { from Wait to Wait trigger done2 action count = count + 1 }
+      transition fin { from Wait to All guard count == 2 action alldone }
+    }
+    connection R1.done -> Coord.done1;
+    connection R2.done -> Coord.done2;
+    connection Coord.alldone -> Ctl.alldone;
+  }
+  connection Ctl.alldone -> FP.alldone;
+}
+"""
+
+
+def test_a_counter_that_only_the_protocol_bounds_is_counted():
+    # each robot's `w` is bounded by its guard, on another step than its
+    # increment; the count by the number of times its increments can fire
+    closed = instantiate(parse_model(FLEET_MODEL), {"MaxWork": 2}, None, None, "mdp")
+    pair = emit_pair(closed, parse_spec(""))
+    assert "  Fleet_Ctl_Coord_count : [0..2] init 0;" in pair.model_text
+    assert pair.model_text.count("_w : [0..2] init 0;") == 2
+    _assert_takes_the_explorers_steps(closed, build_markov(closed), pair,
+                                      PrismModel(pair.model_text), "fleet")
