@@ -1319,18 +1319,18 @@ class MarkovModel:
     and the engines all read these arrays, and the reward structures in
     `rewards` keep their values in the same layout, per row and per move.
 
-    `reweigh` gives the model of another configuration on the same store,
-    with weights of its own."""
+    `closed` is the one configuration the model belongs to, which the
+    engines read.  `reweigh` gives the model of another configuration on the
+    same store, with weights of its own."""
 
     def __init__(self, kind: str, var_names: tuple[str, ...], states: list[tuple], successors,
                  nodes: WeightTable, initial: int = 0, max_states: int = DEFAULT_STATE_CAP,
-                 closed: ClosedModel | None = None):
+                 *, closed: ClosedModel):
         self.kind = kind
         self.var_names = var_names
         self.states = states
         self.deadlock = [False] * len(states)
         self.initial = initial
-        # the configuration whose weights the model has, if explored from one
         self.closed = closed
         self.order: list[int] = []
         self.row_of = self.dest = self.node_id = np.zeros(0, dtype=np.int64)
@@ -1345,12 +1345,12 @@ class MarkovModel:
         self._batch = ([], [], [], [])
         self._passed: set[tuple] = set()  # weight node sequences that sum to 1
         self.rewards: dict[str, RewardStructure] = {}
-        # the truth of plain state expressions per row, by (printed form,
-        # context) (`truth`), shared with the models `reweigh` makes
-        self.atoms: dict[tuple[str, object], np.ndarray] = {}
-        # the truth of P, R, A and E operators per (printed form, context)
-        # under this model's weights (`exact.ExactChecker`), not shared
-        self.solved: dict[tuple[str, object], tuple] = {}
+        # the truth of plain state expressions per row, by printed form
+        # (`truth`), shared with the models `reweigh` makes
+        self.atoms: dict[str, np.ndarray] = {}
+        # the truth of P, R, A and E operators by printed form under this
+        # model's weights (`exact.ExactChecker`), not shared
+        self.solved: dict[str, tuple] = {}
         # what the engines derive from the store but not from the weights,
         # shared with the models `reweigh` makes; replaced by each expansion
         self.derived: dict = {}
@@ -1371,24 +1371,21 @@ class MarkovModel:
         """Branches of the expanded states."""
         return int(self.first_branch[-1])
 
-    def truth(self, closed: ClosedModel, e: A.Expr, text: str) -> np.ndarray:
+    def truth(self, e: A.Expr, text: str) -> np.ndarray:
         """The truth of the plain state expression e, printed `text`, under
-        `closed`, at each expanded row.  It is kept in `atoms` by its text,
-        and by `closed` when that is not the model's own configuration, and
-        extended over the rows expanded since: the models of a structure
-        share it, as their configurations differ only in constants that no
-        state expression reads."""
-        key = (text, None if closed is self.closed else closed)
-        known = self.atoms.setdefault(key, np.zeros(0, dtype=bool))
+        the model's configuration, at each expanded row.  It is kept in
+        `atoms` by its text and extended over the rows expanded since: the
+        models of a structure share it, as their configurations differ only
+        in constants that no state expression reads."""
+        known = self.atoms.setdefault(text, np.zeros(0, dtype=bool))
         if known.size < len(self.order):
-            known = self.atoms[key] = _extended(
-                known, self.evaluate(closed, e, self.order[known.size:]))
+            known = self.atoms[text] = _extended(known, self.evaluate(e, self.order[known.size:]))
             known.flags.writeable = False
         return known
 
-    def evaluate(self, closed: ClosedModel, e: A.Expr, states) -> np.ndarray:
+    def evaluate(self, e: A.Expr, states) -> np.ndarray:
         """One pass of a plain state expression over the given states."""
-        fn, known = closed.spec_expr(e), self.states
+        fn, known = self.closed.spec_expr(e), self.states
         return np.array([bool(fn(known[s])) for s in states], dtype=bool)
 
     # --- expansion ------------------------------------------------------------
@@ -2072,15 +2069,15 @@ def build_markov(closed: ClosedModel, max_states: int = DEFAULT_STATE_CAP) -> Ma
 # --- rewards ---------------------------------------------------------------------
 
 
-def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) -> MarkovModel:
-    """Evaluate a rewards declaration over the expanded states of mm and
-    attach it; its `cover` evaluates it over the states expanded later.  An
-    item adds its value to its state's reward, or with an event to the
-    reward of each of the state's moves that the event tags, summed in
-    float in item order.  Its guard is read through `MarkovModel.truth`,
-    so that equal guards are evaluated once per structure, and its value
-    only where the guard holds."""
-    items = []
+def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl) -> MarkovModel:
+    """Evaluate a rewards declaration over the expanded states of mm, under
+    its configuration, and attach it; its `cover` evaluates it over the
+    states expanded later.  An item adds its value to its state's reward,
+    or with an event to the reward of each of the state's moves that the
+    event tags, summed in float in item order.  Its guard is read through
+    `MarkovModel.truth`, so that equal guards are evaluated once per
+    structure, and its value only where the guard holds."""
+    closed, items = mm.closed, []
     for item in decl.items:
         tag = None
         if item.event is not None:
@@ -2096,7 +2093,7 @@ def attach_rewards(mm: MarkovModel, decl: P.RewardsDecl, closed: ClosedModel) ->
         m0 = first_move[0]
         state_r, move_r = np.zeros(len(first_move) - 1), np.zeros(first_move[-1] - m0)
         try:
-            holds = [mm.truth(closed, guard, text)[lo:] for _, guard, text, _, _ in items]
+            holds = [mm.truth(guard, text)[lo:] for _, guard, text, _, _ in items]
             rows = np.flatnonzero(np.any(holds, axis=0)).tolist()
         except EvalError:
             # a guard fails at some row: the guards are read state by state,

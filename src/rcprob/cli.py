@@ -24,10 +24,11 @@ from .build import (DEFAULT_STATE_CAP, BuildError, EvalError, _fmt_value, build_
                     expand_sweep, instantiate, open_markov)
 from .lexer import ParseError
 from .model import parse_model
-from .props import FormulaDecl, LabelDecl, ProbProperty, parse_spec
+from .props import ProbProperty, parse_spec
 from .prism import EmitError, emit_pair
 from .record import Record
-from .resolve import Diagnostic, Resolver, property_context, validate, weight_only_constants
+from .resolve import (Diagnostic, Resolver, property_context, validate, walk_uses,
+                      weight_only_constants)
 
 
 class RunPlan(Record):
@@ -154,8 +155,8 @@ def run(plan: RunPlan) -> int:
         if skipped and not jobs:
             print("error: no property left to simulate", file=sys.stderr)
             return 2
-    if plan.engine == "internal" \
-            or any(_solves_nested(job.prop.body.path, spec) for job in jobs):
+    if plan.engine == "internal" or any(isinstance(node, exact.NESTED) for job in jobs
+                                        for node in walk_uses(spec, job.prop.body.path)):
         # loaded before the first timer starts, so that no record's
         # buildMs/checkMs holds the import; a simulated formula needs it
         # where it nests a formula that the exact engine solves
@@ -169,19 +170,6 @@ def run(plan: RunPlan) -> int:
     _write_reports(out_dir, records)
     failed = any(rec.get("verdict") is False for rec in records)
     return 1 if failed else 0
-
-
-def _solves_nested(e: A.Expr, spec, seen: tuple = ()) -> bool:
-    """Whether an expression reads a P, R, A or E formula, itself or
-    through a label or formula."""
-    for node in A.walk(e):
-        if isinstance(node, exact.NESTED):
-            return True
-        if isinstance(node, (A.LabelRef, A.FormulaRef)) and node.name not in seen:
-            decl = spec.find(LabelDecl if isinstance(node, A.LabelRef) else FormulaDecl, node.name)
-            if decl is not None and _solves_nested(decl.body, spec, (*seen, node.name)):
-                return True
-    return False
 
 
 def _by_structure(plan: RunPlan, model, spec, jobs) -> list[list[list[Job]]]:
@@ -309,12 +297,11 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
             build_ms = int((plan.timer() - t0) * 1000)
             sims = [None] * len(config_jobs)
             if plan.engine == "smc":
-                pool = smc.SamplePool(mm, closed, plan.seed)
-                sims = [_sim_job(job, closed, mm, pool) for job in config_jobs]
+                pool = smc.SamplePool(mm, plan.seed)
+                sims = [_sim_job(job, pool) for job in config_jobs]
             for job, sim in zip(config_jobs, sims):
                 try:
-                    records.append(_check_job(plan, job, closed, mm, build_ms, warnings,
-                                              sim))
+                    records.append(_check_job(plan, job, mm, build_ms, warnings, sim))
                 except (EvalError, exact.CheckError, exact.UnsupportedError,
                         smc.SmcError) as exc:
                     where = f" [{job.config_id}]" if job.config_id else ""
@@ -325,8 +312,7 @@ def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \
     return records, warnings, None
 
 
-def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: list,
-               sim=None) -> dict:
+def _check_job(plan: RunPlan, job: Job, mm, build_ms: int, warnings: list, sim=None) -> dict:
     """The report record of one job on its model, simulated by `sim`
     (`_sim_job`) under the smc engine; a warning about the job goes to
     `warnings`."""
@@ -337,8 +323,7 @@ def _check_job(plan: RunPlan, job: Job, closed, mm, build_ms: int, warnings: lis
         warnings.append(f"warning: {job.prop.name}: a dtmc has a single adversary; "
                         f"treating the query as plain =?")
     if plan.engine == "internal":
-        result = exact.check_property(mm, closed, job.prop, job.config_id,
-                                      tol=plan.tol)
+        result = exact.check_property(mm, job.prop, job.config_id, tol=plan.tol)
         rec = {**_verdict_fields(result.verdict_json()), "mode": result.mode,
                "states": mm.num_states}
     else:
@@ -359,7 +344,7 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
     """The method, its parameters and the path length; the sample count n
     and the path length stay as written, for `smc` to check."""
     if method is None:
-        return "CI", {"alpha": 0.05, "n": 1000}, smc.DEFAULT_PATHLEN
+        return "CI", {"alpha": smc.DEFAULT_ALPHA, "n": smc.DEFAULT_SAMPLES}, smc.DEFAULT_PATHLEN
     params = {}
     for name, expr in method.params.items():
         value = closed.spec_expr(expr, real=name != "n")(None)
@@ -370,11 +355,11 @@ def _sim_params(method: A.SimMethodSpec | None, closed):
     return method.method, params, pathlen
 
 
-def _sim_job(job: Job, closed, mm, pool: smc.SamplePool):
+def _sim_job(job: Job, pool: smc.SamplePool):
     """The call that simulates a job on its lane of `pool`, its parameters
     evaluated once, here, and its lane registered, so that the first job
     checked walks every lane; an error of the job is raised by the call."""
-    body = job.prop.body
+    body, closed = job.prop.body, pool.mm.closed
     error = None
     try:
         method, params, pathlen = _sim_params(body.method, closed)
@@ -383,7 +368,8 @@ def _sim_job(job: Job, closed, mm, pool: smc.SamplePool):
         rname = None
         if isinstance(body, A.RewardFormula):
             rname = body.rewards
-            params = {"alpha": params.get("alpha", 0.05), "n": params.get("n", 1000)}
+            params = {"alpha": params.get("alpha", smc.DEFAULT_ALPHA),
+                      "n": params.get("n", smc.DEFAULT_SAMPLES)}
             run, args, stop = smc.run_reward_ci, (rname, body.path), params["n"]
         elif method == "SPRT":
             if theta is None:
@@ -403,7 +389,7 @@ def _sim_job(job: Job, closed, mm, pool: smc.SamplePool):
     def simulate() -> smc.Estimate:
         if error is not None:
             raise error
-        est = run(mm, closed, *args, seed=pool.seed, pathlen=pathlen, pool=pool, **params)
+        est = run(pool, *args, pathlen=pathlen, **params)
         if theta is not None and est.satisfied is None:
             est.satisfied = {"<": est.point < theta, "<=": est.point <= theta,
                              ">": est.point > theta, ">=": est.point >= theta}[body.bound.op]

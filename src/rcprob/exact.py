@@ -4,7 +4,9 @@ Every engine of rcprob accepts the same linear fragment: X, F, G, U, W
 (Weak Until) and R (Release) over state formulas, bounded or not.
 `until_form` rewrites each of them into X or a possibly negated until, so
 P (here), A/E (here) and simulation (`smc`) implement only those two; A/E
-adds the fairness shapes GF, FG, GF=>GF, FG=>GF and G(p => F q).
+adds the fairness shapes GF, FG, GF=>GF, FG=>GF and G(p => F q).  Each
+entry point takes the model alone, and reads the constants, labels,
+formulas and rewards of its configuration (`MarkovModel.closed`).
 
 A state formula compiles to nodes (`ExactChecker.node`): each maximal
 subterm that holds no P, R, A, E, `deadlock` or `init`, through its labels
@@ -118,15 +120,15 @@ def _per_structure_sets(method):
 
 
 class ExactChecker:
-    """Checks over a model.  `sat` gives a state formula's truth at every
-    state, or at the expanded states that a simulation monitor asks of a
-    model that is still growing (`smc.Monitor.cover`), which keeps one
-    checker for the model's life: a P, R, A or E in the formula expands
-    the whole model when it is first read."""
+    """Checks over a model, under its configuration (`MarkovModel.closed`).
+    `sat` gives a state formula's truth at every state, or at the expanded
+    states that a simulation monitor asks of a model that is still growing
+    (`smc.Monitor.cover`), which keeps one checker for the model's life: a
+    P, R, A or E in the formula expands the whole model when it is first
+    read."""
 
-    def __init__(self, mm: MarkovModel, closed: ClosedModel, tol: float = DEFAULT_TOL):
+    def __init__(self, mm: MarkovModel, tol: float = DEFAULT_TOL):
         self.mm = mm
-        self.closed = closed
         self.tol = tol
         self.iterations = 0
         self.engine = "graph"
@@ -226,7 +228,7 @@ class ExactChecker:
         if isinstance(e, (A.LabelRef, A.FormulaRef)):
             text = P.pretty_pexpr(e)
             if text not in self._refs:
-                decl = self.closed.spec.find(
+                decl = self.mm.closed.spec.find(
                     P.LabelDecl if isinstance(e, A.LabelRef) else P.FormulaDecl, e.name)
                 # an unknown name is plain: `ClosedModel.spec_expr` refuses it
                 self._refs[text] = None if decl is None else self._compile(decl.body)
@@ -262,8 +264,8 @@ class ExactChecker:
                 raise CheckError("a numeric literal is not a state formula")
             return lambda states, keep: np.full(len(states), e.value)
         text, mm = P.pretty_pexpr(e), self.mm
-        return lambda states, keep: mm.truth(self.closed, e, text)[mm.row_of[states]] \
-            if keep else mm.evaluate(self.closed, e, states)
+        return lambda states, keep: mm.truth(e, text)[mm.row_of[states]] \
+            if keep else mm.evaluate(e, states)
 
     def sat(self, e, states: np.ndarray | None = None) -> np.ndarray:
         """The truth of a state formula, or of its `node`, at `states`,
@@ -295,13 +297,12 @@ class ExactChecker:
         `engine` that the solve used, and counts no `iterations`.  It expands
         a model that is still growing."""
         self.mm.expand_all()
-        key = (text, None if self.closed is self.mm.closed else self.closed)
-        if key not in self.mm.solved:
+        if text not in self.mm.solved:
             truth = self.check_ae("A" if isinstance(e, A.Forall) else "E", e.path) \
                 if isinstance(e, (A.Forall, A.Exists)) else self._compare(e)
             truth.flags.writeable = False
-            self.mm.solved[key] = truth, self.engine
-        truth, self.engine = self.mm.solved[key]
+            self.mm.solved[text] = truth, self.engine
+        truth, self.engine = self.mm.solved[text]
         return truth
 
     def _compare(self, e: A.ProbFormula | A.RewardFormula) -> np.ndarray:
@@ -312,7 +313,7 @@ class ExactChecker:
             raise CheckError(f"a {what} query is not a state formula; "
                              "queries are only allowed at the top level of a property")
         op = e.bound.op
-        p = float(self.closed.spec_expr(e.bound.expr, real=True)(None))
+        p = float(self.mm.closed.spec_expr(e.bound.expr, real=True)(None))
         # upper bounds quantify over the worst (largest) adversary, lower
         # bounds over the smallest
         values = self._values(e, "max" if op in ("<", "<=") else "min")
@@ -347,7 +348,7 @@ class ExactChecker:
     def prob_path(self, path: A.Expr, mode: str) -> np.ndarray:
         """Per-state probability of a path formula; mode in exact|min|max."""
         mode = self._numeric_mode(mode, "probabilities")
-        form = until_form(path, self.closed)
+        form = until_form(path, self.mm.closed)
         if form is None:
             if isinstance(path, A.PATH_NODES):
                 raise UnsupportedError("nested temporal operators under P are not supported")
@@ -537,7 +538,7 @@ class ExactChecker:
 
     def check_ae(self, quant: str, path: A.Expr) -> np.ndarray:
         self.engine = "graph"
-        form = until_form(path, self.closed)
+        form = until_form(path, self.mm.closed)
         if isinstance(form, A.Next):
             target = self.sat(form.operand)
             return self.succ() @ target if quant == "E" else ~(self.succ() @ ~target)
@@ -622,7 +623,7 @@ class ExactChecker:
 
     def _reward_arrays(self, rname: str | None):
         """The reward per state and per move of the choice CSR."""
-        rs = reward_source(self.mm, self.closed, rname)
+        rs = reward_source(self.mm, rname)
         self.mdp_arrays()  # the choice CSR, and with it `choice_moves`
         return rs.state[self.mm.row_of], rs.move[self.mm.choice_moves]
 
@@ -640,7 +641,7 @@ class ExactChecker:
         if isinstance(rpath, A.Reachable):
             return self._reach_reward(self.sat(rpath.operand), state_r, move_r, mode)
         if isinstance(rpath, A.Cumul):
-            k = max(step_bound(self.closed, A.Bound("<=", rpath.operand)), 0)
+            k = max(step_bound(self.mm.closed, A.Bound("<=", rpath.operand)), 0)
             return self._cumul_reward(k, state_r, move_r, mode)
         if isinstance(rpath, A.TotalReward):
             return self._total_reward(state_r, move_r, mode)
@@ -714,10 +715,11 @@ class ExactChecker:
         return x
 
 
-def reward_source(mm: MarkovModel, closed: ClosedModel, rname: str | None) -> RewardStructure:
+def reward_source(mm: MarkovModel, rname: str | None) -> RewardStructure:
     """The reward structure named `rname` attached to the model (with None,
-    the only one attached), else the spec's declaration of that name, which
-    is attached; covered over every expanded state."""
+    the only one attached), else the declaration of that name in the spec
+    of its configuration, which is attached; covered over every expanded
+    state."""
     if rname is None:
         names = list(mm.rewards)
         if len(names) != 1:
@@ -725,10 +727,10 @@ def reward_source(mm: MarkovModel, closed: ClosedModel, rname: str | None) -> Re
                              f"(attached: {names or 'none'})")
         rname = names[0]
     if rname not in mm.rewards:
-        decl = closed.spec.find(P.RewardsDecl, rname)
+        decl = mm.closed.spec.find(P.RewardsDecl, rname)
         if decl is None:
             raise CheckError(f"unknown rewards {rname!r}")
-        attach_rewards(mm, decl, closed)
+        attach_rewards(mm, decl)
     rs = mm.rewards[rname]
     rs.cover(mm)
     return rs
@@ -875,46 +877,43 @@ def _flip(mode: str) -> str:
 # --- public operations ------------------------------------------------------------
 
 
-def check_state_formula(mm: MarkovModel, closed: ClosedModel, expr: A.Expr,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def check_state_formula(mm: MarkovModel, expr: A.Expr, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-state satisfaction of a boolean state formula."""
-    return ExactChecker(mm, closed, tol).sat(expr)
+    return ExactChecker(mm, tol).sat(expr)
 
 
-def prob_path(mm: MarkovModel, closed: ClosedModel, path: A.Expr,
-              mode: str = "exact", tol: float = DEFAULT_TOL) -> np.ndarray:
+def prob_path(mm: MarkovModel, path: A.Expr, mode: str = "exact",
+              tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-state probability of an unbounded or bounded path formula."""
-    return ExactChecker(mm, closed, tol).prob_path(path, mode)
+    return ExactChecker(mm, tol).prob_path(path, mode)
 
 
-def prob_path_bounded(mm: MarkovModel, closed: ClosedModel, path: A.Expr,
-                      mode: str = "exact") -> np.ndarray:
+def prob_path_bounded(mm: MarkovModel, path: A.Expr, mode: str = "exact") -> np.ndarray:
     """Per-state probability of a step-bounded path formula.
 
     Exact in k backward steps, no convergence threshold involved."""
     if isinstance(path, (A.Finally_, A.Globally, A.Until, A.WeakUntil, A.Release)) \
             and path.bound is None:
         raise CheckError("prob_path_bounded needs a step bound on the formula")
-    return ExactChecker(mm, closed).prob_path(path, mode)
+    return ExactChecker(mm).prob_path(path, mode)
 
 
-def check_AE(mm: MarkovModel, closed: ClosedModel, quant: str, path: A.Expr) -> np.ndarray:
+def check_AE(mm: MarkovModel, quant: str, path: A.Expr) -> np.ndarray:
     """Per-state verdict of a Forall/Exists path quantifier."""
-    return ExactChecker(mm, closed).check_ae(quant, path)
+    return ExactChecker(mm).check_ae(quant, path)
 
 
-def expected_reward(mm: MarkovModel, closed: ClosedModel, rname: str | None,
-                    rpath: A.Expr, mode: str = "exact",
+def expected_reward(mm: MarkovModel, rname: str | None, rpath: A.Expr, mode: str = "exact",
                     tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-state expected reward (+inf where accumulation diverges)."""
-    return ExactChecker(mm, closed, tol).expected_reward(rname, rpath, mode)
+    return ExactChecker(mm, tol).expected_reward(rname, rpath, mode)
 
 
-def check_property(mm: MarkovModel, closed: ClosedModel, prop: P.ProbProperty,
-                   config_id: str = "", tol: float = DEFAULT_TOL) -> CheckResult:
+def check_property(mm: MarkovModel, prop: P.ProbProperty, config_id: str = "",
+                   tol: float = DEFAULT_TOL) -> CheckResult:
     """Judge a property at the initial state of a built model."""
     t0 = time.perf_counter()
-    checker = ExactChecker(mm, closed, tol)
+    checker = ExactChecker(mm, tol)
     body = prop.body
     mode_name = "exact"
     if isinstance(body, (A.ProbFormula, A.RewardFormula)) and body.query is not None:

@@ -29,6 +29,7 @@ from .build import (EXIT_ACT, EXIT_EXITED, EXIT_NONE, LOCK_FREE, LOCK_HELD, ONE,
 # not called here: perfbench's tracer wraps this name until ROADMAP item 11
 from .build import build_markov  # noqa: F401
 from .record import Record
+from .resolve import walk_uses
 
 
 class EmitError(ValueError):
@@ -322,15 +323,10 @@ class _ModelEmitter:
         return str(table.weights[node])
 
     def _reads_sweep(self, e: A.Expr) -> bool:
-        """Whether an expression reads a swept constant, itself or in a
-        function that it calls."""
-        for node in A.walk(e):
-            if isinstance(node, A.Ref) and node.name.segments[-1] in self.sweep:
-                return True
-            if isinstance(node, A.FunCall) and node.name in self.c.functions \
-                    and self._reads_sweep(self.c.functions[node.name].body):
-                return True
-        return False
+        """Whether an expression reads a swept constant, itself or through
+        the functions, labels and formulas it uses (`walk_uses`)."""
+        return any(isinstance(node, A.Ref) and node.name.segments[-1] in self.sweep
+                   for node in walk_uses(self.c.spec, e, self.c.functions))
 
     def _env_module(self, mod: P.PModule) -> list[str]:
         """A labelled command takes each label of the entries on its event's

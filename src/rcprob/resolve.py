@@ -1163,14 +1163,16 @@ def _validate_property(resolver: Resolver, prop: P.ProbProperty, diags):
                                 "by its constant configuration", prop.pos))
 
 
-def walk_uses(spec: P.SpecAst, body: Expr):
+def walk_uses(spec: P.SpecAst, body: Expr, functions: dict | None = None):
     """The nodes of body and of the labels and formulas of spec it uses,
+    and of the functions it calls among `functions` (name to definition),
     each once."""
     stack, seen = [body], set()
     while stack:
         for node in A.walk(stack.pop()):
             yield node
-            decl = _declaration(spec, node)
+            decl = functions.get(node.name) if functions and isinstance(node, A.FunCall) \
+                else _declaration(spec, node)
             if decl is not None and id(decl) not in seen:
                 seen.add(id(decl))
                 stack.append(decl.body)
@@ -1272,18 +1274,11 @@ def weight_only_constants(resolver: Resolver, defs: P.DefinitionsDecl | None,
     value, a domain, an environment guard or update, a label, a formula, a
     reward item, a property) makes it structural, as does any name that
     ends in it, so that a doubt counts as a read."""
-    functions = {f.name: f.body for f in defs.functions} if defs is not None else {}
-    stack = list(_outer_exprs((resolver.model, resolver.spec)))
-    read, called = set(), set()
-    while stack:
-        for node in walk_uses(resolver.spec, stack.pop()):
-            if isinstance(node, A.Ref):
-                read.add(node.name.segments[-1])
-            elif isinstance(node, A.FunCall) and node.name in functions \
-                    and node.name not in called:
-                called.add(node.name)
-                stack.append(functions[node.name])
-    return set(names) - read
+    functions = {f.name: f for f in defs.functions} if defs is not None else {}
+    return set(names) - {node.name.segments[-1]
+                         for e in _outer_exprs((resolver.model, resolver.spec))
+                         for node in walk_uses(resolver.spec, e, functions)
+                         if isinstance(node, A.Ref)}
 
 
 def _spec_consts_used(resolver: Resolver, body: Expr) -> set[str]:

@@ -19,7 +19,7 @@ operations over the live paths plus one round per entry of the widest row
 reached.  Since a path depends only on its sample index, one walk serves
 several jobs: each is a lane with its own monitor, path length, sample
 count and rewards (`_walk`), and every simulation job of a configuration
-is a lane of one `SamplePool`.  A fixed-count lane (CI and ACI given n,
+is a lane of one `SamplePool`, which the runners take.  A fixed-count lane (CI and ACI given n,
 APMC, reward CI) reads its first n samples; a sequential one (CI and ACI
 given w and alpha, SPRT) reads the samples in index order and stops at the
 first that decides it.
@@ -34,13 +34,15 @@ import sys
 import numpy as np
 
 from . import ast as A
-from .build import (ClosedModel, MarkovModel, RewardStructure, SampleTable, _extended,
-                    _fmt_value)
+from .build import MarkovModel, RewardStructure, SampleTable, _extended, _fmt_value
 from .exact import ExactChecker, UnsupportedError, reward_source, step_bound, until_form
 from .props import pretty_pexpr
 from .record import Record, field
 
 DEFAULT_PATHLEN = 10_000
+# the confidence and the sample count of a CI whose method gives none
+DEFAULT_ALPHA = 0.05
+DEFAULT_SAMPLES = 1000
 MAX_SEQUENTIAL_SAMPLES = 10_000_000
 
 
@@ -332,7 +334,7 @@ def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
     X decides at step 1, and [not] (left U<=k right) when the path reaches a
     right state, leaves the left states or sticks, or at step k by whether it
     is at a right state.  A negated until flips the until's samples."""
-    form = until_form(path, checker.closed)
+    form = until_form(path, checker.mm.closed)
     if form is None:
         raise UnsupportedError(
             f"{type(path).__name__} is not simulable; simulation accepts X, F, G, U, "
@@ -350,12 +352,11 @@ def compile_monitor(checker: ExactChecker, path: A.Expr) -> Monitor:
                    censor_value=int(negated))
 
 
-def simulate(mm: MarkovModel, closed: ClosedModel, seed: int, pathlen: int,
-             path: A.Expr):
+def simulate(mm: MarkovModel, seed: int, pathlen: int, path: A.Expr):
     """Simulate one path, monitoring the formula; returns (SimPath, sample).
     It is sample 0 of the run with this seed."""
     _require_dtmc(mm)
-    lane = _Lane(compile_monitor(ExactChecker(mm, closed), path), pathlen)
+    lane = _Lane(compile_monitor(ExactChecker(mm), path), pathlen)
     steps = []
     [(value, capped, _, _)] = _walk(mm, seed, np.zeros(1, dtype=np.int64), [lane], trace=steps)
     entries = [(int(s[0]), mm.move_action[move[0]], int(nxt[0])) for s, move, nxt in steps]
@@ -446,8 +447,11 @@ class _Tally(Record):
 
 
 class SamplePool:
-    """The simulation jobs of one configuration, walked once, on one model
-    under one seed.
+    """The simulation jobs of one model, walked once under one seed, their
+    formulas read in the model's configuration (`MarkovModel.closed`).  The
+    runners (`run_ci`, `run_aci`, `run_apmc`, `run_sprt`, `run_reward_ci`)
+    take the pool and read their job's lane from it; a pool made for one
+    job walks that job alone.
 
     `add` registers a job's lane, by its path formula (a reward job: its
     reward path and reward structure), path length and what stops it: a
@@ -463,10 +467,9 @@ class SamplePool:
     fails is dropped and the lane asked for walks alone; the states that the
     dropped walk expanded stay in the model."""
 
-    def __init__(self, mm: MarkovModel, closed: ClosedModel, seed: int):
+    def __init__(self, mm: MarkovModel, seed: int):
         self.mm = mm
-        self.closed = closed
-        self.checker = ExactChecker(mm, closed)  # that of every monitor of the pool
+        self.checker = ExactChecker(mm)  # that of every monitor of the pool
         self.seed = seed
         self._monitors: dict[str, Monitor] = {}
         self._lanes: dict[tuple, _Lane] = {}
@@ -481,7 +484,7 @@ class SamplePool:
             _require_dtmc(self.mm)
             rewards = None
             if isinstance(path, A.REWARD_PATH_NODES):
-                rewards = reward_source(self.mm, self.closed, rname)
+                rewards = reward_source(self.mm, rname)
             monitor = self._monitors.get(text)
             if monitor is None:
                 monitor = self._monitors[text] = _reward_monitor(self.checker, path) \
@@ -523,15 +526,6 @@ class SamplePool:
             lane.tally = tally
 
 
-def _tally(mm, closed, seed, pool: SamplePool | None, path, pathlen, stop,
-           rname=None) -> _Tally:
-    """The tally of a job's lane: in `pool`, the pool of this model, closed
-    model and seed, or without one walked alone."""
-    if pool is None:
-        pool = SamplePool(mm, closed, seed)
-    return pool.lane(path, pathlen, stop, rname).tally
-
-
 def _count(name: str, value) -> int:
     """A sample count or a path length: a whole number of at least 1."""
     if value < 1 or value != int(value):
@@ -554,20 +548,19 @@ def _two_of_three(**kwargs):
     return given
 
 
-def run_ci(mm, closed, path, w=None, alpha=None, n=None, seed=0,
-           pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
-    """Confidence-interval estimation with a normal-approximation interval;
-    given w and alpha, sampling stops once the Wilson score interval is
-    within w of the mean.  The samples are those of the job's lane in
-    `pool` (`SamplePool`), if any."""
-    return _ci_like(mm, closed, path, "CI", w, alpha, n, seed, pathlen, pool)
+def run_ci(pool: SamplePool, path, w=None, alpha=None, n=None,
+           pathlen=DEFAULT_PATHLEN) -> Estimate:
+    """Confidence-interval estimation with a normal-approximation interval,
+    on the job's lane in `pool`; given w and alpha, sampling stops once the
+    Wilson score interval is within w of the mean."""
+    return _ci_like(pool, path, "CI", w, alpha, n, pathlen)
 
 
-def run_aci(mm, closed, path, w=None, alpha=None, n=None, seed=0,
-            pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+def run_aci(pool: SamplePool, path, w=None, alpha=None, n=None,
+            pathlen=DEFAULT_PATHLEN) -> Estimate:
     """As run_ci but with the variance estimated from the samples
     (Student-t quantile below 50 samples)."""
-    return _ci_like(mm, closed, path, "ACI", w, alpha, n, seed, pathlen, pool)
+    return _ci_like(pool, path, "ACI", w, alpha, n, pathlen)
 
 
 def _half_width(method, alpha, mean, var_sum, n):
@@ -596,9 +589,9 @@ def ci_stop(method, w=None, alpha=None, n=None):
     return n
 
 
-def _ci_like(mm, closed, path, method, w, alpha, n, seed, pathlen, pool) -> Estimate:
+def _ci_like(pool: SamplePool, path, method, w, alpha, n, pathlen) -> Estimate:
     stop = ci_stop(method, w, alpha, n)
-    tally = _tally(mm, closed, seed, pool, path, pathlen, stop)
+    tally, seed = pool.lane(path, pathlen, stop).tally, pool.seed
     n, total = tally.count, tally.total
     mean = total / n
     if isinstance(stop, _Wilson):
@@ -656,13 +649,13 @@ def apmc_parameters(epsilon=None, delta=None, n=None) -> tuple[float, float, int
     return epsilon, 2.0 * math.exp(-2.0 * n * epsilon * epsilon), n
 
 
-def run_apmc(mm, closed, path, epsilon=None, delta=None, n=None, seed=0,
-             pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+def run_apmc(pool: SamplePool, path, epsilon=None, delta=None, n=None,
+             pathlen=DEFAULT_PATHLEN) -> Estimate:
     """Approximate model checking with the Chernoff-Hoeffding bound
-    (`apmc_parameters`), on the job's lane in `pool`, if any."""
+    (`apmc_parameters`), on the job's lane in `pool`."""
     epsilon, delta, n = apmc_parameters(epsilon, delta, n)
-    tally = _tally(mm, closed, seed, pool, path, pathlen, n)
-    return Estimate("APMC", tally.total / n, n, seed, epsilon=epsilon, delta=delta,
+    tally = pool.lane(path, pathlen, n).tally
+    return Estimate("APMC", tally.total / n, n, pool.seed, epsilon=epsilon, delta=delta,
                     **tally.fields())
 
 
@@ -682,22 +675,22 @@ def sprt_rule(theta: float, alpha=None, delta=None) -> _Wald:
                  math.log(alpha / (1.0 - alpha)), math.log((1.0 - alpha) / alpha))
 
 
-def run_sprt(mm, closed, path, bound: A.Bound, theta: float, alpha=None,
-             delta=None, seed=0, pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+def run_sprt(pool: SamplePool, path, bound: A.Bound, theta: float, alpha=None, delta=None,
+             pathlen=DEFAULT_PATHLEN) -> Estimate:
     """Wald sequential probability ratio test of a bounded property, on the
-    job's lane in `pool`, if any.
+    job's lane in `pool`.
 
     Tests H0: p >= theta + delta against H1: p <= theta - delta with
     type I = type II = alpha; the decision is mapped back to the bound's
     direction."""
     rule = sprt_rule(theta, alpha, delta)
-    tally = _tally(mm, closed, seed, pool, path, pathlen, rule)
+    tally = pool.lane(path, pathlen, rule).tally
     if not tally.stopped:
         raise SmcError("SPRT exceeded the sample cap without a decision")
     decision = "accept-H1" if tally.score >= rule.accept_h1 else "accept-H0"
     high = decision == "accept-H0"  # p is on the high side of theta
     satisfied = high if bound.op in (">", ">=") else not high
-    return Estimate("SPRT", tally.total / tally.count, tally.count, seed, alpha=alpha,
+    return Estimate("SPRT", tally.total / tally.count, tally.count, pool.seed, alpha=alpha,
                     delta=delta, decision=decision, satisfied=satisfied, **tally.fields())
 
 
@@ -709,7 +702,7 @@ def _reward_monitor(checker: ExactChecker, rpath: A.Expr) -> Monitor:
     when a path reaches its target or an absorbing state outside it, where
     the path diverges, and the value of a path is whether it diverged."""
     if isinstance(rpath, A.Cumul):
-        k = max(step_bound(checker.closed, A.Bound("<=", rpath.operand)), 0)
+        k = max(step_bound(checker.mm.closed, A.Bound("<=", rpath.operand)), 0)
         return Monitor(checker, lambda absorbing: [np.zeros_like(absorbing)] * 3, (), k)
     if isinstance(rpath, A.Reachable):
         def rule(target, absorbing):
@@ -719,18 +712,18 @@ def _reward_monitor(checker: ExactChecker, rpath: A.Expr) -> Monitor:
     raise UnsupportedError("simulation supports Cumul and Reachable rewards only")
 
 
-def run_reward_ci(mm, closed, rname, rpath, alpha=0.05, n=1000, seed=0,
-                  pathlen=DEFAULT_PATHLEN, pool=None) -> Estimate:
+def run_reward_ci(pool: SamplePool, rname, rpath, alpha=DEFAULT_ALPHA, n=DEFAULT_SAMPLES,
+                  pathlen=DEFAULT_PATHLEN) -> Estimate:
     """Mean-reward estimation for Cumul k and almost-sure Reachable formulas,
-    on the job's lane in `pool`, if any.  A path that reaches an absorbing
+    on the job's lane in `pool`.  A path that reaches an absorbing
     state outside the target of Reachable diverges; it is censored and
     counted as a cap hit."""
     n = _count("the sample count n", n)
     _within("alpha", alpha)
-    tally = _tally(mm, closed, seed, pool, rpath, pathlen, n, rname)
+    tally = pool.lane(rpath, pathlen, n, rname).tally
     arr = np.concatenate(tally.gains)
     mean = float(arr.mean())
     sd = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     hw = normal_quantile(1.0 - alpha / 2.0) * sd / math.sqrt(len(arr))
-    return Estimate("CI", mean, len(arr), seed, half_width=hw, alpha=alpha,
+    return Estimate("CI", mean, len(arr), pool.seed, half_width=hw, alpha=alpha,
                     **tally.fields())

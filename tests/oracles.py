@@ -87,13 +87,14 @@ class Move:
 
 
 def explicit_model(kind: str, var_names, states, moves: list[list[Move]], deadlock: list[bool],
-                   initial: int = 0, lazy: bool = False) -> MarkovModel:
+                   initial: int = 0, lazy: bool = False, closed=None) -> MarkovModel:
     """The model whose state i is `states[i]`, with the moves `moves[i]`
-    (branches of weight 0 dropped) and the deadlock flag `deadlock[i]`.  It
-    knows every state from the start, in index order, and is expanded whole,
-    states the initial one cannot reach included; with `lazy` it knows only
-    the initial state and is not expanded, so that it numbers its states in
-    the order it meets them."""
+    (branches of weight 0 dropped) and the deadlock flag `deadlock[i]`,
+    under the configuration `closed` (by default a `StubContext` of its
+    variables).  It knows every state from the start, in index order, and
+    is expanded whole, states the initial one cannot reach included; with
+    `lazy` it knows only the initial state and is not expanded, so that it
+    numbers its states in the order it meets them."""
     index = {st: s for s, st in enumerate(states)}
     nodes = WeightTable()
 
@@ -103,9 +104,12 @@ def explicit_model(kind: str, var_names, states, moves: list[list[Move]], deadlo
                   [(nodes.leaf(p), states[d]) for p, d in mv.branches if p > 0])
                  for mv in moves[s]], deadlock[s])
 
+    closed = StubContext(var_names) if closed is None else closed
     if lazy:
-        return MarkovModel(kind, tuple(var_names), [states[initial]], successors, nodes)
-    mm = MarkovModel(kind, tuple(var_names), list(states), successors, nodes, initial)
+        return MarkovModel(kind, tuple(var_names), [states[initial]], successors, nodes,
+                           closed=closed)
+    mm = MarkovModel(kind, tuple(var_names), list(states), successors, nodes, initial,
+                     closed=closed)
     mm.expand_all()
     return mm
 

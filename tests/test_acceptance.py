@@ -24,7 +24,7 @@ from rcprob.props import (DefinitionsDecl, PModulesDecl, ProbProperty,
 from rcprob.prism import (Mangler, _ModelEmitter, _PropsEmitter, check_prism_model,
                           check_prism_props, emit_pair)
 from rcprob.resolve import validate
-from rcprob.smc import apmc_samples, run_ci, run_sprt
+from rcprob.smc import SamplePool, apmc_samples, run_ci, run_sprt
 
 from conftest import make_srw
 from oracles import dtmc_row, moves_of, parse_explicit
@@ -109,7 +109,7 @@ def test_criterion_1_reward_table(srw_model, srw_spec):
             closed, mm = make_srw(srw_model, srw_spec, maxsteps=maxsteps, pl=pl,
                                   defs=defs)
             prop = srw_spec.find(ProbProperty, "R_stuck_not_origin")
-            res = check_property(mm, closed, prop)  # engine default tolerance
+            res = check_property(mm, prop)  # engine default tolerance
             engine_values[(name, maxsteps)] = res.verdict
             models[(name, maxsteps)] = (closed, mm)
     elapsed = time.time() - t0
@@ -121,7 +121,7 @@ def test_criterion_1_reward_table(srw_model, srw_spec):
                 continue
             # fallback: converged value must match the linear-solve oracle
             closed, mm = models[(name, maxsteps)]
-            checker = ExactChecker(mm, closed, tol=1e-13)
+            checker = ExactChecker(mm, tol=1e-13)
             tight = checker.expected_reward("R_origins", A.Reachable(STUCK_NOT_ORIGIN),
                                             "exact")[mm.initial]
             oracle, target = oracle_reward(mm, closed)
@@ -145,7 +145,7 @@ def test_criterion_2_stuck_probability(srw_model, srw_spec):
     for defs in ("D_recharge", "D_norecharge"):
         for pl in (Fraction(1, 2), Fraction(3, 10), Fraction(8, 10)):
             closed, mm = make_srw(srw_model, srw_spec, pl=pl, defs=defs)
-            values = prob_path(mm, closed, A.Finally_(None, parse_expression(STUCK)))
+            values = prob_path(mm, A.Finally_(None, parse_expression(STUCK)))
             worst = max(worst, abs(values[mm.initial] - 1.0))
     report(2, worst <= 1e-6, f"P[F stuck] = 1 across 6 configurations "
                              f"(worst deviation {worst:.2e})")
@@ -159,7 +159,7 @@ def test_criterion_3_deadlock_freedom(srw_model, srw_spec):
     verdicts = []
     for maxsteps in range(20, 101, 10):
         closed, mm = make_srw(srw_model, srw_spec, maxsteps=maxsteps)
-        verdicts.append(check_property(mm, closed, prop).verdict)
+        verdicts.append(check_property(mm, prop).verdict)
     report(3, all(v is True for v in verdicts),
            f"deadlock freedom over all 9 configurations: {verdicts}")
 
@@ -195,7 +195,7 @@ def pc_eq(value):
 def test_criterion_4_qualitative_suite(srw_model, srw_spec):
     closed, mm = make_srw(srw_model, srw_spec, kind="mdp")
     m = closed.machines[0]
-    ctx = RawAtomContext(closed, {"pc": lambda s, i=m.pc_i: s[i]})
+    mm.closed = RawAtomContext(closed, {"pc": lambda s, i=m.pc_i: s[i]})
     stuck = parse_expression(STUCK)
     move = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Move")
@@ -207,20 +207,20 @@ def test_criterion_4_qualitative_suite(srw_model, srw_spec):
     F, G = (lambda e: A.Finally_(None, e)), (lambda e: A.Globally(None, e))
     checks = [
         ("(pc=i0)", "pc=i0" in mm.labels(i), True),
-        ("X(pc=Move)", bool(check_AE(mm, ctx, "A", A.Next(move))[i]), False),
-        ("A[F Stuck]", bool(check_AE(mm, ctx, "A", F(stuck))[i]), False),
-        ("E[G !Stuck]", bool(check_AE(mm, ctx, "E", G(A.Unary("not", stuck)))[i]), True),
-        ("A[FG Stuck]", bool(check_AE(mm, ctx, "A", F(G(stuck)))[i]), False),
-        ("E[FG Stuck]", bool(check_AE(mm, ctx, "E", F(G(stuck)))[i]), True),
-        ("A[GF Move]", bool(check_AE(mm, ctx, "A", G(F(move)))[i]), False),
+        ("X(pc=Move)", bool(check_AE(mm, "A", A.Next(move))[i]), False),
+        ("A[F Stuck]", bool(check_AE(mm, "A", F(stuck))[i]), False),
+        ("E[G !Stuck]", bool(check_AE(mm, "E", G(A.Unary("not", stuck)))[i]), True),
+        ("A[FG Stuck]", bool(check_AE(mm, "A", F(G(stuck)))[i]), False),
+        ("E[FG Stuck]", bool(check_AE(mm, "E", F(G(stuck)))[i]), True),
+        ("A[GF Move]", bool(check_AE(mm, "A", G(F(move)))[i]), False),
         ("A[GF Move => GF p0]",
-         bool(check_AE(mm, ctx, "A", A.Binary("=>", G(F(move)), G(F(at_p0))))[i]), True),
+         bool(check_AE(mm, "A", A.Binary("=>", G(F(move)), G(F(at_p0))))[i]), True),
         ("A[FG Stuck => GF steps=MaxSteps]",
-         bool(check_AE(mm, ctx, "A", A.Binary("=>", F(G(stuck)), G(F(steps_max))))[i]),
+         bool(check_AE(mm, "A", A.Binary("=>", F(G(stuck)), G(F(steps_max))))[i]),
          True),
         ("A[G (steps=MaxSteps => F Stuck)]",
-         bool(check_AE(mm, ctx, "A", G(A.Binary("=>", steps_max, F(stuck))))[i]), True),
-        ("A[G bounded]", bool(check_AE(mm, ctx, "A", G(bounded))[i]), True),
+         bool(check_AE(mm, "A", G(A.Binary("=>", steps_max, F(stuck))))[i]), True),
+        ("A[G bounded]", bool(check_AE(mm, "A", G(bounded))[i]), True),
     ]
     bad = [(name, got, want) for name, got, want in checks if got != want]
     for name, got, want in bad:
@@ -232,15 +232,14 @@ def test_criterion_4_qualitative_suite(srw_model, srw_spec):
 
 
 def test_criterion_5_oracle_equivalence():
-    from oracles import (StubContext, brute_ae, dense_reach, explicit_dtmc_matrix,
+    from oracles import (brute_ae, dense_reach, explicit_dtmc_matrix,
                          mdp_extremal_reach, random_dtmc, random_mdp, var_in)
     rng = random.Random(20240801)
     worst = 0.0
     for trial in range(500):
         mm = random_dtmc(rng, rng.randint(3, 200))
-        ctx = StubContext(("x",))
         targets = rng.sample(range(mm.num_states), max(1, mm.num_states // 8))
-        values = prob_path(mm, ctx, A.Finally_(None, var_in("x", targets)), tol=1e-13)
+        values = prob_path(mm, A.Finally_(None, var_in("x", targets)), tol=1e-13)
         mat = explicit_dtmc_matrix(parse_explicit(mm.export_text()))
         want = np.zeros(mm.num_states, dtype=bool)
         want[targets] = True
@@ -250,12 +249,11 @@ def test_criterion_5_oracle_equivalence():
     worst_mdp = 0.0
     for trial in range(30):
         mm = random_mdp(rng, rng.randint(3, 9), max_nondet_states=6)
-        ctx = StubContext(("x",))
         targets = rng.sample(range(mm.num_states), max(1, mm.num_states // 4))
         want = np.zeros(mm.num_states, dtype=bool)
         want[targets] = True
         for mode in ("min", "max"):
-            engine = prob_path(mm, ctx, A.Finally_(None, var_in("x", targets)),
+            engine = prob_path(mm, A.Finally_(None, var_in("x", targets)),
                                mode=mode, tol=1e-13)
             oracle = mdp_extremal_reach(mm, want, mode)
             worst_mdp = max(worst_mdp, float(np.max(np.abs(engine - oracle))))
@@ -263,7 +261,6 @@ def test_criterion_5_oracle_equivalence():
     mismatches = 0
     for trial in range(80):
         mm = random_mdp(rng, rng.randint(2, 10), max_nondet_states=4)
-        ctx = StubContext(("x",))
         n = mm.num_states
         p_vals = rng.sample(range(n), max(1, n // 3))
         q_vals = rng.sample(range(n), max(1, n // 3))
@@ -281,7 +278,7 @@ def test_criterion_5_oracle_equivalence():
         }
         for shape, formula in shapes.items():
             for quant in ("A", "E"):
-                engine = check_AE(mm, ctx, quant, formula)
+                engine = check_AE(mm, quant, formula)
                 oracle = brute_ae(mm, quant, shape, {"p": p, "q": q})
                 if not (engine == oracle).all():
                     mismatches += 1
@@ -370,30 +367,29 @@ def test_criterion_7_smc_calibration(srw_model, srw_spec):
     closed, mm = make_srw(srw_model, srw_spec, maxdist=2, maxsteps=4,
                           defs="D_norecharge")
     target = parse_expression("SRWMod::SRWRP::x == 2")
-    exact = prob_path(mm, closed, A.Finally_(None, target), tol=1e-12)[mm.initial]
+    exact = prob_path(mm, A.Finally_(None, target), tol=1e-12)[mm.initial]
     assert 0.0 < exact < 1.0
     covered = 0
     for seed in range(200):
-        est = run_ci(mm, closed, A.Finally_(None, target), alpha=0.05, n=100,
-                     seed=seed, pathlen=1000)
+        est = run_ci(SamplePool(mm, seed), A.Finally_(None, target), alpha=0.05, n=100,
+                     pathlen=1000)
         if abs(est.point - exact) <= est.half_width:
             covered += 1
     ok_ci = covered >= 180
     ok_apmc = apmc_samples(0.05, 0.01) == 1060
     # SPRT: true probability exactly two deltas below the threshold
-    from oracles import Move, StubContext, explicit_model, var_eq
+    from oracles import Move, explicit_model, var_eq
     p_true = Fraction(3, 10)
     chain = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], [
         [Move("a", ((p_true, 1), (1 - p_true, 2)))],
         [Move("l", ((Fraction(1), 1),))],
         [Move("l", ((Fraction(1), 2),))],
     ], [False, True, True])
-    ctx = StubContext(("x",))
     correct = 0
     for seed in range(100):
-        est = run_sprt(chain, ctx, A.Finally_(None, var_eq("x", 1)),
+        est = run_sprt(SamplePool(chain, seed), A.Finally_(None, var_eq("x", 1)),
                        A.Bound(">=", A.Lit(Fraction(4, 10))), theta=0.4,
-                       alpha=0.01, delta=0.05, seed=seed)
+                       alpha=0.01, delta=0.05)
         if est.decision == "accept-H1" and est.satisfied is False:
             correct += 1
     ok_sprt = correct >= 99
@@ -562,7 +558,7 @@ def test_criterion_10_environment_module(srw_model):
     closed = instantiate(srw_model, {"MaxDist": 1, "MaxSteps": 2, "Pl": Fraction(1, 2)},
                          defs, env, "dtmc", spec)
     mm = build_markov(closed)
-    result = check_property(mm, closed, prop)
+    result = check_property(mm, prop)
 
     order, edges, index = hand_product()
     assert len(order) <= 50

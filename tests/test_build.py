@@ -329,7 +329,7 @@ def test_export_roundtrip(srw_small):
 def test_attach_rewards_origins(srw_default, srw_spec):
     closed, mm = srw_default
     decl = srw_spec.find(RewardsDecl, "R_origins")
-    attach_rewards(mm, decl, closed)
+    attach_rewards(mm, decl)
     rs = mm.rewards["R_origins"]
     assert all(v == 0 for v in rs.state)
     x_i = closed.index["SRWRP.x"]
@@ -346,7 +346,7 @@ def test_attach_rewards_origins(srw_default, srw_spec):
 def test_state_reward_everywhere(srw_small):
     closed, mm = srw_small
     decl = parse_spec("rewards R_steps = true : 1; endrewards").statements[0]
-    attach_rewards(mm, decl, closed)
+    attach_rewards(mm, decl)
     assert all(v == 1 for v in mm.rewards["R_steps"].state)
 
 
@@ -354,7 +354,7 @@ def test_unsatisfied_guard_zero_structure(srw_small):
     closed, mm = srw_small
     decl = parse_spec("rewards R_none = (SRWMod::SRWRP::x == 999) : 5; endrewards") \
         .statements[0]
-    attach_rewards(mm, decl, closed)
+    attach_rewards(mm, decl)
     rs = mm.rewards["R_none"]
     assert all(v == 0 for v in rs.state)
     assert move_rewards_of(mm, rs) == {}
@@ -364,7 +364,7 @@ def test_negative_reward_rejected(srw_small):
     closed, mm = srw_small
     decl = parse_spec("rewards R_bad = true : -1; endrewards").statements[0]
     with pytest.raises(BuildError, match="negative reward"):
-        attach_rewards(mm, decl, closed)
+        attach_rewards(mm, decl)
 
 
 @pytest.mark.parametrize("items,fails", [
@@ -383,7 +383,7 @@ def test_a_failing_reward_item_names_the_first_failing_state(srw_small, items, f
     x = closed.index["SRWRP.x"]
     first = next(s for s in mm.order if mm.states[s][x] in fails)
     with pytest.raises(BuildError, match=rf"^rewards R_bad at state {first}: division by zero$"):
-        attach_rewards(mm, decl, closed)
+        attach_rewards(mm, decl)
 
 
 # --- synchronisation between machines ----------------------------------------------

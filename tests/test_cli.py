@@ -1421,12 +1421,14 @@ print(json.dumps(loaded))
 @pytest.mark.parametrize("path, loaded", [
     ("[Finally #l_stuck]", False),
     ("[Finally (Prob>0.5 of [Finally #l_stuck])]", True),
+    ("[Finally #nested]", True),
 ])
 def test_a_simulation_that_nests_a_solve_loads_scipy_before_its_timers(path, loaded, tmp_path):
     # the first nested solve of each process imported scipy within its
     # record's checkMs
     spec = tmp_path / "sim.rcp"
-    spec.write_text(_srw_prop(f"Prob=? of {path} using sim with CI at alpha=0.05, n=200"))
+    spec.write_text("label nested = Prob>0.5 of [Finally #l_stuck]\n"
+                    + _srw_prop(f"Prob=? of {path} using sim with CI at alpha=0.05, n=200"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", AT_CHECKS, SRW_RCM, str(spec),
                            str(tmp_path / "out")], env=env, capture_output=True, text=True,

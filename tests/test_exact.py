@@ -15,7 +15,7 @@ from rcprob.model import parse_model
 from rcprob.props import parse_expression, ProbProperty, RewardsDecl
 
 from conftest import make_srw
-from oracles import (Move, StubContext, all_moves, brute_ae, dense_reach, dense_reach_reward,
+from oracles import (Move, all_moves, brute_ae, dense_reach, dense_reach_reward,
                      dtmc_row, explicit_dtmc_csr, explicit_dtmc_matrix, explicit_model,
                      explicit_step_reward, mdp_extremal_reach, mdp_zero_one_sets, moves_of,
                      parse_explicit, random_dtmc, random_mdp, reward_structure,
@@ -34,8 +34,7 @@ def chain(moves_spec, kind="dtmc"):
                 (Fraction(str(p)) if isinstance(p, float) else Fraction(p), d)
                 for p, d in branches)))
         moves.append(row)
-    mm = explicit_model(kind, ("x",), [(i,) for i in range(n)], moves, [False] * n)
-    return mm, StubContext(("x",))
+    return explicit_model(kind, ("x",), [(i,) for i in range(n)], moves, [False] * n)
 
 
 def F(e):
@@ -51,7 +50,7 @@ def G(e):
 
 def test_initial_state_formula(srw_mdp):
     closed, mm = srw_mdp
-    sat = check_state_formula(mm, closed, parse_expression(
+    sat = check_state_formula(mm, parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck"))
     pc_i = closed.index["ctrl_ref.stm_ref.pc"]
     for i, st in enumerate(mm.states):
@@ -63,24 +62,24 @@ def test_next_move_false_at_init(srw_mdp):
     # X(pc=Move) is false at the initial state: the successor is Move_entering
     is_in_move = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Move")
-    sat = check_AE(mm, closed, "A", A.Next(is_in_move))
+    sat = check_AE(mm, "A", A.Next(is_in_move))
     assert not sat[mm.initial]
 
 
 def test_true_everywhere(srw_small):
     closed, mm = srw_small
-    sat = check_state_formula(mm, closed, A.Lit(True))
+    sat = check_state_formula(mm, A.Lit(True))
     assert sat.all()
 
 
 def test_prob_bound_as_state_formula():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(0.3, 1), (0.7, 2)])],
         [("loop", [(1, 1)])],
         [("loop", [(1, 2)])],
     ])
-    sat = check_state_formula(mm, ctx, A.ProbFormula(A.Bound(">=", A.Lit(Fraction(1, 4))),
-                                                     None, F(var_eq("x", 1))))
+    sat = check_state_formula(mm, A.ProbFormula(A.Bound(">=", A.Lit(Fraction(1, 4))),
+                                                None, F(var_eq("x", 1))))
     assert sat[0] and sat[1] and not sat[2]
 
 
@@ -88,12 +87,12 @@ def test_prob_bound_as_state_formula():
 
 
 def test_single_step_reachability():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(0.3, 1), (0.7, 2)])],
         [("loop", [(1, 1)])],
         [("loop", [(1, 2)])],
     ])
-    values = prob_path(mm, ctx, F(var_eq("x", 1)))
+    values = prob_path(mm, F(var_eq("x", 1)))
     assert values[0] == pytest.approx(0.3, abs=1e-12)
     assert values[1] == 1.0 and values[2] == 0.0
 
@@ -102,7 +101,7 @@ def test_srw_stuck_probability_one(srw_default):
     closed, mm = srw_default
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
-    values = prob_path(mm, closed, F(stuck))
+    values = prob_path(mm, F(stuck))
     assert values[mm.initial] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -111,7 +110,7 @@ def test_small_instance_matches_export_oracle(srw_small):
     target_expr = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck "
         "/\\ SRWMod::SRWRP::x != 0")
-    values = prob_path(mm, closed, F(target_expr), tol=1e-13)
+    values = prob_path(mm, F(target_expr), tol=1e-13)
     parsed = parse_explicit(mm.export_text())
     mat = explicit_dtmc_matrix(parsed)
     pc = [st["ctrl_ref.stm_ref.pc"] for st in parsed["states"]]
@@ -122,12 +121,12 @@ def test_small_instance_matches_export_oracle(srw_small):
 
 
 def test_bounded_zero_steps():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(0.5, 1), (0.5, 0)])],
         [("loop", [(1, 1)])],
     ])
     target = var_eq("x", 1)
-    values = prob_path(mm, ctx, A.Finally_(A.Bound("<=", A.Lit(0)), target))
+    values = prob_path(mm, A.Finally_(A.Bound("<=", A.Lit(0)), target))
     assert values[0] == 0.0 and values[1] == 1.0
 
 
@@ -136,7 +135,7 @@ def test_step_bounds_stop_at_a_fixed_point():
     # backup after the first returns the same array, so any bound past one
     # step runs two (all k ran, and 10**11 steps on the SRW fixture took
     # more than a minute)
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(Fraction(3, 10), 1), (Fraction(7, 10), 2)])],
         [("loop", [(1, 1)])],
         [("loop", [(1, 2)])],
@@ -145,7 +144,7 @@ def test_step_bounds_stop_at_a_fixed_point():
     reward_structure(mm, "R", [1, 0, 0])
     for mode in ("exact", "max"):
         for k, iterations in ((1, 1), (1000, 2), (10 ** 12, 2)):
-            checker = ExactChecker(mm, ctx)
+            checker = ExactChecker(mm)
             values = checker.prob_path(A.Finally_(A.Bound("<=", A.Lit(k)), goal), mode)
             assert (values.tolist(), checker.iterations) == ([0.3, 1.0, 0.0], iterations)
             values = checker.expected_reward("R", A.Cumul(A.Lit(k)), mode)
@@ -176,9 +175,9 @@ def test_bounded_matches_path_enumeration(srw_model, srw_spec):
     closed, mm = make_srw(srw_model, srw_spec, maxdist=2, maxsteps=2)
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
-    checker = ExactChecker(mm, closed)
+    checker = ExactChecker(mm)
     target = checker.sat(stuck)
-    values = prob_path(mm, closed, A.Finally_(A.Bound("<=", A.Lit(10)), stuck))
+    values = prob_path(mm, A.Finally_(A.Bound("<=", A.Lit(10)), stuck))
     brute = brute_force_bounded_reach(mm, target, 10)
     assert np.max(np.abs(values - brute)) < 1e-12
 
@@ -188,11 +187,10 @@ def test_bounded_matches_path_enumeration(srw_model, srw_spec):
 def test_bounded_globally_duality(seed, k):
     rng = random.Random(seed)
     mm = random_dtmc(rng, rng.randint(3, 12))
-    ctx = StubContext(("x",))
     phi = var_in("x", [0, 2])
-    g = prob_path(mm, ctx, A.Globally(A.Bound("<=", A.Lit(k)), phi))
-    f = prob_path(mm, ctx, A.Finally_(A.Bound("<=", A.Lit(k)),
-                                      A.Unary("not", phi)))
+    g = prob_path(mm, A.Globally(A.Bound("<=", A.Lit(k)), phi))
+    f = prob_path(mm, A.Finally_(A.Bound("<=", A.Lit(k)),
+                                 A.Unary("not", phi)))
     assert np.max(np.abs(g - (1.0 - f))) < 1e-12
 
 
@@ -200,10 +198,9 @@ def test_unbounded_duality_dtmc():
     rng = random.Random(7)
     for _ in range(25):
         mm = random_dtmc(rng, rng.randint(3, 30))
-        ctx = StubContext(("x",))
         phi = var_in("x", [0, 1, 4])
-        g = prob_path(mm, ctx, G(phi), tol=1e-13)
-        f = prob_path(mm, ctx, F(A.Unary("not", phi)), tol=1e-13)
+        g = prob_path(mm, G(phi), tol=1e-13)
+        f = prob_path(mm, F(A.Unary("not", phi)), tol=1e-13)
         assert np.max(np.abs(g + f - 1.0)) < 1e-9
 
 
@@ -211,10 +208,9 @@ def test_unbounded_duality_mdp():
     rng = random.Random(11)
     for _ in range(15):
         mm = random_mdp(rng, rng.randint(3, 12))
-        ctx = StubContext(("x",))
         phi = var_in("x", [0, 1])
-        gmin = prob_path(mm, ctx, G(phi), mode="min", tol=1e-13)
-        fmax = prob_path(mm, ctx, F(A.Unary("not", phi)), mode="max", tol=1e-13)
+        gmin = prob_path(mm, G(phi), mode="min", tol=1e-13)
+        fmax = prob_path(mm, F(A.Unary("not", phi)), mode="max", tol=1e-13)
         assert np.max(np.abs(gmin - (1.0 - fmax))) < 1e-9
 
 
@@ -224,10 +220,10 @@ def test_monotone_in_bound(srw_small):
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
     prev = np.zeros(mm.num_states)
     for k in (0, 2, 5, 10, 25, 60):
-        cur = prob_path(mm, closed, A.Finally_(A.Bound("<=", A.Lit(k)), stuck))
+        cur = prob_path(mm, A.Finally_(A.Bound("<=", A.Lit(k)), stuck))
         assert (cur >= prev - 1e-12).all()
         prev = cur
-    unbounded = prob_path(mm, closed, F(stuck), tol=1e-10)
+    unbounded = prob_path(mm, F(stuck), tol=1e-10)
     assert (prev <= unbounded + 1e-6).all()
 
 
@@ -235,10 +231,9 @@ def test_value_iteration_matches_dense_solve():
     rng = random.Random(123)
     for trial in range(120):
         mm = random_dtmc(rng, rng.randint(3, 60))
-        ctx = StubContext(("x",))
         target_vals = rng.sample(range(mm.num_states), max(1, mm.num_states // 6))
         phi = var_in("x", target_vals)
-        values = prob_path(mm, ctx, F(phi), tol=1e-13)
+        values = prob_path(mm, F(phi), tol=1e-13)
         mat = explicit_dtmc_matrix(parse_explicit(mm.export_text()))
         target = np.zeros(mm.num_states, dtype=bool)
         target[target_vals] = True
@@ -250,13 +245,12 @@ def test_mdp_extrema_match_adversary_enumeration():
     rng = random.Random(321)
     for trial in range(40):
         mm = random_mdp(rng, rng.randint(3, 9), max_nondet_states=6)
-        ctx = StubContext(("x",))
         target_vals = rng.sample(range(mm.num_states), max(1, mm.num_states // 4))
         phi = var_in("x", target_vals)
         target = np.zeros(mm.num_states, dtype=bool)
         target[target_vals] = True
         for mode in ("min", "max"):
-            engine = prob_path(mm, ctx, F(phi), mode=mode, tol=1e-13)
+            engine = prob_path(mm, F(phi), mode=mode, tol=1e-13)
             oracle = mdp_extremal_reach(mm, target, mode)
             assert np.max(np.abs(engine - oracle)) < 1e-9, (trial, mode)
 
@@ -265,36 +259,35 @@ def test_weak_until_release_identities():
     rng = random.Random(5)
     for _ in range(15):
         mm = random_dtmc(rng, rng.randint(3, 20))
-        ctx = StubContext(("x",))
         p = var_in("x", [0, 1, 5])
         q = var_eq("x", 2)
-        w = prob_path(mm, ctx, A.WeakUntil(p, None, q), tol=1e-13)
-        u = prob_path(mm, ctx, A.Until(p, None, q), tol=1e-13)
-        g = prob_path(mm, ctx, G(p), tol=1e-13)
+        w = prob_path(mm, A.WeakUntil(p, None, q), tol=1e-13)
+        u = prob_path(mm, A.Until(p, None, q), tol=1e-13)
+        g = prob_path(mm, G(p), tol=1e-13)
         # W >= max(U, G) and W <= U + G
         assert (w >= np.maximum(u, g) - 1e-9).all()
         assert (w <= u + g + 1e-9).all()
-        r = prob_path(mm, ctx, A.Release(p, None, q), tol=1e-13)
-        dual = prob_path(mm, ctx, A.Until(A.Unary("not", p), None,
-                                          A.Unary("not", q)), tol=1e-13)
+        r = prob_path(mm, A.Release(p, None, q), tol=1e-13)
+        dual = prob_path(mm, A.Until(A.Unary("not", p), None,
+                                     A.Unary("not", q)), tol=1e-13)
         assert np.max(np.abs(r - (1.0 - dual))) < 1e-9
 
 
 def test_nested_temporal_under_p_rejected(srw_small):
     closed, mm = srw_small
     with pytest.raises(UnsupportedError, match="nested"):
-        prob_path(mm, closed, F(G(A.Lit(True))))
+        prob_path(mm, F(G(A.Lit(True))))
 
 
 def test_plain_query_on_nondeterministic_mdp_rejected():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)]), ("b", [(1, 2)])],
         [("loop", [(1, 1)])],
         [("loop", [(1, 2)])],
     ], kind="mdp")
     from rcprob.exact import CheckError
     with pytest.raises(CheckError, match="min =\\? or max =\\?"):
-        prob_path(mm, ctx, F(var_eq("x", 1)), mode="exact")
+        prob_path(mm, F(var_eq("x", 1)), mode="exact")
 
 
 # --- A/E checking -------------------------------------------------------------------
@@ -305,7 +298,6 @@ def test_ae_fragment_against_lasso_oracle():
     shapes = ["F", "G", "GF", "FG", "X"]
     for trial in range(60):
         mm = random_mdp(rng, rng.randint(2, 10), max_nondet_states=4)
-        ctx = StubContext(("x",))
         n = mm.num_states
         p_vals = rng.sample(range(n), max(1, n // 3))
         q_vals = rng.sample(range(n), max(1, n // 3))
@@ -328,55 +320,55 @@ def test_ae_fragment_against_lasso_oracle():
         }
         for shape, formula in formulas.items():
             for quant in ("A", "E"):
-                engine = check_AE(mm, ctx, quant, formula)
+                engine = check_AE(mm, quant, formula)
                 oracle = brute_ae(mm, quant, shape, sats)
                 assert (engine == oracle).all(), (trial, quant, shape)
 
 
 def test_ae_one_cycle_graph():
     # single absorbing state with a self-loop where phi holds
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)])],
         [("loop", [(1, 1)])],
     ])
     phi = var_eq("x", 1)
-    assert check_AE(mm, ctx, "E", F(G(phi)))[0]
-    assert not check_AE(mm, ctx, "A", G(F(A.Unary("not", phi))))[0]
+    assert check_AE(mm, "E", F(G(phi)))[0]
+    assert not check_AE(mm, "A", G(F(A.Unary("not", phi))))[0]
 
 
 def test_ae_bounded():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)])],
         [("b", [(1, 2)])],
         [("loop", [(1, 2)])],
     ])
     target = var_eq("x", 2)
-    assert not check_AE(mm, ctx, "A", A.Finally_(A.Bound("<=", A.Lit(1)), target))[0]
-    assert check_AE(mm, ctx, "A", A.Finally_(A.Bound("<=", A.Lit(2)), target))[0]
+    assert not check_AE(mm, "A", A.Finally_(A.Bound("<=", A.Lit(1)), target))[0]
+    assert check_AE(mm, "A", A.Finally_(A.Bound("<=", A.Lit(2)), target))[0]
 
 
 def test_ae_unsupported_shape(srw_small):
     closed, mm = srw_small
     with pytest.raises(UnsupportedError, match="fragment"):
-        check_AE(mm, closed, "A", G(F(G(A.Lit(True)))))
+        check_AE(mm, "A", G(F(G(A.Lit(True)))))
 
 
 # --- rewards ------------------------------------------------------------------------
 
 
 def geometric_chain(p):
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(p, 1), (1 - p, 0)])],
         [("loop", [(1, 1)])],
     ])
     reward_structure(mm, "R", [1, 0])
-    return mm, ctx
+    return mm
 
 
 def test_geometric_expected_reward():
     for p, expected in ((0.5, 2.0), (0.25, 4.0)):
-        mm, ctx = geometric_chain(Fraction(p))
-        values = expected_reward(mm, ctx, "R", A.Reachable(var_eq("x", 1)), tol=1e-13)
+        mm = geometric_chain(Fraction(p))
+        values = expected_reward(mm, "R", A.Reachable(var_eq("x", 1)), tol=1e-13)
         assert values[0] == pytest.approx(expected, abs=1e-9)
 
 
@@ -385,21 +377,21 @@ def test_reward_zero_structure(srw_small):
     from rcprob.props import parse_spec
     decl = parse_spec("rewards R_zero = false : 1; endrewards").statements[0]
     from rcprob.build import attach_rewards
-    attach_rewards(mm, decl, closed)
+    attach_rewards(mm, decl)
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
-    values = expected_reward(mm, closed, "R_zero", A.Reachable(stuck))
-    reach = prob_path(mm, closed, F(stuck), tol=1e-12)
+    values = expected_reward(mm, "R_zero", A.Reachable(stuck))
+    reach = prob_path(mm, F(stuck), tol=1e-12)
     assert (values[reach > 1 - 1e-9] == 0).all()
 
 
 def test_unreachable_target_infinite_reward():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 0)])],
         [("loop", [(1, 1)])],
     ])
     reward_structure(mm, "R", [1, 0])
-    values = expected_reward(mm, ctx, "R", A.Reachable(var_eq("x", 1)))
+    values = expected_reward(mm, "R", A.Reachable(var_eq("x", 1)))
     assert values[0] == np.inf
 
 
@@ -407,15 +399,15 @@ def test_reward_matches_dense_solve(srw_default, srw_spec):
     closed, mm = srw_default
     decl = srw_spec.find(RewardsDecl, "R_origins")
     from rcprob.build import attach_rewards
-    attach_rewards(mm, decl, closed)
+    attach_rewards(mm, decl)
     target_expr = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck "
         "/\\ SRWMod::SRWRP::x != 0")
-    values = expected_reward(mm, closed, "R_origins", A.Reachable(target_expr),
+    values = expected_reward(mm, "R_origins", A.Reachable(target_expr),
                              tol=1e-13)
     parsed = parse_explicit(mm.export_text())
     mat = explicit_dtmc_matrix(parsed)
-    checker = ExactChecker(mm, closed)
+    checker = ExactChecker(mm)
     target = checker.sat(target_expr)
     state_r, move_r = checker._reward_arrays("R_origins")
     step = checker._dtmc_reward_base(state_r, move_r)
@@ -425,37 +417,37 @@ def test_reward_matches_dense_solve(srw_default, srw_spec):
 
 
 def test_cumulative_reward():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)])],
         [("b", [(1, 0)])],
     ])
     reward_structure(mm, "R", [2, 3])
-    values = expected_reward(mm, ctx, "R", A.Cumul(A.Lit(4)))
+    values = expected_reward(mm, "R", A.Cumul(A.Lit(4)))
     assert values[0] == pytest.approx(2 + 3 + 2 + 3)
     assert values[1] == pytest.approx(3 + 2 + 3 + 2)
 
 
 def test_total_reward():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(0.5, 1), (0.5, 0)])],
         [("loop", [(1, 1)])],
     ])
     # reward only in the transient state: total = expected visits of s0 = 2
     reward_structure(mm, "R", [1, 0])
-    values = expected_reward(mm, ctx, "R", A.TotalReward(), tol=1e-13)
+    values = expected_reward(mm, "R", A.TotalReward(), tol=1e-13)
     assert values[0] == pytest.approx(2.0, abs=1e-8)
     # positive reward in the absorbing state diverges
     reward_structure(mm, "R2", [0, 1])
-    values = expected_reward(mm, ctx, "R2", A.TotalReward())
+    values = expected_reward(mm, "R2", A.TotalReward())
     assert values[0] == np.inf and values[1] == np.inf
 
 
 def test_ltl_reward_restricted():
-    mm, ctx = geometric_chain(Fraction(1, 2))
-    values = expected_reward(mm, ctx, "R", A.LTLReward(F(var_eq("x", 1))), tol=1e-13)
+    mm = geometric_chain(Fraction(1, 2))
+    values = expected_reward(mm, "R", A.LTLReward(F(var_eq("x", 1))), tol=1e-13)
     assert values[0] == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(UnsupportedError, match="Finally"):
-        expected_reward(mm, ctx, "R", A.LTLReward(G(var_eq("x", 1))))
+        expected_reward(mm, "R", A.LTLReward(G(var_eq("x", 1))))
 
 
 # --- direct dtmc solves at the default tolerance ---------------------------------------
@@ -491,7 +483,7 @@ def test_default_tolerance_matches_sparse_oracle(srw_model, srw_spec, defs, pl, 
          sparse_total_reward(mat, step)),
     ]
     for prop, oracle in queries:
-        result = check_property(mm, closed, prop)  # engine default tolerance
+        result = check_property(mm, prop)  # engine default tolerance
         expected = oracle[mm.initial]
         assert 0 < expected < np.inf
         assert result.verdict == pytest.approx(expected, rel=1e-9, abs=0), prop.name
@@ -533,7 +525,7 @@ def test_the_solve_matches_one_lu_on_every_srw_configuration(srw_model, srw_spec
     for maxsteps in range(20, 101, 10):  # C_fair_MD10_MS20_100
         closed, mm = make_srw(srw_model, srw_spec, maxsteps=maxsteps)
         for name in names:
-            check_property(mm, closed, srw_spec.find(ProbProperty, name))
+            check_property(mm, srw_spec.find(ProbProperty, name))
     # the probabilities are decided by the precomputation, the rewards solved
     assert len(solves) == 9 and min(solves) > 0
 
@@ -544,7 +536,7 @@ def test_the_solve_matches_one_lu_on_random_dtmcs(solves):
     for _ in range(100):
         closed = instantiate(parse_model(random_model_text(rng)), {}, None, None, "dtmc")
         mm = build_markov(closed)
-        checker = ExactChecker(mm, closed)
+        checker = ExactChecker(mm)
         ones = np.ones(mm.num_states, dtype=bool)
         reward_structure(mm, "R", [1] * mm.num_states)
         state_r, move_r = checker._reward_arrays("R")
@@ -564,7 +556,7 @@ def test_the_solve_follows_chains_to_each_kind_of_end(solves):
     # branching state 0; and 8, whose two moves lead to 9, so that its dtmc
     # row is 1.0 by mixing, at the branching state 9
     quarter = Fraction(1, 4)
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(quarter, 1), (quarter, 4), (quarter, 6), (quarter, 8)])],
         [("a", [(1, 2)])], [("a", [(1, 3)])], [("loop", [(1, 3)])],
         [("a", [(1, 10)])], [("loop", [(1, 5)])],
@@ -573,17 +565,17 @@ def test_the_solve_follows_chains_to_each_kind_of_end(solves):
         [("a", [(0.5, 0), (0.5, 3)])],
         [("a", [(1, 5)])],
     ])
-    checker = ExactChecker(mm, ctx)
+    checker = ExactChecker(mm)
     idx = np.array([0, 1, 2, 4, 6, 7, 8, 9, 10])  # every state leaves it surely
     for b in (np.ones(idx.size), np.random.default_rng(1).random(idx.size)):
         checker._solve(idx, b)
     target = var_eq("x", 3)
-    values = prob_path(mm, ctx, F(target), tol=1e-13)
+    values = prob_path(mm, F(target), tol=1e-13)
     oracle = dense_reach(explicit_dtmc_matrix(parse_explicit(mm.export_text())),
                          np.arange(11) == 3)
     np.testing.assert_allclose(values, oracle, rtol=1e-12)
     reward_structure(mm, "R", [1] * 11)
-    rewards = expected_reward(mm, ctx, "R", A.Reachable(target), tol=1e-13)
+    rewards = expected_reward(mm, "R", A.Reachable(target), tol=1e-13)
     assert rewards[[1, 2, 3]].tolist() == [2.0, 1.0, 0.0] and np.isinf(rewards[0])
     # the probabilities are undecided at 0, 6, 7, 8 and 9, and the rewards
     # finite at 1 and 2
@@ -596,7 +588,7 @@ def test_the_solve_follows_chains_to_each_kind_of_end(solves):
 def test_check_property_deadlock_free(srw_default, srw_spec):
     closed, mm = srw_default
     prop = srw_spec.find(ProbProperty, "P_deadlock_free")
-    result = check_property(mm, closed, prop, "cfg")
+    result = check_property(mm, prop, "cfg")
     assert result.verdict is True
     assert result.engine == "graph"
 
@@ -604,7 +596,7 @@ def test_check_property_deadlock_free(srw_default, srw_spec):
 def test_check_property_query(srw_default, srw_spec):
     closed, mm = srw_default
     prop = srw_spec.find(ProbProperty, "P_stuck")
-    result = check_property(mm, closed, prop, "cfg")
+    result = check_property(mm, prop, "cfg")
     assert result.verdict == pytest.approx(1.0, abs=1e-6)
     assert result.mode == "exact"
 
@@ -612,7 +604,7 @@ def test_check_property_query(srw_default, srw_spec):
 def test_forall_globally_trivial(srw_small):
     closed, mm = srw_small
     prop = ProbProperty("P", parse_expression("Forall [Globally true]"))
-    result = check_property(mm, closed, prop)
+    result = check_property(mm, prop)
     assert result.verdict is True
 
 
@@ -621,44 +613,44 @@ def test_min_max_collapse_on_dtmc(srw_small):
     stuck_text = ("Prob min =? of [Finally SRWMod::ctrl_ref::stm_ref is in "
                   "SRWMod::ctrl_ref::stm_ref::Stuck]")
     prop = ProbProperty("P", parse_expression(stuck_text))
-    result = check_property(mm, closed, prop)
+    result = check_property(mm, prop)
     assert result.mode == "exact"
     assert result.verdict == pytest.approx(1.0, abs=1e-6)
 
 
 def test_mdp_bound_direction_uses_worst_adversary():
     # s0: action a reaches the goal surely, action b loops forever
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)]), ("b", [(1, 0)])],
         [("loop", [(1, 1)])],
     ], kind="mdp")
     goal = var_eq("x", 1)
     # >= bounds quantify over the minimum (which is 0 here)
-    sat = check_state_formula(mm, ctx, A.ProbFormula(A.Bound(">=", A.Lit(Fraction(1, 2))),
-                                                     None, F(goal)))
+    sat = check_state_formula(mm, A.ProbFormula(A.Bound(">=", A.Lit(Fraction(1, 2))),
+                                                None, F(goal)))
     assert not sat[0]
     # <= bounds quantify over the maximum (which is 1 here)
-    sat = check_state_formula(mm, ctx, A.ProbFormula(A.Bound("<=", A.Lit(Fraction(1, 2))),
-                                                     None, F(goal)))
+    sat = check_state_formula(mm, A.ProbFormula(A.Bound("<=", A.Lit(Fraction(1, 2))),
+                                                None, F(goal)))
     assert not sat[0]
 
 
 def test_mdp_reward_extremes():
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)]), ("b", [(1, 0)])],
         [("loop", [(1, 1)])],
     ], kind="mdp")
     reward_structure(mm, "R", [1, 0])
     goal = var_eq("x", 1)
-    rmin = expected_reward(mm, ctx, "R", A.Reachable(goal), mode="min", tol=1e-12)
+    rmin = expected_reward(mm, "R", A.Reachable(goal), mode="min", tol=1e-12)
     assert rmin[0] == pytest.approx(1.0, abs=1e-9)
-    rmax = expected_reward(mm, ctx, "R", A.Reachable(goal), mode="max")
+    rmax = expected_reward(mm, "R", A.Reachable(goal), mode="max")
     assert rmax[0] == np.inf  # the adversary can loop forever
 
 
 def test_bounded_weak_until_and_release_ae():
     # 0 -> 1 -> 2(absorbing); p holds on {0,1}, q on {2}
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(1, 1)])],
         [("b", [(1, 2)])],
         [("loop", [(1, 2)])],
@@ -667,16 +659,16 @@ def test_bounded_weak_until_and_release_ae():
     q = var_eq("x", 2)
     # p W<=1 q: within one step we neither reach q nor fail p -> still fine,
     # the weak form allows "globally p" over the horizon
-    assert check_AE(mm, ctx, "A", A.WeakUntil(p, A.Bound("<=", A.Lit(1)), q))[0]
+    assert check_AE(mm, "A", A.WeakUntil(p, A.Bound("<=", A.Lit(1)), q))[0]
     # p U<=1 q fails from state 0 (q needs two steps)
-    assert not check_AE(mm, ctx, "A", A.Until(p, A.Bound("<=", A.Lit(1)), q))[0]
-    assert check_AE(mm, ctx, "A", A.Until(p, A.Bound("<=", A.Lit(2)), q))[0]
+    assert not check_AE(mm, "A", A.Until(p, A.Bound("<=", A.Lit(1)), q))[0]
+    assert check_AE(mm, "A", A.Until(p, A.Bound("<=", A.Lit(2)), q))[0]
     # q R p: p must hold up to and including the first q-state; here p never
     # fails before q, but q and p never overlap, so release demands G p on
     # the q-free prefix; state 2 breaks p exactly when q arrives
-    rel = check_AE(mm, ctx, "A", A.Release(q, None, p))
+    rel = check_AE(mm, "A", A.Release(q, None, p))
     assert not rel[0]
-    rel2 = check_AE(mm, ctx, "A", A.Release(q, None, var_in("x", [0, 1, 2])))
+    rel2 = check_AE(mm, "A", A.Release(q, None, var_in("x", [0, 1, 2])))
     assert rel2[0]
 
 
@@ -708,7 +700,6 @@ def test_bounded_ae_shapes_against_prefix_enumeration():
     rng = random.Random(31)
     for trial in range(30):
         mm = random_mdp(rng, rng.randint(2, 8), max_nondet_states=4)
-        ctx = StubContext(("x",))
         n = mm.num_states
         p_vals = rng.sample(range(n), max(1, n // 2))
         q_vals = rng.sample(range(n), max(1, n // 3))
@@ -725,7 +716,7 @@ def test_bounded_ae_shapes_against_prefix_enumeration():
                          for s in range(n)]
                 for quant, agg in (("A", all), ("E", any)):
                     oracle = np.array([agg(h) for h in holds])
-                    engine = check_AE(mm, ctx, quant, formula)
+                    engine = check_AE(mm, quant, formula)
                     assert (engine == oracle).all(), (trial, k, kind, quant)
 
 
@@ -733,10 +724,9 @@ def test_qualitative_zero_one_exactness():
     rng = random.Random(77)
     for _ in range(30):
         mm = random_dtmc(rng, rng.randint(4, 40))
-        ctx = StubContext(("x",))
         targets = rng.sample(range(mm.num_states), max(1, mm.num_states // 5))
         phi = var_in("x", targets)
-        values = prob_path(mm, ctx, F(phi), tol=1e-10)
+        values = prob_path(mm, F(phi), tol=1e-10)
         sat = np.zeros(mm.num_states, dtype=bool)
         sat[targets] = True
         assert (values[sat] == 1.0).all()
@@ -757,7 +747,7 @@ def test_qualitative_zero_one_exactness():
 def test_formula_and_label_refs_in_checking(srw_small):
     closed, mm = srw_small
     # l_stuck/l_origin come from the fixture property file; formulas inline
-    sat = check_state_formula(mm, closed, parse_expression("#l_stuck /\\ not #l_origin"))
+    sat = check_state_formula(mm, parse_expression("#l_stuck /\\ not #l_origin"))
     pc_i = closed.index["ctrl_ref.stm_ref.pc"]
     x_i = closed.index["SRWRP.x"]
     for i, st in enumerate(mm.states):
@@ -778,7 +768,7 @@ def test_formula_ref_resolution(srw_model):
     closed = instantiate(srw_model, {"MaxDist": 1, "MaxSteps": 1, "Pl": Fraction(1, 2)},
                          spec.find(DefinitionsDecl, "D"), None, "dtmc", spec)
     mm = build_markov(closed)
-    sat = check_state_formula(mm, closed, parse_expression("`f_origin \\/ false"))
+    sat = check_state_formula(mm, parse_expression("`f_origin \\/ false"))
     x_i = closed.index["SRWRP.x"]
     for i, st in enumerate(mm.states):
         assert sat[i] == (st[x_i] == 0)
@@ -786,22 +776,21 @@ def test_formula_ref_resolution(srw_model):
 
 def test_prob_path_bounded_entrypoint():
     from rcprob.exact import prob_path_bounded, CheckError
-    mm, ctx = chain([
+    mm = chain([
         [("a", [(0.5, 1), (0.5, 0)])],
         [("loop", [(1, 1)])],
     ])
     goal = var_eq("x", 1)
-    values = prob_path_bounded(mm, ctx, A.Finally_(A.Bound("<=", A.Lit(2)), goal))
+    values = prob_path_bounded(mm, A.Finally_(A.Bound("<=", A.Lit(2)), goal))
     assert values[0] == pytest.approx(0.75, abs=1e-12)
     with pytest.raises(CheckError, match="step bound"):
-        prob_path_bounded(mm, ctx, F(goal))
+        prob_path_bounded(mm, F(goal))
 
 
 def test_mdp_until_matches_adversary_enumeration():
     rng = random.Random(999)
     for trial in range(25):
         mm = random_mdp(rng, rng.randint(3, 8), max_nondet_states=5)
-        ctx = StubContext(("x",))
         n = mm.num_states
         hold = rng.sample(range(n), max(2, 2 * n // 3))
         goal = rng.sample(range(n), max(1, n // 4))
@@ -811,7 +800,7 @@ def test_mdp_until_matches_adversary_enumeration():
         goal_a = np.zeros(n, dtype=bool)
         goal_a[goal] = True
         for mode in ("min", "max"):
-            engine = prob_path(mm, ctx, A.Until(pe, None, qe), mode=mode, tol=1e-13)
+            engine = prob_path(mm, A.Until(pe, None, qe), mode=mode, tol=1e-13)
             best = None
             for combo in itertools.product(*[range(len(moves_of(mm, s))) for s in range(n)]):
                 mat = np.zeros((n, n))
@@ -838,7 +827,6 @@ def test_mdp_zero_one_sets_match_adversary_graphs():
     rng = random.Random(2024)
     for trial in range(40):
         mm = random_mdp(rng, rng.randint(3, 8), max_nondet_states=5)
-        ctx = StubContext(("x",))
         n = mm.num_states
         reward_structure(mm, "R", [1] * n)
         hold = rng.sample(range(n), max(2, 2 * n // 3))
@@ -848,7 +836,7 @@ def test_mdp_zero_one_sets_match_adversary_graphs():
         goal_a = np.isin(np.arange(n), goal)
         min0, max0, min1, max1 = mdp_zero_one_sets(mm, hold_a, goal_a)
         for mode, zero, one in (("min", min0, min1), ("max", max0, max1)):
-            values = prob_path(mm, ctx, A.Until(pe, None, qe), mode=mode, tol=1e-13)
+            values = prob_path(mm, A.Until(pe, None, qe), mode=mode, tol=1e-13)
             assert ((values == 0.0) == zero).all(), (trial, mode)
             assert ((values == 1.0) == one).all(), (trial, mode)
         # the minimum reward is finite where some adversary reaches goal
@@ -856,5 +844,5 @@ def test_mdp_zero_one_sets_match_adversary_graphs():
         ones = np.ones(n, dtype=bool)
         _, _, reach_min1, reach_max1 = mdp_zero_one_sets(mm, ones, goal_a)
         for mode, finite in (("min", reach_max1), ("max", reach_min1)):
-            reward = expected_reward(mm, ctx, "R", A.Reachable(qe), mode=mode, tol=1e-12)
+            reward = expected_reward(mm, "R", A.Reachable(qe), mode=mode, tol=1e-12)
             assert (np.isinf(reward) == ~finite).all(), (trial, mode)

@@ -22,7 +22,7 @@ from rcprob.smc import (SamplePool, SmcError, _Lane, _select, _walk, apmc_sample
 
 import oracles
 from conftest import make_srw
-from oracles import (Move, StubContext, all_moves, explicit_model, move_rewards_of, moves_of,
+from oracles import (Move, all_moves, explicit_model, move_rewards_of, moves_of,
                      reward_structure, var_eq, var_in)
 
 
@@ -33,8 +33,7 @@ def chain30():
         [Move("loop", ((Fraction(1), 1),))],
         [Move("loop", ((Fraction(1), 2),))],
     ]
-    mm = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False, True, True])
-    return mm, StubContext(("x",))
+    return explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False, True, True])
 
 
 GOAL = var_eq("x", 1)
@@ -46,45 +45,45 @@ def test_normal_quantile_accuracy():
 
 
 def test_simulate_deterministic_and_decided():
-    mm, ctx = chain30()
-    path, sample = simulate(mm, ctx, seed=5, pathlen=100, path=A.Finally_(None, GOAL))
+    mm = chain30()
+    path, sample = simulate(mm, seed=5, pathlen=100, path=A.Finally_(None, GOAL))
     assert sample in (0, 1)
     assert path.terminal == "bound-hit"
-    again, sample2 = simulate(mm, ctx, seed=5, pathlen=100, path=A.Finally_(None, GOAL))
+    again, sample2 = simulate(mm, seed=5, pathlen=100, path=A.Finally_(None, GOAL))
     assert sample2 == sample and again.entries == path.entries
 
 
 def test_simulate_globally_on_absorbing():
-    mm, ctx = chain30()
+    mm = chain30()
     phi = A.Unary("not", GOAL)  # holds in s0 and the sink
-    path, sample = simulate(mm, ctx, seed=1, pathlen=50, path=A.Globally(None, phi))
+    path, sample = simulate(mm, seed=1, pathlen=50, path=A.Globally(None, phi))
     assert sample in (0, 1)
     # a path absorbed in the sink satisfies G(not goal) and decides there
-    results = {simulate(mm, ctx, seed=s, pathlen=50,
+    results = {simulate(mm, seed=s, pathlen=50,
                         path=A.Globally(None, phi))[1] for s in range(30)}
     assert results == {0, 1}
 
 
 def test_simulate_rejects_mdp():
-    mm, ctx = chain30()
+    mm = chain30()
     mm.kind = "mdp"
     with pytest.raises(SmcError, match="kind=dtmc"):
-        simulate(mm, ctx, seed=0, pathlen=10, path=A.Finally_(None, GOAL))
+        simulate(mm, seed=0, pathlen=10, path=A.Finally_(None, GOAL))
 
 
 def test_simulate_srw_fixture_deterministic(srw_small):
     closed, mm = srw_small
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
-    runs = [simulate(mm, closed, seed=9, pathlen=500, path=A.Finally_(None, stuck))
+    runs = [simulate(mm, seed=9, pathlen=500, path=A.Finally_(None, stuck))
             for _ in range(3)]
     assert all(r[0].entries == runs[0][0].entries for r in runs)
     assert all(r[1] == runs[0][1] for r in runs)
 
 
 def test_ci_alpha_n():
-    mm, ctx = chain30()
-    est = run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.01, n=100, seed=0)
+    mm = chain30()
+    est = run_ci(SamplePool(mm, 0), A.Finally_(None, GOAL), alpha=0.01, n=100)
     assert est.n == 100
     assert est.method == "CI"
     assert 0.0 <= est.point <= 1.0
@@ -92,50 +91,50 @@ def test_ci_alpha_n():
 
 
 def test_ci_degenerate_variance():
-    mm, ctx = chain30()
+    mm = chain30()
     # goal always reached from the goal state itself: all samples 1
     mm2 = explicit_model("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
-    est = run_ci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=40, seed=0)
+    est = run_ci(SamplePool(mm2, 0), A.Finally_(None, GOAL), alpha=0.05, n=40)
     assert est.point == 1.0
     assert est.half_width == 0.0
 
 
 def test_ci_solve_for_n():
-    mm, ctx = chain30()
-    est = run_ci(mm, ctx, A.Finally_(None, GOAL), w=0.15, alpha=0.1, seed=3)
+    mm = chain30()
+    est = run_ci(SamplePool(mm, 3), A.Finally_(None, GOAL), w=0.15, alpha=0.1)
     assert est.half_width <= 0.15
     assert est.n >= 2
 
 
 def test_ci_solve_for_alpha():
-    mm, ctx = chain30()
-    est = run_ci(mm, ctx, A.Finally_(None, GOAL), w=0.1, n=200, seed=1)
+    mm = chain30()
+    est = run_ci(SamplePool(mm, 1), A.Finally_(None, GOAL), w=0.1, n=200)
     assert 0.0 <= est.alpha <= 1.0
 
 
 def test_ci_needs_two_parameters():
-    mm, ctx = chain30()
+    mm = chain30()
     with pytest.raises(SmcError, match="exactly two"):
-        run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05)
+        run_ci(SamplePool(mm, 0), A.Finally_(None, GOAL), alpha=0.05)
     with pytest.raises(SmcError, match="exactly two"):
-        run_ci(mm, ctx, A.Finally_(None, GOAL), w=0.1, alpha=0.05, n=10)
+        run_ci(SamplePool(mm, 0), A.Finally_(None, GOAL), w=0.1, alpha=0.05, n=10)
 
 
 def test_aci_student_t_path():
-    mm, ctx = chain30()
-    est = run_aci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=30, seed=0)
+    mm = chain30()
+    est = run_aci(SamplePool(mm, 0), A.Finally_(None, GOAL), alpha=0.05, n=30)
     assert est.method == "ACI"
     # t quantile exceeds the normal one, so the ACI interval is wider than a
     # CI of the same data whenever the variance estimates agree roughly
-    ci = run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=30, seed=0)
+    ci = run_ci(SamplePool(mm, 0), A.Finally_(None, GOAL), alpha=0.05, n=30)
     assert est.point == ci.point
     assert est.n == 30
 
 
 def test_aci_all_ones_degenerate():
-    mm, ctx = chain30()
+    mm = chain30()
     mm2 = explicit_model("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
-    est = run_aci(mm2, ctx, A.Finally_(None, GOAL), alpha=0.05, n=30, seed=0)
+    est = run_aci(SamplePool(mm2, 0), A.Finally_(None, GOAL), alpha=0.05, n=30)
     assert est.point == 1.0 and est.half_width == 0.0
 
 
@@ -157,86 +156,86 @@ def test_apmc_samples_meet_bound(epsilon, delta):
 
 
 def test_apmc_inverse_solves():
-    mm, ctx = chain30()
-    est = run_apmc(mm, ctx, A.Finally_(None, GOAL), n=1060, delta=0.01, seed=0)
+    mm = chain30()
+    est = run_apmc(SamplePool(mm, 0), A.Finally_(None, GOAL), n=1060, delta=0.01)
     expected_eps = math.sqrt(math.log(2 / 0.01) / (2 * 1060))
     assert est.epsilon == pytest.approx(expected_eps, abs=1e-6)
-    est = run_apmc(mm, ctx, A.Finally_(None, GOAL), n=500, epsilon=0.05, seed=0)
+    est = run_apmc(SamplePool(mm, 0), A.Finally_(None, GOAL), n=500, epsilon=0.05)
     assert est.delta == pytest.approx(2 * math.exp(-2 * 500 * 0.05 ** 2), abs=1e-9)
 
 
 def test_apmc_runs_with_bound():
-    mm, ctx = chain30()
-    est = run_apmc(mm, ctx, A.Finally_(None, GOAL), epsilon=0.05, delta=0.01, seed=0)
+    mm = chain30()
+    est = run_apmc(SamplePool(mm, 0), A.Finally_(None, GOAL), epsilon=0.05, delta=0.01)
     assert est.n == 1060
     assert abs(est.point - 0.3) < 0.06
 
 
 def test_sprt_decisions():
-    mm, ctx = chain30()
+    mm = chain30()
     # true probability 0.3 tested against >= 0.5: overwhelmingly accept-H1
     wrong = 0
     for seed in range(100):
-        est = run_sprt(mm, ctx, A.Finally_(None, GOAL), A.Bound(">=", A.Lit(Fraction(1, 2))),
-                       theta=0.5, alpha=0.01, delta=0.05, seed=seed)
+        est = run_sprt(SamplePool(mm, seed), A.Finally_(None, GOAL),
+                       A.Bound(">=", A.Lit(Fraction(1, 2))), theta=0.5, alpha=0.01, delta=0.05)
         if est.decision != "accept-H1" or est.satisfied:
             wrong += 1
     assert wrong <= 1
     # tested against >= 0.1: accept-H0
     wrong = 0
     for seed in range(100):
-        est = run_sprt(mm, ctx, A.Finally_(None, GOAL), A.Bound(">=", A.Lit(Fraction(1, 10))),
-                       theta=0.1, alpha=0.01, delta=0.05, seed=seed)
+        est = run_sprt(SamplePool(mm, seed), A.Finally_(None, GOAL),
+                       A.Bound(">=", A.Lit(Fraction(1, 10))), theta=0.1, alpha=0.01, delta=0.05)
         if est.decision != "accept-H0" or not est.satisfied:
             wrong += 1
     assert wrong <= 1
 
 
 def test_sprt_upper_bound_direction():
-    mm, ctx = chain30()
-    est = run_sprt(mm, ctx, A.Finally_(None, GOAL), A.Bound("<=", A.Lit(Fraction(1, 2))),
-                   theta=0.5, alpha=0.01, delta=0.05, seed=0)
+    mm = chain30()
+    est = run_sprt(SamplePool(mm, 0), A.Finally_(None, GOAL),
+                   A.Bound("<=", A.Lit(Fraction(1, 2))), theta=0.5, alpha=0.01, delta=0.05)
     assert est.satisfied  # 0.3 <= 0.5
 
 
 def test_sprt_terminates_inside_indifference():
-    mm, ctx = chain30()
-    est = run_sprt(mm, ctx, A.Finally_(None, GOAL), A.Bound(">=", A.Lit(Fraction(3, 10))),
-                   theta=0.3, alpha=0.05, delta=0.05, seed=0)
+    mm = chain30()
+    est = run_sprt(SamplePool(mm, 0), A.Finally_(None, GOAL),
+                   A.Bound(">=", A.Lit(Fraction(3, 10))), theta=0.3, alpha=0.05, delta=0.05)
     assert est.decision in ("accept-H0", "accept-H1")
 
 
 def test_sprt_bad_region():
-    mm, ctx = chain30()
+    mm = chain30()
     with pytest.raises(SmcError, match="leaves"):
-        run_sprt(mm, ctx, A.Finally_(None, GOAL), A.Bound(">=", A.Lit(0)),
-                 theta=0.0, alpha=0.01, delta=0.05, seed=0)
+        run_sprt(SamplePool(mm, 0), A.Finally_(None, GOAL), A.Bound(">=", A.Lit(0)),
+                 theta=0.0, alpha=0.01, delta=0.05)
 
 
 def test_pathlen_censoring_counted(srw_default):
     closed, mm = srw_default
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
-    est = run_ci(mm, closed, A.Finally_(None, stuck), alpha=0.05, n=50, seed=0,
+    est = run_ci(SamplePool(mm, 0), A.Finally_(None, stuck), alpha=0.05, n=50,
                  pathlen=5)
     assert est.cap_hits == 50  # nothing decides within 5 steps
     assert est.point == 0.0   # censored F samples count as 0
 
 
 def test_partitioned_reproducibility():
-    mm, ctx = chain30()
-    a = run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=200, seed=7)
-    b = run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=200, seed=7)
+    mm = chain30()
+    a = run_ci(SamplePool(mm, 7), A.Finally_(None, GOAL), alpha=0.05, n=200)
+    b = run_ci(SamplePool(mm, 7), A.Finally_(None, GOAL), alpha=0.05, n=200)
     assert a.point == b.point and a.half_width == b.half_width
-    c = run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=200, seed=8)
+    c = run_ci(SamplePool(mm, 8), A.Finally_(None, GOAL), alpha=0.05, n=200)
     assert c.point != a.point or c.half_width != a.half_width
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_seed_outside_64_bits_is_refused(seed):
-    mm, ctx = chain30()
+    mm = chain30()
     with pytest.raises(SmcError, match="seed must lie in"):
-        run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=10, seed=seed)
+        run_ci(SamplePool(mm, seed), A.Finally_(None, GOAL), alpha=0.05, n=10)
 
 
 def test_reward_simulation_geometric():
@@ -246,12 +245,11 @@ def test_reward_simulation_geometric():
         [Move("a", ((Fr(1, 2), 1), (Fr(1, 2), 0)))],
         [Move("loop", ((Fr(1), 1),))],
     ], [False, True])
-    ctx = StubContext(("x",))
     reward_structure(mm, "R", [1, 0])
-    est = run_reward_ci(mm, ctx, "R", A.Reachable(var_eq("x", 1)),
-                        alpha=0.05, n=3000, seed=0)
+    est = run_reward_ci(SamplePool(mm, 0), "R", A.Reachable(var_eq("x", 1)),
+                        alpha=0.05, n=3000)
     assert abs(est.point - 2.0) < 0.15
-    est2 = run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(3)), alpha=0.05, n=2000, seed=1)
+    est2 = run_reward_ci(SamplePool(mm, 1), "R", A.Cumul(A.Lit(3)), alpha=0.05, n=2000)
     # expected cumulative reward over 3 steps: 1 + 1/2 + 1/4
     assert abs(est2.point - 1.75) < 0.1
 
@@ -259,8 +257,8 @@ def test_reward_simulation_geometric():
 # --- differential tests against the one-path-at-a-time reference sampler ---------------
 
 
-def _sat(mm, ctx, expr):
-    fn = ctx.spec_expr(expr)
+def _sat(mm, expr):
+    fn = mm.closed.spec_expr(expr)
     return [bool(fn(st)) for st in mm.states]
 
 
@@ -281,11 +279,10 @@ def _shapes(p, q):
     return out
 
 
-def _reference(mm, ctx, kind, left, right, k, seed, pathlen):
+def _reference(mm, kind, left, right, k, seed, pathlen):
     """The reference sampler's samples in index order: (0/1 sample, steps
     taken, whether the path hit the pathlen cap)."""
-    stop = oracles.reference_monitor(kind, left and _sat(mm, ctx, left),
-                                     _sat(mm, ctx, right), k)
+    stop = oracles.reference_monitor(kind, left and _sat(mm, left), _sat(mm, right), k)
     for i in itertools.count():
         value, steps, _ = oracles.reference_path(mm, oracles.reference_rng(seed, i),
                                                  pathlen, stop)
@@ -296,14 +293,14 @@ def _reference(mm, ctx, kind, left, right, k, seed, pathlen):
             yield value, steps, False
 
 
-def _walked(mm, ctx, path, seed, pathlen, n):
+def _walked(mm, path, seed, pathlen, n):
     """Samples 0 .. n-1 of `path` walked as one lane: the 0/1 samples, a
     censored path counted as its monitor's `censor_value`, and the path
     statistics of the tally of the same lane in a pool."""
-    lane = _Lane(compile_monitor(ExactChecker(mm, ctx), path), pathlen)
+    lane = _Lane(compile_monitor(ExactChecker(mm), path), pathlen)
     [(value, capped, _, _)] = _walk(mm, seed, np.arange(n), [lane])
     value[capped] = lane.monitor.censor_value
-    tally = SamplePool(mm, ctx, seed).lane(path, pathlen, n).tally
+    tally = SamplePool(mm, seed).lane(path, pathlen, n).tally
     assert tally.total == np.count_nonzero(value)
     return value.astype(int).tolist(), tally.fields()
 
@@ -321,37 +318,33 @@ def wide_row_dtmc(seed=7, n=60, width=40):
         weights = [rng.randint(1, 9) for _ in dests]
         moves.append([Move("a", tuple((Fraction(w, sum(weights)), d)
                                       for w, d in zip(weights, dests)))])
-    mm = explicit_model("dtmc", ("x",), [(i,) for i in range(n)], moves,
-                        [s % 10 == 9 for s in range(n)])
-    return mm, StubContext(("x",))
+    return explicit_model("dtmc", ("x",), [(i,) for i in range(n)], moves,
+                          [s % 10 == 9 for s in range(n)])
 
 
 def _single_move_models(srw_small):
     closed, srw = srw_small
-    yield (srw, closed, parse_expression("SRWMod::SRWRP::x >= -1"),
+    yield (srw, parse_expression("SRWMod::SRWRP::x >= -1"),
            parse_expression(
                "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck"))
-    mm, ctx = chain30()
-    yield mm, ctx, A.Unary("not", var_eq("x", 2)), GOAL
+    yield chain30(), A.Unary("not", var_eq("x", 2)), GOAL
     # branches in random destination order
     rnd = oracles.random_dtmc(random.Random(4), 25)
-    yield rnd, StubContext(("x",)), A.Binary("<", A.Ref(A.QName(("x",))), A.Lit(18)), \
-        var_in("x", [3, 7, 11, 19])
+    yield rnd, A.Binary("<", A.Ref(A.QName(("x",))), A.Lit(18)), var_in("x", [3, 7, 11, 19])
     # rows of 40 entries
-    wide, ctx = wide_row_dtmc()
-    yield wide, ctx, A.Binary("<", A.Ref(A.QName(("x",))), A.Lit(45)), var_in("x", [2, 23])
+    yield wide_row_dtmc(), A.Binary("<", A.Ref(A.QName(("x",))), A.Lit(45)), var_in("x", [2, 23])
 
 
 @pytest.mark.parametrize("pathlen", [3, 1000])
 def test_samples_match_reference_on_single_move_models(srw_small, pathlen):
     n = 150
     checked = caps = 0
-    for mm, ctx, p, q in _single_move_models(srw_small):
+    for mm, p, q in _single_move_models(srw_small):
         assert all(len(row) == 1 for row in all_moves(mm))
         for kind, path, left, right, k in _shapes(p, q):
-            got, stats = _walked(mm, ctx, path, 11, pathlen, n)
+            got, stats = _walked(mm, path, 11, pathlen, n)
             want = list(itertools.islice(
-                _reference(mm, ctx, kind, left, right, k, 11, pathlen), n))
+                _reference(mm, kind, left, right, k, 11, pathlen), n))
             assert got == [value for value, _, _ in want], (kind, k)
             lengths = [steps for _, steps, _ in want]
             caps += sum(capped for _, _, capped in want)
@@ -367,13 +360,13 @@ def test_rewards_match_reference_on_single_move_models(srw_small):
     closed, mm = srw_small
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
-    target = _sat(mm, closed, stuck)
+    target = _sat(mm, stuck)
     cases = [(A.Cumul(A.Lit(15)), lambda s, t, a: 0 if t >= 15 else None),
              (A.Reachable(stuck), lambda s, t, a: 0 if target[s] or a else None)]
     for rpath, stop in cases:
-        est = run_reward_ci(mm, closed, "R_origins", rpath, n=300, seed=2, pathlen=40)
-        rs = attach_rewards(mm, closed.spec.find(P.RewardsDecl, "R_origins"),
-                            closed).rewards["R_origins"]
+        est = run_reward_ci(SamplePool(mm, 2), "R_origins", rpath, n=300, pathlen=40)
+        decl = closed.spec.find(P.RewardsDecl, "R_origins")
+        rs = attach_rewards(mm, decl).rewards["R_origins"]
         values = []
         for i in range(300):
             _, _, steps = oracles.reference_path(mm, oracles.reference_rng(2, i), 40, stop)
@@ -389,12 +382,11 @@ def test_rewards_match_reference_on_single_move_models(srw_small):
 def test_rewards_match_reference_on_rows_of_several_moves():
     # a path gains its state's reward plus that of the move it takes, which
     # the rows mix uniformly: each move of a row has a reward of its own
-    models = [multi_move_dtmc()[0]]
+    models = [multi_move_dtmc()]
     for seed in (3, 6, 8):  # the initial state mixes several moves
         mdp = oracles.random_mdp(random.Random(seed), 30, max_nondet_states=20)
         models.append(explicit_model("dtmc", mdp.var_names, mdp.states, all_moves(mdp),
                                      mdp.deadlock))
-    ctx = StubContext(("x",))
     goal = var_in("x", [1, 2, 3])
     later_moves = 0
     for mm in models:
@@ -404,11 +396,11 @@ def test_rewards_match_reference_on_rows_of_several_moves():
         rs = reward_structure(mm, "R", [rng.randint(0, 3) for _ in rows],
                               {(s, j): rng.randint(1, 9) / 4 for s, row in enumerate(rows)
                                for j in range(len(row))})
-        target = _sat(mm, ctx, goal)
+        target = _sat(mm, goal)
         cases = [(A.Cumul(A.Lit(15)), lambda s, t, a: 0 if t >= 15 else None),
                  (A.Reachable(goal), lambda s, t, a: 0 if target[s] or a else None)]
         for rpath, stop in cases:
-            est = run_reward_ci(mm, ctx, "R", rpath, n=300, seed=2, pathlen=40)
+            est = run_reward_ci(SamplePool(mm, 2), "R", rpath, n=300, pathlen=40)
             values = []
             for i in range(300):
                 _, _, steps = oracles.reference_path(mm, oracles.reference_rng(2, i), 40, stop)
@@ -444,7 +436,7 @@ def test_sequential_methods_stop_where_reference_does(srw_small, seed):
     pathlen = 12  # some paths hit the cap
 
     def samples():
-        return _reference(mm, closed, "F", None, goal, None, seed, pathlen)
+        return _reference(mm, "F", None, goal, None, seed, pathlen)
 
     z = statistics.NormalDist().inv_cdf(1 - 0.05 / 2)
 
@@ -458,7 +450,7 @@ def test_sequential_methods_stop_where_reference_does(srw_small, seed):
         return max(mean - lo, hi - mean) <= 0.04
 
     count, stats = _stop_index(samples(), ci_done)
-    est = run_ci(mm, closed, path, w=0.04, alpha=0.05, seed=seed, pathlen=pathlen)
+    est = run_ci(SamplePool(mm, seed), path, w=0.04, alpha=0.05, pathlen=pathlen)
     assert (est.n, est.cap_hits, est.path_len_mean, est.path_len_max) == \
         (count, *stats.values())
 
@@ -473,8 +465,8 @@ def test_sequential_methods_stop_where_reference_does(srw_small, seed):
         return abs(llr) >= math.log((1 - alpha) / alpha)
 
     count, stats = _stop_index(samples(), sprt_done)
-    est = run_sprt(mm, closed, path, A.Bound(">=", A.Lit(theta)), theta=theta,
-                   alpha=alpha, delta=delta, seed=seed, pathlen=pathlen)
+    est = run_sprt(SamplePool(mm, seed), path, A.Bound(">=", A.Lit(theta)), theta=theta,
+                   alpha=alpha, delta=delta, pathlen=pathlen)
     assert (est.n, est.cap_hits, est.path_len_mean, est.path_len_max) == \
         (count, *stats.values())
     assert count > 64 + 128  # past the first two batches
@@ -493,26 +485,25 @@ def multi_move_dtmc():
         [Move("l", ((Fraction(1), 2),))],
         [Move("l", ((Fraction(1), 3),))],
     ]
-    mm = explicit_model("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4)
-    return mm, StubContext(("x",))
+    return explicit_model("dtmc", ("x",), [(i,) for i in range(4)], moves, [False] * 4)
 
 
 def test_multi_move_frequencies_match_mixture():
-    mm, ctx = multi_move_dtmc()
+    mm = multi_move_dtmc()
     n = 3000
-    succ = [round(run_ci(mm, ctx, A.Next(var_eq("x", d)), alpha=0.05, n=n,
-                         seed=3).point * n) for d in (1, 2, 3)]
+    succ = [round(run_ci(SamplePool(mm, 3), A.Next(var_eq("x", d)), alpha=0.05, n=n).point * n)
+            for d in (1, 2, 3)]
     assert sum(succ) == n
     exact = [Fraction(1, 6), Fraction(5, 18), Fraction(5, 9)]
     assert scipy_stats.chisquare(succ, [float(p) * n for p in exact]).pvalue > 1e-3
     # one indicator reward per move: Cumul 1 counts the move taken first
     for j, name in enumerate("abc"):
         reward_structure(mm, name, [0] * 4, {(0, j): 1})
-    taken = [round(run_reward_ci(mm, ctx, name, A.Cumul(A.Lit(1)), n=n, seed=3).point * n)
+    taken = [round(run_reward_ci(SamplePool(mm, 3), name, A.Cumul(A.Lit(1)), n=n).point * n)
              for name in "abc"]
     assert sum(taken) == n
     assert scipy_stats.chisquare(taken, [n / 3] * 3).pvalue > 1e-3
-    entries = [simulate(mm, ctx, seed=s, pathlen=1, path=A.Next(GOAL))[0].entries[0]
+    entries = [simulate(mm, seed=s, pathlen=1, path=A.Next(GOAL))[0].entries[0]
                for s in range(30)]
     assert {tag for _, tag, _ in entries} == {"a", "b", "c"}
 
@@ -558,11 +549,11 @@ def test_a_sequential_lane_reads_its_samples_in_order_and_keeps_sums(srw_small,
 
     monkeypatch.setattr(smc, "_walk", counted)
     stop = ci_stop("CI", w=0.033, alpha=0.05)
-    tally = SamplePool(mm, closed, 3).lane(path, 12, stop).tally
+    tally = SamplePool(mm, 3).lane(path, 12, stop).tally
     # the reference samples up to the first whose Wilson interval is narrow
     # enough, into the fourth batch
     want, total = [], 0
-    for value, steps, capped in _reference(mm, closed, "F", None, goal, None, 3, 12):
+    for value, steps, capped in _reference(mm, "F", None, goal, None, 3, 12):
         want.append((value, steps, capped))
         total += value
         if smc._wilson_half_width(stop.z, total, len(want)) <= 0.033:
@@ -581,17 +572,16 @@ def test_a_sequential_lane_reads_its_samples_in_order_and_keeps_sums(srw_small,
 
 
 @pytest.mark.parametrize("run", [
-    lambda mm, ctx: run_ci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=0),
-    lambda mm, ctx: run_aci(mm, ctx, A.Finally_(None, GOAL), w=0.1, n=-3),
-    lambda mm, ctx: run_apmc(mm, ctx, A.Finally_(None, GOAL), delta=0.1, n=0),
-    lambda mm, ctx: run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(3)), n=0),
+    lambda pool: run_ci(pool, A.Finally_(None, GOAL), alpha=0.05, n=0),
+    lambda pool: run_aci(pool, A.Finally_(None, GOAL), w=0.1, n=-3),
+    lambda pool: run_apmc(pool, A.Finally_(None, GOAL), delta=0.1, n=0),
+    lambda pool: run_reward_ci(pool, "R", A.Cumul(A.Lit(3)), n=0),
     # the Student-t quantile of ACI needs n - 1 >= 1 degrees of freedom
-    lambda mm, ctx: run_aci(mm, ctx, A.Finally_(None, GOAL), alpha=0.05, n=1),
+    lambda pool: run_aci(pool, A.Finally_(None, GOAL), alpha=0.05, n=1),
 ])
 def test_sample_count_must_be_positive(run):
-    mm, ctx = chain30()
     with pytest.raises(SmcError, match="the sample count n must be at least [12]"):
-        run(mm, ctx)
+        run(SamplePool(chain30(), 0))
 
 
 def test_selection_within_a_row_equals_a_search_of_the_row():
@@ -622,16 +612,16 @@ def test_selection_within_a_row_equals_a_search_of_the_row():
 
 def test_empty_horizons_decide_at_the_initial_state():
     from rcprob.exact import prob_path
-    mm, ctx = chain30()
+    mm = chain30()
     not_goal = A.Unary("not", GOAL)
     for path, want in [(A.Globally(A.Bound("<", A.Lit(0)), not_goal), 1.0),
                        (A.Globally(A.Bound("<", A.Lit(0)), GOAL), 1.0),
                        (A.Finally_(A.Bound("<", A.Lit(0)), not_goal), 0.0)]:
-        assert prob_path(mm, ctx, path)[mm.initial] == want
-        est = run_ci(mm, ctx, path, alpha=0.05, n=20, seed=1)
+        assert prob_path(mm, path)[mm.initial] == want
+        est = run_ci(SamplePool(mm, 1), path, alpha=0.05, n=20)
         assert (est.point, est.path_len_max, est.cap_hits) == (want, 0, 0)
     reward_structure(mm, "R", [1] * 3)
-    est = run_reward_ci(mm, ctx, "R", A.Cumul(A.Lit(-1)), n=20, seed=1, pathlen=5)
+    est = run_reward_ci(SamplePool(mm, 1), "R", A.Cumul(A.Lit(-1)), n=20, pathlen=5)
     assert (est.point, est.path_len_max, est.cap_hits) == (0.0, 0, 0)
 
 
@@ -642,7 +632,7 @@ def test_uniform_equal_to_a_cumulative_weight_moves_past_it():
              [Move("l", ((Fraction(1), 1),))],
              [Move("l", ((Fraction(1), 2),))]]
     mm = explicit_model("dtmc", ("x",), [(0,), (1,), (2,)], moves, [False] * 3)
-    path, sample = simulate(mm, StubContext(("x",)), seed=6, pathlen=5,
+    path, sample = simulate(mm, seed=6, pathlen=5,
                             path=A.Next(var_eq("x", 2)))
     assert (path.entries, sample) == ([(0, "a", 2)], 1)
     reached, _, _ = oracles.reference_path(mm, oracles.reference_rng(6, 0), 5,
@@ -657,53 +647,49 @@ def lazy_copy(mm):
     """A model that expands the states of the complete model `mm` on demand,
     numbering them in the order it meets them."""
     return explicit_model(mm.kind, mm.var_names, mm.states, all_moves(mm), mm.deadlock,
-                          mm.initial, lazy=True)
+                          mm.initial, lazy=True, closed=mm.closed)
 
 
-def _state_reward(ctx, guard, value):
-    """A context whose spec declares the state reward R = value where guard."""
-    ctx.spec = P.SpecAst([P.RewardsDecl("R", [P.RewardItem(None, guard, value)])])
-    return ctx
+def _state_reward(mm, guard, value):
+    """mm, whose spec declares the state reward R = value where guard."""
+    mm.closed.spec = P.SpecAst([P.RewardsDecl("R", [P.RewardItem(None, guard, value)])])
+    return mm
 
 
 def _lazy_and_full_models(srw_small):
     closed, srw = srw_small
-    yield (srw, open_markov(closed), closed, parse_expression("SRWMod::SRWRP::x >= -1"),
+    yield (srw, open_markov(closed), parse_expression("SRWMod::SRWRP::x >= -1"),
            parse_expression("SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck"),
            "R_origins")
     x = A.Ref(A.QName(("x",)))
-    mm, ctx = chain30()
-    yield mm, lazy_copy(mm), _state_reward(ctx, var_eq("x", 0), A.Lit(2)), \
-        A.Unary("not", var_eq("x", 2)), GOAL, "R"
-    rnd = oracles.random_dtmc(random.Random(4), 25)
-    yield rnd, lazy_copy(rnd), _state_reward(StubContext(("x",)), A.Lit(True), x), \
-        A.Binary("<", x, A.Lit(18)), var_in("x", [3, 7, 11, 19]), "R"
-    wide, ctx = wide_row_dtmc()
-    yield wide, lazy_copy(wide), _state_reward(ctx, A.Binary("<", x, A.Lit(30)), x), \
-        A.Binary("<", x, A.Lit(45)), var_in("x", [2, 23]), "R"
-    three, ctx = multi_move_dtmc()
-    yield three, lazy_copy(three), _state_reward(ctx, A.Lit(True), A.Lit(1)), \
-        A.Unary("not", var_eq("x", 2)), var_in("x", [1, 3]), "R"
+    mm = _state_reward(chain30(), var_eq("x", 0), A.Lit(2))
+    yield mm, lazy_copy(mm), A.Unary("not", var_eq("x", 2)), GOAL, "R"
+    rnd = _state_reward(oracles.random_dtmc(random.Random(4), 25), A.Lit(True), x)
+    yield rnd, lazy_copy(rnd), A.Binary("<", x, A.Lit(18)), var_in("x", [3, 7, 11, 19]), "R"
+    wide = _state_reward(wide_row_dtmc(), A.Binary("<", x, A.Lit(30)), x)
+    yield wide, lazy_copy(wide), A.Binary("<", x, A.Lit(45)), var_in("x", [2, 23]), "R"
+    three = _state_reward(multi_move_dtmc(), A.Lit(True), A.Lit(1))
+    yield three, lazy_copy(three), A.Unary("not", var_eq("x", 2)), var_in("x", [1, 3]), "R"
 
 
 @pytest.mark.parametrize("pathlen", [3, 1000])
 def test_lazy_expansion_samples_equal_full_build(srw_small, pathlen):
     n = 300
     smaller = 0
-    for full, lazy, ctx, p, q, rname in _lazy_and_full_models(srw_small):
+    for full, lazy, p, q, rname in _lazy_and_full_models(srw_small):
         for kind, path, _, _, k in _shapes(p, q):
-            got = [_walked(mm, ctx, path, 13, pathlen, n) for mm in (full, lazy)]
+            got = [_walked(mm, path, 13, pathlen, n) for mm in (full, lazy)]
             assert got[0] == got[1], (kind, k)
         for seed in range(5):
             walks = []
             for mm in (full, lazy):
-                sim, sample = simulate(mm, ctx, seed, pathlen, A.Finally_(None, q))
+                sim, sample = simulate(mm, seed, pathlen, A.Finally_(None, q))
                 walks.append(([(mm.states[s], tag, mm.states[d]) for s, tag, d in sim.entries],
                               sim.terminal, sample))
             assert walks[0] == walks[1]
         target = A.Binary("\\/", q, A.Unary("not", p))
         for rpath in (A.Cumul(A.Lit(4)), A.Reachable(target)):
-            ests = [run_reward_ci(mm, ctx, rname, rpath, n=n, seed=13, pathlen=pathlen)
+            ests = [run_reward_ci(SamplePool(mm, 13), rname, rpath, n=n, pathlen=pathlen)
                     for mm in (full, lazy)]
             assert ests[0] == ests[1], rpath
         assert full.num_states == len(full.order)
@@ -715,8 +701,8 @@ def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model
     closed, full = make_srw(srw_model, srw_spec, maxdist=6, maxsteps=40)
     lazy = open_markov(closed)
     goal = parse_expression("SRWMod::SRWRP::x == 3")
-    runs = [run_ci(mm, closed, A.Finally_(A.Bound("<=", A.Lit(30)), goal), alpha=0.05,
-                   n=500, seed=4) for mm in (full, lazy)]
+    runs = [run_ci(SamplePool(mm, 4), A.Finally_(A.Bound("<=", A.Lit(30)), goal), alpha=0.05,
+                   n=500) for mm in (full, lazy)]
     assert runs[0] == runs[1]
     assert 0 < len(lazy.order) < full.num_states / 4
     # every state a path stood on is expanded, and the store and the sample
@@ -745,7 +731,7 @@ def test_lazy_srw_matches_the_full_build_and_grows_only_where_paths_go(srw_model
     assert (want_mat != mat[moves][:, to_lazy]).nnz == 0
     for name in ("P_deadlock_free", "P_stuck", "P_stuck_not_origin", "R_stuck_not_origin"):
         prop = srw_spec.find(P.ProbProperty, name)
-        got, want = (check_property(mm, closed, prop).verdict for mm in (lazy, full))
+        got, want = (check_property(mm, prop).verdict for mm in (lazy, full))
         assert got == pytest.approx(want, rel=1e-12, abs=1e-15), name
 
 
@@ -754,10 +740,10 @@ def test_rewards_on_rows_out_of_state_order_match_the_full_build(srw_model, srw_
     lazy = open_markov(closed)
     # a reward simulation attaches R_origins (move rewards) to the part its
     # paths expand, and R_right (state rewards) is attached there too
-    run_reward_ci(lazy, closed, "R_origins", A.Cumul(A.Lit(30)), n=20, seed=4)
+    run_reward_ci(SamplePool(lazy, 4), "R_origins", A.Cumul(A.Lit(30)), n=20)
     right = P.parse_spec("rewards R_right = (SRWMod::SRWRP::x > 0) : 1; endrewards")
     for mm in (lazy, full):
-        attach_rewards(mm, right.statements[0], closed)
+        attach_rewards(mm, right.statements[0])
     assert lazy.rewards["R_right"].state.size == len(lazy.order) < full.num_states / 4
     for _ in range(3):  # the unexpanded states last found first
         lazy.expand(np.flatnonzero(lazy.row_of < 0)[::-1].tolist())
@@ -769,7 +755,7 @@ def test_rewards_on_rows_out_of_state_order_match_the_full_build(srw_model, srw_
     remap = [index[st] for st in lazy.states]  # lazy state -> full state
     for name in ("R_origins", "R_right"):
         for rpath in (A.Reachable(stuck), A.Cumul(A.Lit(25))):
-            got, want = (expected_reward(mm, closed, name, rpath, tol=1e-13)
+            got, want = (expected_reward(mm, name, rpath, tol=1e-13)
                          for mm in (lazy, full))
             assert got == pytest.approx(want[remap], rel=1e-12, abs=1e-12), (name, rpath)
     # the exact engine covered the rest of the model; the choice CSR takes
@@ -785,16 +771,16 @@ def test_state_cap_applies_to_the_states_paths_discover(srw_small):
     stuck = parse_expression(
         "SRWMod::ctrl_ref::stm_ref is in SRWMod::ctrl_ref::stm_ref::Stuck")
     with pytest.raises(BuildError, match="state-space cap of 12 states"):
-        run_ci(open_markov(closed, max_states=12), closed, A.Finally_(None, stuck),
-               alpha=0.05, n=100, seed=0)
+        run_ci(SamplePool(open_markov(closed, max_states=12), 0), A.Finally_(None, stuck),
+               alpha=0.05, n=100)
     # an expansion that fails leaves no row of its batch behind
     lazy = open_markov(closed, max_states=12)
     with pytest.raises(BuildError, match="state-space cap of 12 states"):
         lazy.expand_all()
     assert lazy.order == lazy.move_action == [] and lazy.num_transitions() == 0
     # a cap above the states that short paths discover is not reached
-    est = run_ci(open_markov(closed, max_states=12), closed, A.Next(stuck), alpha=0.05,
-                 n=100, seed=0)
+    est = run_ci(SamplePool(open_markov(closed, max_states=12), 0), A.Next(stuck), alpha=0.05,
+                 n=100)
     assert est.n == 100
 
 
@@ -839,13 +825,11 @@ def _bad_distribution_dtmc():
 def test_bad_distribution_is_fatal_on_the_states_paths_reach():
     with pytest.raises(BuildError, match="sum to 9/10"):
         _bad_distribution_dtmc().expand_all()
-    ctx = StubContext(("x",))
     with pytest.raises(BuildError, match="sum to 9/10"):
-        run_ci(_bad_distribution_dtmc(), ctx, A.Finally_(None, GOAL), alpha=0.05, n=20, seed=0)
+        run_ci(SamplePool(_bad_distribution_dtmc(), 0), A.Finally_(None, GOAL), alpha=0.05, n=20)
     # within one step no path leaves s2, so s3 is never expanded or checked
     lazy = _bad_distribution_dtmc()
-    est = run_ci(lazy, ctx, A.Finally_(A.Bound("<=", A.Lit(1)), GOAL), alpha=0.05, n=20,
-                 seed=0)
+    est = run_ci(SamplePool(lazy, 0), A.Finally_(A.Bound("<=", A.Lit(1)), GOAL), alpha=0.05, n=20)
     assert 0 < est.point < 1 and sorted(lazy.order) == [0, 1, 2]
     with pytest.raises(BuildError, match="sum to 9/10"):
         lazy.expand_all()
@@ -860,7 +844,8 @@ def _capped_at_two_states():
         half = nodes.leaf(Fraction(1, 2))
         return [("a", frozenset(), [(half, (1,)), (half, (2,))])], True
 
-    return MarkovModel("dtmc", ("x",), [(0,)], successors, nodes, max_states=2)
+    return MarkovModel("dtmc", ("x",), [(0,)], successors, nodes, max_states=2,
+                       closed=oracles.StubContext(("x",)))
 
 
 @pytest.mark.parametrize("make,first,error", [
@@ -894,7 +879,7 @@ def test_nested_probability_operand_expands_the_whole_model(srw_small, monkeypat
     likely = parse_expression("Prob>=0.8 of [Finally SRWMod::SRWRP::x == 2]")
     path = A.Finally_(None, likely)
     lazy = open_markov(closed)
-    runs = [run_ci(mm, closed, path, alpha=0.05, n=300, seed=8) for mm in (full, lazy)]
+    runs = [run_ci(SamplePool(mm, 8), path, alpha=0.05, n=300) for mm in (full, lazy)]
     assert runs[0] == runs[1]
     assert 0 < runs[0].point < 1
     assert len(lazy.order) == lazy.num_states == full.num_states
@@ -906,31 +891,28 @@ def test_bounded_finally_decides_at_its_bound():
     # a two-state cycle that never reaches x == 2
     moves = [[Move("a", ((Fraction(1), 1),))], [Move("b", ((Fraction(1), 0),))]]
     mm = explicit_model("dtmc", ("x",), [(0,), (1,)], moves, [False] * 2)
-    ctx = StubContext(("x",))
     for path in (A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 2)),
                  A.Until(A.Lit(True), A.Bound("<=", A.Lit(4)), var_eq("x", 2))):
-        est = run_ci(mm, ctx, path, alpha=0.05, n=30, seed=0, pathlen=4)
+        est = run_ci(SamplePool(mm, 0), path, alpha=0.05, n=30, pathlen=4)
         assert (est.point, est.cap_hits, est.path_len_max) == (0.0, 0, 4)
-    est = run_ci(mm, ctx, A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 0)),
-                 alpha=0.05, n=30, seed=0, pathlen=4)
+    est = run_ci(SamplePool(mm, 0), A.Finally_(A.Bound("<=", A.Lit(4)), var_eq("x", 0)),
+                 alpha=0.05, n=30, pathlen=4)
     assert (est.point, est.path_len_max) == (1.0, 0)
 
 
 def test_ci_solve_for_alpha_without_spread_uses_hoeffding():
-    mm, ctx = chain30()
+    mm = chain30()
     ones = explicit_model("dtmc", ("x",), mm.states, all_moves(mm), mm.deadlock, initial=1)
     for run in (run_ci, run_aci):
-        est = run(ones, ctx, A.Finally_(None, GOAL), w=0.1, n=50, seed=0)
+        est = run(SamplePool(ones, 0), A.Finally_(None, GOAL), w=0.1, n=50)
         assert est.point == 1.0
         assert est.alpha == pytest.approx(2 * math.exp(-2 * 50 * 0.1 ** 2))
-        assert run(ones, ctx, A.Finally_(None, GOAL), w=0.01, n=5, seed=0).alpha == 1.0
+        assert run(SamplePool(ones, 0), A.Finally_(None, GOAL), w=0.01, n=5).alpha == 1.0
 
 
 def _coverage_models():
-    mm, ctx = chain30()
-    yield mm, ctx, A.Finally_(None, GOAL)
-    rnd = oracles.random_dtmc(random.Random(11), 20)
-    yield rnd, StubContext(("x",)), A.Finally_(None, var_in("x", [2, 5, 9]))
+    yield chain30(), A.Finally_(None, GOAL)
+    yield oracles.random_dtmc(random.Random(11), 20), A.Finally_(None, var_in("x", [2, 5, 9]))
 
 
 def test_sequential_interval_covers_the_exact_value():
@@ -938,17 +920,17 @@ def test_sequential_interval_covers_the_exact_value():
     alpha, w, seeds = 0.05, 0.06, 200
     # a binomial slack of three standard deviations below 1 - alpha
     floor = 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / seeds)
-    for mm, ctx, path in _coverage_models():
-        exact = prob_path(mm, ctx, path)[mm.initial]
+    for mm, path in _coverage_models():
+        exact = prob_path(mm, path)[mm.initial]
         assert 0.05 < exact < 0.95
         covered = 0
         for seed in range(seeds):
-            est = run_ci(mm, ctx, path, w=w, alpha=alpha, seed=seed)
+            est = run_ci(SamplePool(mm, seed), path, w=w, alpha=alpha)
             assert est.half_width <= w
             covered += abs(est.point - exact) <= est.half_width
         assert covered / seeds >= floor, (covered, exact)
         # ACI stops by the same rule
-        aci = run_aci(mm, ctx, path, w=w, alpha=alpha, seed=seed)
+        aci = run_aci(SamplePool(mm, seed), path, w=w, alpha=alpha)
         assert (aci.point, aci.n, aci.half_width) == (est.point, est.n, est.half_width)
 
 
@@ -957,13 +939,13 @@ def test_sprt_wrong_verdicts_within_alpha():
     alpha, delta, margin, seeds = 0.05, 0.05, 0.02, 200
     # a binomial slack of three standard deviations above alpha
     ceiling = alpha + 3 * math.sqrt(alpha * (1 - alpha) / seeds)
-    for mm, ctx, path in _coverage_models():
-        exact = prob_path(mm, ctx, path)[mm.initial]
+    for mm, path in _coverage_models():
+        exact = prob_path(mm, path)[mm.initial]
         # theta outside the indifference region, below and then above p
         for theta, holds in ((exact - delta - margin, True), (exact + delta + margin, False)):
             bound = A.Bound(">=", A.Lit(theta))
-            wrong = sum(run_sprt(mm, ctx, path, bound, theta, alpha=alpha, delta=delta,
-                                 seed=seed).satisfied != holds for seed in range(seeds))
+            wrong = sum(run_sprt(SamplePool(mm, seed), path, bound, theta, alpha=alpha,
+                                 delta=delta).satisfied != holds for seed in range(seeds))
             assert wrong / seeds <= ceiling, (theta, wrong)
 
 
@@ -1002,20 +984,20 @@ def test_a_pool_gives_each_job_the_estimate_it_has_alone(srw_model, srw_spec, mo
 
     monkeypatch.setattr(smc, "_walk", counted)
     mm = open_markov(closed)
-    pool = SamplePool(mm, closed, 9)
+    pool = SamplePool(mm, 9)
     for *_, lane in jobs:
         pool.add(*lane)
-    joint = [run(mm, closed, *args, seed=9, **kw, pool=pool) for run, args, kw, _ in jobs]
+    joint = [run(pool, *args, **kw) for run, args, kw, _ in jobs]
     # all six jobs, the two sequential ones included, walk their first batch
     # together, the reward job its second alone
     assert walks[:2] == [6, 1]
     for (run, args, kw, _), est in zip(jobs, joint):
-        alone = run(open_markov(closed), closed, *args, seed=9, **kw)
+        alone = run(SamplePool(open_markov(closed), 9), *args, **kw)
         assert est == alone, run.__name__
     assert [est.method for est in joint] == ["CI", "APMC", "ACI", "SPRT", "CI", "ACI"]
     assert joint[0].cap_hits == 0 < joint[4].point and joint[3].decision is not None
     # and the samples that the reference sampler checks
-    samples, stats = _walked(open_markov(closed), closed, near, 9, 30, 700)
+    samples, stats = _walked(open_markov(closed), near, 9, 30, 700)
     assert joint[0].point == sum(samples) / 700
     assert stats == {key: getattr(joint[0], key) for key in
                      ("cap_hits", "path_len_mean", "path_len_max")}
@@ -1068,8 +1050,8 @@ def test_a_walk_looks_ahead_no_further_than_its_last_step(bound, pathlen, reache
     lazy = explicit_model("dtmc", ("x",), [(i,) for i in range(n)], moves, [False] * n,
                           lazy=True)
     bound = None if bound is None else A.Bound("<=", A.Lit(bound))
-    est = run_ci(lazy, StubContext(("x",)), A.Finally_(bound, var_eq("x", 99)), alpha=0.05,
-                 n=10, seed=0, pathlen=pathlen)
+    est = run_ci(SamplePool(lazy, 0), A.Finally_(bound, var_eq("x", 99)), alpha=0.05,
+                 n=10, pathlen=pathlen)
     assert est.point == 0.0
     # the first expansion took the whole chain that the walk could reach
     assert sorted(lazy.states[s][0] for s in lazy.order) == list(range(reached))
@@ -1083,7 +1065,7 @@ def test_a_chain_that_fails_is_dropped_for_the_states_reached():
     lazy = explicit_model("dtmc", ("x",), [(i,) for i in range(3)], moves, [False] * 3,
                           lazy=True)
     path = A.Finally_(A.Bound("<=", A.Lit(5)), var_eq("x", 1))
-    est = run_ci(lazy, StubContext(("x",)), path, alpha=0.05, n=10, seed=0)
+    est = run_ci(SamplePool(lazy, 0), path, alpha=0.05, n=10)
     assert est.point == 1.0 and sorted(lazy.order) == [0, 1]
     with pytest.raises(BuildError, match="sum to 9/10"):
         lazy.expand_all()

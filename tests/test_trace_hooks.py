@@ -21,8 +21,8 @@ def test_tracer_wraps_existing_names(monkeypatch, srw_small, srw_spec):
     tracer = Tracer()
     tracer.install()
     try:
-        checker = ExactChecker(mm, closed)
-        result = rcprob.exact.check_property(mm, closed, prop, "cfg")
+        checker = ExactChecker(mm)
+        result = rcprob.exact.check_property(mm, prop, "cfg")
     finally:
         tracer.remove()
     assert result.verdict > 0.99
