@@ -715,9 +715,9 @@ def _reward_monitor(checker: ExactChecker, rpath: A.Expr) -> Monitor:
 def run_reward_ci(pool: SamplePool, rname, rpath, alpha=DEFAULT_ALPHA, n=DEFAULT_SAMPLES,
                   pathlen=DEFAULT_PATHLEN) -> Estimate:
     """Mean-reward estimation for Cumul k and almost-sure Reachable formulas,
-    on the job's lane in `pool`.  A path that reaches an absorbing
-    state outside the target of Reachable diverges; it is censored and
-    counted as a cap hit."""
+    on the job's lane in `pool`.  A path that reaches an absorbing state
+    outside the target of Reachable diverges; it is censored and counted as
+    a cap hit."""
     n = _count("the sample count n", n)
     _within("alpha", alpha)
     tally = pool.lane(rpath, pathlen, n, rname).tally
