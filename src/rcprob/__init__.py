@@ -12,7 +12,7 @@ from .resolve import Diagnostic, ResolveError, classify, resolve_fqn, validate
 from .build import (ClosedModel, MarkovModel, attach_rewards, build_markov,
                     eval_expr, expand_sweep, instantiate)
 from .exact import (CheckResult, check_AE, check_property, check_state_formula,
-                    expected_reward, prob_path, prob_path_bounded)
+                    expected_reward, prob_path)
 from .smc import Estimate, SamplePool, SimPath, run_aci, run_apmc, run_ci, run_sprt, simulate
 from .prism import EmittedPair, check_prism_model, check_prism_props, emit_model, \
     emit_pair, emit_properties, mangle

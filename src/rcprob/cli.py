@@ -244,11 +244,19 @@ def _in_workers(plan: RunPlan, model, spec, structures, workers: int):
     """The outcomes of `_check_structure` on each structure, in order, from
     `workers` processes that fork from this one and so inherit its inputs,
     which are not pickled.  Forking is safe here: no thread of this program
-    runs, and OpenBLAS stops its own threads in its fork handler."""
+    runs, and OpenBLAS stops its own threads in its fork handler.
+
+    The heap is frozen around the forks (`gc.freeze`), so that a worker's
+    first full collection does not walk the inherited objects and copy
+    their pages; it is thawed after, unless the caller had frozen objects
+    of its own, which stay frozen."""
+    import gc
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    thaw = gc.get_freeze_count() == 0
+    gc.freeze()
     # the fork start method flushes stdout and stderr before each fork, so
     # that no child writes text buffered here a second time
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -263,6 +271,8 @@ def _in_workers(plan: RunPlan, model, spec, structures, workers: int):
                                "the sweep") from None
     finally:
         pool.shutdown(cancel_futures=True)
+        if thaw:
+            gc.unfreeze()
 
 
 def _check_structure(plan: RunPlan, model, spec, configs: list[list[Job]]) \

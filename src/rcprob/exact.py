@@ -24,17 +24,24 @@ which stops when successive iterates change by less than `tol`.  A/E path
 quantifiers run pure graph analysis over the positive-probability edge
 relation of the deadlock-completed model: the fairness shapes reach the
 cycles that one search for strongly connected components finds
-(`ExactChecker._cycles`), and EG is a greatest fixpoint.
+(`ExactChecker._cycles`), and EG t = E[t U C], C the states on a cycle
+inside t.
 
 The graph layer reads two boolean sparse matrices: the support of the dtmc
 matrix (state to state) and the support of the choice CSR (move to state).
 The weights do not change them, so they, the values of plain state
 expressions and the prob-0/prob-1 sets are made once for the models of a
-structure that `MarkovModel.reweigh` gives (`MarkovModel.derived`).
-Fixpoints iterate boolean sparse mat-vec steps until they stop changing;
-"some move" and "every move" of a state reduce the per-move results over the
-state's block of moves.  Reachability is a breadth-first search and strongly
-connected components come from `scipy.sparse.csgraph`.
+structure that `MarkovModel.reweigh` gives (`MarkovModel.derived`).  The
+sets of sat1 U sat2 (`ExactChecker._prob01`) are searches too: prob0 is
+the complement of E[(sat1 & ~sat2) U sat2] on a dtmc and for max, and prob1
+the complement of E[(sat1 & ~sat2) U prob0] on a dtmc and for min, where
+Prob1A = ~E[(sat1 & ~sat2) U Prob0E] (Baier and Katoen, Principles of Model
+Checking, 10.6).  Two fixpoints remain: min's prob0, the complement of an
+attractor whose step reduces "every move" over each state's block of
+moves, and max's prob1 (Prob1E), each round of which is one search over
+the edges of the moves that stay inside the current set.  Searches are
+breadth-first, and they and strongly connected components come from
+`scipy.sparse.csgraph`.
 
 scipy is imported by the functions that build a matrix or call one of its
 routines, not here: simulation, validation and emission start without it.
@@ -95,28 +102,6 @@ def _is_state_expr(e: A.Expr) -> bool:
     of P, R, A or E."""
     return not any(isinstance(node, A.PATH_NODES + A.REWARD_PATH_NODES)
                    for node in A.walk(e, stop=NESTED))
-
-
-def _per_structure_sets(method):
-    """A method of the support graphs and of boolean state sets, computed
-    once per structure (`ExactChecker._per_structure`) for each value of the
-    sets; the arrays it gives are read-only, as the structure's models share
-    them.  Each call takes the support graph first, found or made, so that
-    a traced run (`perfbench/tracing.py`) times each checker's use of it."""
-    @functools.wraps(method)
-    def cached(self, *sets):
-        self.pred()
-
-        def make():
-            out = method(self, *sets)
-            for a in out if isinstance(out, tuple) else (out,):
-                a.flags.writeable = False
-            return out
-
-        return self._per_structure(
-            (method.__name__, *(np.packbits(s).tobytes() for s in sets)), make)
-
-    return cached
 
 
 class ExactChecker:
@@ -401,49 +386,53 @@ class ExactChecker:
         """States with a positive-probability path to sat2 through sat1."""
         return _reach(self.pred(), sat1, sat2)
 
-    @_per_structure_sets
-    def _prob0_min(self, sat1, sat2):
-        """States where the minimum until-probability is 0: the complement
-        of the least fixpoint of states where every move keeps a positive
-        chance."""
-        sup = self._move_support()
-        return ~_lfp(lambda x: sat2 | (sat1 & self._reduce_moves(sup @ x, np.logical_and)),
-                     sat2)
+    def _prob01(self, sat1, sat2, mode: str):
+        """prob0 and prob1 of sat1 U sat2 in `mode` (exact|min|max), by the
+        searches and fixpoints of the module docstring.  Made once per
+        structure for each value of the sets and the mode; the arrays are
+        read-only, as the structure's models share them.  The support graph
+        is found or made first, so that a traced run (`perfbench/tracing.py`)
+        times each checker's use of it."""
+        self.pred()
 
-    @_per_structure_sets
-    def _prob01_dtmc(self, sat1, sat2):
-        """prob0 and prob1 of sat1 U sat2 on a dtmc: states that reach sat2
-        with probability 0, and states that cannot reach a prob0 state
-        through sat1 & ~sat2."""
-        prob0 = ~self._reach_exists(sat1 & ~sat2, sat2)
-        return prob0, ~self._reach_exists(sat1 & ~sat2, prob0)
+        def make():
+            run = sat1 & ~sat2
+            if mode == "min":
+                # Prob0E: outside the least set that holds sat2 and each
+                # sat1 state whose every move can enter it
+                sup = self._move_support()
+                prob0 = ~_lfp(lambda x: sat2 | (sat1 & self._reduce_moves(
+                    sup @ x, np.logical_and)), sat2)
+            else:
+                prob0 = ~self._reach_exists(run, sat2)
+            if mode == "max":
+                # Prob1E: the greatest u from whose states sat2 is reached
+                # through sat1 by moves that stay inside u
+                sup = self._move_support()
+                rev, moves = self._per_structure("move_graph", self._move_graph)
+                prob1 = _lfp(lambda u: _reach(rev, sat1, sat2, (~(sup @ ~u))[moves]),
+                             np.ones(self.n, dtype=bool))
+            else:
+                prob1 = ~self._reach_exists(run, prob0)
+            prob0.flags.writeable = prob1.flags.writeable = False
+            return prob0, prob1
 
-    @_per_structure_sets
-    def _prob1_max(self, sat1, sat2):
-        """Prob1E: states where some adversary reaches sat2 almost surely:
-        the greatest u such that every state of u reaches sat2 through sat1
-        by moves that all stay inside u."""
-        sup = self._move_support()
+        key = ("_prob01", mode, np.packbits(sat1).tobytes(), np.packbits(sat2).tobytes())
+        return self._per_structure(key, make)
 
-        def attractor(u):
-            stays = ~(sup @ ~u)
-            return _lfp(lambda v: sat2 | (sat1 & self._reduce_moves(stays & (sup @ v),
-                                                                    np.logical_or)), sat2)
-
-        return _lfp(attractor, np.ones(self.n, dtype=bool))
-
-    @_per_structure_sets
-    def _prob1_min(self, sat1, sat2):
-        """Prob1A: states where every adversary reaches sat2 almost surely."""
-        sup = self._move_support()
-        # greatest existential invariant inside sat1 & ~sat2
-        inv = _lfp(lambda x: x & self._reduce_moves(~(sup @ ~x), np.logical_or),
-                   sat1 & ~sat2)
-        # existential reach (within ~sat2) of a bad state or the invariant
-        return ~self._reach_exists(sat1 & ~sat2, (~sat1 & ~sat2) | inv)
+    def _move_graph(self):
+        """The support graph reversed with one edge per move: a state's row
+        holds the state of each move that can reach it; returned with the
+        move of each entry."""
+        from scipy import sparse
+        into = self._move_support().T.tocsr()
+        owner = np.repeat(np.arange(self.n), np.diff(self.mdp_arrays()[1]))
+        rev = sparse.csr_matrix((into.data, owner[into.indices], into.indptr),
+                                shape=(self.n, self.n))
+        return rev, into.indices
 
     def _until_dtmc(self, sat1, sat2) -> np.ndarray:
-        prob0, prob1 = self._prob01_dtmc(sat1, sat2)
+        prob0, prob1 = self._prob01(sat1, sat2, "exact")
         x = prob1.astype(float)
         maybe = np.flatnonzero(~prob0 & ~prob1)
         self.iterations = 0
@@ -505,12 +494,7 @@ class ExactChecker:
         return acc + splu(a).solve(rhs)[at[nxt]]
 
     def _until_mdp(self, sat1, sat2, mode) -> np.ndarray:
-        if mode == "max":
-            prob0 = ~self._reach_exists(sat1 & ~sat2, sat2)
-            prob1 = self._prob1_max(sat1, sat2)
-        else:
-            prob0 = self._prob0_min(sat1, sat2)
-            prob1 = self._prob1_min(sat1, sat2)
+        prob0, prob1 = self._prob01(sat1, sat2, mode)
         x = prob1.astype(float)
         # prob0 holds ~sat1 & ~sat2 and prob1 holds sat2: the undecided
         # states are sat1 & ~sat2, where the backup is the one-step value
@@ -583,9 +567,9 @@ class ExactChecker:
         return _lfp(lambda x: sat2 | (sat1 & ~(succ @ ~x)), sat2, k)
 
     def _eg(self, target: np.ndarray) -> np.ndarray:
-        """Greatest fixpoint: states with an infinite path staying in target."""
-        succ = self.succ()
-        return _lfp(lambda x: x & (succ @ x), target)
+        """States with an infinite path that stays in target: those that
+        reach, inside target, a cycle inside target."""
+        return self._reach_exists(target, self._cycles(target, target))
 
     def _cycles(self, stay: np.ndarray, visit: np.ndarray, graph=None) -> np.ndarray:
         """Nodes on a cycle inside `stay` whose strongly connected component
@@ -661,15 +645,9 @@ class ExactChecker:
         return state_r + self._reduce_moves(per_move, _EXTREMUM[mode])
 
     def _reach_reward(self, target: np.ndarray, state_r, move_r, mode) -> np.ndarray:
-        ones = np.ones(self.n, dtype=bool)
-        if mode == "exact":
-            finite = self._prob01_dtmc(ones, target)[1]
-        elif mode == "max":
-            # sup over adversaries is infinite when some adversary misses the target
-            finite = self._prob1_min(ones, target)
-        else:
-            finite = self._prob1_max(ones, target)
-        finite = finite | target
+        # the supremum over adversaries is infinite where some adversary
+        # misses the target, the infimum where every adversary does
+        finite = self._prob01(np.ones(self.n, dtype=bool), target, _flip(mode))[1] | target
         x = np.where(finite, 0.0, np.inf)
         idx = np.flatnonzero(finite & ~target)
         if mode != "exact":
@@ -837,14 +815,17 @@ def _lfp(step, x: np.ndarray, limit: int | None = None) -> np.ndarray:
     return x
 
 
-def _reach(rev, through: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _reach(rev, through: np.ndarray, target: np.ndarray, edges=None) -> np.ndarray:
     """States of target, and states of through with a path inside through to
     target: a breadth-first search over the reversed edges `rev` (a square
-    CSR matrix) from a virtual root wired to every target state."""
+    CSR matrix), or those of its entries that the mask `edges` keeps, from a
+    virtual root wired to every target state."""
     from scipy import sparse
     from scipy.sparse import csgraph
     n = rev.shape[0]
     keep = through[rev.indices]
+    if edges is not None:
+        keep &= edges
     kept = np.concatenate([[0], np.cumsum(keep)])
     roots = np.flatnonzero(target)
     indices = np.concatenate([rev.indices[keep], roots])
@@ -886,16 +867,6 @@ def prob_path(mm: MarkovModel, path: A.Expr, mode: str = "exact",
               tol: float = DEFAULT_TOL) -> np.ndarray:
     """Per-state probability of an unbounded or bounded path formula."""
     return ExactChecker(mm, tol).prob_path(path, mode)
-
-
-def prob_path_bounded(mm: MarkovModel, path: A.Expr, mode: str = "exact") -> np.ndarray:
-    """Per-state probability of a step-bounded path formula.
-
-    Exact in k backward steps, no convergence threshold involved."""
-    if isinstance(path, (A.Finally_, A.Globally, A.Until, A.WeakUntil, A.Release)) \
-            and path.bound is None:
-        raise CheckError("prob_path_bounded needs a step bound on the formula")
-    return ExactChecker(mm).prob_path(path, mode)
 
 
 def check_AE(mm: MarkovModel, quant: str, path: A.Expr) -> np.ndarray:

@@ -209,6 +209,31 @@ def random_mdp(rng, n: int, max_nondet_states: int = 8) -> MarkovModel:
     return explicit_model("mdp", ("x",), states, moves, [s in absorbing for s in range(n)])
 
 
+def random_line_mdp(rng, n: int, max_nondet_states: int = 5) -> MarkovModel:
+    """States 0..n-1 on a line, the last absorbing: each branch steps at
+    most one back or two ahead, so that graph searches take about n rounds.
+    Every state's first move can step ahead; the other moves of a state
+    with a choice are drawn freely, so some only stay or step back, which
+    makes end components."""
+    states = [(i,) for i in range(n)]
+    nondet = set(rng.sample(range(n - 1), min(max_nondet_states, n - 1)))
+    moves = []
+    for s in range(n - 1):
+        near = list(range(max(0, s - 1), min(n, s + 3)))
+        row = []
+        for a in range(rng.randint(2, 3) if s in nondet else 1):
+            dests = rng.sample(near, rng.randint(1, min(3, len(near))))
+            if a == 0 and s + 1 not in dests:
+                dests.append(s + 1)
+            weights = [rng.randint(1, 4) for _ in dests]
+            total = sum(weights)
+            row.append(Move(f"a{a}", tuple((Fraction(w, total), d)
+                                          for w, d in zip(weights, dests))))
+        moves.append(row)
+    moves.append([Move("loop", ((Fraction(1), n - 1),))])
+    return explicit_model("mdp", ("x",), states, moves, [s == n - 1 for s in range(n)])
+
+
 # --- explicit export parsing -------------------------------------------------------
 
 
@@ -442,24 +467,21 @@ def _succ_sets(mm: MarkovModel):
     return out
 
 
-def simple_cycles(succ) -> list[list[int]]:
-    n = len(succ)
-    cycles = []
-
+def simple_cycles(succ):
+    """Each simple cycle once, from its least node, as the search meets it."""
     def dfs(start, node, path, visited):
         for nxt in succ[node]:
             if nxt == start:
-                cycles.append(path[:])
+                yield path[:]
             elif nxt > start and nxt not in visited:
                 visited.add(nxt)
                 path.append(nxt)
-                dfs(start, nxt, path, visited)
+                yield from dfs(start, nxt, path, visited)
                 path.pop()
                 visited.discard(nxt)
 
-    for start in range(n):
-        dfs(start, start, [start], {start})
-    return cycles
+    for start in range(len(succ)):
+        yield from dfs(start, start, [start], {start})
 
 
 def _reachable_from(succ, s, allowed=None):

@@ -18,7 +18,8 @@ from conftest import make_srw
 from oracles import (Move, all_moves, brute_ae, dense_reach, dense_reach_reward,
                      dtmc_row, explicit_dtmc_csr, explicit_dtmc_matrix, explicit_model,
                      explicit_step_reward, mdp_extremal_reach, mdp_zero_one_sets, moves_of,
-                     parse_explicit, random_dtmc, random_mdp, reward_structure,
+                     parse_explicit, random_dtmc, random_line_mdp, random_mdp,
+                     reward_structure,
                      sparse_reach, sparse_reach_reward, sparse_total_reward, var_eq,
                      var_in)
 
@@ -774,19 +775,6 @@ def test_formula_ref_resolution(srw_model):
         assert sat[i] == (st[x_i] == 0)
 
 
-def test_prob_path_bounded_entrypoint():
-    from rcprob.exact import prob_path_bounded, CheckError
-    mm = chain([
-        [("a", [(0.5, 1), (0.5, 0)])],
-        [("loop", [(1, 1)])],
-    ])
-    goal = var_eq("x", 1)
-    values = prob_path_bounded(mm, A.Finally_(A.Bound("<=", A.Lit(2)), goal))
-    assert values[0] == pytest.approx(0.75, abs=1e-12)
-    with pytest.raises(CheckError, match="step bound"):
-        prob_path_bounded(mm, F(goal))
-
-
 def test_mdp_until_matches_adversary_enumeration():
     rng = random.Random(999)
     for trial in range(25):
@@ -823,26 +811,48 @@ def test_mdp_until_matches_adversary_enumeration():
             assert np.max(np.abs(engine - best)) < 1e-7, (trial, mode)
 
 
+def _check_zero_one_sets(mm, hold, goal, trial):
+    """prob0/prob1 of hold U goal, min and max, and the finite regions of
+    reaching goal, against the induced chains of every memoryless adversary."""
+    n = mm.num_states
+    reward_structure(mm, "R", [1] * n)
+    pe, qe = var_in("x", hold), var_in("x", goal)
+    hold_a = np.isin(np.arange(n), hold)
+    goal_a = np.isin(np.arange(n), goal)
+    min0, max0, min1, max1 = mdp_zero_one_sets(mm, hold_a, goal_a)
+    for mode, zero, one in (("min", min0, min1), ("max", max0, max1)):
+        values = prob_path(mm, A.Until(pe, None, qe), mode=mode, tol=1e-13)
+        assert ((values == 0.0) == zero).all(), (trial, mode)
+        assert ((values == 1.0) == one).all(), (trial, mode)
+    # the minimum reward is finite where some adversary reaches goal
+    # almost surely, the maximum where every adversary does
+    ones = np.ones(n, dtype=bool)
+    _, _, reach_min1, reach_max1 = mdp_zero_one_sets(mm, ones, goal_a)
+    for mode, finite in (("min", reach_max1), ("max", reach_min1)):
+        reward = expected_reward(mm, "R", A.Reachable(qe), mode=mode, tol=1e-12)
+        assert (np.isinf(reward) == ~finite).all(), (trial, mode)
+    return pe, qe, hold_a, goal_a
+
+
 def test_mdp_zero_one_sets_match_adversary_graphs():
     rng = random.Random(2024)
     for trial in range(40):
         mm = random_mdp(rng, rng.randint(3, 8), max_nondet_states=5)
         n = mm.num_states
-        reward_structure(mm, "R", [1] * n)
         hold = rng.sample(range(n), max(2, 2 * n // 3))
         goal = rng.sample(range(n), max(1, n // 4))
-        pe, qe = var_in("x", hold), var_in("x", goal)
-        hold_a = np.isin(np.arange(n), hold)
-        goal_a = np.isin(np.arange(n), goal)
-        min0, max0, min1, max1 = mdp_zero_one_sets(mm, hold_a, goal_a)
-        for mode, zero, one in (("min", min0, min1), ("max", max0, max1)):
-            values = prob_path(mm, A.Until(pe, None, qe), mode=mode, tol=1e-13)
-            assert ((values == 0.0) == zero).all(), (trial, mode)
-            assert ((values == 1.0) == one).all(), (trial, mode)
-        # the minimum reward is finite where some adversary reaches goal
-        # almost surely, the maximum where every adversary does
-        ones = np.ones(n, dtype=bool)
-        _, _, reach_min1, reach_max1 = mdp_zero_one_sets(mm, ones, goal_a)
-        for mode, finite in (("min", reach_max1), ("max", reach_min1)):
-            reward = expected_reward(mm, "R", A.Reachable(qe), mode=mode, tol=1e-12)
-            assert (np.isinf(reward) == ~finite).all(), (trial, mode)
+        _check_zero_one_sets(mm, hold, goal, trial)
+    # lines of 20 to 40 states with up to five choices: the searches span
+    # the line, the adversaries can still be enumerated, and end components
+    # lie among the undecided states; on the same draws, A[p U q] and E[G p],
+    # which reads the cycles inside p, against brute force
+    for trial in range(12):
+        mm = random_line_mdp(rng, rng.randint(20, 40))
+        n = mm.num_states
+        hold = rng.sample(range(n - 1), n - 1 - rng.randint(0, 3))
+        pe, qe, hold_a, goal_a = _check_zero_one_sets(mm, hold, [n - 1], trial)
+        sats = {"p": hold_a, "q": goal_a}
+        for quant, shape, formula in (("A", ("U", "p", "q"), A.Until(pe, None, qe)),
+                                      ("E", ("G", "p"), G(pe))):
+            assert (check_AE(mm, quant, formula) == brute_ae(mm, quant, shape, sats)).all(), \
+                (trial, quant, shape)

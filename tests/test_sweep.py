@@ -207,7 +207,7 @@ def test_a_weight_only_sweep_derives_its_structure_once(tmp_path, monkeypatch):
     # each: R_table and P_stuck share one atom, their conjunction of l_stuck
     # and not l_origin, and one pair of prob-0/1 sets, and R_origins' two
     # equal guards take one pass; P_env reads one atom and another pair
-    assert made == {"atom": 3, "choice order": 2, "succ": 2, "pred": 2, "_prob01_dtmc": 2}
+    assert made == {"atom": 3, "choice order": 2, "succ": 2, "pred": 2, "_prob01": 2}
 
 
 def test_equal_state_formulas_are_evaluated_once_per_structure(tmp_path, monkeypatch):

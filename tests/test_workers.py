@@ -2,6 +2,7 @@
 reports, warnings, errors and exit codes as checking them one after another
 in the calling process, and no process left behind."""
 
+import gc
 import json
 import multiprocessing
 import os
@@ -91,6 +92,26 @@ def test_workers_report_what_one_process_reports(tmp_path, monkeypatch, capsys, 
     pooled = _check(tmp_path, monkeypatch, capsys, 2, *args, steps=steps)
     assert len(inline[2]) == records
     assert pooled == inline
+
+
+def test_the_heap_frozen_around_the_forks_is_thawed_after(tmp_path, monkeypatch, capsys):
+    # the pool freezes the heap before it forks and thaws it after, unless
+    # the caller had frozen objects of its own, which stay frozen
+    freeze, freezes = gc.freeze, []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(gc.get_freeze_count()) or freeze())
+    assert gc.get_freeze_count() == 0
+    code, _, report = _check(tmp_path, monkeypatch, capsys, 2, "--kind", "dtmc",
+                             "--prop", "P_max")
+    assert (code, len(report), freezes) == (0, 6, [0])
+    assert gc.get_freeze_count() == 0
+    freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        (tmp_path / "frozen").mkdir()
+        _check(tmp_path / "frozen", monkeypatch, capsys, 2, "--kind", "dtmc", "--prop", "P_max")
+        assert gc.get_freeze_count() >= frozen > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_a_failing_structure_reads_as_it_does_in_one_process(tmp_path, monkeypatch,
